@@ -351,9 +351,47 @@ let check_sim_arg =
 
 let resolve_namespace ~n ~namespace = if namespace = 0 then 64 * n else namespace
 
+(* Bad arguments are reported before anything forks, listens or
+   connects: the problem, the subcommand's usage line, exit 2. *)
+let usage_error cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf
+        "net_node %s: %s\nUsage: net_node %s [OPTION]…\n\
+         Try 'net_node %s --help' for more information.\n"
+        cmd msg cmd cmd;
+      exit 2)
+    fmt
+
+let check_sizes cmd ~n ~n_hosts =
+  if n < 1 then usage_error cmd "-n must be at least 1, got %d" n;
+  if n_hosts < 1 || n_hosts > n then
+    usage_error cmd "--hosts must be in [1, n] = [1, %d], got %d" n n_hosts
+
+let check_port cmd ~min port =
+  if port < min || port > 65535 then
+    usage_error cmd "port must be in [%d, 65535], got %d" min port
+
+(* [HOST:PORT], or a bare [PORT] on 127.0.0.1. *)
+let parse_connect connect =
+  let host, port =
+    match String.rindex_opt connect ':' with
+    | Some i ->
+        ( String.sub connect 0 i,
+          String.sub connect (i + 1) (String.length connect - i - 1) )
+    | None -> ("127.0.0.1", connect)
+  in
+  match int_of_string_opt port with
+  | Some p ->
+      check_port "node" ~min:1 p;
+      (host, p)
+  | None -> usage_error "node" "--connect: bad port %S in %S" port connect
+
 let coord_cmd =
   let run algo n namespace n_hosts seed faults port latency_ms jitter_ms
       overlay_fanout max_rounds bits_out check_sim =
+    check_sizes "coord" ~n ~n_hosts;
+    check_port "coord" ~min:0 port;
     let namespace = resolve_namespace ~n ~namespace in
     let ids, config =
       make_config ~algo ~n ~namespace ~n_hosts ~seed ~faults
@@ -391,14 +429,9 @@ let node_cmd =
           ~doc:"This host's index in [0, hosts).")
   in
   let run algo connect host_index =
-    let host, port =
-      match String.rindex_opt connect ':' with
-      | Some i ->
-          ( String.sub connect 0 i,
-            int_of_string
-              (String.sub connect (i + 1) (String.length connect - i - 1)) )
-      | None -> ("127.0.0.1", int_of_string connect)
-    in
+    let host, port = parse_connect connect in
+    if host_index < 0 then
+      usage_error "node" "--host-index must be non-negative, got %d" host_index;
     let fd = connect_to ~host ~port in
     node_main ~algo ~fd ~host_index;
     0
@@ -414,6 +447,7 @@ let node_cmd =
 let local_cmd =
   let run algo n namespace n_hosts seed faults latency_ms jitter_ms
       overlay_fanout max_rounds bits_out check_sim =
+    check_sizes "local" ~n ~n_hosts;
     let namespace = resolve_namespace ~n ~namespace in
     let ids, config =
       make_config ~algo ~n ~namespace ~n_hosts ~seed ~faults

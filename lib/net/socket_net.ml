@@ -4,7 +4,7 @@ module Rng = Repro_util.Rng
 
 (* Stream format version + endpoint check, first field of both handshake
    frames; bump when the frame layout changes. *)
-let magic = 0x524e31
+let magic = 0x524e32
 
 let proto_error fmt =
   Printf.ksprintf (fun s -> raise (Frame.Protocol_error s)) fmt
@@ -52,6 +52,83 @@ let read_count r =
     proto_error "count %d exceeds remaining frame bits" c;
   c
 
+(* Round frames (every field Elias-gamma; a payload is [Codec.add_msg]'s
+   (bits, bytes), and [idx] indexes the same frame's payload table):
+
+   host -> coordinator
+     round; T, T x payload;
+     per slot of the host's range:  0 idle | 1 v decided v
+                                  | 2 c, c x (dst, idx) | 3 idx broadcast
+   coordinator -> host
+     round; stop; unless stop:
+     T, T x payload;  B, B x (src, idx) the round's broadcasts;
+     per slot of the host's range:  c, c x (src, idx) dedicated deliveries
+
+   Tables are content-interned, so each distinct payload crosses each link
+   once per round, and broadcasts once per round rather than once per
+   recipient. Both row lists are in ascending sender identity. *)
+
+(* Growable int buffer, retained across rounds and reset by [clear]. *)
+module Ibuf = struct
+  type t = { mutable a : int array; mutable len : int }
+
+  let create () = { a = [||]; len = 0 }
+  let clear t = t.len <- 0
+
+  let push t v =
+    if t.len = Array.length t.a then begin
+      let b = Array.make (max 8 (2 * t.len)) 0 in
+      Array.blit t.a 0 b 0 t.len;
+      t.a <- b
+    end;
+    t.a.(t.len) <- v;
+    t.len <- t.len + 1
+end
+
+(* A round's payload table: distinct (bytes, bits) encodings in first-seen
+   order. The hash table is only ever looked up, never iterated; the
+   order lives in the arrays. *)
+module Payloads = struct
+  module Index = Hashtbl.Make (struct
+    type t = string * int
+
+    let equal (a, x) (b, y) = Int.equal x y && String.equal a b
+    let hash (s, _) = String.hash s
+  end)
+
+  type t = {
+    index : int Index.t;
+    mutable bytes : string array;
+    bits : Ibuf.t;
+  }
+
+  let create () =
+    { index = Index.create 64; bytes = [||]; bits = Ibuf.create () }
+  let length t = t.bits.len
+  let bits t g = t.bits.a.(g)
+
+  let clear t =
+    Index.clear t.index;
+    Ibuf.clear t.bits
+
+  let intern t ((bytes, bits) as enc) =
+    match Index.find_opt t.index enc with
+    | Some g -> g
+    | None ->
+        let g = length t in
+        if g = Array.length t.bytes then begin
+          let b = Array.make (max 8 (2 * g)) "" in
+          Array.blit t.bytes 0 b 0 g;
+          t.bytes <- b
+        end;
+        t.bytes.(g) <- bytes;
+        Ibuf.push t.bits bits;
+        Index.add t.index enc g;
+        g
+
+  let add_entry w t g = Codec.add_msg w (t.bytes.(g), bits t g)
+end
+
 type config = { ids : int array; seed : int; n_hosts : int; extra : string }
 
 type link_stats = {
@@ -69,12 +146,13 @@ type result = {
 
 type slot_status = S_running | S_decided of int | S_crashed of int
 
-(* A slot's outbox for the round being routed, messages kept as opaque
-   (bytes, bits) — the coordinator never decodes protocol payloads. *)
+(* A slot's outbox for the round being routed, messages named by their
+   index in the round's payload table — the coordinator never decodes
+   protocol payloads. *)
 type round_outbox =
   | No_outbox
-  | Ob_entries of (int * string * int) array  (* dst_slot, bytes, bits *)
-  | Ob_bcast of string * int
+  | Ob_entries of { dsts : int array; gids : int array }
+  | Ob_bcast of int
 
 let ignore_sigpipe () =
   (* A peer dying between our read and write must surface as [EPIPE]
@@ -126,7 +204,11 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
   (* Round state. *)
   let status = Array.make n S_running in
   let outboxes = Array.make n No_outbox in
-  let deliveries : (int * string * int) list array = Array.make n [] in
+  (* The round's payload table, its broadcasts as (src, gid) pairs, and
+     each slot's dedicated deliveries as (src, gid) pairs. *)
+  let table = Payloads.create () in
+  let bcasts = Ibuf.create () in
+  let deliveries = Array.init n (fun _ -> Ibuf.create ()) in
   let alive = Array.make n_hosts true in
   let metrics = Metrics.create () in
   let link_msgs = Array.init n (fun _ -> Array.make n 0) in
@@ -145,9 +227,11 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
     Metrics.add_honest metrics ~bits;
     match on_message with Some f -> f ~src ~dst ~bits | None -> ()
   in
-  let push dst entry =
+  let push dst src g =
     match status.(dst) with
-    | S_running -> deliveries.(dst) <- entry :: deliveries.(dst)
+    | S_running ->
+        Ibuf.push deliveries.(dst) src;
+        Ibuf.push deliveries.(dst) g
     | S_decided _ | S_crashed _ -> ()
   in
   let kill_host h =
@@ -170,6 +254,16 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
     if round <> !current_round then
       proto_error "host %d is at round %d, coordinator at %d" h round
         !current_round;
+    let t = read_count r in
+    let gid = Array.make t 0 in
+    for i = 0 to t - 1 do
+      gid.(i) <- Payloads.intern table (Codec.read_msg r)
+    done;
+    let read_gid () =
+      let i = Wire.Reader.read_gamma r in
+      if i >= t then proto_error "host %d: payload index %d of %d" h i t;
+      gid.(i)
+    in
     for s = lo to hi - 1 do
       match Wire.Reader.read_gamma r with
       | 0 ->
@@ -186,17 +280,15 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
           outboxes.(s) <- No_outbox
       | 2 ->
           let c = read_count r in
-          let entries = Array.make c (0, "", 0) in
+          let dsts = Array.make c 0 and gids = Array.make c 0 in
           for j = 0 to c - 1 do
             let dst = Wire.Reader.read_gamma r in
             if dst >= n then proto_error "host %d: destination slot %d" h dst;
-            let bytes, bits = Codec.read_msg r in
-            entries.(j) <- (dst, bytes, bits)
+            dsts.(j) <- dst;
+            gids.(j) <- read_gid ()
           done;
-          outboxes.(s) <- Ob_entries entries
-      | 3 ->
-          let bytes, bits = Codec.read_msg r in
-          outboxes.(s) <- Ob_bcast (bytes, bits)
+          outboxes.(s) <- Ob_entries { dsts; gids }
+      | 3 -> outboxes.(s) <- Ob_bcast (read_gid ())
       | t -> proto_error "host %d: unknown outbox tag %d" h t
     done
   in
@@ -244,42 +336,76 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
       (fun s ->
         match outboxes.(s) with
         | No_outbox -> ()
-        | Ob_entries entries ->
-            Array.iter
-              (fun (dst, bytes, bits) ->
-                bill s dst bits;
-                push dst (s, bytes, bits))
-              entries
-        | Ob_bcast (bytes, bits) -> (
+        | Ob_entries { dsts; gids } ->
+            for j = 0 to Array.length dsts - 1 do
+              bill s dsts.(j) (Payloads.bits table gids.(j));
+              push dsts.(j) s gids.(j)
+            done
+        | Ob_bcast g -> (
             (* Like the engine: bill all n links (including self and
-               already-finished recipients), deliver to live ones. *)
+               already-finished recipients); every live slot receives
+               the broadcast-table row. *)
+            let bits = Payloads.bits table g in
             (match overlay_fanout with
             | None ->
                 for d = 0 to n - 1 do
                   bill s d bits
                 done
             | Some k -> gossip_bill s bits k);
-            for d = 0 to n - 1 do
-              push d (s, bytes, bits)
-            done))
+            Ibuf.push bcasts s;
+            Ibuf.push bcasts g))
       order;
     Array.fill outboxes 0 n No_outbox
   in
+  (* A reply ships only the payloads its rows name, renumbered in
+     first-use order: [local.(g)] is round payload [g]'s index in the
+     reply being built (-1 if unnamed yet), [named] lists them. *)
+  let local = ref [||] in
+  let named = Ibuf.create () in
   let reply_frame h ~stop =
     let lo, hi = ranges.(h) in
     let w = Wire.Writer.create () in
     Wire.Writer.add_gamma w !current_round;
     Wire.Writer.add_gamma w (if stop then 1 else 0);
-    if not stop then
+    if not stop then begin
+      if Array.length !local < Payloads.length table then
+        local := Array.make (Array.length table.bytes) (-1);
+      let local = !local in
+      let name g =
+        if local.(g) < 0 then begin
+          local.(g) <- named.len;
+          Ibuf.push named g
+        end
+      in
+      let rows (b : Ibuf.t) =
+        Wire.Writer.add_gamma w (b.len / 2);
+        for i = 0 to (b.len / 2) - 1 do
+          Wire.Writer.add_gamma w b.a.(2 * i);
+          Wire.Writer.add_gamma w local.(b.a.((2 * i) + 1))
+        done
+      in
+      let name_rows (b : Ibuf.t) =
+        for i = 0 to (b.len / 2) - 1 do
+          name b.a.((2 * i) + 1)
+        done
+      in
+      name_rows bcasts;
       for s = lo to hi - 1 do
-        let entries = List.rev deliveries.(s) in
-        Wire.Writer.add_gamma w (List.length entries);
-        List.iter
-          (fun (src, bytes, bits) ->
-            Wire.Writer.add_gamma w src;
-            Codec.add_msg w (bytes, bits))
-          entries
+        name_rows deliveries.(s)
       done;
+      Wire.Writer.add_gamma w named.len;
+      for i = 0 to named.len - 1 do
+        Payloads.add_entry w table named.a.(i)
+      done;
+      rows bcasts;
+      for s = lo to hi - 1 do
+        rows deliveries.(s)
+      done;
+      for i = 0 to named.len - 1 do
+        local.(named.a.(i)) <- -1
+      done;
+      Ibuf.clear named
+    end;
     Wire.Writer.contents w
   in
   let send_replies ~stop =
@@ -315,7 +441,9 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
           if pause > 0. then Unix.sleepf pause
         end;
         send_replies ~stop:false;
-        Array.fill deliveries 0 n [];
+        Payloads.clear table;
+        Ibuf.clear bcasts;
+        Array.iter Ibuf.clear deliveries;
         incr current_round;
         loop ()
       end
@@ -395,6 +523,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
 
   type outbox =
     | Ob_list of (int * M.t) list
+    | Ob_multi of int list * M.t
     | Ob_sized of { dsts : int array; msgs : M.t array; len : int }
     | Ob_bcast of M.t
 
@@ -415,8 +544,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
   let rng ctx = ctx.node_rng
   let exchange _ctx l = Effect.perform (Exchange (Ob_list l))
 
-  let multisend _ctx ~dsts m =
-    Effect.perform (Exchange (Ob_list (List.map (fun d -> (d, m)) dsts)))
+  let multisend _ctx ~dsts m = Effect.perform (Exchange (Ob_multi (dsts, m)))
 
   let broadcast _ctx m = Effect.perform (Exchange (Ob_bcast m))
   let skip_round _ctx = Effect.perform (Exchange (Ob_list []))
@@ -457,60 +585,121 @@ module Host (M : Network_intf.WIRE_MSG) = struct
           (Printf.sprintf "Socket_net: destination %d is not a participant"
              dst)
 
-  let encode_outbox w ~id_to_slot = function
-    | Ob_bcast m ->
+  (* A round frame takes two passes over the outboxes: [intern_outbox]
+     adds each payload to the frame's table and records its index in
+     [gids], in frame order; once the table is written, [write_outbox]
+     emits the slot record, taking the indices back from [gids] at
+     [cur]. *)
+  let intern_outbox tbl gids outbox =
+    let add m = Ibuf.push gids (Payloads.intern tbl (M.encode m)) in
+    match outbox with
+    | Ob_bcast m | Ob_multi (_, m) -> add m
+    | Ob_list l -> List.iter (fun (_, m) -> add m) l
+    | Ob_sized { msgs; len; _ } ->
+        for j = 0 to len - 1 do
+          add msgs.(j)
+        done
+
+  let write_outbox w ~id_to_slot (gids : Ibuf.t) cur outbox =
+    let next () =
+      incr cur;
+      gids.a.(!cur - 1)
+    in
+    let entry dst g =
+      Wire.Writer.add_gamma w (slot_of id_to_slot dst);
+      Wire.Writer.add_gamma w g
+    in
+    match outbox with
+    | Ob_bcast _ ->
         Wire.Writer.add_gamma w 3;
-        Codec.add_msg w (M.encode m)
+        Wire.Writer.add_gamma w (next ())
+    | Ob_multi (dsts, _) ->
+        Wire.Writer.add_gamma w 2;
+        Wire.Writer.add_gamma w (List.length dsts);
+        let g = next () in
+        List.iter (fun dst -> entry dst g) dsts
     | Ob_list l ->
         Wire.Writer.add_gamma w 2;
         Wire.Writer.add_gamma w (List.length l);
-        (* Multisend fans one physical message value out; encode once. *)
-        let last = ref None in
-        List.iter
-          (fun (dst, m) ->
-            Wire.Writer.add_gamma w (slot_of id_to_slot dst);
-            let enc =
-              match !last with
-              | Some (m0, e0) when m0 == m -> e0
-              | _ ->
-                  let e = M.encode m in
-                  last := Some (m, e);
-                  e
-            in
-            Codec.add_msg w enc)
-          l
-    | Ob_sized { dsts; msgs; len } ->
+        List.iter (fun (dst, _) -> entry dst (next ())) l
+    | Ob_sized { dsts; len; _ } ->
         Wire.Writer.add_gamma w 2;
         Wire.Writer.add_gamma w len;
         for j = 0 to len - 1 do
-          Wire.Writer.add_gamma w (slot_of id_to_slot dsts.(j));
-          Codec.add_msg w (M.encode msgs.(j))
+          entry dsts.(j) (next ())
         done
 
   let empty_inbox = { ib_src = [||]; ib_msg = [||]; ib_len = 0 }
 
-  let read_inbox r ~ids =
-    let c = read_count r in
+  (* [c] (source slot, payload index) rows, as an inbox. *)
+  let read_rows r ~ids ~msgs c =
     if c = 0 then empty_inbox
     else begin
-      let decode_entry () =
+      let t = Array.length msgs in
+      if t = 0 then proto_error "%d rows name an empty payload table" c;
+      let ib_src = Array.make c 0 and ib_msg = Array.make c msgs.(0) in
+      for i = 0 to c - 1 do
         let src = Wire.Reader.read_gamma r in
         if src >= Array.length ids then proto_error "source slot %d" src;
-        let bytes, _bits = Codec.read_msg r in
-        match M.decode bytes with
-        | Some m -> (ids.(src), m)
-        | None -> proto_error "undecodable message from slot %d" src
-      in
-      let src0, m0 = decode_entry () in
-      let ib_src = Array.make c src0 in
-      let ib_msg = Array.make c m0 in
-      for i = 1 to c - 1 do
-        let src, m = decode_entry () in
-        ib_src.(i) <- src;
-        ib_msg.(i) <- m
+        let k = Wire.Reader.read_gamma r in
+        if k >= t then proto_error "payload index %d of %d" k t;
+        ib_src.(i) <- ids.(src);
+        ib_msg.(i) <- msgs.(k)
       done;
       { ib_src; ib_msg; ib_len = c }
     end
+
+  (* Two inboxes in ascending source identity with disjoint sources (a
+     sender has one outbox shape per round), merged in that order. *)
+  let merge a b =
+    if b.ib_len = 0 then a
+    else if a.ib_len = 0 then b
+    else begin
+      let len = a.ib_len + b.ib_len in
+      let ib_src = Array.make len 0 and ib_msg = Array.make len a.ib_msg.(0) in
+      let i = ref 0 and j = ref 0 in
+      for k = 0 to len - 1 do
+        if !j >= b.ib_len || (!i < a.ib_len && a.ib_src.(!i) < b.ib_src.(!j))
+        then begin
+          ib_src.(k) <- a.ib_src.(!i);
+          ib_msg.(k) <- a.ib_msg.(!i);
+          incr i
+        end
+        else begin
+          ib_src.(k) <- b.ib_src.(!j);
+          ib_msg.(k) <- b.ib_msg.(!j);
+          incr j
+        end
+      done;
+      { ib_src; ib_msg; ib_len = len }
+    end
+
+  (* A round's reply: [true] for stop, else [inboxes] filled for the
+     host's slots. Each payload-table entry is decoded once and shared by
+     every recipient ([M.t] values are immutable). A frame that ends
+     early is malformed like any other bad field. *)
+  let read_reply payload ~round ~ids ~lo ~hi inboxes =
+    let r = Wire.Reader.of_string payload in
+    try
+      let got = Wire.Reader.read_gamma r in
+      if got <> round then
+        proto_error "reply for round %d at round %d" got round;
+      if Wire.Reader.read_gamma r = 1 then true
+      else begin
+        let t = read_count r in
+        let msgs =
+          Array.init t (fun _ ->
+              match M.decode (fst (Codec.read_msg r)) with
+              | Some m -> m
+              | None -> proto_error "undecodable payload")
+        in
+        let bcast = read_rows r ~ids ~msgs (read_count r) in
+        for s = lo to hi - 1 do
+          inboxes.(s) <- merge bcast (read_rows r ~ids ~msgs (read_count r))
+        done;
+        false
+      end
+    with Invalid_argument e -> proto_error "reply: %s" e
 
   let run ~fd ~host_index ~program =
     ignore_sigpipe ();
@@ -569,10 +758,21 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         settle s (start_fiber prog ctx)
     done;
     let inboxes = Array.make n empty_inbox in
+    let tbl = Payloads.create () and gids = Ibuf.create () in
     let continue_running = ref true in
     while !continue_running do
+      for s = lo to hi - 1 do
+        match (fresh.(s), states.(s)) with
+        | None, Some (outbox, _) -> intern_outbox tbl gids outbox
+        | Some _, _ | None, None -> ()
+      done;
       let w = Wire.Writer.create () in
       Wire.Writer.add_gamma w !current_round;
+      Wire.Writer.add_gamma w (Payloads.length tbl);
+      for g = 0 to Payloads.length tbl - 1 do
+        Payloads.add_entry w tbl g
+      done;
+      let cur = ref 0 in
       for s = lo to hi - 1 do
         match (fresh.(s), states.(s)) with
         | Some v, _ ->
@@ -580,18 +780,17 @@ module Host (M : Network_intf.WIRE_MSG) = struct
             Wire.Writer.add_gamma w v;
             fresh.(s) <- None
         | None, None -> Wire.Writer.add_gamma w 0
-        | None, Some (outbox, _) -> encode_outbox w ~id_to_slot outbox
+        | None, Some (outbox, _) -> write_outbox w ~id_to_slot gids cur outbox
       done;
+      Payloads.clear tbl;
+      Ibuf.clear gids;
       Frame.write_frame io (Wire.Writer.contents w);
-      let r = Wire.Reader.of_string (Frame.read_frame io) in
-      let round = Wire.Reader.read_gamma r in
-      if round <> !current_round then
-        proto_error "reply for round %d at round %d" round !current_round;
-      if Wire.Reader.read_gamma r = 1 then continue_running := false
+      let stop =
+        read_reply (Frame.read_frame io) ~round:!current_round ~ids ~lo ~hi
+          inboxes
+      in
+      if stop then continue_running := false
       else begin
-        for s = lo to hi - 1 do
-          inboxes.(s) <- read_inbox r ~ids
-        done;
         incr current_round;
         for s = lo to hi - 1 do
           match states.(s) with

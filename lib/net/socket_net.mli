@@ -22,6 +22,11 @@
     Wall-clock (and the latency/jitter knob) never feeds back into
     protocol behaviour. *)
 
+val magic : int
+(** Frame-format version and endpoint check: the first field of both
+    handshake frames. It changes whenever the frame layout does, so
+    mismatched peers fail the handshake instead of misparsing rounds. *)
+
 type config = {
   ids : int array;  (** all participants' identities, slot-indexed *)
   seed : int;  (** run seed; must be non-negative (it crosses the wire) *)

@@ -92,25 +92,40 @@ let check_outcomes (res : SN.result) ~crash_round =
       | id, _ -> Alcotest.fail (Printf.sprintf "node %d: wrong outcome" id))
     res.SN.run.Engine.outcomes
 
+(* A scripted host: handshakes as host [host_index], then hands the
+   framed connection to [script]. Like [fork_host], it never returns into
+   the test runner. *)
+let fake_host port ~host_index script =
+  match Unix.fork () with
+  | 0 ->
+      (try
+         let fd = connect port in
+         let io = Frame.io_of_fd fd in
+         let w = Wire.Writer.create () in
+         Wire.Writer.add_gamma w SN.magic;
+         Wire.Writer.add_gamma w host_index;
+         Frame.write_frame io (Wire.Writer.contents w);
+         ignore (Frame.read_frame io);
+         script io;
+         Unix.close fd
+       with _ -> ());
+      Unix._exit 0
+  | pid -> pid
+
+(* A host-to-coordinator round frame: round, payload table of raw
+   (bytes, bits) entries, then the slot records as raw gamma fields. *)
+let round_frame ~round ~table records =
+  let w = Wire.Writer.create () in
+  Wire.Writer.add_gamma w round;
+  Wire.Writer.add_gamma w (List.length table);
+  List.iter (SN.Codec.add_msg w) table;
+  List.iter (Wire.Writer.add_gamma w) records;
+  Wire.Writer.contents w
+
 let test_disconnect_at_start () =
-  let bad port =
-    (* Handshakes correctly, then vanishes before its first round frame:
-       the coordinator must see EOF at round 0 and crash slots 0-1. *)
-    match Unix.fork () with
-    | 0 ->
-        (try
-           let fd = connect port in
-           let io = Frame.io_of_fd fd in
-           let w = Wire.Writer.create () in
-           Wire.Writer.add_gamma w 0x524e31;
-           Wire.Writer.add_gamma w 0;
-           Frame.write_frame io (Wire.Writer.contents w);
-           ignore (Frame.read_frame io);
-           Unix.close fd;
-           Unix._exit 0
-         with _ -> Unix._exit 1)
-    | pid -> pid
-  in
+  (* Handshakes correctly, then vanishes before its first round frame:
+     the coordinator must see EOF at round 0 and crash slots 0-1. *)
+  let bad port = fake_host port ~host_index:0 ignore in
   let res = run_with_failing_host ~bad in
   check_outcomes res ~crash_round:0
 
@@ -127,36 +142,47 @@ let test_disconnect_mid_run () =
   check_outcomes res ~crash_round:1
 
 let test_protocol_violation () =
+  (* Sends a syntactically valid frame that violates the round contract
+     (idle tag for a running slot): the coordinator must treat it exactly
+     like a disconnect. *)
   let bad port =
-    (* Sends a syntactically valid frame that violates the round
-       contract (idle tag for a running slot): the coordinator must
-       treat it exactly like a disconnect. *)
-    match Unix.fork () with
-    | 0 ->
-        (try
-           let fd = connect port in
-           let io = Frame.io_of_fd fd in
-           let w = Wire.Writer.create () in
-           Wire.Writer.add_gamma w 0x524e31;
-           Wire.Writer.add_gamma w 0;
-           Frame.write_frame io (Wire.Writer.contents w);
-           ignore (Frame.read_frame io);
-           let w = Wire.Writer.create () in
-           Wire.Writer.add_gamma w 0;
-           (* round *)
-           Wire.Writer.add_gamma w 0;
-           (* slot 0: idle — but it is Running *)
-           Wire.Writer.add_gamma w 0;
-           (* slot 1: idle *)
-           Frame.write_frame io (Wire.Writer.contents w);
-           ignore (Frame.read_frame io);
-           Unix.close fd;
-           Unix._exit 0
-         with _ -> Unix._exit 0)
-    | pid -> pid
+    fake_host port ~host_index:0 (fun io ->
+        Frame.write_frame io (round_frame ~round:0 ~table:[] [ 0; 0 ]);
+        ignore (Frame.read_frame io))
   in
   let res = run_with_failing_host ~bad in
   check_outcomes res ~crash_round:0
+
+(* Host 0 plays round 0 correctly (both slots broadcast), then sends
+   [frame] as its round-1 frame: the coordinator must crash slots 0-1 at
+   round 1 and let host 1 finish. The bad frames' tables carry an
+   undecodable entry: were it forwarded, host 1 would fail too. *)
+let malformed_round_1 frame () =
+  let bad port =
+    fake_host port ~host_index:0 (fun io ->
+        Frame.write_frame io
+          (round_frame ~round:0 ~table:[ TMsg.encode (Ping 1) ] [ 3; 0; 3; 0 ]);
+        ignore (Frame.read_frame io);
+        Frame.write_frame io frame;
+        ignore (Frame.read_frame io))
+  in
+  let res = run_with_failing_host ~bad in
+  check_outcomes res ~crash_round:1
+
+let test_broadcast_index_out_of_table =
+  malformed_round_1 (round_frame ~round:1 ~table:[ ("", 0) ] [ 3; 0; 3; 1 ])
+
+let test_batch_index_out_of_table =
+  (* slot 0 sends one message to slot 2 naming payload 5 of 1 *)
+  malformed_round_1
+    (round_frame ~round:1 ~table:[ ("", 0) ] [ 2; 1; 2; 5; 3; 0 ])
+
+let test_table_count_beyond_frame =
+  malformed_round_1
+    (let w = Wire.Writer.create () in
+     Wire.Writer.add_gamma w 1;
+     Wire.Writer.add_gamma w 10_000;
+     Wire.Writer.contents w)
 
 let test_fault_free_decides () =
   let listen, port = listen_ephemeral () in
@@ -179,6 +205,132 @@ let test_fault_free_decides () =
   let a = Repro_renaming.Runner.assess res.SN.run in
   Alcotest.(check int) "messages" (3 * 4 * 4) a.Repro_renaming.Runner.messages
 
+(* Serve [ids] over [n_hosts] forked hosts, host [h] running [run h] on
+   its connection. *)
+let serve_forked ~ids ~n_hosts run =
+  let listen, port = listen_ephemeral () in
+  let config = { SN.ids; seed = 5; n_hosts; extra = "" } in
+  let pids =
+    List.init n_hosts (fun h ->
+        match Unix.fork () with
+        | 0 -> (
+            try
+              run h (connect port);
+              Unix._exit 0
+            with _ -> Unix._exit 1)
+        | pid -> pid)
+  in
+  let res = SN.serve ~listen ~config ~max_rounds:50 () in
+  Unix.close listen;
+  reap pids;
+  res
+
+(* Every outbox shape in every round (broadcast, unicast batch with two
+   messages to one peer, multisend, sized batch), byte-equal payloads
+   from different senders, nodes deciding in different rounds, and
+   identities out of slot order. Each node folds its inboxes — sources,
+   order and payloads — into its decision. *)
+module Mixed (Net : Repro_net.Network_intf.S with type msg = TMsg.t) = struct
+  let program ctx =
+    let ids = Net.all_ids ctx in
+    let n = Array.length ids in
+    let me = Net.my_id ctx in
+    let i = ref 0 in
+    Array.iteri (fun s id -> if id = me then i := s) ids;
+    let i = !i in
+    let peer k = ids.((i + k) mod n) in
+    let acc = ref i in
+    for r = 0 to 2 + (i mod 2) do
+      let v = r + (i mod 2) in
+      let inbox =
+        match (i + r) mod 4 with
+        | 0 -> Net.broadcast ctx (TMsg.Ping v)
+        | 1 ->
+            Net.exchange ctx
+              [
+                (peer 1, TMsg.Ping v);
+                (peer 1, TMsg.Ping (v + 5));
+                (peer 3, TMsg.Ping v);
+              ]
+        | 2 -> Net.multisend ctx ~dsts:[ peer 2; me; peer 5 ] (TMsg.Ping v)
+        | _ ->
+            let msgs = [| TMsg.Ping (v + 5); TMsg.Ping v |] in
+            Net.exchange_sized ctx ~dsts:[| peer 1; peer 2 |] ~msgs
+              ~sizes:(Array.map TMsg.bits msgs) ~len:2
+      in
+      acc :=
+        Net.Inbox.fold inbox ~init:!acc ~f:(fun acc ~src (TMsg.Ping v) ->
+            ((acc * 131) + (src * 7) + v) land 0xffffff)
+    done;
+    !acc
+end
+
+module Sim = Engine.Make (TMsg)
+module Mixed_sim = Mixed (Sim)
+module Mixed_host = Mixed (H)
+
+let test_mixed_outboxes_match_engine () =
+  let ids = [| 50; 20; 80; 10; 40; 70; 30; 60 |] in
+  let sim = Sim.run ~ids ~seed:5 ~program:Mixed_sim.program () in
+  let res =
+    serve_forked ~ids ~n_hosts:2 (fun h fd ->
+        H.run ~fd ~host_index:h ~program:(fun ~extra:_ ctx ->
+            Mixed_host.program ctx))
+  in
+  let show (id, o) =
+    match o with
+    | Engine.Decided v -> Printf.sprintf "%d:decided %d" id v
+    | Engine.Crashed r -> Printf.sprintf "%d:crashed %d" id r
+    | Engine.Byzantine -> Printf.sprintf "%d:byzantine" id
+    | Engine.Unfinished -> Printf.sprintf "%d:unfinished" id
+  in
+  let outcomes (r : int Engine.run_result) = List.map show r.Engine.outcomes in
+  Alcotest.(check (list string))
+    "per-node decisions (inbox order folded in)" (outcomes sim)
+    (outcomes res.SN.run);
+  let rows f (r : int Engine.run_result) = Array.to_list (f r.Engine.metrics) in
+  let module M = Repro_sim.Metrics in
+  Alcotest.(check (list int))
+    "messages per round"
+    (rows M.honest_messages_by_round sim)
+    (rows M.honest_messages_by_round res.SN.run);
+  Alcotest.(check (list int))
+    "bits per round"
+    (rows M.honest_bits_by_round sim)
+    (rows M.honest_bits_by_round res.SN.run)
+
+(* Counts decodes in the host process that runs it. *)
+let decodes = ref 0
+
+module Counting_msg = struct
+  include TMsg
+
+  let decode s =
+    incr decodes;
+    TMsg.decode s
+end
+
+module Counting_host = SN.Host (Counting_msg)
+
+let test_one_decode_per_host_per_round () =
+  (* 4 nodes broadcast the same payload for 3 rounds over 2 hosts: each
+     host decodes it once per round, so every node reads 3. *)
+  let res =
+    serve_forked ~ids:[| 11; 22; 33; 44 |] ~n_hosts:2 (fun h fd ->
+        Counting_host.run ~fd ~host_index:h ~program:(fun ~extra:_ ctx ->
+            for _ = 1 to 3 do
+              ignore (Counting_host.broadcast ctx (TMsg.Ping 1))
+            done;
+            !decodes))
+  in
+  List.iter
+    (fun (id, outcome) ->
+      match outcome with
+      | Engine.Decided v ->
+          Alcotest.(check int) (Printf.sprintf "node %d decodes" id) 3 v
+      | _ -> Alcotest.fail (Printf.sprintf "node %d did not decide" id))
+    res.SN.run.Engine.outcomes
+
 let () =
   Alcotest.run "repro-renaming-net-proc"
     [
@@ -192,5 +344,15 @@ let () =
             test_protocol_violation;
           Alcotest.test_case "fault-free decides with exact billing" `Quick
             test_fault_free_decides;
+          Alcotest.test_case "broadcast payload index out of table -> Crashed"
+            `Quick test_broadcast_index_out_of_table;
+          Alcotest.test_case "batch payload index out of table -> Crashed"
+            `Quick test_batch_index_out_of_table;
+          Alcotest.test_case "table count beyond frame -> Crashed" `Quick
+            test_table_count_beyond_frame;
+          Alcotest.test_case "mixed outboxes match the engine" `Quick
+            test_mixed_outboxes_match_engine;
+          Alcotest.test_case "one decode per host per round" `Quick
+            test_one_decode_per_host_per_round;
         ] );
     ]

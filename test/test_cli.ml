@@ -151,6 +151,28 @@ let test_unknown_subcommand_fails () =
   let code, _ = run_capture "frobnicate" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
+(* Bad sizes and ports are usage errors: exit 2 with usage text, before
+   any host process is forked or any socket is opened. *)
+let test_net_node_bad_arguments () =
+  List.iter
+    (fun args ->
+      let code, out = run_capture_bin (bin "net_node_cli.exe") args in
+      Alcotest.(check int) (args ^ ": exit 2") 2 code;
+      Alcotest.(check bool)
+        (args ^ ": usage text") true
+        (List.exists
+           (fun l -> String.length l >= 6 && String.sub l 0 6 = "Usage:")
+           (String.split_on_char '\n' out)))
+    [
+      "local -n 0";
+      "local -n 8 --hosts 9";
+      "local --hosts 0";
+      "coord --hosts 0";
+      "coord --port 70000";
+      "node --connect 127.0.0.1:abc --host-index 0";
+      "node --connect 127.0.0.1:0 --host-index 0";
+    ]
+
 let test_help () =
   let code, out = run_capture "--help" in
   Alcotest.(check int) "exit 0" 0 code;
@@ -179,4 +201,6 @@ let suite =
       Alcotest.test_case "unknown subcommand fails" `Quick
         test_unknown_subcommand_fails;
       Alcotest.test_case "help" `Quick test_help;
+      Alcotest.test_case "net_node bad arguments exit 2" `Quick
+        test_net_node_bad_arguments;
     ] )

@@ -89,6 +89,132 @@ let test_oversized_prefix () =
   | exception Frame.Protocol_error msg ->
       Alcotest.(check string) "payload eof" "eof inside frame" msg
 
+(* {2 Host-side round frames}
+
+   An in-process host over a socketpair whose coordinator end has every
+   frame queued up front (they fit in the socket buffer), so no peer
+   process is needed. Three slots on one host; identities out of slot
+   order, so ascending-identity merging is observable. *)
+
+module TMsg = struct
+  type t = Ping of int
+
+  let bits (Ping v) = Wire.gamma_bits v
+  let pp ppf (Ping v) = Format.fprintf ppf "ping(%d)" v
+
+  let encode (Ping v) =
+    let w = Wire.Writer.create () in
+    Wire.Writer.add_gamma w v;
+    (Wire.Writer.contents w, Wire.Writer.bit_length w)
+
+  let decode s =
+    match Wire.Reader.read_gamma (Wire.Reader.of_string s) with
+    | v -> Some (Ping v)
+    | exception Invalid_argument _ -> None
+end
+
+module H = SN.Host (TMsg)
+
+let host_ids = [| 30; 10; 20 |]
+
+let config_frame =
+  let w = Wire.Writer.create () in
+  List.iter (Wire.Writer.add_gamma w)
+    ([ SN.magic; Array.length host_ids; 1; 0 ] @ Array.to_list host_ids);
+  SN.Codec.add_bytes w "";
+  Wire.Writer.contents w
+
+(* A coordinator reply: payload table of raw (bytes, bits) entries, the
+   broadcast rows and each slot's rows, as (source slot, index) pairs. *)
+let reply_frame ~table ~bcast ~slots =
+  let w = Wire.Writer.create () in
+  let rows l =
+    Wire.Writer.add_gamma w (List.length l);
+    List.iter
+      (fun (src, k) ->
+        Wire.Writer.add_gamma w src;
+        Wire.Writer.add_gamma w k)
+      l
+  in
+  Wire.Writer.add_gamma w 0;
+  Wire.Writer.add_gamma w 0;
+  Wire.Writer.add_gamma w (List.length table);
+  List.iter (SN.Codec.add_msg w) table;
+  rows bcast;
+  List.iter rows slots;
+  Wire.Writer.contents w
+
+let stop_frame ~round =
+  let w = Wire.Writer.create () in
+  Wire.Writer.add_gamma w round;
+  Wire.Writer.add_gamma w 1;
+  Wire.Writer.contents w
+
+(* Every section populated: two payloads, a broadcast from slot 1 (id
+   10), dedicated rows from slots 2 and 0 (ids 20, 30), one slot with no
+   dedicated rows. *)
+let full_reply =
+  reply_frame
+    ~table:[ TMsg.encode (Ping 5); TMsg.encode (Ping 7) ]
+    ~bcast:[ (1, 0) ]
+    ~slots:[ [ (2, 1); (0, 1) ]; []; [ (0, 0) ] ]
+
+(* Run the host against [frames]; each node broadcasts once, records its
+   inbox as (source id, value) pairs and decides. *)
+let run_host frames =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let io = Frame.io_of_fd a in
+  List.iter (Frame.write_frame io) (config_frame :: frames);
+  let seen = ref [] in
+  let program ~extra:_ ctx =
+    let inbox = H.broadcast ctx (TMsg.Ping 1) in
+    let pairs =
+      List.map (fun (src, TMsg.Ping v) -> (src, v)) (H.Inbox.pairs inbox)
+    in
+    seen := (H.my_id ctx, pairs) :: !seen;
+    0
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      H.run ~fd:b ~host_index:0 ~program;
+      List.sort (fun (x, _) (y, _) -> Int.compare x y) !seen)
+
+let test_host_merges_tables () =
+  Alcotest.(check (list (pair int (list (pair int int)))))
+    "inboxes in ascending source identity"
+    [
+      (10, [ (10, 5) ]);
+      (20, [ (10, 5); (30, 5) ]);
+      (30, [ (10, 5); (20, 7); (30, 7) ]);
+    ]
+    (run_host [ full_reply; stop_frame ~round:1 ])
+
+let expect_host_rejects name reply =
+  match run_host [ reply ] with
+  | _ -> Alcotest.fail (name ^ ": malformed reply accepted")
+  | exception Frame.Protocol_error _ -> ()
+
+let test_host_rejects_malformed_tables () =
+  let ping v = TMsg.encode (Ping v) in
+  expect_host_rejects "dedicated payload index >= table size"
+    (reply_frame ~table:[ ping 5 ] ~bcast:[] ~slots:[ []; []; [ (0, 1) ] ]);
+  expect_host_rejects "broadcast payload index >= table size"
+    (reply_frame ~table:[ ping 5 ] ~bcast:[ (1, 1) ] ~slots:[ []; []; [] ]);
+  expect_host_rejects "rows naming an empty table"
+    (reply_frame ~table:[] ~bcast:[ (1, 0) ] ~slots:[ []; []; [] ]);
+  expect_host_rejects "table count beyond the frame"
+    (let w = Wire.Writer.create () in
+     List.iter (Wire.Writer.add_gamma w) [ 0; 0; 10_000 ];
+     Wire.Writer.contents w);
+  expect_host_rejects "broadcast source slot out of range"
+    (reply_frame ~table:[ ping 5 ] ~bcast:[ (3, 0) ] ~slots:[ []; []; [] ]);
+  expect_host_rejects "undecodable table payload"
+    (reply_frame ~table:[ ping 5; ("", 0) ] ~bcast:[ (1, 0) ]
+       ~slots:[ []; []; [] ])
+
 let test_truncation () =
   (* EOF after a partial header. *)
   List.iter
@@ -105,6 +231,22 @@ let test_truncation () =
     match Frame.read_frame (mem_reader ~chunk:1 (String.sub whole 0 cut)) with
     | _ -> Alcotest.fail "truncated payload accepted"
     | exception Frame.Protocol_error _ -> ()
+  done;
+  (* A round reply with every section: cut anywhere in the byte stream,
+     the frame layer rejects it; framed whole but cut anywhere in its
+     payload, the host rejects it. *)
+  let buf, wio = mem_writer ~chunk:4096 in
+  Frame.write_frame wio full_reply;
+  let whole = Buffer.contents buf in
+  for cut = 0 to String.length whole - 1 do
+    match Frame.read_frame (mem_reader ~chunk:1 (String.sub whole 0 cut)) with
+    | _ -> Alcotest.fail "truncated round frame accepted"
+    | exception Frame.Protocol_error _ -> ()
+  done;
+  for cut = 0 to String.length full_reply - 1 do
+    expect_host_rejects
+      (Printf.sprintf "reply cut at byte %d" cut)
+      (String.sub full_reply 0 cut)
   done
 
 (* {2 Framed codec round-trips}
@@ -204,4 +346,8 @@ let suite =
         test_truncation;
       Alcotest.test_case "framed codec round-trips, all protocols" `Quick
         test_codec_roundtrips;
+      Alcotest.test_case "host merges payload and broadcast tables" `Quick
+        test_host_merges_tables;
+      Alcotest.test_case "host rejects malformed reply tables" `Quick
+        test_host_rejects_malformed_tables;
     ] )
