@@ -3,7 +3,7 @@
    heap state bleeds into later points. Used to attribute sweep-level
    differences to the committee path itself.
 
-   Usage: dune exec bench/path_probe.exe -- <n> <inc|rebuild|scan>
+   Usage: dune exec bench/path_probe.exe -- <n> <inc|scan>
             <no-fault|killer> [--alloc-breakdown]
 
    --alloc-breakdown additionally attaches the engine's alloc probe to
@@ -24,7 +24,7 @@ let () =
   Repro_renaming.Parallel.tune_gc ();
   let usage () =
     prerr_endline
-      "usage: path_probe <n> <inc|rebuild|scan> <no-fault|killer> \
+      "usage: path_probe <n> <inc|scan> <no-fault|killer> \
        [--alloc-breakdown]";
     exit 2
   in
@@ -36,7 +36,6 @@ let () =
   let path =
     match Sys.argv.(2) with
     | "inc" -> CR.Incremental
-    | "rebuild" -> CR.Rebuild_each_round
     | "scan" -> CR.Linear_scan
     | _ -> usage ()
   in

@@ -60,6 +60,35 @@ let domains_arg =
            (tables, traces) are bit-identical for every value; only the \
            wall-clock changes.")
 
+(* Bad arguments are reported before anything runs: the problem, the
+   subcommand's usage line, exit 2. *)
+let usage_error cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf
+        "renaming %s: %s\nUsage: renaming %s [OPTION]…\n\
+         Try 'renaming %s --help' for more information.\n"
+        cmd msg cmd cmd;
+      exit 2)
+    fmt
+
+(* Every run needs [n >= 1] nodes and at most [n] faults per
+   configuration in [fs]; domain and shard counts, when given, are at
+   least 1. *)
+let check_args cmd ~n ~fs ~domains ~shards =
+  if n < 1 then usage_error cmd "-n must be at least 1, got %d" n;
+  List.iter
+    (fun f ->
+      if f < 0 || f > n then
+        usage_error cmd "fault count must be in [0, n] = [0, %d], got %d" n f)
+    fs;
+  let at_least_1 flag =
+    Option.iter (fun v ->
+        if v < 1 then usage_error cmd "%s must be at least 1, got %d" flag v)
+  in
+  at_least_1 "--domains" domains;
+  at_least_1 "--shards" shards
+
 let set_domains = Option.iter Repro_renaming.Parallel.set_domains
 
 let shards_arg =
@@ -104,6 +133,7 @@ let crash_adversary_conv =
 
 let crash_cmd =
   let run n namespace f adversary seed verbose trace domains shards =
+    check_args "crash" ~n ~fs:[ f ] ~domains ~shards;
     set_domains domains;
     let namespace = resolve_namespace n namespace in
     let kind, adversary =
@@ -148,6 +178,7 @@ let byz_attack_conv =
 
 let byz_cmd =
   let run n namespace f attack everyone seed verbose trace domains shards =
+    check_args "byz" ~n ~fs:[ f ] ~domains ~shards;
     set_domains domains;
     let namespace = resolve_namespace n namespace in
     let kind, adversary =
@@ -191,7 +222,9 @@ let byz_cmd =
       const run $ n_arg $ namespace_arg $ f_arg $ attack_arg $ everyone_arg
       $ seed_arg $ verbose_arg $ trace_arg $ domains_arg $ shards_arg)
 
-let baseline_run protocol n namespace f seed verbose trace domains shards =
+let baseline_run cmd protocol n namespace f seed verbose trace domains
+    shards =
+  check_args cmd ~n ~fs:[ f ] ~domains ~shards;
   set_domains domains;
   let namespace = resolve_namespace n namespace in
   let kind, adversary =
@@ -213,7 +246,7 @@ let flooding_cmd =
   Cmd.v
     (Cmd.info "flooding" ~doc:"Run the full-information flooding baseline.")
     Term.(
-      const (baseline_run E.Flooding_baseline)
+      const (baseline_run "flooding" E.Flooding_baseline)
       $ n_arg $ namespace_arg $ f_arg $ seed_arg $ verbose_arg $ trace_arg
       $ domains_arg $ shards_arg)
 
@@ -221,12 +254,13 @@ let halving_cmd =
   Cmd.v
     (Cmd.info "halving" ~doc:"Run the all-to-all interval-halving baseline.")
     Term.(
-      const (baseline_run E.Halving_baseline)
+      const (baseline_run "halving" E.Halving_baseline)
       $ n_arg $ namespace_arg $ f_arg $ seed_arg $ verbose_arg $ trace_arg
       $ domains_arg $ shards_arg)
 
 let lower_bound_cmd =
   let run n seed =
+    check_args "lower-bound" ~n ~fs:[] ~domains:None ~shards:None;
     Printf.printf
       "collision probability of k silent nodes naming into [1..%d]:\n" n;
     List.iter
@@ -270,6 +304,9 @@ let sweep_crash_cmd =
         ("flooding", E.Flooding_baseline) ]
   in
   let run protocol n namespace fs trials seed domains shards =
+    check_args "sweep-crash" ~n ~fs ~domains ~shards;
+    if trials < 1 then
+      usage_error "sweep-crash" "--trials must be at least 1, got %d" trials;
     set_domains domains;
     let namespace = resolve_namespace n namespace in
     let rows =
@@ -313,6 +350,7 @@ let sweep_crash_cmd =
 
 let sweep_byz_cmd =
   let run n namespace fs seed domains shards =
+    check_args "sweep-byz" ~n ~fs ~domains ~shards;
     set_domains domains;
     let namespace = resolve_namespace n namespace in
     let rows =

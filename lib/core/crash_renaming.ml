@@ -82,7 +82,7 @@ module Net = Repro_sim.Engine.Make (Msg)
 
 type reelection_policy = On_demand | Every_phase
 
-type committee_path = Incremental | Rebuild_each_round | Linear_scan
+type committee_path = Incremental | Linear_scan
 
 type params = {
   election_constant : float;
@@ -1232,13 +1232,7 @@ struct
         if st.elected then
           match params.committee_path with
           | Linear_scan -> Net.exchange ctx (committee_action_scan st inbox2)
-          | Rebuild_each_round ->
-              let cs = committee_state () in
-              Committee.reset cs;
-              committee_round cs inbox2
-          | Incremental ->
-              let cs = committee_state () in
-              committee_round cs inbox2
+          | Incremental -> committee_round (committee_state ()) inbox2
         else Net.exchange ctx []
       in
       node_action params ~n memo rng st sc sweep inbox3;
@@ -1275,10 +1269,7 @@ struct
           in
           match path with
           | Linear_scan -> scan ()
-          | Rebuild_each_round | Incremental -> (
-              (match path with
-              | Rebuild_each_round -> Committee.reset cs
-              | Incremental | Linear_scan -> ());
+          | Incremental -> (
               match Committee.absorb_and_emit cs st inbox with
               | Committee.Empty -> []
               | Committee.Emitted len ->
@@ -1299,10 +1290,7 @@ struct
           let inbox = Net.Inbox.of_pairs_unchecked ~dst:0 pairs in
           match path with
           | Linear_scan -> ignore (committee_action_scan st inbox)
-          | Rebuild_each_round | Incremental -> (
-              (match path with
-              | Rebuild_each_round -> Committee.reset cs
-              | Incremental | Linear_scan -> ());
+          | Incremental -> (
               match Committee.absorb_and_emit cs st inbox with
               | Committee.Empty | Committee.Emitted _ -> ()
               | exception Committee.Bail ->

@@ -62,10 +62,6 @@ type committee_path =
           that violates its preconditions — id ≠ source, duplicate or
           unknown sources, out-of-range depths, overlapping
           minimum-depth intervals. *)
-  | Rebuild_each_round
-      (** ablation: the same flattened machinery, persistent state wiped
-          before every absorb — isolates what the incremental delta
-          maintenance buys. *)
   | Linear_scan
       (** the order-insensitive reference path: per-round group
           collection with per-group sorted id arrays, every status
@@ -152,7 +148,7 @@ val run :
     [Engine.run] for their contracts — [Experiment] wires them to a
     [Repro_obs.Trace] recorder). [shards] passes through too
     (bit-identical results for every count), except that a [telemetry]
-    or [alloc_probe] run always executes sequentially: telemetry hooks
+    or [alloc_probe] run always runs with one shard: telemetry hooks
     may aggregate across nodes from inside the fibers and the probe's
     emission cell is shared by all nodes, which is only deterministic
     on one domain. An attached [alloc_probe] additionally gets

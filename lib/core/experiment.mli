@@ -72,7 +72,7 @@ val run_crash :
     trace records — for every count).
 
     [alloc_probe] attaches {!Crash_renaming.run}'s per-phase minor-word
-    attribution; it forces a sequential run and only applies to
+    attribution; it forces a 1-shard run and only applies to
     [This_work_crash] (the baselines ignore it). *)
 
 val run_byz :

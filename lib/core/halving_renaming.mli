@@ -46,5 +46,5 @@ val run :
   int Repro_sim.Engine.run_result
 (** Wrapper over {!Crash_renaming.run} with the all-to-all parameters;
     the observability hooks, [alloc_probe] and [shards] pass straight
-    through to [Engine.run] (an attached probe forces the sequential
-    loop, like telemetry). *)
+    through to [Engine.run] (an attached probe forces a 1-shard run,
+    like telemetry). *)

@@ -11,16 +11,16 @@ type 'r run_result = {
 
 exception Max_rounds_exceeded of int
 
-(* Minor-word attribution across the sequential round loop's phases.
-   [ap_deliver] counts the transmit phase (byzantine traffic, crash
-   orders, metrics billing, inbox pushes); [ap_resume] the node resumes
-   — i.e. everything the fibers do, protocol emission included;
-   [ap_book] the engine's own round bookkeeping (view install/rewind,
-   round-end hooks). Protocols that bracket their own emission (see
-   [Crash_renaming.run ?alloc_probe]) fill [ap_emit], so consumption
-   separates as [ap_resume -. ap_emit]. Filled only by the sequential
-   loop: under sharding, domains allocate from private minor heaps and
-   a single counter would under-report. *)
+(* Minor-word attribution across the round loop's phases. [ap_deliver]
+   counts the transmit phase (byzantine traffic, crash orders, metrics
+   billing, inbox pushes); [ap_resume] the node resumes — i.e.
+   everything the fibers do, protocol emission included, plus the
+   normalization of each new outbox; [ap_book] the engine's own round
+   bookkeeping (view install/rewind, round-end hooks). Protocols that
+   bracket their own emission (see [Crash_renaming.run ?alloc_probe])
+   fill [ap_emit], so consumption separates as [ap_resume -. ap_emit].
+   Filled only when the run has one shard: with more, domains allocate
+   from private minor heaps and a single counter would under-report. *)
 type alloc_probe = {
   mutable ap_emit : float;
   mutable ap_deliver : float;
@@ -50,11 +50,11 @@ module Make (M : MSG) = struct
 
      - The {e dedicated} stream ([d_*]) holds messages delivered
        specifically to this node: unicasts, multisends, byzantine
-       traffic and everything sent on the crash-adversary fallback
-       path. The parallel arrays belong to this view and are reused
-       across rounds.
+       traffic and a mid-send victim's surviving share of a broadcast.
+       The parallel arrays belong to this view and are reused across
+       rounds.
      - The {e shared} stream ([s_*]) aliases one round-global pair of
-       arrays holding this round's fast-path broadcasts (one entry per
+       arrays holding this round's broadcasts (one entry per
        broadcasting sender, not per recipient — the O(n²) → O(n)
        saving). Every live recipient's view points at the same arrays;
        only the per-view length differs from zero.
@@ -224,10 +224,13 @@ module Make (M : MSG) = struct
   let round ctx = !(ctx.current_round)
   let rng ctx = ctx.node_rng
 
-  (* A round's sends. [Broadcast] and [Multisend] are the hot paths:
-     one message value fanned out by the engine, so emitting them is
-     O(1) in allocated message structure and their size is accounted
-     once instead of per recipient. *)
+  (* A round's sends, as a node program hands them to the engine.
+     [Broadcast] and [Multisend] fan one message value out, so emitting
+     them is O(1) in allocated message structure. [Sized] is a pre-sized
+     unicast batch: the sender has already computed each message's wire
+     size (contract: [sizes.(k) = M.bits msgs.(k)]). The engine turns
+     every outbox into an {!out} the moment the node yields, and nothing
+     downstream looks at this type again. *)
   type outbox =
     | Unicast of (int * M.t) list
     | Multisend of int list * M.t
@@ -238,11 +241,6 @@ module Make (M : MSG) = struct
         sizes : int array;
         len : int;
       }
-        (* Pre-sized unicast batch: the sender has already computed each
-           message's wire size (contract: [sizes.(k) = M.bits msgs.(k)]),
-           so billing is an array read instead of a re-encode. The arrays
-           belong to the sender and are only read before the continuation
-           resumes, so they may be reused across rounds. *)
 
   type _ Effect.t += Exchange : outbox -> inbox Effect.t
 
@@ -273,6 +271,83 @@ module Make (M : MSG) = struct
   type byz_strategy =
     byz_id:int -> round:int -> inbox:envelope list -> (int * M.t) list
 
+  (* One sender's traffic for the round, in the one shape that billing,
+     destination validation, the tap, delivery and the crash observation
+     read: entries [\[0, len)] of [dst], in emission order, each carrying
+     [msg.(j)] of [size.(j)] bits — or, with [fan] set, all carrying the
+     single [msg.(0)] of [size.(0)] bits. A broadcast is a [fan] over the
+     [ids] array with [bcast] set: it is delivered through the round's
+     shared broadcast table instead of per-recipient pushes. An empty
+     shape has [len = 0] and both flags clear. [fan] keeps a multisend's
+     retained buffers at one word per destination.
+
+     [dst]/[msg]/[size] normally point at the engine-owned [own_*]
+     buffers, retained while the node runs. A [Sized] batch aliases the
+     sender's arrays instead (they are read before the sender resumes),
+     and a broadcast aliases [ids]; the engine writes entries only after
+     [use_own] has pointed [dst]/[msg]/[size] back at [own_*]. *)
+  type out = {
+    mutable dst : int array;
+    mutable msg : M.t array;
+    mutable size : int array;
+    mutable len : int;
+    mutable fan : bool;
+    mutable bcast : bool;
+    mutable own_dst : int array;
+    mutable own_msg : M.t array;
+    mutable own_size : int array;
+  }
+
+  (* Point [o] at its own buffers, grown to at least [cap] destinations
+     and [cap_msg] messages ([m] fills fresh message slots). Growth drops
+     the old contents; callers read what they still need beforehand. *)
+  let use_own o cap cap_msg m =
+    if Array.length o.own_dst < cap then
+      o.own_dst <- Array.make (max cap (2 * Array.length o.own_dst)) 0;
+    if Array.length o.own_msg < cap_msg then begin
+      let c = max cap_msg (2 * Array.length o.own_msg) in
+      o.own_msg <- Array.make c m;
+      o.own_size <- Array.make c 0
+    end;
+    o.dst <- o.own_dst;
+    o.msg <- o.own_msg;
+    o.size <- o.own_size
+
+  (* One message for every destination: [msg.(0)] of [b] bits. *)
+  let set_fan o m b =
+    o.msg.(0) <- m;
+    o.size.(0) <- b;
+    o.fan <- true
+
+  (* List-to-buffer fills as plain recursion: a [List.iter] closure
+     would capture the per-sender message and allocate on every sender
+     of every round. *)
+  let rec fill_dsts o j = function
+    | [] -> o.len <- j
+    | d :: tl ->
+        o.dst.(j) <- d;
+        fill_dsts o (j + 1) tl
+
+  (* An unicast outbox usually repeats one physical message (a status
+     fanned to the committee): size the first once, re-encode only
+     messages that differ from it. *)
+  let rec fill_unicast o m0 b0 j = function
+    | [] -> o.len <- j
+    | (d, m) :: tl ->
+        o.dst.(j) <- d;
+        o.msg.(j) <- m;
+        o.size.(j) <- (if m == m0 then b0 else M.bits m);
+        fill_unicast o m0 b0 (j + 1) tl
+
+  (* A slot that will never send again gives its buffers back. *)
+  let release o =
+    o.dst <- [||];
+    o.own_dst <- [||];
+    o.msg <- [||];
+    o.own_msg <- [||];
+    o.size <- [||];
+    o.own_size <- [||]
+
   (* A fiber is either finished with the program's result or suspended at
      a round barrier holding its outbox and the continuation expecting
      its inbox. *)
@@ -298,10 +373,10 @@ module Make (M : MSG) = struct
       }
 
   (* Per-node runtime state, indexed by slot (position in [ids]). A
-     [Running] state always holds a [Yield]: [Done] steps are folded
-     into [Finished] at fiber start and at every resume. *)
+     [Running] node is suspended at a round barrier; its outbox already
+     sits, normalized, in the slot's {!out}. *)
   type 'r node_state =
-    | Running of 'r step
+    | Running of (inbox, 'r step) Effect.Deep.continuation
     | Finished of 'r
     | Dead of int
     | Byz_node
@@ -320,8 +395,9 @@ module Make (M : MSG) = struct
           s
       | None -> Repro_util.Shard.default_count ()
     in
-    (* Never more shards than recipient slots; 1 selects the sequential
-       round loop (no pool, no domains — the hot path is unchanged). *)
+    (* Never more shards than recipient slots. One shard is the same
+       loop through a 1-shard pool, which runs the phase inline: no
+       domains, no locking. *)
     let pool_shards = Repro_util.Shard.count ~n ~shards in
     (* Dense slot indexing: one id → slot table built at start; all
        per-node state lives in arrays indexed by slot. *)
@@ -371,8 +447,8 @@ module Make (M : MSG) = struct
     let metrics = Metrics.create () in
     (* Observability hooks, resolved once so the hookless hot path pays a
        single physical-equality-style branch per event. All three fire in
-       deterministic order (crashes before delivery, decides in array
-       order at the barrier, the round boundary last). *)
+       deterministic order (crashes before delivery, decides in slot
+       order after the resumes, the round boundary last). *)
     let note_crash =
       match on_crash with
       | Some f -> fun ~round id -> f ~round ~id
@@ -387,6 +463,66 @@ module Make (M : MSG) = struct
       match on_round_end with
       | Some f -> fun ~round -> f ~round metrics
       | None -> fun ~round:_ -> ()
+    in
+    (* Per-sender-slot payload→bits memo, hit by physical equality: a
+       broadcast or multisend repeats one physical message value, and
+       [M.bits] re-encodes on every call. Dense per-slot arrays instead
+       of a payload-keyed hashtable: no structural hashing (the lint
+       pass bans [Hashtbl.hash] as D3) and no top-level state (D4) — the
+       memo lives and dies with this run. A slot's entry is only touched
+       by the shard owning the slot, or by the main domain between
+       parallel phases. *)
+    let memo_msg : M.t array array = Array.make n [||] in
+    let memo_bits = Array.make n 0 in
+    let bits_of s m =
+      let memo = memo_msg.(s) in
+      if Array.length memo > 0 && memo.(0) == m then memo_bits.(s)
+      else begin
+        let b = M.bits m in
+        if Array.length memo = 0 then memo_msg.(s) <- [| m |]
+        else memo.(0) <- m;
+        memo_bits.(s) <- b;
+        b
+      end
+    in
+    let outs =
+      Array.init n (fun _ ->
+          {
+            dst = [||];
+            msg = [||];
+            size = [||];
+            len = 0;
+            fan = false;
+            bcast = false;
+            own_dst = [||];
+            own_msg = [||];
+            own_size = [||];
+          })
+    in
+    (* The one place the four outbox constructors are told apart. *)
+    let normalize s outbox =
+      let o = outs.(s) in
+      match outbox with
+      | Broadcast m ->
+          use_own o 0 1 m;
+          set_fan o m (bits_of s m);
+          o.dst <- ids;
+          o.len <- n;
+          o.bcast <- true
+      | Multisend (dsts, m) ->
+          use_own o (List.length dsts) 1 m;
+          set_fan o m (bits_of s m);
+          fill_dsts o 0 dsts
+      | Unicast [] -> ()
+      | Unicast ((_, m0) :: _ as l) ->
+          let len = List.length l in
+          use_own o len len m0;
+          fill_unicast o m0 (M.bits m0) 0 l
+      | Sized { dsts; msgs; sizes; len } ->
+          o.dst <- dsts;
+          o.msg <- msgs;
+          o.size <- sizes;
+          o.len <- len
     in
     let master_rng = Repro_util.Rng.of_seed seed in
     let current_round = ref 0 in
@@ -412,9 +548,10 @@ module Make (M : MSG) = struct
                  the round about to execute. *)
               note_decide ~round:0 ids.(s);
               Finished r
-          | step ->
+          | Yield (out, k) ->
+              normalize s out;
               incr running_count;
-              Running step)
+              Running k)
       end
     done;
     (* Delivery iterates senders in ascending identity order, so each
@@ -422,21 +559,21 @@ module Make (M : MSG) = struct
        source id — no per-recipient sort. *)
     let order = Array.init n (fun s -> s) in
     Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) order;
-    (* One inbox view per slot, created once and refilled every round. *)
-    let views =
-      Array.init n (fun s ->
-          {
-            ib_dst = ids.(s);
-            d_src = [||];
-            d_msg = [||];
-            d_len = 0;
-            s_src = [||];
-            s_msg = [||];
-            s_len = 0;
-          })
+    let empty_view ib_dst =
+      {
+        ib_dst;
+        d_src = [||];
+        d_msg = [||];
+        d_len = 0;
+        s_src = [||];
+        s_msg = [||];
+        s_len = 0;
+      }
     in
-    let d_push d src msg =
-      let v = views.(d) in
+    (* One inbox view per slot, created once and refilled every round. *)
+    let views = Array.init n (fun s -> empty_view ids.(s)) in
+    (* Append to a view's dedicated stream, growing it on demand. *)
+    let push v src msg =
       let len = v.d_len in
       if len = Array.length v.d_src then begin
         let cap = max 16 (2 * len) in
@@ -451,841 +588,337 @@ module Make (M : MSG) = struct
       v.d_msg.(len) <- msg;
       v.d_len <- len + 1
     in
-    (* Round-global shared broadcast entries: one per fast-path
-       broadcasting sender. Recipients see them through their view's
-       [s_*] alias, installed after the transmit phase (the arrays may
-       be reallocated by growth while it runs). *)
-    let sh_src = ref [||] and sh_msg = ref ([||] : M.t array) in
-    let sh_len = ref 0 in
-    let shared_push src msg =
-      let len = !sh_len in
-      if len = Array.length !sh_src then begin
-        let cap = max 16 (2 * len) in
-        let nsrc = Array.make cap 0 in
-        Array.blit !sh_src 0 nsrc 0 len;
-        sh_src := nsrc;
-        let nmsg = Array.make cap msg in
-        Array.blit !sh_msg 0 nmsg 0 len;
-        sh_msg := nmsg
-      end;
-      !sh_src.(len) <- src;
-      !sh_msg.(len) <- msg;
-      sh_len := len + 1
+    (* The round's shared broadcast table, kept as the dedicated stream
+       of a view of its own: one entry per broadcasting sender, in
+       ascending id order. Built sequentially on the main domain before
+       the transmit phase and aliased by every live view's shared stream;
+       the pool's phase barrier publishes main's writes, and main only
+       mutates the table between pool phases. *)
+    let table = empty_view (-1) in
+    let build_broadcast_table () =
+      table.d_len <- 0;
+      for i = 0 to n - 1 do
+        let s = order.(i) in
+        let o = outs.(s) in
+        if o.bcast then push table ids.(s) o.msg.(0)
+      done
     in
     let byz_prev_inbox : envelope list array = Array.make n [] in
-    let byz_out : (int * M.t) list array = Array.make n [] in
-    (* Per-sender-slot payload→bits memo, hit by physical equality: a
-       broadcast fanned out n times (or a mid-send victim's materialized
-       outbox, or a byzantine replay) repeats one physical message value,
-       and [M.bits] re-encodes on every call. Dense per-slot arrays
-       instead of a payload-keyed hashtable: no structural hashing (the
-       lint pass bans [Hashtbl.hash] as D3) and no top-level state (D4) —
-       the memo lives and dies with this run. *)
-    let memo_msg : M.t option array = Array.make n None in
-    let memo_bits = Array.make n 0 in
-    let bits_of s m =
-      match memo_msg.(s) with
-      | Some m' when m' == m -> memo_bits.(s)
-      | _ ->
-          let b = M.bits m in
-          memo_msg.(s) <- Some m;
-          memo_bits.(s) <- b;
-          b
+    (* Byzantine traffic, settled on main: every message is billed (as
+       Byzantine) and misaddressed ones are dropped and counted here, so
+       the slot's {!out} holds only deliverable entries. *)
+    let rec fill_byz s o j = function
+      | [] -> o.len <- j
+      | (dst, msg) :: tl ->
+          let b = bits_of s msg in
+          Metrics.add_byz metrics ~bits:b;
+          if find_slot dst < 0 then begin
+            Metrics.record_byz_misaddressed metrics;
+            fill_byz s o j tl
+          end
+          else begin
+            o.dst.(j) <- dst;
+            o.msg.(j) <- msg;
+            o.size.(j) <- b;
+            fill_byz s o (j + 1) tl
+          end
     in
-    (* When a crash adversary is attached, the envelopes materialized
-       for its observation are kept per sender slot and delivered as-is,
-       instead of being materialized a second time. This doubles as the
-       stash of a mid-send victim's suspended outbox: the state moves to
-       [Dead] but the adversary-chosen subset still goes out. *)
-    let pre_envs : envelope list option array = Array.make n None in
-    let crash_active = crash != no_crash in
-    let materialize src = function
-      | Unicast l -> List.map (fun (dst, msg) -> { src; dst; msg }) l
-      | Multisend (dsts, m) -> List.map (fun dst -> { src; dst; msg = m }) dsts
-      | Broadcast m ->
-          Array.to_list (Array.map (fun dst -> { src; dst; msg = m }) ids)
-      | Sized { dsts; msgs; len; _ } ->
-          List.init len (fun k -> { src; dst = dsts.(k); msg = msgs.(k) })
-    in
-    (* Wire tap: observes every envelope handed to the network this
-       round (post crash-filter), including those addressed to finished
-       or crashed recipients — exactly the envelopes {!Metrics} counts
-       for honest senders, which is what replay tooling diffs against the
-       accounting. Tap order is deterministic (ascending sender id, then
-       emission order within a sender). Envelope records are materialized
-       for the tap only when one is attached; the hookless hot path never
-       builds them. *)
-    let tap_env =
-      match tap with
-      | Some f -> fun e -> f ~round:!current_round e
-      | None -> fun _ -> ()
-    in
-    let tap_send =
-      match tap with
-      | Some f -> fun ~src ~dst msg -> f ~round:!current_round { src; dst; msg }
-      | None -> fun ~src:_ ~dst:_ _ -> ()
-    in
-    let tap_present = tap <> None in
-    let receive d src msg =
-      tap_send ~src ~dst:ids.(d) msg;
-      match states.(d) with
-      | Running _ | Byz_node -> d_push d src msg
-      | Finished _ | Dead _ -> ()
-    in
-    let receive_env d (e : envelope) =
-      tap_env e;
-      match states.(d) with
-      | Running _ | Byz_node -> d_push d e.src e.msg
-      | Finished _ | Dead _ -> ()
+    let emit_byz s =
+      let out =
+        byz_strategy ~byz_id:ids.(s) ~round:!current_round
+          ~inbox:byz_prev_inbox.(s)
+      in
+      match out with
+      | [] -> ()
+      | (_, m0) :: _ ->
+          let o = outs.(s) and len = List.length out in
+          use_own o len len m0;
+          fill_byz s o 0 out
     in
     let bad_dst src dst =
       invalid_arg
         (Printf.sprintf
            "Engine.exchange: node %d sent to %d, not a participant" src dst)
     in
-    let deliver_honest src dst msg =
-      let d = find_slot dst in
-      if d >= 0 then receive d src msg else bad_dst src dst
+    (* The crash adversary's observation materializes each running
+       node's outbox from its {!out}. *)
+    let materialize s =
+      let o = outs.(s) and src = ids.(s) in
+      List.init o.len (fun j ->
+          { src; dst = o.dst.(j); msg = o.msg.(if o.fan then 0 else j) })
     in
-    let deliver_honest_env (e : envelope) =
-      let d = find_slot e.dst in
-      if d >= 0 then receive_env d e else bad_dst e.src e.dst
+    (* A mid-send victim's filter, applied once per envelope of its
+       materialized outbox in emission order, compacts the slot's entries
+       into its own buffers ([envs] lines up positionally with them). A
+       broadcast victim leaves the shared table: its surviving subset is
+       a plain [fan], whose [msg.(0)]/[size.(0)] are already own. *)
+    let compact s keep envs =
+      let o = outs.(s) in
+      match envs with
+      | [] -> o.len <- 0
+      | (e0 : envelope) :: _ ->
+          let size = o.size and fan = o.fan and len = List.length envs in
+          use_own o len (if fan then 1 else len) e0.msg;
+          o.bcast <- false;
+          let w = ref 0 in
+          List.iteri
+            (fun j (e : envelope) ->
+              if keep e then begin
+                o.dst.(!w) <- e.dst;
+                if not fan then begin
+                  o.msg.(!w) <- e.msg;
+                  o.size.(!w) <- size.(j)
+                end;
+                incr w
+              end)
+            envs;
+          o.len <- !w
     in
-    (* Deliver a broadcast's materialized envelope list: it was built in
-       [ids] array order, so the recipient slot is the position — no
-       destination lookup. *)
-    let deliver_broadcast_envs envs =
-      List.iteri (fun d e -> receive_env d e) envs
-    in
-    (* Phase 2 of every round, shared by the sequential and the sharded
-       loops: let the crash adversary observe and act. The observation
-       (and the envelope materialization it requires) is only built when
-       an adversary is actually attached. Returns the per-slot mid-send
-       filters of this round's victims. *)
-    let apply_crash_orders round_no : (envelope -> bool) option array =
-      if not crash_active then [||]
-      else begin
-        let filters = Array.make n None in
-        let collect f =
-          let acc = ref [] in
-          for s = n - 1 downto 0 do
-            match f s with Some x -> acc := x :: !acc | None -> ()
-          done;
-          !acc
-        in
-        let observation =
-          {
-            obs_round = round_no;
-            obs_alive =
-              collect (fun s ->
-                  match states.(s) with
-                  | Running _ -> Some ids.(s)
-                  | _ -> None);
-            obs_outboxes =
-              collect (fun s ->
-                  match states.(s) with
-                  | Running (Yield (out, _)) ->
-                      let envs = materialize ids.(s) out in
-                      pre_envs.(s) <- Some envs;
-                      Some (ids.(s), envs)
-                  | _ -> None);
-            obs_crashed =
-              collect (fun s ->
-                  match states.(s) with
-                  | Dead _ -> Some ids.(s)
-                  | _ -> None);
-          }
-        in
-        let orders = crash observation in
-        (* First order per victim wins; orders against dead or
-           unknown nodes are ignored. A victim's suspended outbox is
-           kept aside so the adversary-chosen subset still goes out
-           during transmit. *)
-        List.iter
-          (fun { victim; delivered } ->
-            let s = find_slot victim in
-            if s >= 0 && filters.(s) = None then
-              match states.(s) with
-              | Running _ ->
-                  (* [pre_envs.(s)] (set while building the
-                     observation, for [Yield] steps) is the suspended
-                     outbox delivered through the filter below. *)
-                  filters.(s) <- Some delivered;
-                  states.(s) <- Dead round_no;
-                  decr running_count;
-                  Metrics.record_crash metrics;
-                  note_crash ~round:round_no victim
-              | Finished _ ->
-                  filters.(s) <- Some delivered;
-                  states.(s) <- Dead round_no;
-                  Metrics.record_crash metrics;
-                  note_crash ~round:round_no victim
-              | Dead _ | Byz_node -> ())
-          orders;
-        filters
-      end
-    in
-    (* The sequential loop's per-slot sweeps, hoisted: one closure per
-       run instead of one per round. The transmit sweep needs this
-       round's victim filters, so they ride in a cell written at the
-       top of each round rather than a parameter. *)
-    let cur_victims : (envelope -> bool) option array ref = ref [||] in
-    let emit_byz s =
-      let out =
-        byz_strategy ~byz_id:ids.(s) ~round:!current_round
-          ~inbox:byz_prev_inbox.(s)
+    let crash_active = crash != no_crash in
+    let pre_envs : envelope list array = Array.make n [] in
+    (* Let the crash adversary observe and act. The observation (and the
+       envelope materialization it requires) is only built when an
+       adversary is attached. Victims' filters then run once, on main,
+       in ascending sender order — they may be stateful ([Crash.random]
+       draws a coin per envelope), so they must never run per shard. *)
+    let apply_crash_orders round_no =
+      let filters = Array.make n None in
+      let collect f =
+        let acc = ref [] in
+        for s = n - 1 downto 0 do
+          match f s with Some x -> acc := x :: !acc | None -> ()
+        done;
+        !acc
+      in
+      let observation =
+        {
+          obs_round = round_no;
+          obs_alive =
+            collect (fun s ->
+                match states.(s) with Running _ -> Some ids.(s) | _ -> None);
+          obs_outboxes =
+            collect (fun s ->
+                match states.(s) with
+                | Running _ ->
+                    let envs = materialize s in
+                    pre_envs.(s) <- envs;
+                    Some (ids.(s), envs)
+                | _ -> None);
+          obs_crashed =
+            collect (fun s ->
+                match states.(s) with Dead _ -> Some ids.(s) | _ -> None);
+        }
+      in
+      (* First order per victim wins; orders against dead or unknown
+         nodes are ignored. A running victim's suspended outbox still
+         goes out through its filter; a finished one has none. *)
+      let kill s victim delivered =
+        filters.(s) <- Some delivered;
+        states.(s) <- Dead round_no;
+        Metrics.record_crash metrics;
+        note_crash ~round:round_no victim
       in
       List.iter
-        (fun (_, msg) -> Metrics.add_byz metrics ~bits:(bits_of s msg))
-        out;
-      byz_out.(s) <- out
+        (fun { victim; delivered } ->
+          let s = find_slot victim in
+          if s >= 0 && filters.(s) = None then
+            match states.(s) with
+            | Running _ ->
+                decr running_count;
+                kill s victim delivered
+            | Finished _ -> kill s victim delivered
+            | Dead _ | Byz_node -> ())
+        (crash observation);
+      Array.iter
+        (fun s ->
+          match filters.(s) with
+          | Some keep -> compact s keep pre_envs.(s)
+          | None -> ())
+        order;
+      Array.fill pre_envs 0 n []
     in
-    let snapshot_byz_inbox s =
-      byz_prev_inbox.(s) <- Inbox.to_list views.(s)
+    (* Wire tap: every envelope handed to the network this round (post
+       crash filter), including those addressed to finished or crashed
+       recipients — exactly the envelopes {!Metrics} counts for honest
+       senders. The contract fixes a global order (ascending sender id,
+       emission order within a sender) no shard-local pass can
+       reproduce, so the tap runs as one pass on main before delivery;
+       it validates destinations in that same order. *)
+    let tap_round f =
+      let round = !current_round in
+      for i = 0 to n - 1 do
+        let s = order.(i) in
+        let o = outs.(s) and src = ids.(s) in
+        for j = 0 to o.len - 1 do
+          let dst = o.dst.(j) in
+          if find_slot dst < 0 then bad_dst src dst;
+          f ~round { src; dst; msg = o.msg.(if o.fan then 0 else j) }
+        done
+      done
     in
-    (* Hot no-fault multisend/unicast delivery, as plain recursion: the
-       [List.iter] closures here captured the per-sender message and
-       allocated on every sender of every round. *)
-    let rec send_multi src m = function
-      | [] -> ()
-      | dst :: tl ->
-          deliver_honest src dst m;
-          send_multi src m tl
+    let ranges =
+      Array.init pool_shards (fun k ->
+          Repro_util.Shard.range ~n ~shards:pool_shards k)
     in
-    let rec send_unicast src b0 m0 = function
-      | [] -> ()
-      | (dst, msg) :: tl ->
-          Metrics.add_honest metrics
-            ~bits:(if msg == m0 then b0 else M.bits msg);
-          deliver_honest src dst msg;
-          send_unicast src b0 m0 tl
+    let bill_msgs = Array.make pool_shards 0 in
+    let bill_bits = Array.make pool_shards 0 in
+    (* Transmit, one pass per shard: walk every sender in ascending id
+       order; bill the honest senders the shard owns (sums of [size],
+       merged on main in shard order — sums commute, so totals and
+       per-round rows do not depend on the shard count); push only into
+       recipient slots the shard owns, so each inbox is filled by exactly
+       one domain, sorted by construction. Every shard resolves every
+       destination, so a non-participant raises from every shard at the
+       same first offending sender, and the pool's lowest-index re-raise
+       is deterministic. Broadcasts are already in the shared table. *)
+    let transmit k =
+      let lo, hi = ranges.(k) in
+      let msgs = ref 0 and bits = ref 0 in
+      for i = 0 to n - 1 do
+        let s = Array.unsafe_get order i in
+        let o = outs.(s) in
+        let len = o.len and fan = o.fan and size = o.size in
+        if s >= lo && s < hi && not is_byz.(s) then begin
+          msgs := !msgs + len;
+          if fan then bits := !bits + (len * size.(0))
+          else
+            for j = 0 to len - 1 do
+              bits := !bits + Array.unsafe_get size j
+            done
+        end;
+        if not o.bcast then begin
+          let src = ids.(s) and dst = o.dst and msg = o.msg in
+          for j = 0 to len - 1 do
+            let dst_id = Array.unsafe_get dst j in
+            let d = find_slot dst_id in
+            if d < 0 then bad_dst src dst_id
+            else if d >= lo && d < hi then
+              match states.(d) with
+              | Running _ | Byz_node ->
+                  push views.(d) src
+                    (Array.unsafe_get msg (if fan then 0 else j))
+              | Finished _ | Dead _ -> ()
+          done
+        end
+      done;
+      bill_msgs.(k) <- !msgs;
+      bill_bits.(k) <- !bits
     in
-    let transmit_slot s =
-      match states.(s) with
-      | Byz_node ->
-          let src = ids.(s) in
-          List.iter
-            (fun (dst, msg) ->
-              match Hashtbl.find_opt slot_of dst with
-              | Some d -> receive d src msg
-              | None -> Metrics.record_byz_misaddressed metrics)
-            byz_out.(s);
-          byz_out.(s) <- []
-      | Running (Yield (out, _)) -> (
-          match pre_envs.(s) with
-          | Some envs -> (
-              (* Fallback path: reuse the envelopes already
-                 materialized for the adversary's observation. *)
-              pre_envs.(s) <- None;
-              match out with
-              | Broadcast m ->
-                  Metrics.add_honest_n metrics ~count:n
-                    ~bits_each:(bits_of s m);
-                  deliver_broadcast_envs envs
-              | Multisend (_, m) ->
-                  Metrics.add_honest_n metrics
-                    ~count:(List.length envs) ~bits_each:(bits_of s m);
-                  List.iter deliver_honest_env envs
-              | Unicast _ -> (
-                  (* A unicast outbox usually repeats one physical
-                     message (a status fanned to the committee):
-                     size it once. *)
-                  match envs with
-                  | [] -> ()
-                  | e0 :: _ ->
-                      let m0 = e0.msg in
-                      let b0 = M.bits m0 in
-                      List.iter
-                        (fun (e : envelope) ->
-                          Metrics.add_honest metrics
-                            ~bits:
-                              (if e.msg == m0 then b0 else M.bits e.msg);
-                          deliver_honest_env e)
-                        envs)
-              | Sized { sizes; _ } ->
-                  (* [envs] was materialized from the batch in
-                     index order, so sizes line up positionally. *)
-                  List.iteri
-                    (fun k (e : envelope) ->
-                      Metrics.add_honest metrics ~bits:sizes.(k);
-                      deliver_honest_env e)
-                    envs)
-          | None -> (
-              let src = ids.(s) in
-              match out with
-              | Broadcast m ->
-                  (* Fast path: one metrics update, one shared
-                     entry visible to all live recipients — no
-                     envelope records, no per-recipient copies.
-                     With a tap attached the per-recipient
-                     envelopes still materialize for it alone, in
-                     the contract's order. *)
-                  Metrics.add_honest_n metrics ~count:n
-                    ~bits_each:(bits_of s m);
-                  if tap_present then
-                    for d = 0 to n - 1 do
-                      tap_send ~src ~dst:ids.(d) m
-                    done;
-                  shared_push src m
-              | Multisend (dsts, m) ->
-                  Metrics.add_honest_n metrics ~count:(List.length dsts)
-                    ~bits_each:(bits_of s m);
-                  send_multi src m dsts
-              | Unicast [] -> ()
-              | Unicast ((_, m0) :: _ as l) ->
-                  send_unicast src (M.bits m0) m0 l
-              | Sized { dsts; msgs; sizes; len } ->
-                  for k = 0 to len - 1 do
-                    Metrics.add_honest metrics
-                      ~bits:(Array.unsafe_get sizes k);
-                    deliver_honest src
-                      (Array.unsafe_get dsts k)
-                      (Array.unsafe_get msgs k)
-                  done))
-      | Dead _ when pre_envs.(s) <> None ->
-          let envs = Option.get pre_envs.(s) in
-          pre_envs.(s) <- None;
-          let keep =
-            Option.value ~default:(fun _ -> true) !cur_victims.(s)
-          in
-          List.iter
-            (fun (e : envelope) ->
-              if keep e then begin
-                Metrics.add_honest metrics ~bits:(bits_of s e.msg);
-                deliver_honest_env e
-              end)
-            envs
-      | Running (Done _) | Finished _ | Dead _ -> ()
+    (* Minor-word phase attribution (see {!alloc_probe}), only with one
+       shard: domains allocate from private minor heaps, and a single
+       counter would under-report. [marks] holds the round's readings:
+       start, after transmit, before and after the resumes. *)
+    let probing = alloc_probe <> None && pool_shards = 1 in
+    let marks = Array.make 4 0. in
+    (* Slots that decided this round: shard [k] writes its in ascending
+       slot order into [dec_slots.(lo_k ..)] and the count into
+       [dec_count.(k)]. *)
+    let dec_slots = Array.make n 0 in
+    let dec_count = Array.make pool_shards 0 in
+    (* Install the round's broadcast table into the shard's live views,
+       hand Byzantine slots their inboxes as envelope lists (one of the
+       three sanctioned materialization points), then resume the shard's
+       fibers, normalizing each new outbox. A fiber is pinned to the
+       shard owning its slot, so node-local mutable protocol state stays
+       domain-local. Decisions are collected per shard; [on_decide]
+       fires on main. *)
+    let resume k =
+      let lo, hi = ranges.(k) in
+      for s = lo to hi - 1 do
+        match states.(s) with
+        | Running _ | Byz_node ->
+            let v = views.(s) in
+            v.s_src <- table.d_src;
+            v.s_msg <- table.d_msg;
+            v.s_len <- table.d_len
+        | Finished _ | Dead _ -> ()
+      done;
+      for s = lo to hi - 1 do
+        if is_byz.(s) then byz_prev_inbox.(s) <- Inbox.to_list views.(s)
+      done;
+      if probing then marks.(2) <- Gc.minor_words ();
+      let dec = ref lo in
+      for s = lo to hi - 1 do
+        let o = outs.(s) in
+        o.len <- 0;
+        o.fan <- false;
+        o.bcast <- false;
+        match states.(s) with
+        | Running kont ->
+            states.(s) <-
+              (match Effect.Deep.continue kont views.(s) with
+              | Done r ->
+                  release o;
+                  dec_slots.(!dec) <- s;
+                  incr dec;
+                  Finished r
+              | Yield (out, kont) ->
+                  normalize s out;
+                  Running kont)
+        | Dead _ -> if Array.length o.own_msg > 0 then release o
+        | Finished _ | Byz_node -> ()
+      done;
+      if probing then marks.(3) <- Gc.minor_words ();
+      (* Rewind the views for the next round's fill: a view is only
+         valid during the resume above. *)
+      for s = lo to hi - 1 do
+        let v = views.(s) in
+        v.d_len <- 0;
+        v.s_len <- 0
+      done;
+      dec_count.(k) <- !dec - lo
     in
-    (* Minor-word phase attribution (see {!alloc_probe}): brackets are
-       read only when a probe is attached, so the hookless hot loop
-       pays nothing. *)
-    let probing = alloc_probe <> None in
-    let minor_words () = if probing then Gc.minor_words () else 0. in
-    let rec loop () =
+    let rec rounds pool =
       if !running_count = 0 then ()
       else if !current_round >= max_rounds then
         raise (Max_rounds_exceeded max_rounds)
       else begin
         let round_no = !current_round in
-        let w0 = minor_words () in
+        if probing then marks.(0) <- Gc.minor_words ();
         (* 1. Byzantine traffic for this round, from last round's
            inboxes (each Byzantine inbox is built exactly once). *)
         Array.iter emit_byz byz_slots;
         (* 2. Crash orders for this round. *)
-        cur_victims := apply_crash_orders round_no;
-        (* 3. Transmit, senders in ascending id order: full outbox for
-           survivors, the adversary-chosen subset for nodes crashed
-           mid-send. Both inbox streams fill sorted by construction. *)
-        Array.iter transmit_slot order;
-        let w1 = minor_words () in
+        if crash_active then apply_crash_orders round_no;
+        (* 3. Transmit: tap, shared table, per-shard billing and
+           delivery. *)
+        Option.iter tap_round tap;
+        build_broadcast_table ();
+        Repro_util.Domain_pool.run pool transmit;
+        for k = 0 to pool_shards - 1 do
+          Metrics.add_honest_bulk metrics ~msgs:bill_msgs.(k)
+            ~bits:bill_bits.(k)
+        done;
+        if probing then marks.(1) <- Gc.minor_words ();
         Metrics.end_round metrics;
         incr current_round;
-        (* Install this round's shared broadcast arrays into every live
-           recipient's view (after transmit: growth may have reallocated
-           them). Dead and finished slots keep a zero length — the
-           state gating the old per-envelope delivery applied. *)
-        let cur_sh_src = !sh_src and cur_sh_msg = !sh_msg in
-        let cur_sh_len = !sh_len in
-        for s = 0 to n - 1 do
-          match states.(s) with
-          | Running _ | Byz_node ->
-              let v = views.(s) in
-              v.s_src <- cur_sh_src;
-              v.s_msg <- cur_sh_msg;
-              v.s_len <- cur_sh_len
-          | Finished _ | Dead _ -> ()
+        (* 4. Resume. The inbox of [round_no] is what let a node decide,
+           so the decision belongs to that round even though
+           [current_round] already moved on. *)
+        Repro_util.Domain_pool.run pool resume;
+        for k = 0 to pool_shards - 1 do
+          let lo, _ = ranges.(k) in
+          for i = lo to lo + dec_count.(k) - 1 do
+            decr running_count;
+            note_decide ~round:round_no ids.(dec_slots.(i))
+          done
         done;
-        (* 4. Hand over inboxes: Byzantine slots materialize theirs to
-           envelope lists for next round's strategy call (one of the
-           three sanctioned materialization points); survivors resume
-           (in array order, like fiber start) up to their next barrier.
-           A view is only valid during the resume below — the arrays
-           are rewound and refilled next round. *)
-        Array.iter snapshot_byz_inbox byz_slots;
-        let w2 = minor_words () in
-        for s = 0 to n - 1 do
-          match states.(s) with
-          | Running (Yield (_, k)) ->
-              states.(s) <-
-                (match Effect.Deep.continue k views.(s) with
-                | Done r ->
-                    decr running_count;
-                    (* The inbox of [round_no] is what let the node
-                       decide, so the decision belongs to that round even
-                       though [current_round] already moved on. *)
-                    note_decide ~round:round_no ids.(s);
-                    Finished r
-                | step -> Running step)
-          | Running (Done _) | Finished _ | Dead _ | Byz_node -> ()
-        done;
-        let w3 = minor_words () in
-        (* Rewind all views for the next round's fill. *)
-        for s = 0 to n - 1 do
-          let v = views.(s) in
-          v.d_len <- 0;
-          v.s_len <- 0
-        done;
-        sh_len := 0;
         (* Round boundary: after the resumes, so decisions taken on this
            round's inboxes are already reported when the hook fires. The
            metrics row for [round_no] is closed at this point. *)
         note_round_end ~round:round_no;
         (match alloc_probe with
-        | Some p ->
-            let w4 = minor_words () in
-            p.ap_deliver <- p.ap_deliver +. (w1 -. w0);
-            p.ap_resume <- p.ap_resume +. (w3 -. w2);
-            p.ap_book <- p.ap_book +. (w2 -. w1) +. (w4 -. w3)
-        | None -> ());
-        loop ()
+        | Some p when probing ->
+            let w4 = Gc.minor_words () in
+            p.ap_deliver <- p.ap_deliver +. (marks.(1) -. marks.(0));
+            p.ap_resume <- p.ap_resume +. (marks.(3) -. marks.(2));
+            p.ap_book <-
+              p.ap_book +. (marks.(2) -. marks.(1)) +. (w4 -. marks.(3))
+        | _ -> ());
+        rounds pool
       end
     in
-    (* ---- Sharded round loop ([pool_shards > 1]). ---------------------
-       Recipient slots are partitioned into contiguous ranges, one per
-       shard ([Repro_util.Shard.range]); each round runs the same four
-       phases as the sequential loop with transmit and resume fanned
-       across the domain pool:
-
-       1. (main)   Byzantine strategies + billing + misaddressed drops,
-                   crash orders, and — when a crash adversary is
-                   attached — the victims' mid-send filters applied once
-                   in sequential envelope order. The filters may be
-                   stateful ([Crash.random] draws a coin per envelope),
-                   so they must never run per shard.
-       2. (shards) Delivery: every shard scans all senders in ascending
-                   id order but pushes only into recipient slots it
-                   owns, so each inbox is filled by exactly one domain,
-                   sorted by construction like the sequential fill.
-                   Fast-path broadcasts go to a per-shard copy of the
-                   round's shared table — same content on every shard,
-                   one entry per broadcasting sender — so the growable
-                   table is never shared across domains. Billing is
-                   folded per shard over the senders it owns and merged
-                   on main in ascending shard order: sums commute, so
-                   totals and per-round rows are byte-identical to
-                   sequential accounting.
-       3. (main)   Merge billing, close the metrics round, advance the
-                   round clock, clear the round's staged outboxes.
-       4. (shards) Install the shard's table into its live views,
-                   materialize its Byzantine inboxes, resume its fibers
-                   (a fiber is pinned to the one shard owning its slot,
-                   so node-local mutable protocol state stays
-                   domain-local). Decisions are collected per shard and
-                   the [on_decide] hook fires on main in ascending slot
-                   order — exactly the sequential order.
-
-       With a tap attached, billing + tap + destination validation run
-       as one sequential pass on main before delivery (the tap contract
-       fixes a global envelope order no shard-local pass can reproduce);
-       the shards then only deliver. Without a tap, destination
-       validation happens in the per-shard billing fold, raised by the
-       shard owning the sender (the pool re-raises the lowest shard
-       index's exception, keeping even the error path deterministic). *)
-    let loop_sharded pool =
-      let ranges =
-        Array.init pool_shards (fun k ->
-            Repro_util.Shard.range ~n ~shards:pool_shards k)
-      in
-      let bill_msgs = Array.make pool_shards 0 in
-      let bill_bits = Array.make pool_shards 0 in
-      (* The round's fast-path broadcast table: built once, sequentially,
-         on the main domain before the transmit phase, then read in place
-         by every shard. The shards used to each build their own copy
-         inside [deliver_shard]; at large n the duplicated construction
-         and the copies' extra working set cost more than the delivery
-         they fed. The pool's phase barrier publishes main's writes
-         before any shard reads, and main only mutates the table between
-         pool phases, so the snapshot needs no freezing beyond that. *)
-      let bb_src = ref [||] and bb_msg = ref ([||] : M.t array) in
-      let bb_len = ref 0 in
-      let bb_push src msg =
-        let len = !bb_len in
-        if len = Array.length !bb_src then begin
-          let cap = max 16 (2 * len) in
-          let nsrc = Array.make cap 0 in
-          Array.blit !bb_src 0 nsrc 0 len;
-          bb_src := nsrc;
-          let nmsg = Array.make cap msg in
-          Array.blit !bb_msg 0 nmsg 0 len;
-          bb_msg := nmsg
-        end;
-        !bb_src.(len) <- src;
-        !bb_msg.(len) <- msg;
-        bb_len := len + 1
-      in
-      (* Same senders, same ascending-id order as the sequential loop's
-         [shared_push] calls: fast-path broadcasts are exactly the
-         [Broadcast] yields with no materialized envelopes. *)
-      let build_broadcast_table () =
-        bb_len := 0;
-        Array.iter
-          (fun s ->
-            match states.(s) with
-            | Running (Yield (Broadcast m, _)) when pre_envs.(s) = None ->
-                bb_push ids.(s) m
-            | _ -> ())
-          order
-      in
-      let decided : int list array = Array.make pool_shards [] in
-      let finished_counts = Array.make pool_shards 0 in
-      (* State-gated push, restricted to the shard's recipient range.
-         [lo >= 0], so [d >= lo] also rejects the -1 of an unknown
-         destination (validation happens on the billing side). *)
-      let push_owned lo hi d src msg =
-        if d >= lo && d < hi then
-          match states.(d) with
-          | Running _ | Byz_node -> d_push d src msg
-          | Finished _ | Dead _ -> ()
-      in
-      (* Tap mode: one sequential pass on main reproduces the exact
-         billing + tap + validation event sequence of the sequential
-         transmit, minus the delivery pushes. *)
-      let bill_and_tap_main () =
-        Array.iter
-          (fun s ->
-            match states.(s) with
-            | Byz_node ->
-                let src = ids.(s) in
-                List.iter
-                  (fun (dst, msg) ->
-                    if find_slot dst >= 0 then tap_send ~src ~dst msg)
-                  byz_out.(s)
-            | Running (Yield (out, _)) -> (
-                match pre_envs.(s) with
-                | Some envs -> (
-                    match out with
-                    | Broadcast m ->
-                        Metrics.add_honest_n metrics ~count:n
-                          ~bits_each:(bits_of s m);
-                        List.iter tap_env envs
-                    | Multisend (_, m) ->
-                        Metrics.add_honest_n metrics
-                          ~count:(List.length envs) ~bits_each:(bits_of s m);
-                        List.iter
-                          (fun (e : envelope) ->
-                            if find_slot e.dst < 0 then bad_dst e.src e.dst;
-                            tap_env e)
-                          envs
-                    | Unicast _ -> (
-                        match envs with
-                        | [] -> ()
-                        | e0 :: _ ->
-                            let m0 = e0.msg in
-                            let b0 = M.bits m0 in
-                            List.iter
-                              (fun (e : envelope) ->
-                                Metrics.add_honest metrics
-                                  ~bits:
-                                    (if e.msg == m0 then b0
-                                     else M.bits e.msg);
-                                if find_slot e.dst < 0 then
-                                  bad_dst e.src e.dst;
-                                tap_env e)
-                              envs)
-                    | Sized { sizes; _ } ->
-                        List.iteri
-                          (fun j (e : envelope) ->
-                            Metrics.add_honest metrics ~bits:sizes.(j);
-                            if find_slot e.dst < 0 then bad_dst e.src e.dst;
-                            tap_env e)
-                          envs)
-                | None -> (
-                    let src = ids.(s) in
-                    match out with
-                    | Broadcast m ->
-                        Metrics.add_honest_n metrics ~count:n
-                          ~bits_each:(bits_of s m);
-                        for d = 0 to n - 1 do
-                          tap_send ~src ~dst:ids.(d) m
-                        done
-                    | Multisend (dsts, m) ->
-                        Metrics.add_honest_n metrics
-                          ~count:(List.length dsts) ~bits_each:(bits_of s m);
-                        List.iter
-                          (fun dst ->
-                            if find_slot dst < 0 then bad_dst src dst;
-                            tap_send ~src ~dst m)
-                          dsts
-                    | Unicast [] -> ()
-                    | Unicast ((_, m0) :: _ as l) ->
-                        let b0 = M.bits m0 in
-                        List.iter
-                          (fun (dst, msg) ->
-                            Metrics.add_honest metrics
-                              ~bits:(if msg == m0 then b0 else M.bits msg);
-                            if find_slot dst < 0 then bad_dst src dst;
-                            tap_send ~src ~dst msg)
-                          l
-                    | Sized { dsts; msgs; sizes; len } ->
-                        for j = 0 to len - 1 do
-                          Metrics.add_honest metrics ~bits:sizes.(j);
-                          let dst = dsts.(j) in
-                          if find_slot dst < 0 then bad_dst src dst;
-                          tap_send ~src ~dst msgs.(j)
-                        done))
-            | Dead _ when pre_envs.(s) <> None ->
-                (* The mid-send filter was already applied (phase 1):
-                   everything left goes out. *)
-                List.iter
-                  (fun (e : envelope) ->
-                    Metrics.add_honest metrics ~bits:(bits_of s e.msg);
-                    if find_slot e.dst < 0 then bad_dst e.src e.dst;
-                    tap_env e)
-                  (Option.get pre_envs.(s))
-            | Running (Done _) | Finished _ | Dead _ -> ())
-          order
-      in
-      (* No-tap mode: the billing (and validation) fold over the senders
-         this shard owns. [bits_of] memoizes per sender slot, so the
-         memo entries a shard touches are exactly its own range. *)
-      let bill_shard k lo hi =
-        let msgs = ref 0 and bits = ref 0 in
-        for s = lo to hi - 1 do
-          match states.(s) with
-          | Running (Yield (out, _)) -> (
-              match pre_envs.(s) with
-              | Some envs -> (
-                  match out with
-                  | Broadcast m ->
-                      msgs := !msgs + n;
-                      bits := !bits + (n * bits_of s m)
-                  | Multisend (_, m) ->
-                      let c = List.length envs in
-                      msgs := !msgs + c;
-                      bits := !bits + (c * bits_of s m);
-                      List.iter
-                        (fun (e : envelope) ->
-                          if find_slot e.dst < 0 then bad_dst e.src e.dst)
-                        envs
-                  | Unicast _ -> (
-                      match envs with
-                      | [] -> ()
-                      | e0 :: _ ->
-                          let m0 = e0.msg in
-                          let b0 = M.bits m0 in
-                          List.iter
-                            (fun (e : envelope) ->
-                              incr msgs;
-                              bits :=
-                                !bits
-                                + (if e.msg == m0 then b0 else M.bits e.msg);
-                              if find_slot e.dst < 0 then
-                                bad_dst e.src e.dst)
-                            envs)
-                  | Sized { sizes; _ } ->
-                      List.iteri
-                        (fun j (e : envelope) ->
-                          incr msgs;
-                          bits := !bits + sizes.(j);
-                          if find_slot e.dst < 0 then bad_dst e.src e.dst)
-                        envs)
-              | None -> (
-                  let src = ids.(s) in
-                  match out with
-                  | Broadcast m ->
-                      msgs := !msgs + n;
-                      bits := !bits + (n * bits_of s m)
-                  | Multisend (dsts, m) ->
-                      let c = List.length dsts in
-                      msgs := !msgs + c;
-                      bits := !bits + (c * bits_of s m);
-                      List.iter
-                        (fun dst ->
-                          if find_slot dst < 0 then bad_dst src dst)
-                        dsts
-                  | Unicast [] -> ()
-                  | Unicast ((_, m0) :: _ as l) ->
-                      let b0 = M.bits m0 in
-                      List.iter
-                        (fun (dst, msg) ->
-                          incr msgs;
-                          bits :=
-                            !bits + (if msg == m0 then b0 else M.bits msg);
-                          if find_slot dst < 0 then bad_dst src dst)
-                        l
-                  | Sized { dsts; sizes; len; _ } ->
-                      for j = 0 to len - 1 do
-                        incr msgs;
-                        bits := !bits + sizes.(j);
-                        if find_slot dsts.(j) < 0 then bad_dst src dsts.(j)
-                      done))
-          | Dead _ when pre_envs.(s) <> None ->
-              List.iter
-                (fun (e : envelope) ->
-                  incr msgs;
-                  bits := !bits + bits_of s e.msg;
-                  if find_slot e.dst < 0 then bad_dst e.src e.dst)
-                (Option.get pre_envs.(s))
-          | Byz_node | Running (Done _) | Finished _ | Dead _ -> ()
-        done;
-        bill_msgs.(k) <- !msgs;
-        bill_bits.(k) <- !bits
-      in
-      let deliver_shard lo hi =
-        Array.iter
-          (fun s ->
-            match states.(s) with
-            | Byz_node ->
-                let src = ids.(s) in
-                List.iter
-                  (fun (dst, msg) -> push_owned lo hi (find_slot dst) src msg)
-                  byz_out.(s)
-            | Running (Yield (out, _)) -> (
-                match pre_envs.(s) with
-                | Some envs -> (
-                    match out with
-                    | Broadcast _ ->
-                        (* Materialized in [ids] order: position = slot. *)
-                        List.iteri
-                          (fun d (e : envelope) ->
-                            push_owned lo hi d e.src e.msg)
-                          envs
-                    | Multisend _ | Unicast _ | Sized _ ->
-                        List.iter
-                          (fun (e : envelope) ->
-                            push_owned lo hi (find_slot e.dst) e.src e.msg)
-                          envs)
-                | None -> (
-                    let src = ids.(s) in
-                    match out with
-                    | Broadcast _ ->
-                        (* Already staged in the shared table by
-                           [build_broadcast_table] on main. *)
-                        ()
-                    | Multisend (dsts, m) ->
-                        List.iter
-                          (fun dst -> push_owned lo hi (find_slot dst) src m)
-                          dsts
-                    | Unicast l ->
-                        List.iter
-                          (fun (dst, msg) ->
-                            push_owned lo hi (find_slot dst) src msg)
-                          l
-                    | Sized { dsts; msgs; len; _ } ->
-                        for j = 0 to len - 1 do
-                          push_owned lo hi (find_slot dsts.(j)) src msgs.(j)
-                        done))
-            | Dead _ when pre_envs.(s) <> None ->
-                List.iter
-                  (fun (e : envelope) ->
-                    push_owned lo hi (find_slot e.dst) e.src e.msg)
-                  (Option.get pre_envs.(s))
-            | Running (Done _) | Finished _ | Dead _ -> ())
-          order
-      in
-      let phase_a k =
-        let lo, hi = ranges.(k) in
-        if not tap_present then bill_shard k lo hi;
-        deliver_shard lo hi
-      in
-      let phase_b k =
-        let lo, hi = ranges.(k) in
-        let cur_src = !bb_src and cur_msg = !bb_msg in
-        let cur_len = !bb_len in
-        for s = lo to hi - 1 do
-          match states.(s) with
-          | Running _ | Byz_node ->
-              let v = views.(s) in
-              v.s_src <- cur_src;
-              v.s_msg <- cur_msg;
-              v.s_len <- cur_len
-          | Finished _ | Dead _ -> ()
-        done;
-        for s = lo to hi - 1 do
-          if is_byz.(s) then byz_prev_inbox.(s) <- Inbox.to_list views.(s)
-        done;
-        let dec = ref [] in
-        let fin = ref 0 in
-        for s = lo to hi - 1 do
-          match states.(s) with
-          | Running (Yield (_, kont)) ->
-              states.(s) <-
-                (match Effect.Deep.continue kont views.(s) with
-                | Done r ->
-                    incr fin;
-                    dec := s :: !dec;
-                    Finished r
-                | step -> Running step)
-          | Running (Done _) | Finished _ | Dead _ | Byz_node -> ()
-        done;
-        for s = lo to hi - 1 do
-          let v = views.(s) in
-          v.d_len <- 0;
-          v.s_len <- 0
-        done;
-        decided.(k) <- List.rev !dec;
-        finished_counts.(k) <- !fin
-      in
-      let rec go () =
-        if !running_count = 0 then ()
-        else if !current_round >= max_rounds then
-          raise (Max_rounds_exceeded max_rounds)
-        else begin
-          let round_no = !current_round in
-          (* 1. Byzantine traffic: billing and the misaddressed-drop
-             count both settle here, so the shards only deliver. *)
-          Array.iter
-            (fun s ->
-              let out =
-                byz_strategy ~byz_id:ids.(s) ~round:round_no
-                  ~inbox:byz_prev_inbox.(s)
-              in
-              List.iter
-                (fun (dst, msg) ->
-                  Metrics.add_byz metrics ~bits:(bits_of s msg);
-                  if find_slot dst < 0 then
-                    Metrics.record_byz_misaddressed metrics)
-                out;
-              byz_out.(s) <- out)
-            byz_slots;
-          (* 2. Crash orders, then each victim's mid-send filter applied
-             exactly once, in the sequential per-envelope order (the
-             filter closures may consume an rng stream per call). *)
-          let victim_filter = apply_crash_orders round_no in
-          if crash_active then
-            Array.iter
-              (fun s ->
-                match states.(s) with
-                | Dead _ when pre_envs.(s) <> None ->
-                    let keep =
-                      Option.value victim_filter.(s)
-                        ~default:(fun _ -> true)
-                    in
-                    pre_envs.(s) <-
-                      Some (List.filter keep (Option.get pre_envs.(s)))
-                | _ -> ())
-              order;
-          (* 3. Transmit. *)
-          if tap_present then bill_and_tap_main ();
-          build_broadcast_table ();
-          Repro_util.Domain_pool.run pool phase_a;
-          if not tap_present then
-            for k = 0 to pool_shards - 1 do
-              Metrics.add_honest_bulk metrics ~msgs:bill_msgs.(k)
-                ~bits:bill_bits.(k)
-            done;
-          Metrics.end_round metrics;
-          incr current_round;
-          if crash_active then Array.fill pre_envs 0 n None;
-          Array.iter (fun s -> byz_out.(s) <- []) byz_slots;
-          (* 4. Install + resume; hooks fire below, on this domain, in
-             ascending slot order like the sequential loop. *)
-          Repro_util.Domain_pool.run pool phase_b;
-          for k = 0 to pool_shards - 1 do
-            List.iter
-              (fun s -> note_decide ~round:round_no ids.(s))
-              decided.(k);
-            running_count := !running_count - finished_counts.(k)
-          done;
-          note_round_end ~round:round_no;
-          go ()
-        end
-      in
-      go ()
-    in
-    (if pool_shards <= 1 then loop ()
-     else Repro_util.Domain_pool.with_pool ~shards:pool_shards loop_sharded);
+    Repro_util.Domain_pool.with_pool ~shards:pool_shards rounds;
     let outcomes =
       List.init n (fun s ->
           ( ids.(s),
@@ -1296,6 +929,7 @@ module Make (M : MSG) = struct
             | Running _ -> Unfinished ))
     in
     { outcomes; metrics }
+
 
   module Crash = struct
     let none = no_crash

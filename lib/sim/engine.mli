@@ -60,15 +60,17 @@ type alloc_probe = {
           metrics billing, inbox pushes *)
   mutable ap_resume : float;
       (** the node resumes — everything the fibers allocate, protocol
-          emission included, so consumption-side allocation separates
-          as [ap_resume -. ap_emit] *)
+          emission and the engine's normalization of each new outbox
+          included, so consumption-side allocation separates as
+          [ap_resume -. ap_emit] *)
   mutable ap_book : float;
       (** engine round bookkeeping: view install/rewind, hooks *)
 }
 (** Per-phase minor-word attribution for one run, accumulated across
-    rounds by the {e sequential} loop ([shards = 1]); sharded runs
-    leave the probe untouched (domains allocate from private minor
-    heaps, a single counter would under-report). *)
+    rounds. The engine fills [ap_deliver], [ap_resume] and [ap_book]
+    exactly when the run has one shard; runs with more shards leave the
+    probe untouched (domains allocate from private minor heaps, a
+    single counter would under-report). *)
 
 val alloc_probe : unit -> alloc_probe
 (** A fresh all-zero probe. *)
@@ -106,7 +108,7 @@ module Make (M : MSG) : sig
       it (or copy it out with {!Inbox.pairs}/{!Inbox.to_list}) before
       exchanging again; never stash a view across rounds.
 
-      Fast-path broadcasts are stored once per {e sender} in a
+      Broadcasts are stored once per {e sender} in a
       round-global table every recipient's view shares, so a broadcast
       round costs O(n) allocations engine-wide instead of O(n²)
       envelope records. *)
@@ -196,14 +198,15 @@ module Make (M : MSG) : sig
       the sender supplies each message's wire size up front: the engine
       bills [sizes.(k)] bits without re-encoding.
 
-      {b Contract:} [sizes.(k)] must equal [M.bits msgs.(k)] — fallback
-      delivery paths (crash observation, mid-send victims) may recompute
-      sizes via [M.bits], and the byte-identity guarantees between fast
-      and fallback delivery hold only under that equality. The arrays
-      belong to the caller and are read before the call returns, so a
-      node may reuse them across rounds. The verdict rounds of the
-      renaming committees are this shape: sizes come from precomputed
-      per-slot tables, making billing O(1) per verdict. *)
+      {b Contract:} [sizes.(k)] must equal [M.bits msgs.(k)] — the
+      engine bills [sizes] on every path (a mid-send victim's surviving
+      subset included), while the socket backend and tap-based
+      cross-checks measure [M.bits], so their totals agree only under
+      that equality. The arrays belong to the caller and are read
+      before the call returns, so a node may reuse them across rounds.
+      The verdict rounds of the renaming committees are this shape:
+      sizes come from precomputed per-slot tables, making billing O(1)
+      per verdict. *)
 
   (** {1 Adversaries} *)
 
@@ -259,11 +262,13 @@ module Make (M : MSG) : sig
       ([Repro_util.Domain_pool]) runs one barrier per phase. Sharding is
       pure mechanism — results are {e bit-identical} for every shard
       count: assignments, metrics (including per-round rows), crash
-      billing and the run-trace/tap event streams all match the
-      sequential execution exactly ([test/test_shard.ml] pins this
-      across algorithms, fault schedules and shard counts). [1] (and any
-      [n <= 1]) selects the sequential loop — no pool, no domains.
-      Defaults to the [RENAMING_SHARDS] environment variable, else [1].
+      billing and the run-trace/tap event streams all match the 1-shard
+      execution exactly ([test/test_shard.ml] pins this across
+      algorithms, fault schedules and shard counts). There is one round
+      loop: with [1] shard (and whenever [n <= 1]) it runs through a
+      1-shard pool, which executes each phase inline on the caller — no
+      domains, no locking. Defaults to the [RENAMING_SHARDS] environment
+      variable, else [1].
       @raise Invalid_argument if [shards < 1].
 
       [tap] observes every envelope handed to the network (after the
@@ -280,12 +285,14 @@ module Make (M : MSG) : sig
 
       Envelope records are materialized only where this API demands
       them: for the tap, for the crash adversary's observation, and for
-      Byzantine strategy inboxes. A hookless no-fault run delivers
-      through shared structure without building a single envelope; runs
-      with a crash adversary attached take a fallback path that delivers
-      the observation's materialized envelopes and is byte-identical to
-      the fast path in metrics and run-trace output (asserted by
-      [test/test_delivery_equiv.ml]).
+      Byzantine strategy inboxes. Delivery never reads them: every
+      outbox is normalized into the engine's own per-sender buffers
+      when the node yields, and a mid-send victim's filter is applied
+      once, in ascending sender order, by compacting the victim's
+      buffers. A run with a crash adversary attached is therefore
+      delivered by the same code as one without, and a never-firing
+      adversary is byte-identical to none in metrics and run-trace
+      output (asserted by [test/test_delivery_equiv.ml]).
 
       The remaining hooks are the run-trace observability surface
       ([Repro_obs.Trace] plugs into all three); their call order is part

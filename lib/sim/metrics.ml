@@ -53,16 +53,10 @@ let add_honest t ~bits =
   t.cur_hmsgs <- t.cur_hmsgs + 1;
   t.cur_hbits <- t.cur_hbits + bits
 
-let add_honest_n t ~count ~bits_each =
-  t.honest_messages <- t.honest_messages + count;
-  t.honest_bits <- t.honest_bits + (count * bits_each);
-  t.cur_hmsgs <- t.cur_hmsgs + count;
-  t.cur_hbits <- t.cur_hbits + (count * bits_each)
-
-(* Merge of per-shard partial sums (sharded delivery): counts and bits
-   were accumulated per shard and are folded into the round in shard
-   order — sums commute, so the totals and the per-round row are
-   byte-identical to sequential accounting. *)
+(* Merge of per-shard partial sums (the engine's billing): counts and
+   bits were accumulated per shard and are folded into the round in
+   shard order — sums commute, so the totals and the per-round row do
+   not depend on the shard count. *)
 let add_honest_bulk t ~msgs ~bits =
   t.honest_messages <- t.honest_messages + msgs;
   t.honest_bits <- t.honest_bits + bits;

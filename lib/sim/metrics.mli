@@ -55,16 +55,12 @@ type t = {
 val create : unit -> t
 val add_honest : t -> bits:int -> unit
 
-val add_honest_n : t -> count:int -> bits_each:int -> unit
-(** [count] same-size honest messages at once — the broadcast fast path
-    ([count] envelopes of [bits_each] bits each, O(1) bookkeeping). *)
-
 val add_honest_bulk : t -> msgs:int -> bits:int -> unit
 (** Fold a pre-summed batch of honest messages into the current round —
-    the merge step of sharded delivery, where each shard accumulated its
-    own [(msgs, bits)] partial sums. Addition commutes, so folding the
-    shards in any fixed order reproduces sequential accounting
-    exactly. *)
+    the engine's billing merge, where each shard accumulated its own
+    [(msgs, bits)] partial sums. Addition commutes, so folding the
+    shards in any fixed order gives the same totals for every shard
+    count. *)
 
 val add_byz : t -> bits:int -> unit
 val record_byz_misaddressed : t -> unit

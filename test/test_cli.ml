@@ -173,6 +173,32 @@ let test_net_node_bad_arguments () =
       "node --connect 127.0.0.1:0 --host-index 0";
     ]
 
+(* renaming_cli rejects impossible sizes and counts the same way, before
+   any run starts. *)
+let test_renaming_bad_arguments () =
+  List.iter
+    (fun args ->
+      let code, out = run_capture args in
+      Alcotest.(check int) (args ^ ": exit 2") 2 code;
+      Alcotest.(check bool)
+        (args ^ ": usage text") true
+        (List.exists
+           (fun l -> String.length l >= 6 && String.sub l 0 6 = "Usage:")
+           (String.split_on_char '\n' out)))
+    [
+      "crash --shards 0";
+      "crash --domains 0";
+      "crash -n 0";
+      "crash -n 8 -f 9";
+      "byz -n 3 -f 5";
+      "halving -n 4 -f 5";
+      "flooding --shards 0";
+      "lower-bound -n 0";
+      "sweep-crash -n 8 --fs 0,9";
+      "sweep-crash --trials 0";
+      "sweep-byz --domains 0";
+    ]
+
 let test_help () =
   let code, out = run_capture "--help" in
   Alcotest.(check int) "exit 0" 0 code;
@@ -203,4 +229,6 @@ let suite =
       Alcotest.test_case "help" `Quick test_help;
       Alcotest.test_case "net_node bad arguments exit 2" `Quick
         test_net_node_bad_arguments;
+      Alcotest.test_case "renaming bad arguments exit 2" `Quick
+        test_renaming_bad_arguments;
     ] )

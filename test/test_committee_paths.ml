@@ -1,6 +1,6 @@
 (* Committee-path equivalence: the flattened incremental committee
-   (struct-of-arrays + Bitvec + delta maintenance), its rebuild-per-round
-   ablation, and the linear-scan reference must be observation-equivalent
+   (struct-of-arrays + Bitvec + delta maintenance) and the linear-scan
+   reference must be observation-equivalent
    everywhere — identical verdicts, identical billed sizes, identical
    emission order, identical escalation-counter evolution — on {e any}
    inbox. On well-formed inboxes that is the strength-reduction claim; on
@@ -11,7 +11,7 @@
    Two layers: fixture tests drive one committee member directly through
    [Crash_renaming.For_tests] (including inboxes no honest engine run
    produces), and metamorphic tests replay full executions — no-fault and
-   a frozen corpus crash schedule — under all three paths, requiring
+   a frozen corpus crash schedule — under both paths, requiring
    byte-identical run traces and metrics. *)
 
 module CR = Repro_renaming.Crash_renaming
@@ -21,11 +21,10 @@ module Schedule = Repro_check.Schedule
 module Trace = Repro_obs.Trace
 module I = Repro_util.Interval
 
-let paths = [ CR.Incremental; CR.Rebuild_each_round; CR.Linear_scan ]
+let paths = [ CR.Incremental; CR.Linear_scan ]
 
 let path_name = function
   | CR.Incremental -> "incremental"
-  | CR.Rebuild_each_round -> "rebuild"
   | CR.Linear_scan -> "scan"
 
 let verdict_triple =
@@ -38,7 +37,7 @@ let status ~id ?(src = -1) ~lo ~hi ~d ~p () =
   let src = if src = -1 then id else src in
   (src, CR.Msg.Status { id; iv = I.make lo hi; d; p })
 
-(* All three paths on the same rounds; [Linear_scan] is the reference. *)
+(* Both paths on the same rounds; [Linear_scan] is the reference. *)
 let check_paths_agree name ~ids rounds =
   let reference = CR.For_tests.committee_verdicts ~path:CR.Linear_scan ~pv:0 ~ids rounds in
   List.iter
@@ -248,7 +247,7 @@ let test_empty_and_degenerate () =
        [ [ status ~id:7 ~lo:1 ~hi:1 ~d:0 ~p:0 () ] ])
 
 (* Randomized differential fixture: arbitrary status rounds — mostly
-   tree-shaped, occasionally corrupted — through all three paths. The
+   tree-shaped, occasionally corrupted — through both paths. The
    property needs no well-formedness precondition precisely because
    fallback-on-violation is part of the contract. *)
 let qcheck_paths_agree =
@@ -312,7 +311,6 @@ let qcheck_paths_agree =
       let out path = CR.For_tests.committee_verdicts ~path ~pv:0 ~ids:ids8 rounds in
       let reference = out CR.Linear_scan in
       out CR.Incremental = reference
-      && out CR.Rebuild_each_round = reference
       && List.for_all
            (List.for_all (fun (_, msg, bits) -> CR.Msg.bits msg = bits))
            reference)
@@ -366,7 +364,7 @@ let check_runs_identical name ~protocol ~n ~namespace ~adversary ~seed =
       Alcotest.(check int)
         (Printf.sprintf "%s: %s messages" name (path_name path))
         a_ref.Runner.messages a.Runner.messages)
-    [ CR.Incremental; CR.Rebuild_each_round ];
+    [ CR.Incremental ];
   a_ref
 
 let test_full_runs_no_fault () =

@@ -1,22 +1,21 @@
-(* Fast-path vs fallback delivery equivalence.
+(* A never-firing crash adversary must be invisible.
 
-   The engine delivers broadcasts through shared per-round structure
-   (no envelope records at all) unless something forces
-   materialization: a crash adversary's observation, the [?tap] wire
-   hook, or Byzantine inboxes. The contract (engine.mli) is that the
-   fallback delivery — driven from the observation's materialized
-   envelopes — is byte-identical to the fast path in metrics and
-   run-trace output. These tests pin that contract for E1-style runs of
-   all four algorithms.
+   The engine has one delivery path: every outbox is normalized into
+   the engine's per-sender buffers when the node yields, broadcasts go
+   through shared per-round structure, and envelope records exist only
+   where the API demands them — a crash adversary's observation, the
+   [?tap] wire hook, Byzantine inboxes. Attaching a crash adversary adds
+   the observation (and, for its victims, a filter that compacts their
+   buffers) but must not change a single delivered byte. These tests pin
+   that for E1-style runs of all four algorithms.
 
-   Forcing each path through the public API: [E.No_crash] maps to the
-   engine's canned [Crash.none], the one adversary value the engine
-   recognises (physically) as "no crash adversary" and optimises into
-   the fast path. [E.Committee_killer 0] is behaviourally identical —
-   with budget 0 it never issues an order and never draws from its rng —
-   but it is a distinct closure, so the engine arms the crash observer
-   and delivers through the materialized-envelope fallback. Same
-   traffic, different delivery machinery: everything observable must
+   [E.No_crash] maps to the engine's canned [Crash.none], the one
+   adversary value the engine recognises (physically) as "no crash
+   adversary" and never observes. [E.Committee_killer 0] is
+   behaviourally identical — with budget 0 it never issues an order and
+   never draws from its rng — but it is a distinct closure, so the
+   engine builds the observation every round. Same traffic, with and
+   without the crash machinery armed: everything observable must
    coincide. *)
 
 module E = Repro_renaming.Experiment
@@ -28,6 +27,7 @@ module Metrics = Repro_sim.Metrics
 let n = 24
 let namespace = 1536
 let seed = 9
+(* Unobserved and observed runs of the same traffic. *)
 let fast = E.No_crash
 let fallback = E.Committee_killer 0
 
@@ -82,8 +82,9 @@ let test_traces_byte_identical () =
       check_same_assessment name a_fast a_fb)
     crash_protocols
 
-(* Untraced (no tap) runs: the fast path then materializes nothing at
-   all; the assessment must still match the taped runs of both paths. *)
+(* Untraced (no tap) runs: an unobserved run then materializes nothing
+   at all; the assessment must still match the taped runs of both
+   variants. *)
 let test_tap_does_not_perturb () =
   List.iter
     (fun protocol ->
@@ -101,9 +102,9 @@ let test_tap_does_not_perturb () =
     crash_protocols
 
 (* [Metrics.reconcile] on the engine's own metrics record — not the
-   assessment's derived view — must hold on both paths. Driven through
-   the protocol wrappers directly, which is also where a fresh no-op
-   closure (rather than [Crash.none]) selects the fallback. *)
+   assessment's derived view — must hold in both variants. Driven
+   through the protocol wrappers directly, which is also where a fresh
+   no-op closure (rather than [Crash.none]) arms the crash observer. *)
 let test_metrics_reconcile_both_paths () =
   let module CR = Repro_renaming.Crash_renaming in
   let module HR = Repro_renaming.Halving_renaming in
@@ -132,11 +133,10 @@ let test_metrics_reconcile_both_paths () =
     (fun () -> FR.run ~ids ~crash:FR.Net.Crash.none ~seed ())
     (fun () -> FR.run ~ids ~crash:(fun _ -> []) ~seed ())
 
-(* Sharding composes with both delivery machineries: splitting the
-   round across domains must not perturb either the fast path (no
-   adversary, shared broadcast structure) or the materialized-envelope
-   fallback (armed crash observer). Trace bytes are the strictest
-   equality we have, so compare those across shard counts per path. *)
+(* Sharding composes with both variants: splitting the round across
+   domains must not perturb either the unobserved run or the one with
+   an armed crash observer. Trace bytes are the strictest equality we
+   have, so compare those across shard counts per variant. *)
 let test_sharded_paths_byte_identical () =
   List.iter
     (fun protocol ->

@@ -361,6 +361,75 @@ let test_mixed_streams_sorted () =
     res.outcomes;
   Alcotest.(check int) "messages 6x6" 36 res.metrics.Metrics.honest_messages
 
+(* Sending to an identity outside the participant set is a programming
+   error, whichever outbox shape carries it, and it is reported with the
+   same text for every shard count and with or without a tap (the tap
+   pass validates on the main domain, the shards otherwise). *)
+let test_bad_destination_rejected () =
+  let ids = [| 10; 20; 30; 40; 50 |] in
+  let shapes =
+    [
+      ( "exchange",
+        fun ctx -> Net.exchange ctx [ (10, M.Ping 1); (99, M.Ping 2) ] );
+      ("multisend", fun ctx -> Net.multisend ctx ~dsts:[ 30; 99 ] (M.Ping 3));
+      ( "exchange_sized",
+        fun ctx ->
+          Net.exchange_sized ctx ~dsts:[| 40; 99 |]
+            ~msgs:[| M.Ping 4; M.Pong 5 |] ~sizes:[| 10; 20 |] ~len:2 );
+    ]
+  in
+  List.iter
+    (fun (name, send) ->
+      let program ctx =
+        if Net.my_id ctx = 20 then ignore (send ctx)
+        else ignore (Net.skip_round ctx)
+      in
+      List.iter
+        (fun (shards, tap) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s, shards=%d%s" name shards
+               (if tap = None then "" else ", tapped"))
+            (Invalid_argument
+               "Engine.exchange: node 20 sent to 99, not a participant")
+            (fun () -> ignore (Net.run ~ids ?tap ~shards ~program ())))
+        [ (1, None); (4, None); (1, Some (fun ~round:_ _ -> ())) ])
+    shapes
+
+(* [alloc_probe] attributes minor words per phase when the run has one
+   shard, and is left untouched otherwise (domains allocate from private
+   minor heaps). *)
+let test_alloc_probe_contract () =
+  let ids = Array.init 8 (fun i -> i + 1) in
+  let program ctx =
+    let me = Net.my_id ctx in
+    let got = ref [] in
+    for r = 1 to 4 do
+      let inbox =
+        Net.exchange ctx
+          (List.map (fun dst -> (dst, M.Ping (me + r))) (Array.to_list ids))
+      in
+      got := Net.Inbox.pairs inbox @ !got
+    done;
+    List.length !got
+  in
+  let run shards =
+    let p = Engine.alloc_probe () in
+    let w0 = Gc.minor_words () in
+    ignore (Net.run ~ids ~alloc_probe:p ~shards ~program ());
+    (p, Gc.minor_words () -. w0)
+  in
+  let p, words = run 1 in
+  Alcotest.(check bool) "shards=1: deliver > 0" true (p.Engine.ap_deliver > 0.);
+  Alcotest.(check bool) "shards=1: resume > 0" true (p.Engine.ap_resume > 0.);
+  Alcotest.(check bool) "shards=1: book > 0" true (p.Engine.ap_book > 0.);
+  Alcotest.(check bool) "shards=1: phases within the run's minor words" true
+    (p.Engine.ap_deliver +. p.Engine.ap_resume +. p.Engine.ap_book <= words);
+  let p, _ = run 4 in
+  Alcotest.(check (list (float 0.)))
+    "shards=4: probe untouched" [ 0.; 0.; 0.; 0. ]
+    [ p.Engine.ap_emit; p.Engine.ap_deliver; p.Engine.ap_resume;
+      p.Engine.ap_book ]
+
 let suite =
   ( "engine",
     [
@@ -384,5 +453,9 @@ let suite =
         test_per_round_message_counts;
       Alcotest.test_case "mixed streams sorted" `Quick
         test_mixed_streams_sorted;
+      Alcotest.test_case "bad destination rejected" `Quick
+        test_bad_destination_rejected;
+      Alcotest.test_case "alloc probe contract" `Quick
+        test_alloc_probe_contract;
       QCheck_alcotest.to_alcotest qcheck_fuzz;
     ] )

@@ -12,7 +12,7 @@
      store across a [clear], recycled member sets come back empty — so
      one round's contents cannot leak into the next.
    - {e Full-run equivalence}: metrics rows and run-trace JSONL must be
-     byte-identical across all three committee paths and across shard
+     byte-identical across both committee paths and across shard
      counts {1, 4}. [Linear_scan] builds every verdict fresh per
      recipient, so byte-equal traces are the end-to-end differential
      between interned and fresh payloads. *)
@@ -224,7 +224,6 @@ let test_runs_identical_paths_shards () =
                 Printf.sprintf "%s: path=%s shards=%d" aname
                   (match path with
                   | CR.Incremental -> "inc"
-                  | CR.Rebuild_each_round -> "rebuild"
                   | CR.Linear_scan -> "scan")
                   shards
               in
@@ -235,7 +234,7 @@ let test_runs_identical_paths_shards () =
               Alcotest.(check int) (label ^ " bits") a_ref.Runner.bits
                 a.Runner.bits)
             [ 1; 4 ])
-        [ CR.Incremental; CR.Rebuild_each_round; CR.Linear_scan ])
+        [ CR.Incremental; CR.Linear_scan ])
     [ ("no-fault", E.No_crash); ("killer", E.Committee_killer 12) ]
 
 let suite =
