@@ -181,11 +181,30 @@ let do_campaign config shrink out domains shards =
       | None -> ());
       exit 1
 
+(* Bad arguments are reported before anything runs: the problem, the
+   usage line, exit 2 (the pattern of renaming_cli). *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf
+        "fuzz: %s\nUsage: fuzz [OPTION]…\n\
+         Try 'fuzz --help' for more information.\n"
+        msg;
+      exit 2)
+    fmt
+
+let check_args ~n ~namespace ~trials =
+  if n < 1 then usage_error "-n must be at least 1, got %d" n;
+  if namespace <> 0 && namespace < n then
+    usage_error "--namespace must be at least n = %d, got %d" n namespace;
+  if trials < 1 then usage_error "--trials must be at least 1, got %d" trials
+
 let main algo n namespace trials seed faults shrink out replay domains shards
     quiet trace dump =
   match replay with
   | Some path -> do_replay path quiet trace shards
   | None -> (
+      check_args ~n ~namespace ~trials;
       let namespace = if namespace = 0 then 64 * n else namespace in
       let config =
         Fuzzer.default_config ~algo ~n ~namespace ~trials ~seed

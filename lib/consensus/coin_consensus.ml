@@ -1,26 +1,10 @@
 let rounds_needed ~horizon = 2 * horizon
 let default_horizon ~failure_exponent = failure_exponent + 1
 
-let count project extract inbox b =
-  List.length
-    (List.filter
-       (fun (_, m) ->
-         match Option.bind (project m) extract with
-         | Some v -> Bool.equal v b
-         | None -> false)
-       inbox)
-
 let run ~net ~embed ~project ~coin ~horizon ~input =
   let t = Committee_net.fault_threshold net in
   let quorum = Committee_net.quorum net in
-  let vote = function
-    | Phase_king.Vote b -> Some b
-    | Phase_king.Propose _ | Phase_king.King _ -> None
-  in
-  let propose = function
-    | Phase_king.Propose b -> Some b
-    | Phase_king.Vote _ | Phase_king.King _ -> None
-  in
+  let count want = Committee_net.count net (Phase_king.projects_to project want) in
   let v = ref input in
   let decided = ref None in
   for phase = 1 to horizon do
@@ -28,8 +12,8 @@ let run ~net ~embed ~project ~coin ~horizon ~input =
        yields a proposal. As in phase-king, two correct members can never
        propose different values (their quorums would intersect in more
        than t equivocators). *)
-    let inbox = Committee_net.broadcast net (embed (Phase_king.Vote !v)) in
-    let cnt b = count project vote inbox b in
+    Committee_net.broadcast net (embed (Phase_king.Vote !v));
+    let cnt b = count (Phase_king.Vote b) in
     let proposal =
       if cnt true >= quorum then Some true
       else if cnt false >= quorum then Some false
@@ -38,12 +22,10 @@ let run ~net ~embed ~project ~coin ~horizon ~input =
     (* Round 2: proposals out; quorum support decides, t+1 support adopts,
        otherwise the shared coin breaks the symmetry — matching the
        unique proposable value with probability 1/2. *)
-    let inbox =
-      match proposal with
-      | Some b -> Committee_net.broadcast net (embed (Phase_king.Propose b))
-      | None -> Committee_net.silent_round net
-    in
-    let props b = count project propose inbox b in
+    (match proposal with
+    | Some b -> Committee_net.broadcast net (embed (Phase_king.Propose b))
+    | None -> Committee_net.silent_round net);
+    let props b = count (Phase_king.Propose b) in
     let supported =
       if props true > t then Some true
       else if props false > t then Some false

@@ -4,16 +4,15 @@ let rounds_needed ~committee_size =
   let t = (committee_size - 1) / 3 in
   3 * (t + 1)
 
-(* Count, among deduplicated inbox messages, the senders whose message
-   projects to the wanted constructor with value [b]. *)
-let count project extract inbox b =
-  List.length
-    (List.filter
-       (fun (_, m) ->
-         match Option.bind (project m) extract with
-         | Some v -> Bool.equal v b
-         | None -> false)
-       inbox)
+(* [m] projects to exactly the consensus message [want]. Passed to
+   {!Committee_net.count}, it reads a vote tally without an option or a
+   list per message. *)
+let projects_to project want m =
+  match (project m, want) with
+  | Some (Vote v), Vote w | Some (Propose v), Propose w | Some (King v), King w
+    ->
+      Bool.equal v w
+  | _ -> false
 
 let run ~net ~embed ~project ~kings ~input =
   let t = Committee_net.fault_threshold net in
@@ -25,15 +24,13 @@ let run ~net ~embed ~project ~kings ~input =
         invalid_arg "Phase_king.run: fewer than t+1 kings"
     | ks -> ks
   in
-  let vote = function Vote b -> Some b | Propose _ | King _ -> None in
-  let propose = function Propose b -> Some b | Vote _ | King _ -> None in
-  let king_val = function King b -> Some b | Vote _ | Propose _ -> None in
+  let count want = Committee_net.count net (projects_to project want) in
   let v = ref input in
   List.iter
     (fun king ->
       (* Round 1: universal exchange of current values. *)
-      let inbox = Committee_net.broadcast net (embed (Vote !v)) in
-      let cnt b = count project vote inbox b in
+      Committee_net.broadcast net (embed (Vote !v));
+      let cnt b = count (Vote b) in
       let proposal =
         if cnt true >= quorum then Some true
         else if cnt false >= quorum then Some false
@@ -43,12 +40,10 @@ let run ~net ~embed ~project ~kings ~input =
          one value, and no two correct members propose different values
          (two quorums of voters intersect in > t senders, who would all
          have had to equivocate). *)
-      let inbox =
-        match proposal with
-        | Some b -> Committee_net.broadcast net (embed (Propose b))
-        | None -> Committee_net.silent_round net
-      in
-      let props b = count project propose inbox b in
+      (match proposal with
+      | Some b -> Committee_net.broadcast net (embed (Propose b))
+      | None -> Committee_net.silent_round net);
+      let props b = count (Propose b) in
       let supported =
         if props true > t then Some true
         else if props false > t then Some false
@@ -60,17 +55,14 @@ let run ~net ~embed ~project ~kings ~input =
       (match supported with Some b -> v := b | None -> ());
       (* Round 3: the phase king circulates its value; members without a
          strong quorum adopt it. *)
-      let inbox =
-        if net.Committee_net.me = king then
-          Committee_net.broadcast net (embed (King !v))
-        else Committee_net.silent_round net
-      in
+      if Committee_net.me net = king then
+        Committee_net.broadcast net (embed (King !v))
+      else Committee_net.silent_round net;
       if not strong then begin
         let from_king =
-          List.find_map
-            (fun (src, m) ->
-              if src = king then Option.bind (project m) king_val else None)
-            inbox
+          Committee_net.fold net ~init:None ~f:(fun acc ~src m ->
+              if src <> king then acc
+              else match project m with Some (King b) -> Some b | _ -> acc)
         in
         match from_king with Some b -> v := b | None -> ()
       end)

@@ -19,6 +19,11 @@ val rounds_needed : committee_size:int -> int
     network rounds one execution consumes. All correct members consume
     exactly this many rounds, keeping the outer protocol in lock-step. *)
 
+val projects_to : ('m -> msg option) -> msg -> 'm -> bool
+(** [projects_to project want m]: [m] projects to exactly [want]. The
+    vote-counting predicate for {!Committee_net.count}, shared with
+    {!Coin_consensus}. *)
+
 val run :
   net:'m Committee_net.t ->
   embed:(msg -> 'm) ->

@@ -4,57 +4,49 @@ let rounds_needed = 2
 
 type 'v result = { same : bool; value : 'v }
 
-(* Tally a list of values into (value, count) groups under [equal]. *)
-let tally equal values =
-  List.fold_left
-    (fun groups v ->
-      let rec bump = function
-        | [] -> [ (v, 1) ]
-        | (v', c) :: rest when equal v v' -> (v', c + 1) :: rest
-        | g :: rest -> g :: bump rest
-      in
-      bump groups)
-    [] values
+(* One more occurrence of [v] in (value, count) groups kept in
+   first-appearance order. *)
+let rec bump equal v = function
+  | [] -> [ (v, 1) ]
+  | (v', c) :: rest when equal v v' -> (v', c + 1) :: rest
+  | g :: rest -> g :: bump equal v rest
 
-let best equal values =
-  match tally equal values with
+(* The largest group; on equal counts the one that appeared first. *)
+let best = function
   | [] -> None
-  | groups ->
+  | g :: groups ->
       Some
         (List.fold_left
            (fun ((_, bc) as acc) ((_, c) as g) -> if c > bc then g else acc)
-           (List.hd groups) (List.tl groups))
+           g groups)
 
 let run ~net ~embed ~project ~equal ~input =
   let quorum = Committee_net.quorum net in
   let t = Committee_net.fault_threshold net in
-  let inputs m = match m with Input v -> Some v | Lock _ -> None in
-  let locks m = match m with Lock l -> Some l | Input _ -> None in
   (* Round 1: exchange inputs; lock a value seen from a quorum. At most
      one value can be locked across all correct members: two quorums of
      senders intersect in more than t members, who would all have had to
      send both values. *)
-  let inbox = Committee_net.broadcast net (embed (Input input)) in
-  let received =
-    List.filter_map (fun (_, m) -> Option.bind (project m) inputs) inbox
+  Committee_net.broadcast net (embed (Input input));
+  let inputs =
+    Committee_net.fold net ~init:[] ~f:(fun groups ~src:_ m ->
+        match project m with
+        | Some (Input v) -> bump equal v groups
+        | Some (Lock _) | None -> groups)
   in
   let lock =
-    match best equal received with
-    | Some (v, c) when c >= quorum -> Some v
-    | _ -> None
+    match best inputs with Some (v, c) when c >= quorum -> Some v | _ -> None
   in
   (* Round 2: exchange locks; grade the support for the unique lockable
      value. *)
-  let inbox = Committee_net.broadcast net (embed (Lock lock)) in
-  let lock_values =
-    List.filter_map
-      (fun (_, m) ->
-        match Option.bind (project m) locks with
-        | Some (Some v) -> Some v
-        | Some None | None -> None)
-      inbox
+  Committee_net.broadcast net (embed (Lock lock));
+  let locks =
+    Committee_net.fold net ~init:[] ~f:(fun groups ~src:_ m ->
+        match project m with
+        | Some (Lock (Some v)) -> bump equal v groups
+        | Some (Lock None | Input _) | None -> groups)
   in
-  match best equal lock_values with
+  match best locks with
   | Some (v, c) when c >= quorum -> { same = true; value = v }
   | Some (v, c) when c >= t + 1 -> { same = false; value = v }
   | _ -> { same = false; value = input }

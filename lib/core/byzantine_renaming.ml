@@ -235,14 +235,47 @@ let pool_of_params params ~n =
   Committee_pool.create ~seed:params.shared_seed ~namespace:params.namespace
     ~p0:(p0_of_params params ~n)
 
-(* Embedding of the consensus sub-protocols into the wire message type. *)
-let pk_embed m = Msg.Pk m
-let pk_project = function Msg.Pk m -> Some m | _ -> None
+(* Embedding of the consensus sub-protocols into the wire message type.
+   A phase-king message is one of six values, so both directions are
+   interned: the embedding returns one static message per value (one
+   physical payload per round for the engine's size memo) and the
+   projection one static option, so counting votes allocates nothing. *)
+let pk_vote_true = Msg.Pk (Phase_king.Vote true)
+let pk_vote_false = Msg.Pk (Phase_king.Vote false)
+let pk_propose_true = Msg.Pk (Phase_king.Propose true)
+let pk_propose_false = Msg.Pk (Phase_king.Propose false)
+let pk_king_true = Msg.Pk (Phase_king.King true)
+let pk_king_false = Msg.Pk (Phase_king.King false)
+let some_vote_true = Some (Phase_king.Vote true)
+let some_vote_false = Some (Phase_king.Vote false)
+let some_propose_true = Some (Phase_king.Propose true)
+let some_propose_false = Some (Phase_king.Propose false)
+let some_king_true = Some (Phase_king.King true)
+let some_king_false = Some (Phase_king.King false)
+
+let pk_embed = function
+  | Phase_king.Vote true -> pk_vote_true
+  | Phase_king.Vote false -> pk_vote_false
+  | Phase_king.Propose true -> pk_propose_true
+  | Phase_king.Propose false -> pk_propose_false
+  | Phase_king.King true -> pk_king_true
+  | Phase_king.King false -> pk_king_false
+
+let pk_project = function
+  | Msg.Pk (Phase_king.Vote true) -> some_vote_true
+  | Msg.Pk (Phase_king.Vote false) -> some_vote_false
+  | Msg.Pk (Phase_king.Propose true) -> some_propose_true
+  | Msg.Pk (Phase_king.Propose false) -> some_propose_false
+  | Msg.Pk (Phase_king.King true) -> some_king_true
+  | Msg.Pk (Phase_king.King false) -> some_king_false
+  | _ -> None
+
 let vld_embed m = Msg.Vld m
 let vld_project = function Msg.Vld m -> Some m | _ -> None
 let vldraw_embed m = Msg.VldRaw m
 let vldraw_project = function Msg.VldRaw m -> Some m | _ -> None
 
+let is_diff_report = function Msg.Diff true -> true | _ -> false
 let fp_cnt_equal (f1, c1) (f2, c2) = Fingerprint.equal f1 f2 && c1 = c2
 
 (* One binary-consensus instance. The coin variant derives its shared
@@ -315,17 +348,9 @@ let reconcile_identity_list ~mode ~consensus ~net ~key ~namespace l =
               (* One round of diff reports: if more members than the
                  fault bound report a mismatch, at least one correct
                  member truly differs and everyone escalates. *)
-              let inbox =
-                Committee_net.broadcast net
-                  (if diff_v then msg_diff_true else msg_diff_false)
-              in
-              let reports =
-                List.length
-                  (List.filter
-                     (fun (_, m) ->
-                       match m with Msg.Diff true -> true | _ -> false)
-                     inbox)
-              in
+              Committee_net.broadcast net
+                (if diff_v then msg_diff_true else msg_diff_false);
+              let reports = Committee_net.count net is_diff_report in
               let diff' = if reports > t then true else diff_v in
               let diff'' = consensus net diff' in
               if diff'' then false
@@ -505,11 +530,10 @@ struct
         let l = Bitvec.create namespace in
         List.iter (fun i -> Bitvec.set l i true) announced;
         let net =
-          {
-            Committee_net.me;
-            members = view;
-            exchange = (fun out -> Net.Inbox.pairs (Net.exchange ctx out));
-          }
+          Committee_net.create ~me ~members:view
+            ~multisend:(fun ~dsts m ~f ->
+              Net.Inbox.iter (Net.multisend ctx ~dsts m) ~f)
+            ~skip_round:(fun ~f -> Net.Inbox.iter (Net.skip_round ctx) ~f)
         in
         (* Stage 2b: committee-internal consensus on the identity list. *)
         let consensus = make_consensus params ~kings in

@@ -10,11 +10,11 @@ let key_of_seed seed =
   let draw () = 2 + Repro_util.Rng.int rng (p - 4) in
   { x1 = draw (); x2 = draw () }
 
-(* Horner evaluation, low-degree coefficient first: processing bits in
-   increasing position while multiplying the accumulator would reverse
-   the polynomial, so we instead maintain [acc + b_i * x^i] with a running
-   power. All operands are < 2^31 so products fit in OCaml's 63-bit
-   native ints. *)
+(* Reference evaluation over any bit fold, low-degree coefficient
+   first: processing bits in increasing position while multiplying the
+   accumulator would reverse the polynomial, so we instead maintain
+   [acc + b_i * x^i] with a running power. All operands are < 2^31 so
+   products fit in OCaml's 63-bit native ints. *)
 let eval x bits_fold =
   let acc, _pow =
     bits_fold
@@ -25,14 +25,25 @@ let eval x bits_fold =
   in
   acc
 
-let of_fold fold key =
+let of_bits key bits =
+  let fold ~init ~f = List.fold_left f init bits in
   { v1 = eval key.x1 fold; v2 = eval key.x2 fold }
 
-let of_bits key bits =
-  of_fold (fun ~init ~f -> List.fold_left f init bits) key
-
-let of_segment key bv seg =
-  of_fold (fun ~init ~f -> Repro_util.Bitvec.fold_segment bv seg ~init ~f) key
+(* The hot path: the same arithmetic as [eval], both points in one pass
+   over the segment, the accumulators in int refs (registers) instead
+   of a tuple per bit. *)
+let of_segment key bv (seg : Repro_util.Interval.t) =
+  let x1 = key.x1 and x2 = key.x2 in
+  let acc1 = ref 0 and pow1 = ref 1 and acc2 = ref 0 and pow2 = ref 1 in
+  for pos = seg.lo to seg.hi do
+    if Repro_util.Bitvec.get bv pos then begin
+      acc1 := (!acc1 + !pow1) mod p;
+      acc2 := (!acc2 + !pow2) mod p
+    end;
+    pow1 := !pow1 * x1 mod p;
+    pow2 := !pow2 * x2 mod p
+  done;
+  { v1 = !acc1; v2 = !acc2 }
 
 let equal a b = a.v1 = b.v1 && a.v2 = b.v2
 

@@ -5,27 +5,28 @@ let of_splitmix sm = Splitmix.copy sm
 let split = Splitmix.split
 let bits64 = Splitmix.next
 
+(* Rejection sampling over the non-negative 62-bit range to avoid
+   modulo bias. A top-level loop rather than a local closure, and
+   [Splitmix.next_int] rather than a boxed [int64]: a draw allocates
+   nothing. *)
+let rec below t bound limit =
+  let v = Splitmix.next_int t land max_int in
+  if v >= limit then below t bound limit else v mod bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int";
-  (* Rejection sampling over the non-negative 62-bit range to avoid
-     modulo bias. *)
-  let mask = max_int in
-  let rec go () =
-    let v = Int64.to_int (Splitmix.next t) land mask in
-    let limit = mask - (mask mod bound) in
-    if v >= limit then go () else v mod bound
-  in
-  go ()
+  below t bound (max_int - (max_int mod bound))
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in";
   lo + int t (hi - lo + 1)
 
-let float t =
-  let v = Int64.to_int (Splitmix.next t) land max_int in
+(* Inlined into [bernoulli] so the comparison reads the float unboxed. *)
+let[@inline] float t =
+  let v = Splitmix.next_int t land max_int in
   float_of_int v /. (float_of_int max_int +. 1.)
 
-let bool t = Int64.logand (Splitmix.next t) 1L = 1L
+let bool t = Splitmix.next_int t land 1 = 1
 
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else float t < p

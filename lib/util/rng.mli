@@ -13,7 +13,9 @@ val split : t -> t
 val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
-    [bound <= 0]. *)
+    [bound <= 0]. [int], [bool] and [bernoulli] draw through
+    {!Splitmix.next_int} and allocate nothing (pinned in
+    [test/test_rng.ml]); [float] allocates only its boxed result. *)
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in the inclusive range [\[lo, hi\]]. *)

@@ -15,6 +15,10 @@ val copy : t -> t
 val next : t -> int64
 (** Next 64 pseudo-random bits; advances the state. *)
 
+val next_int : t -> int
+(** [Int64.to_int (next t)] — the low 63 bits as a native int — without
+    boxing the [int64]: allocates nothing. *)
+
 val split : t -> t
 (** [split t] derives an independent generator and advances [t]; the
     derived stream does not overlap with [t]'s subsequent output. *)

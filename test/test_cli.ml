@@ -147,6 +147,28 @@ let test_trace_byte_identical_under_runparam_r () =
       Alcotest.(check string) "R vs R byte-identical" (read a) (read b);
       Alcotest.(check string) "R vs default byte-identical" (read a) (read c))
 
+(* The split-world Byzantine trace, pinned by digest: every committee
+   round's envelopes and bit counts, byte for byte. *)
+let test_byz_split_world_trace_pinned () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cli_byz_split_%d.jsonl" (Unix.getpid ()))
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let code, out =
+        run_capture
+          ("byz -n 24 -f 3 --attack split-world --seed 11 --trace " ^ path)
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check string) "assessment line"
+        "n=24 decided=21 crashed=0 byz=3 unique=true strong=true order=true \
+         rounds=1547 msgs=336201 bits=3380663"
+        (last_line out);
+      Alcotest.(check string) "trace md5" "60047379a4a31e30bbfe71b7f5da6e6f"
+        (Digest.to_hex (Digest.file path)))
+
 let test_unknown_subcommand_fails () =
   let code, _ = run_capture "frobnicate" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
@@ -199,6 +221,23 @@ let test_renaming_bad_arguments () =
       "sweep-byz --domains 0";
     ]
 
+(* fuzz_cli validates sizes and the trial count the same way. *)
+let test_fuzz_bad_arguments () =
+  List.iter
+    (fun args ->
+      let code, out = run_capture_bin (bin "fuzz_cli.exe") args in
+      Alcotest.(check int) (args ^ ": exit 2") 2 code;
+      Alcotest.(check bool)
+        (args ^ ": usage text") true
+        (List.exists
+           (fun l -> String.length l >= 6 && String.sub l 0 6 = "Usage:")
+           (String.split_on_char '\n' out)))
+    [
+      "--algo crash -n 0 --trials 1";
+      "-n 8 --namespace 3";
+      "--trials 0";
+    ]
+
 let test_help () =
   let code, out = run_capture "--help" in
   Alcotest.(check int) "exit 0" 0 code;
@@ -224,9 +263,13 @@ let suite =
         test_trace_determinism_and_diff;
       Alcotest.test_case "trace byte-identical under OCAMLRUNPARAM=R" `Quick
         test_trace_byte_identical_under_runparam_r;
+      Alcotest.test_case "byz split-world trace pinned" `Quick
+        test_byz_split_world_trace_pinned;
       Alcotest.test_case "unknown subcommand fails" `Quick
         test_unknown_subcommand_fails;
       Alcotest.test_case "help" `Quick test_help;
+      Alcotest.test_case "fuzz bad arguments exit 2" `Quick
+        test_fuzz_bad_arguments;
       Alcotest.test_case "net_node bad arguments exit 2" `Quick
         test_net_node_bad_arguments;
       Alcotest.test_case "renaming bad arguments exit 2" `Quick

@@ -21,13 +21,9 @@ end
 module Net = Engine.Make (M)
 
 let committee_net ctx members =
-  {
-    CN.me = Net.my_id ctx;
-    members;
-    exchange =
-      (fun out ->
-        Net.Inbox.pairs (Net.exchange ctx out));
-  }
+  CN.create ~me:(Net.my_id ctx) ~members
+    ~multisend:(fun ~dsts m ~f -> Net.Inbox.iter (Net.multisend ctx ~dsts m) ~f)
+    ~skip_round:(fun ~f -> Net.Inbox.iter (Net.skip_round ctx) ~f)
 
 let shared_coin seed phase =
   Rng.bool (Rng.of_seed (seed lxor (phase * 7919)))

@@ -67,6 +67,42 @@ let test_bits_size () =
   let k = F.key_of_seed 1 in
   Alcotest.(check int) "62-bit wire size" 62 (F.bits (F.of_bits k [ true ]))
 
+(* The one-pass [of_segment] against the list-fold reference [of_bits]
+   on random vectors up to 300 bits: segments start and end anywhere,
+   so they cross the bit vector's 63-bit word seams. *)
+let qcheck_of_segment_matches_of_bits =
+  QCheck.Test.make ~name:"of_segment = of_bits of the segment's bits"
+    ~count:500
+    QCheck.(
+      quad small_int
+        (list_of_size (QCheck.Gen.int_range 1 300) bool)
+        small_nat small_nat)
+    (fun (seed, bits, a, b) ->
+      let len = List.length bits in
+      let v = B.create len in
+      List.iteri (fun i bit -> if bit then B.set v (i + 1) true) bits;
+      let lo = 1 + (a mod len) in
+      let hi = lo + (b mod (len - lo + 1)) in
+      let seg = I.make lo hi in
+      let seg_bits = List.filteri (fun i _ -> i + 1 >= lo && i + 1 <= hi) bits in
+      let k = F.key_of_seed seed in
+      F.equal (F.of_segment k v seg) (F.of_bits k seg_bits))
+
+(* [of_segment] allocates only its result: the same words for an
+   8,192-bit segment as for a 16-bit one. *)
+let test_of_segment_allocation_constant () =
+  let k = F.key_of_seed 5 in
+  let v = B.create 8192 in
+  for i = 1 to 8192 do
+    if i mod 3 = 0 then B.set v i true
+  done;
+  let words seg =
+    Test_rng.minor_words_of (fun () -> ignore (F.of_segment k v seg))
+  in
+  let small = words (I.make 100 115) and large = words (I.make 1 8192) in
+  Alcotest.(check (float 0.)) "8192-bit segment = 16-bit segment" small large;
+  Alcotest.(check bool) "a few words at most" true (large <= 8.)
+
 let suite =
   ( "fingerprint",
     [
@@ -76,6 +112,9 @@ let suite =
       Alcotest.test_case "position sensitivity" `Quick test_position_sensitivity;
       Alcotest.test_case "compare" `Quick test_compare_consistent;
       Alcotest.test_case "wire size" `Quick test_bits_size;
+      Alcotest.test_case "of_segment allocation constant" `Quick
+        test_of_segment_allocation_constant;
+      QCheck_alcotest.to_alcotest qcheck_of_segment_matches_of_bits;
       QCheck_alcotest.to_alcotest qcheck_no_collision_random_pairs;
       QCheck_alcotest.to_alcotest qcheck_raw_roundtrip;
     ] )

@@ -81,6 +81,62 @@ let test_float_range () =
     if f < 0. || f >= 1. then Alcotest.failf "float out of range: %f" f
   done
 
+(* Literal SplitMix64 output, recorded before the state moved into an
+   unboxed buffer: the first five [bits64] of three seeds. *)
+let test_bits64_pinned () =
+  List.iter
+    (fun (seed, expected) ->
+      let rng = Rng.of_seed seed in
+      let got = List.init 5 (fun _ -> Rng.bits64 rng) in
+      Alcotest.(check (list int64)) (Printf.sprintf "seed %d" seed) expected got)
+    [
+      ( 0,
+        [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL;
+          0xF88BB8A8724C81ECL; 0x1B39896A51A8749BL ] );
+      ( 1,
+        [ 0x910A2DEC89025CC1L; 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL;
+          0x71C18690EE42C90BL; 0x71BB54D8D101B5B9L ] );
+      ( 12345,
+        [ 0x22118258A9D111A0L; 0x346EDCE5F713F8EDL; 0x1E9A57BC80E6721DL;
+          0x2D160E7E5C3F42CAL; 0x81C2E6DC980D78EBL ] );
+    ]
+
+let test_next_int_twin () =
+  let a = Splitmix.create 77L in
+  let b = Splitmix.copy a in
+  for _ = 1 to 1000 do
+    Alcotest.(check int) "next_int = to_int next" (Int64.to_int (Splitmix.next b))
+      (Splitmix.next_int a)
+  done
+
+(* Minor words [f] allocates, net of the measurement's own overhead. *)
+let minor_words_of f =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  measure f -. measure (fun () -> ())
+
+let test_draws_allocate_nothing () =
+  let rng = Rng.of_seed 3 in
+  let sink = ref 0 in
+  List.iter
+    (fun (name, draw) ->
+      let words =
+        minor_words_of (fun () ->
+            for _ = 1 to 100_000 do
+              sink := !sink + draw ()
+            done)
+      in
+      Alcotest.(check (float 0.)) (name ^ ": minor words over 10^5 draws") 0.
+        words)
+    [
+      ("int", fun () -> Rng.int rng 1000);
+      ("bool", fun () -> Bool.to_int (Rng.bool rng));
+      ("bernoulli", fun () -> Bool.to_int (Rng.bernoulli rng 0.3));
+    ]
+
 let suite =
   ( "rng",
     [
@@ -92,6 +148,10 @@ let suite =
       Alcotest.test_case "sample without replacement" `Quick
         test_sample_without_replacement;
       Alcotest.test_case "float range" `Quick test_float_range;
+      Alcotest.test_case "bits64 stream pinned" `Quick test_bits64_pinned;
+      Alcotest.test_case "next_int = to_int next" `Quick test_next_int_twin;
+      Alcotest.test_case "draws allocate nothing" `Quick
+        test_draws_allocate_nothing;
       QCheck_alcotest.to_alcotest qcheck_int_range;
       QCheck_alcotest.to_alcotest qcheck_int_in;
       QCheck_alcotest.to_alcotest qcheck_bernoulli_extremes;
