@@ -82,14 +82,11 @@ module Net = Repro_sim.Engine.Make (Msg)
 
 type reelection_policy = On_demand | Every_phase
 
-type committee_path = Incremental | Linear_scan
-
 type params = {
   election_constant : float;
   phase_factor : int;
   reelection : reelection_policy;
   target : [ `Strong | `Loose of int ];
-  committee_path : committee_path;
 }
 
 let paper_params =
@@ -98,7 +95,6 @@ let paper_params =
     phase_factor = 3;
     reelection = On_demand;
     target = `Strong;
-    committee_path = Incremental;
   }
 
 let experiment_params =
@@ -107,7 +103,6 @@ let experiment_params =
     phase_factor = 3;
     reelection = On_demand;
     target = `Strong;
-    committee_path = Incremental;
   }
 
 let target_size params ~n =
@@ -172,6 +167,8 @@ type telemetry = {
     unit;
 }
 
+exception Invalid_committee_inbox of string
+
 (* The node-side algorithm, over any network backend. The functor
    argument is the node-facing slice of the engine's API
    ({!Repro_net.Network_intf.S}); applying it to
@@ -181,12 +178,6 @@ type telemetry = {
    OS processes and real sockets. *)
 module Make_node (Net : Repro_net.Network_intf.S with type msg = Msg.t) =
 struct
-  let fold_statuses f acc inbox =
-    Net.Inbox.fold inbox ~init:acc ~f:(fun acc ~src msg ->
-        match msg with
-        | Msg.Status { id; iv; d; p } -> f acc ~src ~id ~iv ~d ~p
-        | Msg.Notify | Msg.Response _ -> acc)
-
   (* {1 Consumption fast path}
 
      There is no intermediate "decoded" message store: the engine's
@@ -199,139 +190,7 @@ struct
      earlier draft copied each inbox into separate packed columns
      first; the copy doubled the per-entry walk (and paid a pointer
      write barrier per interval) for no information gain, costing ~15%
-     of no-fault round throughput. The allocating consumption path
-     survives as the [Bail] fallback: [committee_action_scan] re-reads
-     the raw inbox with per-status list construction. *)
-
-  (* {1 Linear-scan fallback}
-
-     The order-insensitive committee path: no assumptions on the inbox
-     beyond well-typed statuses. Every status is tested against every
-     group and ranks are computed over per-group sorted id arrays —
-     byte-compatible with the historical behaviour on arbitrary inboxes
-     (duplicated sources, forged ids, intervals outside the shared halving
-     tree). The flattened fast path below falls back to this the moment
-     any of its preconditions fails, so it remains a pure strength
-     reduction. *)
-
-  type vgroup = {
-    g_lo : int;  (* the group's reported interval, unpacked *)
-    g_hi : int;
-    g_bot : Interval.t;
-    g_bot_size : int;
-    mutable g_ids : int array;  (* reporters of exactly this interval *)
-    mutable g_nids : int;
-    mutable g_sorted : bool;  (* [g_ids.(0 .. g_nids-1)] sorted yet? *)
-    mutable g_b : int;  (* #statuses with iv inside [g_bot] *)
-  }
-
-  let make_group iv =
-    let bot = Interval.bot iv in
-    {
-      g_lo = iv.Interval.lo;
-      g_hi = iv.Interval.hi;
-      g_bot = bot;
-      g_bot_size = Interval.size bot;
-      g_ids = [||];
-      g_nids = 0;
-      g_sorted = false;
-      g_b = 0;
-    }
-
-  let group_add_id g id =
-    (if g.g_nids = Array.length g.g_ids then begin
-       let a = Array.make (max 8 (2 * g.g_nids)) 0 in
-       Array.blit g.g_ids 0 a 0 g.g_nids;
-       g.g_ids <- a
-     end);
-    g.g_ids.(g.g_nids) <- id;
-    g.g_nids <- g.g_nids + 1
-
-  (* #{reporters of the group's interval with identity <= [id]}. *)
-  let rank_in g id =
-    if not g.g_sorted then begin
-      if Array.length g.g_ids <> g.g_nids then
-        g.g_ids <- Array.sub g.g_ids 0 g.g_nids;
-      Array.sort Int.compare g.g_ids;
-      g.g_sorted <- true
-    end;
-    let a = g.g_ids in
-    let lo = ref 0 and hi = ref g.g_nids in
-    while !lo < !hi do
-      let m = (!lo + !hi) / 2 in
-      if a.(m) <= id then lo := m + 1 else hi := m
-    done;
-    !lo
-
-  let fill_groups_scan garr ng inbox =
-    fold_statuses
-      (fun () ~src:_ ~id ~iv ~d:_ ~p:_ ->
-        let lo = iv.Interval.lo and hi = iv.Interval.hi in
-        for j = 0 to ng - 1 do
-          let g = Array.unsafe_get garr j in
-          if g.g_lo = lo && g.g_hi = hi then group_add_id g id
-          else if Interval.subset iv g.g_bot then g.g_b <- g.g_b + 1
-        done)
-      () inbox
-
-  let collect_groups_scan d_min inbox =
-    let groups =
-      fold_statuses
-        (fun acc ~src:_ ~id:_ ~iv ~d ~p:_ ->
-          if d <> d_min || Interval.is_singleton iv then acc
-          else if
-            List.exists
-              (fun g -> g.g_lo = iv.Interval.lo && g.g_hi = iv.Interval.hi)
-              acc
-          then acc
-          else make_group iv :: acc)
-        [] inbox
-    in
-    Array.of_list groups
-
-  (* Figure 2 (general path): the verdicts a committee member sends back,
-     one per status received, in inbox order. *)
-  let committee_action_scan st inbox =
-    let d_min = ref max_int and p_max = ref min_int in
-    Net.Inbox.iter inbox ~f:(fun ~src:_ msg ->
-        match msg with
-        | Msg.Status { d; p; _ } ->
-            if d < !d_min then d_min := d;
-            if p > !p_max then p_max := p
-        | Msg.Notify | Msg.Response _ -> ());
-    let d_min = !d_min in
-    if d_min = max_int then [] (* no status in the inbox *)
-    else begin
-      if !p_max > st.pv then st.pv <- !p_max;
-      let gs = collect_groups_scan d_min inbox in
-      let ng = Array.length gs in
-      fill_groups_scan gs ng inbox;
-      let rec scan_g j lo hi =
-        let g = Array.unsafe_get gs j in
-        if g.g_lo = lo && g.g_hi = hi then g else scan_g (j + 1) lo hi
-      in
-      (* One verdict per status, in inbox order: consing onto the
-         accumulator of a reverse fold yields that order directly. *)
-      Net.Inbox.fold_rev inbox ~init:[] ~f:(fun acc ~src msg ->
-          match msg with
-          | Msg.Notify | Msg.Response _ -> acc
-          | Msg.Status { id; iv; d; p = _ } ->
-              let verdict =
-                if d <> d_min then Msg.Response { iv; d; p = st.pv }
-                else if Interval.is_singleton iv then
-                  (* A decided node: nothing left to halve; bump its
-                     depth so it stops defining the minimum. *)
-                  Msg.Response { iv; d = d + 1; p = st.pv }
-                else
-                  let g = scan_g 0 iv.Interval.lo iv.Interval.hi in
-                  if g.g_b + rank_in g id <= g.g_bot_size then
-                    Msg.Response { iv = g.g_bot; d = d + 1; p = st.pv }
-                  else
-                    Msg.Response
-                      { iv = Interval.top iv; d = d + 1; p = st.pv }
-              in
-              (src, verdict) :: acc)
-    end
+     of no-fault round throughput. *)
 
   (* {1 Flattened committee state}
 
@@ -346,8 +205,8 @@ struct
      slots, so reporter ranks are range popcounts; the depth sweep is a
      first-set probe over the depth-occupancy bitvec.
 
-     Fast-path preconditions, checked while absorbing (any failure raises
-     [Bail] and the caller falls back to {!committee_action_scan}):
+     Input contract, checked while absorbing (any violation raises
+     {!Invalid_committee_inbox} naming the failed precondition):
      - every status's [id] equals its transport-level source (honest
        crash-model nodes report their own identity),
      - sources are strictly ascending (the engine's inbox order), each
@@ -357,16 +216,19 @@ struct
      - depths and escalation levels stay below {!depth_cap} (bounds the
        histogram arrays; honest values are O(log n)).
 
-     Under these the flattened path is observation-equivalent to the
-     scan: slot order = ascending identity = inbox order, so emission
-     order matches, and a rank "reporters of the interval with identity
-     <= id" equals a popcount of member slots at positions <= slot. *)
+     Honest crash-model traffic meets all four by construction, so a
+     violation is a bug in whatever produced the inbox, not an input to
+     absorb. Under the contract slot order = ascending identity = inbox
+     order, so verdicts go out in inbox order, and a rank "reporters of
+     the interval with identity <= id" equals a popcount of member slots
+     at positions <= slot. *)
 
   let gamma = Repro_sim.Wire.gamma_bits
   let depth_cap = 1 lsl 20
 
   module Committee = struct
-    exception Bail
+    let violated what = raise (Invalid_committee_inbox what)
+    let overlap () = violated "overlapping minimum-depth intervals"
 
     module Vec = Repro_util.Arena.Vec
     module Bitpool = Repro_util.Arena.Bitpool
@@ -518,19 +380,6 @@ struct
       done;
       cs.g_len <- 0;
       cs.g_depth <- -1
-
-    (* Back to the just-created state: the next absorb sees an empty
-       history and rebuilds everything from its inbox alone. *)
-    let reset cs =
-      Bitvec.clear_all cs.present;
-      Bitvec.clear_all cs.scratch;
-      Array.fill cs.d_hist 0 (Array.length cs.d_hist) 0;
-      Bitvec.clear_all cs.d_ne;
-      Array.fill cs.p_hist 0 (Array.length cs.p_hist) 0;
-      cs.p_max <- -1;
-      clear_log cs;
-      cs.wholesale <- true;
-      clear_groups cs
 
     let grow_hist h need =
       let len = max need (2 * Array.length h) in
@@ -701,15 +550,14 @@ struct
       cs.g_len <- cs.g_len - 1
 
     (* The group for minimum-depth non-singleton interval [iv], inserting
-       it if new; [Bail] if it overlaps a distinct existing group (the
-       shared-tree disjointness invariant failed). Mirrors the historical
-       fast-index collect checks. *)
+       it if new; it must not overlap a distinct existing group (the
+       shared-tree disjointness invariant). *)
     let ensure_group cs ~lo ~hi ~iv =
       let at = locate cs lo in
       if at >= 0 && cs.g_lo.(at) = lo then
-        if cs.g_hi.(at) = hi then at else raise Bail
-      else if at >= 0 && lo <= cs.g_hi.(at) then raise Bail
-      else if at + 1 < cs.g_len && cs.g_lo.(at + 1) <= hi then raise Bail
+        if cs.g_hi.(at) = hi then at else overlap ()
+      else if at >= 0 && lo <= cs.g_hi.(at) then overlap ()
+      else if at + 1 < cs.g_len && cs.g_lo.(at + 1) <= hi then overlap ()
       else begin
         insert_group cs ~at:(at + 1) ~iv;
         at + 1
@@ -802,7 +650,7 @@ struct
         end
         else if at >= 0 && lo <= cs.g_hi.(at) then begin
           (* inside a distinct group's interval *)
-          if d = d_min && lo < hi then raise Bail (* overlapping groups *)
+          if d = d_min && lo < hi then overlap ()
           else if cs.g_fresh.(at) <> cs.stamp && hi <= cs.g_bot_hi.(at) then
             cs.g_b.(at) <- cs.g_b.(at) + 1
         end
@@ -847,21 +695,21 @@ struct
           | Msg.Status { id; iv; d; p } ->
               incr m;
               let lo = iv.Interval.lo and hi = iv.Interval.hi in
-              if
-                id <> src || d < 0 || d >= depth_cap || p < 0
-                || p >= depth_cap
-              then raise Bail;
+              if id <> src then violated "status id differs from its source";
+              if d < 0 || d >= depth_cap || p < 0 || p >= depth_cap then
+                violated "depth or escalation level out of range";
               let k = ref !ptr in
               let ids = cs.sorted_ids in
               while !k < cs.cn && Array.unsafe_get ids !k < src do
                 incr k
               done;
               if !k >= cs.cn || Array.unsafe_get ids !k <> src then
-                raise Bail;
+                violated "source unknown or not ascending";
               ptr := !k;
               let i = !k in
               let slot = i + 1 in
-              if Bitvec.get cs.scratch slot then raise Bail;
+              if Bitvec.get cs.scratch slot then
+                violated "source reports twice";
               Bitvec.set cs.scratch slot true;
               let was = Bitvec.get cs.present slot in
               if
@@ -946,7 +794,7 @@ struct
             Bitvec.first_set cs.d_ne (Interval.full (Bitvec.length cs.d_ne))
           with
           | Some pos -> pos - 1
-          | None -> raise Bail (* unreachable: m > 0 statuses are present *)
+          | None -> violated "statuses absorbed but no depth indexed"
         in
         if cs.p_max > st.pv then st.pv <- cs.p_max;
         (* Delta replay wins when few statuses moved; under churn (a
@@ -955,8 +803,8 @@ struct
            phase) the retained-state upkeep costs more than a wholesale
            sweep. Measure this round's churn and pick next round's mode
            accordingly. Both routes index the same state identically —
-           test/test_committee_paths.ml pins the equivalence — so the
-           threshold is pure policy. *)
+           the committee tests check both against a reference oracle — so
+           the threshold is pure policy. *)
         let n_present = Bitvec.count_all cs.present in
         let churned = !churn + !vanished in
         cs.wholesale <- 2 * churned > n_present;
@@ -996,7 +844,7 @@ struct
               else begin
                 let at = locate cs lo in
                 if at < 0 || cs.g_lo.(at) <> lo || cs.g_hi.(at) <> hi then
-                  raise Bail;
+                  violated "minimum-depth status without a verdict group";
                 (* rank via a cumulative range popcount: queried slots
                    ascend, so each member word is scanned once per round *)
                 let prev = cs.g_cur_slot.(at) in
@@ -1178,29 +1026,18 @@ struct
     let probe_words () = Gc.minor_words () in
     let committee_round cs inbox =
       let w0 = if emitting then probe_words () else 0. in
-      let out =
-        match Committee.absorb_and_emit cs st inbox with
-        | Committee.Empty -> `Empty
-        | Committee.Emitted len -> `Sized len
-        | exception Committee.Bail ->
-            (* Some fast-path precondition failed, possibly mid-update:
-               drop the whole incremental state and answer via the
-               linear scan, which re-reads the raw inbox from scratch. *)
-            Committee.reset cs;
-            `Scan (committee_action_scan st inbox)
-      in
+      let out = Committee.absorb_and_emit cs st inbox in
       (match alloc_emit with
       | Some acc -> acc := !acc +. (probe_words () -. w0)
       | None -> ());
       match out with
-      | `Empty -> Net.exchange ctx []
-      | `Sized len ->
+      | Committee.Empty -> Net.exchange ctx []
+      | Committee.Emitted len ->
           Net.exchange_sized ctx
             ~dsts:(Committee.Vec.data cs.Committee.out_dsts)
             ~msgs:(Committee.Vec.data cs.Committee.out_msgs)
             ~sizes:(Committee.Vec.data cs.Committee.out_sizes)
             ~len
-      | `Scan verdicts -> Net.exchange ctx verdicts
     in
     st.elected <- Rng.bernoulli rng (elect_prob memo params ~n 0);
     for phase = 1 to phases params ~n do
@@ -1229,10 +1066,7 @@ struct
          adoption that used to sit here folds into the committee pass
          over the same inbox. *)
       let inbox3 =
-        if st.elected then
-          match params.committee_path with
-          | Linear_scan -> Net.exchange ctx (committee_action_scan st inbox2)
-          | Incremental -> committee_round (committee_state ()) inbox2
+        if st.elected then committee_round (committee_state ()) inbox2
         else Net.exchange ctx []
       in
       node_action params ~n memo rng st sc sweep inbox3;
@@ -1256,48 +1090,39 @@ struct
     Interval.point st.iv
 
   module For_tests = struct
-    let committee_verdicts ~path ~pv ~ids rounds =
+    (* One committee member driven through fabricated round inboxes;
+       after each absorb, [f] gets the member state, the route flag the
+       absorb started with, and its outcome. *)
+    let drive ~pv ~ids rounds f =
       let st = { iv = Interval.full 1; dv = 0; pv; elected = true } in
       let cs = Committee.create ~ids in
-      List.map
-        (fun pairs ->
-          let inbox = Net.Inbox.of_pairs_unchecked ~dst:0 pairs in
-          let scan () =
-            List.map
-              (fun (dst, msg) -> (dst, msg, Msg.bits msg))
-              (committee_action_scan st inbox)
-          in
-          match path with
-          | Linear_scan -> scan ()
-          | Incremental -> (
-              match Committee.absorb_and_emit cs st inbox with
-              | Committee.Empty -> []
-              | Committee.Emitted len ->
-                  List.init len (fun k ->
-                      ( Committee.Vec.get cs.Committee.out_dsts k,
-                        Committee.Vec.get cs.Committee.out_msgs k,
-                        Committee.Vec.get cs.Committee.out_sizes k ))
-              | exception Committee.Bail ->
-                  Committee.reset cs;
-                  scan ()))
-        rounds
+      let out =
+        List.map
+          (fun pairs ->
+            let wholesale = cs.Committee.wholesale in
+            let inbox = Net.Inbox.of_pairs_unchecked ~dst:0 pairs in
+            f cs ~wholesale (Committee.absorb_and_emit cs st inbox))
+          rounds
+      in
+      (out, st.pv)
 
-    let state_pv ~path ~pv ~ids rounds =
-      let st = { iv = Interval.full 1; dv = 0; pv; elected = true } in
-      let cs = Committee.create ~ids in
-      List.iter
-        (fun pairs ->
-          let inbox = Net.Inbox.of_pairs_unchecked ~dst:0 pairs in
-          match path with
-          | Linear_scan -> ignore (committee_action_scan st inbox)
-          | Incremental -> (
-              match Committee.absorb_and_emit cs st inbox with
-              | Committee.Empty | Committee.Emitted _ -> ()
-              | exception Committee.Bail ->
-                  Committee.reset cs;
-                  ignore (committee_action_scan st inbox)))
-        rounds;
-      st.pv
+    let committee_verdicts ~pv ~ids rounds =
+      fst
+        (drive ~pv ~ids rounds (fun cs ~wholesale:_ -> function
+           | Committee.Empty -> []
+           | Committee.Emitted len ->
+               List.init len (fun k ->
+                   ( Committee.Vec.get cs.Committee.out_dsts k,
+                     Committee.Vec.get cs.Committee.out_msgs k,
+                     Committee.Vec.get cs.Committee.out_sizes k ))))
+
+    let state_pv ~pv ~ids rounds =
+      snd (drive ~pv ~ids rounds (fun _ ~wholesale:_ _ -> ()))
+
+    let absorb_routes ~ids rounds =
+      fst
+        (drive ~pv:0 ~ids rounds (fun _ ~wholesale _ ->
+             if wholesale then `Wholesale else `Delta))
   end
 end
 

@@ -48,25 +48,6 @@ type reelection_policy =
       (** ablation: additionally retry the election coin every phase —
           the committee (and message bill) grows monotonically *)
 
-(** Which implementation a committee member answers status reports with.
-    All three are observation-equivalent on honest inboxes — byte-identical
-    verdicts, sizes and emission order (pinned by the metamorphic suite in
-    [test/test_committee_paths.ml]); they differ only in cost. *)
-type committee_path =
-  | Incremental
-      (** the flattened fast path: struct-of-arrays status store over
-          dense slot indices, [Bitvec] word-parallel group membership,
-          verdict groups maintained incrementally across phases, message
-          sizes from precomputed per-slot tables. Falls back to
-          [Linear_scan] (with the persistent state dropped) on any inbox
-          that violates its preconditions — id ≠ source, duplicate or
-          unknown sources, out-of-range depths, overlapping
-          minimum-depth intervals. *)
-  | Linear_scan
-      (** the order-insensitive reference path: per-round group
-          collection with per-group sorted id arrays, every status
-          tested against every group. *)
-
 type params = {
   election_constant : float;
       (** the paper's 256 in [(256 · 2^p · log n) / n]; the asymptotic
@@ -79,17 +60,16 @@ type params = {
           [`Loose m] with [m >= n] renames into [\[1, m\]] — Definition
           1.1's general target namespace, obtained by rooting the halving
           tree at [\[1, m\]] *)
-  committee_path : committee_path;
 }
 
 val paper_params : params
 (** [{election_constant = 256.; phase_factor = 3; reelection = On_demand;
-     committee_path = Incremental}] *)
+     target = `Strong}] *)
 
 val experiment_params : params
 (** [{election_constant = 3.; phase_factor = 3; reelection = On_demand;
-     committee_path = Incremental}] — small committees at benchmark
-    scale; used by the evaluation harness. *)
+     target = `Strong}] — small committees at benchmark scale; used by
+    the evaluation harness. *)
 
 val phases : params -> n:int -> int
 val election_probability : params -> n:int -> p:int -> float
@@ -108,6 +88,23 @@ type telemetry = {
     node's post-phase state. Used by the lemma-level test suites
     (Lemmas 2.2/2.3/2.5) and the tracing example; all nodes run in one
     process, so the hook may aggregate across nodes. *)
+
+exception Invalid_committee_inbox of string
+(** The committee's input contract. A committee member answers the
+    status reports of one round from an incrementally maintained verdict
+    index, which is sound only if the round's inbox satisfies:
+    - every status's [id] equals its transport-level source;
+    - sources are participants, strictly ascending, each reporting at
+      most once (the engine's inbox order);
+    - minimum-depth non-singleton intervals are pairwise disjoint (the
+      shared halving-tree invariant);
+    - depths and escalation levels lie in [\[0, 2^20)].
+
+    Honest crash-model traffic satisfies all four by construction, so
+    the member does not absorb a violation: it raises this exception,
+    naming the failed precondition, out of the node program. Nothing in
+    the library catches it — the engine re-raises it from [Net.run], and
+    the fuzzer reports it as a crashed run. *)
 
 val program :
   ?telemetry:telemetry -> ?alloc_emit:float ref -> params -> Net.ctx -> int
@@ -155,30 +152,28 @@ val run :
     [ap_emit] filled with the committee-emission share of the resume
     bracket. *)
 
-(** Test-only seams into the committee internals. *)
+(** Test-only seams into the committee internals. Each drives one
+    committee member through a sequence of round inboxes, given as
+    [(src, msg)] pairs fabricated without engine checks. [ids] is the
+    participant set (the member's slot universe); [pv] seeds the
+    member's escalation counter. The member's retained state persists
+    across the listed rounds, exactly as in a live run, and a round that
+    breaks the input contract raises {!Invalid_committee_inbox}. *)
 module For_tests : sig
   val committee_verdicts :
-    path:committee_path ->
     pv:int ->
     ids:int array ->
     (int * Msg.t) list list ->
     (int * Msg.t * int) list list
-  (** Drive one committee member through a sequence of round inboxes
-      (given as [(src, msg)] pairs, fabricated without engine checks)
-      and return each round's verdicts as [(dst, msg, billed_bits)]
-      triples. [ids] is the participant set (the member's slot
-      universe); [pv] seeds the member's escalation counter. For
-      [Incremental] the flattened state persists across the listed
-      rounds; rounds whose inbox trips a fast-path precondition are
-      answered by the scan fallback, exactly as in a live run. *)
+  (** Each round's verdicts as [(dst, msg, billed_bits)] triples. *)
 
-  val state_pv :
-    path:committee_path ->
-    pv:int ->
-    ids:int array ->
-    (int * Msg.t) list list ->
-    int
-  (** The member's escalation counter after absorbing the rounds —
-      pins that the fast path's p-adoption matches the scan's. *)
+  val state_pv : pv:int -> ids:int array -> (int * Msg.t) list list -> int
+  (** The member's escalation counter after absorbing the rounds. *)
+
+  val absorb_routes :
+    ids:int array -> (int * Msg.t) list list -> [ `Wholesale | `Delta ] list
+  (** How each absorb maintained the retained state: [`Wholesale]
+      skipped the delta log and rebuilt the index in one sweep (chosen
+      after an absorb that churned more than half the reporters, and for
+      the first absorb), [`Delta] logged and replayed the changes. *)
 end
-

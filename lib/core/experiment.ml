@@ -60,7 +60,7 @@ let trace_hooks trace =
     Option.map (fun t ~round ~id -> Trace.on_decide t ~round ~id) trace,
     Option.map (fun t ~round m -> Trace.on_round_end t ~round m) trace )
 
-let run_crash ?trace ?committee_path ?alloc_probe ?shards ~protocol ~n
+let run_crash ?trace ?alloc_probe ?shards ~protocol ~n
     ~namespace ~adversary ~seed () =
   let ids = random_ids ~seed:(seed lxor 0x1d5) ~namespace ~n in
   let rng = Rng.of_seed (seed lxor 0xadce5) in
@@ -108,13 +108,7 @@ let run_crash ?trace ?committee_path ?alloc_probe ?shards ~protocol ~n
               Trace.on_message t ~bits:(Crash_renaming.Msg.bits e.msg))
             trace
         in
-        let params =
-          match committee_path with
-          | None -> Crash_renaming.experiment_params
-          | Some committee_path ->
-              { Crash_renaming.experiment_params with committee_path }
-        in
-        Crash_renaming.run ~params ~ids ~crash:(A.make adversary) ?tap
+        Crash_renaming.run ~params:Crash_renaming.experiment_params ~ids ~crash:(A.make adversary) ?tap
           ?alloc_probe ?on_crash ?on_decide ?on_round_end ~seed ?shards ()
     | Halving_baseline ->
         let module A = Adversary (struct
@@ -128,7 +122,7 @@ let run_crash ?trace ?committee_path ?alloc_probe ?shards ~protocol ~n
               Trace.on_message t ~bits:(Halving_renaming.Msg.bits e.msg))
             trace
         in
-        Halving_renaming.run ?committee_path ~ids ~crash:(A.make adversary)
+        Halving_renaming.run ~ids ~crash:(A.make adversary)
           ?tap ?alloc_probe ?on_crash ?on_decide ?on_round_end ~seed ?shards
           ()
     | Flooding_baseline ->

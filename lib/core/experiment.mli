@@ -43,7 +43,6 @@ val byz_adversary_f : byz_adversary -> int
 
 val run_crash :
   ?trace:Repro_obs.Trace.t ->
-  ?committee_path:Crash_renaming.committee_path ->
   ?alloc_probe:Repro_sim.Engine.alloc_probe ->
   ?shards:int ->
   protocol:crash_protocol ->
@@ -55,11 +54,8 @@ val run_crash :
   Runner.assessment
 (** One execution. The flooding baseline is given the adversary's true
     [f] (it runs [f+1] rounds) — the most favourable configuration for
-    the baseline. [committee_path] overrides the committee
-    implementation of the two committee-based protocols (default:
-    {!Crash_renaming.experiment_params}' [Incremental]); the flooding
-    baseline has no committee and ignores it. For [Scripted_crashes]
-    the reported [f] is the schedule length.
+    the baseline. For [Scripted_crashes] the reported [f] is the
+    schedule length.
 
     When [trace] is given, the run is recorded into it — per-round rows
     via the engine hooks, the on-wire size histogram via [tap] — and

@@ -9,7 +9,6 @@ let params =
     phase_factor = 3;
     reelection = Crash_renaming.On_demand;
     target = `Strong;
-    committee_path = Crash_renaming.Incremental;
   }
 
 let program ctx = Crash_renaming.program params ctx
@@ -22,12 +21,7 @@ struct
   let program ctx = Node.program params ctx
 end
 
-let run ?committee_path ?crash ?tap ?alloc_probe ?on_crash ?on_decide
-    ?on_round_end ?seed ?shards ~ids () =
-  let params =
-    match committee_path with
-    | None -> params
-    | Some committee_path -> { params with Crash_renaming.committee_path }
-  in
+let run ?crash ?tap ?alloc_probe ?on_crash ?on_decide ?on_round_end ?seed
+    ?shards ~ids () =
   Crash_renaming.run ~params ?crash ?tap ?alloc_probe ?on_crash ?on_decide
     ?on_round_end ?seed ?shards ~ids ()

@@ -32,7 +32,6 @@ module Make_node (Net : Repro_net.Network_intf.S with type msg = Msg.t) : sig
 end
 
 val run :
-  ?committee_path:Crash_renaming.committee_path ->
   ?crash:Net.crash_adversary ->
   ?tap:(round:int -> Net.envelope -> unit) ->
   ?alloc_probe:Repro_sim.Engine.alloc_probe ->

@@ -1,18 +1,18 @@
-(* Committee-path equivalence: the flattened incremental committee
-   (struct-of-arrays + Bitvec + delta maintenance) and the linear-scan
-   reference must be observation-equivalent
-   everywhere — identical verdicts, identical billed sizes, identical
-   emission order, identical escalation-counter evolution — on {e any}
-   inbox. On well-formed inboxes that is the strength-reduction claim; on
-   malformed ones (overlapping groups, forged ids, duplicate sources,
-   absurd depths) it holds because the fast path detects the violation
-   and answers through the scan.
+(* Committee equivalence: the library's flattened incremental committee
+   (struct-of-arrays + Bitvec + delta maintenance) must be
+   observation-equivalent to the reference rule in [Committee_oracle] —
+   identical verdicts, identical billed sizes, identical emission order,
+   identical escalation-counter evolution — on every inbox that meets
+   its input contract, and must raise
+   [Crash_renaming.Invalid_committee_inbox], naming the broken
+   precondition, on inboxes that do not (forged ids, duplicate or
+   descending sources, overlapping minimum-depth groups, absurd depths).
 
    Two layers: fixture tests drive one committee member directly through
    [Crash_renaming.For_tests] (including inboxes no honest engine run
-   produces), and metamorphic tests replay full executions — no-fault and
-   a frozen corpus crash schedule — under both paths, requiring
-   byte-identical run traces and metrics. *)
+   produces), and full-run tests replay whole executions — no-fault and
+   a frozen corpus crash schedule — against trace digests and totals
+   pinned from the linear-scan committee (see [Committee_oracle]). *)
 
 module CR = Repro_renaming.Crash_renaming
 module E = Repro_renaming.Experiment
@@ -20,12 +20,6 @@ module Runner = Repro_renaming.Runner
 module Schedule = Repro_check.Schedule
 module Trace = Repro_obs.Trace
 module I = Repro_util.Interval
-
-let paths = [ CR.Incremental; CR.Linear_scan ]
-
-let path_name = function
-  | CR.Incremental -> "incremental"
-  | CR.Linear_scan -> "scan"
 
 let verdict_triple =
   let pp ppf (dst, msg, bits) =
@@ -37,37 +31,29 @@ let status ~id ?(src = -1) ~lo ~hi ~d ~p () =
   let src = if src = -1 then id else src in
   (src, CR.Msg.Status { id; iv = I.make lo hi; d; p })
 
-(* Both paths on the same rounds; [Linear_scan] is the reference. *)
-let check_paths_agree name ~ids rounds =
-  let reference = CR.For_tests.committee_verdicts ~path:CR.Linear_scan ~pv:0 ~ids rounds in
+(* The incremental committee against the oracle on the same rounds. *)
+let check_matches_oracle name ~ids rounds =
+  let reference = Committee_oracle.verdicts ~pv:0 rounds in
+  let got = CR.For_tests.committee_verdicts ~pv:0 ~ids rounds in
+  Alcotest.(check (list (list verdict_triple)))
+    (name ^ ": verdicts vs oracle") reference got;
+  (* billed sizes must be the real wire sizes *)
   List.iter
-    (fun path ->
-      let got = CR.For_tests.committee_verdicts ~path ~pv:0 ~ids rounds in
-      Alcotest.(check (list (list verdict_triple)))
-        (Printf.sprintf "%s: %s vs scan" name (path_name path))
-        reference got;
-      (* billed sizes must be the real wire sizes, whichever path
-         produced them *)
-      List.iter
-        (List.iter (fun (_, msg, bits) ->
-             Alcotest.(check int)
-               (Printf.sprintf "%s: %s billed = Msg.bits" name
-                  (path_name path))
-               (CR.Msg.bits msg) bits))
-        got;
-      Alcotest.(check int)
-        (Printf.sprintf "%s: %s final pv" name (path_name path))
-        (CR.For_tests.state_pv ~path:CR.Linear_scan ~pv:0 ~ids rounds)
-        (CR.For_tests.state_pv ~path ~pv:0 ~ids rounds))
-    paths;
+    (List.iter (fun (_, msg, bits) ->
+         Alcotest.(check int) (name ^ ": billed = Msg.bits") (CR.Msg.bits msg)
+           bits))
+    got;
+  Alcotest.(check int) (name ^ ": final pv")
+    (Committee_oracle.final_pv ~pv:0 rounds)
+    (CR.For_tests.state_pv ~pv:0 ~ids rounds);
   reference
+
+let check_rejects name ~ids ~why rounds =
+  Alcotest.check_raises name (CR.Invalid_committee_inbox why) (fun () ->
+      ignore (CR.For_tests.committee_verdicts ~pv:0 ~ids rounds))
 
 let ids8 = [| 3; 5; 9; 12; 17; 20; 28; 31 |]
 
-(* A well-formed multi-phase descent: everyone halves from the root,
-   depths diverge, reporters vanish and reappear, escalations climb —
-   the incremental path exercises rebuilds (d_min moves), delta
-   adds/removals (d_min holds) and group pruning. *)
 let test_well_formed_descent () =
   let rounds =
     [
@@ -109,7 +95,7 @@ let test_well_formed_descent () =
       ];
     ]
   in
-  let reference = check_paths_agree "descent" ~ids:ids8 rounds in
+  let reference = check_matches_oracle "descent" ~ids:ids8 rounds in
   (* sanity on the reference itself: one verdict per status, in inbox
      order *)
   List.iter2
@@ -122,119 +108,111 @@ let test_well_formed_descent () =
         (List.map (fun (dst, _, _) -> dst) out))
     rounds reference
 
-(* The linear fallback triggers — paths must still agree. Each fixture
-   violates one fast-path precondition. *)
-let test_disjointness_violation_falls_back () =
+(* Each fixture breaks one precondition of the input contract. *)
+let overlap = "overlapping minimum-depth intervals"
+
+let test_disjointness_violation_raises () =
   (* two overlapping non-singleton intervals at the minimum depth: the
      halving-tree invariant an honest run never breaks *)
-  let rounds =
+  check_rejects "overlapping groups" ~ids:ids8 ~why:overlap
     [
       [
         status ~id:3 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
         status ~id:5 ~lo:3 ~hi:6 ~d:1 ~p:0 ();
         status ~id:9 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
       ];
-    ]
-  in
-  ignore (check_paths_agree "overlapping groups" ~ids:ids8 rounds);
-  (* same-lo different-hi *)
-  ignore
-    (check_paths_agree "same lo, different hi" ~ids:ids8
-       [
-         [
-           status ~id:3 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
-           status ~id:5 ~lo:1 ~hi:6 ~d:1 ~p:0 ();
-         ];
-       ]);
-  (* containment: a min-depth interval strictly inside another *)
-  ignore
-    (check_paths_agree "nested groups" ~ids:ids8
-       [
-         [
-           status ~id:3 ~lo:1 ~hi:8 ~d:1 ~p:0 ();
-           status ~id:5 ~lo:2 ~hi:3 ~d:1 ~p:0 ();
-         ];
-       ])
-
-let test_forged_and_duplicated_sources_fall_back () =
-  (* id field disagrees with the transport source *)
-  ignore
-    (check_paths_agree "forged id" ~ids:ids8
-       [
-         [
-           status ~id:3 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
-           status ~id:99 ~src:5 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
-         ];
-       ]);
-  (* one source reports twice *)
-  ignore
-    (check_paths_agree "duplicate source" ~ids:ids8
-       [
-         [
-           status ~id:3 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
-           status ~id:3 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
-           status ~id:5 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
-         ];
-       ]);
-  (* a source outside the participant set *)
-  ignore
-    (check_paths_agree "unknown source" ~ids:ids8
-       [
-         [
-           status ~id:3 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
-           status ~id:4 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
-         ];
-       ]);
-  (* sources out of order *)
-  ignore
-    (check_paths_agree "descending sources" ~ids:ids8
-       [
-         [
-           status ~id:5 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
-           status ~id:3 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
-         ];
-       ]);
-  (* depth beyond the histogram cap *)
-  ignore
-    (check_paths_agree "huge depth" ~ids:ids8
-       [ [ status ~id:3 ~lo:1 ~hi:8 ~d:(1 lsl 21) ~p:0 () ] ]);
-  (* escalation beyond the cap *)
-  ignore
-    (check_paths_agree "huge p" ~ids:ids8
-       [ [ status ~id:3 ~lo:1 ~hi:8 ~d:0 ~p:(1 lsl 21) () ] ])
-
-(* A malformed round in the middle of a well-formed sequence: the
-   incremental path must drop its persistent state, answer by scan, and
-   resume incrementally without contaminating later rounds. *)
-let test_recovery_after_fallback () =
-  let well_formed lo_split =
+    ];
+  check_rejects "same lo, different hi" ~ids:ids8 ~why:overlap
     [
-      status ~id:3 ~lo:1 ~hi:lo_split ~d:1 ~p:0 ();
-      status ~id:5 ~lo:1 ~hi:lo_split ~d:1 ~p:0 ();
-      status ~id:9 ~lo:(lo_split + 1) ~hi:8 ~d:1 ~p:0 ();
-      status ~id:12 ~lo:(lo_split + 1) ~hi:8 ~d:1 ~p:0 ();
-    ]
-  in
-  let rounds =
-    [
-      well_formed 4;
-      (* poison: overlapping min-depth groups *)
       [
-        status ~id:3 ~lo:1 ~hi:5 ~d:1 ~p:0 ();
-        status ~id:5 ~lo:2 ~hi:6 ~d:1 ~p:0 ();
+        status ~id:3 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
+        status ~id:5 ~lo:1 ~hi:6 ~d:1 ~p:0 ();
       ];
-      well_formed 4;
-      well_formed 2;
+    ];
+  (* containment: a min-depth interval strictly inside another *)
+  check_rejects "nested groups" ~ids:ids8 ~why:overlap
+    [
+      [
+        status ~id:3 ~lo:1 ~hi:8 ~d:1 ~p:0 ();
+        status ~id:5 ~lo:2 ~hi:3 ~d:1 ~p:0 ();
+      ];
+    ];
+  (* the overlap arrives as a delta: a well-formed round first, then
+     one reporter moves onto a neighbour's interval *)
+  check_rejects "overlap introduced by a delta" ~ids:ids8 ~why:overlap
+    [
+      [
+        status ~id:3 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
+        status ~id:5 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
+        status ~id:9 ~lo:5 ~hi:8 ~d:1 ~p:0 ();
+        status ~id:12 ~lo:5 ~hi:8 ~d:1 ~p:0 ();
+      ];
+      [
+        status ~id:3 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
+        status ~id:5 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
+        status ~id:9 ~lo:5 ~hi:8 ~d:1 ~p:0 ();
+        status ~id:12 ~lo:5 ~hi:8 ~d:1 ~p:0 ();
+      ];
+      [
+        status ~id:3 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
+        status ~id:5 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
+        status ~id:9 ~lo:5 ~hi:8 ~d:1 ~p:0 ();
+        status ~id:12 ~lo:3 ~hi:6 ~d:1 ~p:0 ();
+      ];
     ]
-  in
-  ignore (check_paths_agree "poisoned mid-sequence" ~ids:ids8 rounds)
+
+let test_forged_and_duplicated_sources_raise () =
+  check_rejects "forged id" ~ids:ids8
+    ~why:"status id differs from its source"
+    [
+      [
+        status ~id:3 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
+        status ~id:99 ~src:5 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
+      ];
+    ];
+  check_rejects "duplicate source" ~ids:ids8 ~why:"source reports twice"
+    [
+      [
+        status ~id:3 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
+        status ~id:3 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
+        status ~id:5 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
+      ];
+    ];
+  check_rejects "unknown source" ~ids:ids8
+    ~why:"source unknown or not ascending"
+    [
+      [
+        status ~id:3 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
+        status ~id:4 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
+      ];
+    ];
+  check_rejects "descending sources" ~ids:ids8
+    ~why:"source unknown or not ascending"
+    [
+      [
+        status ~id:5 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
+        status ~id:3 ~lo:1 ~hi:8 ~d:0 ~p:0 ();
+      ];
+    ];
+  let out_of_range = "depth or escalation level out of range" in
+  (* the histogram cap is 2^20: the largest legal depth passes, the
+     first illegal one raises *)
+  ignore
+    (check_matches_oracle "largest legal depth" ~ids:ids8
+       [ [ status ~id:3 ~lo:1 ~hi:8 ~d:((1 lsl 20) - 1) ~p:0 () ] ]);
+  check_rejects "depth at the cap" ~ids:ids8 ~why:out_of_range
+    [ [ status ~id:3 ~lo:1 ~hi:8 ~d:(1 lsl 20) ~p:0 () ] ];
+  check_rejects "huge depth" ~ids:ids8 ~why:out_of_range
+    [ [ status ~id:3 ~lo:1 ~hi:8 ~d:(1 lsl 21) ~p:0 () ] ];
+  check_rejects "huge p" ~ids:ids8 ~why:out_of_range
+    [ [ status ~id:3 ~lo:1 ~hi:8 ~d:0 ~p:(1 lsl 21) () ] ]
 
 let test_empty_and_degenerate () =
   (* no statuses at all (committee hears nothing) *)
-  ignore (check_paths_agree "empty inbox" ~ids:ids8 [ []; [] ]);
+  ignore (check_matches_oracle "empty inbox" ~ids:ids8 [ []; [] ]);
   (* only singletons at the minimum depth *)
   ignore
-    (check_paths_agree "all singletons" ~ids:ids8
+    (check_matches_oracle "all singletons" ~ids:ids8
        [
          [
            status ~id:3 ~lo:1 ~hi:1 ~d:3 ~p:0 ();
@@ -243,85 +221,146 @@ let test_empty_and_degenerate () =
        ]);
   (* single participant *)
   ignore
-    (check_paths_agree "single node" ~ids:[| 7 |]
+    (check_matches_oracle "single node" ~ids:[| 7 |]
        [ [ status ~id:7 ~lo:1 ~hi:1 ~d:0 ~p:0 () ] ])
 
-(* Randomized differential fixture: arbitrary status rounds — mostly
-   tree-shaped, occasionally corrupted — through both paths. The
-   property needs no well-formedness precondition precisely because
-   fallback-on-violation is part of the contract. *)
-let qcheck_paths_agree =
+(* The retained-state maintenance policy: an absorb that churned more
+   than half the reporters makes the next one skip the delta log and
+   rebuild wholesale; a small change is replayed as a delta. Both routes
+   must still agree with the oracle. *)
+let route =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.pp_print_string ppf
+        (match r with `Wholesale -> "wholesale" | `Delta -> "delta"))
+    ( = )
+
+let test_churn_policy () =
+  let everyone ~d ~width =
+    Array.to_list
+      (Array.mapi
+         (fun k id ->
+           let lo = (k / width * width) + 1 in
+           status ~id ~lo ~hi:(lo + width - 1) ~d ~p:0 ())
+         ids8)
+  in
+  let check name rounds expected =
+    ignore (check_matches_oracle name ~ids:ids8 rounds);
+    Alcotest.(check (list route)) name expected
+      (CR.For_tests.absorb_routes ~ids:ids8 rounds)
+  in
+  (* every reporter deepens every round: wholesale throughout *)
+  check "full churn"
+    [
+      everyone ~d:0 ~width:8;
+      everyone ~d:1 ~width:4;
+      everyone ~d:2 ~width:2;
+      everyone ~d:3 ~width:1;
+    ]
+    [ `Wholesale; `Wholesale; `Wholesale; `Wholesale ];
+  (* after a quiet round, one reporter deepens, then one vanishes *)
+  let halves = everyone ~d:1 ~width:4 in
+  let one_deeper =
+    status ~id:3 ~lo:1 ~hi:2 ~d:2 ~p:0 () :: List.tl halves
+  in
+  let one_gone = List.filter (fun (src, _) -> src <> 17) one_deeper in
+  check "one reporter changes"
+    [ halves; halves; one_deeper; one_gone ]
+    [ `Wholesale; `Wholesale; `Delta; `Delta ]
+
+(* Randomized differential fixture: arbitrary status rounds, mostly
+   tree-shaped, occasionally corrupted (the generator records which
+   rounds). A clean sequence must match the oracle round for round; a
+   corrupted one must either match too or raise, and then only on a
+   round the generator corrupted, with every earlier round matching. *)
+let take k l = List.filteri (fun i _ -> i < k) l
+
+let qcheck_matches_oracle =
   let open QCheck in
   let gen =
     Gen.(
       let* nrounds = int_range 1 5 in
-      let* rounds =
-        list_repeat nrounds
-          (let* reporters =
-             List.fold_right
-               (fun id acc ->
-                 let* acc = acc in
-                 let* keep = bool in
-                 return (if keep then id :: acc else acc))
-               (Array.to_list ids8) (return [])
-           in
+      list_repeat nrounds
+        (let* reporters =
            List.fold_right
              (fun id acc ->
                let* acc = acc in
-               let* d = int_range 0 3 in
-               let* index = int_range 0 ((1 lsl d) - 1) in
-               let iv =
-                 match I.tree_vertex_at ~n:8 ~depth:d ~index with
-                 | Some iv -> iv
-                 | None -> I.full 8
-               in
-               let* p = int_range 0 2 in
-               let* corrupt = int_range 0 19 in
-               let entry =
-                 match corrupt with
-                 | 0 ->
-                     (* forged id *)
-                     (id, CR.Msg.Status { id = id + 1; iv; d; p })
-                 | 1 ->
-                     (* off-tree interval *)
-                     ( id,
-                       CR.Msg.Status { id; iv = I.make 2 6; d; p } )
-                 | 2 -> (id, CR.Msg.Status { id; iv; d = 1 lsl 21; p })
-                 | _ -> (id, CR.Msg.Status { id; iv; d; p })
-               in
-               return (entry :: acc))
-             reporters (return []))
-      in
-      return rounds)
+               let* keep = bool in
+               return (if keep then id :: acc else acc))
+             (Array.to_list ids8) (return [])
+         in
+         List.fold_right
+           (fun id acc ->
+             let* entries, corrupted = acc in
+             let* d = int_range 0 3 in
+             let* index = int_range 0 ((1 lsl d) - 1) in
+             let iv =
+               match I.tree_vertex_at ~n:8 ~depth:d ~index with
+               | Some iv -> iv
+               | None -> I.full 8
+             in
+             let* p = int_range 0 2 in
+             let* corrupt = int_range 0 19 in
+             let entry =
+               match corrupt with
+               | 0 ->
+                   (* forged id *)
+                   (id, CR.Msg.Status { id = id + 1; iv; d; p })
+               | 1 ->
+                   (* off-tree interval *)
+                   (id, CR.Msg.Status { id; iv = I.make 2 6; d; p })
+               | 2 -> (id, CR.Msg.Status { id; iv; d = 1 lsl 21; p })
+               | _ -> (id, CR.Msg.Status { id; iv; d; p })
+             in
+             return (entry :: entries, corrupted || corrupt <= 2))
+           reporters
+           (return ([], false))))
   in
   let print rounds =
     String.concat " | "
       (List.map
-         (fun pairs ->
-           String.concat ";"
-             (List.map
-                (fun (src, m) ->
-                  Printf.sprintf "%d<-%s" src
-                    (Format.asprintf "%a" CR.Msg.pp m))
-                pairs))
+         (fun (pairs, corrupted) ->
+           (if corrupted then "corrupted: " else "")
+           ^ String.concat ";"
+               (List.map
+                  (fun (src, m) ->
+                    Printf.sprintf "%d<-%s" src
+                      (Format.asprintf "%a" CR.Msg.pp m))
+                  pairs))
          rounds)
   in
   Test.make ~name:"all committee paths agree on random rounds" ~count:300
-    (make ~print gen) (fun rounds ->
-      let out path = CR.For_tests.committee_verdicts ~path ~pv:0 ~ids:ids8 rounds in
-      let reference = out CR.Linear_scan in
-      out CR.Incremental = reference
-      && List.for_all
-           (List.for_all (fun (_, msg, bits) -> CR.Msg.bits msg = bits))
-           reference)
+    (make ~print gen) (fun tagged ->
+      let rounds = List.map fst tagged in
+      let reference = Committee_oracle.verdicts ~pv:0 rounds in
+      let run k =
+        CR.For_tests.committee_verdicts ~pv:0 ~ids:ids8 (take k rounds)
+      in
+      match run (List.length rounds) with
+      | got ->
+          got = reference
+          && List.for_all
+               (List.for_all (fun (_, msg, bits) -> CR.Msg.bits msg = bits))
+               got
+      | exception CR.Invalid_committee_inbox _ ->
+          (* the first round whose prefix raises *)
+          let rec first_raising k =
+            match run k with
+            | _ -> first_raising (k + 1)
+            | exception CR.Invalid_committee_inbox _ -> k
+          in
+          let k = first_raising 1 in
+          snd (List.nth tagged (k - 1))
+          && run (k - 1) = take (k - 1) reference)
 
-(* {1 Metamorphic full-run equivalence}
+(* {1 Full-run pins}
 
-   Whole executions under each committee path must be byte-identical:
-   same run-trace JSONL (per-round metrics rows, size histogram, crash
-   and decide events), same assessment. Exercised no-fault and under the
-   frozen corpus crash schedule — replayed through [Scripted_crashes],
-   the same injection point the fuzzer uses — for both committee-based
+   Whole executions must stay byte-identical to the pinned runs (see
+   [Committee_oracle.check_pin]): same run-trace JSONL (per-round
+   metrics rows, size histogram, crash and decide events), same
+   assignments and totals. Exercised no-fault and under the frozen
+   corpus crash schedule — replayed through [Scripted_crashes], the
+   same injection point the fuzzer uses — for both committee-based
    protocols. *)
 
 let corpus_schedule () =
@@ -329,52 +368,63 @@ let corpus_schedule () =
   | Error m -> Alcotest.failf "corpus schedule: %s" m
   | Ok s -> s
 
-let run_with_path ~protocol ~n ~namespace ~adversary ~seed path =
+let check_run name ~expected ~protocol ~n ~namespace ~adversary ~seed =
   let t =
     Trace.create
       ~meta:[ ("algo", `Str (E.crash_protocol_name protocol)) ]
       ()
   in
-  let a =
-    E.run_crash ~trace:t ~committee_path:path ~protocol ~n ~namespace
-      ~adversary ~seed ()
-  in
-  (Trace.contents t, a)
+  let a = E.run_crash ~trace:t ~protocol ~n ~namespace ~adversary ~seed () in
+  Alcotest.(check bool) (name ^ ": run correct") true a.Runner.correct;
+  Committee_oracle.check_pin name ~expected
+    (Committee_oracle.pin_of ~trace:t a);
+  a
 
-let check_runs_identical name ~protocol ~n ~namespace ~adversary ~seed =
-  let tr_ref, a_ref =
-    run_with_path ~protocol ~n ~namespace ~adversary ~seed CR.Linear_scan
-  in
-  Alcotest.(check bool) (name ^ ": reference run correct") true
-    a_ref.Runner.correct;
-  List.iter
-    (fun path ->
-      let tr, a =
-        run_with_path ~protocol ~n ~namespace ~adversary ~seed path
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "%s: %s trace bytes" name (path_name path))
-        tr_ref tr;
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "%s: %s assignments" name (path_name path))
-        a_ref.Runner.assignments a.Runner.assignments;
-      Alcotest.(check int)
-        (Printf.sprintf "%s: %s bits" name (path_name path))
-        a_ref.Runner.bits a.Runner.bits;
-      Alcotest.(check int)
-        (Printf.sprintf "%s: %s messages" name (path_name path))
-        a_ref.Runner.messages a.Runner.messages)
-    [ CR.Incremental ];
-  a_ref
+let no_fault_pins =
+  [
+    ( E.This_work_crash,
+      {
+        Committee_oracle.trace_md5 = "0aa302abfce2fd6182376890ef2ae434";
+        assign_md5 = "f1685c92765fd4690892bf9462f2ad21";
+        bits = 408180;
+        msgs = 21600;
+      } );
+    ( E.Halving_baseline,
+      {
+        Committee_oracle.trace_md5 = "fd1409fa09ca6eddf10b4818f9292b34";
+        assign_md5 = "f1685c92765fd4690892bf9462f2ad21";
+        bits = 870784;
+        msgs = 46080;
+      } );
+  ]
+
+let corpus_pins =
+  [
+    ( E.This_work_crash,
+      {
+        Committee_oracle.trace_md5 = "d048411832440f45b1c4d7119bc7e2e9";
+        assign_md5 = "3b7352cd7a9040d808abf63ac4981142";
+        bits = 349600;
+        msgs = 19074;
+      } );
+    ( E.Halving_baseline,
+      {
+        Committee_oracle.trace_md5 = "4515fe0641d84c494e59206934a4d791";
+        assign_md5 = "3b7352cd7a9040d808abf63ac4981142";
+        bits = 732942;
+        msgs = 39953;
+      } );
+  ]
 
 let test_full_runs_no_fault () =
   List.iter
-    (fun protocol ->
+    (fun (protocol, expected) ->
       ignore
-        (check_runs_identical
+        (check_run
            (E.crash_protocol_name protocol ^ " no-fault")
-           ~protocol ~n:32 ~namespace:2048 ~adversary:E.No_crash ~seed:42))
-    [ E.This_work_crash; E.Halving_baseline ]
+           ~expected ~protocol ~n:32 ~namespace:2048 ~adversary:E.No_crash
+           ~seed:42))
+    no_fault_pins
 
 let test_full_runs_corpus_schedule () =
   let s = corpus_schedule () in
@@ -392,11 +442,11 @@ let test_full_runs_corpus_schedule () =
          s.Schedule.crashes)
   in
   List.iter
-    (fun protocol ->
+    (fun (protocol, expected) ->
       let a =
-        check_runs_identical
+        check_run
           (E.crash_protocol_name protocol ^ " corpus schedule")
-          ~protocol ~n:s.Schedule.n ~namespace:s.Schedule.namespace
+          ~expected ~protocol ~n:s.Schedule.n ~namespace:s.Schedule.namespace
           ~adversary ~seed:s.Schedule.seed
       in
       (* the schedule must actually bite — otherwise this test would
@@ -404,21 +454,21 @@ let test_full_runs_corpus_schedule () =
       Alcotest.(check bool)
         (E.crash_protocol_name protocol ^ ": schedule crashes nodes")
         true (a.Runner.crashed > 0))
-    [ E.This_work_crash; E.Halving_baseline ]
+    corpus_pins
 
 let suite =
   ( "committee-paths",
     [
       Alcotest.test_case "well-formed descent" `Quick test_well_formed_descent;
-      Alcotest.test_case "disjointness violation falls back" `Quick
-        test_disjointness_violation_falls_back;
-      Alcotest.test_case "forged/duplicated sources fall back" `Quick
-        test_forged_and_duplicated_sources_fall_back;
-      Alcotest.test_case "recovery after fallback" `Quick
-        test_recovery_after_fallback;
+      Alcotest.test_case "disjointness violation raises" `Quick
+        test_disjointness_violation_raises;
+      Alcotest.test_case "forged/duplicated sources raise" `Quick
+        test_forged_and_duplicated_sources_raise;
       Alcotest.test_case "empty and degenerate inboxes" `Quick
         test_empty_and_degenerate;
-      QCheck_alcotest.to_alcotest qcheck_paths_agree;
+      Alcotest.test_case "churn policy: wholesale vs delta" `Quick
+        test_churn_policy;
+      QCheck_alcotest.to_alcotest qcheck_matches_oracle;
       Alcotest.test_case "full runs byte-identical (no fault)" `Quick
         test_full_runs_no_fault;
       Alcotest.test_case "full runs byte-identical (corpus schedule)" `Quick

@@ -12,9 +12,9 @@
      store across a [clear], recycled member sets come back empty — so
      one round's contents cannot leak into the next.
    - {e Full-run equivalence}: metrics rows and run-trace JSONL must be
-     byte-identical across both committee paths and across shard
-     counts {1, 4}. [Linear_scan] builds every verdict fresh per
-     recipient, so byte-equal traces are the end-to-end differential
+     byte-identical across shard counts {1, 4} and equal to pins
+     recorded from the linear-scan committee, which built every verdict
+     fresh per recipient — so the pins are the end-to-end differential
      between interned and fresh payloads. *)
 
 module CR = Repro_renaming.Crash_renaming
@@ -48,7 +48,7 @@ let test_group_verdicts_physically_shared () =
     ]
   in
   match
-    CR.For_tests.committee_verdicts ~path:CR.Incremental ~pv:0 ~ids:ids8
+    CR.For_tests.committee_verdicts ~pv:0 ~ids:ids8
       rounds
   with
   | [ out ] ->
@@ -74,7 +74,7 @@ let test_interning_is_per_round () =
     Array.to_list (Array.map (fun id -> status ~id ~lo:1 ~hi:8 ~d:0 ~p) ids8)
   in
   match
-    CR.For_tests.committee_verdicts ~path:CR.Incremental ~pv:0 ~ids:ids8
+    CR.For_tests.committee_verdicts ~pv:0 ~ids:ids8
       [ round 0; round 1 ]
   with
   | [ out1; out2 ] ->
@@ -90,8 +90,7 @@ let test_interning_is_per_round () =
 (* An interned message must be billed exactly like a freshly
    constructed structural copy — recipients of a shared value pay the
    same wire bits as recipients of private copies. Random rounds reuse
-   the corruption mix of test_committee_paths, so fallback verdicts are
-   covered too. *)
+   the tree-shaped rounds of test_committee_paths. *)
 let fresh_copy = function
   | CR.Msg.Response { iv; d; p } ->
       CR.Msg.Response { iv = I.make iv.I.lo iv.I.hi; d; p }
@@ -140,8 +139,7 @@ let qcheck_interned_billed_as_fresh =
         (List.for_all (fun (_, msg, bits) ->
              let fresh = fresh_copy msg in
              fresh = msg && CR.Msg.bits fresh = bits))
-        (CR.For_tests.committee_verdicts ~path:CR.Incremental ~pv:0
-           ~ids:ids8 rounds))
+        (CR.For_tests.committee_verdicts ~pv:0 ~ids:ids8 rounds))
 
 (* {1 Arena reuse contracts} *)
 
@@ -182,8 +180,8 @@ let test_bitpool_recycles_cleared () =
 (* Group churn through the committee: groups are pruned (member sets
    released to the pool) and new ones inserted (sets re-acquired) as
    the descent moves d_min; any stale bit in a recycled set would skew
-   ranks and split the halves wrongly. Scan builds everything fresh, so
-   agreement is the leak check. *)
+   ranks and split the halves wrongly. The oracle builds everything
+   fresh, so agreement is the leak check. *)
 let test_committee_recycling_matches_scan () =
   let round ~lo ~hi ~d =
     Array.to_list (Array.map (fun id -> status ~id ~lo ~hi ~d ~p:0) ids8)
@@ -191,51 +189,49 @@ let test_committee_recycling_matches_scan () =
   let rounds =
     [ round ~lo:1 ~hi:8 ~d:0; round ~lo:1 ~hi:4 ~d:1; round ~lo:5 ~hi:8 ~d:1 ]
   in
-  let out path =
-    CR.For_tests.committee_verdicts ~path ~pv:0 ~ids:ids8 rounds
-  in
-  Alcotest.(check bool) "recycled member sets agree with scan" true
-    (out CR.Incremental = out CR.Linear_scan)
+  Alcotest.(check bool) "recycled member sets agree with the oracle" true
+    (CR.For_tests.committee_verdicts ~pv:0 ~ids:ids8 rounds
+    = Committee_oracle.verdicts ~pv:0 rounds)
 
-(* {1 Full-run byte equivalence: paths x shards} *)
+(* {1 Full-run byte equivalence: pins x shards} *)
 
-let run_one ~path ~shards ~adversary ~seed =
+let run_one ~shards ~adversary ~seed =
   let t = Trace.create ~meta:[ ("algo", `Str "this-work") ] () in
   let a =
-    E.run_crash ~trace:t ~committee_path:path ~shards
-      ~protocol:E.This_work_crash ~n:48 ~namespace:3072 ~adversary ~seed ()
+    E.run_crash ~trace:t ~shards ~protocol:E.This_work_crash ~n:48
+      ~namespace:3072 ~adversary ~seed ()
   in
-  (Trace.contents t, a)
+  Alcotest.(check bool) "run correct" true a.Runner.correct;
+  Committee_oracle.pin_of ~trace:t a
 
 let test_runs_identical_paths_shards () =
   List.iter
-    (fun (aname, adversary) ->
-      let tr_ref, a_ref =
-        run_one ~path:CR.Linear_scan ~shards:1 ~adversary ~seed:71
-      in
-      Alcotest.(check bool) (aname ^ ": reference correct") true
-        a_ref.Runner.correct;
+    (fun (aname, adversary, expected) ->
       List.iter
-        (fun path ->
-          List.iter
-            (fun shards ->
-              let tr, a = run_one ~path ~shards ~adversary ~seed:71 in
-              let label =
-                Printf.sprintf "%s: path=%s shards=%d" aname
-                  (match path with
-                  | CR.Incremental -> "inc"
-                  | CR.Linear_scan -> "scan")
-                  shards
-              in
-              Alcotest.(check string) (label ^ " trace bytes") tr_ref tr;
-              Alcotest.(check (list (pair int int)))
-                (label ^ " assignments") a_ref.Runner.assignments
-                a.Runner.assignments;
-              Alcotest.(check int) (label ^ " bits") a_ref.Runner.bits
-                a.Runner.bits)
-            [ 1; 4 ])
-        [ CR.Incremental; CR.Linear_scan ])
-    [ ("no-fault", E.No_crash); ("killer", E.Committee_killer 12) ]
+        (fun shards ->
+          Committee_oracle.check_pin
+            (Printf.sprintf "%s: shards=%d" aname shards)
+            ~expected
+            (run_one ~shards ~adversary ~seed:71))
+        [ 1; 4 ])
+    [
+      ( "no-fault",
+        E.No_crash,
+        {
+          Committee_oracle.trace_md5 = "2316c858b17ab9db8b0a653df12b8906";
+          assign_md5 = "662d3e589124f510b133de72199205eb";
+          bits = 878968;
+          msgs = 44064;
+        } );
+      ( "killer",
+        E.Committee_killer 12,
+        {
+          Committee_oracle.trace_md5 = "cdfa772db08e065041fad3c6b2fa5cce";
+          assign_md5 = "d3452bd4a7d038994a22d7639e2addf5";
+          bits = 209592;
+          msgs = 11808;
+        } );
+    ]
 
 let suite =
   ( "intern-arena",
