@@ -53,16 +53,12 @@ module Msg = struct
 
   let write_raw w s =
     W.Writer.add_gamma w (String.length s);
-    String.iter (fun c -> W.Writer.add_fixed w (Char.code c) ~width:8) s
+    W.Writer.add_string w s
 
-  let read_raw r =
-    let len = W.Reader.read_gamma r in
-    (* The length arrives off the wire: on the socket backend a hostile
-       peer controls it, so bound it by what the message can actually
-       hold before allocating. *)
-    if len < 0 || 8 * len > W.Reader.bits_remaining r then
-      invalid_arg "Byzantine_renaming.read_raw: length exceeds message";
-    String.init len (fun _ -> Char.chr (W.Reader.read_fixed r ~width:8))
+  (* The length arrives off the wire, where on the socket backend a
+     hostile peer controls it; [read_string] bounds it by what the
+     message can actually hold before allocating. *)
+  let read_raw r = W.Reader.read_string r (W.Reader.read_gamma r)
 
   let encode m =
     let w = W.Writer.create () in

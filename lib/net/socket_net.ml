@@ -9,38 +9,31 @@ let magic = 0x524e32
 let proto_error fmt =
   Printf.ksprintf (fun s -> raise (Frame.Protocol_error s)) fmt
 
+(* Embedded byte strings are length-prefixed; a length beyond the
+   frame's remaining bits is malformed, and is rejected before the
+   string is allocated. *)
 module Codec = struct
-  let add_byte_string w s =
-    String.iter (fun c -> Wire.Writer.add_fixed w (Char.code c) ~width:8) s
-
-  let read_byte_string r len =
-    let b = Bytes.create len in
-    for i = 0 to len - 1 do
-      Bytes.set b i (Char.chr (Wire.Reader.read_fixed r ~width:8))
-    done;
-    Bytes.unsafe_to_string b
-
   let add_bytes w s =
     Wire.Writer.add_gamma w (String.length s);
-    add_byte_string w s
+    Wire.Writer.add_string w s
 
   let read_bytes r =
     let len = Wire.Reader.read_gamma r in
-    if len > Frame.max_frame then
-      proto_error "embedded byte string of %d bytes exceeds frame cap" len;
-    read_byte_string r len
+    if len > Wire.Reader.bits_remaining r / 8 then
+      proto_error "embedded byte string of %d bytes exceeds the frame" len;
+    Wire.Reader.read_string r len
 
   let add_msg w (bytes, bits) =
     if String.length bytes <> (bits + 7) / 8 then
       invalid_arg "Socket_net.Codec.add_msg: bytes/bits mismatch";
     Wire.Writer.add_gamma w bits;
-    add_byte_string w bytes
+    Wire.Writer.add_string w bytes
 
   let read_msg r =
     let bits = Wire.Reader.read_gamma r in
-    if bits > 8 * Frame.max_frame then
-      proto_error "embedded message of %d bits exceeds frame cap" bits;
-    (read_byte_string r ((bits + 7) / 8), bits)
+    if bits > Wire.Reader.bits_remaining r then
+      proto_error "embedded message of %d bits exceeds the frame" bits;
+    (Wire.Reader.read_string r ((bits + 7) / 8), bits)
 end
 
 (* Count fields precede variable-size repetitions; each counted entry

@@ -1,3 +1,10 @@
+(* Every field moves whole bytes: a field of [width] bits starting at
+   bit [pos] spans the partial byte [pos lsr 3] (its low [8 - pos land 7]
+   bits), whole middle bytes, and a partial last byte, and is written or
+   read byte by byte across that span. The output is bit-identical to
+   writing the field one bit at a time, msb first — test/wire_oracle.ml
+   keeps that definition and the QCheck suite compares the two. *)
+
 module Writer = struct
   type t = { mutable bytes : Bytes.t; mutable len_bits : int }
 
@@ -19,6 +26,12 @@ module Writer = struct
       t.bytes <- bigger
     end
 
+  (* Invariant every write relies on: the buffer is zero-filled at
+     creation and growth, and no writer ever sets a bit at or beyond
+     [len_bits] — so every bit past the end is already 0, a field is
+     ORed into its partial first byte, and later bytes are plain
+     stores. *)
+
   let add_bit t b =
     ensure t 1;
     if b then begin
@@ -27,10 +40,6 @@ module Writer = struct
       Bytes.set t.bytes (i lsr 3) (Char.chr (byte lor (1 lsl (7 - (i land 7)))))
     end;
     t.len_bits <- t.len_bits + 1
-
-  (* Invariant used by the fast paths below: the buffer is zero-filled
-     at creation and growth, and no writer ever sets a bit at or beyond
-     [len_bits] — so every bit past the end is already 0. *)
 
   let add_zeros t k =
     if k < 0 then invalid_arg "Wire.Writer.add_zeros: negative";
@@ -43,37 +52,30 @@ module Writer = struct
     if width < 0 || width > 62 then invalid_arg "Wire.Writer.add_fixed: width";
     if v < 0 || (width < 62 && v lsr width <> 0) then
       invalid_arg "Wire.Writer.add_fixed: value does not fit";
-    if width < 8 then
-      for i = width - 1 downto 0 do
-        add_bit t ((v lsr i) land 1 = 1)
-      done
-    else begin
-      (* Byte-aligned fast path: emit whole bytes of [v] (msb first)
-         straddling at most two buffer bytes each, then finish the
-         remaining [width mod 8] bits bit-by-bit. [ensure] covers the
-         whole field up front, so the straddle byte is always in
-         bounds, and the trailing-zeros invariant lets us OR into the
-         current byte and overwrite the next. *)
+    if width > 0 then begin
+      (* [ensure] covers the whole span before the first store: at most
+         9 bytes (1 + 8·7 + 5 bits for width 62 at bit offset 7). *)
       ensure t width;
-      let bytes = t.bytes in
-      let w = ref width in
-      while !w >= 8 do
-        let b = (v lsr (!w - 8)) land 0xff in
-        let pos = t.len_bits in
-        let i = pos lsr 3 and o = pos land 7 in
-        if o = 0 then Bytes.unsafe_set bytes i (Char.unsafe_chr b)
-        else begin
-          let cur = Char.code (Bytes.unsafe_get bytes i) in
-          Bytes.unsafe_set bytes i (Char.unsafe_chr (cur lor (b lsr o)));
-          Bytes.unsafe_set bytes (i + 1)
-            (Char.unsafe_chr ((b lsl (8 - o)) land 0xff))
-        end;
-        t.len_bits <- pos + 8;
-        w := !w - 8
-      done;
-      for i = !w - 1 downto 0 do
-        add_bit t ((v lsr i) land 1 = 1)
-      done
+      let bytes = t.bytes and pos = t.len_bits in
+      let i = pos lsr 3 and free = 8 - (pos land 7) in
+      let cur = Char.code (Bytes.unsafe_get bytes i) in
+      if width <= free then
+        Bytes.unsafe_set bytes i
+          (Char.unsafe_chr (cur lor (v lsl (free - width))))
+      else begin
+        let rest = ref (width - free) and j = ref (i + 1) in
+        Bytes.unsafe_set bytes i (Char.unsafe_chr (cur lor (v lsr !rest)));
+        while !rest >= 8 do
+          rest := !rest - 8;
+          Bytes.unsafe_set bytes !j
+            (Char.unsafe_chr ((v lsr !rest) land 0xff));
+          incr j
+        done;
+        if !rest > 0 then
+          Bytes.unsafe_set bytes !j
+            (Char.unsafe_chr ((v lsl (8 - !rest)) land 0xff))
+      end;
+      t.len_bits <- pos + width
     end
 
   let add_gamma t v =
@@ -82,6 +84,24 @@ module Writer = struct
     let k = Repro_util.Ilog.floor_log2 v in
     add_zeros t k;
     add_fixed t v ~width:(k + 1)
+
+  let add_string t s =
+    let n = String.length s in
+    ensure t (8 * n);
+    let bytes = t.bytes and pos = t.len_bits in
+    let i = pos lsr 3 and o = pos land 7 in
+    if o = 0 then Bytes.blit_string s 0 bytes i n
+    else
+      (* Each input byte straddles two buffer bytes; [ensure] covered
+         byte [i + n], the last one touched. *)
+      for j = 0 to n - 1 do
+        let c = Char.code (String.unsafe_get s j) in
+        let cur = Char.code (Bytes.unsafe_get bytes (i + j)) in
+        Bytes.unsafe_set bytes (i + j) (Char.unsafe_chr (cur lor (c lsr o)));
+        Bytes.unsafe_set bytes (i + j + 1)
+          (Char.unsafe_chr ((c lsl (8 - o)) land 0xff))
+      done;
+    t.len_bits <- pos + (8 * n)
 
   let contents t = Bytes.sub_string t.bytes 0 ((t.len_bits + 7) / 8)
 end
@@ -102,57 +122,80 @@ module Reader = struct
 
   let read_fixed t ~width =
     if width < 0 || width > 62 then invalid_arg "Wire.Reader.read_fixed: width";
-    if width < 8 then begin
-      let v = ref 0 in
-      for _ = 1 to width do
-        v := (!v lsl 1) lor if read_bit t then 1 else 0
-      done;
-      !v
-    end
+    let data = t.data and pos = t.pos in
+    (* One bounds check for the whole span: every byte read below lies
+       before bit [pos + width <= 8 * length]. *)
+    if pos + width > 8 * String.length data then
+      invalid_arg "Wire.Reader: out of bits";
+    t.pos <- pos + width;
+    if width = 0 then 0
     else begin
-      (* Byte-aligned fast path, mirroring [Writer.add_fixed]: consume
-         whole bytes (msb first) straddling at most two input bytes each,
-         then finish the remaining [width mod 8] bits bit-by-bit. The
-         whole field is bounds-checked up front, so [pos + 8 <= 8*len]
-         holds inside the loop and (for a straddle, [o > 0]) byte [i+1]
-         exists: [8i + o + 8 <= 8*len] with [o >= 1] gives [i+1 < len]. *)
-      if t.pos + width > 8 * String.length t.data then
-        invalid_arg "Wire.Reader: out of bits";
-      let data = t.data in
-      let v = ref 0 in
-      let w = ref width in
-      while !w >= 8 do
-        let pos = t.pos in
-        let i = pos lsr 3 and o = pos land 7 in
-        let b =
-          if o = 0 then Char.code (String.unsafe_get data i)
-          else
-            let hi = Char.code (String.unsafe_get data i) in
-            let lo = Char.code (String.unsafe_get data (i + 1)) in
-            ((hi lsl o) lor (lo lsr (8 - o))) land 0xff
-        in
-        v := (!v lsl 8) lor b;
-        t.pos <- pos + 8;
-        w := !w - 8
-      done;
-      for _ = 1 to !w do
-        v := (!v lsl 1) lor if read_bit t then 1 else 0
-      done;
-      !v
+      let i = pos lsr 3 and free = 8 - (pos land 7) in
+      let first =
+        Char.code (String.unsafe_get data i) land (0xff lsr (8 - free))
+      in
+      if width <= free then first lsr (free - width)
+      else begin
+        let v = ref first and rest = ref (width - free) and j = ref (i + 1) in
+        while !rest >= 8 do
+          v := (!v lsl 8) lor Char.code (String.unsafe_get data !j);
+          rest := !rest - 8;
+          incr j
+        done;
+        if !rest > 0 then
+          v :=
+            (!v lsl !rest)
+            lor (Char.code (String.unsafe_get data !j) lsr (8 - !rest));
+        !v
+      end
     end
 
   let read_gamma t =
-    let k = ref 0 in
-    while not (read_bit t) do
-      incr k;
-      (* The writer can never emit k > 61 ([add_gamma] caps at
-         [floor_log2 max_int] = 61); accepting k = 62 would compute
-         [(1 lsl 62) lor rest], which wraps negative on 63-bit ints. *)
-      if !k > 61 then invalid_arg "Wire.Reader: gamma"
+    let data = t.data and start = t.pos in
+    let end_ = 8 * String.length data in
+    (* Scan the zero prefix a byte at a time: mask off the bits before
+       [pos] in its byte; a zero byte advances to the next byte
+       boundary, a non-zero one places the terminating 1 by its
+       leading-zero count. The writer can never emit k > 61 zeros
+       ([add_gamma] caps at [floor_log2 max_int] = 61), and accepting
+       k = 62 would compute [(1 lsl 62) lor rest], which wraps negative
+       on 63-bit ints. So 62 zeros are malformed whether or not the input
+       ends there, and the input ending after fewer is out of bits. *)
+    let pos = ref start and b = ref 0 in
+    while !b = 0 do
+      if !pos - start > 61 then invalid_arg "Wire.Reader: gamma";
+      if !pos >= end_ then invalid_arg "Wire.Reader: out of bits";
+      let byte = Char.code (String.unsafe_get data (!pos lsr 3)) in
+      b := byte land (0xff lsr (!pos land 7));
+      if !b = 0 then pos := (!pos lor 7) + 1
     done;
-    (* The leading 1 already consumed is the top bit of the value. *)
-    let rest = read_fixed t ~width:!k in
-    ((1 lsl !k) lor rest) - 1
+    let one = (!pos land lnot 7) + 7 - Repro_util.Ilog.floor_log2 !b in
+    let k = one - start in
+    if k > 61 then invalid_arg "Wire.Reader: gamma";
+    t.pos <- one + 1;
+    (* The terminating 1 is the top bit of the value. *)
+    let rest = read_fixed t ~width:k in
+    ((1 lsl k) lor rest) - 1
+
+  let read_string t len =
+    if len < 0 then invalid_arg "Wire.Reader.read_string: negative length";
+    if len > bits_remaining t / 8 then invalid_arg "Wire.Reader: out of bits";
+    let data = t.data and pos = t.pos in
+    let i = pos lsr 3 and o = pos land 7 in
+    t.pos <- pos + (8 * len);
+    if o = 0 then String.sub data i len
+    else begin
+      (* Each output byte straddles input bytes [i + j] and [i + j + 1];
+         the bound check above puts both inside [data] since [o >= 1]. *)
+      let b = Bytes.create len in
+      for j = 0 to len - 1 do
+        let hi = Char.code (String.unsafe_get data (i + j)) in
+        let lo = Char.code (String.unsafe_get data (i + j + 1)) in
+        Bytes.unsafe_set b j
+          (Char.unsafe_chr (((hi lsl o) lor (lo lsr (8 - o))) land 0xff))
+      done;
+      Bytes.unsafe_to_string b
+    end
 end
 
 let gamma_bits v =

@@ -8,7 +8,15 @@
     Unbounded non-negative integers use Elias-gamma coding (value [v]
     encoded as [γ(v+1)]), which is self-delimiting and costs
     [2·⌊log₂(v+1)⌋ + 1] bits — the "O(log N) bits per field" regime of
-    the paper. Fixed-width fields write exactly [width] bits. *)
+    the paper. Fixed-width fields write exactly [width] bits.
+
+    Every operation but the single-bit ones moves whole bytes: a field
+    is written into, or read from, the bytes it spans (a partial first
+    byte, whole middle bytes, a partial last byte) in one pass, for
+    every width and bit offset alike. The bytes produced are exactly
+    those of writing each bit in turn, msb first; the test suite keeps
+    that bit-at-a-time codec as an oracle and compares the two on
+    random streams, truncated and corrupted inputs included. *)
 
 module Writer : sig
   type t
@@ -18,10 +26,8 @@ module Writer : sig
   val add_bit : t -> bool -> unit
 
   val add_fixed : t -> int -> width:int -> unit
-  (** Write [width] bits of a non-negative value, most significant first.
-      Widths [>= 8] take a byte-aligned fast path (whole output bytes at
-      a time, bit-identical to writing through {!add_bit} — the QCheck
-      suite asserts this differentially).
+  (** Write [width] bits of a non-negative value, most significant first,
+      into the at most 9 bytes they span.
       @raise Invalid_argument if the value does not fit or width is not
       in [\[0, 62\]]. *)
 
@@ -30,6 +36,12 @@ module Writer : sig
       [⌊log₂(v+1)⌋] leading zeros are appended in O(1): the buffer is
       zero-filled past the write position by construction, so emitting
       zeros only advances the length. *)
+
+  val add_string : t -> string -> unit
+  (** Append the bytes of a string, [8 · length] bits, each byte msb
+      first — the same bits as one [add_fixed ~width:8] per byte. A blit
+      when the stream is byte-aligned, one shifted store per byte
+      otherwise. *)
 
   val contents : t -> string
   (** The encoded bits, zero-padded to whole bytes. *)
@@ -43,9 +55,18 @@ module Reader : sig
   val read_bit : t -> bool
   val read_fixed : t -> width:int -> int
   val read_gamma : t -> int
-  (** Each raises [Invalid_argument "Wire.Reader: out of bits"] when the
-      input is exhausted, and [Invalid_argument "Wire.Reader: gamma"] on a
-      malformed gamma prefix. *)
+  (** Each read raises [Invalid_argument "Wire.Reader: out of bits"] when
+      the input is exhausted, and [read_gamma] raises
+      [Invalid_argument "Wire.Reader: gamma"] on a prefix of 62 or more
+      zeros (no writer emits one). After a raise the reader's position
+      is unspecified. *)
+
+  val read_string : t -> int -> string
+  (** [read_string r len] reads [len] whole bytes, the inverse of
+      {!Writer.add_string}. The length is checked against
+      {!bits_remaining} before anything is allocated.
+      @raise Invalid_argument if [len] is negative, or out of bits as
+      above. *)
 end
 
 val gamma_bits : int -> int

@@ -184,6 +184,30 @@ let test_table_count_beyond_frame =
      Wire.Writer.add_gamma w 10_000;
      Wire.Writer.contents w)
 
+let test_oversized_payload_length () =
+  (* Round 0's payload table holds one entry claiming 2^20 bytes, in a
+     frame of a few bytes: the coordinator must reject the length
+     against the frame's remaining bits before allocating for it, and
+     crash the host's slots like any other malformed frame. *)
+  let mib = 1 lsl 20 in
+  let frame =
+    let w = Wire.Writer.create () in
+    List.iter (Wire.Writer.add_gamma w) [ 0; 1; 8 * mib ];
+    Wire.Writer.add_string w "padding";
+    Wire.Writer.contents w
+  in
+  let bad port =
+    fake_host port ~host_index:0 (fun io ->
+        Frame.write_frame io frame;
+        ignore (Frame.read_frame io))
+  in
+  let before = Gc.allocated_bytes () in
+  let res = run_with_failing_host ~bad in
+  let allocated = Gc.allocated_bytes () -. before in
+  check_outcomes res ~crash_round:0;
+  if allocated >= float_of_int mib then
+    Alcotest.failf "coordinator allocated %.0f bytes for the run" allocated
+
 let test_fault_free_decides () =
   let listen, port = listen_ephemeral () in
   let ids = [| 11; 22; 33; 44 |] in
@@ -352,6 +376,8 @@ let () =
             `Quick test_batch_index_out_of_table;
           Alcotest.test_case "table count beyond frame -> Crashed" `Quick
             test_table_count_beyond_frame;
+          Alcotest.test_case "2^20-byte payload length -> Crashed, unallocated"
+            `Quick test_oversized_payload_length;
           Alcotest.test_case "mixed outboxes match the engine" `Quick
             test_mixed_outboxes_match_engine;
           Alcotest.test_case "one decode per host per round" `Quick

@@ -161,10 +161,10 @@ let full_reply =
 
 (* Run the host against [frames]; each node broadcasts once, records its
    inbox as (source id, value) pairs and decides. *)
-let run_host frames =
+let run_host ?(config = config_frame) frames =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let io = Frame.io_of_fd a in
-  List.iter (Frame.write_frame io) (config_frame :: frames);
+  List.iter (Frame.write_frame io) (config :: frames);
   let seen = ref [] in
   let program ~extra:_ ctx =
     let inbox = H.broadcast ctx (TMsg.Ping 1) in
@@ -214,6 +214,36 @@ let test_host_rejects_malformed_tables () =
   expect_host_rejects "undecodable table payload"
     (reply_frame ~table:[ ping 5; ("", 0) ] ~bcast:[ (1, 0) ]
        ~slots:[ []; []; [] ])
+
+let test_host_rejects_oversized_lengths () =
+  (* A length field claiming 2^20 bytes, in a frame of a few bytes: the
+     host rejects it against the frame's remaining bits as a protocol
+     error, before allocating for it. *)
+  let mib = 1 lsl 20 in
+  let frame fields =
+    let w = Wire.Writer.create () in
+    List.iter (Wire.Writer.add_gamma w) fields;
+    Wire.Writer.add_string w "padding";
+    Wire.Writer.contents w
+  in
+  let expect name f =
+    let before = Gc.allocated_bytes () in
+    (match f () with
+    | _ -> Alcotest.fail (name ^ ": accepted")
+    | exception Frame.Protocol_error _ -> ());
+    let allocated = Gc.allocated_bytes () -. before in
+    if allocated >= float_of_int mib then
+      Alcotest.failf "%s: allocated %.0f bytes" name allocated
+  in
+  expect "reply payload entry of 2^20 bytes" (fun () ->
+      run_host [ frame [ 0; 0; 1; 8 * mib ] ]);
+  expect "config blob of 2^20 bytes" (fun () ->
+      run_host
+        ~config:
+          (frame
+             ([ SN.magic; Array.length host_ids; 1; 0 ]
+             @ Array.to_list host_ids @ [ mib ]))
+        [])
 
 let test_truncation () =
   (* EOF after a partial header. *)
@@ -350,4 +380,6 @@ let suite =
         test_host_merges_tables;
       Alcotest.test_case "host rejects malformed reply tables" `Quick
         test_host_rejects_malformed_tables;
+      Alcotest.test_case "host rejects 2^20-byte lengths unallocated" `Quick
+        test_host_rejects_oversized_lengths;
     ] )

@@ -52,44 +52,283 @@ let qcheck_gamma_roundtrip =
       let r = W.Reader.of_string (W.Writer.contents w) in
       W.Reader.read_gamma r = v && exact)
 
-(* The bit-by-bit definition of a fixed-width field, as [add_fixed]
-   wrote every width before the byte-aligned fast path existed. *)
-let add_fixed_ref w v ~width =
-  for i = width - 1 downto 0 do
-    W.Writer.add_bit w ((v lsr i) land 1 = 1)
+(* {2 Differential tests against the bit-at-a-time oracle}
+
+   The same operations go through the library and through
+   [Wire_oracle]; every outcome is compared as [Ok value] or
+   [Error message]. Writes continue past a rejected operation (neither
+   codec writes anything before its checks pass); reads stop at the
+   first error, after which the reader's position is unspecified. *)
+
+module O = Wire_oracle
+
+type wop = Bit of bool | Fixed of int * int | Gamma of int | Str of string
+type rop = RBit | RFixed of int | RGamma | RStr of int
+
+let pp_wop = function
+  | Bit b -> Printf.sprintf "bit %b" b
+  | Fixed (v, w) -> Printf.sprintf "fixed %d/%d" v w
+  | Gamma v -> Printf.sprintf "gamma %d" v
+  | Str s -> Printf.sprintf "string %S" s
+
+let pp_rop = function
+  | RBit -> "bit"
+  | RFixed w -> Printf.sprintf "fixed/%d" w
+  | RGamma -> "gamma"
+  | RStr n -> Printf.sprintf "string/%d" n
+
+let outcome f =
+  match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let run_wop w o op =
+  let both f g = (outcome f, outcome g) in
+  match op with
+  | Bit b ->
+      both (fun () -> W.Writer.add_bit w b) (fun () -> O.Writer.add_bit o b)
+  | Fixed (v, width) ->
+      both
+        (fun () -> W.Writer.add_fixed w v ~width)
+        (fun () -> O.Writer.add_fixed o v ~width)
+  | Gamma v ->
+      both (fun () -> W.Writer.add_gamma w v) (fun () -> O.Writer.add_gamma o v)
+  | Str s ->
+      both
+        (fun () -> W.Writer.add_string w s)
+        (fun () -> O.Writer.add_string o s)
+
+(* The library's and the oracle's bytes for [ops]; fails on the first
+   operation whose outcome differs, or on different final streams. *)
+let write_both ops =
+  let w = W.Writer.create () and o = O.Writer.create () in
+  List.iter
+    (fun op ->
+      let got, want = run_wop w o op in
+      if got <> want then
+        QCheck.Test.fail_reportf "%s: outcomes differ" (pp_wop op);
+      if W.Writer.bit_length w <> O.Writer.bit_length o then
+        QCheck.Test.fail_reportf "%s: bit_length %d, oracle %d" (pp_wop op)
+          (W.Writer.bit_length w) (O.Writer.bit_length o))
+    ops;
+  let got = W.Writer.contents w and want = O.Writer.contents o in
+  if not (String.equal got want) then
+    QCheck.Test.fail_reportf "contents %S, oracle %S" got want;
+  want
+
+(* Read outcomes as strings, so values of every read kind compare and
+   print alike. *)
+let run_rop r o op =
+  let both f g = (outcome f, outcome g) in
+  match op with
+  | RBit ->
+      both
+        (fun () -> string_of_bool (W.Reader.read_bit r))
+        (fun () -> string_of_bool (O.Reader.read_bit o))
+  | RFixed width ->
+      both
+        (fun () -> string_of_int (W.Reader.read_fixed r ~width))
+        (fun () -> string_of_int (O.Reader.read_fixed o ~width))
+  | RGamma ->
+      both
+        (fun () -> string_of_int (W.Reader.read_gamma r))
+        (fun () -> string_of_int (O.Reader.read_gamma o))
+  | RStr n ->
+      both
+        (fun () -> W.Reader.read_string r n)
+        (fun () -> O.Reader.read_string o n)
+
+let read_both data rops =
+  let r = W.Reader.of_string data and o = O.Reader.of_string data in
+  let show = function Ok v -> Printf.sprintf "%S" v | Error m -> "raise " ^ m in
+  let rec go = function
+    | [] -> true
+    | op :: rest -> (
+        match run_rop r o op with
+        | got, want when got <> want ->
+            QCheck.Test.fail_reportf "%s on %S: %s, oracle %s" (pp_rop op)
+              data (show got) (show want)
+        | Error _, _ -> true
+        | Ok _, _ ->
+            if W.Reader.bits_remaining r <> O.Reader.bits_remaining o then
+              QCheck.Test.fail_reportf "%s: bits_remaining %d, oracle %d"
+                (pp_rop op) (W.Reader.bits_remaining r)
+                (O.Reader.bits_remaining o);
+            go rest)
+  in
+  go rops
+
+let reads_of =
+  List.map (function
+    | Bit _ -> RBit
+    | Fixed (_, w) -> RFixed w
+    | Gamma _ -> RGamma
+    | Str s -> RStr (String.length s))
+
+(* Every prefix of [data] cut at a byte boundary, and [data] itself. *)
+let cuts data =
+  List.init (String.length data + 1) (fun c -> String.sub data 0 c)
+
+let test_every_width_every_offset () =
+  (* Exhaustive over the span shapes: each width 0-62 at each starting
+     bit offset 0-7, for the empty, full and a mixed value, then one
+     more bit so the field never ends flush with the stream. Reads are
+     checked on the whole stream and on every byte-truncated prefix. *)
+  let rng = Repro_util.Rng.of_seed 7 in
+  for offset = 0 to 7 do
+    for width = 0 to 62 do
+      let mask = (1 lsl width) - 1 in
+      let mixed = Int64.to_int (Repro_util.Rng.bits64 rng) land mask in
+      List.iter
+        (fun v ->
+          let prefix = List.init offset (fun i -> Bit (i land 1 = 0)) in
+          let ops = prefix @ [ Fixed (v, width); Bit true ] in
+          let data = write_both ops in
+          List.iter (fun d -> ignore (read_both d (reads_of ops))) (cuts data))
+        [ 0; mask; mixed ]
+    done
   done
 
-let qcheck_fixed_differential =
-  (* Differential test for the byte-aligned fast path: a random bit
-     prefix puts the write at every possible bit offset, then the same
-     field goes through [add_fixed] and the bit-by-bit reference; the
-     byte streams must match exactly. *)
-  let case =
-    QCheck.Gen.(
-      let* prefix = list_size (int_range 0 17) bool in
-      let* width = int_range 0 61 in
-      let* v = int_range 0 ((1 lsl width) - 1) in
-      return (prefix, v, width))
-  in
-  QCheck.Test.make ~name:"add_fixed fast path = bit-by-bit reference"
-    ~count:2000
+let test_writer_rejections () =
+  (* Rejected writes: same message, nothing written, stream continues. *)
+  ignore
+    (write_both
+       [
+         Bit true; Fixed (0, -1); Fixed (0, 63); Fixed (8, 3); Fixed (-1, 3);
+         Fixed (-1, 62); Gamma (-1); Gamma max_int; Fixed (5, 3);
+         Gamma (max_int - 1); Bit false;
+       ])
+
+(* Gamma values spread over every code length k = 0..61: a value with
+   [v + 1] in [\[2^k, 2^(k+1))]. *)
+let gen_gamma_value =
+  QCheck.Gen.(
+    let* k = int_range 0 61 in
+    let* r = int_range 0 ((1 lsl k) - 1) in
+    return ((1 lsl k) - 1 + r))
+
+let gen_wop =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun b -> Bit b) bool);
+        ( 4,
+          let* width = int_range 0 62 in
+          let* x = int_range 0 max_int in
+          let v = x land ((1 lsl width) - 1) in
+          return (Fixed (v, width)) );
+        (3, map (fun v -> Gamma v) gen_gamma_value);
+        (1, map (fun s -> Str s) (string_size (int_range 0 12)));
+      ])
+
+let gen_bad_wop =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun w -> Fixed (0, w)) (oneofl [ -1; 63; 100 ]);
+        map (fun w -> Fixed (1 lsl w, w)) (int_range 0 61);
+        map (fun w -> Fixed (-1, w)) (int_range 0 62);
+        return (Gamma (-1));
+        return (Gamma max_int);
+      ])
+
+let print_wops ops = String.concat "; " (List.map pp_wop ops)
+
+let qcheck_writer_differential =
+  QCheck.Test.make ~name:"writer = bit-at-a-time oracle" ~count:1000
+    (QCheck.make ~print:print_wops
+       QCheck.Gen.(
+         list_size (int_range 0 40)
+           (frequency [ (12, gen_wop); (1, gen_bad_wop) ])))
+    (fun ops ->
+      ignore (write_both ops);
+      true)
+
+(* A valid stream, then damage: none, a byte-boundary cut, or one byte
+   XORed with a non-zero mask. *)
+type damage = Intact | Cut of int | Corrupt of int * int
+
+let damage data = function
+  | Intact -> data
+  | Cut c -> String.sub data 0 (c mod (String.length data + 1))
+  | Corrupt (_, _) when data = "" -> data
+  | Corrupt (i, x) ->
+      let b = Bytes.of_string data in
+      let i = i mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+      Bytes.to_string b
+
+let gen_damage =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Intact);
+        (2, map (fun c -> Cut c) nat);
+        (2, map2 (fun i x -> Corrupt (i, x)) nat (int_range 1 255));
+      ])
+
+(* Streams with a long zero run at a random offset: gamma prefixes of
+   k = 55-70 zeros, across the k = 61 boundary and the k = 62
+   rejection, ended by a 1 and a random payload. *)
+let gen_zero_run =
+  QCheck.Gen.(
+    let* offset = int_range 0 7 in
+    let* zeros = int_range 55 70 in
+    let* tail = list_size (int_range 0 70) bool in
+    return
+      (List.init offset (fun _ -> Bit true)
+      @ List.init zeros (fun _ -> Bit false)
+      @ (Bit true :: List.map (fun b -> Bit b) tail)))
+
+let qcheck_reader_differential =
+  QCheck.Test.make ~name:"reader = bit-at-a-time oracle" ~count:1500
     (QCheck.make
-       ~print:(fun (prefix, v, width) ->
-         Printf.sprintf "prefix=%d bits, v=%d, width=%d" (List.length prefix)
-           v width)
-       case)
-    (fun (prefix, v, width) ->
-      let fast = W.Writer.create () and slow = W.Writer.create () in
-      List.iter (W.Writer.add_bit fast) prefix;
-      List.iter (W.Writer.add_bit slow) prefix;
-      W.Writer.add_fixed fast v ~width;
-      add_fixed_ref slow v ~width;
-      W.Writer.bit_length fast = W.Writer.bit_length slow
-      && String.equal (W.Writer.contents fast) (W.Writer.contents slow))
+       ~print:(fun (ops, d) ->
+         Printf.sprintf "%s / %s" (print_wops ops)
+           (match d with
+           | Intact -> "intact"
+           | Cut c -> Printf.sprintf "cut %d" c
+           | Corrupt (i, x) -> Printf.sprintf "corrupt %d ^ %d" i x))
+       QCheck.Gen.(
+         pair
+           (frequency
+              [ (4, list_size (int_range 0 30) gen_wop); (1, gen_zero_run) ])
+           gen_damage))
+    (fun (ops, d) ->
+      let data = damage (write_both ops) d in
+      (* Read the stream back as written, and as one gamma at every
+         starting offset the first byte allows. *)
+      read_both data (reads_of ops)
+      && List.for_all
+           (fun skip ->
+             read_both data
+               (List.init skip (fun _ -> RBit) @ [ RGamma; RGamma ]))
+           [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+let qcheck_reader_random_bytes =
+  (* Arbitrary bytes under arbitrary reads, sized strings included. *)
+  let gen_rop =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, return RBit);
+          (3, map (fun w -> RFixed w) (int_range (-1) 63));
+          (3, return RGamma);
+          (1, map (fun n -> RStr n) (int_range (-1) 6));
+        ])
+  in
+  QCheck.Test.make ~name:"reader = oracle on random bytes" ~count:1000
+    (QCheck.make
+       ~print:(fun (s, rops) ->
+         Printf.sprintf "%S / %s" s
+           (String.concat "; " (List.map pp_rop rops)))
+       QCheck.Gen.(
+         pair
+           (string_size (int_range 0 24))
+           (list_size (int_range 1 12) gen_rop)))
+    (fun (s, rops) -> read_both s rops)
 
 let test_fixed_width62_boundary () =
   (* width = 62 skips the fit check (any non-negative int fits); the
-     fast path must still roundtrip the extreme values. *)
+     byte path must still roundtrip the extreme values. *)
   List.iter
     (fun v ->
       Alcotest.(check int)
@@ -98,53 +337,8 @@ let test_fixed_width62_boundary () =
         (W.roundtrip_fixed v ~width:62))
     [ 0; 1; max_int - 1; max_int ]
 
-(* The bit-by-bit definition of a fixed-width read, as [read_fixed]
-   consumed every width before its byte-aligned fast path existed. *)
-let read_fixed_ref r ~width =
-  let v = ref 0 in
-  for _ = 1 to width do
-    v := (!v lsl 1) lor if W.Reader.read_bit r then 1 else 0
-  done;
-  !v
-
-let qcheck_read_fixed_differential =
-  (* Differential test for the reader's byte-aligned fast path: a random
-     bit prefix puts the read at every possible bit offset, then the same
-     field is consumed by [read_fixed] and by the bit-by-bit reference;
-     both the value and the final reader position must match. *)
-  let case =
-    QCheck.Gen.(
-      let* prefix = list_size (int_range 0 17) bool in
-      let* width = int_range 0 61 in
-      let* v = int_range 0 ((1 lsl width) - 1) in
-      return (prefix, v, width))
-  in
-  QCheck.Test.make ~name:"read_fixed fast path = bit-by-bit reference"
-    ~count:2000
-    (QCheck.make
-       ~print:(fun (prefix, v, width) ->
-         Printf.sprintf "prefix=%d bits, v=%d, width=%d" (List.length prefix)
-           v width)
-       case)
-    (fun (prefix, v, width) ->
-      let w = W.Writer.create () in
-      List.iter (W.Writer.add_bit w) prefix;
-      W.Writer.add_fixed w v ~width;
-      (* A trailing bit so the fast path's straddle reads stay exercised
-         even when the field ends flush with the buffer. *)
-      W.Writer.add_bit w true;
-      let s = W.Writer.contents w in
-      let fast = W.Reader.of_string s and slow = W.Reader.of_string s in
-      List.iter (fun _ -> ignore (W.Reader.read_bit fast)) prefix;
-      List.iter (fun _ -> ignore (W.Reader.read_bit slow)) prefix;
-      let vf = W.Reader.read_fixed fast ~width in
-      let vs = read_fixed_ref slow ~width in
-      vf = v && vs = v
-      && W.Reader.bits_remaining fast = W.Reader.bits_remaining slow
-      && W.Reader.read_bit fast)
-
 let test_read_fixed_truncated () =
-  (* The fast path bounds-checks the whole field up front: a field that
+  (* [read_fixed] bounds-checks the whole field up front: a field that
      extends past the input must raise, never return garbage. *)
   List.iter
     (fun (data, width) ->
@@ -285,8 +479,13 @@ let suite =
       Alcotest.test_case "10k gammas (growth regression)" `Quick
         test_many_gammas;
       QCheck_alcotest.to_alcotest qcheck_gamma_roundtrip;
-      QCheck_alcotest.to_alcotest qcheck_fixed_differential;
-      QCheck_alcotest.to_alcotest qcheck_read_fixed_differential;
+      Alcotest.test_case "every width at every offset = oracle" `Quick
+        test_every_width_every_offset;
+      Alcotest.test_case "rejected writes = oracle" `Quick
+        test_writer_rejections;
+      QCheck_alcotest.to_alcotest qcheck_writer_differential;
+      QCheck_alcotest.to_alcotest qcheck_reader_differential;
+      QCheck_alcotest.to_alcotest qcheck_reader_random_bytes;
       QCheck_alcotest.to_alcotest qcheck_gamma_never_negative;
       QCheck_alcotest.to_alcotest qcheck_mixed_stream;
     ] )
