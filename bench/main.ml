@@ -1,8 +1,9 @@
 (* Evaluation harness: regenerates the paper's Table 1 empirically and
    renders the scaling claims of Theorems 1.2/1.3/1.4 as figures (series
    of rows). One experiment function per table/figure — see DESIGN.md's
-   per-experiment index and EXPERIMENTS.md for the recorded outcomes —
-   followed by a Bechamel wall-clock suite (E8). *)
+   per-experiment index and EXPERIMENTS.md for the recorded outcomes.
+   The E8 wall-clock suite is its own executable, bench/micro_bench.ml,
+   so regenerating the tables does not time it. *)
 (* Stdout reporting is this executable's purpose; relax the library
    print rule for the whole file rather than annotating every line. *)
 [@@@lint.allow "D5"]
@@ -508,88 +509,6 @@ let fig10_consensus_comparison () =
     ~header:[ "committee"; "consensus"; "rounds"; "messages"; "bits"; "correct" ]
     ~rows
 
-(* ------------------------------------------------------------------ *)
-(* E8: Bechamel wall-clock microbenchmarks.                            *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let fingerprint_test =
-    let key = Repro_crypto.Fingerprint.key_of_seed 1 in
-    let bv = Repro_util.Bitvec.create 65536 in
-    let seg = Repro_util.Interval.make 1 65536 in
-    Test.make ~name:"fingerprint 64k-bit segment"
-      (Staged.stage (fun () -> Repro_crypto.Fingerprint.of_segment key bv seg))
-  in
-  let rank_test =
-    let bv = Repro_util.Bitvec.create 65536 in
-    List.iter
-      (fun i -> Repro_util.Bitvec.set bv ((i * 17 mod 65536) + 1) true)
-      (List.init 1000 Fun.id);
-    Test.make ~name:"bitvec rank (64k bits)"
-      (Staged.stage (fun () -> Repro_util.Bitvec.rank bv 60_000))
-  in
-  let crash_test =
-    Test.make ~name:"crash renaming end-to-end (n=64)"
-      (Staged.stage (fun () ->
-           E.run_crash ~protocol:E.This_work_crash ~n:64 ~namespace:4096
-             ~adversary:E.No_crash ~seed:800 ()))
-  in
-  let byz_test =
-    Test.make ~name:"byzantine renaming end-to-end (n=32)"
-      (Staged.stage (fun () ->
-           E.run_byz ~protocol:E.This_work_byz ~n:32 ~namespace:1024
-             ~adversary:E.No_byz ~seed:801 ()))
-  in
-  let flooding_test =
-    Test.make ~name:"flooding baseline end-to-end (n=64)"
-      (Staged.stage (fun () ->
-           E.run_crash ~protocol:E.Flooding_baseline ~n:64 ~namespace:4096
-             ~adversary:E.No_crash ~seed:802 ()))
-  in
-  let parallel_trials_test =
-    (* Exercises the domain fan-out of the trial runner end-to-end; the
-       aggregates are bit-identical for any [--domains] value. *)
-    Test.make ~name:"averaged 4 trials via parallel runner (n=64)"
-      (Staged.stage (fun () ->
-           E.averaged ~trials:4 ~seed:803 (fun ~seed ->
-               E.run_crash ~protocol:E.This_work_crash ~n:64 ~namespace:4096
-                 ~adversary:E.No_crash ~seed ())))
-  in
-  Test.make_grouped ~name:"renaming"
-    [
-      fingerprint_test;
-      rank_test;
-      crash_test;
-      byz_test;
-      flooding_test;
-      parallel_trials_test;
-    ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  print_newline ();
-  print_endline "E8 — wall-clock microbenchmarks (Bechamel, monotonic clock)";
-  print_endline "===========================================================";
-  (* Bechamel returns a hashtable; print in sorted name order so the
-     report does not vary with hash order (OCAMLRUNPARAM=R). *)
-  Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, result) ->
-         match Analyze.OLS.estimates result with
-         | Some [ est ] -> Printf.printf "%-44s %12.0f ns/run\n" name est
-         | _ -> Printf.printf "%-44s (no estimate)\n" name)
-
 let () =
   (* --domains N pins the trial runner's domain count (default: see
      Parallel.default_domains). Results are identical either way; only
@@ -614,6 +533,5 @@ let () =
   fig7_resource_competitive ();
   fig9_ablations ();
   fig10_consensus_comparison ();
-  run_bechamel ();
   (* lint: allow D1 — bench cpu-time, reported not replayed *)
   Printf.printf "\ntotal bench cpu time: %.1f s\n" (Sys.time () -. t0)

@@ -112,7 +112,22 @@ let expectations ~algo ~n ~namespace ~max_rounds : Oracle.expectations =
         order_preserving = true;
       }
 
-let write_links_json path ~algo ~n ~n_hosts ~seed (res : SN.result) =
+(* Per-link accounting for [--bits-out], filled from [SN.serve]'s
+   [?on_message] hook: [.(src_slot).(dst_slot)] messages and bits. *)
+type links = { link_msgs : int array array; link_bits : int array array }
+
+let new_links n =
+  {
+    link_msgs = Array.init n (fun _ -> Array.make n 0);
+    link_bits = Array.init n (fun _ -> Array.make n 0);
+  }
+
+let count_link { link_msgs; link_bits } ~src ~dst ~bits =
+  link_msgs.(src).(dst) <- link_msgs.(src).(dst) + 1;
+  link_bits.(src).(dst) <- link_bits.(src).(dst) + bits
+
+let write_links_json path ~algo ~n ~n_hosts ~seed { link_msgs; link_bits }
+    (res : SN.result) =
   let oc = open_out path in
   let a = Runner.assess res.SN.run in
   Printf.fprintf oc
@@ -121,7 +136,6 @@ let write_links_json path ~algo ~n ~n_hosts ~seed (res : SN.result) =
     \  \"messages\": %d,\n  \"bits\": %d,\n  \"links\": [" (algo_name algo)
     n n_hosts seed res.SN.rounds a.Runner.messages a.Runner.bits;
   let first = ref true in
-  let { SN.link_msgs; link_bits } = res.SN.links in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
       if link_msgs.(src).(dst) > 0 then begin
@@ -179,8 +193,8 @@ let report ~algo ~n ~namespace ~n_hosts ~seed ~faults ~max_rounds ~bits_out
   Format.printf "socket backend: %s over %d hosts@." (algo_name algo) n_hosts;
   Format.printf "%a@." Runner.pp a;
   Option.iter
-    (fun path ->
-      write_links_json path ~algo ~n ~n_hosts ~seed res;
+    (fun (path, links) ->
+      write_links_json path ~algo ~n ~n_hosts ~seed links res;
       Format.printf "per-link accounting written to %s@." path)
     bits_out;
   let verdict =
@@ -238,8 +252,11 @@ let serve_and_report ~listen ~algo ~n ~namespace ~n_hosts ~seed ~faults
   let stats = Oracle.new_stats () in
   (* The transport enforces the codec round-trip (hosts reject any
      undecodable delivery), so every billed message is wire-ok here. *)
-  let on_message ~src:_ ~dst:_ ~bits =
-    Oracle.observe_honest stats ~bits ~wire_ok:true
+  (* The per-link matrix is built only when [--bits-out] asks for it. *)
+  let bits_out = Option.map (fun path -> (path, new_links n)) bits_out in
+  let on_message ~src ~dst ~bits =
+    Oracle.observe_honest stats ~bits ~wire_ok:true;
+    Option.iter (fun (_, links) -> count_link links ~src ~dst ~bits) bits_out
   in
   let res =
     SN.serve ~listen ~config

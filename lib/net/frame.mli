@@ -47,3 +47,34 @@ val read_frame : io -> string
 val read_frame_opt : io -> string option
 (** [None] on clean EOF at a frame boundary; otherwise as
     {!read_frame}. *)
+
+(** {2 Frames in retained buffers}
+
+    The round loop's form of the two calls above: a frame is built in,
+    and sent straight from, a writer kept across rounds, and read into a
+    buffer kept across rounds. The bytes on the wire are those of
+    {!write_frame}/{!read_frame}. *)
+
+val begin_framed : Repro_sim.Wire.Writer.t -> unit
+(** Reset the writer and reserve the 4-byte length header; the frame's
+    payload is then written into it with the usual [Wire] calls. *)
+
+val write_framed : io -> Repro_sim.Wire.Writer.t -> unit
+(** Write the length into the header reserved by {!begin_framed}, in
+    place, and send header and payload from the writer's own buffer:
+    the bytes of [write_frame io p], where [p] is what was written after
+    [begin_framed].
+    @raise Invalid_argument if no header was reserved or the payload
+    exceeds {!max_frame}. *)
+
+type inbuf
+(** A read buffer kept across frames, grown to the largest frame seen. *)
+
+val inbuf : unit -> inbuf
+
+val read_framed : io -> inbuf -> Repro_sim.Wire.Reader.t
+(** Read one frame into the buffer and return a reader bounded to that
+    frame's length, not to the buffer's capacity, so bytes left over
+    from a longer earlier frame are out of bits. The reader is valid
+    until the next [read_framed] on the same buffer.
+    @raise Protocol_error as {!read_frame}. *)

@@ -9,6 +9,13 @@ let magic = 0x524e32
 let proto_error fmt =
   Printf.ksprintf (fun s -> raise (Frame.Protocol_error s)) fmt
 
+(* A payload's encoding, [Msg.encode]'s (bytes, bits), with its string
+   hash computed once: a host's encode memo keeps these, so interning a
+   remembered payload does not rehash its bytes. *)
+type enc = { bytes : string; bits : int; hash : int }
+
+let enc_of (bytes, bits) = { bytes; bits; hash = String.hash bytes }
+
 (* Embedded byte strings are length-prefixed; a length beyond the
    frame's remaining bits is malformed, and is rejected before the
    string is allocated. *)
@@ -23,17 +30,17 @@ module Codec = struct
       proto_error "embedded byte string of %d bytes exceeds the frame" len;
     Wire.Reader.read_string r len
 
-  let add_msg w (bytes, bits) =
-    if String.length bytes <> (bits + 7) / 8 then
+  let add_msg w e =
+    if String.length e.bytes <> (e.bits + 7) / 8 then
       invalid_arg "Socket_net.Codec.add_msg: bytes/bits mismatch";
-    Wire.Writer.add_gamma w bits;
-    Wire.Writer.add_string w bytes
+    Wire.Writer.add_gamma w e.bits;
+    Wire.Writer.add_string w e.bytes
 
   let read_msg r =
     let bits = Wire.Reader.read_gamma r in
     if bits > Wire.Reader.bits_remaining r then
       proto_error "embedded message of %d bits exceeds the frame" bits;
-    (Wire.Reader.read_string r ((bits + 7) / 8), bits)
+    enc_of (Wire.Reader.read_string r ((bits + 7) / 8), bits)
 end
 
 (* Count fields precede variable-size repetitions; each counted entry
@@ -46,7 +53,7 @@ let read_count r =
   c
 
 (* Round frames (every field Elias-gamma; a payload is [Codec.add_msg]'s
-   (bits, bytes), and [idx] indexes the same frame's payload table):
+   bits then bytes, and [idx] indexes the same frame's payload table):
 
    host -> coordinator
      round; T, T x payload;
@@ -59,7 +66,11 @@ let read_count r =
 
    Tables are content-interned, so each distinct payload crosses each link
    once per round, and broadcasts once per round rather than once per
-   recipient. Both row lists are in ascending sender identity. *)
+   recipient. Both row lists are in ascending sender identity.
+
+   Both sides build every round frame in a writer kept per link and read
+   it into a buffer kept per link ([Frame.begin_framed] /
+   [Frame.read_framed]), so a round allocates no frame-sized memory. *)
 
 (* Growable int buffer, retained across rounds and reset by [clear]. *)
 module Ibuf = struct
@@ -78,62 +89,55 @@ module Ibuf = struct
     t.len <- t.len + 1
 end
 
-(* A round's payload table: distinct (bytes, bits) encodings in first-seen
-   order. The hash table is only ever looked up, never iterated; the
-   order lives in the arrays. *)
+(* [a] grown to hold at least [len] entries, new cells set to [fill]. *)
+let grow a len fill =
+  if len <= Array.length a then a
+  else begin
+    let b = Array.make (max len (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* A round's payload table: distinct encodings in first-seen order. The
+   hash table is only ever looked up, never iterated; the order lives in
+   [encs]. *)
 module Payloads = struct
   module Index = Hashtbl.Make (struct
-    type t = string * int
+    type t = enc
 
-    let equal (a, x) (b, y) = Int.equal x y && String.equal a b
-    let hash (s, _) = String.hash s
+    let equal a b =
+      a == b || (Int.equal a.bits b.bits && String.equal a.bytes b.bytes)
+
+    let hash e = e.hash
   end)
 
-  type t = {
-    index : int Index.t;
-    mutable bytes : string array;
-    bits : Ibuf.t;
-  }
+  type t = { index : int Index.t; mutable encs : enc array; mutable len : int }
 
-  let create () =
-    { index = Index.create 64; bytes = [||]; bits = Ibuf.create () }
-  let length t = t.bits.len
-  let bits t g = t.bits.a.(g)
+  let create () = { index = Index.create 64; encs = [||]; len = 0 }
+  let length t = t.len
+  let bits t g = t.encs.(g).bits
 
   let clear t =
     Index.clear t.index;
-    Ibuf.clear t.bits
+    t.len <- 0
 
-  let intern t ((bytes, bits) as enc) =
-    match Index.find_opt t.index enc with
-    | Some g -> g
-    | None ->
-        let g = length t in
-        if g = Array.length t.bytes then begin
-          let b = Array.make (max 8 (2 * g)) "" in
-          Array.blit t.bytes 0 b 0 g;
-          t.bytes <- b
-        end;
-        t.bytes.(g) <- bytes;
-        Ibuf.push t.bits bits;
-        Index.add t.index enc g;
+  let intern t e =
+    match Index.find t.index e with
+    | g -> g
+    | exception Not_found ->
+        let g = t.len in
+        t.encs <- grow t.encs (g + 1) e;
+        t.encs.(g) <- e;
+        t.len <- g + 1;
+        Index.add t.index e g;
         g
 
-  let add_entry w t g = Codec.add_msg w (t.bytes.(g), bits t g)
+  let add_entry w t g = Codec.add_msg w t.encs.(g)
 end
 
 type config = { ids : int array; seed : int; n_hosts : int; extra : string }
 
-type link_stats = {
-  link_msgs : int array array;
-  link_bits : int array array;
-}
-
-type result = {
-  run : int Repro_sim.Engine.run_result;
-  rounds : int;
-  links : link_stats;
-}
+type result = { run : int Repro_sim.Engine.run_result; rounds : int }
 
 (* {2 Coordinator} *)
 
@@ -141,11 +145,9 @@ type slot_status = S_running | S_decided of int | S_crashed of int
 
 (* A slot's outbox for the round being routed, messages named by their
    index in the round's payload table — the coordinator never decodes
-   protocol payloads. *)
-type round_outbox =
-  | No_outbox
-  | Ob_entries of { dsts : int array; gids : int array }
-  | Ob_bcast of int
+   protocol payloads. An [Ob_entries] slot's (dst, index) pairs are in
+   its retained [entries] buffer. *)
+type round_outbox = No_outbox | Ob_entries | Ob_bcast of int
 
 let ignore_sigpipe () =
   (* A peer dying between our read and write must surface as [EPIPE]
@@ -194,18 +196,22 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
     Wire.Writer.contents w
   in
   Array.iter (fun io -> Frame.write_frame io cfg_frame) ios;
+  (* Per-link frame memory, kept across rounds. *)
+  let writers = Array.init n_hosts (fun _ -> Wire.Writer.create ()) in
+  let inbufs = Array.init n_hosts (fun _ -> Frame.inbuf ()) in
   (* Round state. *)
   let status = Array.make n S_running in
   let outboxes = Array.make n No_outbox in
+  let entries = Array.init n (fun _ -> Ibuf.create ()) in
   (* The round's payload table, its broadcasts as (src, gid) pairs, and
-     each slot's dedicated deliveries as (src, gid) pairs. *)
+     each slot's dedicated deliveries as (src, gid) pairs; [frame_gids]
+     maps the frame being parsed's table indices to the round's. *)
   let table = Payloads.create () in
+  let frame_gids = Ibuf.create () in
   let bcasts = Ibuf.create () in
   let deliveries = Array.init n (fun _ -> Ibuf.create ()) in
   let alive = Array.make n_hosts true in
   let metrics = Metrics.create () in
-  let link_msgs = Array.init n (fun _ -> Array.make n 0) in
-  let link_bits = Array.init n (fun _ -> Array.make n 0) in
   let current_round = ref 0 in
   (* Delivery iterates senders in ascending identity order, like the
      engine, so every recipient's inbox arrives sorted by source id. *)
@@ -215,8 +221,6 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
      away from the node streams (which split off [of_seed seed]). *)
   let knob_rng = Rng.of_seed (seed lxor 0x6e6574) in
   let bill src dst bits =
-    link_msgs.(src).(dst) <- link_msgs.(src).(dst) + 1;
-    link_bits.(src).(dst) <- link_bits.(src).(dst) + bits;
     Metrics.add_honest metrics ~bits;
     match on_message with Some f -> f ~src ~dst ~bits | None -> ()
   in
@@ -240,22 +244,21 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
       | S_decided _ | S_crashed _ -> ()
     done
   in
-  let parse_host_frame h payload =
+  let parse_host_frame h r =
     let lo, hi = ranges.(h) in
-    let r = Wire.Reader.of_string payload in
     let round = Wire.Reader.read_gamma r in
     if round <> !current_round then
       proto_error "host %d is at round %d, coordinator at %d" h round
         !current_round;
     let t = read_count r in
-    let gid = Array.make t 0 in
-    for i = 0 to t - 1 do
-      gid.(i) <- Payloads.intern table (Codec.read_msg r)
+    Ibuf.clear frame_gids;
+    for _ = 1 to t do
+      Ibuf.push frame_gids (Payloads.intern table (Codec.read_msg r))
     done;
     let read_gid () =
       let i = Wire.Reader.read_gamma r in
       if i >= t then proto_error "host %d: payload index %d of %d" h i t;
-      gid.(i)
+      frame_gids.a.(i)
     in
     for s = lo to hi - 1 do
       match Wire.Reader.read_gamma r with
@@ -273,14 +276,15 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
           outboxes.(s) <- No_outbox
       | 2 ->
           let c = read_count r in
-          let dsts = Array.make c 0 and gids = Array.make c 0 in
-          for j = 0 to c - 1 do
+          let e = entries.(s) in
+          Ibuf.clear e;
+          for _ = 1 to c do
             let dst = Wire.Reader.read_gamma r in
             if dst >= n then proto_error "host %d: destination slot %d" h dst;
-            dsts.(j) <- dst;
-            gids.(j) <- read_gid ()
+            Ibuf.push e dst;
+            Ibuf.push e (read_gid ())
           done;
-          outboxes.(s) <- Ob_entries { dsts; gids }
+          outboxes.(s) <- Ob_entries
       | 3 -> outboxes.(s) <- Ob_bcast (read_gid ())
       | t -> proto_error "host %d: unknown outbox tag %d" h t
     done
@@ -329,10 +333,12 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
       (fun s ->
         match outboxes.(s) with
         | No_outbox -> ()
-        | Ob_entries { dsts; gids } ->
-            for j = 0 to Array.length dsts - 1 do
-              bill s dsts.(j) (Payloads.bits table gids.(j));
-              push dsts.(j) s gids.(j)
+        | Ob_entries ->
+            let e = entries.(s) in
+            for j = 0 to (e.len / 2) - 1 do
+              let dst = e.a.(2 * j) and g = e.a.((2 * j) + 1) in
+              bill s dst (Payloads.bits table g);
+              push dst s g
             done
         | Ob_bcast g -> (
             (* Like the engine: bill all n links (including self and
@@ -357,12 +363,12 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
   let named = Ibuf.create () in
   let reply_frame h ~stop =
     let lo, hi = ranges.(h) in
-    let w = Wire.Writer.create () in
+    let w = writers.(h) in
+    Frame.begin_framed w;
     Wire.Writer.add_gamma w !current_round;
     Wire.Writer.add_gamma w (if stop then 1 else 0);
     if not stop then begin
-      if Array.length !local < Payloads.length table then
-        local := Array.make (Array.length table.bytes) (-1);
+      local := grow !local (Payloads.length table) (-1);
       let local = !local in
       let name g =
         if local.(g) < 0 then begin
@@ -399,12 +405,12 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
       done;
       Ibuf.clear named
     end;
-    Wire.Writer.contents w
+    w
   in
   let send_replies ~stop =
     for h = 0 to n_hosts - 1 do
       if alive.(h) then
-        try Frame.write_frame ios.(h) (reply_frame h ~stop)
+        try Frame.write_framed ios.(h) (reply_frame h ~stop)
         with Unix.Unix_error _ | Frame.Protocol_error _ -> kill_host h
     done
   in
@@ -416,9 +422,9 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
     else begin
       for h = 0 to n_hosts - 1 do
         if alive.(h) then
-          match Frame.read_frame ios.(h) with
-          | payload -> (
-              try parse_host_frame h payload
+          match Frame.read_framed ios.(h) inbufs.(h) with
+          | r -> (
+              try parse_host_frame h r
               with Frame.Protocol_error _ | Invalid_argument _ -> kill_host h)
           | exception (Frame.Protocol_error _ | Unix.Unix_error _) ->
               kill_host h
@@ -459,18 +465,22 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
              | S_running -> Repro_sim.Engine.Unfinished ))
          status)
   in
-  {
-    run = { Repro_sim.Engine.outcomes; metrics };
-    rounds = !current_round;
-    links = { link_msgs; link_bits };
-  }
+  { run = { Repro_sim.Engine.outcomes; metrics }; rounds = !current_round }
 
 (* {2 Host} *)
 
 module Host (M : Network_intf.WIRE_MSG) = struct
   type msg = M.t
 
-  type inbox = { ib_src : int array; ib_msg : M.t array; ib_len : int }
+  (* A row view. Each slot keeps one, which every reply repoints at rows
+     kept across rounds ([read_reply]): the view a node receives is
+     valid only until its next exchange-class call, which is when the
+     next reply is read. *)
+  type inbox = {
+    mutable ib_src : int array;
+    mutable ib_msg : M.t array;
+    mutable ib_len : int;
+  }
 
   module Inbox = struct
     type t = inbox
@@ -523,7 +533,6 @@ module Host (M : Network_intf.WIRE_MSG) = struct
   type ctx = {
     slot : int;
     ids : int array;
-    id_to_slot : (int, int) Hashtbl.t;
     node_rng : Rng.t;
     current_round : int ref;
   }
@@ -570,36 +579,60 @@ module Host (M : Network_intf.WIRE_MSG) = struct
             | _ -> None);
       }
 
-  let slot_of ctx_tbl dst =
-    match Hashtbl.find_opt ctx_tbl dst with
-    | Some s -> s
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Socket_net: destination %d is not a participant"
-             dst)
+  let slot_of index dst =
+    let s = Repro_util.Slot_index.find index dst in
+    if s < 0 then
+      invalid_arg
+        (Printf.sprintf "Socket_net: destination %d is not a participant" dst);
+    s
+
+  (* A slot's encode memo: the messages of its latest outbox by
+     position, with their encodings. It holds its own copies — callers
+     refill their arrays in place — and every cell is a (message, its
+     encoding) pair, so a physically equal message can take the cell's
+     encoding whatever round stored it. *)
+  type memo = { mutable m_msgs : M.t array; mutable m_encs : enc array }
+
+  (* The encoding of the message at position [j] of a slot's outbox:
+     that of the previous entry or of the slot's previous outbox at [j]
+     when the message is physically the same, else [M.encode]'s. *)
+  let encode_at memo j m =
+    let msgs = memo.m_msgs in
+    let e =
+      if j > 0 && m == msgs.(j - 1) then memo.m_encs.(j - 1)
+      else if j < Array.length msgs && m == msgs.(j) then memo.m_encs.(j)
+      else enc_of (M.encode m)
+    in
+    if j >= Array.length msgs then begin
+      memo.m_msgs <- grow msgs (j + 1) m;
+      memo.m_encs <- grow memo.m_encs (j + 1) e
+    end;
+    memo.m_msgs.(j) <- m;
+    memo.m_encs.(j) <- e;
+    e
 
   (* A round frame takes two passes over the outboxes: [intern_outbox]
      adds each payload to the frame's table and records its index in
      [gids], in frame order; once the table is written, [write_outbox]
      emits the slot record, taking the indices back from [gids] at
      [cur]. *)
-  let intern_outbox tbl gids outbox =
-    let add m = Ibuf.push gids (Payloads.intern tbl (M.encode m)) in
+  let intern_outbox tbl gids memo outbox =
+    let add j m = Ibuf.push gids (Payloads.intern tbl (encode_at memo j m)) in
     match outbox with
-    | Ob_bcast m | Ob_multi (_, m) -> add m
-    | Ob_list l -> List.iter (fun (_, m) -> add m) l
+    | Ob_bcast m | Ob_multi (_, m) -> add 0 m
+    | Ob_list l -> List.iteri (fun j (_, m) -> add j m) l
     | Ob_sized { msgs; len; _ } ->
         for j = 0 to len - 1 do
-          add msgs.(j)
+          add j msgs.(j)
         done
 
-  let write_outbox w ~id_to_slot (gids : Ibuf.t) cur outbox =
+  let write_outbox w ~index (gids : Ibuf.t) cur outbox =
     let next () =
       incr cur;
       gids.a.(!cur - 1)
     in
     let entry dst g =
-      Wire.Writer.add_gamma w (slot_of id_to_slot dst);
+      Wire.Writer.add_gamma w (slot_of index dst);
       Wire.Writer.add_gamma w g
     in
     match outbox with
@@ -622,57 +655,48 @@ module Host (M : Network_intf.WIRE_MSG) = struct
           entry dsts.(j) (next ())
         done
 
-  let empty_inbox = { ib_src = [||]; ib_msg = [||]; ib_len = 0 }
+  (* Reply parsing state kept across rounds: the decoded payload table,
+     the round's broadcast rows, and each slot's own rows. The broadcast
+     rows are the inbox of every slot without dedicated rows; a slot
+     with some gets the merge of both in its own rows. *)
+  type reply_bufs = {
+    mutable decoded : M.t array;
+    bcast : inbox;
+    own : inbox array;
+  }
 
-  (* [c] (source slot, payload index) rows, as an inbox. *)
-  let read_rows r ~ids ~msgs c =
-    if c = 0 then empty_inbox
-    else begin
-      let t = Array.length msgs in
-      if t = 0 then proto_error "%d rows name an empty payload table" c;
-      let ib_src = Array.make c 0 and ib_msg = Array.make c msgs.(0) in
-      for i = 0 to c - 1 do
-        let src = Wire.Reader.read_gamma r in
-        if src >= Array.length ids then proto_error "source slot %d" src;
-        let k = Wire.Reader.read_gamma r in
-        if k >= t then proto_error "payload index %d of %d" k t;
-        ib_src.(i) <- ids.(src);
-        ib_msg.(i) <- msgs.(k)
-      done;
-      { ib_src; ib_msg; ib_len = c }
+  (* Room for [len] rows in [rows], new cells set to [fill]. *)
+  let reserve rows len fill =
+    if len > Array.length rows.ib_src then begin
+      rows.ib_src <- grow rows.ib_src len 0;
+      rows.ib_msg <- grow rows.ib_msg len fill
     end
 
-  (* Two inboxes in ascending source identity with disjoint sources (a
-     sender has one outbox shape per round), merged in that order. *)
-  let merge a b =
-    if b.ib_len = 0 then a
-    else if a.ib_len = 0 then b
-    else begin
-      let len = a.ib_len + b.ib_len in
-      let ib_src = Array.make len 0 and ib_msg = Array.make len a.ib_msg.(0) in
-      let i = ref 0 and j = ref 0 in
-      for k = 0 to len - 1 do
-        if !j >= b.ib_len || (!i < a.ib_len && a.ib_src.(!i) < b.ib_src.(!j))
-        then begin
-          ib_src.(k) <- a.ib_src.(!i);
-          ib_msg.(k) <- a.ib_msg.(!i);
-          incr i
-        end
-        else begin
-          ib_src.(k) <- b.ib_src.(!j);
-          ib_msg.(k) <- b.ib_msg.(!j);
-          incr j
-        end
-      done;
-      { ib_src; ib_msg; ib_len = len }
-    end
+  (* Points the view a node receives at the first [len] of [rows]. *)
+  let show view rows len =
+    view.ib_src <- rows.ib_src;
+    view.ib_msg <- rows.ib_msg;
+    view.ib_len <- len
 
-  (* A round's reply: [true] for stop, else [inboxes] filled for the
-     host's slots. Each payload-table entry is decoded once and shared by
-     every recipient ([M.t] values are immutable). A frame that ends
-     early is malformed like any other bad field. *)
-  let read_reply payload ~round ~ids ~lo ~hi inboxes =
-    let r = Wire.Reader.of_string payload in
+  (* Copies broadcast rows from row [i] on, while their source is below
+     [below], into [own] from position [out]; returns the first row not
+     copied. *)
+  let rec put_bcasts own bc i ~out ~below =
+    if i < bc.ib_len && bc.ib_src.(i) < below then begin
+      own.ib_src.(out) <- bc.ib_src.(i);
+      own.ib_msg.(out) <- bc.ib_msg.(i);
+      put_bcasts own bc (i + 1) ~out:(out + 1) ~below
+    end
+    else i
+
+  (* A round's reply: [true] for stop, else every inbox view of the
+     host's slots refilled in place. Each payload-table entry is decoded
+     once and shared by every recipient ([M.t] values are immutable). A
+     slot's dedicated rows are merged with the broadcast rows, both in
+     ascending source identity with disjoint sources (a sender has one
+     outbox shape per round). A frame that ends early is malformed like
+     any other bad field. *)
+  let read_reply r bufs ~round ~ids ~lo ~hi inboxes =
     try
       let got = Wire.Reader.read_gamma r in
       if got <> round then
@@ -680,15 +704,55 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       if Wire.Reader.read_gamma r = 1 then true
       else begin
         let t = read_count r in
-        let msgs =
-          Array.init t (fun _ ->
-              match M.decode (fst (Codec.read_msg r)) with
-              | Some m -> m
-              | None -> proto_error "undecodable payload")
+        for k = 0 to t - 1 do
+          match M.decode (Codec.read_msg r).bytes with
+          | Some m ->
+              bufs.decoded <- grow bufs.decoded (k + 1) m;
+              bufs.decoded.(k) <- m
+          | None -> proto_error "undecodable payload"
+        done;
+        let decoded = bufs.decoded in
+        let rows_need_table c =
+          if c > 0 && t = 0 then
+            proto_error "%d rows name an empty payload table" c
         in
-        let bcast = read_rows r ~ids ~msgs (read_count r) in
+        let read_src () =
+          let src = Wire.Reader.read_gamma r in
+          if src >= Array.length ids then proto_error "source slot %d" src;
+          ids.(src)
+        in
+        let read_msg () =
+          let k = Wire.Reader.read_gamma r in
+          if k >= t then proto_error "payload index %d of %d" k t;
+          decoded.(k)
+        in
+        let b = read_count r in
+        let bc = bufs.bcast in
+        rows_need_table b;
+        if b > 0 then reserve bc b decoded.(0);
+        for i = 0 to b - 1 do
+          bc.ib_src.(i) <- read_src ();
+          bc.ib_msg.(i) <- read_msg ()
+        done;
+        bc.ib_len <- b;
         for s = lo to hi - 1 do
-          inboxes.(s) <- merge bcast (read_rows r ~ids ~msgs (read_count r))
+          let c = read_count r in
+          if c = 0 then show inboxes.(s) bc b
+          else begin
+            rows_need_table c;
+            let own = bufs.own.(s) in
+            reserve own (b + c) decoded.(0);
+            let i = ref 0 in
+            for j = 0 to c - 1 do
+              let src = read_src () in
+              let m = read_msg () in
+              i := put_bcasts own bc !i ~out:(!i + j) ~below:src;
+              own.ib_src.(!i + j) <- src;
+              own.ib_msg.(!i + j) <- m
+            done;
+            ignore (put_bcasts own bc !i ~out:(!i + c) ~below:max_int);
+            show inboxes.(s) own (b + c)
+          end
         done;
         false
       end
@@ -721,13 +785,11 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     done;
     let extra = Codec.read_bytes r in
     let lo, hi = Repro_util.Shard.range ~n ~shards:n_hosts host_index in
-    let id_to_slot = Hashtbl.create (2 * n) in
-    Array.iteri
-      (fun s id ->
-        if Hashtbl.mem id_to_slot id then
-          proto_error "config: duplicate identity %d" id;
-        Hashtbl.add id_to_slot id s)
-      ids;
+    let index =
+      Repro_util.Slot_index.create ids ~duplicate:(fun id ->
+          Frame.Protocol_error
+            (Printf.sprintf "config: duplicate identity %d" id))
+    in
     let current_round = ref 0 in
     let prog = program ~extra in
     (* Fibers hold their outbox + continuation; freshly decided results
@@ -747,19 +809,24 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     for s = 0 to n - 1 do
       let node_rng = Rng.split master in
       if s >= lo && s < hi then
-        let ctx = { slot = s; ids; id_to_slot; node_rng; current_round } in
+        let ctx = { slot = s; ids; node_rng; current_round } in
         settle s (start_fiber prog ctx)
     done;
-    let inboxes = Array.make n empty_inbox in
+    let memos = Array.init n (fun _ -> { m_msgs = [||]; m_encs = [||] }) in
+    let empty () = { ib_src = [||]; ib_msg = [||]; ib_len = 0 } in
+    let inboxes = Array.init n (fun _ -> empty ()) in
+    let own = Array.init n (fun _ -> empty ()) in
+    let bufs = { decoded = [||]; bcast = empty (); own } in
     let tbl = Payloads.create () and gids = Ibuf.create () in
+    let w = Wire.Writer.create () and ib = Frame.inbuf () in
     let continue_running = ref true in
     while !continue_running do
       for s = lo to hi - 1 do
         match (fresh.(s), states.(s)) with
-        | None, Some (outbox, _) -> intern_outbox tbl gids outbox
+        | None, Some (outbox, _) -> intern_outbox tbl gids memos.(s) outbox
         | Some _, _ | None, None -> ()
       done;
-      let w = Wire.Writer.create () in
+      Frame.begin_framed w;
       Wire.Writer.add_gamma w !current_round;
       Wire.Writer.add_gamma w (Payloads.length tbl);
       for g = 0 to Payloads.length tbl - 1 do
@@ -773,14 +840,14 @@ module Host (M : Network_intf.WIRE_MSG) = struct
             Wire.Writer.add_gamma w v;
             fresh.(s) <- None
         | None, None -> Wire.Writer.add_gamma w 0
-        | None, Some (outbox, _) -> write_outbox w ~id_to_slot gids cur outbox
+        | None, Some (outbox, _) -> write_outbox w ~index gids cur outbox
       done;
       Payloads.clear tbl;
       Ibuf.clear gids;
-      Frame.write_frame io (Wire.Writer.contents w);
+      Frame.write_framed io w;
       let stop =
-        read_reply (Frame.read_frame io) ~round:!current_round ~ids ~lo ~hi
-          inboxes
+        read_reply (Frame.read_framed io ib) bufs ~round:!current_round ~ids
+          ~lo ~hi inboxes
       in
       if stop then continue_running := false
       else begin
@@ -789,8 +856,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
           match states.(s) with
           | Some (_, k) ->
               states.(s) <- None;
-              settle s (Effect.Deep.continue k inboxes.(s));
-              inboxes.(s) <- empty_inbox
+              settle s (Effect.Deep.continue k inboxes.(s))
           | None -> ()
         done
       end

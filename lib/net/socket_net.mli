@@ -9,11 +9,16 @@
 
     Each round: every host sends one frame batching its slice's
     outboxes (and freshly decided results); the coordinator bills every
-    message — per (src, dst) link and into the same {!Repro_sim.Metrics}
-    rows the simulator fills — routes deliveries in ascending source
-    identity order, and answers each host with its slice's inboxes. A
-    host connection failing mid-round maps to [Crashed round] for every
-    node still running on it; everyone else keeps going.
+    message into the same {!Repro_sim.Metrics} rows the simulator fills
+    (per-link accounting is the caller's, through [serve]'s
+    [?on_message]), routes deliveries in ascending source identity
+    order, and answers each host with its slice's inboxes. A host
+    connection failing mid-round maps to [Crashed round] for every node
+    still running on it; everyone else keeps going.
+
+    Memory: each link's round frames are built in one writer and read
+    into one buffer kept for the whole run, and a host's inbox rows live
+    in arrays kept across rounds (see {!Host.inbox}).
 
     Determinism: per-node rngs are [Rng.split] off the seed in slot
     order exactly as the simulator derives them, and delivery order is
@@ -37,17 +42,11 @@ type config = {
           coordinator command line chooses them *)
 }
 
-type link_stats = {
-  link_msgs : int array array;  (** [.(src_slot).(dst_slot)] messages *)
-  link_bits : int array array;  (** [.(src_slot).(dst_slot)] billed bits *)
-}
-
 type result = {
   run : int Repro_sim.Engine.run_result;
       (** outcomes (slot order) + metrics, the shape [Runner.assess]
           and the [lib/check] oracles consume *)
   rounds : int;
-  links : link_stats;
 }
 
 val serve :
@@ -66,10 +65,16 @@ val serve :
     replies (jitter drawn from a seed-derived rng — deterministic);
     [overlay_fanout] replaces full-mesh broadcast {e billing} with a
     seed-deterministic gossip relay tree of that fan-out (delivery stays
-    complete; only the per-link cost model changes). [on_message] fires
-    per billed message with slot indices — the billing hook the CLI
-    wires to the [lib/check] oracles. Nodes still running at
-    [max_rounds] (default 100_000) are reported [Unfinished]. *)
+    complete; only the per-link cost model changes).
+
+    [on_message] is the per-link hook: it fires once per billed message
+    with the (src, dst) slot indices and the bits, in billing order. The
+    coordinator keeps no per-link counters of its own; the CLI wires
+    this hook to the [lib/check] oracles, and builds its [--bits-out]
+    per-link matrix from it.
+
+    Nodes still running at [max_rounds] (default 100_000) are reported
+    [Unfinished]. *)
 
 (** Host-process side: the node programs' network, plus the runtime that
     drives them. The module satisfies {!Network_intf.S} (structurally),
@@ -77,7 +82,18 @@ val serve :
 module Host (M : Network_intf.WIRE_MSG) : sig
   type msg = M.t
   type ctx
+
   type inbox
+  (** A slot's inbox view, kept for the whole run: each reply repoints
+      it, in place, at rows kept across rounds — the round's broadcast
+      rows, shared by every slot without dedicated rows, or the slot's
+      own merged rows. A view returned by an exchange-class call is
+      therefore valid only until the node's next one
+      ({!Network_intf.S.inbox}'s contract). Hosts skip
+      [M.encode] for a message physically equal to the previous entry of
+      the same outbox, or to the message at the same position of the
+      slot's previous outbox; the memo keeps its own copies, so callers
+      may refill their [exchange_sized] arrays in place. *)
 
   module Inbox : sig
     type t = inbox
@@ -117,14 +133,26 @@ module Host (M : Network_intf.WIRE_MSG) : sig
       that kill the process, which the coordinator maps to crashes. *)
 end
 
+(** A payload's encoding as it crosses the wire: the protocols'
+    [Msg.encode] result and [String.hash bytes]. *)
+type enc = { bytes : string; bits : int; hash : int }
+
+val enc_of : string * int -> enc
+(** [enc_of (bytes, bits)] adds the hash to an encoding. *)
+
 (** Wire-stream helpers shared by both sides; exposed for the frame
     robustness tests. *)
 module Codec : sig
   val add_bytes : Repro_sim.Wire.Writer.t -> string -> unit
   val read_bytes : Repro_sim.Wire.Reader.t -> string
 
-  val add_msg : Repro_sim.Wire.Writer.t -> string * int -> unit
-  (** [(bytes, bits)] as returned by the protocols' [Msg.encode]. *)
+  val add_msg : Repro_sim.Wire.Writer.t -> enc -> unit
+  (** [bits], then [bytes].
+      @raise Invalid_argument if [bytes] is not [bits] rounded up to
+      whole bytes. *)
 
-  val read_msg : Repro_sim.Wire.Reader.t -> string * int
+  val read_msg : Repro_sim.Wire.Reader.t -> enc
+  (** [add_msg]'s inverse.
+      @raise Frame.Protocol_error if [bits] exceeds the frame's remaining
+      bits. *)
 end

@@ -399,51 +399,30 @@ module Make (M : MSG) = struct
        loop through a 1-shard pool, which runs the phase inline: no
        domains, no locking. *)
     let pool_shards = Repro_util.Shard.count ~n ~shards in
-    (* Dense slot indexing: one id → slot table built at start; all
-       per-node state lives in arrays indexed by slot. *)
-    let slot_of : (int, int) Hashtbl.t = Hashtbl.create (2 * n) in
-    Array.iteri
-      (fun s id ->
-        if Hashtbl.mem slot_of id then
-          invalid_arg "Engine.run: duplicate identities";
-        Hashtbl.add slot_of id s)
-      ids;
-    (* For the usual compact namespaces the id → slot map is a direct
-       array lookup; the hashtable stays as fallback for exotic ids. *)
-    let max_id = Array.fold_left max min_int ids in
-    let min_id = Array.fold_left min max_int ids in
-    let dense = n > 0 && min_id >= 0 && max_id < 8_388_608 in
-    let slot_arr =
-      if not dense then [||]
-      else begin
-        let a = Array.make (max_id + 1) (-1) in
-        Array.iteri (fun s id -> a.(id) <- s) ids;
-        a
-      end
+    (* Slot indexing: one id → slot table built at start; all per-node
+       state lives in arrays indexed by slot. *)
+    let slot_index =
+      Repro_util.Slot_index.create ids ~duplicate:(fun _ ->
+          Invalid_argument "Engine.run: duplicate identities")
     in
-    let find_slot id =
-      if dense then if id >= 0 && id <= max_id then slot_arr.(id) else -1
-      else match Hashtbl.find_opt slot_of id with Some s -> s | None -> -1
-    in
+    let find_slot id = Repro_util.Slot_index.find slot_index id in
     let byz_list, byz_strategy =
       match byz with
       | None -> ([], fun ~byz_id:_ ~round:_ ~inbox:_ -> [])
       | Some (bs, strat) ->
           List.iter
             (fun b ->
-              if not (Hashtbl.mem slot_of b) then
+              if find_slot b < 0 then
                 invalid_arg "Engine.run: byzantine id not a participant")
             bs;
           (List.sort_uniq Int.compare bs, strat)
     in
     let is_byz = Array.make n false in
-    List.iter (fun b -> is_byz.(Hashtbl.find slot_of b) <- true) byz_list;
+    List.iter (fun b -> is_byz.(find_slot b) <- true) byz_list;
     (* Byzantine slots in ascending identity order: strategies may share
        an rng across nodes, so the invocation order is part of the
        deterministic contract. *)
-    let byz_slots =
-      Array.of_list (List.map (fun b -> Hashtbl.find slot_of b) byz_list)
-    in
+    let byz_slots = Array.of_list (List.map find_slot byz_list) in
     let metrics = Metrics.create () in
     (* Observability hooks, resolved once so the hookless hot path pays a
        single physical-equality-style branch per event. All three fire in

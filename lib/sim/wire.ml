@@ -103,19 +103,38 @@ module Writer = struct
       done;
     t.len_bits <- pos + (8 * n)
 
-  let contents t = Bytes.sub_string t.bytes 0 ((t.len_bits + 7) / 8)
+  let byte_length t = (t.len_bits + 7) / 8
+  let contents t = Bytes.sub_string t.bytes 0 (byte_length t)
+  let unsafe_bytes t = t.bytes
+
+  (* Only the written prefix can hold set bits (see the invariant above),
+     so zeroing it restores the all-zero buffer [create] returns. *)
+  let reset t =
+    Bytes.fill t.bytes 0 (byte_length t) '\000';
+    t.len_bits <- 0
 end
 
 module Reader = struct
-  type t = { data : string; mutable pos : int }
+  (* [end_bits] bounds every read: [8 * String.length] for a string, the
+     frame's length for a prefix of a retained buffer. A reader never
+     writes [data], so wrapping a string with [Bytes.unsafe_of_string]
+     is sound. *)
+  type t = { data : Bytes.t; end_bits : int; mutable pos : int }
 
-  let of_string s = { data = s; pos = 0 }
-  let bits_remaining t = (8 * String.length t.data) - t.pos
+  let of_string s =
+    { data = Bytes.unsafe_of_string s; end_bits = 8 * String.length s; pos = 0 }
+
+  let of_bytes b ~len =
+    if len < 0 || len > Bytes.length b then
+      invalid_arg "Wire.Reader.of_bytes: length";
+    { data = b; end_bits = 8 * len; pos = 0 }
+
+  let bits_remaining t = t.end_bits - t.pos
 
   let read_bit t =
-    if t.pos >= 8 * String.length t.data then
+    if t.pos >= t.end_bits then
       invalid_arg "Wire.Reader: out of bits";
-    let byte = Char.code t.data.[t.pos lsr 3] in
+    let byte = Char.code (Bytes.get t.data (t.pos lsr 3)) in
     let b = byte land (1 lsl (7 - (t.pos land 7))) <> 0 in
     t.pos <- t.pos + 1;
     b
@@ -125,34 +144,32 @@ module Reader = struct
     let data = t.data and pos = t.pos in
     (* One bounds check for the whole span: every byte read below lies
        before bit [pos + width <= 8 * length]. *)
-    if pos + width > 8 * String.length data then
-      invalid_arg "Wire.Reader: out of bits";
+    if pos + width > t.end_bits then invalid_arg "Wire.Reader: out of bits";
     t.pos <- pos + width;
     if width = 0 then 0
     else begin
       let i = pos lsr 3 and free = 8 - (pos land 7) in
       let first =
-        Char.code (String.unsafe_get data i) land (0xff lsr (8 - free))
+        Char.code (Bytes.unsafe_get data i) land (0xff lsr (8 - free))
       in
       if width <= free then first lsr (free - width)
       else begin
         let v = ref first and rest = ref (width - free) and j = ref (i + 1) in
         while !rest >= 8 do
-          v := (!v lsl 8) lor Char.code (String.unsafe_get data !j);
+          v := (!v lsl 8) lor Char.code (Bytes.unsafe_get data !j);
           rest := !rest - 8;
           incr j
         done;
         if !rest > 0 then
           v :=
             (!v lsl !rest)
-            lor (Char.code (String.unsafe_get data !j) lsr (8 - !rest));
+            lor (Char.code (Bytes.unsafe_get data !j) lsr (8 - !rest));
         !v
       end
     end
 
   let read_gamma t =
-    let data = t.data and start = t.pos in
-    let end_ = 8 * String.length data in
+    let data = t.data and start = t.pos and end_ = t.end_bits in
     (* Scan the zero prefix a byte at a time: mask off the bits before
        [pos] in its byte; a zero byte advances to the next byte
        boundary, a non-zero one places the terminating 1 by its
@@ -165,7 +182,7 @@ module Reader = struct
     while !b = 0 do
       if !pos - start > 61 then invalid_arg "Wire.Reader: gamma";
       if !pos >= end_ then invalid_arg "Wire.Reader: out of bits";
-      let byte = Char.code (String.unsafe_get data (!pos lsr 3)) in
+      let byte = Char.code (Bytes.unsafe_get data (!pos lsr 3)) in
       b := byte land (0xff lsr (!pos land 7));
       if !b = 0 then pos := (!pos lor 7) + 1
     done;
@@ -183,14 +200,14 @@ module Reader = struct
     let data = t.data and pos = t.pos in
     let i = pos lsr 3 and o = pos land 7 in
     t.pos <- pos + (8 * len);
-    if o = 0 then String.sub data i len
+    if o = 0 then Bytes.sub_string data i len
     else begin
       (* Each output byte straddles input bytes [i + j] and [i + j + 1];
          the bound check above puts both inside [data] since [o >= 1]. *)
       let b = Bytes.create len in
       for j = 0 to len - 1 do
-        let hi = Char.code (String.unsafe_get data (i + j)) in
-        let lo = Char.code (String.unsafe_get data (i + j + 1)) in
+        let hi = Char.code (Bytes.unsafe_get data (i + j)) in
+        let lo = Char.code (Bytes.unsafe_get data (i + j + 1)) in
         Bytes.unsafe_set b j
           (Char.unsafe_chr (((hi lsl o) lor (lo lsr (8 - o))) land 0xff))
       done;

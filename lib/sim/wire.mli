@@ -45,12 +45,39 @@ module Writer : sig
 
   val contents : t -> string
   (** The encoded bits, zero-padded to whole bytes. *)
+
+  val byte_length : t -> int
+  (** [String.length (contents t)], without the copy. *)
+
+  val reset : t -> unit
+  (** Empty the writer for reuse, keeping its buffer. Only the
+      [byte_length] bytes written since the last reset are re-zeroed:
+      no write sets a bit past the end, so that restores the all-zero
+      tail every write relies on. A reset writer produces exactly the
+      bytes and [bit_length] of a fresh one. *)
+
+  val unsafe_bytes : t -> Bytes.t
+  (** The writer's buffer itself, not a copy: its first [byte_length]
+      bytes are [contents t]. Valid until the next write or [reset].
+      A caller may overwrite bytes inside that prefix (the socket
+      transport patches a frame's length header there, see
+      [Frame.write_framed]) but never past it. *)
 end
 
 module Reader : sig
   type t
 
   val of_string : string -> t
+
+  val of_bytes : Bytes.t -> len:int -> t
+  (** A reader over the first [len] bytes of a buffer, without copying:
+      reads past byte [len] are out of bits exactly as at the end of a
+      string, whatever the buffer holds beyond it. The reader reads the
+      buffer in place, so a write to it while the reader is in use
+      changes what later reads return. Byte strings read from it
+      ({!read_string}) are copies.
+      @raise Invalid_argument if [len] is outside [\[0, Bytes.length\]]. *)
+
   val bits_remaining : t -> int
   val read_bit : t -> bool
   val read_fixed : t -> width:int -> int

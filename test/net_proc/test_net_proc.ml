@@ -118,7 +118,7 @@ let round_frame ~round ~table records =
   let w = Wire.Writer.create () in
   Wire.Writer.add_gamma w round;
   Wire.Writer.add_gamma w (List.length table);
-  List.iter (SN.Codec.add_msg w) table;
+  List.iter (fun m -> SN.Codec.add_msg w (SN.enc_of m)) table;
   List.iter (Wire.Writer.add_gamma w) records;
   Wire.Writer.contents w
 
@@ -183,6 +183,33 @@ let test_table_count_beyond_frame =
      Wire.Writer.add_gamma w 1;
      Wire.Writer.add_gamma w 10_000;
      Wire.Writer.contents w)
+
+let test_stale_bytes () =
+  (* Host 0's round-1 frame is cut short after a longer round-0 frame,
+     and the missing tail is exactly what the coordinator's retained read
+     buffer still holds: the frames' leading fields take the same 13
+     bits (round 0 with a 16-bit payload, round 1 with a 14-bit one, both
+     2 bytes) and every later bit is equal. A reader bounded by the
+     buffer's capacity would parse the cut frame whole and keep host 0
+     running into round 2; the coordinator must crash it at round 1. *)
+  let records = [ 3; 0; 3; 0 ] in
+  let long = round_frame ~round:0 ~table:[ ("\x80\x00", 16) ] records in
+  let full = round_frame ~round:1 ~table:[ ("\x80\x00", 14) ] records in
+  let n = String.length full in
+  Alcotest.(check int) "frames of equal length" (String.length long) n;
+  Alcotest.(check string)
+    "equal from byte 2 on"
+    (String.sub long 2 (n - 2))
+    (String.sub full 2 (n - 2));
+  let bad port =
+    fake_host port ~host_index:0 (fun io ->
+        Frame.write_frame io long;
+        ignore (Frame.read_frame io);
+        Frame.write_frame io (String.sub full 0 (n - 1));
+        ignore (Frame.read_frame io))
+  in
+  let res = run_with_failing_host ~bad in
+  check_outcomes res ~crash_round:1
 
 let test_oversized_payload_length () =
   (* Round 0's payload table holds one entry claiming 2^20 bytes, in a
@@ -357,6 +384,87 @@ let test_one_decode_per_host_per_round () =
       | _ -> Alcotest.fail (Printf.sprintf "node %d did not decide" id))
     res.SN.run.Engine.outcomes
 
+(* Counts encodes in the host process that runs it. *)
+let encodes = ref 0
+
+module Counting_enc_msg = struct
+  include TMsg
+
+  let encode m =
+    incr encodes;
+    TMsg.encode m
+end
+
+module Counting_enc_host = SN.Host (Counting_enc_msg)
+
+(* Node 0 sends one batch of [width] messages to the other nodes every
+   round, from [exchange_sized] arrays it refills in place: each round
+   after the first puts a newly allocated message at position [p] and
+   moves the value [p] held to position [p + 1], so exactly those two
+   positions change. The other nodes fold what they receive into their
+   decision; node 0 decides [on_done ()]. *)
+let width = 4
+let memo_rounds = 9
+
+module Memo_sender (Net : Repro_net.Network_intf.S with type msg = TMsg.t) =
+struct
+  let program ~on_done ctx =
+    let ids = Net.all_ids ctx in
+    if Net.my_id ctx = ids.(0) then begin
+      let dsts = Array.init width (fun j -> ids.(1 + (j mod 3))) in
+      let msgs = Array.init width (fun j -> TMsg.Ping (100 + j)) in
+      for r = 0 to memo_rounds - 1 do
+        if r > 0 then begin
+          let p = r mod (width - 1) in
+          let moved = msgs.(p) in
+          msgs.(p) <- TMsg.Ping (1000 + r);
+          msgs.(p + 1) <- moved
+        end;
+        ignore
+          (Net.exchange_sized ctx ~dsts ~msgs ~sizes:(Array.map TMsg.bits msgs)
+             ~len:width)
+      done;
+      on_done ()
+    end
+    else begin
+      let acc = ref 0 in
+      for _ = 1 to memo_rounds do
+        let inbox = Net.skip_round ctx in
+        acc :=
+          Net.Inbox.fold inbox ~init:!acc ~f:(fun acc ~src (TMsg.Ping v) ->
+              ((acc * 131) + (src * 7) + v) land 0xffffff)
+      done;
+      !acc
+    end
+end
+
+module Memo_sim = Memo_sender (Sim)
+module Memo_host = Memo_sender (Counting_enc_host)
+
+let test_encode_memo () =
+  let ids = [| 11; 22; 33; 44 |] in
+  let sim =
+    Sim.run ~ids ~seed:5 ~shards:1
+      ~program:(Memo_sim.program ~on_done:(fun () -> 0))
+      ()
+  in
+  let res =
+    serve_forked ~ids ~n_hosts:1 (fun h fd ->
+        Counting_enc_host.run ~fd ~host_index:h ~program:(fun ~extra:_ ctx ->
+            Memo_host.program ~on_done:(fun () -> !encodes) ctx))
+  in
+  List.iter2
+    (fun (id, want) (_, got) ->
+      match (want, got) with
+      | Engine.Decided _, Engine.Decided encoded when id = ids.(0) ->
+          (* [width] encodes in round 0, then one per changed position. *)
+          Alcotest.(check int)
+            "encodes" (width + (2 * (memo_rounds - 1))) encoded
+      | Engine.Decided w, Engine.Decided g ->
+          Alcotest.(check int) (Printf.sprintf "node %d received" id) w g
+      | _ -> Alcotest.fail (Printf.sprintf "node %d did not decide" id))
+    sim.Engine.outcomes res.SN.run.Engine.outcomes
+
 let () =
   Alcotest.run "repro-renaming-net-proc"
     [
@@ -378,9 +486,13 @@ let () =
             test_table_count_beyond_frame;
           Alcotest.test_case "2^20-byte payload length -> Crashed, unallocated"
             `Quick test_oversized_payload_length;
+          Alcotest.test_case "short frame over stale bytes -> Crashed" `Quick
+            test_stale_bytes;
           Alcotest.test_case "mixed outboxes match the engine" `Quick
             test_mixed_outboxes_match_engine;
           Alcotest.test_case "one decode per host per round" `Quick
             test_one_decode_per_host_per_round;
+          Alcotest.test_case "one encode per changed batch position" `Quick
+            test_encode_memo;
         ] );
     ]

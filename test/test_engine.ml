@@ -153,6 +153,39 @@ let test_duplicate_ids_rejected () =
     (Invalid_argument "Engine.run: duplicate identities") (fun () ->
       ignore (Net.run ~ids:[| 1; 1 |] ~program:(fun _ -> 0) ()))
 
+(* The id -> slot table the engine and the socket hosts share: compact
+   identities take the array, others (negative, or at and above 2^23)
+   the hash table, and both answer alike. *)
+let test_slot_index () =
+  let module S = Repro_util.Slot_index in
+  let dup id = Failure (Printf.sprintf "dup %d" id) in
+  List.iter
+    (fun ids ->
+      let t = S.create ~duplicate:dup ids in
+      Array.iteri
+        (fun s id ->
+          Alcotest.(check int) (Printf.sprintf "id %d" id) s (S.find t id))
+        ids;
+      List.iter
+        (fun id ->
+          if not (Array.mem id ids) then
+            Alcotest.(check int) (Printf.sprintf "outsider %d" id) (-1)
+              (S.find t id))
+        [ -1; 0; 5; 8_388_607; 8_388_608; max_int; min_int ])
+    [
+      [||];
+      [| 30; 10; 20 |];
+      [| 0; 8_388_607 |];
+      [| 7; 8_388_608 |];
+      [| -3; 4 |];
+      [| max_int; 0; min_int |];
+    ];
+  List.iter
+    (fun ids ->
+      Alcotest.check_raises "duplicate" (dup 9) (fun () ->
+          ignore (S.create ~duplicate:dup ids)))
+    [ [| 9; 1; 9 |]; [| 9; 8_388_608; 9 |] ]
+
 let test_byz_id_must_participate () =
   Alcotest.check_raises "unknown byz id"
     (Invalid_argument "Engine.run: byzantine id not a participant") (fun () ->
@@ -445,6 +478,7 @@ let suite =
         test_duplicate_ids_rejected;
       Alcotest.test_case "byz id must participate" `Quick
         test_byz_id_must_participate;
+      Alcotest.test_case "slot index: dense = sparse" `Quick test_slot_index;
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "recorded-trace equality" `Quick
         test_recorded_trace_equality;

@@ -63,6 +63,67 @@ let test_partial_io () =
         (Frame.read_frame_opt rio = None))
     [ 1; 2; 3; 7; 4096 ]
 
+(* Frame payloads as writer streams: byte strings after gamma fields, so
+   some start off a byte boundary. Long and short alternate, so a reused
+   writer or read buffer holds stale bytes from a longer frame. *)
+let payload_streams =
+  [
+    [ `S (String.make 1000 '\x7f') ];
+    [];
+    [ `G 5; `S "hello, frames" ];
+    [ `S "x" ];
+    [ `G 1_000_000; `G 0; `S (String.make 300 '\xa5'); `G 7 ];
+    [ `G 3 ];
+  ]
+
+let write_stream w =
+  List.iter (function
+    | `G v -> Wire.Writer.add_gamma w v
+    | `S s -> Wire.Writer.add_string w s)
+
+let contents_of stream =
+  let w = Wire.Writer.create () in
+  write_stream w stream;
+  Wire.Writer.contents w
+
+let test_framed_in_place () =
+  List.iter
+    (fun chunk ->
+      let want, wio = mem_writer ~chunk in
+      let got, gio = mem_writer ~chunk in
+      let w = Wire.Writer.create () in
+      List.iter
+        (fun stream ->
+          Frame.write_frame wio (contents_of stream);
+          Frame.begin_framed w;
+          write_stream w stream;
+          Frame.write_framed gio w)
+        payload_streams;
+      Alcotest.(check string)
+        (Printf.sprintf "chunk %d: in-place frames = write_frame's" chunk)
+        (Buffer.contents want) (Buffer.contents got);
+      (* One retained read buffer across the same frames: each reader
+         spans exactly its frame. *)
+      let rio = mem_reader ~chunk (Buffer.contents want) in
+      let ib = Frame.inbuf () in
+      List.iter
+        (fun stream ->
+          let payload = contents_of stream in
+          let r = Frame.read_framed rio ib in
+          Alcotest.(check int)
+            (Printf.sprintf "chunk %d: reader bound" chunk)
+            (8 * String.length payload)
+            (Wire.Reader.bits_remaining r);
+          Alcotest.(check string)
+            (Printf.sprintf "chunk %d: payload" chunk)
+            payload
+            (Wire.Reader.read_string r (String.length payload)))
+        payload_streams;
+      match Frame.read_framed rio ib with
+      | _ -> Alcotest.fail "read past the last frame"
+      | exception Frame.Protocol_error _ -> ())
+    [ 1; 2; 3; 4; 5; 6; 7 ]
+
 let test_write_no_progress () =
   let stuck =
     {
@@ -139,7 +200,7 @@ let reply_frame ~table ~bcast ~slots =
   Wire.Writer.add_gamma w 0;
   Wire.Writer.add_gamma w 0;
   Wire.Writer.add_gamma w (List.length table);
-  List.iter (SN.Codec.add_msg w) table;
+  List.iter (fun m -> SN.Codec.add_msg w (SN.enc_of m)) table;
   rows bcast;
   List.iter rows slots;
   Wire.Writer.contents w
@@ -214,6 +275,54 @@ let test_host_rejects_malformed_tables () =
   expect_host_rejects "undecodable table payload"
     (reply_frame ~table:[ ping 5; ("", 0) ] ~bcast:[ (1, 0) ]
        ~slots:[ []; []; [] ])
+
+(* A reply built from raw fields: gammas and [Codec.add_msg] entries. *)
+let raw_frame fields =
+  let w = Wire.Writer.create () in
+  List.iter
+    (function
+      | `G v -> Wire.Writer.add_gamma w v
+      | `M m -> SN.Codec.add_msg w (SN.enc_of m))
+    fields;
+  Wire.Writer.contents w
+
+let test_host_stale_bytes () =
+  (* The round-1 reply is cut short after a longer round-0 reply, and the
+     missing tail is exactly what the retained read buffer still holds:
+     the two replies' header fields take the same 14 bits (round 0 with
+     a 16-bit payload, round 1 with a 14-bit one, both 2 bytes), and
+     every later bit is equal. A reader bounded by the buffer's capacity
+     would parse the cut reply whole; the host must reject it. *)
+  let tail = [ `G 1; `G 1; `G 0; `G 0; `G 0; `G 0 ] in
+  let long = raw_frame ([ `G 0; `G 0; `G 1; `M ("\x80\x00", 16) ] @ tail) in
+  let full = raw_frame ([ `G 1; `G 0; `G 1; `M ("\x80\x00", 14) ] @ tail) in
+  Alcotest.(check int)
+    "replies of equal length" (String.length long) (String.length full);
+  Alcotest.(check string)
+    "equal from byte 2 on"
+    (String.sub long 2 (String.length long - 2))
+    (String.sub full 2 (String.length full - 2));
+  ignore (run_host [ long; full; stop_frame ~round:2 ]);
+  for cut = 0 to String.length full - 1 do
+    match run_host [ long; String.sub full 0 cut; stop_frame ~round:2 ] with
+    | _ -> Alcotest.failf "reply cut at byte %d accepted" cut
+    | exception Frame.Protocol_error _ -> ()
+  done
+
+let test_host_rejects_non_participant () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Frame.write_frame (Frame.io_of_fd a) config_frame;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      Alcotest.check_raises "destination outside the ids"
+        (Invalid_argument "Socket_net: destination 99 is not a participant")
+        (fun () ->
+          H.run ~fd:b ~host_index:0 ~program:(fun ~extra:_ ctx ->
+              ignore (H.exchange ctx [ (99, TMsg.Ping 1) ]);
+              0)))
 
 let test_host_rejects_oversized_lengths () =
   (* A length field claiming 2^20 bytes, in a frame of a few bytes: the
@@ -292,12 +401,12 @@ let roundtrip_framed (type a) (module M : Repro_net.Network_intf.WIRE_MSG
   let a_fd, b_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let wio = Frame.io_of_fd a_fd and rio = Frame.io_of_fd b_fd in
   let w = Wire.Writer.create () in
-  List.iter (fun m -> SN.Codec.add_msg w (M.encode m)) samples;
+  List.iter (fun m -> SN.Codec.add_msg w (SN.enc_of (M.encode m))) samples;
   Frame.write_frame wio (Wire.Writer.contents w);
   let r = Wire.Reader.of_string (Frame.read_frame rio) in
   List.iteri
     (fun i m ->
-      let bytes, bits = SN.Codec.read_msg r in
+      let { SN.bytes; bits; _ } = SN.Codec.read_msg r in
       let e_bytes, e_bits = M.encode m in
       Alcotest.(check int)
         (Printf.sprintf "%s[%d] bits" name i)
@@ -368,6 +477,8 @@ let suite =
     [
       Alcotest.test_case "frame partial reads / short writes" `Quick
         test_partial_io;
+      Alcotest.test_case "in-place frames = write_frame, retained reads"
+        `Quick test_framed_in_place;
       Alcotest.test_case "frame write without progress" `Quick
         test_write_no_progress;
       Alcotest.test_case "oversized length prefix rejected" `Quick
@@ -382,4 +493,8 @@ let suite =
         test_host_rejects_malformed_tables;
       Alcotest.test_case "host rejects 2^20-byte lengths unallocated" `Quick
         test_host_rejects_oversized_lengths;
+      Alcotest.test_case "host rejects a cut reply over stale bytes" `Quick
+        test_host_stale_bytes;
+      Alcotest.test_case "host rejects a non-participant destination" `Quick
+        test_host_rejects_non_participant;
     ] )

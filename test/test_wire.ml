@@ -136,8 +136,9 @@ let run_rop r o op =
         (fun () -> W.Reader.read_string r n)
         (fun () -> O.Reader.read_string o n)
 
-let read_both data rops =
-  let r = W.Reader.of_string data and o = O.Reader.of_string data in
+let read_both ?r data rops =
+  let r = Option.value r ~default:(W.Reader.of_string data) in
+  let o = O.Reader.of_string data in
   let show = function Ok v -> Printf.sprintf "%S" v | Error m -> "raise " ^ m in
   let rec go = function
     | [] -> true
@@ -241,6 +242,66 @@ let qcheck_writer_differential =
     (fun ops ->
       ignore (write_both ops);
       true)
+
+(* A writer reused across streams: after a long stream and [reset], a
+   short one must come out exactly as from a fresh writer and from the
+   oracle — the reset re-zeroes every byte the long stream touched. *)
+let qcheck_writer_reuse =
+  let gen_ops lo hi =
+    QCheck.Gen.(
+      list_size (int_range lo hi)
+        (frequency [ (12, gen_wop); (1, gen_bad_wop) ]))
+  in
+  QCheck.Test.make ~name:"reset writer = fresh writer = oracle" ~count:500
+    (QCheck.make
+       ~print:(fun (long, short) ->
+         Printf.sprintf "long [%s]; short [%s]" (print_wops long)
+           (print_wops short))
+       QCheck.Gen.(pair (gen_ops 10 60) (gen_ops 0 10)))
+    (fun (long, short) ->
+      let reused = W.Writer.create () in
+      List.iter (fun op -> ignore (run_wop reused (O.Writer.create ()) op)) long;
+      W.Writer.reset reused;
+      if W.Writer.bit_length reused <> 0 || W.Writer.byte_length reused <> 0
+      then QCheck.Test.fail_report "reset writer is not empty";
+      let o = O.Writer.create () and fresh = W.Writer.create () in
+      List.iter
+        (fun op ->
+          ignore (run_wop reused o op);
+          ignore (run_wop fresh (O.Writer.create ()) op))
+        short;
+      let want = O.Writer.contents o in
+      let check name w =
+        if not (String.equal (W.Writer.contents w) want) then
+          QCheck.Test.fail_reportf "%s writer %S, oracle %S" name
+            (W.Writer.contents w) want;
+        if W.Writer.bit_length w <> O.Writer.bit_length o then
+          QCheck.Test.fail_reportf "%s writer bit_length %d, oracle %d" name
+            (W.Writer.bit_length w) (O.Writer.bit_length o)
+      in
+      check "reused" reused;
+      check "fresh" fresh;
+      true)
+
+(* [Reader.of_bytes] over a buffer whose bytes past [len] are junk reads
+   what the oracle reads on the first [len] bytes alone, reads past the
+   end included. *)
+let qcheck_reader_of_bytes_bound =
+  QCheck.Test.make ~name:"of_bytes reader = oracle, junk past len" ~count:500
+    (QCheck.make
+       ~print:(fun (ops, junk) ->
+         Printf.sprintf "[%s] + junk %S" (print_wops ops) junk)
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 30) gen_wop)
+           (string_size (int_range 1 16))))
+    (fun (ops, junk) ->
+      let data = write_both ops in
+      let r =
+        W.Reader.of_bytes (Bytes.of_string (data ^ junk))
+          ~len:(String.length data)
+      in
+      read_both ~r data (reads_of ops @ [ RBit; RGamma; RFixed 7; RStr 1 ]))
 
 (* A valid stream, then damage: none, a byte-boundary cut, or one byte
    XORed with a non-zero mask. *)
@@ -484,6 +545,8 @@ let suite =
       Alcotest.test_case "rejected writes = oracle" `Quick
         test_writer_rejections;
       QCheck_alcotest.to_alcotest qcheck_writer_differential;
+      QCheck_alcotest.to_alcotest qcheck_writer_reuse;
+      QCheck_alcotest.to_alcotest qcheck_reader_of_bytes_bound;
       QCheck_alcotest.to_alcotest qcheck_reader_differential;
       QCheck_alcotest.to_alcotest qcheck_reader_random_bytes;
       QCheck_alcotest.to_alcotest qcheck_gamma_never_negative;
