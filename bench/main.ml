@@ -435,11 +435,10 @@ let fig9_ablations () =
           (fun (label, budget) ->
             let run reelection =
               let params = { CR.experiment_params with reelection } in
+              (* At budget 0 the killer retires in round 0. *)
               let crash =
-                if budget = 0 then CR.Net.Crash.none
-                else
-                  CR.Net.Crash.committee_killer
-                    ~rng:(Repro_util.Rng.of_seed 902) ~budget ()
+                CR.Net.Crash.committee_killer
+                  ~rng:(Repro_util.Rng.of_seed 902) ~budget ()
               in
               Runner.assess (CR.run ~params ~ids ~crash ~seed:903 ())
             in

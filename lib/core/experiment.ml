@@ -66,11 +66,10 @@ let run_crash ?trace ?alloc_probe ?shards ~protocol ~n
   let rng = Rng.of_seed (seed lxor 0xadce5) in
   let on_crash, on_decide, on_round_end = trace_hooks trace in
   (* The engine is a functor, so each protocol carries its own adversary
-     type; this local functor builds the matching strategy. *)
+     type; this local functor builds the matching strategy. [No_crash]
+     attaches none, so the engine never builds an observation. *)
   let module Adversary (C : sig
     type adv
-
-    val none : adv
 
     val random :
       rng:Rng.t -> f:int -> ?horizon:int -> ?mid_send_prob:float -> unit -> adv
@@ -85,13 +84,14 @@ let run_crash ?trace ?alloc_probe ?shards ~protocol ~n
   end) =
   struct
     let make = function
-      | No_crash -> C.none
-      | Random_crashes f -> C.random ~rng ~f ~horizon:(crash_horizon ~n ~f) ()
-      | Committee_killer f -> C.committee_killer ~rng ~budget:f ()
+      | No_crash -> None
+      | Random_crashes f ->
+          Some (C.random ~rng ~f ~horizon:(crash_horizon ~n ~f) ())
+      | Committee_killer f -> Some (C.committee_killer ~rng ~budget:f ())
       | Committee_killer_partial f ->
-          C.committee_killer ~rng ~budget:f ~partial:true ()
-      | Patient_killer f -> C.patient_killer ~budget:f ()
-      | Scripted_crashes orders -> C.scripted orders
+          Some (C.committee_killer ~rng ~budget:f ~partial:true ())
+      | Patient_killer f -> Some (C.patient_killer ~budget:f ())
+      | Scripted_crashes orders -> Some (C.scripted orders)
   end
   in
   let res =
@@ -108,7 +108,7 @@ let run_crash ?trace ?alloc_probe ?shards ~protocol ~n
               Trace.on_message t ~bits:(Crash_renaming.Msg.bits e.msg))
             trace
         in
-        Crash_renaming.run ~params:Crash_renaming.experiment_params ~ids ~crash:(A.make adversary) ?tap
+        Crash_renaming.run ~params:Crash_renaming.experiment_params ~ids ?crash:(A.make adversary) ?tap
           ?alloc_probe ?on_crash ?on_decide ?on_round_end ~seed ?shards ()
     | Halving_baseline ->
         let module A = Adversary (struct
@@ -122,7 +122,7 @@ let run_crash ?trace ?alloc_probe ?shards ~protocol ~n
               Trace.on_message t ~bits:(Halving_renaming.Msg.bits e.msg))
             trace
         in
-        Halving_renaming.run ~ids ~crash:(A.make adversary)
+        Halving_renaming.run ~ids ?crash:(A.make adversary)
           ?tap ?alloc_probe ?on_crash ?on_decide ?on_round_end ~seed ?shards
           ()
     | Flooding_baseline ->
@@ -140,7 +140,7 @@ let run_crash ?trace ?alloc_probe ?shards ~protocol ~n
               Trace.on_message t ~bits:(Flooding_renaming.Msg.bits e.msg))
             trace
         in
-        Flooding_renaming.run ~params ~ids ~crash:(A.make adversary) ?tap
+        Flooding_renaming.run ~params ~ids ?crash:(A.make adversary) ?tap
           ?on_crash ?on_decide ?on_round_end ~seed ?shards ()
   in
   Option.iter (fun t -> Trace.finish t res.Repro_sim.Engine.metrics) trace;

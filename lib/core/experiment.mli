@@ -41,6 +41,10 @@ val byz_protocol_name : byz_protocol -> string
 val crash_adversary_f : crash_adversary -> int
 val byz_adversary_f : byz_adversary -> int
 
+val crash_horizon : n:int -> f:int -> int
+(** The rounds [Random_crashes f] draws its crash rounds from at size
+    [n]: past the end of the longest crash-model protocol. *)
+
 val run_crash :
   ?trace:Repro_obs.Trace.t ->
   ?alloc_probe:Repro_sim.Engine.alloc_probe ->

@@ -266,7 +266,8 @@ module Make (M : MSG) = struct
   }
 
   type crash_order = { victim : int; delivered : envelope -> bool }
-  type crash_adversary = observation -> crash_order list
+  type crash_step = Orders of crash_order list | Final of crash_order list
+  type crash_adversary = observation -> crash_step
 
   type byz_strategy =
     byz_id:int -> round:int -> inbox:envelope list -> (int * M.t) list
@@ -381,11 +382,7 @@ module Make (M : MSG) = struct
     | Dead of int
     | Byz_node
 
-  (* The default adversary, recognized physically in [run] so that
-     no-fault executions skip observation construction entirely. *)
-  let no_crash : crash_adversary = fun _ -> []
-
-  let run ~ids ?byz ?(crash = no_crash) ?tap ?alloc_probe ?on_crash ?on_decide
+  let run ~ids ?byz ?crash ?tap ?alloc_probe ?on_crash ?on_decide
       ?on_round_end ?(max_rounds = 100_000) ?(seed = 1) ?shards ~program () =
     let n = Array.length ids in
     let shards =
@@ -653,14 +650,12 @@ module Make (M : MSG) = struct
             envs;
           o.len <- !w
     in
-    let crash_active = crash != no_crash in
     let pre_envs : envelope list array = Array.make n [] in
-    (* Let the crash adversary observe and act. The observation (and the
-       envelope materialization it requires) is only built when an
-       adversary is attached. Victims' filters then run once, on main,
-       in ascending sender order — they may be stateful ([Crash.random]
-       draws a coin per envelope), so they must never run per shard. *)
-    let apply_crash_orders round_no =
+    (* Let the crash adversary observe and act; true when its step was
+       [Final]. Victims' filters then run once, on main, in ascending
+       sender order — they may be stateful ([Crash.random] draws a coin
+       per envelope), so they must never run per shard. *)
+    let apply_crash_orders round_no crash =
       let filters = Array.make n None in
       let collect f =
         let acc = ref [] in
@@ -697,6 +692,8 @@ module Make (M : MSG) = struct
         Metrics.record_crash metrics;
         note_crash ~round:round_no victim
       in
+      let step = crash observation in
+      let (Orders orders | Final orders) = step in
       List.iter
         (fun { victim; delivered } ->
           let s = find_slot victim in
@@ -707,14 +704,15 @@ module Make (M : MSG) = struct
                 kill s victim delivered
             | Finished _ -> kill s victim delivered
             | Dead _ | Byz_node -> ())
-        (crash observation);
+        orders;
       Array.iter
         (fun s ->
           match filters.(s) with
           | Some keep -> compact s keep pre_envs.(s)
           | None -> ())
         order;
-      Array.fill pre_envs 0 n []
+      Array.fill pre_envs 0 n [];
+      match step with Final _ -> true | Orders _ -> false
     in
     (* Wire tap: every envelope handed to the network this round (post
        crash filter), including those addressed to finished or crashed
@@ -847,6 +845,8 @@ module Make (M : MSG) = struct
       done;
       dec_count.(k) <- !dec - lo
     in
+    (* The attached crash adversary, until it returns [Final]. *)
+    let adversary = ref crash in
     let rec rounds pool =
       if !running_count = 0 then ()
       else if !current_round >= max_rounds then
@@ -857,8 +857,12 @@ module Make (M : MSG) = struct
         (* 1. Byzantine traffic for this round, from last round's
            inboxes (each Byzantine inbox is built exactly once). *)
         Array.iter emit_byz byz_slots;
-        (* 2. Crash orders for this round. *)
-        if crash_active then apply_crash_orders round_no;
+        (* 2. Crash orders for this round. An adversary that returns
+           [Final] is dropped: later rounds build no observation, as in a
+           run without one. *)
+        (match !adversary with
+        | Some crash when apply_crash_orders round_no crash -> adversary := None
+        | Some _ | None -> ());
         (* 3. Transmit: tap, shared table, per-shard billing and
            delivery. *)
         Option.iter tap_round tap;
@@ -911,17 +915,27 @@ module Make (M : MSG) = struct
 
 
   module Crash = struct
-    let none = no_crash
+    let none : crash_adversary = fun _ -> Final []
 
     let deliver_all _ = true
 
+    (* Each canned adversary retires with [Final] as soon as nothing it
+       could still do is left: past the last round of its schedule, or
+       with its budget spent. *)
+    let step ~final orders = if final then Final orders else Orders orders
+
     let targeted schedule : crash_adversary =
+      let last =
+        List.fold_left (fun m (round, _) -> max m round) (-1) schedule
+      in
      fun obs ->
-      List.filter_map
-        (fun (round, victim) ->
-          if round = obs.obs_round then Some { victim; delivered = deliver_all }
-          else None)
-        schedule
+      step ~final:(obs.obs_round >= last)
+        (List.filter_map
+           (fun (round, victim) ->
+             if round = obs.obs_round then
+               Some { victim; delivered = deliver_all }
+             else None)
+           schedule)
 
     (* A delivery decision must be a pure function of the envelope — the
        filter can be re-evaluated and replayed — so the [`Subset] case
@@ -933,30 +947,38 @@ module Make (M : MSG) = struct
       (z lxor (z lsr 31)) land 1 = 0
 
     let scripted events : crash_adversary =
+      let last =
+        List.fold_left (fun m (round, _, _) -> max m round) (-1) events
+      in
      fun obs ->
-      List.filter_map
-        (fun (round, victim, mode) ->
-          if round <> obs.obs_round then None
-          else
-            let delivered =
-              match mode with
-              | `All -> deliver_all
-              | `Nothing -> fun _ -> false
-              | `Subset salt -> subset_keeps salt
-            in
-            Some { victim; delivered })
-        events
+      step ~final:(obs.obs_round >= last)
+        (List.filter_map
+           (fun (round, victim, mode) ->
+             if round <> obs.obs_round then None
+             else
+               let delivered =
+                 match mode with
+                 | `All -> deliver_all
+                 | `Nothing -> fun _ -> false
+                 | `Subset salt -> subset_keeps salt
+               in
+               Some { victim; delivered })
+           events)
 
     let random ~rng ~f ?(horizon = 64) ?(mid_send_prob = 0.5) () :
         crash_adversary =
       (* Pre-draw f crash rounds uniformly over the horizon; victims are
          picked adaptively among still-alive nodes when each round
-         arrives. *)
+         arrives. The rng is drawn only in rounds with crashes due, so
+         retiring after the last of them changes nothing. *)
       let schedule = Array.make (max horizon 1) 0 in
       for _ = 1 to f do
         let r = Repro_util.Rng.int rng (max horizon 1) in
         schedule.(r) <- schedule.(r) + 1
       done;
+      let last = ref (-1) in
+      Array.iteri (fun r due -> if due > 0 then last := r) schedule;
+      let last = !last in
       fun obs ->
         let due =
           if obs.obs_round < Array.length schedule then
@@ -967,20 +989,21 @@ module Make (M : MSG) = struct
            clamp so we never request more victims than candidates (the
            surplus is simply lost, as those nodes are already gone). *)
         let due = min due (List.length obs.obs_alive) in
-        if due = 0 then []
-        else
-          let victims =
-            Repro_util.Rng.sample_without_replacement rng due
-              (Array.of_list obs.obs_alive)
-          in
-          Array.to_list victims
-          |> List.map (fun victim ->
-                 let delivered =
-                   if Repro_util.Rng.bernoulli rng mid_send_prob then fun _ ->
-                     Repro_util.Rng.bool rng
-                   else deliver_all
-                 in
-                 { victim; delivered })
+        step ~final:(obs.obs_round >= last)
+          (if due = 0 then []
+           else
+             let victims =
+               Repro_util.Rng.sample_without_replacement rng due
+                 (Array.of_list obs.obs_alive)
+             in
+             Array.to_list victims
+             |> List.map (fun victim ->
+                    let delivered =
+                      if Repro_util.Rng.bernoulli rng mid_send_prob then
+                        fun _ -> Repro_util.Rng.bool rng
+                      else deliver_all
+                    in
+                    { victim; delivered }))
 
     let patient_killer ~budget () : crash_adversary =
       (* The message-maximising play: let every committee generation serve
@@ -992,7 +1015,7 @@ module Make (M : MSG) = struct
       let remaining = ref budget in
       let seen_announcing : (int, unit) Hashtbl.t = Hashtbl.create 64 in
       fun obs ->
-        if !remaining <= 0 then []
+        if !remaining <= 0 then Final []
         else begin
           let alive_count = List.length obs.obs_alive in
           let broadcasters =
@@ -1012,9 +1035,10 @@ module Make (M : MSG) = struct
             broadcasters;
           let victims = List.filteri (fun i _ -> i < !remaining) victims in
           remaining := !remaining - List.length victims;
-          List.map
-            (fun victim -> { victim; delivered = (fun _ -> false) })
-            victims
+          step ~final:(!remaining <= 0)
+            (List.map
+               (fun victim -> { victim; delivered = (fun _ -> false) })
+               victims)
         end
 
     let committee_killer ~rng ~budget ?(partial = false) () : crash_adversary =
@@ -1026,7 +1050,7 @@ module Make (M : MSG) = struct
          splitting the survivors' views. *)
       let remaining = ref budget in
       fun obs ->
-        if !remaining <= 0 then []
+        if !remaining <= 0 then Final []
         else
           let alive_count = List.length obs.obs_alive in
           let broadcasters =
@@ -1045,13 +1069,14 @@ module Make (M : MSG) = struct
                    (Array.of_list broadcasters))
           in
           remaining := !remaining - List.length victims;
-          List.map
-            (fun victim ->
-              let delivered =
-                if partial then fun _ -> Repro_util.Rng.bool rng
-                else deliver_all
-              in
-              { victim; delivered })
-            victims
+          step ~final:(!remaining <= 0)
+            (List.map
+               (fun victim ->
+                 let delivered =
+                   if partial then fun _ -> Repro_util.Rng.bool rng
+                   else deliver_all
+                 in
+                 { victim; delivered })
+               victims)
   end
 end

@@ -225,10 +225,27 @@ module Make (M : MSG) : sig
             the mid-send crash of the model *)
   }
 
-  type crash_adversary = observation -> crash_order list
-  (** Called once per round before delivery. Stateful strategies close
-      over their own state. Orders against already-dead nodes are
-      ignored. *)
+  (** What the adversary does in the round it observed. *)
+  type crash_step =
+    | Orders of crash_order list
+        (** apply these orders; observe the adversary again next round *)
+    | Final of crash_order list
+        (** apply these orders; never call the adversary again *)
+
+  type crash_adversary = observation -> crash_step
+  (** Called once per round before delivery, from round [0] on, until it
+      returns [Final]; never after. Stateful strategies close over their
+      own state. For each victim the first order wins; orders against
+      already-dead or unknown nodes are ignored. A [Final] step's orders
+      are applied exactly like an [Orders] step's, so an adversary that
+      retires once nothing it could still do is left runs
+      byte-identically to one that keeps being observed, and costs
+      nothing from then on: the observation, with its envelope list per
+      running sender, is only built for an adversary still attached.
+
+      Without [?crash] there is no adversary and no observation is ever
+      built. {!Crash.none} is an adversary that observes round [0] once
+      and retires with no orders. *)
 
   type byz_strategy =
     byz_id:int -> round:int -> inbox:envelope list -> (int * M.t) list
@@ -284,15 +301,16 @@ module Make (M : MSG) : sig
       produce byte-identical execution traces.
 
       Envelope records are materialized only where this API demands
-      them: for the tap, for the crash adversary's observation, and for
-      Byzantine strategy inboxes. Delivery never reads them: every
-      outbox is normalized into the engine's own per-sender buffers
-      when the node yields, and a mid-send victim's filter is applied
-      once, in ascending sender order, by compacting the victim's
-      buffers. A run with a crash adversary attached is therefore
-      delivered by the same code as one without, and a never-firing
-      adversary is byte-identical to none in metrics and run-trace
-      output (asserted by [test/test_delivery_equiv.ml]).
+      them: for the tap, for the observation of a crash adversary that
+      has not yet returned [Final], and for Byzantine strategy inboxes.
+      Delivery never reads them: every outbox is normalized into the
+      engine's own per-sender buffers when the node yields, and a
+      mid-send victim's filter is applied once, in ascending sender
+      order, by compacting the victim's buffers. A run with a crash
+      adversary attached is therefore delivered by the same code as one
+      without, and an adversary that observes every round but never
+      orders is byte-identical to none in metrics and run-trace output
+      (asserted by [test/test_delivery_equiv.ml]).
 
       The remaining hooks are the run-trace observability surface
       ([Repro_obs.Trace] plugs into all three); their call order is part
@@ -312,9 +330,13 @@ module Make (M : MSG) : sig
       @raise Invalid_argument on duplicate identities. *)
 
   (** Canned crash adversaries. All are stateful: build a fresh one per
-      run. *)
+      run. Each returns [Final] as soon as its remaining behaviour is
+      empty: after the last round of its schedule ([targeted],
+      [scripted], [random]) or once its budget is spent (the killers). *)
   module Crash : sig
     val none : crash_adversary
+    (** Returns [Final \[\]] at once. Omitting [?crash] is the same run
+        without the one round-[0] observation. *)
 
     val targeted : (int * int) list -> crash_adversary
     (** [targeted \[(round, victim); ...\]] crashes each victim at the

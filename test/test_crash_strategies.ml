@@ -122,6 +122,48 @@ let test_none () =
   in
   Alcotest.(check int) "no crashes" 0 res.metrics.Repro_sim.Metrics.crashes
 
+(* Node [k] broadcasts in rounds [k-1 .. k-2+width] and stays quiet
+   otherwise, so announcements are staggered one node per round. *)
+let staggered_program ~width ctx =
+  let me = Net.my_id ctx in
+  for r = 0 to 7 do
+    if me - 1 <= r && r < me - 1 + width then ignore (Net.broadcast ctx M.Tick)
+    else ignore (Net.skip_round ctx)
+  done
+
+(* The engine's calls, counted; the adversary's steps pass through. *)
+let counted adversary =
+  let calls = ref 0 in
+  (calls, fun obs -> incr calls; adversary obs)
+
+(* A killer retires in the round its budget runs out, not before: with
+   one announcer per round, a budget of 3 kills in three consecutive
+   rounds, and an adversary that retired with budget left over would
+   miss the third. *)
+let test_killers_retire_when_budget_spent () =
+  let check name ~width ~first_kill adversary =
+    let calls, crash = counted adversary in
+    let res = Net.run ~ids ~crash ~program:(staggered_program ~width) () in
+    let o = outcomes_of res in
+    Alcotest.(check int) (name ^ ": budget spent") 3
+      res.metrics.Repro_sim.Metrics.crashes;
+    List.iter
+      (fun k ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: node %d killed in round %d" name k
+             (first_kill + k - 1))
+          true
+          (List.assoc k o = `C (first_kill + k - 1)))
+      [ 1; 2; 3 ];
+    Alcotest.(check int)
+      (name ^ ": observed up to the last kill")
+      (first_kill + 3) !calls
+  in
+  check "committee_killer" ~width:1 ~first_kill:0
+    (Net.Crash.committee_killer ~rng:(Repro_util.Rng.of_seed 5) ~budget:3 ());
+  check "patient_killer" ~width:2 ~first_kill:1
+    (Net.Crash.patient_killer ~budget:3 ())
+
 let suite =
   ( "crash_strategies",
     [
@@ -136,4 +178,6 @@ let suite =
       Alcotest.test_case "patient killer timing" `Quick
         test_patient_killer_spares_first_announcement;
       Alcotest.test_case "none" `Quick test_none;
+      Alcotest.test_case "killers retire when the budget is spent" `Quick
+        test_killers_retire_when_budget_spent;
     ] )

@@ -9,16 +9,16 @@
    buffers) but must not change a single delivered byte. These tests pin
    that for E1-style runs of all four algorithms.
 
-   [E.No_crash] maps to the engine's canned [Crash.none], the one
-   adversary value the engine recognises (physically) as "no crash
-   adversary" and never observes. [E.Committee_killer 0] is
-   behaviourally identical — with budget 0 it never issues an order and
-   never draws from its rng — but it is a distinct closure, so the
-   engine builds the observation every round. Same traffic, with and
-   without the crash machinery armed: everything observable must
+   The "fast" arm attaches no adversary ([?crash] absent, which is also
+   what [E.No_crash] does), so the engine never builds an observation.
+   The "fallback" arm attaches one that returns [Orders \[\]] every
+   round: it never orders a crash and never retires, so the engine
+   builds the observation in every round of the run. Same traffic, with
+   and without the crash machinery armed: everything observable must
    coincide. *)
 
 module E = Repro_renaming.Experiment
+module H = Crash_harness
 module Runner = Repro_renaming.Runner
 module Trace = Repro_obs.Trace
 module Tools = Repro_obs.Trace_tools
@@ -28,8 +28,8 @@ let n = 24
 let namespace = 1536
 let seed = 9
 (* Unobserved and observed runs of the same traffic. *)
-let fast = E.No_crash
-let fallback = E.Committee_killer 0
+let fast = None
+let fallback = Some H.Observer
 
 let crash_protocols =
   [ E.This_work_crash; E.Halving_baseline; E.Flooding_baseline ]
@@ -39,7 +39,7 @@ let run_traced ?shards ~protocol ~adversary () =
     Trace.create ~meta:[ ("algo", `Str (E.crash_protocol_name protocol)) ] ()
   in
   let a =
-    E.run_crash ?shards ~trace:t ~protocol ~n ~namespace ~adversary ~seed ()
+    H.run ?shards ~trace:t ~protocol ~n ~namespace ~adversary ~seed ()
   in
   (Trace.contents t, a)
 
@@ -84,16 +84,18 @@ let test_traces_byte_identical () =
 
 (* Untraced (no tap) runs: an unobserved run then materializes nothing
    at all; the assessment must still match the taped runs of both
-   variants. *)
+   variants, and [Experiment]'s own [No_crash] run. *)
 let test_tap_does_not_perturb () =
   List.iter
     (fun protocol ->
       let name = E.crash_protocol_name protocol in
+      check_same_assessment
+        (Printf.sprintf "%s (Experiment No_crash vs fast)" name)
+        (E.run_crash ~protocol ~n ~namespace ~adversary:E.No_crash ~seed ())
+        (H.run ~protocol ~n ~namespace ~adversary:fast ~seed ());
       List.iter
         (fun (variant, adversary) ->
-          let plain =
-            E.run_crash ~protocol ~n ~namespace ~adversary ~seed ()
-          in
+          let plain = H.run ~protocol ~n ~namespace ~adversary ~seed () in
           let _, traced = run_traced ~protocol ~adversary () in
           check_same_assessment
             (Printf.sprintf "%s (%s, tap on/off)" name variant)
@@ -103,8 +105,8 @@ let test_tap_does_not_perturb () =
 
 (* [Metrics.reconcile] on the engine's own metrics record — not the
    assessment's derived view — must hold in both variants. Driven
-   through the protocol wrappers directly, which is also where a fresh
-   no-op closure (rather than [Crash.none]) arms the crash observer. *)
+   through the protocol wrappers directly: no [?crash], and a closure
+   that observes every round and never retires. *)
 let test_metrics_reconcile_both_paths () =
   let module CR = Repro_renaming.Crash_renaming in
   let module HR = Repro_renaming.Halving_renaming in
@@ -124,14 +126,14 @@ let test_metrics_reconcile_both_paths () =
     Alcotest.(check bool) (name ^ ": same outcomes") true (o_fast = o_fb)
   in
   pair "crash_renaming"
-    (fun () -> CR.run ~ids ~crash:CR.Net.Crash.none ~seed ())
-    (fun () -> CR.run ~ids ~crash:(fun _ -> []) ~seed ());
+    (fun () -> CR.run ~ids ~seed ())
+    (fun () -> CR.run ~ids ~crash:(fun _ -> CR.Net.Orders []) ~seed ());
   pair "halving_renaming"
-    (fun () -> HR.run ~ids ~crash:HR.Net.Crash.none ~seed ())
-    (fun () -> HR.run ~ids ~crash:(fun _ -> []) ~seed ());
+    (fun () -> HR.run ~ids ~seed ())
+    (fun () -> HR.run ~ids ~crash:(fun _ -> HR.Net.Orders []) ~seed ());
   pair "flooding_renaming"
-    (fun () -> FR.run ~ids ~crash:FR.Net.Crash.none ~seed ())
-    (fun () -> FR.run ~ids ~crash:(fun _ -> []) ~seed ())
+    (fun () -> FR.run ~ids ~seed ())
+    (fun () -> FR.run ~ids ~crash:(fun _ -> FR.Net.Orders []) ~seed ())
 
 (* Sharding composes with both variants: splitting the round across
    domains must not perturb either the unobserved run or the one with

@@ -63,9 +63,10 @@ let test_crash_semantics () =
     (a, b, c)
   in
   let crash obs =
-    if obs.Net.obs_round = 1 then
-      [ { Net.victim = 20; delivered = (fun _ -> false) } ]
-    else []
+    Net.Orders
+      (if obs.Net.obs_round = 1 then
+         [ { Net.victim = 20; delivered = (fun _ -> false) } ]
+       else [])
   in
   let res = Net.run ~ids:ids3 ~crash ~program () in
   (match List.assoc 20 res.outcomes with
@@ -86,9 +87,10 @@ let test_mid_send_partial_delivery () =
     Net.Inbox.fold inbox ~init:false ~f:(fun acc ~src _ -> acc || src = 10)
   in
   let crash obs =
-    if obs.Net.obs_round = 0 then
-      [ { Net.victim = 10; delivered = (fun e -> e.dst = 20) } ]
-    else []
+    Net.Orders
+      (if obs.Net.obs_round = 0 then
+         [ { Net.victim = 10; delivered = (fun e -> e.dst = 20) } ]
+       else [])
   in
   let res = Net.run ~ids:ids3 ~crash ~program () in
   Alcotest.(check bool) "20 heard 10" true

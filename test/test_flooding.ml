@@ -33,9 +33,10 @@ let test_one_round_breaks_under_mid_send_crash () =
      the failure mode (and that our assessment catches it). *)
   let ids = [| 10; 20; 30 |] in
   let crash obs =
-    if obs.FL.Net.obs_round = 0 then
-      [ { FL.Net.victim = 10; delivered = (fun e -> e.dst = 20) } ]
-    else []
+    FL.Net.Orders
+      (if obs.FL.Net.obs_round = 0 then
+         [ { FL.Net.victim = 10; delivered = (fun e -> e.dst = 20) } ]
+       else [])
   in
   let res = FL.run ~params:{ rounds = `Fixed 1 } ~ids ~crash ~seed:4 () in
   let a = Runner.assess res in
@@ -46,9 +47,10 @@ let test_one_round_breaks_under_mid_send_crash () =
 let test_two_rounds_fix_single_crash () =
   let ids = [| 10; 20; 30 |] in
   let crash obs =
-    if obs.FL.Net.obs_round = 0 then
-      [ { FL.Net.victim = 10; delivered = (fun e -> e.dst = 20) } ]
-    else []
+    FL.Net.Orders
+      (if obs.FL.Net.obs_round = 0 then
+         [ { FL.Net.victim = 10; delivered = (fun e -> e.dst = 20) } ]
+       else [])
   in
   let res = FL.run ~params:{ rounds = `Tolerate 1 } ~ids ~crash ~seed:5 () in
   let a = Runner.assess res in

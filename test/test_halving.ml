@@ -28,9 +28,10 @@ let test_ghost_status_scenario () =
   (* Node 1 crashes mid-send in the status round of phase 1 (round index
      1), delivering only to nodes 2 and 3. *)
   let crash obs =
-    if obs.H.Net.obs_round = 1 then
-      [ { H.Net.victim = 1; delivered = (fun e -> e.dst <= 3) } ]
-    else []
+    H.Net.Orders
+      (if obs.H.Net.obs_round = 1 then
+         [ { H.Net.victim = 1; delivered = (fun e -> e.dst <= 3) } ]
+       else [])
   in
   let a = Runner.assess (H.run ~ids ~crash ~seed:2 ()) in
   Alcotest.(check bool) "correct despite ghost status" true a.correct;

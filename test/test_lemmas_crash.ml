@@ -110,7 +110,7 @@ let progress_holds phases =
 
 let adversaries ~seed n =
   [
-    ("none", fun _ -> fun _ -> []);
+    ("none", fun _ -> fun _ -> CR.Net.Orders []);
     ( "random",
       fun _ ->
         CR.Net.Crash.random ~rng:(Rng.of_seed seed) ~f:(n / 3)
