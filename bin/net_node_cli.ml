@@ -37,6 +37,16 @@ let algo_name = function
 (* {2 Host side: instantiate the transport at the protocol's message
    type and apply its [Make_node] functor.} *)
 
+(* Byzantine runs draw the committee pool as [Experiment] does (and so
+   [renaming_cli byz] and the benchmark): Θ(log n) expected members. The
+   paper's pool constant puts every node on the committee at the sizes a
+   socket run reaches, and breaks the bit budget the oracles check. *)
+let byz_params ~namespace ~shared_seed ~n =
+  {
+    (BZ.default_params ~namespace ~shared_seed) with
+    pool_probability = `Fixed (E.committee_pool_probability ~n);
+  }
+
 let node_main ~algo ~fd ~host_index =
   match algo with
   | Crash ->
@@ -61,7 +71,7 @@ let node_main ~algo ~fd ~host_index =
           let namespace, shared_seed =
             Scanf.sscanf extra " %d %d" (fun a b -> (a, b))
           in
-          P.program (BZ.default_params ~namespace ~shared_seed) ctx)
+          P.program (byz_params ~namespace ~shared_seed ~n:(H.n ctx)) ctx)
 
 (* The coordinator never decodes payloads, so the application-level
    parameters ride to every host in the opaque handshake blob; only the
@@ -164,7 +174,8 @@ let sim_assessment ~algo ~namespace ~seed ~faults ~ids =
   | Byz ->
       Runner.assess
         (BZ.run
-           ~params:(BZ.default_params ~namespace ~shared_seed:seed)
+           ~params:
+             (byz_params ~namespace ~shared_seed:seed ~n:(Array.length ids))
            ~ids ~seed ())
 
 let compare_with_sim ~algo ~namespace ~seed ~faults ~ids

@@ -9,17 +9,62 @@ module Validator = Repro_consensus.Validator
 
 let silent : Net.byz_strategy = fun ~byz_id:_ ~round:_ ~inbox:_ -> []
 
+(* What [split_world] sends one view member whatever the round's draws
+   are, for one face: built once per committee view, not per round. *)
+type face = {
+  vote : int * Msg.t;
+  propose : int * Msg.t;
+  king : int * Msg.t;
+  diff : int * Msg.t;
+}
+
+type target = {
+  member : int;
+  even : bool;
+      (* even position in the view: shown the round's face; odd
+         positions are shown its opposite *)
+  yes : face;
+  no : face;
+  lock_none : int * Msg.t;
+}
+
+let face m b =
+  {
+    vote = (m, Msg.Pk (Phase_king.Vote b));
+    propose = (m, Msg.Pk (Phase_king.Propose b));
+    king = (m, Msg.Pk (Phase_king.King b));
+    diff = (m, Msg.Diff b);
+  }
+
+let targets_of view =
+  List.mapi
+    (fun i m ->
+      {
+        member = m;
+        even = i mod 2 = 0;
+        yes = face m true;
+        no = face m false;
+        lock_none = (m, Msg.Vld (Validator.Lock None));
+      })
+    view
+
 (* Per-byz-node view tracking: remember the committee members seen in the
-   ELECT round (round 0) so later rounds can target them. *)
-type spy = { mutable view : int list; mutable announced : bool }
+   ELECT round (round 0) so later rounds can target them. [targets] is
+   [split_world]'s per-view cache, built for the view [built_for]. *)
+type spy = {
+  mutable view : int list;
+  mutable announced : bool;
+  mutable built_for : int list;
+  mutable targets : target list;
+}
 
 let make_spies () : (int, spy) Hashtbl.t = Hashtbl.create 8
 
 let spy_of spies byz_id =
-  match Hashtbl.find_opt spies byz_id with
-  | Some s -> s
-  | None ->
-      let s = { view = []; announced = false } in
+  match Hashtbl.find spies byz_id with
+  | s -> s
+  | exception Not_found ->
+      let s = { view = []; announced = false; built_for = []; targets = [] } in
       Hashtbl.replace spies byz_id s;
       s
 
@@ -111,53 +156,59 @@ let random_noise (params : B.params) ~rng ~ids : Net.byz_strategy =
 let split_world (params : B.params) ~rng ~ids : Net.byz_strategy =
   let n = Array.length ids in
   let spies = make_spies () in
+  (* Fake NEW identities pushed at a few random nodes, trying to bait a
+     premature or wrong decision. Each bait draws its rank, then its
+     destination. *)
+  let rec baits k =
+    if k = 0 then []
+    else
+      let rank = 1 + Rng.int rng n in
+      let dst = ids.(Rng.int rng n) in
+      (dst, Msg.New (Some rank)) :: baits (k - 1)
+  in
+  (* Two-faced equivocation in every vote, proposal, king declaration,
+     validator and diff round, then the baits. A member's draws all
+     precede the next member's, and the fingerprint's second value is
+     drawn before its first. *)
+  let rec equivocate b = function
+    | [] -> baits 3
+    | t :: rest ->
+        let v2 = Rng.int rng max_int in
+        let v1 = Rng.int rng max_int in
+        let fake = Fingerprint.of_raw v1 v2 in
+        let count = Rng.int rng n in
+        let tl = equivocate b rest in
+        let shown = if t.even then b else not b in
+        let f = if shown then t.yes else t.no in
+        let lock =
+          if shown then (t.member, Msg.Vld (Validator.Lock (Some (fake, 0))))
+          else t.lock_none
+        in
+        f.vote :: f.propose :: f.king
+        :: (t.member, Msg.Vld (Validator.Input (fake, count)))
+        :: lock :: f.diff :: tl
+  in
   fun ~byz_id ~round ~inbox ->
     let spy = spy_of spies byz_id in
     if spy.view = [] then spy.view <- initial_view params ~ids;
     if round = 0 then election_round_out params ~byz_id ~ids
     else begin
       if round = 1 then absorb_elects params ~n spy inbox;
-      let halves b =
-        (* Even-indexed view members get the [b] face, odd-indexed the
-           opposite: maximal disagreement injection. *)
-        List.mapi (fun i m -> (i, m)) spy.view
-        |> List.map (fun (i, m) -> (m, if i mod 2 = 0 then b else not b))
-      in
-      let announce =
-        (* Round 1: reveal the identity to only half the committee, so
-           correct identity lists diverge at this node's position. *)
-        if round = 1 && not spy.announced then begin
-          spy.announced <- true;
-          List.filteri (fun i _ -> i mod 2 = 0) spy.view
-          |> List.map (fun m -> (m, Msg.Announce))
-        end
-        else []
-      in
-      let equivocations =
-        List.concat_map
-          (fun (m, face) ->
-            let fake =
-              Fingerprint.of_raw (Rng.int rng max_int) (Rng.int rng max_int)
-            in
-            [
-              (m, Msg.Pk (Phase_king.Vote face));
-              (m, Msg.Pk (Phase_king.Propose face));
-              (m, Msg.Pk (Phase_king.King face));
-              (m, Msg.Vld (Validator.Input (fake, Rng.int rng n)));
-              ( m,
-                Msg.Vld
-                  (Validator.Lock (if face then Some (fake, 0) else None)) );
-              (m, Msg.Diff face);
-            ])
-          (halves (Rng.bool rng))
-      in
-      let bait =
-        (* Push fake NEW identities at a few random nodes, trying to bait
-           a premature or wrong decision. *)
-        List.init 3 (fun _ ->
-            (ids.(Rng.int rng n), Msg.New (Some (1 + Rng.int rng n))))
-      in
-      announce @ equivocations @ bait
+      if spy.built_for != spy.view then begin
+        spy.targets <- targets_of spy.view;
+        spy.built_for <- spy.view
+      end;
+      let ts = spy.targets in
+      (* Round 1: reveal the identity to only half the committee, so
+         correct identity lists diverge at this node's position. *)
+      let announce = round = 1 && not spy.announced in
+      if announce then spy.announced <- true;
+      let rest = equivocate (Rng.bool rng) ts in
+      if announce then
+        List.fold_right
+          (fun t acc -> if t.even then (t.member, Msg.Announce) :: acc else acc)
+          ts rest
+      else rest
     end
 
 type behavior = Silence | Equivocate | Misaddress | Replay | Noise

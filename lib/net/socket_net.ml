@@ -524,59 +524,127 @@ module Host (M : Network_intf.WIRE_MSG) = struct
           { ib_src; ib_msg; ib_len = len }
   end
 
-  type outbox =
-    | Ob_list of (int * M.t) list
-    | Ob_multi of int list * M.t
-    | Ob_sized of { dsts : int array; msgs : M.t array; len : int }
-    | Ob_bcast of M.t
+  (* A slot's outbox for the round, staged in place by the node's
+     exchange-class call before it yields; [intern_outbox] and
+     [write_outbox] read it when the host builds the round frame.
+     [Entries] sends [msg.(j)] to [dst.(j)] for [j < len]; [Fan] sends
+     [msg.(0)] to each of those destinations; [Bcast] sends [msg.(0)]
+     to everyone. [dst]/[msg] point at the slot's retained [own_*]
+     buffers, except that an [exchange_sized] batch aliases the
+     caller's arrays: a suspended node cannot touch them before the
+     frame is built. *)
+  type shape = Entries | Fan | Bcast
+
+  type staged = {
+    mutable shape : shape;
+    mutable dst : int array;
+    mutable msg : M.t array;
+    mutable len : int;
+    mutable own_dst : int array;
+    mutable own_msg : M.t array;
+  }
 
   type ctx = {
     slot : int;
     ids : int array;
     node_rng : Rng.t;
     current_round : int ref;
+    out : staged;
   }
 
-  type _ Effect.t += Exchange : outbox -> inbox Effect.t
+  (* The round barrier; the outbox is already staged in the slot. *)
+  type _ Effect.t += Exchange : inbox Effect.t
 
   let my_id ctx = ctx.ids.(ctx.slot)
   let n ctx = Array.length ctx.ids
   let all_ids ctx = ctx.ids
   let round ctx = !(ctx.current_round)
   let rng ctx = ctx.node_rng
-  let exchange _ctx l = Effect.perform (Exchange (Ob_list l))
 
-  let multisend _ctx ~dsts m = Effect.perform (Exchange (Ob_multi (dsts, m)))
+  (* Stage a [shape] outbox of [len] destinations and [cap_msg]
+     messages in the slot's own buffers, grown to hold them ([m] fills
+     fresh message cells). *)
+  let stage_own o shape len cap_msg m =
+    if Array.length o.own_dst < len then o.own_dst <- grow o.own_dst len 0;
+    if Array.length o.own_msg < cap_msg then
+      o.own_msg <- grow o.own_msg cap_msg m;
+    o.shape <- shape;
+    o.dst <- o.own_dst;
+    o.msg <- o.own_msg;
+    o.len <- len
 
-  let broadcast _ctx m = Effect.perform (Exchange (Ob_bcast m))
-  let skip_round _ctx = Effect.perform (Exchange (Ob_list []))
+  let rec fill_entries o j = function
+    | [] -> ()
+    | (d, m) :: tl ->
+        o.dst.(j) <- d;
+        o.msg.(j) <- m;
+        fill_entries o (j + 1) tl
 
-  let exchange_sized _ctx ~dsts ~msgs ~sizes:_ ~len =
+  let rec fill_dsts o j = function
+    | [] -> ()
+    | d :: tl ->
+        o.dst.(j) <- d;
+        fill_dsts o (j + 1) tl
+
+  let exchange ctx l =
+    let o = ctx.out in
+    (match l with
+    | [] ->
+        o.shape <- Entries;
+        o.len <- 0
+    | (_, m0) :: _ ->
+        let len = List.length l in
+        stage_own o Entries len len m0;
+        fill_entries o 0 l);
+    Effect.perform Exchange
+
+  let multisend ctx ~dsts m =
+    let o = ctx.out in
+    stage_own o Fan (List.length dsts) 1 m;
+    o.msg.(0) <- m;
+    fill_dsts o 0 dsts;
+    Effect.perform Exchange
+
+  let broadcast ctx m =
+    let o = ctx.out in
+    stage_own o Bcast 0 1 m;
+    o.msg.(0) <- m;
+    Effect.perform Exchange
+
+  let skip_round ctx = exchange ctx []
+
+  let exchange_sized ctx ~dsts ~msgs ~sizes:_ ~len =
     (* Sizes are recomputed from the exact codec at frame build; the
-       [sizes.(k) = bits msgs.(k)] contract makes that the same bill.
-       Holding the caller's arrays is safe: they are read before the
-       continuation resumes, i.e. before this call returns. *)
-    Effect.perform (Exchange (Ob_sized { dsts; msgs; len }))
+       [sizes.(k) = bits msgs.(k)] contract makes that the same bill. *)
+    let o = ctx.out in
+    o.shape <- Entries;
+    o.dst <- dsts;
+    o.msg <- msgs;
+    o.len <- len;
+    Effect.perform Exchange
 
-  type step =
-    | Done of int
-    | Yield of outbox * (inbox, step) Effect.Deep.continuation
+  (* A slot's fiber: suspended at a round barrier with its outbox
+     staged, decided with the result not yet reported, or idle (never
+     started, or decided and reported). *)
+  type state =
+    | Running of (inbox, state) Effect.Deep.continuation
+    | Decided of int
+    | Idle
 
-  let start_fiber program ctx : step =
-    Effect.Deep.match_with
-      (fun () -> Done (program ctx))
-      ()
+  (* The handler's answer to [Exchange], built once: it captures
+     nothing, and a [Some] built inside the handler is allocated per
+     yield. *)
+  let suspend = Some (fun k -> Running k)
+
+  let start_fiber program ctx : state =
+    Effect.Deep.match_with program ctx
       {
-        retc = Fun.id;
+        retc = (fun v -> Decided v);
         exnc = raise;
         effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Exchange outbox ->
-                Some
-                  (fun (k : (a, _) Effect.Deep.continuation) ->
-                    Yield (outbox, k))
-            | _ -> None);
+          (fun (type a) (eff : a Effect.t) :
+               ((a, state) Effect.Deep.continuation -> state) option ->
+            match eff with Exchange -> suspend | _ -> None);
       }
 
   let slot_of index dst =
@@ -616,17 +684,16 @@ module Host (M : Network_intf.WIRE_MSG) = struct
      [gids], in frame order; once the table is written, [write_outbox]
      emits the slot record, taking the indices back from [gids] at
      [cur]. *)
-  let intern_outbox tbl gids memo outbox =
+  let intern_outbox tbl gids memo o =
     let add j m = Ibuf.push gids (Payloads.intern tbl (encode_at memo j m)) in
-    match outbox with
-    | Ob_bcast m | Ob_multi (_, m) -> add 0 m
-    | Ob_list l -> List.iteri (fun j (_, m) -> add j m) l
-    | Ob_sized { msgs; len; _ } ->
-        for j = 0 to len - 1 do
-          add j msgs.(j)
+    match o.shape with
+    | Bcast | Fan -> add 0 o.msg.(0)
+    | Entries ->
+        for j = 0 to o.len - 1 do
+          add j o.msg.(j)
         done
 
-  let write_outbox w ~index (gids : Ibuf.t) cur outbox =
+  let write_outbox w ~index (gids : Ibuf.t) cur o =
     let next () =
       incr cur;
       gids.a.(!cur - 1)
@@ -635,24 +702,22 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       Wire.Writer.add_gamma w (slot_of index dst);
       Wire.Writer.add_gamma w g
     in
-    match outbox with
-    | Ob_bcast _ ->
+    match o.shape with
+    | Bcast ->
         Wire.Writer.add_gamma w 3;
         Wire.Writer.add_gamma w (next ())
-    | Ob_multi (dsts, _) ->
+    | Fan ->
         Wire.Writer.add_gamma w 2;
-        Wire.Writer.add_gamma w (List.length dsts);
+        Wire.Writer.add_gamma w o.len;
         let g = next () in
-        List.iter (fun dst -> entry dst g) dsts
-    | Ob_list l ->
+        for j = 0 to o.len - 1 do
+          entry o.dst.(j) g
+        done
+    | Entries ->
         Wire.Writer.add_gamma w 2;
-        Wire.Writer.add_gamma w (List.length l);
-        List.iter (fun (dst, _) -> entry dst (next ())) l
-    | Ob_sized { dsts; len; _ } ->
-        Wire.Writer.add_gamma w 2;
-        Wire.Writer.add_gamma w len;
-        for j = 0 to len - 1 do
-          entry dsts.(j) (next ())
+        Wire.Writer.add_gamma w o.len;
+        for j = 0 to o.len - 1 do
+          entry o.dst.(j) (next ())
         done
 
   (* Reply parsing state kept across rounds: the decoded payload table,
@@ -792,16 +857,19 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     in
     let current_round = ref 0 in
     let prog = program ~extra in
-    (* Fibers hold their outbox + continuation; freshly decided results
-       are reported in the next frame, then the slot goes idle. *)
-    let states :
-        (outbox * (inbox, step) Effect.Deep.continuation) option array =
-      Array.make n None
-    in
-    let fresh : int option array = Array.make n None in
-    let settle s = function
-      | Done v -> fresh.(s) <- Some v
-      | Yield (outbox, k) -> states.(s) <- Some (outbox, k)
+    (* Freshly decided results are reported in the next frame, then the
+       slot goes idle. *)
+    let states = Array.make n Idle in
+    let outs =
+      Array.init n (fun _ ->
+          {
+            shape = Entries;
+            dst = [||];
+            msg = [||];
+            len = 0;
+            own_dst = [||];
+            own_msg = [||];
+          })
     in
     (* Split the master stream once per slot in global slot order — the
        exact derivation the engine performs — keeping only our slice. *)
@@ -809,8 +877,8 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     for s = 0 to n - 1 do
       let node_rng = Rng.split master in
       if s >= lo && s < hi then
-        let ctx = { slot = s; ids; node_rng; current_round } in
-        settle s (start_fiber prog ctx)
+        let ctx = { slot = s; ids; node_rng; current_round; out = outs.(s) } in
+        states.(s) <- start_fiber prog ctx
     done;
     let memos = Array.init n (fun _ -> { m_msgs = [||]; m_encs = [||] }) in
     let empty () = { ib_src = [||]; ib_msg = [||]; ib_len = 0 } in
@@ -822,9 +890,9 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     let continue_running = ref true in
     while !continue_running do
       for s = lo to hi - 1 do
-        match (fresh.(s), states.(s)) with
-        | None, Some (outbox, _) -> intern_outbox tbl gids memos.(s) outbox
-        | Some _, _ | None, None -> ()
+        match states.(s) with
+        | Running _ -> intern_outbox tbl gids memos.(s) outs.(s)
+        | Decided _ | Idle -> ()
       done;
       Frame.begin_framed w;
       Wire.Writer.add_gamma w !current_round;
@@ -834,13 +902,13 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       done;
       let cur = ref 0 in
       for s = lo to hi - 1 do
-        match (fresh.(s), states.(s)) with
-        | Some v, _ ->
+        match states.(s) with
+        | Decided v ->
             Wire.Writer.add_gamma w 1;
             Wire.Writer.add_gamma w v;
-            fresh.(s) <- None
-        | None, None -> Wire.Writer.add_gamma w 0
-        | None, Some (outbox, _) -> write_outbox w ~index gids cur outbox
+            states.(s) <- Idle
+        | Idle -> Wire.Writer.add_gamma w 0
+        | Running _ -> write_outbox w ~index gids cur outs.(s)
       done;
       Payloads.clear tbl;
       Ibuf.clear gids;
@@ -854,10 +922,8 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         incr current_round;
         for s = lo to hi - 1 do
           match states.(s) with
-          | Some (_, k) ->
-              states.(s) <- None;
-              settle s (Effect.Deep.continue k inboxes.(s))
-          | None -> ()
+          | Running k -> states.(s) <- Effect.Deep.continue k inboxes.(s)
+          | Decided _ | Idle -> ()
         done
       end
     done

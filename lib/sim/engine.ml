@@ -14,8 +14,8 @@ exception Max_rounds_exceeded of int
 (* Minor-word attribution across the round loop's phases. [ap_deliver]
    counts the transmit phase (byzantine traffic, crash orders, metrics
    billing, inbox pushes); [ap_resume] the node resumes — i.e.
-   everything the fibers do, protocol emission included, plus the
-   normalization of each new outbox; [ap_book] the engine's own round
+   everything the fibers do, protocol emission included (a node stages
+   its own outbox before it yields); [ap_book] the engine's own round
    bookkeeping (view install/rewind, round-end hooks). Protocols that
    bracket their own emission (see [Crash_renaming.run ?alloc_probe])
    fill [ap_emit], so consumption separates as [ap_resume -. ap_emit].
@@ -211,67 +211,6 @@ module Make (M : MSG) = struct
       }
   end
 
-  type ctx = {
-    id : int;
-    ids : int array;
-    node_rng : Repro_util.Rng.t;
-    current_round : int ref;
-  }
-
-  let my_id ctx = ctx.id
-  let n ctx = Array.length ctx.ids
-  let all_ids ctx = ctx.ids
-  let round ctx = !(ctx.current_round)
-  let rng ctx = ctx.node_rng
-
-  (* A round's sends, as a node program hands them to the engine.
-     [Broadcast] and [Multisend] fan one message value out, so emitting
-     them is O(1) in allocated message structure. [Sized] is a pre-sized
-     unicast batch: the sender has already computed each message's wire
-     size (contract: [sizes.(k) = M.bits msgs.(k)]). The engine turns
-     every outbox into an {!out} the moment the node yields, and nothing
-     downstream looks at this type again. *)
-  type outbox =
-    | Unicast of (int * M.t) list
-    | Multisend of int list * M.t
-    | Broadcast of M.t
-    | Sized of {
-        dsts : int array;
-        msgs : M.t array;
-        sizes : int array;
-        len : int;
-      }
-
-  type _ Effect.t += Exchange : outbox -> inbox Effect.t
-
-  let exchange _ctx outbox = Effect.perform (Exchange (Unicast outbox))
-  let multisend _ctx ~dsts m = Effect.perform (Exchange (Multisend (dsts, m)))
-  let broadcast _ctx m = Effect.perform (Exchange (Broadcast m))
-  let skip_round _ctx = Effect.perform (Exchange (Unicast []))
-
-  let exchange_sized _ctx ~dsts ~msgs ~sizes ~len =
-    if
-      len < 0
-      || len > Array.length dsts
-      || len > Array.length msgs
-      || len > Array.length sizes
-    then invalid_arg "Engine.exchange_sized: batch length out of bounds";
-    Effect.perform (Exchange (Sized { dsts; msgs; sizes; len }))
-
-  type observation = {
-    obs_round : int;
-    obs_alive : int list;
-    obs_outboxes : (int * envelope list) list;
-    obs_crashed : int list;
-  }
-
-  type crash_order = { victim : int; delivered : envelope -> bool }
-  type crash_step = Orders of crash_order list | Final of crash_order list
-  type crash_adversary = observation -> crash_step
-
-  type byz_strategy =
-    byz_id:int -> round:int -> inbox:envelope list -> (int * M.t) list
-
   (* One sender's traffic for the round, in the one shape that billing,
      destination validation, the tap, delivery and the crash observation
      read: entries [\[0, len)] of [dst], in emission order, each carrying
@@ -282,11 +221,25 @@ module Make (M : MSG) = struct
      shape has [len = 0] and both flags clear. [fan] keeps a multisend's
      retained buffers at one word per destination.
 
-     [dst]/[msg]/[size] normally point at the engine-owned [own_*]
-     buffers, retained while the node runs. A [Sized] batch aliases the
-     sender's arrays instead (they are read before the sender resumes),
-     and a broadcast aliases [ids]; the engine writes entries only after
-     [use_own] has pointed [dst]/[msg]/[size] back at [own_*]. *)
+     A node stages its outbox here itself, inside its exchange-class
+     call and before it yields, so the hand-off carries no payload. The
+     fiber runs on the domain of the shard owning its slot (on main for
+     the start-up run to the first barrier), and the engine reads the
+     slot only after that shard's resume phase has ended.
+
+     [dst]/[msg]/[size] normally point at the slot's [own_*] buffers,
+     retained while the node runs. An [exchange_sized] batch aliases the
+     sender's arrays instead: they are read before the sender resumes,
+     and a suspended sender cannot touch them. A broadcast aliases
+     [ids]. Entries are written only after [use_own] has pointed
+     [dst]/[msg]/[size] back at [own_*].
+
+     [memo]/[memo_bits] are a payload→bits memo of at most one message,
+     hit by physical equality: a broadcast or multisend repeats one
+     physical message value, and [M.bits] re-encodes on every call. It
+     is per slot rather than a payload-keyed table, so there is no
+     structural hashing (lint D3) and no top-level state (D4): the memo
+     lives and dies with the run. *)
   type out = {
     mutable dst : int array;
     mutable msg : M.t array;
@@ -297,7 +250,19 @@ module Make (M : MSG) = struct
     mutable own_dst : int array;
     mutable own_msg : M.t array;
     mutable own_size : int array;
+    mutable memo : M.t array;
+    mutable memo_bits : int;
   }
+
+  let bits_of o m =
+    let memo = o.memo in
+    if Array.length memo > 0 && memo.(0) == m then o.memo_bits
+    else begin
+      let b = M.bits m in
+      if Array.length memo = 0 then o.memo <- [| m |] else memo.(0) <- m;
+      o.memo_bits <- b;
+      b
+    end
 
   (* Point [o] at its own buffers, grown to at least [cap] destinations
      and [cap_msg] messages ([m] fills fresh message slots). Growth drops
@@ -347,40 +312,115 @@ module Make (M : MSG) = struct
     o.msg <- [||];
     o.own_msg <- [||];
     o.size <- [||];
-    o.own_size <- [||]
+    o.own_size <- [||];
+    o.memo <- [||]
 
-  (* A fiber is either finished with the program's result or suspended at
-     a round barrier holding its outbox and the continuation expecting
-     its inbox. *)
-  type 'r step =
-    | Done of 'r
-    | Yield of outbox * (inbox, 'r step) Effect.Deep.continuation
+  type ctx = {
+    id : int;
+    ids : int array;
+    node_rng : Repro_util.Rng.t;
+    current_round : int ref;
+    out : out;  (* the node's slot, where it stages each outbox *)
+  }
 
-  let start_fiber program ctx : 'r step =
-    Effect.Deep.match_with
-      (fun () -> Done (program ctx))
-      ()
-      {
-        retc = Fun.id;
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Exchange outbox ->
-                Some
-                  (fun (k : (a, _) Effect.Deep.continuation) ->
-                    Yield (outbox, k))
-            | _ -> None);
-      }
+  let my_id ctx = ctx.id
+  let n ctx = Array.length ctx.ids
+  let all_ids ctx = ctx.ids
+  let round ctx = !(ctx.current_round)
+  let rng ctx = ctx.node_rng
+
+  (* The round barrier. The outbox is already staged in the caller's
+     slot, so the effect carries nothing. *)
+  type _ Effect.t += Exchange : inbox Effect.t
+
+  (* The slot arrives clean: [len = 0], both flags clear (the engine
+     rewinds it before every resume). *)
+  let exchange ctx l =
+    (match l with
+    | [] -> ()
+    | (_, m0) :: _ ->
+        let o = ctx.out and len = List.length l in
+        use_own o len len m0;
+        fill_unicast o m0 (M.bits m0) 0 l);
+    Effect.perform Exchange
+
+  let multisend ctx ~dsts m =
+    let o = ctx.out in
+    use_own o (List.length dsts) 1 m;
+    set_fan o m (bits_of o m);
+    fill_dsts o 0 dsts;
+    Effect.perform Exchange
+
+  let broadcast ctx m =
+    let o = ctx.out in
+    use_own o 0 1 m;
+    set_fan o m (bits_of o m);
+    o.dst <- ctx.ids;
+    o.len <- Array.length ctx.ids;
+    o.bcast <- true;
+    Effect.perform Exchange
+
+  let skip_round _ctx = Effect.perform Exchange
+
+  let exchange_sized ctx ~dsts ~msgs ~sizes ~len =
+    if
+      len < 0
+      || len > Array.length dsts
+      || len > Array.length msgs
+      || len > Array.length sizes
+    then invalid_arg "Engine.exchange_sized: batch length out of bounds";
+    let o = ctx.out in
+    o.dst <- dsts;
+    o.msg <- msgs;
+    o.size <- sizes;
+    o.len <- len;
+    Effect.perform Exchange
+
+  type observation = {
+    obs_round : int;
+    obs_alive : int list;
+    obs_outboxes : (int * envelope list) list;
+    obs_crashed : int list;
+  }
+
+  type crash_order = { victim : int; delivered : envelope -> bool }
+  type crash_step = Orders of crash_order list | Final of crash_order list
+  type crash_adversary = observation -> crash_step
+
+  type byz_strategy =
+    byz_id:int -> round:int -> inbox:envelope list -> (int * M.t) list
 
   (* Per-node runtime state, indexed by slot (position in [ids]). A
      [Running] node is suspended at a round barrier; its outbox already
-     sits, normalized, in the slot's {!out}. *)
+     sits in the slot's {!out}. A fiber's run to its next barrier
+     returns its new state directly: [Running] from the effect handler,
+     [Finished] from the program's return. *)
   type 'r node_state =
-    | Running of (inbox, 'r step) Effect.Deep.continuation
+    | Running of (inbox, 'r node_state) Effect.Deep.continuation
     | Finished of 'r
     | Dead of int
     | Byz_node
+
+  (* The handler's answer to [Exchange]: it captures nothing, since the
+     continuation is all a suspended node keeps, and is built once here
+     because a [Some] built inside the handler is allocated per yield. *)
+  let suspend :
+      type r.
+      ((inbox, r node_state) Effect.Deep.continuation -> r node_state) option
+      =
+    Some (fun k -> Running k)
+
+  let start_fiber (type r) (program : ctx -> r) ctx : r node_state =
+    Effect.Deep.match_with program ctx
+      {
+        retc = (fun r -> Finished r);
+        exnc = raise;
+        effc =
+          (fun (type a) (eff : a Effect.t) :
+               ((a, r node_state) Effect.Deep.continuation -> r node_state)
+               option ->
+            match eff with Exchange -> suspend | _ -> None);
+      }
 
   let run ~ids ?byz ?crash ?tap ?alloc_probe ?on_crash ?on_decide
       ?on_round_end ?(max_rounds = 100_000) ?(seed = 1) ?shards ~program () =
@@ -440,27 +480,10 @@ module Make (M : MSG) = struct
       | Some f -> fun ~round -> f ~round metrics
       | None -> fun ~round:_ -> ()
     in
-    (* Per-sender-slot payload→bits memo, hit by physical equality: a
-       broadcast or multisend repeats one physical message value, and
-       [M.bits] re-encodes on every call. Dense per-slot arrays instead
-       of a payload-keyed hashtable: no structural hashing (the lint
-       pass bans [Hashtbl.hash] as D3) and no top-level state (D4) — the
-       memo lives and dies with this run. A slot's entry is only touched
-       by the shard owning the slot, or by the main domain between
-       parallel phases. *)
-    let memo_msg : M.t array array = Array.make n [||] in
-    let memo_bits = Array.make n 0 in
-    let bits_of s m =
-      let memo = memo_msg.(s) in
-      if Array.length memo > 0 && memo.(0) == m then memo_bits.(s)
-      else begin
-        let b = M.bits m in
-        if Array.length memo = 0 then memo_msg.(s) <- [| m |]
-        else memo.(0) <- m;
-        memo_bits.(s) <- b;
-        b
-      end
-    in
+    (* Each slot's {!out}, payload→bits memo included. A slot is only
+       touched by the shard owning it (its fiber stages there while the
+       shard resumes it), or by the main domain between parallel
+       phases. *)
     let outs =
       Array.init n (fun _ ->
           {
@@ -473,32 +496,9 @@ module Make (M : MSG) = struct
             own_dst = [||];
             own_msg = [||];
             own_size = [||];
+            memo = [||];
+            memo_bits = 0;
           })
-    in
-    (* The one place the four outbox constructors are told apart. *)
-    let normalize s outbox =
-      let o = outs.(s) in
-      match outbox with
-      | Broadcast m ->
-          use_own o 0 1 m;
-          set_fan o m (bits_of s m);
-          o.dst <- ids;
-          o.len <- n;
-          o.bcast <- true
-      | Multisend (dsts, m) ->
-          use_own o (List.length dsts) 1 m;
-          set_fan o m (bits_of s m);
-          fill_dsts o 0 dsts
-      | Unicast [] -> ()
-      | Unicast ((_, m0) :: _ as l) ->
-          let len = List.length l in
-          use_own o len len m0;
-          fill_unicast o m0 (M.bits m0) 0 l
-      | Sized { dsts; msgs; sizes; len } ->
-          o.dst <- dsts;
-          o.msg <- msgs;
-          o.size <- sizes;
-          o.len <- len
     in
     let master_rng = Repro_util.Rng.of_seed seed in
     let current_round = ref 0 in
@@ -515,19 +515,17 @@ module Make (M : MSG) = struct
             ids;
             node_rng = Repro_util.Rng.split master_rng;
             current_round;
+            out = outs.(s);
           }
         in
-        states.(s) <-
-          (match start_fiber program ctx with
-          | Done r ->
-              (* Decided without ever exchanging: attributed to round 0,
-                 the round about to execute. *)
-              note_decide ~round:0 ids.(s);
-              Finished r
-          | Yield (out, k) ->
-              normalize s out;
-              incr running_count;
-              Running k)
+        let st = start_fiber program ctx in
+        states.(s) <- st;
+        match st with
+        | Finished _ ->
+            (* Decided without ever exchanging: attributed to round 0,
+               the round about to execute. *)
+            note_decide ~round:0 ids.(s)
+        | Running _ | Dead _ | Byz_node -> incr running_count
       end
     done;
     (* Delivery iterates senders in ascending identity order, so each
@@ -583,20 +581,20 @@ module Make (M : MSG) = struct
     (* Byzantine traffic, settled on main: every message is billed (as
        Byzantine) and misaddressed ones are dropped and counted here, so
        the slot's {!out} holds only deliverable entries. *)
-    let rec fill_byz s o j = function
+    let rec fill_byz o j = function
       | [] -> o.len <- j
       | (dst, msg) :: tl ->
-          let b = bits_of s msg in
+          let b = bits_of o msg in
           Metrics.add_byz metrics ~bits:b;
           if find_slot dst < 0 then begin
             Metrics.record_byz_misaddressed metrics;
-            fill_byz s o j tl
+            fill_byz o j tl
           end
           else begin
             o.dst.(j) <- dst;
             o.msg.(j) <- msg;
             o.size.(j) <- b;
-            fill_byz s o (j + 1) tl
+            fill_byz o (j + 1) tl
           end
     in
     let emit_byz s =
@@ -609,7 +607,7 @@ module Make (M : MSG) = struct
       | (_, m0) :: _ ->
           let o = outs.(s) and len = List.length out in
           use_own o len len m0;
-          fill_byz s o 0 out
+          fill_byz o 0 out
     in
     let bad_dst src dst =
       invalid_arg
@@ -795,8 +793,9 @@ module Make (M : MSG) = struct
     (* Install the round's broadcast table into the shard's live views,
        hand Byzantine slots their inboxes as envelope lists (one of the
        three sanctioned materialization points), then resume the shard's
-       fibers, normalizing each new outbox. A fiber is pinned to the
-       shard owning its slot, so node-local mutable protocol state stays
+       fibers; each stages its next outbox in its slot before yielding.
+       A fiber is pinned to the shard owning its slot, so node-local
+       mutable protocol state, and the slot it stages into, stay
        domain-local. Decisions are collected per shard; [on_decide]
        fires on main. *)
     let resume k =
@@ -821,17 +820,15 @@ module Make (M : MSG) = struct
         o.fan <- false;
         o.bcast <- false;
         match states.(s) with
-        | Running kont ->
-            states.(s) <-
-              (match Effect.Deep.continue kont views.(s) with
-              | Done r ->
-                  release o;
-                  dec_slots.(!dec) <- s;
-                  incr dec;
-                  Finished r
-              | Yield (out, kont) ->
-                  normalize s out;
-                  Running kont)
+        | Running kont -> (
+            let st = Effect.Deep.continue kont views.(s) in
+            states.(s) <- st;
+            match st with
+            | Finished _ ->
+                release o;
+                dec_slots.(!dec) <- s;
+                incr dec
+            | Running _ | Dead _ | Byz_node -> ())
         | Dead _ -> if Array.length o.own_msg > 0 then release o
         | Finished _ | Byz_node -> ()
       done;

@@ -60,9 +60,9 @@ type alloc_probe = {
           metrics billing, inbox pushes *)
   mutable ap_resume : float;
       (** the node resumes — everything the fibers allocate, protocol
-          emission and the engine's normalization of each new outbox
-          included, so consumption-side allocation separates as
-          [ap_resume -. ap_emit] *)
+          emission included (a node stages its outbox in place inside
+          its exchange-class call), so consumption-side allocation
+          separates as [ap_resume -. ap_emit] *)
   mutable ap_book : float;
       (** engine round bookkeeping: view install/rewind, hooks *)
 }
@@ -303,10 +303,10 @@ module Make (M : MSG) : sig
       Envelope records are materialized only where this API demands
       them: for the tap, for the observation of a crash adversary that
       has not yet returned [Final], and for Byzantine strategy inboxes.
-      Delivery never reads them: every outbox is normalized into the
-      engine's own per-sender buffers when the node yields, and a
-      mid-send victim's filter is applied once, in ascending sender
-      order, by compacting the victim's buffers. A run with a crash
+      Delivery never reads them: every exchange-class call stages its
+      outbox in the engine's per-sender buffers before the node yields,
+      and a mid-send victim's filter is applied once, in ascending
+      sender order, by compacting the victim's buffers. A run with a crash
       adversary attached is therefore delivered by the same code as one
       without, and an adversary that observes every round but never
       orders is byte-identical to none in metrics and run-trace output

@@ -465,6 +465,39 @@ let test_encode_memo () =
       | _ -> Alcotest.fail (Printf.sprintf "node %d did not decide" id))
     sim.Engine.outcomes res.SN.run.Engine.outcomes
 
+(* [net_node_cli local --algo byz] at n=128: the run keeps within the
+   bit budget its own oracles check (exit 0, no VIOLATION line) and
+   [--check-sim] finds the simulator's run identical. *)
+let test_cli_byz_n128 () =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ ".."; ".."; "bin"; "net_node_cli.exe" ]
+  in
+  let out = Filename.temp_file "net_node_cli" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "%s local --algo byz -n 128 --hosts 2 --seed 3 --check-sim > %s 2>&1"
+         exe out)
+  in
+  let lines =
+    In_channel.with_open_text out In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  Sys.remove out;
+  let starts p l =
+    String.length l >= String.length p
+    && String.sub l 0 (String.length p) = p
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check (list string))
+    "no violation" []
+    (List.filter (starts "VIOLATION") lines);
+  Alcotest.(check bool)
+    "matches the simulator" true
+    (List.mem "sim check: socket run matches the simulator exactly" lines)
+
 let () =
   Alcotest.run "repro-renaming-net-proc"
     [
@@ -494,5 +527,7 @@ let () =
             test_one_decode_per_host_per_round;
           Alcotest.test_case "one encode per changed batch position" `Quick
             test_encode_memo;
+          Alcotest.test_case "net_node_cli byz n=128 within budget" `Quick
+            test_cli_byz_n128;
         ] );
     ]

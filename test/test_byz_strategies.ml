@@ -106,6 +106,57 @@ let test_silent_is_silent () =
       (List.length (BS.silent ~byz_id:a_candidate ~round ~inbox:[]))
   done
 
+(* The library's split-world strategy against the oracle's, through
+   whole Byzantine runs: both see the same calls, each draws from its
+   own rng seeded alike, and the run goes on with the library's output.
+   Inputs derive from the seed as in [Experiment.run_byz]. *)
+let test_split_world_matches_oracle () =
+  let calls = ref 0 in
+  let check_run ~committee ~n ~f ~seed =
+    let namespace = 64 * n in
+    let ids =
+      Repro_renaming.Experiment.random_ids ~seed:(seed lxor 0x2e7) ~namespace
+        ~n
+    in
+    let params =
+      {
+        (BR.default_params ~namespace ~shared_seed:(seed lxor 0x5aed)) with
+        pool_probability =
+          `Fixed (Repro_renaming.Experiment.committee_pool_probability ~n);
+        committee;
+      }
+    in
+    let byz_ids =
+      Array.to_list
+        (Rng.sample_without_replacement (Rng.of_seed (seed lxor 0xca410)) f
+           ids)
+    in
+    let rng () = Rng.of_seed (seed lxor 0xb42) in
+    let lib = BS.split_world params ~rng:(rng ()) ~ids in
+    let oracle = Split_world_oracle.split_world params ~rng:(rng ()) ~ids in
+    let strategy ~byz_id ~round ~inbox =
+      let got = lib ~byz_id ~round ~inbox in
+      if got <> oracle ~byz_id ~round ~inbox then
+        Alcotest.failf "n=%d f=%d seed=%d: byz %d differs at round %d" n f
+          seed byz_id round;
+      incr calls;
+      got
+    in
+    ignore
+      (BR.run ~params ~byz:(byz_ids, strategy) ~max_rounds:400_000 ~seed
+         ~shards:1 ~ids ())
+  in
+  List.iter
+    (fun (n, f) ->
+      for seed = 1 to 6 do
+        check_run ~committee:BR.Shared_pool ~n ~f ~seed
+      done)
+    [ (32, 2); (64, 3); (128, 2) ];
+  check_run ~committee:BR.Everyone ~n:32 ~f:2 ~seed:1;
+  Alcotest.(check bool)
+    (Printf.sprintf "compared %d calls" !calls)
+    true (!calls > 0)
+
 let suite =
   ( "byz_strategies",
     [
@@ -120,4 +171,6 @@ let suite =
       Alcotest.test_case "hijack mass-joins local coin" `Quick
         test_hijack_mass_joins_local_coin;
       Alcotest.test_case "silent is silent" `Quick test_silent_is_silent;
+      Alcotest.test_case "split-world equals its oracle" `Quick
+        test_split_world_matches_oracle;
     ] )

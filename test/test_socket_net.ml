@@ -472,6 +472,69 @@ let test_codec_roundtrips () =
       BZ.Msg.New (Some 12);
     ]
 
+(* The host's side of the round hand-off, measured like the engine's
+   (test_engine.ml): nodes cycle through [skip_round], [broadcast] and
+   [exchange_sized] over arrays and messages kept for the whole run, and
+   the words of a short run are subtracted from those of a long one. A
+   coordinator on a second domain answers every round frame with an
+   empty reply; [Gc.minor_words] counts the calling domain only, so its
+   allocation stays out of the figure. *)
+let test_host_handoff_allocation () =
+  let n = Array.length host_ids in
+  let program ~extra:_ ctx =
+    let dsts = Array.copy host_ids in
+    let msgs = Array.map (fun d -> TMsg.Ping d) host_ids in
+    let sizes = Array.map TMsg.bits msgs in
+    let hello = TMsg.Ping (H.my_id ctx) in
+    let rec loop r =
+      (match r mod 3 with
+      | 0 -> ignore (H.skip_round ctx)
+      | 1 -> ignore (H.broadcast ctx hello)
+      | _ -> ignore (H.exchange_sized ctx ~dsts ~msgs ~sizes ~len:n));
+      loop (r + 1)
+    in
+    loop 0
+  in
+  let coordinate ~rounds fd =
+    let io = Frame.io_of_fd fd in
+    ignore (Frame.read_frame io);
+    Frame.write_frame io config_frame;
+    for round = 0 to rounds - 1 do
+      ignore (Frame.read_frame io);
+      let w = Wire.Writer.create () in
+      (* round, no stop, no payloads, no broadcasts, no rows per slot *)
+      List.iter (Wire.Writer.add_gamma w)
+        ([ round; 0; 0; 0 ] @ List.init n (fun _ -> 0));
+      Frame.write_frame io (Wire.Writer.contents w)
+    done;
+    ignore (Frame.read_frame io);
+    Frame.write_frame io (stop_frame ~round:rounds)
+  in
+  let words rounds =
+    Test_rng.minor_words_of (fun () ->
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let coordinator = Domain.spawn (fun () -> coordinate ~rounds a) in
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close b;
+            Domain.join coordinator;
+            Unix.close a)
+          (fun () -> H.run ~fd:b ~host_index:0 ~program))
+  in
+  let short = 30 and long = 330 in
+  (* A first run takes the process's one-time costs (the first domain
+     spawn among them), which would otherwise land in [words short]. *)
+  ignore (words short);
+  let per_exchange =
+    (words long -. words short) /. float_of_int ((long - short) * n)
+  in
+  (* 46.333 when recorded, against 67.000 when the effect carried the
+     outbox. The rest is the round frame and reply, shared by the slice's
+     three nodes, and re-encoding where a slot's message changes. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per exchange <= 46.34" per_exchange)
+    true (per_exchange <= 46.34)
+
 let suite =
   ( "socket_net",
     [
@@ -497,4 +560,6 @@ let suite =
         test_host_stale_bytes;
       Alcotest.test_case "host rejects a non-participant destination" `Quick
         test_host_rejects_non_participant;
+      Alcotest.test_case "host hand-off allocation" `Quick
+        test_host_handoff_allocation;
     ] )
