@@ -225,6 +225,11 @@ let cmd =
       $ faults_arg $ shrink_arg $ out_arg $ replay_arg $ domains_arg
       $ shards_arg $ quiet_arg $ trace_arg $ dump_arg)
 
+(* Cmdliner's parse errors (unknown option, malformed value) exit 2
+   like [usage_error]; cmdliner has already printed the usage text on
+   stderr. *)
 let () =
   Repro_renaming.Parallel.tune_gc ();
-  exit (Cmd.eval cmd)
+  match Cmd.eval cmd with
+  | c when c = Cmd.Exit.cli_error -> exit 2
+  | c -> exit c

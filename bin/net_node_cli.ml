@@ -82,10 +82,29 @@ let extra_of ~algo ~namespace ~seed ~faults =
   | Flooding -> string_of_int faults
   | Byz -> Printf.sprintf "%d %d" namespace seed
 
+(* {2 Run options} *)
+
+(* What [coord] and [local] share: every option but [--port], checked
+   and resolved once, with the identities and the hosts' config derived
+   from them. *)
+type opts = {
+  algo : algo;
+  n : int;
+  namespace : int;
+  n_hosts : int;
+  seed : int;
+  faults : int;
+  max_rounds : int;
+  bits_out : string option;
+  check_sim : bool;
+  ids : int array;
+  config : SN.config;
+}
+
 (* {2 Assessment: the same oracles the fuzzer applies, with fault-free
    theorem-shaped expectations.} *)
 
-let expectations ~algo ~n ~namespace ~max_rounds : Oracle.expectations =
+let expectations { algo; n; namespace; max_rounds; _ } : Oracle.expectations =
   let lg = Ilog.ceil_log2 (max 2 n) in
   match algo with
   | Crash | Halving ->
@@ -136,15 +155,14 @@ let count_link { link_msgs; link_bits } ~src ~dst ~bits =
   link_msgs.(src).(dst) <- link_msgs.(src).(dst) + 1;
   link_bits.(src).(dst) <- link_bits.(src).(dst) + bits
 
-let write_links_json path ~algo ~n ~n_hosts ~seed { link_msgs; link_bits }
-    (res : SN.result) =
+let write_links_json path { algo; n; n_hosts; seed; _ } { link_msgs; link_bits }
+    (a : Runner.assessment) =
   let oc = open_out path in
-  let a = Runner.assess res.SN.run in
   Printf.fprintf oc
     "{\n  \"schema\": \"net-links/v1\",\n  \"algo\": %S,\n  \"n\": %d,\n\
     \  \"n_hosts\": %d,\n  \"seed\": %d,\n  \"rounds\": %d,\n\
     \  \"messages\": %d,\n  \"bits\": %d,\n  \"links\": [" (algo_name algo)
-    n n_hosts seed res.SN.rounds a.Runner.messages a.Runner.bits;
+    n n_hosts seed a.Runner.rounds a.Runner.messages a.Runner.bits;
   let first = ref true in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
@@ -164,7 +182,7 @@ let write_links_json path ~algo ~n ~n_hosts ~seed { link_msgs; link_bits }
 
 (* In-process reference run with identical inputs: a fault-free socket
    execution must reproduce its assignments and accounting exactly. *)
-let sim_assessment ~algo ~namespace ~seed ~faults ~ids =
+let sim_assessment { algo; namespace; seed; faults; ids; _ } =
   match algo with
   | Crash -> Runner.assess (CR.run ~ids ~seed ())
   | Halving -> Runner.assess (HV.run ~ids ~seed ())
@@ -178,9 +196,8 @@ let sim_assessment ~algo ~namespace ~seed ~faults ~ids =
              (byz_params ~namespace ~shared_seed:seed ~n:(Array.length ids))
            ~ids ~seed ())
 
-let compare_with_sim ~algo ~namespace ~seed ~faults ~ids
-    (socket_a : Runner.assessment) =
-  let sim = sim_assessment ~algo ~namespace ~seed ~faults ~ids in
+let compare_with_sim o (socket_a : Runner.assessment) =
+  let sim = sim_assessment o in
   let mismatches = ref [] in
   let check name pp a b =
     if a <> b then
@@ -198,27 +215,39 @@ let compare_with_sim ~algo ~namespace ~seed ~faults ~ids
   check "rounds" string_of_int socket_a.Runner.rounds sim.Runner.rounds;
   List.rev !mismatches
 
-let report ~algo ~n ~namespace ~n_hosts ~seed ~faults ~max_rounds ~bits_out
-    ~check_sim ~ids ~stats (res : SN.result) =
+(* Run the coordinator on [listen] and assess the outcome; the exit
+   code. *)
+let serve_and_report ~listen o =
+  let stats = Oracle.new_stats () in
+  (* The transport enforces the codec round-trip (hosts reject any
+     undecodable delivery), so every billed message is wire-ok here. *)
+  (* The per-link matrix is built only when [--bits-out] asks for it. *)
+  let bits_out = Option.map (fun path -> (path, new_links o.n)) o.bits_out in
+  let on_message ~src ~dst ~bits =
+    Oracle.observe_honest stats ~bits ~wire_ok:true;
+    Option.iter (fun (_, links) -> count_link links ~src ~dst ~bits) bits_out
+  in
+  let res =
+    SN.serve ~listen ~config:o.config ~max_rounds:o.max_rounds ~on_message ()
+  in
   let a = Runner.assess res.SN.run in
-  Format.printf "socket backend: %s over %d hosts@." (algo_name algo) n_hosts;
+  Format.printf "socket backend: %s over %d hosts@." (algo_name o.algo)
+    o.n_hosts;
   Format.printf "%a@." Runner.pp a;
   Option.iter
     (fun (path, links) ->
-      write_links_json path ~algo ~n ~n_hosts ~seed links res;
+      write_links_json path o links a;
       Format.printf "per-link accounting written to %s@." path)
     bits_out;
   let verdict =
-    Oracle.check
-      (expectations ~algo ~n ~namespace ~max_rounds)
-      a res.SN.run.Repro_sim.Engine.metrics stats
+    Oracle.check (expectations o) a res.SN.run.Repro_sim.Engine.metrics stats
   in
   List.iter
     (fun s -> Format.printf "VIOLATION %s@." s)
     verdict.Oracle.violations;
   let sim_mismatches =
-    if check_sim then begin
-      let ms = compare_with_sim ~algo ~namespace ~seed ~faults ~ids a in
+    if o.check_sim then begin
+      let ms = compare_with_sim o a in
       if ms = [] then
         Format.printf "sim check: socket run matches the simulator exactly@."
       else List.iter (fun s -> Format.printf "SIM MISMATCH %s@." s) ms;
@@ -246,41 +275,6 @@ let connect_to ~host ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
   fd
-
-let make_config ~algo ~n ~namespace ~n_hosts ~seed ~faults =
-  let ids = E.random_ids ~seed ~namespace ~n in
-  ( ids,
-    {
-      SN.ids;
-      seed;
-      n_hosts;
-      extra = extra_of ~algo ~namespace ~seed ~faults;
-    } )
-
-let serve_and_report ~listen ~algo ~n ~namespace ~n_hosts ~seed ~faults
-    ~latency_ms ~jitter_ms ~overlay_fanout ~max_rounds ~bits_out ~check_sim
-    ~ids ~config =
-  let stats = Oracle.new_stats () in
-  (* The transport enforces the codec round-trip (hosts reject any
-     undecodable delivery), so every billed message is wire-ok here. *)
-  (* The per-link matrix is built only when [--bits-out] asks for it. *)
-  let bits_out = Option.map (fun path -> (path, new_links n)) bits_out in
-  let on_message ~src ~dst ~bits =
-    Oracle.observe_honest stats ~bits ~wire_ok:true;
-    Option.iter (fun (_, links) -> count_link links ~src ~dst ~bits) bits_out
-  in
-  let res =
-    SN.serve ~listen ~config
-      ~latency_s:(float_of_int latency_ms /. 1000.)
-      ~jitter_s:(float_of_int jitter_ms /. 1000.)
-      ?overlay_fanout ~max_rounds ~on_message ()
-  in
-  (* Overlay billing inflates honest traffic relative to the in-process
-     reference; the oracle's exact tapped-vs-billed and budget checks
-     only apply to the mesh cost model. *)
-  let check_sim = check_sim && overlay_fanout = None in
-  report ~algo ~n ~namespace ~n_hosts ~seed ~faults ~max_rounds ~bits_out
-    ~check_sim ~ids ~stats res
 
 (* {2 Commands} *)
 
@@ -330,32 +324,6 @@ let port_arg =
     & info [ "port" ] ~docv:"PORT"
         ~doc:"TCP port on 127.0.0.1 (0 picks an ephemeral port).")
 
-let latency_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "latency-ms" ] ~docv:"MS"
-        ~doc:
-          "Sleep this long before each round's replies — models link \
-           latency; never affects results.")
-
-let jitter_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "jitter-ms" ] ~docv:"MS"
-        ~doc:
-          "Add a seed-deterministic uniform [0, $(docv)) to each round's \
-           latency.")
-
-let overlay_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "overlay-fanout" ] ~docv:"K"
-        ~doc:
-          "Bill broadcasts along a seed-deterministic gossip overlay of \
-           this fan-out instead of the full mesh (delivery stays \
-           complete; only the cost model changes).")
-
 let max_rounds_arg =
   Arg.(
     value & opt int 100_000
@@ -377,8 +345,6 @@ let check_sim_arg =
            and require identical assignments, message count, bit count \
            and round count.")
 
-let resolve_namespace ~n ~namespace = if namespace = 0 then 64 * n else namespace
-
 (* Bad arguments are reported before anything forks, listens or
    connects: the problem, the subcommand's usage line, exit 2. *)
 let usage_error cmd fmt =
@@ -391,14 +357,38 @@ let usage_error cmd fmt =
       exit 2)
     fmt
 
-let check_sizes cmd ~n ~n_hosts =
-  if n < 1 then usage_error cmd "-n must be at least 1, got %d" n;
-  if n_hosts < 1 || n_hosts > n then
-    usage_error cmd "--hosts must be in [1, n] = [1, %d], got %d" n n_hosts
-
 let check_port cmd ~min port =
   if port < min || port > 65535 then
     usage_error cmd "port must be in [%d, 65535], got %d" min port
+
+(* [coord]'s and [local]'s run options; [cmd] names the subcommand in
+   usage errors. *)
+let opts_term cmd =
+  let make algo n namespace n_hosts seed faults max_rounds bits_out check_sim
+      =
+    if n < 1 then usage_error cmd "-n must be at least 1, got %d" n;
+    if n_hosts < 1 || n_hosts > n then
+      usage_error cmd "--hosts must be in [1, n] = [1, %d], got %d" n n_hosts;
+    let namespace = if namespace = 0 then 64 * n else namespace in
+    let ids = E.random_ids ~seed ~namespace ~n in
+    let extra = extra_of ~algo ~namespace ~seed ~faults in
+    {
+      algo;
+      n;
+      namespace;
+      n_hosts;
+      seed;
+      faults;
+      max_rounds;
+      bits_out;
+      check_sim;
+      ids;
+      config = { SN.ids; seed; n_hosts; extra };
+    }
+  in
+  Term.(
+    const make $ algo_arg $ n_arg $ namespace_arg $ hosts_arg $ seed_arg
+    $ faults_arg $ max_rounds_arg $ bits_out_arg $ check_sim_arg)
 
 (* [HOST:PORT], or a bare [PORT] on 127.0.0.1. *)
 let parse_connect connect =
@@ -416,31 +406,20 @@ let parse_connect connect =
   | None -> usage_error "node" "--connect: bad port %S in %S" port connect
 
 let coord_cmd =
-  let run algo n namespace n_hosts seed faults port latency_ms jitter_ms
-      overlay_fanout max_rounds bits_out check_sim =
-    check_sizes "coord" ~n ~n_hosts;
+  let run o port =
     check_port "coord" ~min:0 port;
-    let namespace = resolve_namespace ~n ~namespace in
-    let ids, config =
-      make_config ~algo ~n ~namespace ~n_hosts ~seed ~faults
-    in
     let listen, port = listen_on ~port in
     Format.printf "coordinator: %s n=%d hosts=%d on 127.0.0.1:%d@."
-      (algo_name algo) n n_hosts port;
+      (algo_name o.algo) o.n o.n_hosts port;
     Format.print_flush ();
-    serve_and_report ~listen ~algo ~n ~namespace ~n_hosts ~seed ~faults
-      ~latency_ms ~jitter_ms ~overlay_fanout ~max_rounds ~bits_out ~check_sim
-      ~ids ~config
+    serve_and_report ~listen o
   in
   Cmd.v
     (Cmd.info "coord"
        ~doc:
          "Run the coordinator: accept host connections, route rounds, \
           assess the outcome.")
-    Term.(
-      const run $ algo_arg $ n_arg $ namespace_arg $ hosts_arg $ seed_arg
-      $ faults_arg $ port_arg $ latency_arg $ jitter_arg $ overlay_arg
-      $ max_rounds_arg $ bits_out_arg $ check_sim_arg)
+    Term.(const run $ opts_term "coord" $ port_arg)
 
 let node_cmd =
   let connect_arg =
@@ -473,21 +452,16 @@ let node_cmd =
     Term.(const run $ algo_arg $ connect_arg $ index_arg)
 
 let local_cmd =
-  let run algo n namespace n_hosts seed faults latency_ms jitter_ms
-      overlay_fanout max_rounds bits_out check_sim =
-    check_sizes "local" ~n ~n_hosts;
-    let namespace = resolve_namespace ~n ~namespace in
-    let ids, config =
-      make_config ~algo ~n ~namespace ~n_hosts ~seed ~faults
-    in
+  let run o =
     let listen, port = listen_on ~port:0 in
     let children =
-      Array.init n_hosts (fun h ->
+      Array.init o.n_hosts (fun h ->
           match Unix.fork () with
           | 0 -> (
               (try Unix.close listen with Unix.Unix_error _ -> ());
               match
-                node_main ~algo ~fd:(connect_to ~host:"127.0.0.1" ~port)
+                node_main ~algo:o.algo
+                  ~fd:(connect_to ~host:"127.0.0.1" ~port)
                   ~host_index:h
               with
               | () -> Unix._exit 0
@@ -496,11 +470,7 @@ let local_cmd =
                   Unix._exit 1)
           | pid -> pid)
     in
-    let code =
-      serve_and_report ~listen ~algo ~n ~namespace ~n_hosts ~seed ~faults
-        ~latency_ms ~jitter_ms ~overlay_fanout ~max_rounds ~bits_out
-        ~check_sim ~ids ~config
-    in
+    let code = serve_and_report ~listen o in
     let child_failures = ref 0 in
     Array.iter
       (fun pid ->
@@ -518,14 +488,16 @@ let local_cmd =
        ~doc:
          "Single-machine run: fork the host processes, run the \
           coordinator in this one, assess the outcome.")
-    Term.(
-      const run $ algo_arg $ n_arg $ namespace_arg $ hosts_arg $ seed_arg
-      $ faults_arg $ latency_arg $ jitter_arg $ overlay_arg $ max_rounds_arg
-      $ bits_out_arg $ check_sim_arg)
+    Term.(const run $ opts_term "local")
 
+(* Cmdliner's parse errors (unknown option, malformed value, missing
+   argument) exit 2 like the range checks above; cmdliner has already
+   printed the usage text on stderr. *)
 let () =
   let info =
     Cmd.info "net_node" ~version:"1.0.0"
       ~doc:"Multi-process socket backend for the renaming protocols."
   in
-  exit (Cmd.eval' (Cmd.group info [ coord_cmd; node_cmd; local_cmd ]))
+  match Cmd.eval' (Cmd.group info [ coord_cmd; node_cmd; local_cmd ]) with
+  | c when c = Cmd.Exit.cli_error -> exit 2
+  | c -> exit c

@@ -384,6 +384,9 @@ let sweep_byz_cmd =
       const run $ n_arg $ namespace_arg $ fs_arg $ seed_arg $ domains_arg
       $ shards_arg)
 
+(* Cmdliner's parse errors (unknown option, malformed value) exit 2
+   like [usage_error]; cmdliner has already printed the usage text on
+   stderr. *)
 let () =
   let info =
     Cmd.info "renaming" ~version:"1.0.0"
@@ -391,10 +394,13 @@ let () =
         "Robust and scalable strong renaming with subquadratic bits — \
          simulator and experiments."
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            crash_cmd; byz_cmd; flooding_cmd; halving_cmd; lower_bound_cmd;
-            sweep_crash_cmd; sweep_byz_cmd;
-          ]))
+  match
+    Cmd.eval
+      (Cmd.group info
+         [
+           crash_cmd; byz_cmd; flooding_cmd; halving_cmd; lower_bound_cmd;
+           sweep_crash_cmd; sweep_byz_cmd;
+         ])
+  with
+  | c when c = Cmd.Exit.cli_error -> exit 2
+  | c -> exit c

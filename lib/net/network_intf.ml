@@ -11,7 +11,7 @@
       simulator. Satisfies {!S} structurally (it carries a [type msg]
       alias for this purpose) and remains the reference: adversaries,
       taps, sharding and byte-identical traces all live there.
-    - [Socket_net.Make (M)] — the multi-process Unix-socket transport: a
+    - [Socket_net.Host (M)] — the multi-process Unix-socket transport: a
       coordinator process enforces the same lock-step barrier over
       length-prefixed frames and bills per-link bits into the same
       {!Repro_sim.Metrics} rows.
@@ -75,7 +75,6 @@ module type S = sig
     val length : t -> int
     val iter : t -> f:(src:int -> msg -> unit) -> unit
     val fold : t -> init:'a -> f:('a -> src:int -> msg -> 'a) -> 'a
-    val fold_rev : t -> init:'a -> f:('a -> src:int -> msg -> 'a) -> 'a
     val pairs : t -> (int * msg) list
 
     val of_pairs_unchecked : dst:int -> (int * msg) list -> t

@@ -137,7 +137,7 @@ end
 
 type config = { ids : int array; seed : int; n_hosts : int; extra : string }
 
-type result = { run : int Repro_sim.Engine.run_result; rounds : int }
+type result = { run : int Repro_sim.Engine.run_result }
 
 (* {2 Coordinator} *)
 
@@ -156,8 +156,7 @@ let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ | Unix.Unix_error _ -> ()
 
-let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
-    ?(max_rounds = 100_000) ?on_message () =
+let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
   ignore_sigpipe ();
   let { ids; seed; n_hosts; extra } = config in
   let n = Array.length ids in
@@ -217,9 +216,6 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
      engine, so every recipient's inbox arrives sorted by source id. *)
   let order = Array.init n (fun s -> s) in
   Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) order;
-  (* Coordinator-private stream for the jitter/overlay knobs, derived
-     away from the node streams (which split off [of_seed seed]). *)
-  let knob_rng = Rng.of_seed (seed lxor 0x6e6574) in
   let bill src dst bits =
     Metrics.add_honest metrics ~bits;
     match on_message with Some f -> f ~src ~dst ~bits | None -> ()
@@ -289,45 +285,6 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
       | t -> proto_error "host %d: unknown outbox tag %d" h t
     done
   in
-  (* Broadcast billing under the sparse-overlay knob: a deterministic
-     epidemic from the sender, every informed node pushing to [fanout]
-     rng-chosen peers per hop until everyone is informed. Redundant
-     transmissions are billed (that is the cost model being studied);
-     delivery itself stays complete and is handled by the caller. The
-     forced push keeps termination unconditional even for fanout 1. *)
-  let gossip_bill src bits fanout =
-    let informed = Array.make n false in
-    informed.(src) <- true;
-    let count = ref 1 in
-    let frontier = ref [ src ] in
-    while !count < n do
-      let next = ref [] in
-      List.iter
-        (fun relay ->
-          for _ = 1 to fanout do
-            let t = Rng.int knob_rng n in
-            bill relay t bits;
-            if not informed.(t) then begin
-              informed.(t) <- true;
-              incr count;
-              next := t :: !next
-            end
-          done)
-        !frontier;
-      (match !next with
-      | [] when !count < n ->
-          let u = ref (-1) in
-          for d = n - 1 downto 0 do
-            if not informed.(d) then u := d
-          done;
-          bill src !u bits;
-          informed.(!u) <- true;
-          incr count;
-          next := [ !u ]
-      | _ -> ());
-      frontier := List.rev !next
-    done
-  in
   let route () =
     Array.iter
       (fun s ->
@@ -340,19 +297,16 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
               bill s dst (Payloads.bits table g);
               push dst s g
             done
-        | Ob_bcast g -> (
+        | Ob_bcast g ->
             (* Like the engine: bill all n links (including self and
                already-finished recipients); every live slot receives
                the broadcast-table row. *)
             let bits = Payloads.bits table g in
-            (match overlay_fanout with
-            | None ->
-                for d = 0 to n - 1 do
-                  bill s d bits
-                done
-            | Some k -> gossip_bill s bits k);
+            for d = 0 to n - 1 do
+              bill s d bits
+            done;
             Ibuf.push bcasts s;
-            Ibuf.push bcasts g))
+            Ibuf.push bcasts g)
       order;
     Array.fill outboxes 0 n No_outbox
   in
@@ -432,13 +386,6 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
       if any_running () then begin
         route ();
         Metrics.end_round metrics;
-        if latency_s > 0. || jitter_s > 0. then begin
-          let pause =
-            latency_s
-            +. (if jitter_s > 0. then jitter_s *. Rng.float knob_rng else 0.)
-          in
-          if pause > 0. then Unix.sleepf pause
-        end;
         send_replies ~stop:false;
         Payloads.clear table;
         Ibuf.clear bcasts;
@@ -465,7 +412,7 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
              | S_running -> Repro_sim.Engine.Unfinished ))
          status)
   in
-  { run = { Repro_sim.Engine.outcomes; metrics }; rounds = !current_round }
+  { run = { Repro_sim.Engine.outcomes; metrics } }
 
 (* {2 Host} *)
 
@@ -499,15 +446,12 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       done;
       !acc
 
-    let fold_rev t ~init ~f =
-      let acc = ref init in
+    let pairs t =
+      let acc = ref [] in
       for i = t.ib_len - 1 downto 0 do
-        acc := f !acc ~src:t.ib_src.(i) t.ib_msg.(i)
+        acc := (t.ib_src.(i), t.ib_msg.(i)) :: !acc
       done;
       !acc
-
-    let pairs t =
-      fold_rev t ~init:[] ~f:(fun acc ~src msg -> (src, msg) :: acc)
 
     let of_pairs_unchecked ~dst:_ pairs =
       match pairs with

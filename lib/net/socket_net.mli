@@ -24,8 +24,7 @@
     order exactly as the simulator derives them, and delivery order is
     ascending source identity — so a fault-free socket run computes the
     same assignments, message count and bit count as the simulator.
-    Wall-clock (and the latency/jitter knob) never feeds back into
-    protocol behaviour. *)
+    Wall-clock never feeds back into protocol behaviour. *)
 
 val magic : int
 (** Frame-format version and endpoint check: the first field of both
@@ -46,26 +45,19 @@ type result = {
   run : int Repro_sim.Engine.run_result;
       (** outcomes (slot order) + metrics, the shape [Runner.assess]
           and the [lib/check] oracles consume *)
-  rounds : int;
 }
 
 val serve :
   listen:Unix.file_descr ->
   config:config ->
-  ?latency_s:float ->
-  ?jitter_s:float ->
-  ?overlay_fanout:int ->
   ?max_rounds:int ->
   ?on_message:(src:int -> dst:int -> bits:int -> unit) ->
   unit ->
   result
 (** Accept [config.n_hosts] host connections on [listen] (already bound
     and listening), handshake, then run rounds until every node decided
-    or crashed. [latency_s]/[jitter_s] sleep before each round's
-    replies (jitter drawn from a seed-derived rng — deterministic);
-    [overlay_fanout] replaces full-mesh broadcast {e billing} with a
-    seed-deterministic gossip relay tree of that fan-out (delivery stays
-    complete; only the per-link cost model changes).
+    or crashed. Every copy is billed once per link, as the simulator
+    bills it: a broadcast costs its bits on all [n] links.
 
     [on_message] is the per-link hook: it fires once per billed message
     with the (src, dst) slot indices and the bits, in billing order. The
@@ -77,48 +69,21 @@ val serve :
     [Unfinished]. *)
 
 (** Host-process side: the node programs' network, plus the runtime that
-    drives them. The module satisfies {!Network_intf.S} (structurally),
-    so a protocol's [Make_node] functor applies to it directly. *)
+    drives them. The module satisfies {!Network_intf.S}, so a protocol's
+    [Make_node] functor applies to it directly.
+
+    A slot's inbox view is kept for the whole run: each reply repoints
+    it, in place, at rows kept across rounds — the round's broadcast
+    rows, shared by every slot without dedicated rows, or the slot's own
+    merged rows. A view returned by an exchange-class call is therefore
+    valid only until the node's next one ({!Network_intf.S.inbox}'s
+    contract). Hosts skip [M.encode] for a message physically equal to
+    the previous entry of the same outbox, or to the message at the same
+    position of the slot's previous outbox; the memo keeps its own
+    copies, so callers may refill their [exchange_sized] arrays in
+    place. *)
 module Host (M : Network_intf.WIRE_MSG) : sig
-  type msg = M.t
-  type ctx
-
-  type inbox
-  (** A slot's inbox view, kept for the whole run: each reply repoints
-      it, in place, at rows kept across rounds — the round's broadcast
-      rows, shared by every slot without dedicated rows, or the slot's
-      own merged rows. A view returned by an exchange-class call is
-      therefore valid only until the node's next one
-      ({!Network_intf.S.inbox}'s contract). Hosts skip
-      [M.encode] for a message physically equal to the previous entry of
-      the same outbox, or to the message at the same position of the
-      slot's previous outbox; the memo keeps its own copies, so callers
-      may refill their [exchange_sized] arrays in place. *)
-
-  module Inbox : sig
-    type t = inbox
-
-    val length : t -> int
-    val iter : t -> f:(src:int -> msg -> unit) -> unit
-    val fold : t -> init:'a -> f:('a -> src:int -> msg -> 'a) -> 'a
-    val fold_rev : t -> init:'a -> f:('a -> src:int -> msg -> 'a) -> 'a
-    val pairs : t -> (int * msg) list
-    val of_pairs_unchecked : dst:int -> (int * msg) list -> t
-  end
-
-  val my_id : ctx -> int
-  val n : ctx -> int
-  val all_ids : ctx -> int array
-  val round : ctx -> int
-  val rng : ctx -> Repro_util.Rng.t
-  val exchange : ctx -> (int * msg) list -> inbox
-  val multisend : ctx -> dsts:int list -> msg -> inbox
-  val broadcast : ctx -> msg -> inbox
-  val skip_round : ctx -> inbox
-
-  val exchange_sized :
-    ctx -> dsts:int array -> msgs:msg array -> sizes:int array -> len:int ->
-    inbox
+  include Network_intf.S with type msg = M.t
 
   val run :
     fd:Unix.file_descr ->

@@ -125,11 +125,6 @@ module Make (M : MSG) : sig
 
     val fold : t -> init:'a -> f:('a -> src:int -> M.t -> 'a) -> 'a
 
-    val fold_rev : t -> init:'a -> f:('a -> src:int -> M.t -> 'a) -> 'a
-    (** [fold] in reverse (descending [src]) order. Folding with
-        [fun acc ~src msg -> x :: acc] builds a list in inbox order
-        without the [List.rev] copy a forward fold would need. *)
-
     val pairs : t -> (int * M.t) list
     (** Materialize as [(src, msg)] pairs (ascending [src]); allocates. *)
 

@@ -244,7 +244,8 @@ let test_fault_free_decides () =
   let res = SN.serve ~listen ~config ~max_rounds:50 () in
   Unix.close listen;
   reap [ p0; p1 ];
-  Alcotest.(check int) "rounds" 3 res.SN.rounds;
+  Alcotest.(check int) "rounds" 3
+    res.SN.run.Engine.metrics.Repro_sim.Metrics.rounds;
   List.iter
     (fun (id, outcome) ->
       match outcome with

@@ -174,7 +174,8 @@ let test_unknown_subcommand_fails () =
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
 (* Bad sizes and ports are usage errors: exit 2 with usage text, before
-   any host process is forked or any socket is opened. *)
+   any host process is forked or any socket is opened. Options cmdliner
+   cannot parse exit the same way. *)
 let test_net_node_bad_arguments () =
   List.iter
     (fun args ->
@@ -193,6 +194,15 @@ let test_net_node_bad_arguments () =
       "coord --port 70000";
       "node --connect 127.0.0.1:abc --host-index 0";
       "node --connect 127.0.0.1:0 --host-index 0";
+      (* cmdliner parse errors *)
+      "local --bogus";
+      "local -n abc";
+      "local --algo foo";
+      "node";
+      (* options coord and local do not take *)
+      "local --latency-ms 5";
+      "local --jitter-ms 5";
+      "local --overlay-fanout 2";
     ]
 
 (* renaming_cli rejects impossible sizes and counts the same way, before
@@ -219,6 +229,10 @@ let test_renaming_bad_arguments () =
       "sweep-crash -n 8 --fs 0,9";
       "sweep-crash --trials 0";
       "sweep-byz --domains 0";
+      (* cmdliner parse errors *)
+      "crash --bogus";
+      "crash -n abc";
+      "byz --attack nosuch";
     ]
 
 (* fuzz_cli validates sizes and the trial count the same way. *)
@@ -236,6 +250,9 @@ let test_fuzz_bad_arguments () =
       "--algo crash -n 0 --trials 1";
       "-n 8 --namespace 3";
       "--trials 0";
+      (* cmdliner parse errors *)
+      "-n abc";
+      "--bogus";
     ]
 
 let test_help () =
