@@ -1,7 +1,6 @@
 module Interval = Repro_util.Interval
 module Ilog = Repro_util.Ilog
 module Rng = Repro_util.Rng
-module Bitvec = Repro_util.Bitvec
 
 module Msg = struct
   (* A [Response] carries no identity: the transport destination already
@@ -194,16 +193,21 @@ struct
 
   (* {1 Flattened committee state}
 
-     Struct-of-arrays over dense {e slot} indices: slot [i+1] (1-based,
-     matching [Bitvec] positions) is the participant with the [i]-th
-     smallest identity. A committee member keeps, per slot, the last
-     status it received from that participant plus cached gamma sizes, and
-     maintains the Figure-2 verdict-group index {e incrementally} across
-     phases: a round's inbox is absorbed as a delta (changed, new and
-     vanished reporters), and only those deltas touch the index while the
-     minimum depth stands still. Group membership is a [Bitvec] over
-     slots, so reporter ranks are range popcounts; the depth sweep is a
-     first-set probe over the depth-occupancy bitvec.
+     Struct-of-arrays over dense {e slot} indices: slot [i] is the
+     participant with the [i]-th smallest identity. A committee member
+     keeps, per slot, the last status it received from that participant
+     plus cached gamma sizes, and rebuilds the Figure-2 verdict-group
+     index from scratch on every absorb, in four passes over the round's
+     reporters:
+     - absorb: check the input contract, store the statuses, and take
+       the minimum depth and the largest escalation level;
+     - groups: collect the distinct minimum-depth non-singleton
+       intervals, sorted by [lo] — appended in honest runs, inserted
+       otherwise;
+     - fill: write each exact reporter's group into the per-slot column
+       [s_grp], and count the statuses inside each group's bottom half;
+     - emission: rank each exact reporter with a per-group counter and
+       push its verdict.
 
      Input contract, checked while absorbing (any violation raises
      {!Invalid_committee_inbox} naming the failed precondition):
@@ -213,15 +217,15 @@ struct
        reporting at most once,
      - minimum-depth non-singleton intervals are pairwise disjoint (the
        shared halving-tree invariant),
-     - depths and escalation levels stay below {!depth_cap} (bounds the
-       histogram arrays; honest values are O(log n)).
+     - depths and escalation levels stay below {!depth_cap} (honest
+       values are O(log n)).
 
      Honest crash-model traffic meets all four by construction, so a
      violation is a bug in whatever produced the inbox, not an input to
      absorb. Under the contract slot order = ascending identity = inbox
      order, so verdicts go out in inbox order, and a rank "reporters of
-     the interval with identity <= id" equals a popcount of member slots
-     at positions <= slot. *)
+     the interval with identity <= id" is the number of the group's
+     exact reporters the emission pass has met so far. *)
 
   let gamma = Repro_sim.Wire.gamma_bits
   let depth_cap = 1 lsl 20
@@ -231,197 +235,86 @@ struct
     let overlap () = violated "overlapping minimum-depth intervals"
 
     module Vec = Repro_util.Arena.Vec
-    module Bitpool = Repro_util.Arena.Bitpool
 
     type t = {
       cn : int;
-      full : Interval.t;  (* [1, cn]: the slot universe *)
-      sorted_ids : int array;  (* slot i+1 <-> sorted_ids.(i) *)
-      (* stored statuses, valid where [present] is set *)
+      sorted_ids : int array;  (* slot i <-> sorted_ids.(i) *)
+      (* last status per slot; [s_lo > s_hi] before the first report *)
       s_lo : int array;
       s_hi : int array;
       s_d : int array;
-      s_p : int array;
       s_iv : Interval.t array;  (* the sender's interval record, shared *)
       s_ivb : int array;  (* gamma(lo) + gamma(size-1), cached *)
       s_db : int array;  (* gamma(d), cached *)
+      s_grp : int array;  (* this round: the group the slot reports, or -1 *)
       (* per-slot last verdict, a content-addressed cache: reused
          whenever this round's verdict has the same payload (frozen
          singletons and echoes re-verdict identically every phase) *)
       v_msg : Msg.t array;
-      mutable present : Bitvec.t;  (* slots reporting in the last round *)
-      mutable scratch : Bitvec.t;  (* slots reporting this round *)
-      (* depth / escalation histograms over present statuses *)
-      mutable d_hist : int array;
-      mutable d_ne : Bitvec.t;  (* bit (d+1) set iff d_hist.(d) > 0 *)
-      mutable p_hist : int array;
-      mutable p_max : int;  (* max present p; -1 when none *)
-      (* this round's delta log, arena-backed: sized to the actual churn
-         (empty forever while wholesale absorbs rule).  [ch_slot] holds
-         the changed slots, then the vanished slots appended. *)
-      ch_slot : int Vec.t;
-      ch_old_lo : int Vec.t;
-      ch_old_hi : int Vec.t;
-      ch_old_d : int Vec.t;  (* -1: the slot was absent last round *)
-      rm_lo : int Vec.t;
-      rm_hi : int Vec.t;
-      rm_d : int Vec.t;
-      mutable stamp : int;  (* absorb counter, marks fresh groups *)
-      (* Retained-state maintenance policy: when the previous absorb
-         churned more than half the membership, the next one skips the
-         delta log and histogram upkeep wholesale and rebuilds both in
-         one sweep — the committee-killer (and the steady no-fault
-         cadence, where every reporter deepens each phase) would
-         otherwise pay full delta bookkeeping and then rebuild anyway.
-         Self-calibrating: each absorb re-measures its own churn. *)
-      mutable wholesale : bool;
-      (* verdict-group index: parallel arrays sorted by [g_lo], valid for
-         minimum depth [g_depth] *)
+      r_slot : int array;  (* this round's reporting slots, ascending *)
+      (* verdict-group index, rebuilt every absorb: parallel arrays
+         sorted by [g_lo] *)
       mutable g_len : int;
-      mutable g_depth : int;  (* -1: invalid, next absorb rebuilds *)
       mutable g_lo : int array;
       mutable g_hi : int array;
-      mutable g_bot_hi : int array;
-      mutable g_bot_size : int array;
-      mutable g_b : int array;  (* #present statuses with iv inside bot *)
-      mutable g_ndmin : int array;  (* #present depth-g_depth exact reporters *)
-      mutable g_bot_iv : Interval.t array;  (* shared verdict intervals *)
-      mutable g_top_iv : Interval.t array;
-      mutable g_bot_ivb : int array;  (* cached verdict interval sizes *)
-      mutable g_top_ivb : int array;
-      (* interned verdicts: one canonical [Msg.t] per (group, outcome)
-         per round, built on first use (stamp-guarded) and shared
-         physically by every recipient in the group *)
+      mutable g_iv : Interval.t array;  (* a defining status's interval *)
+      mutable g_b : int array;  (* #other statuses inside bot *)
+      mutable g_rank : int array;  (* emission rank counters *)
+      (* interned verdicts: one canonical [Msg.t] per (group, outcome),
+         built on first use ([Notify] until then) and shared physically
+         by every recipient in the group, with its billed size *)
       mutable g_bot_msg : Msg.t array;
       mutable g_top_msg : Msg.t array;
-      mutable g_bot_mst : int array;  (* stamp the interned msg is for *)
-      mutable g_top_mst : int array;
-      mutable g_members : Bitvec.t array;  (* exact reporters, by slot *)
-      mutable g_fresh : int array;  (* stamp of the absorb that inserted *)
-      mutable g_cur_slot : int array;  (* emission rank cursors *)
-      mutable g_cur_rank : int array;
-      pool : Bitpool.t;  (* recycled member sets *)
+      mutable g_bot_bits : int array;
+      mutable g_top_bits : int array;
       (* sized outbox buffers, arena-backed, reused every round *)
       out_dsts : int Vec.t;
       out_msgs : Msg.t Vec.t;
       out_sizes : int Vec.t;
     }
 
+    let rec ascending ids i =
+      i >= Array.length ids || (ids.(i - 1) < ids.(i) && ascending ids (i + 1))
+
     let create ~ids =
       let cn = Array.length ids in
-      let sorted_ids = Array.copy ids in
-      Array.sort Int.compare sorted_ids;
+      (* Callers hand over ascending ids ([Experiment.random_ids] sorts
+         them); the committee only reads the array, so alias it. *)
+      let sorted_ids =
+        if ascending ids 1 then ids
+        else begin
+          let a = Array.copy ids in
+          Array.sort Int.compare a;
+          a
+        end
+      in
       let dummy_iv = Interval.singleton 1 in
       {
         cn;
-        full = Interval.full (max 1 cn);
         sorted_ids;
         s_lo = Array.make cn 0;
-        s_hi = Array.make cn 0;
-        s_d = Array.make cn 0;
-        s_p = Array.make cn 0;
+        s_hi = Array.make cn (-1);
+        s_d = Array.make cn (-1);
         s_iv = Array.make cn dummy_iv;
         s_ivb = Array.make cn 0;
         s_db = Array.make cn 0;
+        s_grp = Array.make cn (-1);
         v_msg = Array.make cn Msg.Notify;
-        present = Bitvec.create cn;
-        scratch = Bitvec.create cn;
-        d_hist = Array.make 64 0;
-        d_ne = Bitvec.create 64;
-        p_hist = Array.make 64 0;
-        p_max = -1;
-        ch_slot = Vec.create ~dummy:0;
-        ch_old_lo = Vec.create ~dummy:0;
-        ch_old_hi = Vec.create ~dummy:0;
-        ch_old_d = Vec.create ~dummy:0;
-        rm_lo = Vec.create ~dummy:0;
-        rm_hi = Vec.create ~dummy:0;
-        rm_d = Vec.create ~dummy:0;
-        stamp = 0;
-        wholesale = true;  (* first absorb has no retained state to keep *)
+        r_slot = Array.make cn 0;
         g_len = 0;
-        g_depth = -1;
         g_lo = [||];
         g_hi = [||];
-        g_bot_hi = [||];
-        g_bot_size = [||];
+        g_iv = [||];
         g_b = [||];
-        g_ndmin = [||];
-        g_bot_iv = [||];
-        g_top_iv = [||];
-        g_bot_ivb = [||];
-        g_top_ivb = [||];
+        g_rank = [||];
         g_bot_msg = [||];
         g_top_msg = [||];
-        g_bot_mst = [||];
-        g_top_mst = [||];
-        g_members = [||];
-        g_fresh = [||];
-        g_cur_slot = [||];
-        g_cur_rank = [||];
-        pool = Bitpool.create ~width:cn;
+        g_bot_bits = [||];
+        g_top_bits = [||];
         out_dsts = Vec.create ~dummy:0;
         out_msgs = Vec.create ~dummy:Msg.Notify;
         out_sizes = Vec.create ~dummy:0;
       }
-
-    let clear_log cs =
-      Vec.clear cs.ch_slot;
-      Vec.clear cs.ch_old_lo;
-      Vec.clear cs.ch_old_hi;
-      Vec.clear cs.ch_old_d;
-      Vec.clear cs.rm_lo;
-      Vec.clear cs.rm_hi;
-      Vec.clear cs.rm_d
-
-    let clear_groups cs =
-      for j = 0 to cs.g_len - 1 do
-        Bitpool.release cs.pool cs.g_members.(j)
-      done;
-      cs.g_len <- 0;
-      cs.g_depth <- -1
-
-    let grow_hist h need =
-      let len = max need (2 * Array.length h) in
-      let h' = Array.make len 0 in
-      Array.blit h 0 h' 0 (Array.length h);
-      h'
-
-    let ensure_depth cs d =
-      if d + 2 > Array.length cs.d_hist then begin
-        cs.d_hist <- grow_hist cs.d_hist (d + 2);
-        let ne = Bitvec.create (Array.length cs.d_hist) in
-        Bitvec.iter_set cs.d_ne
-          (Interval.full (Bitvec.length cs.d_ne))
-          ~f:(fun pos -> Bitvec.set ne pos true);
-        cs.d_ne <- ne
-      end
-
-    let ensure_p cs p =
-      if p + 1 > Array.length cs.p_hist then
-        cs.p_hist <- grow_hist cs.p_hist (p + 1)
-
-    let hist_add cs d p =
-      ensure_depth cs d;
-      ensure_p cs p;
-      let c = cs.d_hist.(d) + 1 in
-      cs.d_hist.(d) <- c;
-      if c = 1 then Bitvec.set cs.d_ne (d + 1) true;
-      cs.p_hist.(p) <- cs.p_hist.(p) + 1;
-      if p > cs.p_max then cs.p_max <- p
-
-    let hist_remove cs d p =
-      let c = cs.d_hist.(d) - 1 in
-      cs.d_hist.(d) <- c;
-      if c = 0 then Bitvec.set cs.d_ne (d + 1) false;
-      cs.p_hist.(p) <- cs.p_hist.(p) - 1;
-      if p = cs.p_max && cs.p_hist.(p) = 0 then begin
-        let q = ref (cs.p_max - 1) in
-        while !q >= 0 && cs.p_hist.(!q) = 0 do
-          decr q
-        done;
-        cs.p_max <- !q
-      end
 
     (* Index of the rightmost group with [g_lo <= lo]; -1 if none. *)
     let locate cs lo =
@@ -435,233 +328,98 @@ struct
     let ensure_gcap cs =
       if cs.g_len = Array.length cs.g_lo then begin
         let cap = max 8 (2 * cs.g_len) in
-        let grow_i a =
-          let b = Array.make cap 0 in
+        let grow a dummy =
+          let b = Array.make cap dummy in
           Array.blit a 0 b 0 cs.g_len;
           b
         in
         let dummy_iv = Interval.singleton 1 in
-        let grow_iv a =
-          let b = Array.make cap dummy_iv in
-          Array.blit a 0 b 0 cs.g_len;
-          b
-        in
-        let grow_m a =
-          let b = Array.make cap Msg.Notify in
-          Array.blit a 0 b 0 cs.g_len;
-          b
-        in
-        let grow_bv a =
-          let b = Array.make cap cs.scratch in
-          Array.blit a 0 b 0 cs.g_len;
-          b
-        in
-        cs.g_lo <- grow_i cs.g_lo;
-        cs.g_hi <- grow_i cs.g_hi;
-        cs.g_bot_hi <- grow_i cs.g_bot_hi;
-        cs.g_bot_size <- grow_i cs.g_bot_size;
-        cs.g_b <- grow_i cs.g_b;
-        cs.g_ndmin <- grow_i cs.g_ndmin;
-        cs.g_bot_iv <- grow_iv cs.g_bot_iv;
-        cs.g_top_iv <- grow_iv cs.g_top_iv;
-        cs.g_bot_ivb <- grow_i cs.g_bot_ivb;
-        cs.g_top_ivb <- grow_i cs.g_top_ivb;
-        cs.g_bot_msg <- grow_m cs.g_bot_msg;
-        cs.g_top_msg <- grow_m cs.g_top_msg;
-        cs.g_bot_mst <- grow_i cs.g_bot_mst;
-        cs.g_top_mst <- grow_i cs.g_top_mst;
-        cs.g_members <- grow_bv cs.g_members;
-        cs.g_fresh <- grow_i cs.g_fresh;
-        cs.g_cur_slot <- grow_i cs.g_cur_slot;
-        cs.g_cur_rank <- grow_i cs.g_cur_rank
+        cs.g_lo <- grow cs.g_lo 0;
+        cs.g_hi <- grow cs.g_hi 0;
+        cs.g_iv <- grow cs.g_iv dummy_iv;
+        cs.g_b <- Array.make cap 0;
+        cs.g_rank <- Array.make cap 0;
+        cs.g_bot_msg <- Array.make cap Msg.Notify;
+        cs.g_top_msg <- Array.make cap Msg.Notify;
+        cs.g_bot_bits <- Array.make cap 0;
+        cs.g_top_bits <- Array.make cap 0
       end
 
-    let insert_group cs ~at ~iv =
+    (* Only the defining columns are live while groups are being
+       collected; the per-round counters are reset once the set is
+       complete. *)
+    let insert_group cs ~at ~lo ~hi ~iv =
       ensure_gcap cs;
       let tail = cs.g_len - at in
-      let shift_i (a : int array) = Array.blit a at a (at + 1) tail in
-      let shift_iv (a : Interval.t array) = Array.blit a at a (at + 1) tail in
-      let shift_m (a : Msg.t array) = Array.blit a at a (at + 1) tail in
-      let shift_bv (a : Bitvec.t array) = Array.blit a at a (at + 1) tail in
-      shift_i cs.g_lo;
-      shift_i cs.g_hi;
-      shift_i cs.g_bot_hi;
-      shift_i cs.g_bot_size;
-      shift_i cs.g_b;
-      shift_i cs.g_ndmin;
-      shift_iv cs.g_bot_iv;
-      shift_iv cs.g_top_iv;
-      shift_i cs.g_bot_ivb;
-      shift_i cs.g_top_ivb;
-      shift_m cs.g_bot_msg;
-      shift_m cs.g_top_msg;
-      shift_i cs.g_bot_mst;
-      shift_i cs.g_top_mst;
-      shift_bv cs.g_members;
-      shift_i cs.g_fresh;
-      shift_i cs.g_cur_slot;
-      shift_i cs.g_cur_rank;
-      let bot = Interval.bot iv and top = Interval.top iv in
-      cs.g_lo.(at) <- iv.Interval.lo;
-      cs.g_hi.(at) <- iv.Interval.hi;
-      cs.g_bot_hi.(at) <- bot.Interval.hi;
-      cs.g_bot_size.(at) <- Interval.size bot;
-      cs.g_b.(at) <- 0;
-      cs.g_ndmin.(at) <- 0;
-      cs.g_bot_iv.(at) <- bot;
-      cs.g_top_iv.(at) <- top;
-      cs.g_bot_ivb.(at) <-
-        gamma bot.Interval.lo + gamma (Interval.size bot - 1);
-      cs.g_top_ivb.(at) <-
-        gamma top.Interval.lo + gamma (Interval.size top - 1);
-      cs.g_bot_msg.(at) <- Msg.Notify;
-      cs.g_top_msg.(at) <- Msg.Notify;
-      cs.g_bot_mst.(at) <- 0;
-      cs.g_top_mst.(at) <- 0;
-      cs.g_members.(at) <- Bitpool.acquire cs.pool;
-      cs.g_fresh.(at) <- cs.stamp;
+      if tail > 0 then begin
+        Array.blit cs.g_lo at cs.g_lo (at + 1) tail;
+        Array.blit cs.g_hi at cs.g_hi (at + 1) tail;
+        Array.blit cs.g_iv at cs.g_iv (at + 1) tail
+      end;
+      cs.g_lo.(at) <- lo;
+      cs.g_hi.(at) <- hi;
+      cs.g_iv.(at) <- iv;
       cs.g_len <- cs.g_len + 1
 
-    let remove_group cs at =
-      Bitpool.release cs.pool cs.g_members.(at);
-      let tail = cs.g_len - at - 1 in
-      let shift_i (a : int array) = Array.blit a (at + 1) a at tail in
-      let shift_iv (a : Interval.t array) = Array.blit a (at + 1) a at tail in
-      let shift_m (a : Msg.t array) = Array.blit a (at + 1) a at tail in
-      let shift_bv (a : Bitvec.t array) = Array.blit a (at + 1) a at tail in
-      shift_i cs.g_lo;
-      shift_i cs.g_hi;
-      shift_i cs.g_bot_hi;
-      shift_i cs.g_bot_size;
-      shift_i cs.g_b;
-      shift_i cs.g_ndmin;
-      shift_iv cs.g_bot_iv;
-      shift_iv cs.g_top_iv;
-      shift_i cs.g_bot_ivb;
-      shift_i cs.g_top_ivb;
-      shift_m cs.g_bot_msg;
-      shift_m cs.g_top_msg;
-      shift_i cs.g_bot_mst;
-      shift_i cs.g_top_mst;
-      shift_bv cs.g_members;
-      shift_i cs.g_fresh;
-      shift_i cs.g_cur_slot;
-      shift_i cs.g_cur_rank;
-      cs.g_len <- cs.g_len - 1
-
-    (* The group for minimum-depth non-singleton interval [iv], inserting
-       it if new; it must not overlap a distinct existing group (the
-       shared-tree disjointness invariant). *)
+    (* The group for minimum-depth non-singleton interval [lo, hi],
+       inserted if new; it must not overlap a distinct existing group
+       (the shared-tree disjointness invariant). *)
     let ensure_group cs ~lo ~hi ~iv =
       let at = locate cs lo in
-      if at >= 0 && cs.g_lo.(at) = lo then
-        if cs.g_hi.(at) = hi then at else overlap ()
+      if at >= 0 && cs.g_lo.(at) = lo then begin
+        if cs.g_hi.(at) <> hi then overlap ()
+      end
       else if at >= 0 && lo <= cs.g_hi.(at) then overlap ()
       else if at + 1 < cs.g_len && cs.g_lo.(at + 1) <= hi then overlap ()
-      else begin
-        insert_group cs ~at:(at + 1) ~iv;
-        at + 1
-      end
+      else insert_group cs ~at:(at + 1) ~lo ~hi ~iv
 
-    (* A freshly inserted group's contributions, computed wholesale from
-       every present status (the per-slot delta adds skip fresh groups). *)
-    let fill_group cs at d_min =
-      let glo = cs.g_lo.(at) and ghi = cs.g_hi.(at) in
-      let gbh = cs.g_bot_hi.(at) in
-      let members = cs.g_members.(at) in
-      Bitvec.iter_set cs.present cs.full ~f:(fun slot ->
-          let i = slot - 1 in
-          let lo = Array.unsafe_get cs.s_lo i
-          and hi = Array.unsafe_get cs.s_hi i in
-          if lo = glo && hi = ghi then begin
-            Bitvec.set members slot true;
-            if cs.s_d.(i) = d_min then cs.g_ndmin.(at) <- cs.g_ndmin.(at) + 1
-          end
-          else if glo <= lo && hi <= gbh then cs.g_b.(at) <- cs.g_b.(at) + 1)
+    (* The groups: the distinct minimum-depth non-singleton intervals.
+       Their defining statuses arrive in ascending slot order and, in
+       honest runs, with ascending intervals, so each new group is
+       appended past the last one with no overlap left to check; any
+       other status that is not the last group's goes through
+       [ensure_group]. *)
+    let build_groups cs m d_min =
+      cs.g_len <- 0;
+      for k = 0 to m - 1 do
+        let i = Array.unsafe_get cs.r_slot k in
+        let lo = cs.s_lo.(i) and hi = cs.s_hi.(i) in
+        if cs.s_d.(i) = d_min && lo < hi then begin
+          let last = cs.g_len - 1 in
+          if last < 0 || lo > cs.g_hi.(last) then
+            insert_group cs ~at:cs.g_len ~lo ~hi ~iv:cs.s_iv.(i)
+          else if not (lo = cs.g_lo.(last) && hi = cs.g_hi.(last)) then
+            ensure_group cs ~lo ~hi ~iv:cs.s_iv.(i)
+        end
+      done;
+      let len = cs.g_len in
+      Array.fill cs.g_b 0 len 0;
+      Array.fill cs.g_rank 0 len 0;
+      Array.fill cs.g_bot_msg 0 len Msg.Notify;
+      Array.fill cs.g_top_msg 0 len Msg.Notify
 
-    (* Rebuild the whole index for a new minimum depth: collect the
-       distinct non-singleton depth-[d_min] intervals, then one fill sweep
-       routes every present status to its (at most one) group. *)
-    let rebuild cs d_min =
-      clear_groups cs;
-      Bitvec.iter_set cs.present cs.full ~f:(fun slot ->
-          let i = slot - 1 in
-          if cs.s_d.(i) = d_min && cs.s_lo.(i) < cs.s_hi.(i) then
-            ignore
-              (ensure_group cs ~lo:cs.s_lo.(i) ~hi:cs.s_hi.(i) ~iv:cs.s_iv.(i)));
-      Bitvec.iter_set cs.present cs.full ~f:(fun slot ->
-          let i = slot - 1 in
-          let lo = Array.unsafe_get cs.s_lo i
-          and hi = Array.unsafe_get cs.s_hi i in
-          let at = locate cs lo in
-          if at >= 0 && lo <= cs.g_hi.(at) then
-            if lo = cs.g_lo.(at) && hi = cs.g_hi.(at) then begin
-              Bitvec.set cs.g_members.(at) slot true;
-              if cs.s_d.(i) = d_min then cs.g_ndmin.(at) <- cs.g_ndmin.(at) + 1
-            end
-            else if hi <= cs.g_bot_hi.(at) then cs.g_b.(at) <- cs.g_b.(at) + 1);
-      cs.g_depth <- d_min
-
-    (* The minimum depth stood still: retract the change log's old
-       contributions, prune groups left without a defining reporter, then
-       add the new contributions — inserting (and wholesale-filling) any
-       group a changed status newly defines. *)
-    let apply_deltas cs d_min =
-      let ch_len = Vec.length cs.ch_old_d and rm_len = Vec.length cs.rm_d in
-      let ch_slot = Vec.data cs.ch_slot in
-      let ch_old_lo = Vec.data cs.ch_old_lo
-      and ch_old_hi = Vec.data cs.ch_old_hi
-      and ch_old_d = Vec.data cs.ch_old_d in
-      let rm_lo = Vec.data cs.rm_lo
-      and rm_hi = Vec.data cs.rm_hi
-      and rm_d = Vec.data cs.rm_d in
-      let remove_old ~lo ~hi ~d ~slot =
+    (* One sweep routes every status to its (at most one) group: an
+       exact reporter of a group's interval gets the group in [s_grp];
+       any other status inside the group's bottom half counts in
+       [g_b]. *)
+    let fill cs m =
+      for k = 0 to m - 1 do
+        let i = Array.unsafe_get cs.r_slot k in
+        let lo = cs.s_lo.(i) and hi = cs.s_hi.(i) in
         let at = locate cs lo in
+        cs.s_grp.(i) <- -1;
         if at >= 0 && lo <= cs.g_hi.(at) then
-          if lo = cs.g_lo.(at) && hi = cs.g_hi.(at) then begin
-            Bitvec.set cs.g_members.(at) slot false;
-            if d = d_min then begin
-              cs.g_ndmin.(at) <- cs.g_ndmin.(at) - 1;
-              if cs.g_ndmin.(at) = 0 then remove_group cs at
-            end
-          end
-          else if hi <= cs.g_bot_hi.(at) then cs.g_b.(at) <- cs.g_b.(at) - 1
-      in
-      for k = 0 to rm_len - 1 do
-        remove_old ~lo:rm_lo.(k) ~hi:rm_hi.(k) ~d:rm_d.(k)
-          ~slot:ch_slot.(ch_len + k)
-      done;
-      for k = 0 to ch_len - 1 do
-        if ch_old_d.(k) >= 0 then
-          remove_old ~lo:ch_old_lo.(k) ~hi:ch_old_hi.(k) ~d:ch_old_d.(k)
-            ~slot:ch_slot.(k)
-      done;
-      for k = 0 to ch_len - 1 do
-        let slot = ch_slot.(k) in
-        let i = slot - 1 in
-        let lo = cs.s_lo.(i) and hi = cs.s_hi.(i) and d = cs.s_d.(i) in
-        let at = locate cs lo in
-        if at >= 0 && cs.g_lo.(at) = lo && cs.g_hi.(at) = hi then begin
-          (* exact reporter of an existing group *)
-          if cs.g_fresh.(at) <> cs.stamp then begin
-            Bitvec.set cs.g_members.(at) slot true;
-            if d = d_min then cs.g_ndmin.(at) <- cs.g_ndmin.(at) + 1
-          end
-        end
-        else if at >= 0 && lo <= cs.g_hi.(at) then begin
-          (* inside a distinct group's interval *)
-          if d = d_min && lo < hi then overlap ()
-          else if cs.g_fresh.(at) <> cs.stamp && hi <= cs.g_bot_hi.(at) then
+          if lo = cs.g_lo.(at) && hi = cs.g_hi.(at) then cs.s_grp.(i) <- at
+          else if hi <= Interval.mid cs.g_iv.(at) then
             cs.g_b.(at) <- cs.g_b.(at) + 1
-        end
-        else if d = d_min && lo < hi then begin
-          (* a new depth-minimal interval: becomes a fresh group *)
-          let at = ensure_group cs ~lo ~hi ~iv:cs.s_iv.(i) in
-          fill_group cs at d_min
-        end
       done
 
     type outcome = Empty | Emitted of int
+
+    let push cs id msg sz =
+      Vec.push cs.out_dsts id;
+      Vec.push cs.out_msgs msg;
+      Vec.push cs.out_sizes sz
 
     (* Content-addressed per-slot verdict reuse: a frozen singleton (or
        a stable echo) receives the very same payload every phase, so
@@ -678,148 +436,84 @@ struct
           Array.unsafe_set cs.v_msg i m;
           m
 
-    (* Absorb one status round straight off the inbox view — a single
-       pass; the view is already the round's struct-of-arrays decode —
-       and fill the sized outbox buffers with the verdicts, in inbox
-       (= ascending slot) order. *)
+    (* Group [at]'s verdict for its reporter of rank [rank]: the bottom
+       half while the statuses inside it plus the rank still fit there,
+       the top half otherwise. [tail] is the billed size of the depth
+       and escalation fields. *)
+    let group_verdict cs id at ~rank ~d1 ~pv ~tail =
+      let giv = cs.g_iv.(at) in
+      if cs.g_b.(at) + rank <= Interval.mid giv - giv.Interval.lo + 1 then begin
+        (match cs.g_bot_msg.(at) with
+        | Msg.Notify ->
+            let iv = Interval.bot giv in
+            cs.g_bot_msg.(at) <- Msg.Response { iv; d = d1; p = pv };
+            cs.g_bot_bits.(at) <-
+              2 + gamma iv.Interval.lo + gamma (Interval.size iv - 1) + tail
+        | Msg.Status _ | Msg.Response _ -> ());
+        push cs id cs.g_bot_msg.(at) cs.g_bot_bits.(at)
+      end
+      else begin
+        (match cs.g_top_msg.(at) with
+        | Msg.Notify ->
+            let iv = Interval.top giv in
+            cs.g_top_msg.(at) <- Msg.Response { iv; d = d1; p = pv };
+            cs.g_top_bits.(at) <-
+              2 + gamma iv.Interval.lo + gamma (Interval.size iv - 1) + tail
+        | Msg.Status _ | Msg.Response _ -> ());
+        push cs id cs.g_top_msg.(at) cs.g_top_bits.(at)
+      end
+
+    (* Absorb one status round straight off the inbox view — the view is
+       already the round's struct-of-arrays decode — rebuild the group
+       index, and fill the sized outbox buffers with the verdicts, in
+       inbox (= ascending slot) order. *)
     let absorb_and_emit cs (st : state) inbox =
-      cs.stamp <- cs.stamp + 1;
-      clear_log cs;
-      let wholesale = cs.wholesale in
-      let m = ref 0 in
-      let ptr = ref 0 in
-      let churn = ref 0 in
+      let m = ref 0 and last = ref (-1) in
+      let d_min = ref max_int and p_max = ref (-1) in
       Net.Inbox.iter inbox ~f:(fun ~src msg ->
           match msg with
           | Msg.Notify | Msg.Response _ -> ()
           | Msg.Status { id; iv; d; p } ->
-              incr m;
-              let lo = iv.Interval.lo and hi = iv.Interval.hi in
               if id <> src then violated "status id differs from its source";
               if d < 0 || d >= depth_cap || p < 0 || p >= depth_cap then
                 violated "depth or escalation level out of range";
-              let k = ref !ptr in
               let ids = cs.sorted_ids in
+              let k = ref (max 0 !last) in
               while !k < cs.cn && Array.unsafe_get ids !k < src do
                 incr k
               done;
               if !k >= cs.cn || Array.unsafe_get ids !k <> src then
                 violated "source unknown or not ascending";
-              ptr := !k;
               let i = !k in
-              let slot = i + 1 in
-              if Bitvec.get cs.scratch slot then
-                violated "source reports twice";
-              Bitvec.set cs.scratch slot true;
-              let was = Bitvec.get cs.present slot in
-              if
-                was && cs.s_lo.(i) = lo && cs.s_hi.(i) = hi
-                && cs.s_d.(i) = d && cs.s_p.(i) = p
-              then () (* unchanged: contributes exactly as indexed *)
-              else begin
-                incr churn;
-                if wholesale then begin
-                  (* wholesale round: no delta log, no histogram upkeep —
-                     both get rebuilt in one sweep below. Gamma recomputes
-                     still skip unchanged components. *)
-                  if not (was && cs.s_lo.(i) = lo && cs.s_hi.(i) = hi)
-                  then begin
-                    cs.s_lo.(i) <- lo;
-                    cs.s_hi.(i) <- hi;
-                    cs.s_iv.(i) <- iv;
-                    cs.s_ivb.(i) <- gamma lo + gamma (hi - lo)
-                  end;
-                  if not (was && cs.s_d.(i) = d) then begin
-                    cs.s_d.(i) <- d;
-                    cs.s_db.(i) <- gamma d
-                  end;
-                  cs.s_p.(i) <- p
-                end
-                else begin
-                  Vec.push cs.ch_slot slot;
-                  if was then begin
-                    Vec.push cs.ch_old_lo cs.s_lo.(i);
-                    Vec.push cs.ch_old_hi cs.s_hi.(i);
-                    Vec.push cs.ch_old_d cs.s_d.(i);
-                    hist_remove cs cs.s_d.(i) cs.s_p.(i)
-                  end
-                  else begin
-                    Vec.push cs.ch_old_lo 0;
-                    Vec.push cs.ch_old_hi 0;
-                    Vec.push cs.ch_old_d (-1)
-                  end;
-                  hist_add cs d p;
-                  cs.s_lo.(i) <- lo;
-                  cs.s_hi.(i) <- hi;
-                  cs.s_d.(i) <- d;
-                  cs.s_p.(i) <- p;
-                  cs.s_iv.(i) <- iv;
-                  cs.s_ivb.(i) <- gamma lo + gamma (hi - lo);
-                  cs.s_db.(i) <- gamma d
-                end
-              end);
-      if !m = 0 then Empty
+              if i = !last then violated "source reports twice";
+              last := i;
+              cs.r_slot.(!m) <- i;
+              incr m;
+              let lo = iv.Interval.lo and hi = iv.Interval.hi in
+              (* gamma sizes are recomputed only for changed fields *)
+              if cs.s_lo.(i) <> lo || cs.s_hi.(i) <> hi then begin
+                cs.s_lo.(i) <- lo;
+                cs.s_hi.(i) <- hi;
+                cs.s_iv.(i) <- iv;
+                cs.s_ivb.(i) <- gamma lo + gamma (hi - lo)
+              end;
+              if cs.s_d.(i) <> d then begin
+                cs.s_d.(i) <- d;
+                cs.s_db.(i) <- gamma d
+              end;
+              if d < !d_min then d_min := d;
+              if p > !p_max then p_max := p);
+      let m = !m and d_min = !d_min in
+      if m = 0 then Empty
       else begin
-        (* vanished reporters: in [present] but silent this round; in
-           delta rounds their slots ride in [ch_slot] past the change
-           entries, wholesale rounds only count them *)
-        let vanished = ref 0 in
-        (if wholesale then
-           Bitvec.iter_diff cs.present cs.scratch ~f:(fun _ ->
-               incr vanished)
-         else
-           Bitvec.iter_diff cs.present cs.scratch ~f:(fun slot ->
-               let i = slot - 1 in
-               Vec.push cs.ch_slot slot;
-               Vec.push cs.rm_lo cs.s_lo.(i);
-               Vec.push cs.rm_hi cs.s_hi.(i);
-               Vec.push cs.rm_d cs.s_d.(i);
-               incr vanished;
-               hist_remove cs cs.s_d.(i) cs.s_p.(i)));
-        let old = cs.present in
-        cs.present <- cs.scratch;
-        cs.scratch <- old;
-        Bitvec.clear_all cs.scratch;
-        (if wholesale then begin
-           Array.fill cs.d_hist 0 (Array.length cs.d_hist) 0;
-           Bitvec.clear_all cs.d_ne;
-           Array.fill cs.p_hist 0 (Array.length cs.p_hist) 0;
-           cs.p_max <- -1;
-           Bitvec.iter_set cs.present cs.full ~f:(fun slot ->
-               let i = slot - 1 in
-               hist_add cs cs.s_d.(i) cs.s_p.(i))
-         end);
-        let d_min =
-          match
-            Bitvec.first_set cs.d_ne (Interval.full (Bitvec.length cs.d_ne))
-          with
-          | Some pos -> pos - 1
-          | None -> violated "statuses absorbed but no depth indexed"
-        in
-        if cs.p_max > st.pv then st.pv <- cs.p_max;
-        (* Delta replay wins when few statuses moved; under churn (a
-           committee killer reshuffles most reporters every round, and
-           the steady no-fault cadence deepens every reporter every
-           phase) the retained-state upkeep costs more than a wholesale
-           sweep. Measure this round's churn and pick next round's mode
-           accordingly. Both routes index the same state identically —
-           the committee tests check both against a reference oracle — so
-           the threshold is pure policy. *)
-        let n_present = Bitvec.count_all cs.present in
-        let churned = !churn + !vanished in
-        cs.wholesale <- 2 * churned > n_present;
-        if wholesale || cs.g_depth <> d_min || 2 * churned > n_present then
-          rebuild cs d_min
-        else apply_deltas cs d_min;
-        (* emission: one verdict per present slot, ascending — group
+        if !p_max > st.pv then st.pv <- !p_max;
+        build_groups cs m d_min;
+        fill cs m;
+        (* emission: one verdict per reporter, ascending — group
            verdicts are interned (one canonical message per (group,
            outcome), shared by every recipient), singletons and echoes
            reuse last round's message when the payload is unchanged, and
            precomputed size components make billing pure table lookups *)
-        for j = 0 to cs.g_len - 1 do
-          cs.g_cur_slot.(j) <- 0;
-          cs.g_cur_rank.(j) <- 0
-        done;
         Vec.clear cs.out_dsts;
         Vec.clear cs.out_msgs;
         Vec.clear cs.out_sizes;
@@ -827,56 +521,31 @@ struct
         let pvb = gamma pv in
         let d1 = d_min + 1 in
         let d1b = gamma d1 in
-        let k = ref 0 in
-        Bitvec.iter_set cs.present cs.full ~f:(fun slot ->
-            let i = slot - 1 in
-            let id = Array.unsafe_get cs.sorted_ids i in
-            let d = Array.unsafe_get cs.s_d i in
-            let lo = Array.unsafe_get cs.s_lo i
-            and hi = Array.unsafe_get cs.s_hi i in
-            let msg, sz =
-              if d <> d_min then
-                ( cached_verdict cs i ~iv:cs.s_iv.(i) ~d ~p:pv,
-                  2 + cs.s_ivb.(i) + cs.s_db.(i) + pvb )
-              else if lo = hi then
-                ( cached_verdict cs i ~iv:cs.s_iv.(i) ~d:d1 ~p:pv,
-                  2 + cs.s_ivb.(i) + d1b + pvb )
-              else begin
-                let at = locate cs lo in
-                if at < 0 || cs.g_lo.(at) <> lo || cs.g_hi.(at) <> hi then
-                  violated "minimum-depth status without a verdict group";
-                (* rank via a cumulative range popcount: queried slots
-                   ascend, so each member word is scanned once per round *)
-                let prev = cs.g_cur_slot.(at) in
-                let add =
-                  Bitvec.count_range cs.g_members.(at) ~lo:(prev + 1) ~hi:slot
-                in
-                cs.g_cur_slot.(at) <- slot;
-                let rank = cs.g_cur_rank.(at) + add in
-                cs.g_cur_rank.(at) <- rank;
-                if cs.g_b.(at) + rank <= cs.g_bot_size.(at) then begin
-                  (if cs.g_bot_mst.(at) <> cs.stamp then begin
-                     cs.g_bot_msg.(at) <-
-                       Msg.Response { iv = cs.g_bot_iv.(at); d = d1; p = pv };
-                     cs.g_bot_mst.(at) <- cs.stamp
-                   end);
-                  (cs.g_bot_msg.(at), 2 + cs.g_bot_ivb.(at) + d1b + pvb)
-                end
-                else begin
-                  (if cs.g_top_mst.(at) <> cs.stamp then begin
-                     cs.g_top_msg.(at) <-
-                       Msg.Response { iv = cs.g_top_iv.(at); d = d1; p = pv };
-                     cs.g_top_mst.(at) <- cs.stamp
-                   end);
-                  (cs.g_top_msg.(at), 2 + cs.g_top_ivb.(at) + d1b + pvb)
-                end
-              end
-            in
-            Vec.push cs.out_dsts id;
-            Vec.push cs.out_msgs msg;
-            Vec.push cs.out_sizes sz;
-            incr k);
-        Emitted !k
+        for k = 0 to m - 1 do
+          let i = Array.unsafe_get cs.r_slot k in
+          let id = Array.unsafe_get cs.sorted_ids i in
+          let d = cs.s_d.(i) and at = cs.s_grp.(i) in
+          let rank =
+            if at < 0 then 0
+            else begin
+              let r = cs.g_rank.(at) + 1 in
+              cs.g_rank.(at) <- r;
+              r
+            end
+          in
+          if d <> d_min then
+            push cs id
+              (cached_verdict cs i ~iv:cs.s_iv.(i) ~d ~p:pv)
+              (2 + cs.s_ivb.(i) + cs.s_db.(i) + pvb)
+          else if at < 0 then
+            (* every minimum-depth non-singleton defines a group, so this
+               is a minimum-depth singleton *)
+            push cs id
+              (cached_verdict cs i ~iv:cs.s_iv.(i) ~d:d1 ~p:pv)
+              (2 + cs.s_ivb.(i) + d1b + pvb)
+          else group_verdict cs id at ~rank ~d1 ~pv ~tail:(d1b + pvb)
+        done;
+        Emitted m
       end
   end
 
@@ -1008,8 +677,8 @@ struct
           m
     in
     (* Flattened committee state, allocated on first election only: most
-       nodes never serve. Persists across phases — that persistence is
-       what the incremental index trades on. *)
+       nodes never serve. Persists across phases, so its columns and
+       verdict caches are reused. *)
     let cstate = ref None in
     let committee_state () =
       match !cstate with
@@ -1090,25 +759,25 @@ struct
     Interval.point st.iv
 
   module For_tests = struct
+    type committee = Committee.t
+
     (* One committee member driven through fabricated round inboxes;
-       after each absorb, [f] gets the member state, the route flag the
-       absorb started with, and its outcome. *)
+       after each absorb, [f] gets the member state and its outcome. *)
     let drive ~pv ~ids rounds f =
       let st = { iv = Interval.full 1; dv = 0; pv; elected = true } in
       let cs = Committee.create ~ids in
       let out =
         List.map
           (fun pairs ->
-            let wholesale = cs.Committee.wholesale in
             let inbox = Net.Inbox.of_pairs_unchecked ~dst:0 pairs in
-            f cs ~wholesale (Committee.absorb_and_emit cs st inbox))
+            f cs (Committee.absorb_and_emit cs st inbox))
           rounds
       in
       (out, st.pv)
 
     let committee_verdicts ~pv ~ids rounds =
       fst
-        (drive ~pv ~ids rounds (fun cs ~wholesale:_ -> function
+        (drive ~pv ~ids rounds (fun cs -> function
            | Committee.Empty -> []
            | Committee.Emitted len ->
                List.init len (fun k ->
@@ -1117,12 +786,22 @@ struct
                      Committee.Vec.get cs.Committee.out_sizes k ))))
 
     let state_pv ~pv ~ids rounds =
-      snd (drive ~pv ~ids rounds (fun _ ~wholesale:_ _ -> ()))
+      snd (drive ~pv ~ids rounds (fun _ _ -> ()))
 
-    let absorb_routes ~ids rounds =
-      fst
-        (drive ~pv:0 ~ids rounds (fun _ ~wholesale _ ->
-             if wholesale then `Wholesale else `Delta))
+    let footprint ~ids rounds last =
+      let st = { iv = Interval.full 1; dv = 0; pv = 0; elected = true } in
+      let cs = Committee.create ~ids in
+      List.iter
+        (fun pairs ->
+          ignore
+            (Committee.absorb_and_emit cs st
+               (Net.Inbox.of_pairs_unchecked ~dst:0 pairs)))
+        rounds;
+      let inbox = Net.Inbox.of_pairs_unchecked ~dst:0 last in
+      let w0 = Gc.minor_words () in
+      ignore (Committee.absorb_and_emit cs st inbox);
+      let words = Gc.minor_words () -. w0 in
+      (words, cs)
   end
 end
 

@@ -91,8 +91,9 @@ type telemetry = {
 
 exception Invalid_committee_inbox of string
 (** The committee's input contract. A committee member answers the
-    status reports of one round from an incrementally maintained verdict
-    index, which is sound only if the round's inbox satisfies:
+    status reports of one round from a verdict index over slots in
+    ascending identity order, which is sound only if the round's inbox
+    satisfies:
     - every status's [id] equals its transport-level source;
     - sources are participants, strictly ascending, each reporting at
       most once (the engine's inbox order);
@@ -170,10 +171,15 @@ module For_tests : sig
   val state_pv : pv:int -> ids:int array -> (int * Msg.t) list list -> int
   (** The member's escalation counter after absorbing the rounds. *)
 
-  val absorb_routes :
-    ids:int array -> (int * Msg.t) list list -> [ `Wholesale | `Delta ] list
-  (** How each absorb maintained the retained state: [`Wholesale]
-      skipped the delta log and rebuilt the index in one sweep (chosen
-      after an absorb that churned more than half the reporters, and for
-      the first absorb), [`Delta] logged and replayed the changes. *)
+  type committee
+  (** A member's committee record. *)
+
+  val footprint :
+    ids:int array ->
+    (int * Msg.t) list list ->
+    (int * Msg.t) list ->
+    float * committee
+  (** [footprint ~ids rounds last] absorbs [rounds] on a fresh member,
+      then [last]: the minor words that last absorb allocated, and the
+      member's committee record (for [Obj.reachable_words]). *)
 end

@@ -1,6 +1,6 @@
 (* Round-scoped growable buffers and a bitvec free-list: the backing
-   store for per-round emission triples, committee change logs and
-   recycled member sets. Capacity is retained across [clear]s, so a
+   store for per-round emission triples and recycled equal-width
+   bitvecs. Capacity is retained across [clear]s, so a
    steady-state round allocates nothing — the arena grows to the
    high-water mark of its owner's first busy round and then only
    reuses. Every arena is a value owned by per-run protocol state

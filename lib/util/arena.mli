@@ -41,8 +41,8 @@ end
 
 module Bitpool : sig
   type t
-  (** A free-list of equal-width {!Bitvec.t}s, recycling member sets
-      across group insertions/removals without consing. *)
+  (** A free-list of equal-width {!Bitvec.t}s, recycled without
+      consing. *)
 
   val create : width:int -> t
 

@@ -19,6 +19,9 @@ val is_singleton : t -> bool
 val point : t -> int
 (** The unique element of a singleton. @raise Invalid_argument otherwise. *)
 
+val mid : t -> int
+(** The last point of {!bot}: [lo + (hi - lo) / 2]. *)
+
 val bot : t -> t
 (** Lower half, [\[l, floor((l+r)/2)\]]. Identity on singletons. *)
 

@@ -10,7 +10,7 @@
    every verdict carries the member's escalation counter after adopting
    the round's largest [p].
 
-   The library's incremental committee must agree with this verdict
+   The library's committee must agree with this verdict
    for verdict, byte for byte, on every inbox that meets its input
    contract. The oracle itself assumes nothing about the inbox, so it
    also defines the expected answer for a corrupted round that the

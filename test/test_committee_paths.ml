@@ -1,6 +1,6 @@
-(* Committee equivalence: the library's flattened incremental committee
-   (struct-of-arrays + Bitvec + delta maintenance) must be
-   observation-equivalent to the reference rule in [Committee_oracle] —
+(* Committee equivalence: the library's flattened committee
+   (struct-of-arrays over slots, group index rebuilt every absorb) must
+   be observation-equivalent to the reference rule in [Committee_oracle] —
    identical verdicts, identical billed sizes, identical emission order,
    identical escalation-counter evolution — on every inbox that meets
    its input contract, and must raise
@@ -31,7 +31,7 @@ let status ~id ?(src = -1) ~lo ~hi ~d ~p () =
   let src = if src = -1 then id else src in
   (src, CR.Msg.Status { id; iv = I.make lo hi; d; p })
 
-(* The incremental committee against the oracle on the same rounds. *)
+(* The library's committee against the oracle on the same rounds. *)
 let check_matches_oracle name ~ids rounds =
   let reference = Committee_oracle.verdicts ~pv:0 rounds in
   let got = CR.For_tests.committee_verdicts ~pv:0 ~ids rounds in
@@ -137,9 +137,9 @@ let test_disjointness_violation_raises () =
         status ~id:5 ~lo:2 ~hi:3 ~d:1 ~p:0 ();
       ];
     ];
-  (* the overlap arrives as a delta: a well-formed round first, then
-     one reporter moves onto a neighbour's interval *)
-  check_rejects "overlap introduced by a delta" ~ids:ids8 ~why:overlap
+  (* the overlap arrives in a later round: well-formed rounds first,
+     then one reporter moves onto a neighbour's interval *)
+  check_rejects "overlap introduced in a later round" ~ids:ids8 ~why:overlap
     [
       [
         status ~id:3 ~lo:1 ~hi:4 ~d:1 ~p:0 ();
@@ -224,18 +224,12 @@ let test_empty_and_degenerate () =
     (check_matches_oracle "single node" ~ids:[| 7 |]
        [ [ status ~id:7 ~lo:1 ~hi:1 ~d:0 ~p:0 () ] ])
 
-(* The retained-state maintenance policy: an absorb that churned more
-   than half the reporters makes the next one skip the delta log and
-   rebuild wholesale; a small change is replayed as a delta. Both routes
-   must still agree with the oracle. *)
-let route =
-  Alcotest.testable
-    (fun ppf r ->
-      Format.pp_print_string ppf
-        (match r with `Wholesale -> "wholesale" | `Delta -> "delta"))
-    ( = )
-
-let test_churn_policy () =
+(* Reporter churn between rounds: every reporter deepens every round,
+   or after a quiet round one reporter deepens and then another
+   vanishes. The index is rebuilt on every absorb while the per-slot
+   columns and verdict caches persist, so nothing of one round may
+   leak into the next. *)
+let test_reporter_churn () =
   let everyone ~d ~width =
     Array.to_list
       (Array.mapi
@@ -244,37 +238,166 @@ let test_churn_policy () =
            status ~id ~lo ~hi:(lo + width - 1) ~d ~p:0 ())
          ids8)
   in
-  let check name rounds expected =
-    ignore (check_matches_oracle name ~ids:ids8 rounds);
-    Alcotest.(check (list route)) name expected
-      (CR.For_tests.absorb_routes ~ids:ids8 rounds)
-  in
-  (* every reporter deepens every round: wholesale throughout *)
+  let check name rounds = ignore (check_matches_oracle name ~ids:ids8 rounds) in
   check "full churn"
     [
       everyone ~d:0 ~width:8;
       everyone ~d:1 ~width:4;
       everyone ~d:2 ~width:2;
       everyone ~d:3 ~width:1;
-    ]
-    [ `Wholesale; `Wholesale; `Wholesale; `Wholesale ];
-  (* after a quiet round, one reporter deepens, then one vanishes *)
+    ];
   let halves = everyone ~d:1 ~width:4 in
   let one_deeper =
     status ~id:3 ~lo:1 ~hi:2 ~d:2 ~p:0 () :: List.tl halves
   in
   let one_gone = List.filter (fun (src, _) -> src <> 17) one_deeper in
-  check "one reporter changes"
-    [ halves; halves; one_deeper; one_gone ]
-    [ `Wholesale; `Wholesale; `Delta; `Delta ]
+  check "one reporter changes" [ halves; halves; one_deeper; one_gone ]
+
+let take k l = List.filteri (fun i _ -> i < k) l
+
+(* {1 Scale}
+
+   1024 participants descend the whole halving tree of [1, 1024],
+   depths 0 to 10, checked against the oracle round for round. In each
+   round most reporters sit at the round's depth; about one in sixteen
+   is a level deeper (inside a group's half, or echoed), one in sixteen
+   reports the round's interval with a deeper depth, and one in sixteen
+   is silent. [order] maps a slot to its leaf: the identity
+   keeps intervals ascending with the slot, so groups are appended (over
+   256 of them at depth 9); a shuffle makes intervals arrive out of
+   order, so groups are inserted. *)
+let ids1024 = Array.init 1024 (fun k -> (3 * k) + 7)
+
+let vertex ~depth ~index =
+  match I.tree_vertex_at ~n:1024 ~depth ~index with
+  | Some iv -> iv
+  | None -> Alcotest.fail "vertex outside the tree"
+
+let leaf_status ~slot ~leaf ~d ~p =
+  let iv = vertex ~depth:d ~index:(leaf lsr (10 - d)) in
+  status ~id:ids1024.(slot) ~lo:iv.I.lo ~hi:iv.I.hi ~d ~p ()
+
+let descent ~order =
+  let rng = Random.State.make [| 23 |] in
+  List.init 11 (fun depth ->
+      List.filter_map
+        (fun slot ->
+          match Random.State.int rng 16 with
+          | 0 -> None
+          | 3 when depth < 10 ->
+              (* the round's interval, labelled a level deeper: an exact
+                 reporter that is echoed but still counts towards ranks *)
+              let iv = vertex ~depth ~index:(order.(slot) lsr (10 - depth)) in
+              Some
+                (status ~id:ids1024.(slot) ~lo:iv.I.lo ~hi:iv.I.hi
+                   ~d:(depth + 1) ~p:0 ())
+          | r ->
+              let d = if r = 1 && depth < 10 then depth + 1 else depth in
+              Some
+                (leaf_status ~slot ~leaf:order.(slot) ~d
+                   ~p:(if r = 2 then 1 else 0)))
+        (List.init 1024 Fun.id))
+
+let shuffled () =
+  let rng = Random.State.make [| 29 |] in
+  let a = Array.init 1024 Fun.id in
+  for k = 1023 downto 1 do
+    let j = Random.State.int rng (k + 1) in
+    let t = a.(k) in
+    a.(k) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+let groups_at ~depth round =
+  List.sort_uniq compare
+    (List.filter_map
+       (function
+         | _, CR.Msg.Status { iv; d; _ } when d = depth && iv.I.lo < iv.I.hi
+           ->
+             Some (iv.I.lo, iv.I.hi)
+         | _ -> None)
+       round)
+
+let test_scale_ascending () =
+  let rounds = descent ~order:(Array.init 1024 Fun.id) in
+  Alcotest.(check bool) "over 256 groups at depth 9" true
+    (List.length (groups_at ~depth:9 (List.nth rounds 9)) > 256);
+  ignore (check_matches_oracle "ascending descent" ~ids:ids1024 rounds);
+  (* the participant set handed over in any order is the same slot
+     universe *)
+  let reversed = Array.init 1024 (fun k -> ids1024.(1023 - k)) in
+  ignore
+    (check_matches_oracle "participants in reverse order" ~ids:reversed
+       (take 10 rounds))
+
+let test_scale_shuffled () =
+  ignore
+    (check_matches_oracle "shuffled descent" ~ids:ids1024
+       (descent ~order:(shuffled ())))
+
+(* Overlaps at scale, in and out of interval order: a depth-8 round
+   over all 1024 reporters (256 groups of four), with the status of
+   [slot] replaced by [lo, hi]. In order, the bad interval meets the
+   group appended just before it; out of order, it is checked against
+   the groups on its left and on its right before it would be
+   inserted. *)
+let test_scale_overlaps () =
+  let round ?(silent = fun _ -> false) ~order ~slot ~lo ~hi () =
+    List.filter_map
+      (fun s ->
+        if silent s then None
+        else if s = slot then Some (status ~id:ids1024.(s) ~lo ~hi ~d:8 ~p:0 ())
+        else Some (leaf_status ~slot:s ~leaf:order.(s) ~d:8 ~p:0))
+      (List.init 1024 Fun.id)
+  in
+  let ascending = Array.init 1024 Fun.id in
+  let rejects name r = check_rejects name ~ids:ids1024 ~why:overlap [ r ] in
+  (* slot 43 closes group [41, 44]; slot 44 opens [45, 48] *)
+  rejects "in order: starts inside the last group"
+    (round ~order:ascending ~slot:44 ~lo:43 ~hi:46 ());
+  rejects "in order: same lo, longer interval"
+    (round ~order:ascending ~slot:44 ~lo:41 ~hi:48 ());
+  rejects "out of order: overlaps its left group"
+    (round ~order:ascending ~slot:1023 ~lo:3 ~hi:6 ());
+  rejects "out of order: overlaps its right group"
+    (round ~silent:(fun s -> s < 4) ~order:ascending ~slot:1023 ~lo:2 ~hi:5
+       ());
+  rejects "out of order: shuffled arrival"
+    (round ~order:(shuffled ()) ~slot:1023 ~lo:43 ~hi:46 ());
+  (* the same rounds without the corrupted status are accepted *)
+  ignore
+    (check_matches_oracle "shuffled depth 8" ~ids:ids1024
+       [ round ~order:(shuffled ()) ~slot:(-1) ~lo:0 ~hi:0 () ])
+
+(* {1 Footprint}
+
+   The descent step from 256 groups to 512: a member that absorbed a
+   depth-8 round of all 1024 reporters absorbs the depth-9 round. The
+   rebuild allocates only the round's verdict payloads, two intervals
+   and two interned responses per group (7,199 minor words); the
+   member's whole record stays linear in n (28,219 reachable words,
+   27.6 n). A committee that kept one n-bit member set per group read
+   20,831 words and 42.1 n on the same rounds. *)
+let test_footprint () =
+  let round d =
+    List.init 1024 (fun slot -> leaf_status ~slot ~leaf:slot ~d ~p:0)
+  in
+  let words, cs = CR.For_tests.footprint ~ids:ids1024 [ round 8 ] (round 9) in
+  Alcotest.(check bool)
+    (Printf.sprintf "absorb allocates %.0f <= 7900 minor words" words)
+    true (words <= 7900.);
+  let reachable = Obj.reachable_words (Obj.repr cs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "record holds %d <= 30 n words" reachable)
+    true
+    (reachable <= 30 * 1024)
 
 (* Randomized differential fixture: arbitrary status rounds, mostly
    tree-shaped, occasionally corrupted (the generator records which
    rounds). A clean sequence must match the oracle round for round; a
    corrupted one must either match too or raise, and then only on a
    round the generator corrupted, with every earlier round matching. *)
-let take k l = List.filteri (fun i _ -> i < k) l
-
 let qcheck_matches_oracle =
   let open QCheck in
   let gen =
@@ -466,8 +589,16 @@ let suite =
         test_forged_and_duplicated_sources_raise;
       Alcotest.test_case "empty and degenerate inboxes" `Quick
         test_empty_and_degenerate;
-      Alcotest.test_case "churn policy: wholesale vs delta" `Quick
-        test_churn_policy;
+      Alcotest.test_case "reporter churn matches the oracle" `Quick
+        test_reporter_churn;
+      Alcotest.test_case "1024 ascending ids: append path" `Quick
+        test_scale_ascending;
+      Alcotest.test_case "1024 shuffled ids: insert path" `Quick
+        test_scale_shuffled;
+      Alcotest.test_case "1024 ids: overlaps in and out of order" `Quick
+        test_scale_overlaps;
+      Alcotest.test_case "footprint of the 512-group round" `Quick
+        test_footprint;
       QCheck_alcotest.to_alcotest qcheck_matches_oracle;
       Alcotest.test_case "full runs byte-identical (no fault)" `Quick
         test_full_runs_no_fault;

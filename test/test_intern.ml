@@ -6,11 +6,11 @@
      sharing itself; the QCheck differential pins that an interned
      message is billed exactly like a freshly built structural copy —
      sharing must be invisible to the size-accounting oracle.
-   - {e Arena rounds}: emission triples, change logs and member sets
-     live in capacity-retaining vectors and a bitvec free-list, reused
-     every round. The unit tests pin the reuse contracts — same backing
-     store across a [clear], recycled member sets come back empty — so
-     one round's contents cannot leak into the next.
+   - {e Arena rounds}: emission triples live in capacity-retaining
+     vectors, reused every round, and [Arena.Bitpool] recycles
+     equal-width bitvecs. The unit tests pin the reuse contracts — same
+     backing store across a [clear], recycled bitvecs come back empty —
+     so one round's contents cannot leak into the next.
    - {e Full-run equivalence}: metrics rows and run-trace JSONL must be
      byte-identical across shard counts {1, 4} and equal to pins
      recorded from the linear-scan committee, which built every verdict
@@ -68,7 +68,7 @@ let test_group_verdicts_physically_shared () =
   | outs -> Alcotest.failf "expected 1 round, got %d" (List.length outs)
 
 (* A second round with a different escalation level must not resurrect
-   the previous round's interned values: stamps gate reuse. *)
+   the previous round's interned values: each absorb resets them. *)
 let test_interning_is_per_round () =
   let round p =
     Array.to_list (Array.map (fun id -> status ~id ~lo:1 ~hi:8 ~d:0 ~p) ids8)
@@ -177,11 +177,11 @@ let test_bitpool_recycles_cleared () =
   let c = Arena.Bitpool.acquire p in
   Alcotest.(check bool) "drained pool allocates fresh" false (b == c)
 
-(* Group churn through the committee: groups are pruned (member sets
-   released to the pool) and new ones inserted (sets re-acquired) as
-   the descent moves d_min; any stale bit in a recycled set would skew
-   ranks and split the halves wrongly. The oracle builds everything
-   fresh, so agreement is the leak check. *)
+(* Group churn through the committee: the group index is rebuilt over
+   reused columns as the descent moves d_min; any stale group state or
+   rank counter carried over would skew ranks and split the halves
+   wrongly. The oracle builds everything fresh, so agreement is the
+   leak check. *)
 let test_committee_recycling_matches_scan () =
   let round ~lo ~hi ~d =
     Array.to_list (Array.map (fun id -> status ~id ~lo ~hi ~d ~p:0) ids8)
@@ -189,7 +189,7 @@ let test_committee_recycling_matches_scan () =
   let rounds =
     [ round ~lo:1 ~hi:8 ~d:0; round ~lo:1 ~hi:4 ~d:1; round ~lo:5 ~hi:8 ~d:1 ]
   in
-  Alcotest.(check bool) "recycled member sets agree with the oracle" true
+  Alcotest.(check bool) "reused group columns agree with the oracle" true
     (CR.For_tests.committee_verdicts ~pv:0 ~ids:ids8 rounds
     = Committee_oracle.verdicts ~pv:0 rounds)
 
