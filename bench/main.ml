@@ -2,8 +2,8 @@
    renders the scaling claims of Theorems 1.2/1.3/1.4 as figures (series
    of rows). One experiment function per table/figure — see DESIGN.md's
    per-experiment index and EXPERIMENTS.md for the recorded outcomes.
-   The E8 wall-clock suite is its own executable, bench/micro_bench.ml,
-   so regenerating the tables does not time it. *)
+   No table carries a wall-clock value, so every run regenerates
+   [results/] byte for byte. *)
 (* Stdout reporting is this executable's purpose; relax the library
    print rule for the whole file rather than annotating every line. *)
 [@@@lint.allow "D5"]

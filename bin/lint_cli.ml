@@ -136,4 +136,9 @@ let () =
       const run $ paths_arg $ format_arg $ enable_arg $ disable_arg
       $ baseline_arg $ list_arg)
   in
-  exit (Cmd.eval' (Cmd.v info term))
+  (* Cmdliner's parse errors (unknown option, malformed value) are
+     usage errors too: exit 2, not cmdliner's 124; cmdliner has already
+     printed the usage text on stderr. *)
+  match Cmd.eval' (Cmd.v info term) with
+  | c when c = Cmd.Exit.cli_error -> exit 2
+  | c -> exit c

@@ -357,6 +357,16 @@ let usage_error cmd fmt =
       exit 2)
     fmt
 
+(* An output file that cannot be created is reported before anything
+   runs, on one line naming the path, exit 2. The probe neither
+   truncates nor rewrites an existing file. *)
+let check_writable cmd flag path =
+  match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+  | oc -> close_out oc
+  | exception Sys_error m ->
+      Printf.eprintf "net_node %s: %s: cannot write %s\n" cmd flag m;
+      exit 2
+
 let check_port cmd ~min port =
   if port < min || port > 65535 then
     usage_error cmd "port must be in [%d, 65535], got %d" min port
@@ -369,6 +379,10 @@ let opts_term cmd =
     if n < 1 then usage_error cmd "-n must be at least 1, got %d" n;
     if n_hosts < 1 || n_hosts > n then
       usage_error cmd "--hosts must be in [1, n] = [1, %d], got %d" n n_hosts;
+    if namespace <> 0 && namespace < n then
+      usage_error cmd "--namespace must be at least n = %d, got %d" n
+        namespace;
+    Option.iter (check_writable cmd "--bits-out") bits_out;
     let namespace = if namespace = 0 then 64 * n else namespace in
     let ids = E.random_ids ~seed ~namespace ~n in
     let extra = extra_of ~algo ~namespace ~seed ~faults in

@@ -72,11 +72,24 @@ let usage_error cmd fmt =
       exit 2)
     fmt
 
-(* Every run needs [n >= 1] nodes and at most [n] faults per
-   configuration in [fs]; domain and shard counts, when given, are at
-   least 1. *)
-let check_args cmd ~n ~fs ~domains ~shards =
+(* An output file that cannot be created is reported before the run
+   starts, on one line naming the path, exit 2. The probe neither
+   truncates nor rewrites an existing file. *)
+let check_writable cmd flag path =
+  match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+  | oc -> close_out oc
+  | exception Sys_error m ->
+      Printf.eprintf "renaming %s: %s: cannot write %s\n" cmd flag m;
+      exit 2
+
+(* Every run needs [n >= 1] nodes, a namespace (0: the default) of at
+   least [n] ids and at most [n] faults per configuration in [fs];
+   domain and shard counts, when given, are at least 1; the trace file,
+   when given, can be written. *)
+let check_args cmd ~n ?(namespace = 0) ?trace ~fs ~domains ~shards () =
   if n < 1 then usage_error cmd "-n must be at least 1, got %d" n;
+  if namespace <> 0 && namespace < n then
+    usage_error cmd "--namespace must be at least n = %d, got %d" n namespace;
   List.iter
     (fun f ->
       if f < 0 || f > n then
@@ -87,7 +100,8 @@ let check_args cmd ~n ~fs ~domains ~shards =
         if v < 1 then usage_error cmd "%s must be at least 1, got %d" flag v)
   in
   at_least_1 "--domains" domains;
-  at_least_1 "--shards" shards
+  at_least_1 "--shards" shards;
+  Option.iter (check_writable cmd "--trace") trace
 
 let set_domains = Option.iter Repro_renaming.Parallel.set_domains
 
@@ -133,7 +147,7 @@ let crash_adversary_conv =
 
 let crash_cmd =
   let run n namespace f adversary seed verbose trace domains shards =
-    check_args "crash" ~n ~fs:[ f ] ~domains ~shards;
+    check_args "crash" ~n ~namespace ?trace ~fs:[ f ] ~domains ~shards ();
     set_domains domains;
     let namespace = resolve_namespace n namespace in
     let kind, adversary =
@@ -178,7 +192,7 @@ let byz_attack_conv =
 
 let byz_cmd =
   let run n namespace f attack everyone seed verbose trace domains shards =
-    check_args "byz" ~n ~fs:[ f ] ~domains ~shards;
+    check_args "byz" ~n ~namespace ?trace ~fs:[ f ] ~domains ~shards ();
     set_domains domains;
     let namespace = resolve_namespace n namespace in
     let kind, adversary =
@@ -224,7 +238,7 @@ let byz_cmd =
 
 let baseline_run cmd protocol n namespace f seed verbose trace domains
     shards =
-  check_args cmd ~n ~fs:[ f ] ~domains ~shards;
+  check_args cmd ~n ~namespace ?trace ~fs:[ f ] ~domains ~shards ();
   set_domains domains;
   let namespace = resolve_namespace n namespace in
   let kind, adversary =
@@ -260,7 +274,7 @@ let halving_cmd =
 
 let lower_bound_cmd =
   let run n seed =
-    check_args "lower-bound" ~n ~fs:[] ~domains:None ~shards:None;
+    check_args "lower-bound" ~n ~fs:[] ~domains:None ~shards:None ();
     Printf.printf
       "collision probability of k silent nodes naming into [1..%d]:\n" n;
     List.iter
@@ -304,7 +318,7 @@ let sweep_crash_cmd =
         ("flooding", E.Flooding_baseline) ]
   in
   let run protocol n namespace fs trials seed domains shards =
-    check_args "sweep-crash" ~n ~fs ~domains ~shards;
+    check_args "sweep-crash" ~n ~namespace ~fs ~domains ~shards ();
     if trials < 1 then
       usage_error "sweep-crash" "--trials must be at least 1, got %d" trials;
     set_domains domains;
@@ -350,7 +364,7 @@ let sweep_crash_cmd =
 
 let sweep_byz_cmd =
   let run n namespace fs seed domains shards =
-    check_args "sweep-byz" ~n ~fs ~domains ~shards;
+    check_args "sweep-byz" ~n ~namespace ~fs ~domains ~shards ();
     set_domains domains;
     let namespace = resolve_namespace n namespace in
     let rows =

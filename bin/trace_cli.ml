@@ -1,5 +1,5 @@
 (* Consumer CLI for the run-trace/v1 JSONL files written by
-   [renaming_cli --trace], [engine_bench --trace] and the fuzzer.
+   [renaming_cli --trace] and the fuzzer.
 
      trace summary run.jsonl
      trace diff a.jsonl b.jsonl
@@ -10,7 +10,8 @@
    totals. [diff] compares two traces round record by round record
    (timing fields stripped) and exits 1 printing the first diverging
    round — two runs of the same seeded configuration must diff clean,
-   whatever the domain count. Exit 2 on unreadable or malformed input. *)
+   whatever the domain count. Exit 2 on unreadable or malformed input
+   and on usage errors. *)
 (* Stdout reporting is this executable's purpose; relax the library
    print rule for the whole file rather than annotating every line. *)
 [@@@lint.allow "D5"]
@@ -86,9 +87,14 @@ let diff_cmd =
           exit 1 printing the first diverging round.")
     Term.(const run $ pos_arg 0 "LEFT" $ pos_arg 1 "RIGHT")
 
+(* Cmdliner's parse errors (unknown option, missing file argument) exit
+   2 like unreadable input; cmdliner has already printed the usage text
+   on stderr. *)
 let () =
   let info =
     Cmd.info "trace" ~version:"1.0.0"
       ~doc:"Inspect and compare run-trace/v1 JSONL run records."
   in
-  exit (Cmd.eval (Cmd.group info [ summary_cmd; diff_cmd ]))
+  match Cmd.eval (Cmd.group info [ summary_cmd; diff_cmd ]) with
+  | c when c = Cmd.Exit.cli_error -> exit 2
+  | c -> exit c

@@ -29,8 +29,8 @@ val tune_gc : unit -> unit
 (** GC settings tuned for simulation workloads (roomier minor heap, more
     patient major GC — envelopes of a round otherwise get promoted by
     mid-round minor collections). Intended to be called once at startup
-    by executables (the bench binaries do); never called implicitly by
-    the library. *)
+    by executables ([bench/main.exe] and [fuzz_cli] do); never called
+    implicitly by the library. *)
 
 module Pool = Repro_util.Domain_pool
 (** Reusable domain pool with one barrier per job — the machinery behind

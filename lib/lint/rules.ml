@@ -131,8 +131,6 @@ let mutable_ctors =
        test/lint/d4_arena.ml) *)
     "Arena.Vec.create";
     "Vec.create";
-    "Arena.Bitpool.create";
-    "Bitpool.create";
   ]
 
 (* {2 Attribute escape hatch} *)

@@ -165,8 +165,6 @@ let mutating_ops =
     ([ "Vec"; "reserve" ], 0, true);
     ([ "Vec"; "set" ], 0, false);
     ([ "Vec"; "clear" ], 0, true);
-    ([ "Bitpool"; "acquire" ], 0, true);
-    ([ "Bitpool"; "release" ], 0, true);
     ([ "Queue"; "add" ], 1, true);
     ([ "Queue"; "push" ], 1, true);
     ([ "Queue"; "pop" ], 0, true);
@@ -211,7 +209,6 @@ let mutable_ctor_heads =
     [ "Weak"; "create" ];
     [ "Writer"; "create" ];
     [ "Vec"; "create" ];
-    [ "Bitpool"; "create" ];
   ]
 
 (* Raw byte-io syscalls N1 polices: reading or writing without the

@@ -1,6 +1,5 @@
-(* Round-scoped growable buffers and a bitvec free-list: the backing
-   store for per-round emission triples and recycled equal-width
-   bitvecs. Capacity is retained across [clear]s, so a
+(* Round-scoped growable buffers: the backing store for per-round
+   emission triples. Capacity is retained across [clear]s, so a
    steady-state round allocates nothing — the arena grows to the
    high-water mark of its owner's first busy round and then only
    reuses. Every arena is a value owned by per-run protocol state
@@ -43,32 +42,4 @@ module Vec = struct
      (no scrubbing): the cross-round aliasing contract is that consumers
      never hold indices across a clear, pinned by test/test_intern.ml. *)
   let clear v = v.len <- 0
-end
-
-module Bitpool = struct
-  type t = {
-    width : int;
-    mutable free : Bitvec.t array;
-    mutable nfree : int;
-  }
-
-  let create ~width = { width; free = [||]; nfree = 0 }
-
-  let acquire t =
-    if t.nfree > 0 then begin
-      t.nfree <- t.nfree - 1;
-      t.free.(t.nfree)
-    end
-    else Bitvec.create t.width
-
-  let release t bv =
-    Bitvec.clear_all bv;
-    if t.nfree = Array.length t.free then begin
-      let cap = max 8 (2 * t.nfree) in
-      let b = Array.make cap bv in
-      Array.blit t.free 0 b 0 t.nfree;
-      t.free <- b
-    end;
-    t.free.(t.nfree) <- bv;
-    t.nfree <- t.nfree + 1
 end

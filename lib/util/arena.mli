@@ -1,4 +1,4 @@
-(** Round-scoped growable buffers and a bitvec free-list.
+(** Round-scoped growable buffers.
 
     An arena value is owned by per-run protocol state (a committee
     record, a node's program closure) and reused every round: capacity
@@ -37,20 +37,4 @@ module Vec : sig
   (** Reset to empty, retaining capacity. Stale contents are kept (not
       scrubbed): consumers must never hold indices across a clear —
       the cross-round aliasing contract pinned by test/test_intern.ml. *)
-end
-
-module Bitpool : sig
-  type t
-  (** A free-list of equal-width {!Bitvec.t}s, recycled without
-      consing. *)
-
-  val create : width:int -> t
-
-  val acquire : t -> Bitvec.t
-  (** A cleared bitvec of the pool's width: recycled when one is free,
-      freshly allocated otherwise. *)
-
-  val release : t -> Bitvec.t -> unit
-  (** Clears [bv] and returns it to the pool. The caller must drop its
-      reference: using a released bitvec aliases a future {!acquire}. *)
 end

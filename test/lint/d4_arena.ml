@@ -1,17 +1,17 @@
 (* Lint fixture: the two candidate homes for the round-scoped verdict
-   arenas (Arena.Vec emission triples and change logs, Arena.Bitpool
-   member sets — lib/util/arena.ml). A module-level arena under a
-   domain-shared library is cross-run — and under sharding
-   cross-domain — reusable mutable state: D4 at the definition, S1 at
-   any parallel site whose closure writes through it. The suite lints
-   this file as "lib/util/d4_arena.ml": exactly the two globals below
-   must fire D4, the [Pool.run] closure pushing into the global vector
-   must fire S1, and the chosen per-run shapes must stay silent. *)
+   arenas (Arena.Vec emission triples and change logs —
+   lib/util/arena.ml). A module-level arena under a domain-shared
+   library is cross-run — and under sharding cross-domain — reusable
+   mutable state: D4 at the definition, S1 at any parallel site whose
+   closure writes through it. The suite lints this file as
+   "lib/util/d4_arena.ml": exactly the two globals below must fire D4,
+   the [Pool.run] closure pushing into the global vector must fire S1,
+   and the chosen per-run shapes must stay silent. *)
 
 (* Rejected route: process-wide emission buffers, shared by every
    concurrent run and every shard. Fires D4. *)
 let out_msgs = Arena.Vec.create ~dummy:0
-let member_pool = Arena.Bitpool.create ~width:1024
+let change_log = Arena.Vec.create ~dummy:(0, 0)
 
 (* The parallel site writing through the global arena: the summary
    graph must connect the closure's [Vec.push] to [out_msgs]. *)
@@ -22,12 +22,17 @@ let emit_all pool xs =
    inside the program closure; rounds clear and refill them, shards
    each own their committee. Nothing here is top-level mutable, so the
    linter must stay silent. *)
-type committee = { out : int Arena.Vec.t; pool : Arena.Bitpool.t }
+type committee = { out : int Arena.Vec.t; log : (int * int) Arena.Vec.t }
 
-let make_committee ~width =
-  { out = Arena.Vec.create ~dummy:0; pool = Arena.Bitpool.create ~width }
+let make_committee () =
+  { out = Arena.Vec.create ~dummy:0; log = Arena.Vec.create ~dummy:(0, 0) }
 
 let emit_round cs verdicts =
   Arena.Vec.clear cs.out;
-  List.iter (fun v -> Arena.Vec.push cs.out v) verdicts;
+  Arena.Vec.clear cs.log;
+  List.iteri
+    (fun i v ->
+      Arena.Vec.push cs.out v;
+      Arena.Vec.push cs.log (i, v))
+    verdicts;
   Arena.Vec.length cs.out

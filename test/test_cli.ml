@@ -29,6 +29,27 @@ let last_line s =
   | last :: _ -> last
   | [] -> ""
 
+let contains out needle =
+  let rec go i =
+    i + String.length needle <= String.length out
+    && (String.sub out i (String.length needle) = needle || go (i + 1))
+  in
+  go 0
+
+(* Each argument list must be a usage error: exit 2, usage text. *)
+let expect_usage_errors exe cases =
+  List.iter
+    (fun args ->
+      let code, out = run_capture_bin exe args in
+      let name = Filename.basename exe ^ " " ^ args in
+      Alcotest.(check int) (name ^ ": exit 2") 2 code;
+      Alcotest.(check bool)
+        (name ^ ": usage text") true
+        (List.exists
+           (fun l -> String.length l >= 6 && String.sub l 0 6 = "Usage:")
+           (String.split_on_char '\n' out)))
+    cases
+
 let test_crash_subcommand () =
   let code, out = run_capture "crash -n 24 -f 4 --adversary killer --seed 3" in
   Alcotest.(check int) "exit 0" 0 code;
@@ -177,15 +198,7 @@ let test_unknown_subcommand_fails () =
    any host process is forked or any socket is opened. Options cmdliner
    cannot parse exit the same way. *)
 let test_net_node_bad_arguments () =
-  List.iter
-    (fun args ->
-      let code, out = run_capture_bin (bin "net_node_cli.exe") args in
-      Alcotest.(check int) (args ^ ": exit 2") 2 code;
-      Alcotest.(check bool)
-        (args ^ ": usage text") true
-        (List.exists
-           (fun l -> String.length l >= 6 && String.sub l 0 6 = "Usage:")
-           (String.split_on_char '\n' out)))
+  expect_usage_errors (bin "net_node_cli.exe")
     [
       "local -n 0";
       "local -n 8 --hosts 9";
@@ -194,6 +207,7 @@ let test_net_node_bad_arguments () =
       "coord --port 70000";
       "node --connect 127.0.0.1:abc --host-index 0";
       "node --connect 127.0.0.1:0 --host-index 0";
+      "local --algo crash -n 8 -N 4 --hosts 2";
       (* cmdliner parse errors *)
       "local --bogus";
       "local -n abc";
@@ -208,20 +222,14 @@ let test_net_node_bad_arguments () =
 (* renaming_cli rejects impossible sizes and counts the same way, before
    any run starts. *)
 let test_renaming_bad_arguments () =
-  List.iter
-    (fun args ->
-      let code, out = run_capture args in
-      Alcotest.(check int) (args ^ ": exit 2") 2 code;
-      Alcotest.(check bool)
-        (args ^ ": usage text") true
-        (List.exists
-           (fun l -> String.length l >= 6 && String.sub l 0 6 = "Usage:")
-           (String.split_on_char '\n' out)))
+  expect_usage_errors cli
     [
       "crash --shards 0";
       "crash --domains 0";
       "crash -n 0";
       "crash -n 8 -f 9";
+      "crash -n 8 -N 4";
+      "halving -n 8 -N 4";
       "byz -n 3 -f 5";
       "halving -n 4 -f 5";
       "flooding --shards 0";
@@ -237,15 +245,7 @@ let test_renaming_bad_arguments () =
 
 (* fuzz_cli validates sizes and the trial count the same way. *)
 let test_fuzz_bad_arguments () =
-  List.iter
-    (fun args ->
-      let code, out = run_capture_bin (bin "fuzz_cli.exe") args in
-      Alcotest.(check int) (args ^ ": exit 2") 2 code;
-      Alcotest.(check bool)
-        (args ^ ": usage text") true
-        (List.exists
-           (fun l -> String.length l >= 6 && String.sub l 0 6 = "Usage:")
-           (String.split_on_char '\n' out)))
+  expect_usage_errors (bin "fuzz_cli.exe")
     [
       "--algo crash -n 0 --trials 1";
       "-n 8 --namespace 3";
@@ -255,18 +255,39 @@ let test_fuzz_bad_arguments () =
       "--bogus";
     ]
 
+(* trace_cli and lint_cli map cmdliner's parse errors (unknown option,
+   missing file argument, malformed value) to exit 2 as well. *)
+let test_trace_lint_bad_arguments () =
+  expect_usage_errors trace_cli [ "--bogus"; "summary"; "diff a" ];
+  expect_usage_errors (bin "lint_cli.exe") [ "--bogus"; "--format nope lib" ]
+
+(* An output path that cannot be created is rejected before the run:
+   exit 2 and one line on stderr naming the path, no assessment. *)
+let test_unwritable_output () =
+  List.iter
+    (fun (exe, args, path) ->
+      let code, out = run_capture_bin (bin exe) args in
+      let name = exe ^ " " ^ args in
+      Alcotest.(check int) (name ^ ": exit 2") 2 code;
+      Alcotest.(check int) (name ^ ": one line") 1
+        (List.length (String.split_on_char '\n' out));
+      Alcotest.(check bool) (name ^ ": names the path") true
+        (contains out path))
+    [
+      ( "renaming_cli.exe",
+        "crash -n 8 --trace /nonexistent/x.jsonl",
+        "/nonexistent/x.jsonl" );
+      ( "net_node_cli.exe",
+        "local --algo crash -n 8 --hosts 2 --bits-out /nonexistent/x.json",
+        "/nonexistent/x.json" );
+    ]
+
 let test_help () =
   let code, out = run_capture "--help" in
   Alcotest.(check int) "exit 0" 0 code;
   Alcotest.(check bool) "mentions subcommands" true
-    (let has needle =
-       let rec go i =
-         i + String.length needle <= String.length out
-         && (String.sub out i (String.length needle) = needle || go (i + 1))
-       in
-       go 0
-     in
-     has "crash" && has "byz" && has "lower-bound")
+    (contains out "crash" && contains out "byz"
+    && contains out "lower-bound")
 
 let suite =
   ( "cli",
@@ -291,4 +312,8 @@ let suite =
         test_net_node_bad_arguments;
       Alcotest.test_case "renaming bad arguments exit 2" `Quick
         test_renaming_bad_arguments;
+      Alcotest.test_case "trace and lint bad arguments exit 2" `Quick
+        test_trace_lint_bad_arguments;
+      Alcotest.test_case "unwritable output exit 2" `Quick
+        test_unwritable_output;
     ] )

@@ -7,10 +7,9 @@
      message is billed exactly like a freshly built structural copy —
      sharing must be invisible to the size-accounting oracle.
    - {e Arena rounds}: emission triples live in capacity-retaining
-     vectors, reused every round, and [Arena.Bitpool] recycles
-     equal-width bitvecs. The unit tests pin the reuse contracts — same
-     backing store across a [clear], recycled bitvecs come back empty —
-     so one round's contents cannot leak into the next.
+     vectors, reused every round. The unit tests pin the reuse
+     contract — same backing store across a [clear], stale indices
+     rejected — so one round's contents cannot leak into the next.
    - {e Full-run equivalence}: metrics rows and run-trace JSONL must be
      byte-identical across shard counts {1, 4} and equal to pins
      recorded from the linear-scan committee, which built every verdict
@@ -23,7 +22,6 @@ module Runner = Repro_renaming.Runner
 module Trace = Repro_obs.Trace
 module I = Repro_util.Interval
 module Arena = Repro_util.Arena
-module Bitvec = Repro_util.Bitvec
 
 let ids8 = [| 3; 5; 9; 12; 17; 20; 28; 31 |]
 
@@ -164,19 +162,6 @@ let test_vec_clear_retains_capacity () =
     (Invalid_argument "Arena.Vec.get") (fun () ->
       ignore (Arena.Vec.get v 50))
 
-let test_bitpool_recycles_cleared () =
-  let p = Arena.Bitpool.create ~width:64 in
-  let a = Arena.Bitpool.acquire p in
-  Bitvec.set a 5 true;
-  Bitvec.set a 63 true;
-  Arena.Bitpool.release p a;
-  let b = Arena.Bitpool.acquire p in
-  Alcotest.(check bool) "released vector is recycled" true (a == b);
-  Alcotest.(check int) "recycled vector carries no stale members" 0
-    (Bitvec.count_all b);
-  let c = Arena.Bitpool.acquire p in
-  Alcotest.(check bool) "drained pool allocates fresh" false (b == c)
-
 (* Group churn through the committee: the group index is rebuilt over
    reused columns as the descent moves d_min; any stale group state or
    rank counter carried over would skew ranks and split the halves
@@ -243,8 +228,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_interned_billed_as_fresh;
       Alcotest.test_case "vec clear retains capacity, kills indices" `Quick
         test_vec_clear_retains_capacity;
-      Alcotest.test_case "bitpool recycles cleared vectors" `Quick
-        test_bitpool_recycles_cleared;
       Alcotest.test_case "committee recycling matches scan" `Quick
         test_committee_recycling_matches_scan;
       Alcotest.test_case "full runs byte-identical (paths x shards)" `Quick
