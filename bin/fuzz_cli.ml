@@ -193,6 +193,20 @@ let usage_error fmt =
       exit 2)
     fmt
 
+(* An output file that cannot be created is reported before anything
+   runs, on one line naming the path, exit 2. The probe neither
+   truncates nor rewrites an existing file, and removes a file it
+   created: [--out] is only written when a campaign fails. *)
+let check_writable flag path =
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+  | oc ->
+      close_out oc;
+      if not existed then Sys.remove path
+  | exception Sys_error m ->
+      Printf.eprintf "fuzz: %s: cannot write %s\n" flag m;
+      exit 2
+
 let check_args ~n ~namespace ~trials =
   if n < 1 then usage_error "-n must be at least 1, got %d" n;
   if namespace <> 0 && namespace < n then
@@ -201,6 +215,8 @@ let check_args ~n ~namespace ~trials =
 
 let main algo n namespace trials seed faults shrink out replay domains shards
     quiet trace dump =
+  Option.iter (check_writable "--trace") trace;
+  Option.iter (check_writable "--out") out;
   match replay with
   | Some path -> do_replay path quiet trace shards
   | None -> (

@@ -121,44 +121,43 @@ let trace_line buf ~round ~src ~dst pp msg =
     dst
     (Format.asprintf "%a" pp msg)
 
-(* Structured-trace hooks, shared by both runners; each is a no-op when
-   [jsonl] is absent. *)
-let jsonl_hooks jsonl =
-  ( Option.map (fun t ~round ~id -> Trace.on_crash t ~round ~id) jsonl,
-    Option.map (fun t ~round ~id -> Trace.on_decide t ~round ~id) jsonl,
-    Option.map (fun t ~round m -> Trace.on_round_end t ~round m) jsonl )
-
 let run_crash ?trace ?jsonl ?shards (s : Schedule.t) : Oracle.verdict =
   let ids = crash_ids_of s in
   let params = CR.experiment_params in
   let round_bound = crash_round_bound ~n:s.n in
   let stats = Oracle.new_stats () in
-  let on_crash, on_decide, on_round_end = jsonl_hooks jsonl in
   (* One-entry payload memo, hit by physical equality: the engine taps a
      broadcast's n copies consecutively with the same physical message
      value, so the codec round-trip check runs once per payload instead
-     of once per recipient. *)
+     of once per recipient. The oracle sums the protocol's own
+     [Msg.bits], not the engine's billed [bits]; a copy billed at
+     another size counts as a wire fault. *)
   let memo_msg = ref None and memo_bits = ref 0 and memo_ok = ref false in
-  let tap ~round (e : CR.Net.envelope) =
+  let tap ~round ~src ~dst ~bits:billed msg =
     (match !memo_msg with
-    | Some m when m == e.msg -> ()
+    | Some m when m == msg -> ()
     | _ ->
-        let bits = CR.Msg.bits e.msg in
-        let enc, blen = CR.Msg.encode e.msg in
-        memo_msg := Some e.msg;
+        let bits = CR.Msg.bits msg in
+        let enc, blen = CR.Msg.encode msg in
+        memo_msg := Some msg;
         memo_bits := bits;
-        memo_ok := blen = bits && CR.Msg.decode enc = Some e.msg);
-    let bits = !memo_bits and wire_ok = !memo_ok in
-    Oracle.observe_honest stats ~bits ~wire_ok;
-    Option.iter (fun t -> Trace.on_message t ~bits) jsonl;
+        memo_ok := blen = bits && CR.Msg.decode enc = Some msg);
+    let bits = !memo_bits in
+    Oracle.observe_honest stats ~bits ~wire_ok:(!memo_ok && billed = bits);
+    (match jsonl with
+    | Some t -> Trace.tap t ~round ~src ~dst ~bits:billed msg
+    | None -> ());
     match trace with
-    | Some buf -> trace_line buf ~round ~src:e.src ~dst:e.dst CR.Msg.pp e.msg
+    | Some buf -> trace_line buf ~round ~src ~dst CR.Msg.pp msg
     | None -> ()
   in
   match
     CR.Net.run ~ids
       ~crash:(CR.Net.Crash.scripted (scripted_events s))
-      ~tap ?on_crash ?on_decide ?on_round_end
+      ~tap
+      ?on_crash:(Option.map Trace.on_crash jsonl)
+      ?on_decide:(Option.map Trace.on_decide jsonl)
+      ?on_round_end:(Option.map Trace.on_round_end jsonl)
       ~max_rounds:(round_bound + 8)
       ~seed:s.seed ?shards ~program:(CR.program params) ()
   with
@@ -197,30 +196,36 @@ let run_byz ?trace ?jsonl ?shards (s : Schedule.t) : Oracle.verdict =
   in
   let byz_set = List.map fst behaviors in
   let stats = Oracle.new_stats () in
-  let on_crash, on_decide, on_round_end = jsonl_hooks jsonl in
-  (* Same one-entry physical-equality payload memo as the crash tap. *)
+  (* Same one-entry physical-equality payload memo and billed-size check
+     as the crash tap. *)
   let memo_msg = ref None and memo_bits = ref 0 and memo_ok = ref false in
-  let tap ~round (e : BR.Net.envelope) =
+  let tap ~round ~src ~dst ~bits:billed msg =
     (match !memo_msg with
-    | Some m when m == e.msg -> ()
+    | Some m when m == msg -> ()
     | _ ->
-        let bits = BR.Msg.bits e.msg in
-        let enc, blen = BR.Msg.encode e.msg in
-        memo_msg := Some e.msg;
+        let bits = BR.Msg.bits msg in
+        let enc, blen = BR.Msg.encode msg in
+        memo_msg := Some msg;
         memo_bits := bits;
-        memo_ok := blen = bits && BR.Msg.decode enc = Some e.msg);
+        memo_ok := blen = bits && BR.Msg.decode enc = Some msg);
     let bits = !memo_bits in
-    (if List.mem e.src byz_set then Oracle.observe_byz stats
-     else Oracle.observe_honest stats ~bits ~wire_ok:!memo_ok);
-    Option.iter (fun t -> Trace.on_message t ~bits) jsonl;
+    (if List.mem src byz_set then Oracle.observe_byz stats
+     else Oracle.observe_honest stats ~bits ~wire_ok:(!memo_ok && billed = bits));
+    (match jsonl with
+    | Some t -> Trace.tap t ~round ~src ~dst ~bits:billed msg
+    | None -> ());
     match trace with
-    | Some buf -> trace_line buf ~round ~src:e.src ~dst:e.dst BR.Msg.pp e.msg
+    | Some buf -> trace_line buf ~round ~src ~dst BR.Msg.pp msg
     | None -> ()
   in
   match
     BR.Net.run ~ids ?byz
       ~crash:(BR.Net.Crash.scripted (scripted_events s))
-      ~tap ?on_crash ?on_decide ?on_round_end ~max_rounds:byz_round_bound
+      ~tap
+      ?on_crash:(Option.map Trace.on_crash jsonl)
+      ?on_decide:(Option.map Trace.on_decide jsonl)
+      ?on_round_end:(Option.map Trace.on_round_end jsonl)
+      ~max_rounds:byz_round_bound
       ~seed:s.seed ?shards ~program:(BR.program params) ()
   with
   | res ->

@@ -65,9 +65,12 @@ val run :
   ?shards:int ->
   Schedule.t ->
   Oracle.verdict
-(** Execute one schedule and judge it. When [trace] is given, every
-    envelope the tap observes is appended to it as one line
-    ([r<round> <src> -> <dst> <msg>]) in deterministic order. When
+(** Execute one schedule and judge it. The oracle's wire statistics sum
+    each tapped honest message's own [Msg.bits], checked against its
+    [encode]/[decode] round trip and against the size the engine billed
+    for that copy. When [trace] is given, every message the tap observes
+    is appended to it as one line ([r<round> <src> -> <dst> <msg>]) in
+    deterministic order. When
     [jsonl] is given, the run is recorded into that structured trace
     (per-round accounting rows, size histogram, crash/decide events) and
     [Trace.finish] is called before the oracle verdict — unless the run

@@ -5,6 +5,7 @@ module Committee_pool = Repro_crypto.Committee_pool
 module Committee_net = Repro_consensus.Committee_net
 module Phase_king = Repro_consensus.Phase_king
 module Validator = Repro_consensus.Validator
+module Trace = Repro_obs.Trace
 
 module Msg = struct
   type t =
@@ -579,8 +580,7 @@ module Node = Make_node (Net)
 
 let program = Node.program
 
-let run ?telemetry ~params ?byz ?tap ?on_crash ?on_decide ?on_round_end
-    ?max_rounds ?seed ?shards ~ids () =
+let run ?telemetry ~params ?byz ?trace ?max_rounds ?seed ?shards ~ids () =
   Array.iter
     (fun id ->
       if id < 1 || id > params.namespace then
@@ -589,5 +589,14 @@ let run ?telemetry ~params ?byz ?tap ?on_crash ?on_decide ?on_round_end
   (* Telemetry hooks aggregate across nodes from inside the fibers
      (documented contract), so a telemetry run must stay sequential. *)
   let shards = if Option.is_some telemetry then Some 1 else shards in
-  Net.run ~ids ?byz ?tap ?on_crash ?on_decide ?on_round_end ?max_rounds ?seed
-    ?shards ~program:(program ?telemetry params) ()
+  let res =
+    Net.run ~ids ?byz ?tap:(Option.map Trace.tap trace)
+      ?on_crash:(Option.map Trace.on_crash trace)
+      ?on_decide:(Option.map Trace.on_decide trace)
+      ?on_round_end:(Option.map Trace.on_round_end trace)
+      ?max_rounds ?seed ?shards
+      ~program:(program ?telemetry params)
+      ()
+  in
+  Option.iter (fun t -> Trace.finish t res.Repro_sim.Engine.metrics) trace;
+  res

@@ -148,10 +148,7 @@ val run :
   ?telemetry:telemetry ->
   params:params ->
   ?byz:int list * Net.byz_strategy ->
-  ?tap:(round:int -> Net.envelope -> unit) ->
-  ?on_crash:(round:int -> id:int -> unit) ->
-  ?on_decide:(round:int -> id:int -> unit) ->
-  ?on_round_end:(round:int -> Repro_sim.Metrics.t -> unit) ->
+  ?trace:Repro_obs.Trace.t ->
   ?max_rounds:int ->
   ?seed:int ->
   ?shards:int ->
@@ -159,7 +156,10 @@ val run :
   unit ->
   int Repro_sim.Engine.run_result
 (** Validates every identity against [params.namespace], then runs
-    through {!Net.run}. [shards] passes through (bit-identical results
-    for every count), except that a [telemetry] run always executes
-    sequentially: the telemetry hooks may aggregate across nodes from
-    inside the fibers, which is only deterministic on one domain. *)
+    through {!Net.run}. A given [trace] records the run: it is wired
+    into [Engine.run]'s tap and hooks, and {!Repro_obs.Trace.finish} is
+    called on the run's metrics before this returns. [shards] passes
+    through (bit-identical results, traces included, for every count),
+    except that a [telemetry] run always executes sequentially: the
+    telemetry hooks may aggregate across nodes from inside the fibers,
+    which is only deterministic on one domain. *)

@@ -1,6 +1,7 @@
 module Interval = Repro_util.Interval
 module Ilog = Repro_util.Ilog
 module Rng = Repro_util.Rng
+module Trace = Repro_obs.Trace
 
 module Msg = struct
   (* A [Response] carries no identity: the transport destination already
@@ -811,28 +812,19 @@ let program = Node.program
 
 module For_tests = Node.For_tests
 
-let run ?(params = experiment_params) ?telemetry ?crash ?tap ?alloc_probe
-    ?on_crash ?on_decide ?on_round_end ?seed ?shards ~ids () =
+let run ?(params = experiment_params) ?telemetry ?crash ?trace ?seed ?shards
+    ~ids () =
   (* Telemetry hooks aggregate across nodes from inside the fibers
-     (documented contract), so a telemetry run must stay sequential.
-     The alloc probe is sequential-only too (engine contract). *)
-  let shards =
-    if Option.is_some telemetry || Option.is_some alloc_probe then Some 1
-    else shards
-  in
-  (* Committee emission allocates inside the fibers; an accumulator
-     shared by all node programs separates it out of the engine's
-     resume bracket. All nodes run on one domain here, so the shared
-     cell is race-free. *)
-  let alloc_emit = Option.map (fun _ -> ref 0.) alloc_probe in
+     (documented contract), so a telemetry run must stay sequential. *)
+  let shards = if Option.is_some telemetry then Some 1 else shards in
   let res =
-    Net.run ~ids ?crash ?tap ?alloc_probe ?on_crash ?on_decide ?on_round_end
+    Net.run ~ids ?crash ?tap:(Option.map Trace.tap trace)
+      ?on_crash:(Option.map Trace.on_crash trace)
+      ?on_decide:(Option.map Trace.on_decide trace)
+      ?on_round_end:(Option.map Trace.on_round_end trace)
       ?seed ?shards
-      ~program:(Node.program ?telemetry ?alloc_emit params)
+      ~program:(Node.program ?telemetry params)
       ()
   in
-  (match (alloc_probe, alloc_emit) with
-  | Some p, Some acc ->
-      p.Repro_sim.Engine.ap_emit <- p.Repro_sim.Engine.ap_emit +. !acc
-  | _ -> ());
+  Option.iter (fun t -> Trace.finish t res.Repro_sim.Engine.metrics) trace;
   res

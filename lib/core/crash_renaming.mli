@@ -131,27 +131,20 @@ val run :
   ?params:params ->
   ?telemetry:telemetry ->
   ?crash:Net.crash_adversary ->
-  ?tap:(round:int -> Net.envelope -> unit) ->
-  ?alloc_probe:Repro_sim.Engine.alloc_probe ->
-  ?on_crash:(round:int -> id:int -> unit) ->
-  ?on_decide:(round:int -> id:int -> unit) ->
-  ?on_round_end:(round:int -> Repro_sim.Metrics.t -> unit) ->
+  ?trace:Repro_obs.Trace.t ->
   ?seed:int ->
   ?shards:int ->
   ids:int array ->
   unit ->
   int Repro_sim.Engine.run_result
-(** Convenience wrapper around {!Net.run}; the optional [tap] and
-    [on_*] observability hooks are passed straight through (see
-    [Engine.run] for their contracts — [Experiment] wires them to a
-    [Repro_obs.Trace] recorder). [shards] passes through too
-    (bit-identical results for every count), except that a [telemetry]
-    or [alloc_probe] run always runs with one shard: telemetry hooks
-    may aggregate across nodes from inside the fibers and the probe's
-    emission cell is shared by all nodes, which is only deterministic
-    on one domain. An attached [alloc_probe] additionally gets
-    [ap_emit] filled with the committee-emission share of the resume
-    bracket. *)
+(** Convenience wrapper around {!Net.run}. A given [trace] records the
+    run: it is wired into [Engine.run]'s tap and hooks (see there for
+    their contracts), and {!Repro_obs.Trace.finish} is called on the
+    run's metrics before this returns. [shards] passes through
+    (bit-identical results, traces included, for every count), except
+    that a [telemetry] run always runs with one shard: telemetry hooks
+    may aggregate across nodes from inside the fibers, which is only
+    deterministic on one domain. *)
 
 (** Test-only seams into the committee internals. Each drives one
     committee member through a sequence of round inboxes, given as

@@ -1,6 +1,5 @@
 module Rng = Repro_util.Rng
 module Ilog = Repro_util.Ilog
-module Trace = Repro_obs.Trace
 
 let random_ids ~seed ~namespace ~n =
   if n > namespace then invalid_arg "Experiment.random_ids: n > namespace";
@@ -53,18 +52,9 @@ let byz_adversary_f = function
    protocol (flooding with f+1 rounds, or 12·log n rounds). *)
 let crash_horizon ~n ~f = max (f + 2) (12 * max 1 (Ilog.ceil_log2 n))
 
-(* Protocol-independent trace hooks; the [tap] (which needs the
-   protocol's [Msg.bits]) is wired per branch below. *)
-let trace_hooks trace =
-  ( Option.map (fun t ~round ~id -> Trace.on_crash t ~round ~id) trace,
-    Option.map (fun t ~round ~id -> Trace.on_decide t ~round ~id) trace,
-    Option.map (fun t ~round m -> Trace.on_round_end t ~round m) trace )
-
-let run_crash ?trace ?alloc_probe ?shards ~protocol ~n
-    ~namespace ~adversary ~seed () =
+let run_crash ?trace ?shards ~protocol ~n ~namespace ~adversary ~seed () =
   let ids = random_ids ~seed:(seed lxor 0x1d5) ~namespace ~n in
   let rng = Rng.of_seed (seed lxor 0xadce5) in
-  let on_crash, on_decide, on_round_end = trace_hooks trace in
   (* The engine is a functor, so each protocol carries its own adversary
      type; this local functor builds the matching strategy. [No_crash]
      attaches none, so the engine never builds an observation. *)
@@ -102,29 +92,16 @@ let run_crash ?trace ?alloc_probe ?shards ~protocol ~n
 
           include Crash_renaming.Net.Crash
         end) in
-        let tap =
-          Option.map
-            (fun t ~round:_ (e : Crash_renaming.Net.envelope) ->
-              Trace.on_message t ~bits:(Crash_renaming.Msg.bits e.msg))
-            trace
-        in
-        Crash_renaming.run ~params:Crash_renaming.experiment_params ~ids ?crash:(A.make adversary) ?tap
-          ?alloc_probe ?on_crash ?on_decide ?on_round_end ~seed ?shards ()
+        Crash_renaming.run ~params:Crash_renaming.experiment_params ~ids
+          ?crash:(A.make adversary) ?trace ~seed ?shards ()
     | Halving_baseline ->
         let module A = Adversary (struct
           type adv = Halving_renaming.Net.crash_adversary
 
           include Halving_renaming.Net.Crash
         end) in
-        let tap =
-          Option.map
-            (fun t ~round:_ (e : Halving_renaming.Net.envelope) ->
-              Trace.on_message t ~bits:(Halving_renaming.Msg.bits e.msg))
-            trace
-        in
-        Halving_renaming.run ~ids ?crash:(A.make adversary)
-          ?tap ?alloc_probe ?on_crash ?on_decide ?on_round_end ~seed ?shards
-          ()
+        Halving_renaming.run ~ids ?crash:(A.make adversary) ?trace ~seed
+          ?shards ()
     | Flooding_baseline ->
         let module A = Adversary (struct
           type adv = Flooding_renaming.Net.crash_adversary
@@ -134,16 +111,9 @@ let run_crash ?trace ?alloc_probe ?shards ~protocol ~n
         let params =
           { Flooding_renaming.rounds = `Tolerate (crash_adversary_f adversary) }
         in
-        let tap =
-          Option.map
-            (fun t ~round:_ (e : Flooding_renaming.Net.envelope) ->
-              Trace.on_message t ~bits:(Flooding_renaming.Msg.bits e.msg))
-            trace
-        in
-        Flooding_renaming.run ~params ~ids ?crash:(A.make adversary) ?tap
-          ?on_crash ?on_decide ?on_round_end ~seed ?shards ()
+        Flooding_renaming.run ~params ~ids ?crash:(A.make adversary) ?trace
+          ~seed ?shards ()
   in
-  Option.iter (fun t -> Trace.finish t res.Repro_sim.Engine.metrics) trace;
   Runner.assess res
 
 let committee_pool_probability ~n =
@@ -193,19 +163,9 @@ let run_byz ?trace ?shards ~protocol ~n ~namespace ~adversary
     | Split_world_byz _ -> Byz_strategies.split_world params ~rng ~ids
   in
   let byz = if f = 0 then None else Some (byz_ids, strategy) in
-  let on_crash, on_decide, on_round_end = trace_hooks trace in
-  let tap =
-    Option.map
-      (fun t ~round:_ (e : Byzantine_renaming.Net.envelope) ->
-        Trace.on_message t ~bits:(Byzantine_renaming.Msg.bits e.msg))
-      trace
-  in
-  let res =
-    Byzantine_renaming.run ~params ?byz ?tap ?on_crash ?on_decide ?on_round_end
-      ~max_rounds:400_000 ~seed ?shards ~ids ()
-  in
-  Option.iter (fun t -> Trace.finish t res.Repro_sim.Engine.metrics) trace;
-  Runner.assess res
+  Runner.assess
+    (Byzantine_renaming.run ~params ?byz ?trace ~max_rounds:400_000 ~seed
+       ?shards ~ids ())
 
 (* {1 Reporting} *)
 

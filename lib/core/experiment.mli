@@ -47,7 +47,6 @@ val crash_horizon : n:int -> f:int -> int
 
 val run_crash :
   ?trace:Repro_obs.Trace.t ->
-  ?alloc_probe:Repro_sim.Engine.alloc_probe ->
   ?shards:int ->
   protocol:crash_protocol ->
   n:int ->
@@ -61,19 +60,13 @@ val run_crash :
     the baseline. For [Scripted_crashes] the reported [f] is the
     schedule length.
 
-    When [trace] is given, the run is recorded into it — per-round rows
-    via the engine hooks, the on-wire size histogram via [tap] — and
-    {!Repro_obs.Trace.finish} is called on the run's metrics before the
-    assessment is computed, so the recorder holds a complete run record
-    when this returns.
+    When [trace] is given, the protocol wrapper records the run into it
+    and finishes it, so the recorder holds a complete run record when
+    this returns.
 
     [shards] splits the engine's per-round work across domains
     ([Engine.run]'s parameter, bit-identical results — and identical
-    trace records — for every count).
-
-    [alloc_probe] attaches {!Crash_renaming.run}'s per-phase minor-word
-    attribution; it forces a 1-shard run and only applies to
-    [This_work_crash] (the baselines ignore it). *)
+    trace records — for every count). *)
 
 val run_byz :
   ?trace:Repro_obs.Trace.t ->

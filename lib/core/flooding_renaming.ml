@@ -1,4 +1,5 @@
 module Ilog = Repro_util.Ilog
+module Trace = Repro_obs.Trace
 
 module Msg = struct
   type t = Known of int list
@@ -87,7 +88,13 @@ module Node = Make_node (Net)
 
 let program = Node.program
 
-let run ?(params = default_params) ?crash ?tap ?on_crash ?on_decide
-    ?on_round_end ?seed ?shards ~ids () =
-  Net.run ~ids ?crash ?tap ?on_crash ?on_decide ?on_round_end ?seed ?shards
-    ~program:(program params) ()
+let run ?(params = default_params) ?crash ?trace ?seed ?shards ~ids () =
+  let res =
+    Net.run ~ids ?crash ?tap:(Option.map Trace.tap trace)
+      ?on_crash:(Option.map Trace.on_crash trace)
+      ?on_decide:(Option.map Trace.on_decide trace)
+      ?on_round_end:(Option.map Trace.on_round_end trace)
+      ?seed ?shards ~program:(program params) ()
+  in
+  Option.iter (fun t -> Trace.finish t res.Repro_sim.Engine.metrics) trace;
+  res

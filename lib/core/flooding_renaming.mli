@@ -51,14 +51,12 @@ end
 val run :
   ?params:params ->
   ?crash:Net.crash_adversary ->
-  ?tap:(round:int -> Net.envelope -> unit) ->
-  ?on_crash:(round:int -> id:int -> unit) ->
-  ?on_decide:(round:int -> id:int -> unit) ->
-  ?on_round_end:(round:int -> Repro_sim.Metrics.t -> unit) ->
+  ?trace:Repro_obs.Trace.t ->
   ?seed:int ->
   ?shards:int ->
   ids:int array ->
   unit ->
   int Repro_sim.Engine.run_result
-(** Convenience wrapper around {!Net.run}; the observability hooks and
-    [shards] pass straight through to [Engine.run]. *)
+(** Convenience wrapper around {!Net.run}; a given [trace] records the
+    run and is finished before this returns, as in
+    {!Crash_renaming.run}, and [shards] passes through to [Engine.run]. *)

@@ -21,7 +21,5 @@ struct
   let program ctx = Node.program params ctx
 end
 
-let run ?crash ?tap ?alloc_probe ?on_crash ?on_decide ?on_round_end ?seed
-    ?shards ~ids () =
-  Crash_renaming.run ~params ?crash ?tap ?alloc_probe ?on_crash ?on_decide
-    ?on_round_end ?seed ?shards ~ids ()
+let run ?crash ?trace ?seed ?shards ~ids () =
+  Crash_renaming.run ~params ?crash ?trace ?seed ?shards ~ids ()

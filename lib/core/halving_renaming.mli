@@ -33,17 +33,11 @@ end
 
 val run :
   ?crash:Net.crash_adversary ->
-  ?tap:(round:int -> Net.envelope -> unit) ->
-  ?alloc_probe:Repro_sim.Engine.alloc_probe ->
-  ?on_crash:(round:int -> id:int -> unit) ->
-  ?on_decide:(round:int -> id:int -> unit) ->
-  ?on_round_end:(round:int -> Repro_sim.Metrics.t -> unit) ->
+  ?trace:Repro_obs.Trace.t ->
   ?seed:int ->
   ?shards:int ->
   ids:int array ->
   unit ->
   int Repro_sim.Engine.run_result
 (** Wrapper over {!Crash_renaming.run} with the all-to-all parameters;
-    the observability hooks, [alloc_probe] and [shards] pass straight
-    through to [Engine.run] (an attached probe forces a 1-shard run,
-    like telemetry). *)
+    [trace] and [shards] behave as there. *)

@@ -94,10 +94,3 @@ let tune_gc () =
       Gc.minor_heap_size = 4 * 1024 * 1024;
       space_overhead = 400;
     }
-
-(* Intra-run sharding companions: the partition and the reusable pool
-   live in [lib/util] (the engine, one layer below this module, drives
-   them per round); re-exported here so experiment-level code has one
-   place to look for all the multicore machinery. *)
-module Pool = Repro_util.Domain_pool
-module Shard = Repro_util.Shard

@@ -31,12 +31,3 @@ val tune_gc : unit -> unit
     mid-round minor collections). Intended to be called once at startup
     by executables ([bench/main.exe] and [fuzz_cli] do); never called
     implicitly by the library. *)
-
-module Pool = Repro_util.Domain_pool
-(** Reusable domain pool with one barrier per job — the machinery behind
-    [Engine.run ?shards] (intra-round sharding), re-exported for
-    experiment-level code. See {!Repro_util.Domain_pool}. *)
-
-module Shard = Repro_util.Shard
-(** The deterministic slot partition sharded runs use; re-exported for
-    experiment-level code. See {!Repro_util.Shard}. *)

@@ -9,7 +9,12 @@ type t = {
      (sorted) at the round boundary. *)
   mutable crashes : int list;
   mutable decides : int list;
-  sizes : (int, int ref) Hashtbl.t;
+  (* The open round's size histogram: [sizes.(b)] messages of [b] bits,
+     for [b < sizes_len] ([sizes_len] is one past the largest size seen
+     this round). Grown on demand; emitted in index order, which is
+     canonical without a sort. *)
+  mutable sizes : int array;
+  mutable sizes_len : int;
   mutable records : int;
   mutable total_decides : int;
   mutable max_msg_bits : int;
@@ -25,7 +30,7 @@ let schema_version = "run-trace/v1"
    Hand-rolled writer with a fixed field order: the byte-identity
    guarantee of the trace (same seed => same file) is part of the
    contract, so the format must not depend on library version or
-   hashtable iteration order. *)
+   iteration order. *)
 
 let add_escaped buf s =
   Buffer.add_char buf '"';
@@ -86,7 +91,8 @@ let create ?(timings = false) ?(meta = []) () =
     buf;
     crashes = [];
     decides = [];
-    sizes = Hashtbl.create 16;
+    sizes = Array.make 64 0;
+    sizes_len = 0;
     records = 0;
     total_decides = 0;
     max_msg_bits = 0;
@@ -95,11 +101,18 @@ let create ?(timings = false) ?(meta = []) () =
     finished = false;
   }
 
-let on_message t ~bits =
-  (match Hashtbl.find_opt t.sizes bits with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.sizes bits (ref 1));
-  if bits > t.max_msg_bits then t.max_msg_bits <- bits
+let tap t ~round:_ ~src:_ ~dst:_ ~bits _ =
+  if bits >= t.sizes_len then begin
+    if bits >= Array.length t.sizes then begin
+      let grown = Array.make (max (bits + 1) (2 * Array.length t.sizes)) 0 in
+      Array.blit t.sizes 0 grown 0 t.sizes_len;
+      t.sizes <- grown
+    end;
+    t.sizes_len <- bits + 1;
+    (* A new run maximum is above every size of the open round too. *)
+    if bits > t.max_msg_bits then t.max_msg_bits <- bits
+  end;
+  t.sizes.(bits) <- t.sizes.(bits) + 1
 
 let on_crash t ~round:_ ~id = t.crashes <- id :: t.crashes
 
@@ -118,22 +131,21 @@ let on_round_end t ~round (m : Metrics.t) =
   add_int_field buf "byz_bits" row.Metrics.bbits;
   add_int_list_field buf "crashes" (List.sort Int.compare t.crashes);
   add_int_list_field buf "decides" (List.sort Int.compare t.decides);
-  (* Size histogram of the round's on-wire messages, sorted by size:
-     canonical whatever the hashtable iteration order was. *)
-  let hist =
-    Hashtbl.fold (fun bits r acc -> (bits, !r) :: acc) t.sizes []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
+  (* Size histogram of the round's on-wire messages, in size order. *)
   Buffer.add_string buf ",\"sizes\":[";
-  List.iteri
-    (fun i (bits, count) ->
-      if i > 0 then Buffer.add_char buf ',';
+  let first = ref true in
+  for bits = 0 to t.sizes_len - 1 do
+    let count = t.sizes.(bits) in
+    if count > 0 then begin
+      if not !first then Buffer.add_char buf ',';
+      first := false;
       Buffer.add_char buf '[';
       Buffer.add_string buf (string_of_int bits);
       Buffer.add_char buf ',';
       Buffer.add_string buf (string_of_int count);
-      Buffer.add_char buf ']')
-    hist;
+      Buffer.add_char buf ']'
+    end
+  done;
   Buffer.add_char buf ']';
   if t.timings then begin
     let wall = Unix.gettimeofday () in
@@ -147,7 +159,8 @@ let on_round_end t ~round (m : Metrics.t) =
   Buffer.add_string buf "}\n";
   t.crashes <- [];
   t.decides <- [];
-  Hashtbl.reset t.sizes;
+  Array.fill t.sizes 0 t.sizes_len 0;
+  t.sizes_len <- 0;
   t.records <- t.records + 1
 
 let finish t (m : Metrics.t) =

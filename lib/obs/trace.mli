@@ -2,7 +2,8 @@
 
     A [Trace.t] plugs into the simulator's observability surface —
     [Engine.run]'s [?tap] wire hook plus the [?on_crash], [?on_decide]
-    and [?on_round_end] hooks — and records one JSON line per completed
+    and [?on_round_end] hooks; the protocol wrappers' [?trace] wires all
+    four and calls {!finish} — and records one JSON line per completed
     round: the round's full {!Repro_sim.Metrics} accounting row (honest
     and Byzantine messages {e and} bits), the identities that crashed or
     decided during the round, and a histogram of on-wire message sizes.
@@ -50,10 +51,11 @@ val create : ?timings:bool -> ?meta:(string * meta_value) list -> unit -> t
     per-round wall-clock and GC-allocation deltas — see the determinism
     note above before enabling it anywhere a byte-identity check runs. *)
 
-val on_message : t -> bits:int -> unit
-(** Feed from the engine's [?tap]: one on-wire message of [bits] bits
-    (the caller computes sizes via its [Msg.bits]). Accumulates the
-    current round's size histogram. *)
+val tap : t -> round:int -> src:int -> dst:int -> bits:int -> 'msg -> unit
+(** Plug as [Engine.run]'s [?tap]: one on-wire message of [bits] bits
+    (the size the engine billed). Adds it to the open round's size
+    histogram, an int array indexed by size; allocates nothing unless a
+    size is larger than any the array has held. *)
 
 val on_crash : t -> round:int -> id:int -> unit
 (** Plug as [Engine.run]'s [?on_crash]. *)

@@ -16,20 +16,16 @@ exception Max_rounds_exceeded of int
    billing, inbox pushes); [ap_resume] the node resumes — i.e.
    everything the fibers do, protocol emission included (a node stages
    its own outbox before it yields); [ap_book] the engine's own round
-   bookkeeping (view install/rewind, round-end hooks). Protocols that
-   bracket their own emission (see [Crash_renaming.run ?alloc_probe])
-   fill [ap_emit], so consumption separates as [ap_resume -. ap_emit].
-   Filled only when the run has one shard: with more, domains allocate
-   from private minor heaps and a single counter would under-report. *)
+   bookkeeping (view install/rewind, round-end hooks). Filled only when
+   the run has one shard: with more, domains allocate from private
+   minor heaps and a single counter would under-report. *)
 type alloc_probe = {
-  mutable ap_emit : float;
   mutable ap_deliver : float;
   mutable ap_resume : float;
   mutable ap_book : float;
 }
 
-let alloc_probe () =
-  { ap_emit = 0.; ap_deliver = 0.; ap_resume = 0.; ap_book = 0. }
+let alloc_probe () = { ap_deliver = 0.; ap_resume = 0.; ap_book = 0. }
 
 module type MSG = sig
   type t
@@ -712,22 +708,23 @@ module Make (M : MSG) = struct
       Array.fill pre_envs 0 n [];
       match step with Final _ -> true | Orders _ -> false
     in
-    (* Wire tap: every envelope handed to the network this round (post
+    (* Wire tap: every message handed to the network this round (post
        crash filter), including those addressed to finished or crashed
-       recipients — exactly the envelopes {!Metrics} counts for honest
-       senders. The contract fixes a global order (ascending sender id,
-       emission order within a sender) no shard-local pass can
-       reproduce, so the tap runs as one pass on main before delivery;
-       it validates destinations in that same order. *)
+       recipients — exactly the messages {!Metrics} counts for honest
+       senders, each with the size it is billed. The contract fixes a
+       global order (ascending sender id, emission order within a
+       sender) no shard-local pass can reproduce, so the tap runs as one
+       pass on main before delivery; it validates destinations in that
+       same order. *)
     let tap_round f =
       let round = !current_round in
       for i = 0 to n - 1 do
         let s = order.(i) in
         let o = outs.(s) and src = ids.(s) in
         for j = 0 to o.len - 1 do
-          let dst = o.dst.(j) in
+          let dst = o.dst.(j) and k = if o.fan then 0 else j in
           if find_slot dst < 0 then bad_dst src dst;
-          f ~round { src; dst; msg = o.msg.(if o.fan then 0 else j) }
+          f ~round ~src ~dst ~bits:o.size.(k) o.msg.(k)
         done
       done
     in
@@ -792,7 +789,7 @@ module Make (M : MSG) = struct
     let dec_count = Array.make pool_shards 0 in
     (* Install the round's broadcast table into the shard's live views,
        hand Byzantine slots their inboxes as envelope lists (one of the
-       three sanctioned materialization points), then resume the shard's
+       two sanctioned materialization points), then resume the shard's
        fibers; each stages its next outbox in its slot before yielding.
        A fiber is pinned to the shard owning its slot, so node-local
        mutable protocol state, and the slot it stages into, stay

@@ -51,26 +51,21 @@ type 'r run_result = {
 exception Max_rounds_exceeded of int
 
 type alloc_probe = {
-  mutable ap_emit : float;
-      (** minor words allocated by protocol-side emission (the verdict
-          build + sized-outbox fill); filled by protocols that bracket
-          it — see [Crash_renaming.run ?alloc_probe] — not the engine *)
   mutable ap_deliver : float;
       (** the engine's transmit phase: byzantine traffic, crash orders,
           metrics billing, inbox pushes *)
   mutable ap_resume : float;
       (** the node resumes — everything the fibers allocate, protocol
           emission included (a node stages its outbox in place inside
-          its exchange-class call), so consumption-side allocation
-          separates as [ap_resume -. ap_emit] *)
+          its exchange-class call) *)
   mutable ap_book : float;
       (** engine round bookkeeping: view install/rewind, hooks *)
 }
 (** Per-phase minor-word attribution for one run, accumulated across
-    rounds. The engine fills [ap_deliver], [ap_resume] and [ap_book]
-    exactly when the run has one shard; runs with more shards leave the
-    probe untouched (domains allocate from private minor heaps, a
-    single counter would under-report). *)
+    rounds. The engine fills every field exactly when the run has one
+    shard; runs with more shards leave the probe untouched (domains
+    allocate from private minor heaps, a single counter would
+    under-report). *)
 
 val alloc_probe : unit -> alloc_probe
 (** A fresh all-zero probe. *)
@@ -195,9 +190,9 @@ module Make (M : MSG) : sig
 
       {b Contract:} [sizes.(k)] must equal [M.bits msgs.(k)] — the
       engine bills [sizes] on every path (a mid-send victim's surviving
-      subset included), while the socket backend and tap-based
-      cross-checks measure [M.bits], so their totals agree only under
-      that equality. The arrays belong to the caller and are read
+      subset included) and hands them to the tap, while the socket
+      backend and the fuzzer's oracle measure [M.bits], so their totals
+      agree only under that equality. The arrays belong to the caller and are read
       before the call returns, so a node may reuse them across rounds.
       The verdict rounds of the renaming committees are this shape:
       sizes come from precomputed per-slot tables, making billing O(1)
@@ -253,7 +248,7 @@ module Make (M : MSG) : sig
     ids:int array ->
     ?byz:int list * byz_strategy ->
     ?crash:crash_adversary ->
-    ?tap:(round:int -> envelope -> unit) ->
+    ?tap:(round:int -> src:int -> dst:int -> bits:int -> M.t -> unit) ->
     ?alloc_probe:alloc_probe ->
     ?on_crash:(round:int -> id:int -> unit) ->
     ?on_decide:(round:int -> id:int -> unit) ->
@@ -283,20 +278,23 @@ module Make (M : MSG) : sig
       variable, else [1].
       @raise Invalid_argument if [shards < 1].
 
-      [tap] observes every envelope handed to the network (after the
-      crash adversary's mid-send filter), including envelopes addressed
-      to already-finished or crashed recipients: for honest senders these
-      are exactly the envelopes {!Metrics} counts, so a tap can
-      cross-check the accounting bit for bit. Byzantine envelopes reach
-      the tap only when addressed inside the participant set (misaddressed
-      ones are dropped and only counted). The tap call order is part of
-      the deterministic contract: ascending sender identity, emission
-      order within a sender (a broadcast's emission order is the [ids]
-      array order). Used by the replay/fuzzing tooling in [lib/check] to
-      produce byte-identical execution traces.
+      [tap ~round ~src ~dst ~bits msg] observes every message handed to
+      the network (after the crash adversary's mid-send filter),
+      including messages addressed to already-finished or crashed
+      recipients: for honest senders these are exactly the messages
+      {!Metrics} counts, and [bits] is the size the engine billed for
+      that copy, so a tap can cross-check the accounting bit for bit
+      without re-measuring. Byzantine messages reach the tap only when
+      addressed inside the participant set (misaddressed ones are
+      dropped and only counted). The tap call order is part of the
+      deterministic contract: ascending sender identity, emission order
+      within a sender (a broadcast's emission order is the [ids] array
+      order). No record is built per call. Used by [Repro_obs.Trace]
+      and by the replay/fuzzing tooling in [lib/check] to produce
+      byte-identical execution traces.
 
-      Envelope records are materialized only where this API demands
-      them: for the tap, for the observation of a crash adversary that
+      Envelope records are materialized at two points only, where this
+      API demands them: for the observation of a crash adversary that
       has not yet returned [Final], and for Byzantine strategy inboxes.
       Delivery never reads them: every exchange-class call stages its
       outbox in the engine's per-sender buffers before the node yields,
@@ -307,9 +305,10 @@ module Make (M : MSG) : sig
       orders is byte-identical to none in metrics and run-trace output
       (asserted by [test/test_delivery_equiv.ml]).
 
-      The remaining hooks are the run-trace observability surface
-      ([Repro_obs.Trace] plugs into all three); their call order is part
-      of the same deterministic contract:
+      The remaining hooks complete the run-trace observability surface
+      ([Repro_obs.Trace] plugs into them and the tap; the protocol
+      wrappers' [?trace] wires all four); their call order is part of
+      the same deterministic contract:
       - [on_crash ~round ~id]: the adversary's order against [id] was
         applied in [round], before that round's delivery.
       - [on_decide ~round ~id]: node [id] returned from its program.

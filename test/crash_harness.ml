@@ -7,12 +7,11 @@
    only observe. Everything else about a run is derived as
    [Experiment.run_crash] derives it (identities, the adversary's rng,
    the random adversary's horizon, the flooding baseline's rounds, the
-   trace hooks), so a run of [Canned a] here is the run
+   trace), so a run of [Canned a] here is the run
    [Experiment.run_crash ~adversary:a] makes, trace bytes included. *)
 
 module E = Repro_renaming.Experiment
 module Runner = Repro_renaming.Runner
-module Trace = Repro_obs.Trace
 module Rng = Repro_util.Rng
 module CR = Repro_renaming.Crash_renaming
 module HR = Repro_renaming.Halving_renaming
@@ -121,30 +120,18 @@ end
 let run ?trace ?shards ~protocol ~n ~namespace ~adversary ~seed () =
   let ids = ids ~n ~namespace ~seed in
   let rng = Rng.of_seed (seed lxor 0xadce5) in
-  let on_crash =
-    Option.map (fun t ~round ~id -> Trace.on_crash t ~round ~id) trace
-  and on_decide =
-    Option.map (fun t ~round ~id -> Trace.on_decide t ~round ~id) trace
-  and on_round_end =
-    Option.map (fun t ~round m -> Trace.on_round_end t ~round m) trace
-  in
-  let tap bits =
-    Option.map (fun t ~round:_ e -> Trace.on_message t ~bits:(bits e)) trace
-  in
   let res =
     match protocol with
     | E.This_work_crash ->
         let module B = Build (CR.Net) in
         CR.run ~params:CR.experiment_params ~ids
           ?crash:(Option.bind adversary (B.make ~rng ~n))
-          ?tap:(tap (fun (e : CR.Net.envelope) -> CR.Msg.bits e.msg))
-          ?on_crash ?on_decide ?on_round_end ~seed ?shards ()
+          ?trace ~seed ?shards ()
     | E.Halving_baseline ->
         let module B = Build (HR.Net) in
         HR.run ~ids
           ?crash:(Option.bind adversary (B.make ~rng ~n))
-          ?tap:(tap (fun (e : HR.Net.envelope) -> HR.Msg.bits e.msg))
-          ?on_crash ?on_decide ?on_round_end ~seed ?shards ()
+          ?trace ~seed ?shards ()
     | E.Flooding_baseline ->
         let module B = Build (FR.Net) in
         let f = Option.fold ~none:0 ~some:budget adversary in
@@ -152,8 +139,6 @@ let run ?trace ?shards ~protocol ~n ~namespace ~adversary ~seed () =
           ~params:{ FR.rounds = `Tolerate f }
           ~ids
           ?crash:(Option.bind adversary (B.make ~rng ~n))
-          ?tap:(tap (fun (e : FR.Net.envelope) -> FR.Msg.bits e.msg))
-          ?on_crash ?on_decide ?on_round_end ~seed ?shards ()
+          ?trace ~seed ?shards ()
   in
-  Option.iter (fun t -> Trace.finish t res.Repro_sim.Engine.metrics) trace;
   Runner.assess res

@@ -280,7 +280,26 @@ let test_unwritable_output () =
       ( "net_node_cli.exe",
         "local --algo crash -n 8 --hosts 2 --bits-out /nonexistent/x.json",
         "/nonexistent/x.json" );
+      ( "fuzz_cli.exe",
+        "--replay corpus/byz_mixed.sched --trace /nonexistent/x.jsonl",
+        "/nonexistent/x.jsonl" );
+      ( "fuzz_cli.exe",
+        "--algo crash -n 8 --trials 1 --out /nonexistent/x.sched",
+        "/nonexistent/x.sched" );
     ]
+
+(* fuzz_cli writes [--out] only when a campaign fails, so probing that
+   the path is writable must not leave an empty file behind. *)
+let test_fuzz_out_probe_leaves_no_file () =
+  let path = Filename.temp_file "fuzz_out" ".sched" in
+  Sys.remove path;
+  let code, _ =
+    run_capture_bin (bin "fuzz_cli.exe")
+      ("--algo crash -n 8 --trials 2 --out " ^ Filename.quote path)
+  in
+  Alcotest.(check int) "passing campaign: exit 0" 0 code;
+  Alcotest.(check bool) "no file at the --out path" false
+    (Sys.file_exists path)
 
 let test_help () =
   let code, out = run_capture "--help" in
@@ -316,4 +335,6 @@ let suite =
         test_trace_lint_bad_arguments;
       Alcotest.test_case "unwritable output exit 2" `Quick
         test_unwritable_output;
+      Alcotest.test_case "fuzz --out probe leaves no file" `Quick
+        test_fuzz_out_probe_leaves_no_file;
     ] )

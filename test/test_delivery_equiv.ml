@@ -3,8 +3,8 @@
    The engine has one delivery path: every outbox is normalized into
    the engine's per-sender buffers when the node yields, broadcasts go
    through shared per-round structure, and envelope records exist only
-   where the API demands them — a crash adversary's observation, the
-   [?tap] wire hook, Byzantine inboxes. Attaching a crash adversary adds
+   where the API demands them — a crash adversary's observation and
+   Byzantine inboxes. Attaching a crash adversary adds
    the observation (and, for its victims, a filter that compacts their
    buffers) but must not change a single delivered byte. These tests pin
    that for E1-style runs of all four algorithms.
@@ -154,7 +154,7 @@ let test_sharded_paths_byte_identical () =
     crash_protocols
 
 (* The Byzantine algorithm: no crash adversary, but Byzantine inboxes
-   are the third sanctioned materialization point; a traced (tap armed)
+   are the second sanctioned materialization point; a traced (tap armed)
    and an untraced run must agree, and the trace must reconcile. *)
 let test_byzantine_tap_equivalence () =
   let run ?trace () =

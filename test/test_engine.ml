@@ -427,7 +427,11 @@ let test_bad_destination_rejected () =
             (Invalid_argument
                "Engine.exchange: node 20 sent to 99, not a participant")
             (fun () -> ignore (Net.run ~ids ?tap ~shards ~program ())))
-        [ (1, None); (4, None); (1, Some (fun ~round:_ _ -> ())) ])
+        [
+          (1, None);
+          (4, None);
+          (1, Some (fun ~round:_ ~src:_ ~dst:_ ~bits:_ _ -> ()));
+        ])
     shapes
 
 (* [alloc_probe] attributes minor words per phase when the run has one
@@ -461,9 +465,8 @@ let test_alloc_probe_contract () =
     (p.Engine.ap_deliver +. p.Engine.ap_resume +. p.Engine.ap_book <= words);
   let p, _ = run 4 in
   Alcotest.(check (list (float 0.)))
-    "shards=4: probe untouched" [ 0.; 0.; 0.; 0. ]
-    [ p.Engine.ap_emit; p.Engine.ap_deliver; p.Engine.ap_resume;
-      p.Engine.ap_book ]
+    "shards=4: probe untouched" [ 0.; 0.; 0. ]
+    [ p.Engine.ap_deliver; p.Engine.ap_resume; p.Engine.ap_book ]
 
 (* The round hand-off allocates a fixed few words per exchange-class
    call: a node stages its outbox in its own slot and yields a

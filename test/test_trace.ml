@@ -154,6 +154,29 @@ let test_write_file_roundtrip () =
       let on_disk = In_channel.with_open_bin path In_channel.input_all in
       Alcotest.(check string) "file = contents" (Trace.contents t) on_disk)
 
+(* Recording costs at most one minor word per tapped message over the
+   untraced run: the tap hands over the billed size, and the round's
+   size histogram is an int array, so nothing is built per message. A
+   1-shard run's minor words are deterministic. *)
+let test_recorder_allocation () =
+  let n = 512 in
+  let run trace =
+    let w0 = Gc.minor_words () in
+    let a =
+      E.run_crash ?trace ~shards:1 ~protocol:E.This_work_crash ~n
+        ~namespace:(64 * n) ~adversary:E.No_crash ~seed:42 ()
+    in
+    (Gc.minor_words () -. w0, a)
+  in
+  let untraced, a = run None in
+  let traced, _ = run (Some (Trace.create ())) in
+  let per_msg = (traced -. untraced) /. float_of_int a.Runner.messages in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%.3f extra minor words per tapped message over %d messages (limit 1)"
+       per_msg a.Runner.messages)
+    true (per_msg <= 1.)
+
 let suite =
   ( "trace",
     [
@@ -171,4 +194,6 @@ let suite =
         test_finish_twice_rejected;
       Alcotest.test_case "write_file roundtrip" `Quick
         test_write_file_roundtrip;
+      Alcotest.test_case "recorder allocation per tapped message" `Quick
+        test_recorder_allocation;
     ] )

@@ -79,13 +79,15 @@ let test_crash_envelopes () =
       ~budget:f ()
   in
   let buf = Buffer.create (1 lsl 16) and count = ref 0 in
-  let tap ~round:_ (e : CR.Net.envelope) =
+  let tap ~round:_ ~src:_ ~dst:_ ~bits:_ msg =
     incr count;
-    add_encoding buf (CR.Msg.encode e.msg)
+    add_encoding buf (CR.Msg.encode msg)
   in
   let tapped =
     Runner.assess
-      (CR.run ~params:CR.experiment_params ~ids ~crash ~tap ~seed ())
+      (CR.Net.run ~ids ~crash ~tap ~seed
+         ~program:(CR.program CR.experiment_params)
+         ())
   in
   check_same_run "crash" tapped
     (E.run_crash ~protocol:E.This_work_crash ~n ~namespace
@@ -117,14 +119,14 @@ let test_byz_envelopes () =
     BS.split_world params ~rng:(Rng.of_seed (seed lxor 0xb42)) ~ids
   in
   let buf = Buffer.create (1 lsl 22) and count = ref 0 in
-  let tap ~round:_ (e : BZ.Net.envelope) =
+  let tap ~round:_ ~src:_ ~dst:_ ~bits:_ msg =
     incr count;
-    add_encoding buf (BZ.Msg.encode e.msg)
+    add_encoding buf (BZ.Msg.encode msg)
   in
   let tapped =
     Runner.assess
-      (BZ.run ~params ~byz:(byz_ids, strategy) ~tap ~max_rounds:400_000 ~seed
-         ~ids ())
+      (BZ.Net.run ~ids ~byz:(byz_ids, strategy) ~tap ~max_rounds:400_000 ~seed
+         ~program:(BZ.program params) ())
   in
   check_same_run "byz" tapped
     (E.run_byz ~protocol:E.This_work_byz ~n ~namespace
