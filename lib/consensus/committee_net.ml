@@ -23,18 +23,8 @@ let me t = t.me
 let fault_threshold t = (size t - 1) / 3
 let quorum t = size t - fault_threshold t
 
-(* Index of [src] in the ascending [ids], or -1. *)
-let rec index ids src lo hi =
-  if lo >= hi then -1
-  else
-    let mid = (lo + hi) lsr 1 in
-    let v = ids.(mid) in
-    if v = src then mid
-    else if v < src then index ids src (mid + 1) hi
-    else index ids src lo mid
-
 let keep t ~src m =
-  let i = index t.ids src 0 (Array.length t.ids) in
+  let i = Repro_util.Sorted.index t.ids src in
   if i >= 0 && t.stamp.(i) <> t.round then begin
     t.stamp.(i) <- t.round;
     if Array.length t.kept_msg = 0 then

@@ -17,7 +17,8 @@ let best = function
   | g :: groups ->
       Some
         (List.fold_left
-           (fun ((_, bc) as acc) ((_, c) as g) -> if c > bc then g else acc)
+           (fun ((_, bc) as acc) ((_, (c : int)) as g) ->
+             if c > bc then g else acc)
            g groups)
 
 let run ~net ~embed ~project ~equal ~input =

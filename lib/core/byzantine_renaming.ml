@@ -273,7 +273,7 @@ let vldraw_embed m = Msg.VldRaw m
 let vldraw_project = function Msg.VldRaw m -> Some m | _ -> None
 
 let is_diff_report = function Msg.Diff true -> true | _ -> false
-let fp_cnt_equal (f1, c1) (f2, c2) = Fingerprint.equal f1 f2 && c1 = c2
+let fp_cnt_equal (f1, (c1 : int)) (f2, c2) = Fingerprint.equal f1 f2 && c1 = c2
 
 (* One binary-consensus instance. The coin variant derives its shared
    coin from (shared seed, instance nonce, phase); correct members run
@@ -370,7 +370,9 @@ let reconcile_identity_list ~mode ~consensus ~net ~key ~namespace l =
                dirty intervals — at Ω(|segment|)-bit messages. *)
             let raw = Bitvec.segment_bytes l j in
             let cnt = Bitvec.count l j in
-            let equal (s1, c1) (s2, c2) = String.equal s1 s2 && c1 = c2 in
+            let equal (s1, (c1 : int)) (s2, c2) =
+              String.equal s1 s2 && c1 = c2
+            in
             let v =
               Validator.run ~net ~embed:vldraw_embed ~project:vldraw_project
                 ~equal ~input:(raw, cnt)
@@ -399,12 +401,12 @@ let reconcile_identity_list ~mode ~consensus ~net ~key ~namespace l =
    never towards whatever a hashtable happened to iterate first, which
    is what the pre-lint tally did and what OCAMLRUNPARAM=R perturbs. *)
 let plurality_rank sorted_ranks =
-  let better acc rank count =
+  let better acc rank (count : int) =
     match acc with
     | Some (_, best_count) when best_count >= count -> acc
     | _ -> Some (rank, count)
   in
-  let rec go acc current count = function
+  let rec go acc (current : int) count = function
     | [] -> better acc current count
     | r :: rest ->
         if r = current then go acc current (count + 1) rest
@@ -434,28 +436,36 @@ struct
      half the view, so the threshold can only be crossed once the correct
      members have genuinely distributed — and among collected values the
      correct, clean-interval rank (sent by > |B| members, Lemma 3.11) beats
-     any fabricated one. *)
+     any fabricated one. [heard.(i)] and [rank.(i)] hold the first NEW of
+     the [i]-th view member, and [absorb] is built once, so a round that
+     brings nothing new (a waiting node's skip round) allocates nothing. *)
   let collect_new_identity ctx ~view first_inbox =
-    let threshold = (List.length view / 2) + 1 in
-    let seen : (int, int option) Hashtbl.t = Hashtbl.create 16 in
-    let absorb inbox =
-      Net.Inbox.iter inbox ~f:(fun ~src msg ->
-          match msg with
-          | Msg.New v ->
-              if List.mem src view && not (Hashtbl.mem seen src) then
-                Hashtbl.replace seen src v
-          | _ -> ())
+    let view = Array.of_list view in
+    let k = Array.length view in
+    let threshold = (k / 2) + 1 in
+    let heard = Array.make k false in
+    let rank : int option array = Array.make k None in
+    let count = ref 0 in
+    let absorb ~src = function
+      | Msg.New v ->
+          let i = Repro_util.Sorted.index view src in
+          if i >= 0 && not heard.(i) then begin
+            heard.(i) <- true;
+            rank.(i) <- v;
+            incr count
+          end
+      | _ -> ()
     in
     let decide () =
-      if Hashtbl.length seen < threshold then None
+      if !count < threshold then None
       else
-        Hashtbl.fold
-          (fun _ v acc -> match v with Some rank -> rank :: acc | None -> acc)
-          seen []
+        Array.fold_left
+          (fun acc v -> match v with Some r -> r :: acc | None -> acc)
+          [] rank
         |> List.sort Int.compare |> plurality_rank
     in
     let rec go inbox =
-      absorb inbox;
+      Net.Inbox.iter inbox ~f:absorb;
       match decide () with
       | Some rank -> rank
       | None -> go (Net.skip_round ctx)
@@ -467,8 +477,10 @@ struct
     let n = Net.n ctx in
     let namespace = params.namespace in
     let key = Fingerprint.key_of_seed params.shared_seed in
-    (* Stage 1: committee election. *)
-    let elected, view, kings_order =
+    (* Stage 1: committee election. [kings] is the shared king order
+       restricted to [view]; outside [Shared_pool] it is a permutation of
+       [view] itself. *)
+    let elected, view, kings =
       match params.committee with
       | Everyone ->
           let ids = List.sort Int.compare (Array.to_list (Net.all_ids ctx)) in
@@ -491,7 +503,7 @@ struct
                 | _ -> acc)
             |> List.sort_uniq Int.compare
           in
-          (elected, view, Committee_pool.king_order pool)
+          (elected, view, Committee_pool.kings_among pool view)
       | Local_coin p ->
           (* No shared randomness for the election: each node flips a local
              coin and self-elects. The crucial difference to [Shared_pool]:
@@ -512,7 +524,6 @@ struct
           Repro_util.Rng.shuffle shared arr;
           (elected, view, Array.to_list arr)
     in
-    let kings = List.filter (fun k -> List.mem k view) kings_order in
     Option.iter (fun t -> t.on_view ~id:me ~view) telemetry;
     (* Stage 2: identity aggregation. *)
     let inbox = Net.exchange ctx (List.map (fun c -> (c, Msg.Announce)) view) in

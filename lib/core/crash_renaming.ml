@@ -274,7 +274,7 @@ struct
       out_sizes : int Vec.t;
     }
 
-    let rec ascending ids i =
+    let rec ascending (ids : int array) i =
       i >= Array.length ids || (ids.(i - 1) < ids.(i) && ascending ids (i + 1))
 
     let create ~ids =

@@ -37,7 +37,7 @@ let assess (res : int Engine.run_result) =
   let unique = List.length (List.sort_uniq Int.compare news) = List.length news in
   let strong = List.for_all (fun v -> 1 <= v && v <= n) news in
   let rec monotone = function
-    | (_, v1) :: ((_, v2) :: _ as rest) -> v1 < v2 && monotone rest
+    | (_, (v1 : int)) :: ((_, v2) :: _ as rest) -> v1 < v2 && monotone rest
     | [ _ ] | [] -> true
   in
   let unfinished = count (function _, Engine.Unfinished -> true | _ -> false) in

@@ -68,6 +68,22 @@ let test_rounds_are_independent () =
     (kept net);
   Alcotest.(check int) "round 2 count" 0 (CN.count net (String.equal "one"))
 
+(* The member search at its edges: the first and last members are
+   found, and ids between members or outside their range are not. *)
+let test_member_search_edges () =
+  let inject =
+    [ (3, "first"); (27, "last"); (13, "between"); (2, "below");
+      (-5, "negative"); (28, "above"); (max_int, "max"); (3, "again") ]
+  in
+  let net = make_net ~inject 3 in
+  CN.silent_round net;
+  Alcotest.(check (list (pair int string)))
+    "kept" [ (3, "first"); (27, "last") ] (kept net);
+  let inject = [ (4, "a"); (5, "b"); (6, "c") ] in
+  let net = make_net ~members:[ 5 ] ~inject 5 in
+  CN.silent_round net;
+  Alcotest.(check (list (pair int string))) "one member" [ (5, "b") ] (kept net)
+
 (* Echo [m] from every destination, without a closure per round. *)
 let rec echo m f = function
   | [] -> ()
@@ -112,6 +128,8 @@ let suite =
         test_broadcast_dedups_equivocation;
       Alcotest.test_case "rounds independent" `Quick
         test_rounds_are_independent;
+      Alcotest.test_case "member search edges" `Quick
+        test_member_search_edges;
       Alcotest.test_case "round allocation constant" `Quick
         test_round_allocation_constant;
     ] )

@@ -59,6 +59,52 @@ let test_fault_threshold () =
   let p = P.create ~seed:3 ~namespace:100 ~p0:1.0 in
   Alcotest.(check int) "t = (n-1)/3" 33 (P.fault_threshold p)
 
+(* Recorded from the list-and-Hashtbl pool: the bitmap pool draws the
+   same values in the same order, so members and king order stay put. *)
+let test_pinned_draws () =
+  let p = P.create ~seed:5 ~namespace:40 ~p0:0.3 in
+  Alcotest.(check (list int)) "members"
+    [ 4; 5; 9; 10; 12; 13; 22; 23; 26; 31; 35; 40 ]
+    (P.members p);
+  Alcotest.(check (list int)) "king order"
+    [ 10; 26; 12; 4; 31; 40; 13; 22; 5; 23; 9; 35 ]
+    (P.king_order p)
+
+let test_mem_out_of_range () =
+  let p = P.create ~seed:4 ~namespace:50 ~p0:1.0 in
+  Alcotest.(check bool) "1 is in" true (P.mem p 1);
+  Alcotest.(check bool) "namespace is in" true (P.mem p 50);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Printf.sprintf "%d is out" id) false (P.mem p id))
+    [ 0; -1; 51 ]
+
+(* A random ascending view over [0, namespace + 1]: candidates,
+   non-candidates and out-of-range ids alike. *)
+let random_view rng ~namespace =
+  List.init (namespace + 2) Fun.id
+  |> List.filter (fun _ -> Repro_util.Rng.bernoulli rng 0.3)
+
+let test_kings_among () =
+  let rng = Repro_util.Rng.of_seed 17 in
+  List.iter
+    (fun p0 ->
+      for seed = 1 to 8 do
+        let namespace = 40 + (seed * 23) in
+        let p = P.create ~seed ~namespace ~p0 in
+        for _ = 1 to 5 do
+          let view = random_view rng ~namespace in
+          Alcotest.(check (list int))
+            (Printf.sprintf "p0=%g seed=%d" p0 seed)
+            (List.filter (fun k -> List.mem k view) (P.king_order p))
+            (P.kings_among p view)
+        done;
+        Alcotest.(check (list int)) "empty view" [] (P.kings_among p []);
+        Alcotest.(check (list int)) "whole pool" (P.king_order p)
+          (P.kings_among p (P.members p))
+      done)
+    [ 0.; 0.2; 1. ]
+
 let suite =
   ( "committee_pool",
     [
@@ -70,4 +116,7 @@ let suite =
       Alcotest.test_case "size concentration" `Quick test_size_concentration;
       Alcotest.test_case "paper p0" `Quick test_paper_p0;
       Alcotest.test_case "fault threshold" `Quick test_fault_threshold;
+      Alcotest.test_case "pinned draws" `Quick test_pinned_draws;
+      Alcotest.test_case "mem out of range" `Quick test_mem_out_of_range;
+      Alcotest.test_case "kings among a view" `Quick test_kings_among;
     ] )
