@@ -509,17 +509,12 @@ let fig10_consensus_comparison () =
     ~rows
 
 let () =
-  (* --domains N pins the trial runner's domain count (default: see
-     Parallel.default_domains). Results are identical either way; only
-     the wall-clock changes. *)
-  let rec parse = function
-    | [] -> ()
-    | "--domains" :: d :: rest ->
-        Repro_renaming.Parallel.set_domains (int_of_string d);
-        parse rest
-    | a :: _ -> invalid_arg ("bench/main: unknown argument " ^ a)
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  (* RENAMING_DOMAINS=N is the one knob: the domain count of the trial
+     fan-outs and the shard count of the runs outside them (default:
+     see Repro_util.Domain_pool.available). Results are identical either
+     way; only the wall-clock changes. *)
+  if Array.length Sys.argv > 1 then
+    invalid_arg ("bench/main: unknown argument " ^ Sys.argv.(1));
   Repro_renaming.Parallel.tune_gc ();
   (* lint: allow D1 — bench cpu-time, reported not replayed *)
   let t0 = Sys.time () in

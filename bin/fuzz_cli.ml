@@ -77,16 +77,12 @@ let domains_arg =
   Arg.(
     value & opt (some int) None
     & info [ "domains" ] ~docv:"D"
-        ~doc:"OCaml domains for the campaign (default: auto). Verdicts \
-              do not depend on this.")
-
-let shards_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "shards" ] ~docv:"S"
-        ~doc:"Shard each run's rounds across S OCaml domains (default: \
-              the RENAMING_SHARDS environment variable, else 1). \
-              Verdicts and traces are bit-identical for every value.")
+        ~doc:"OCaml domains (default: the RENAMING_DOMAINS environment \
+              variable, else auto for a campaign and 1 for a lone run). \
+              A campaign fans its trials across $(docv) domains, one \
+              shard per run; a replay or shrink run shards its rounds \
+              across them. Verdicts and traces are bit-identical for \
+              every value.")
 
 let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the trace on replay.")
@@ -139,11 +135,11 @@ let do_replay path quiet trace_out shards =
       if quiet then print_verdict v else print_string trace;
       if Oracle.failed v then exit 1
 
-let do_campaign config shrink out domains shards =
+let do_campaign config shrink out domains =
   Printf.printf "fuzzing %s: n=%d namespace=%d trials=%d seed=%d budget=%d\n%!"
     (Schedule.algo_name config.Fuzzer.algo)
     config.n config.namespace config.trials config.seed config.fault_budget;
-  let reports = Fuzzer.campaign ?domains ?shards config in
+  let reports = Fuzzer.campaign ?domains config in
   match Fuzzer.first_failure reports with
   | None ->
       Printf.printf "ok: %d trials, all invariants upheld\n" config.trials
@@ -158,7 +154,9 @@ let do_campaign config shrink out domains shards =
           let progress ~passes ~faults =
             Printf.printf "  shrink pass %d: %d fault events\n%!" passes faults
           in
-          let still_fails s = Oracle.failed (Fuzzer.run ?shards s) in
+          (* Shrink runs and the reproducer's run are lone runs: the
+             budget goes to their shards. *)
+          let still_fails s = Oracle.failed (Fuzzer.run ?shards:domains s) in
           let s = Shrink.minimize ~progress ~still_fails r.schedule in
           Printf.printf "shrunk to %d fault events\n" (Schedule.faults s);
           s
@@ -172,7 +170,7 @@ let do_campaign config shrink out domains shards =
           (* Dump the structured run trace of the reproducer next to the
              schedule: the first artefact to look at when triaging. *)
           let t = Trace.create ~meta:(schedule_meta final) () in
-          ignore (Fuzzer.run ~jsonl:t ?shards final);
+          ignore (Fuzzer.run ~jsonl:t ?shards:domains final);
           let tpath = path ^ ".trace.jsonl" in
           Trace.write_file t tpath;
           Printf.printf
@@ -213,12 +211,16 @@ let check_args ~n ~namespace ~trials =
     usage_error "--namespace must be at least n = %d, got %d" n namespace;
   if trials < 1 then usage_error "--trials must be at least 1, got %d" trials
 
-let main algo n namespace trials seed faults shrink out replay domains shards
-    quiet trace dump =
+let main algo n namespace trials seed faults shrink out replay domains quiet
+    trace dump =
+  Option.iter
+    (fun d ->
+      if d < 1 then usage_error "--domains must be at least 1, got %d" d)
+    domains;
   Option.iter (check_writable "--trace") trace;
   Option.iter (check_writable "--out") out;
   match replay with
-  | Some path -> do_replay path quiet trace shards
+  | Some path -> do_replay path quiet trace domains
   | None -> (
       check_args ~n ~namespace ~trials;
       let namespace = if namespace = 0 then 64 * n else namespace in
@@ -228,7 +230,7 @@ let main algo n namespace trials seed faults shrink out replay domains shards
       in
       match dump with
       | Some i -> print_string (Schedule.to_string (Fuzzer.generate config i))
-      | None -> do_campaign config shrink out domains shards)
+      | None -> do_campaign config shrink out domains)
 
 let cmd =
   let doc =
@@ -239,7 +241,7 @@ let cmd =
     Term.(
       const main $ algo_arg $ n_arg $ namespace_arg $ trials_arg $ seed_arg
       $ faults_arg $ shrink_arg $ out_arg $ replay_arg $ domains_arg
-      $ shards_arg $ quiet_arg $ trace_arg $ dump_arg)
+      $ quiet_arg $ trace_arg $ dump_arg)
 
 (* Cmdliner's parse errors (unknown option, malformed value) exit 2
    like [usage_error]; cmdliner has already printed the usage text on

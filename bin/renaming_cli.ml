@@ -56,9 +56,12 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Pin the OCaml domain count used to fan out trials. Results \
-           (tables, traces) are bit-identical for every value; only the \
-           wall-clock changes.")
+          "OCaml domains for this command (default: the RENAMING_DOMAINS \
+           environment variable, else 1 for a single run). A single run \
+           shards each round across $(docv) domains; a sweep fans its \
+           trials across them first, one shard per run. Results \
+           (assessments, tables, traces) are bit-identical for every \
+           value; only the wall-clock changes.")
 
 (* Bad arguments are reported before anything runs: the problem, the
    subcommand's usage line, exit 2. *)
@@ -83,10 +86,10 @@ let check_writable cmd flag path =
       exit 2
 
 (* Every run needs [n >= 1] nodes, a namespace (0: the default) of at
-   least [n] ids and at most [n] faults per configuration in [fs];
-   domain and shard counts, when given, are at least 1; the trace file,
-   when given, can be written. *)
-let check_args cmd ~n ?(namespace = 0) ?trace ~fs ~domains ~shards () =
+   least [n] ids and at most [n] faults per configuration in [fs]; the
+   domain count, when given, is at least 1; the trace file, when given,
+   can be written. *)
+let check_args cmd ~n ?(namespace = 0) ?trace ~fs ~domains () =
   if n < 1 then usage_error cmd "-n must be at least 1, got %d" n;
   if namespace <> 0 && namespace < n then
     usage_error cmd "--namespace must be at least n = %d, got %d" n namespace;
@@ -95,26 +98,11 @@ let check_args cmd ~n ?(namespace = 0) ?trace ~fs ~domains ~shards () =
       if f < 0 || f > n then
         usage_error cmd "fault count must be in [0, n] = [0, %d], got %d" n f)
     fs;
-  let at_least_1 flag =
-    Option.iter (fun v ->
-        if v < 1 then usage_error cmd "%s must be at least 1, got %d" flag v)
-  in
-  at_least_1 "--domains" domains;
-  at_least_1 "--shards" shards;
+  Option.iter
+    (fun d ->
+      if d < 1 then usage_error cmd "--domains must be at least 1, got %d" d)
+    domains;
   Option.iter (check_writable cmd "--trace") trace
-
-let set_domains = Option.iter Repro_renaming.Parallel.set_domains
-
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"S"
-        ~doc:
-          "Shard each round's delivery and protocol steps across $(docv) \
-           OCaml domains (default: the RENAMING_SHARDS environment \
-           variable, else 1). Results (assignments, metrics, traces) are \
-           bit-identical for every value; only the wall-clock changes.")
 
 (* The trace file must hit the disk before [report], which exits non-zero
    on incorrect runs: a failing run's trace is exactly the one worth
@@ -146,9 +134,8 @@ let crash_adversary_conv =
       ("killer-partial", `Killer_partial); ("patient", `Patient) ]
 
 let crash_cmd =
-  let run n namespace f adversary seed verbose trace domains shards =
-    check_args "crash" ~n ~namespace ?trace ~fs:[ f ] ~domains ~shards ();
-    set_domains domains;
+  let run n namespace f adversary seed verbose trace domains =
+    check_args "crash" ~n ~namespace ?trace ~fs:[ f ] ~domains ();
     let namespace = resolve_namespace n namespace in
     let kind, adversary =
       if f = 0 then ("none", E.No_crash)
@@ -169,8 +156,8 @@ let crash_cmd =
     in
     report verbose
       (with_trace ~meta trace (fun tr ->
-           E.run_crash ?trace:tr ?shards ~protocol:E.This_work_crash ~n
-             ~namespace ~adversary ~seed ()))
+           E.run_crash ?trace:tr ?shards:domains ~protocol:E.This_work_crash
+             ~n ~namespace ~adversary ~seed ()))
   in
   let adversary_arg =
     Arg.(
@@ -184,16 +171,15 @@ let crash_cmd =
     (Cmd.info "crash" ~doc:"Run the crash-resilient committee renaming (§2).")
     Term.(
       const run $ n_arg $ namespace_arg $ f_arg $ adversary_arg $ seed_arg
-      $ verbose_arg $ trace_arg $ domains_arg $ shards_arg)
+      $ verbose_arg $ trace_arg $ domains_arg)
 
 let byz_attack_conv =
   Arg.enum
     [ ("silent", `Silent); ("noise", `Noise); ("split-world", `Split) ]
 
 let byz_cmd =
-  let run n namespace f attack everyone seed verbose trace domains shards =
-    check_args "byz" ~n ~namespace ?trace ~fs:[ f ] ~domains ~shards ();
-    set_domains domains;
+  let run n namespace f attack everyone seed verbose trace domains =
+    check_args "byz" ~n ~namespace ?trace ~fs:[ f ] ~domains ();
     let namespace = resolve_namespace n namespace in
     let kind, adversary =
       if f = 0 then ("none", E.No_byz)
@@ -213,8 +199,8 @@ let byz_cmd =
     in
     report verbose
       (with_trace ~meta trace (fun tr ->
-           E.run_byz ?trace:tr ?shards ~protocol ~n ~namespace ~adversary
-             ~seed ()))
+           E.run_byz ?trace:tr ?shards:domains ~protocol ~n ~namespace
+             ~adversary ~seed ()))
   in
   let attack_arg =
     Arg.(
@@ -234,12 +220,10 @@ let byz_cmd =
        ~doc:"Run the Byzantine-resilient order-preserving renaming (§3).")
     Term.(
       const run $ n_arg $ namespace_arg $ f_arg $ attack_arg $ everyone_arg
-      $ seed_arg $ verbose_arg $ trace_arg $ domains_arg $ shards_arg)
+      $ seed_arg $ verbose_arg $ trace_arg $ domains_arg)
 
-let baseline_run cmd protocol n namespace f seed verbose trace domains
-    shards =
-  check_args cmd ~n ~namespace ?trace ~fs:[ f ] ~domains ~shards ();
-  set_domains domains;
+let baseline_run cmd protocol n namespace f seed verbose trace domains =
+  check_args cmd ~n ~namespace ?trace ~fs:[ f ] ~domains ();
   let namespace = resolve_namespace n namespace in
   let kind, adversary =
     if f = 0 then ("none", E.No_crash) else ("random", E.Random_crashes f)
@@ -253,8 +237,8 @@ let baseline_run cmd protocol n namespace f seed verbose trace domains
   in
   report verbose
     (with_trace ~meta trace (fun tr ->
-         E.run_crash ?trace:tr ?shards ~protocol ~n ~namespace ~adversary
-           ~seed ()))
+         E.run_crash ?trace:tr ?shards:domains ~protocol ~n ~namespace
+           ~adversary ~seed ()))
 
 let flooding_cmd =
   Cmd.v
@@ -262,7 +246,7 @@ let flooding_cmd =
     Term.(
       const (baseline_run "flooding" E.Flooding_baseline)
       $ n_arg $ namespace_arg $ f_arg $ seed_arg $ verbose_arg $ trace_arg
-      $ domains_arg $ shards_arg)
+      $ domains_arg)
 
 let halving_cmd =
   Cmd.v
@@ -270,11 +254,11 @@ let halving_cmd =
     Term.(
       const (baseline_run "halving" E.Halving_baseline)
       $ n_arg $ namespace_arg $ f_arg $ seed_arg $ verbose_arg $ trace_arg
-      $ domains_arg $ shards_arg)
+      $ domains_arg)
 
 let lower_bound_cmd =
   let run n seed =
-    check_args "lower-bound" ~n ~fs:[] ~domains:None ~shards:None ();
+    check_args "lower-bound" ~n ~fs:[] ~domains:None ();
     Printf.printf
       "collision probability of k silent nodes naming into [1..%d]:\n" n;
     List.iter
@@ -317,18 +301,19 @@ let sweep_crash_cmd =
       [ ("this-work", E.This_work_crash); ("halving", E.Halving_baseline);
         ("flooding", E.Flooding_baseline) ]
   in
-  let run protocol n namespace fs trials seed domains shards =
-    check_args "sweep-crash" ~n ~namespace ~fs ~domains ~shards ();
+  let run protocol n namespace fs trials seed domains =
+    check_args "sweep-crash" ~n ~namespace ~fs ~domains ();
     if trials < 1 then
       usage_error "sweep-crash" "--trials must be at least 1, got %d" trials;
-    set_domains domains;
     let namespace = resolve_namespace n namespace in
+    (* Trials first: a lone trial gets the whole budget as shards. *)
+    let shards = if trials = 1 then domains else Some 1 in
     let rows =
       List.map
         (fun f ->
           let adversary = if f = 0 then E.No_crash else E.Committee_killer f in
           let a, rounds, messages, bits =
-            E.averaged ~trials ~seed (fun ~seed ->
+            E.averaged ?domains ~trials ~seed (fun ~seed ->
                 E.run_crash ?shards ~protocol ~n ~namespace ~adversary ~seed
                   ())
           in
@@ -360,19 +345,18 @@ let sweep_crash_cmd =
        ~doc:"Sweep the crash-failure count and tabulate costs.")
     Term.(
       const run $ protocol_arg $ n_arg $ namespace_arg $ fs_arg $ trials_arg
-      $ seed_arg $ domains_arg $ shards_arg)
+      $ seed_arg $ domains_arg)
 
 let sweep_byz_cmd =
-  let run n namespace fs seed domains shards =
-    check_args "sweep-byz" ~n ~namespace ~fs ~domains ~shards ();
-    set_domains domains;
+  let run n namespace fs seed domains =
+    check_args "sweep-byz" ~n ~namespace ~fs ~domains ();
     let namespace = resolve_namespace n namespace in
     let rows =
       List.map
         (fun f ->
           let adversary = if f = 0 then E.No_byz else E.Split_world_byz f in
           let a =
-            E.run_byz ?shards ~protocol:E.This_work_byz ~n ~namespace
+            E.run_byz ?shards:domains ~protocol:E.This_work_byz ~n ~namespace
               ~adversary ~seed ()
           in
           [
@@ -395,8 +379,7 @@ let sweep_byz_cmd =
     (Cmd.info "sweep-byz"
        ~doc:"Sweep the Byzantine count under the split-world attack.")
     Term.(
-      const run $ n_arg $ namespace_arg $ fs_arg $ seed_arg $ domains_arg
-      $ shards_arg)
+      const run $ n_arg $ namespace_arg $ fs_arg $ seed_arg $ domains_arg)
 
 (* Cmdliner's parse errors (unknown option, malformed value) exit 2
    like [usage_error]; cmdliner has already printed the usage text on

@@ -300,10 +300,10 @@ type report = {
   verdict : Oracle.verdict;
 }
 
-let campaign ?domains ?shards config =
+let campaign ?domains config =
   Repro_renaming.Parallel.map_list ?domains config.trials (fun i ->
       let schedule = generate config i in
-      { index = i; schedule; verdict = run ?shards schedule })
+      { index = i; schedule; verdict = run schedule })
 
 let first_failure reports =
   List.find_opt (fun r -> Oracle.failed r.verdict) reports

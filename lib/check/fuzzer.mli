@@ -85,12 +85,13 @@ type report = {
   verdict : Oracle.verdict;
 }
 
-val campaign : ?domains:int -> ?shards:int -> config -> report list
+val campaign : ?domains:int -> config -> report list
 (** Run [config.trials] generated schedules, fanned over [domains]
-    OCaml domains (default [Parallel.default_domains ()]). The report
+    OCaml domains ([Parallel.map]'s default when omitted). The report
     list is ordered by trial index and bit-identical for every domain
-    count. [shards] additionally shards each trial's rounds internally
-    (also bit-identical; total domains ≈ [domains × shards]). *)
+    count. Each trial's run takes its shards from
+    [Repro_util.Domain_pool.available]: one inside a multi-domain
+    fan-out. *)
 
 val first_failure : report list -> report option
 

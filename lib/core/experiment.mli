@@ -117,7 +117,7 @@ val averaged :
     messages and bits across trials. Raises if any trial is incorrect or
     if any trial's per-round accounting fails {!Runner.reconciles}.
 
-    Trials are fanned across [domains] OCaml domains (default
-    {!Parallel.default_domains}) by {!Parallel.map_list}: the seed
+    Trials are fanned across [domains] OCaml domains ({!Parallel.map}'s
+    default when omitted) by {!Parallel.map_list}: the seed
     schedule [seed + i * 7919] and the returned aggregates are
     bit-identical for every domain count. *)

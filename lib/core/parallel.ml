@@ -1,82 +1,38 @@
 (* Deterministic multicore trial runner.
 
    Independent trials (one simulated execution per seed) are fanned out
-   across OCaml 5 domains. Work is pulled from a shared atomic counter —
-   so domains self-balance across trials of uneven length — but every
-   trial writes its result into the slot of its own index, which makes
-   the output array a pure function of the per-index job: bit-identical
-   regardless of how many domains ran or how the scheduler interleaved
-   them. The engine keeps all run state local to [Engine.run], so trials
-   on different domains never share mutable state. *)
+   as one job of a [Domain_pool]: every shard pulls trials from a shared
+   atomic counter — so domains self-balance across trials of uneven
+   length — but every trial writes its result into the slot of its own
+   index, which makes the output array a pure function of the per-index
+   job: bit-identical regardless of how many domains ran or how the
+   scheduler interleaved them. The engine keeps all run state local to
+   [Engine.run], so trials on different domains never share mutable
+   state, and a run inside a multi-domain fan-out takes one shard
+   ([Domain_pool.available]). *)
 
-let env_domains () =
-  match Sys.getenv_opt "RENAMING_DOMAINS" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> Some d
-      | _ -> None)
-
-(* 0 = not set programmatically; [set_domains] wins over the
-   environment, the environment over the hardware count. *)
-(* Process-wide domain-count knob: one Atomic.t written by set_domains
-   before any fan-out; last-write-wins is the intended semantics and
-   reads are atomic. *)
-(* lint: allow D4 — deliberate global configuration knob, see above *)
-let configured : int Atomic.t = Atomic.make 0
-
-let set_domains d =
-  if d < 1 then invalid_arg "Parallel.set_domains: need at least 1";
-  Atomic.set configured d
-
-let default_domains () =
-  match Atomic.get configured with
-  | d when d >= 1 -> d
-  | _ -> (
-      match env_domains () with
-      | Some d -> d
-      | None -> max 1 (min 8 (Domain.recommended_domain_count ())))
+module Pool = Repro_util.Domain_pool
 
 let map ?domains count f =
   if count < 0 then invalid_arg "Parallel.map: negative count";
   let d =
-    max 1
-      (min count
-         (match domains with Some d -> max 1 d | None -> default_domains ()))
+    match domains with
+    | Some d -> d
+    | None ->
+        Pool.available
+          ~unset:(max 1 (min 8 (Domain.recommended_domain_count ())))
   in
-  if d = 1 then Array.init count f
-  else begin
-    let results = Array.make count None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < count then begin
-          results.(i) <- Some (f i);
-          go ()
-        end
-      in
-      go ()
-    in
-    let spawned = Array.init (d - 1) (fun _ -> Domain.spawn worker) in
-    (* The calling domain participates too; its exception (if any) must
-       not leave spawned domains unjoined. *)
-    let first_exn = ref None in
-    let record e = if !first_exn = None then first_exn := Some e in
-    (try worker () with e -> record e);
-    Array.iter
-      (fun dh -> try Domain.join dh with e -> record e)
-      spawned;
-    (match !first_exn with Some e -> raise e | None -> ());
-    Array.map
-      (function
-        | Some x -> x
-        | None ->
-            invalid_arg
-              "Parallel.map: result slot still empty after all workers \
-               joined without raising")
-      results
-  end
+  let results = Array.make count None in
+  let next = Atomic.make 0 in
+  let rec pull _ =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < count then begin
+      results.(i) <- Some (f i);
+      pull 0
+    end
+  in
+  Pool.with_pool ~shards:(max 1 (min count d)) (fun pool -> Pool.run pool pull);
+  Array.map Option.get results
 
 let map_list ?domains count f = Array.to_list (map ?domains count f)
 

@@ -122,7 +122,10 @@ let any_suffix suffixes path =
 
 (* Parallel-region entry points. [p_shard] distinguishes shard bodies
    (one closure per domain, shared round state in scope) from trial
-   fan-out (whole independent runs). *)
+   fan-out (whole independent runs). [Parallel.map] runs on
+   [Domain_pool.run], but its job there is a parameter, so the call
+   graph cannot follow a caller's closure through it: its call sites
+   must stay heads of their own. *)
 let parallel_heads =
   [
     ([ "Parallel"; "map" ], false);

@@ -426,7 +426,7 @@ module Make (M : MSG) = struct
       | Some s ->
           if s < 1 then invalid_arg "Engine.run: shards must be at least 1";
           s
-      | None -> Repro_util.Shard.default_count ()
+      | None -> Repro_util.Domain_pool.available ~unset:1
     in
     (* Never more shards than recipient slots. One shard is the same
        loop through a 1-shard pool, which runs the phase inline: no

@@ -274,8 +274,10 @@ module Make (M : MSG) : sig
       algorithms, fault schedules and shard counts). There is one round
       loop: with [1] shard (and whenever [n <= 1]) it runs through a
       1-shard pool, which executes each phase inline on the caller — no
-      domains, no locking. Defaults to the [RENAMING_SHARDS] environment
-      variable, else [1].
+      domains, no locking. Defaults to
+      [Repro_util.Domain_pool.available ~unset:1]: [1] inside a
+      multi-domain trial fan-out, else the [RENAMING_DOMAINS] budget,
+      else [1].
       @raise Invalid_argument if [shards < 1].
 
       [tap ~round ~src ~dst ~bits msg] observes every message handed to

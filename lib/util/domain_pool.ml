@@ -1,4 +1,6 @@
-(* A reusable fixed-size domain pool with a barrier per job.
+(* A reusable fixed-size domain pool with a barrier per job: the only
+   code that spawns domains, for the engine's shards and for
+   [Parallel.map]'s trials alike.
 
    The sharded engine runs two parallel phases per round; spawning
    domains per phase (or even per round) would dominate the work at
@@ -22,7 +24,25 @@
    finished — the pool itself stays usable. No pool state is global:
    a pool lives and dies with the run that created it ([lib/sim] keeps
    it inside [Engine.run], so the D4 no-top-level-mutable-state rule
-   holds without an allow). *)
+   holds without an allow).
+
+   A domain executing a job of a multi-shard pool has already been
+   given its share of the budget, so [available] answers 1 there: a run
+   inside a trial fan-out never nests a pool of its own. *)
+
+let budget () =
+  Option.bind (Sys.getenv_opt "RENAMING_DOMAINS") (fun s ->
+      match int_of_string_opt (String.trim s) with
+      | Some d when d >= 1 -> Some d
+      | _ -> None)
+
+(* Domain-local, so each domain reads only its own flag: set for good
+   on a worker domain, and around shard 0 on the caller's. *)
+let in_job : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+
+let available ~unset =
+  if Domain.DLS.get in_job then 1
+  else match budget () with Some d -> d | None -> unset
 
 type t = {
   shards : int;
@@ -42,6 +62,7 @@ type t = {
 }
 
 let worker t k () =
+  Domain.DLS.set in_job true;
   let rec loop last_gen =
     Mutex.lock t.mutex;
     while t.generation = last_gen && not t.stopping do
@@ -98,7 +119,10 @@ let run t f =
     Mutex.unlock t.mutex;
     (* The caller is shard 0: it works instead of blocking, and a
        1-worker... n-worker pool keeps all domains busy. *)
+    let outer = Domain.DLS.get in_job in
+    Domain.DLS.set in_job true;
     (try f 0 with e -> t.exns.(0) <- Some e);
+    Domain.DLS.set in_job outer;
     Mutex.lock t.mutex;
     while t.pending > 0 do
       Condition.wait t.finished t.mutex

@@ -1,4 +1,5 @@
-(** Reusable fixed-size domain pool with a barrier per job.
+(** Reusable fixed-size domain pool with a barrier per job, and the
+    one domain budget. The only module that spawns domains.
 
     Built for the sharded engine's per-round parallel phases: worker
     domains are spawned once at {!create} and re-dispatched by every
@@ -14,6 +15,15 @@
     domain. *)
 
 type t
+
+val budget : unit -> int option
+(** The [RENAMING_DOMAINS] environment variable when it holds a positive
+    integer (surrounding blanks allowed), else [None]. *)
+
+val available : unset:int -> int
+(** Domains a new pool may use from here: [1] on a domain that is
+    executing a job of a multi-shard pool (its share is already
+    spent, so pools never nest), else {!budget}, else [unset]. *)
 
 val create : shards:int -> t
 (** Spawn a pool of [shards] shards ([shards - 1] worker domains).

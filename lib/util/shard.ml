@@ -37,18 +37,3 @@ let owner ~n ~shards slot =
   if base = 0 then slot
   else if slot < rem * (base + 1) then slot / (base + 1)
   else rem + ((slot - (rem * (base + 1))) / base)
-
-let env_shards () =
-  match Sys.getenv_opt "RENAMING_SHARDS" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> Some d
-      | _ -> None)
-
-(* Default shard count for runs that do not pin one explicitly: the
-   [RENAMING_SHARDS] environment variable when set to a positive
-   integer, else 1 (sharding is opt-in — unlike trial fan-out it changes
-   which code path runs, even though results are bit-identical). *)
-let default_count () =
-  match env_shards () with Some d -> d | None -> 1

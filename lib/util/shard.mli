@@ -25,9 +25,3 @@ val owner : n:int -> shards:int -> int -> int
 (** [owner ~n ~shards slot] is the shard [k] with
     [fst (range ~n ~shards k) <= slot < snd (range ~n ~shards k)].
     @raise Invalid_argument if [slot] is outside [\[0, n)]. *)
-
-val default_count : unit -> int
-(** Shard count for runs that do not pin one: the [RENAMING_SHARDS]
-    environment variable when set to a positive integer, else [1].
-    Sharding is opt-in — results are bit-identical for every count, so
-    the default only matters for wall-clock. *)

@@ -323,8 +323,9 @@ module Mixed_host = Mixed (H)
 
 let test_mixed_outboxes_match_engine () =
   let ids = [| 50; 20; 80; 10; 40; 70; 30; 60 |] in
-  (* One shard whatever RENAMING_SHARDS says: this binary forks host
-     processes, which OCaml 5 forbids once a domain has been spawned. *)
+  (* One shard whatever the RENAMING_DOMAINS budget says: this binary
+     forks host processes, which OCaml 5 forbids once a domain has been
+     spawned. *)
   let sim = Sim.run ~ids ~seed:5 ~shards:1 ~program:Mixed_sim.program () in
   let res =
     serve_forked ~ids ~n_hosts:2 (fun h fd ->

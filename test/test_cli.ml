@@ -224,7 +224,6 @@ let test_net_node_bad_arguments () =
 let test_renaming_bad_arguments () =
   expect_usage_errors cli
     [
-      "crash --shards 0";
       "crash --domains 0";
       "crash -n 0";
       "crash -n 8 -f 9";
@@ -232,13 +231,15 @@ let test_renaming_bad_arguments () =
       "halving -n 8 -N 4";
       "byz -n 3 -f 5";
       "halving -n 4 -f 5";
-      "flooding --shards 0";
+      "flooding --domains 0";
       "lower-bound -n 0";
       "sweep-crash -n 8 --fs 0,9";
       "sweep-crash --trials 0";
       "sweep-byz --domains 0";
       (* cmdliner parse errors *)
       "crash --bogus";
+      "crash --shards 2";
+      "sweep-crash --shards 2";
       "crash -n abc";
       "byz --attack nosuch";
     ]
@@ -250,9 +251,11 @@ let test_fuzz_bad_arguments () =
       "--algo crash -n 0 --trials 1";
       "-n 8 --namespace 3";
       "--trials 0";
+      "--domains 0";
       (* cmdliner parse errors *)
       "-n abc";
       "--bogus";
+      "--shards 2";
     ]
 
 (* trace_cli and lint_cli map cmdliner's parse errors (unknown option,

@@ -361,7 +361,7 @@ let test_s1_cross_file () =
       let findings, _ = Lint.lint_file (fixture name) in
       Alcotest.(check int) (name ^ ": v1 per-file pass sees nothing") 0
         (List.length findings))
-    [ "s1_glob.ml"; "s1_pos.ml" ];
+    [ "s1_glob.ml"; "s1_pos.ml"; "s1_trials.ml" ];
   let r =
     project [ ("s1_glob.ml", "s1_glob.ml"); ("s1_pos.ml", "s1_pos.ml") ]
   in
@@ -374,6 +374,20 @@ let test_s1_cross_file () =
       Alcotest.(check bool) "message names the global" true
         (contains f.Finding.message "S1_glob.counter")
   | l -> Alcotest.failf "expected exactly one S1 finding, got %d" (List.length l));
+  (* The same escape through a trial fan-out's closure. *)
+  let r =
+    project
+      [ ("s1_glob.ml", "s1_glob.ml"); ("s1_trials.ml", "s1_trials.ml") ]
+  in
+  (match r.Lint.p_findings with
+  | [ f ] ->
+      Alcotest.(check string) "Parallel.map closure flagged as S1" "S1"
+        f.Finding.rule;
+      Alcotest.(check string) "reported at the fan-out" "s1_trials.ml"
+        f.Finding.file
+  | l ->
+      Alcotest.failf "expected exactly one S1 finding via Parallel.map, got %d"
+        (List.length l));
   let r =
     project [ ("s1_glob.ml", "s1_glob.ml"); ("s1_allow.ml", "s1_allow.ml") ]
   in

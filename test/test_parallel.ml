@@ -1,6 +1,15 @@
 module Parallel = Repro_renaming.Parallel
 module E = Repro_renaming.Experiment
 module Runner = Repro_renaming.Runner
+module Pool = Repro_util.Domain_pool
+module Engine = Repro_sim.Engine
+
+module Net = Engine.Make (struct
+  type t = int
+
+  let bits _ = 8
+  let pp = Format.pp_print_int
+end)
 
 (* The runner's contract is bit-identical output for every domain count:
    trials land in the slot of their own index no matter which domain ran
@@ -67,15 +76,58 @@ let test_map_edge_cases () =
   Alcotest.(check (array int))
     "fewer jobs than domains" [| 0; 1 |]
     (Parallel.map ~domains:8 2 Fun.id);
-  Alcotest.check_raises "zero domains rejected"
-    (Invalid_argument "Parallel.set_domains: need at least 1") (fun () ->
-      Parallel.set_domains 0)
+  Alcotest.(check (array int))
+    "zero domains runs on one" [| 0; 1; 2 |]
+    (Parallel.map ~domains:0 3 Fun.id)
 
 let test_map_propagates_exception () =
   Alcotest.check_raises "failure surfaces" (Failure "boom") (fun () ->
       ignore
         (Parallel.map ~domains:3 8 (fun i ->
              if i = 5 then failwith "boom" else i)))
+
+(* [RENAMING_DOMAINS] for the duration of [f]; putenv cannot remove a
+   variable, and the empty string parses as unset. *)
+let with_budget value f =
+  let old = Option.value ~default:"" (Sys.getenv_opt "RENAMING_DOMAINS") in
+  Unix.putenv "RENAMING_DOMAINS" value;
+  Fun.protect ~finally:(fun () -> Unix.putenv "RENAMING_DOMAINS" old) f
+
+let test_budget_parsing () =
+  List.iter
+    (fun (value, expect) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "budget of %S" value)
+        expect
+        (with_budget value Pool.budget))
+    [ ("", None); ("4", Some 4); (" 2 ", Some 2); ("0", None); ("x", None) ]
+
+(* Trials first: under a budget of 4, an [Engine.run] without [?shards]
+   inside a 2-domain fan-out takes one shard, so its [alloc_probe] is
+   filled (the engine fills it only at one shard); a lone run takes the
+   whole budget as shards and leaves the probe untouched. *)
+let test_budget_trials_first () =
+  let ids = Array.init 16 (fun i -> i + 1) in
+  let program ctx =
+    for r = 1 to 3 do
+      ignore (Net.broadcast ctx (Net.my_id ctx + r))
+    done
+  in
+  let probed () =
+    let p = Engine.alloc_probe () in
+    ignore (Net.run ~ids ~alloc_probe:p ~program ());
+    p.Engine.ap_deliver > 0. && p.Engine.ap_resume > 0.
+  in
+  with_budget "4" (fun () ->
+      Alcotest.(check int) "lone: the budget" 4 (Pool.available ~unset:1);
+      Alcotest.(check (array bool))
+        "inside a 2-domain job: one shard" [| true; true |]
+        (Parallel.map ~domains:2 2 (fun _ -> probed ()));
+      Alcotest.(check (array int))
+        "inside a 2-domain job: available 1" [| 1; 1; 1 |]
+        (Parallel.map ~domains:2 3 (fun _ -> Pool.available ~unset:8));
+      Alcotest.(check bool) "lone run: 4 shards, probe untouched" false
+        (probed ()))
 
 let suite =
   ( "parallel",
@@ -89,4 +141,7 @@ let suite =
       Alcotest.test_case "map edge cases" `Quick test_map_edge_cases;
       Alcotest.test_case "exception propagation" `Quick
         test_map_propagates_exception;
+      Alcotest.test_case "budget parsing" `Quick test_budget_parsing;
+      Alcotest.test_case "budget: trials first" `Quick
+        test_budget_trials_first;
     ] )
