@@ -125,7 +125,3 @@ let minimize ?(progress = no_progress) ~still_fails (s : Schedule.t) =
     else s'
   in
   fix s (Schedule.faults s)
-
-let minimize_failing ?progress (s : Schedule.t) =
-  let still_fails s = Oracle.failed (Fuzzer.run s) in
-  if still_fails s then Some (minimize ?progress ~still_fails s) else None

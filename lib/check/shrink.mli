@@ -21,8 +21,3 @@ val minimize :
     [Invalid_argument] otherwise) and returns a minimized schedule on
     which [still_fails] still holds. [progress] is invoked after each
     pass with the pass count and current fault count. *)
-
-val minimize_failing : ?progress:progress -> Schedule.t -> Schedule.t option
-(** [minimize_failing s] runs [s] through {!Fuzzer.run}; if it fails,
-    minimizes with "verdict has violations" as the predicate. [None]
-    if [s] does not fail in the first place. *)

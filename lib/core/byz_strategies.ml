@@ -68,23 +68,26 @@ let spy_of spies byz_id =
       Hashtbl.replace spies byz_id s;
       s
 
-(* How a Byzantine node learns the committee view depends on the
-   election mode: under [Shared_pool] it filters ELECTs by the (public)
-   pool; under [Local_coin] candidacy is unverifiable so every ELECT
-   counts; under [Everyone] membership is common knowledge. *)
-let absorb_elects (params : B.params) ~n spy inbox =
-  let accept =
-    match params.B.committee with
-    | B.Shared_pool ->
-        let pool = B.pool_of_params params ~n in
-        Committee_pool.mem pool
-    | B.Local_coin _ -> fun _ -> true
-    | B.Everyone -> fun _ -> false
-  in
+(* Who may join the election, as the node's strategy sees it: under
+   [Shared_pool] the (public) pool's candidates; under [Local_coin]
+   anyone, since candidacy is unverifiable; under [Everyone] no one,
+   since membership is common knowledge and nobody announces it. A
+   strategy builds it once, from [ids], so the pool is drawn once per
+   run. *)
+let candidate (params : B.params) ~ids =
+  match params.B.committee with
+  | B.Shared_pool ->
+      Committee_pool.mem (B.pool_of_params params ~n:(Array.length ids))
+  | B.Local_coin _ -> fun _ -> true
+  | B.Everyone -> fun _ -> false
+
+(* A Byzantine node learns the committee view from the ELECTs of
+   candidates. *)
+let absorb_elects candidate spy inbox =
   List.iter
     (fun (e : Net.envelope) ->
       match e.msg with
-      | Msg.Elect when accept e.src ->
+      | Msg.Elect when candidate e.src ->
           if not (List.mem e.src spy.view) then spy.view <- e.src :: spy.view
       | _ -> ())
     inbox;
@@ -95,20 +98,11 @@ let initial_view (params : B.params) ~ids =
   | B.Everyone -> List.sort Int.compare (Array.to_list ids)
   | B.Shared_pool | B.Local_coin _ -> []
 
-let broadcast_elect_if_candidate pool ~byz_id ~ids =
-  if Committee_pool.mem pool byz_id then
+(* A candidate joins the election: ELECT to everyone. *)
+let election_round_out candidate ~byz_id ~ids =
+  if candidate byz_id then
     Array.to_list (Array.map (fun dst -> (dst, Msg.Elect)) ids)
   else []
-
-let election_round_out (params : B.params) ~byz_id ~ids =
-  let n = Array.length ids in
-  match params.B.committee with
-  | B.Everyone -> []
-  | B.Local_coin _ ->
-      (* Candidacy is unverifiable: always join. *)
-      Array.to_list (Array.map (fun dst -> (dst, Msg.Elect)) ids)
-  | B.Shared_pool ->
-      broadcast_elect_if_candidate (B.pool_of_params params ~n) ~byz_id ~ids
 
 let random_msg rng namespace =
   match Rng.int rng 8 with
@@ -132,15 +126,15 @@ let random_msg rng namespace =
   | 6 -> Msg.New (Some (1 + Rng.int rng namespace))
   | _ -> Msg.New None
 
-let random_noise (params : B.params) ~rng ~ids : Net.byz_strategy =
+let noise_of candidate (params : B.params) ~rng ~ids : Net.byz_strategy =
   let n = Array.length ids in
   let spies = make_spies () in
   fun ~byz_id ~round ~inbox ->
     let spy = spy_of spies byz_id in
     if spy.view = [] then spy.view <- initial_view params ~ids;
-    if round = 0 then election_round_out params ~byz_id ~ids
+    if round = 0 then election_round_out candidate ~byz_id ~ids
     else begin
-      if round = 1 then absorb_elects params ~n spy inbox;
+      if round = 1 then absorb_elects candidate spy inbox;
       let burst = 1 + Rng.int rng (max 1 (List.length spy.view)) in
       List.init burst (fun _ ->
           let dst =
@@ -153,7 +147,11 @@ let random_noise (params : B.params) ~rng ~ids : Net.byz_strategy =
           (dst, random_msg rng params.namespace))
     end
 
-let split_world (params : B.params) ~rng ~ids : Net.byz_strategy =
+let random_noise params ~rng ~ids =
+  noise_of (candidate params ~ids) params ~rng ~ids
+
+let split_world_of candidate (params : B.params) ~rng ~ids :
+    Net.byz_strategy =
   let n = Array.length ids in
   let spies = make_spies () in
   (* Fake NEW identities pushed at a few random nodes, trying to bait a
@@ -191,9 +189,9 @@ let split_world (params : B.params) ~rng ~ids : Net.byz_strategy =
   fun ~byz_id ~round ~inbox ->
     let spy = spy_of spies byz_id in
     if spy.view = [] then spy.view <- initial_view params ~ids;
-    if round = 0 then election_round_out params ~byz_id ~ids
+    if round = 0 then election_round_out candidate ~byz_id ~ids
     else begin
-      if round = 1 then absorb_elects params ~n spy inbox;
+      if round = 1 then absorb_elects candidate spy inbox;
       if spy.built_for != spy.view then begin
         spy.targets <- targets_of spy.view;
         spy.built_for <- spy.view
@@ -210,6 +208,9 @@ let split_world (params : B.params) ~rng ~ids : Net.byz_strategy =
           ts rest
       else rest
     end
+
+let split_world params ~rng ~ids =
+  split_world_of (candidate params ~ids) params ~rng ~ids
 
 type behavior = Silence | Equivocate | Misaddress | Replay | Noise
 
@@ -235,15 +236,16 @@ let scripted (params : B.params) ~rng ~ids ~behaviors : Net.byz_strategy =
      scripted nodes of that family — their internal spy tables are keyed
      by byz id, and sharing the rng keeps the whole script a function of
      the ids in the schedule (invocation order is fixed by the engine). *)
-  let noise = random_noise params ~rng ~ids in
-  let equivocate = split_world params ~rng ~ids in
+  let candidate = candidate params ~ids in
+  let noise = noise_of candidate params ~rng ~ids in
+  let equivocate = split_world_of candidate params ~rng ~ids in
   let n = Array.length ids in
   let misaddress ~byz_id ~round ~inbox:_ =
     (* Every send targets an identity outside the participant set (ids
        live in [1, namespace]); the engine must drop and count each one
        without disturbing the honest run. Joining the election keeps the
        node visible to strategies that spy on the ELECT round. *)
-    let base = election_round_out params ~byz_id ~ids in
+    let base = election_round_out candidate ~byz_id ~ids in
     let stray =
       List.init 2 (fun i ->
           ( params.B.namespace + 1 + Rng.int rng (n + i + 1),
@@ -255,7 +257,7 @@ let scripted (params : B.params) ~rng ~ids ~behaviors : Net.byz_strategy =
     (* Re-emit last round's received payloads verbatim at randomly chosen
        participants: stale Responses, NEWs and consensus votes from
        earlier protocol stages arriving out of phase. *)
-    if round = 0 then election_round_out params ~byz_id ~ids
+    if round = 0 then election_round_out candidate ~byz_id ~ids
     else
       List.map
         (fun (e : Net.envelope) -> (ids.(Rng.int rng n), e.msg))
@@ -270,8 +272,9 @@ let scripted (params : B.params) ~rng ~ids ~behaviors : Net.byz_strategy =
     | Some Replay -> replay ~byz_id ~round ~inbox
 
 let committee_hijack (params : B.params) ~ids : Net.byz_strategy =
- fun ~byz_id ~round ~inbox:_ ->
-  if round = 0 then election_round_out params ~byz_id ~ids
+  let candidate = candidate params ~ids in
+  fun ~byz_id ~round ~inbox:_ ->
+    if round = 0 then election_round_out candidate ~byz_id ~ids
     else if round >= 2 then
       (* Every corrupted committee member pushes the same bogus identity
          at everyone, every round, until the honest nodes give up. *)

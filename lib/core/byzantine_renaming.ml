@@ -472,7 +472,7 @@ struct
     in
     go first_inbox
 
-  let program ?telemetry params ctx =
+  let node_program ~pool_for ?telemetry params ctx =
     let me = Net.my_id ctx in
     let n = Net.n ctx in
     let namespace = params.namespace in
@@ -491,7 +491,7 @@ struct
           (* keep round numbering aligned with Shared_pool *)
           (true, ids, Array.to_list arr)
       | Shared_pool ->
-          let pool = pool_of_params params ~n in
+          let pool = pool_for n in
           let elected = Committee_pool.mem pool me in
           let inbox =
             if elected then Net.broadcast ctx Msg.Elect else Net.skip_round ctx
@@ -585,6 +585,23 @@ struct
       end
     in
     collect_new_identity ctx ~view first_inbox
+
+  (* [program ?telemetry params] is one closure for all nodes of a run:
+     it builds the shared pool once, for the first node's [n], and keeps
+     it in a one-entry cache keyed by [n]. Fibers may run on several
+     domains, so the cache is an [Atomic]; domains that miss it at once
+     build equal pools. *)
+  let program ?telemetry params =
+    let cache = Atomic.make None in
+    let pool_for n =
+      match Atomic.get cache with
+      | Some (cached_n, pool) when Int.equal cached_n n -> pool
+      | Some _ | None ->
+          let pool = pool_of_params params ~n in
+          Atomic.set cache (Some (n, pool));
+          pool
+    in
+    node_program ~pool_for ?telemetry params
 end
 
 module Node = Make_node (Net)

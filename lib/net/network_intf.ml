@@ -8,13 +8,18 @@
     [lib/core] exposes a [Make_node] functor over {!S}; backends:
 
     - [Repro_sim.Engine.Make (M)] — the deterministic in-process
-      simulator. Satisfies {!S} structurally (it carries a [type msg]
-      alias for this purpose) and remains the reference: adversaries,
-      taps, sharding and byte-identical traces all live there.
+      simulator, and the reference: adversaries, taps, sharding and
+      byte-identical traces all live there.
     - [Socket_net.Host (M)] — the multi-process Unix-socket transport: a
       coordinator process enforces the same lock-step barrier over
       length-prefixed frames and bills per-link bits into the same
       {!Repro_sim.Metrics} rows.
+
+    Both implement {!S} with one node runtime, [Repro_sim.Node.Make (M)],
+    which each includes: the inbox view, the outbox slot a node stages
+    before it yields, the exchange-class calls, the effect and the
+    fibers (its [type msg] alias makes them satisfy {!S} structurally).
+    A backend only moves the slots and fills the views.
 
     {2 What the interface pins (and what it doesn't)}
 
@@ -37,13 +42,8 @@
     pins outcome- and billing-level equality. *)
 
 (** What the engine requires of a message type (size accounting and
-    pretty-printing); same shape as [Repro_sim.Engine.MSG]. *)
-module type MSG = sig
-  type t
-
-  val bits : t -> int
-  val pp : Format.formatter -> t -> unit
-end
+    pretty-printing): the node runtime's. *)
+module type MSG = Repro_sim.Node.MSG
 
 (** What a wire backend additionally requires: the exact codec. All four
     protocol [Msg] modules satisfy this — [bits m = snd (encode m)] is
@@ -58,8 +58,8 @@ module type WIRE_MSG = sig
 end
 
 (** The node-side network interface. A subset of
-    [Repro_sim.Engine.Make]'s node-side API (engine.mli's contracts
-    apply verbatim); backends with extra members satisfy it
+    [Repro_sim.Node.Make]'s API (engine.mli's contracts apply
+    verbatim); backends with extra members satisfy it
     structurally. *)
 module type S = sig
   type msg

@@ -417,179 +417,12 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
 (* {2 Host} *)
 
 module Host (M : Network_intf.WIRE_MSG) = struct
-  type msg = M.t
-
-  (* A row view. Each slot keeps one, which every reply repoints at rows
-     kept across rounds ([read_reply]): the view a node receives is
+  (* The node side — views, slots, exchange-class calls, fibers — is the
+     engine's. A slot's view is kept for the whole run and refilled in
+     place by every reply ([read_reply]), so the view a node receives is
      valid only until its next exchange-class call, which is when the
      next reply is read. *)
-  type inbox = {
-    mutable ib_src : int array;
-    mutable ib_msg : M.t array;
-    mutable ib_len : int;
-  }
-
-  module Inbox = struct
-    type t = inbox
-
-    let length t = t.ib_len
-
-    let iter t ~f =
-      for i = 0 to t.ib_len - 1 do
-        f ~src:t.ib_src.(i) t.ib_msg.(i)
-      done
-
-    let fold t ~init ~f =
-      let acc = ref init in
-      for i = 0 to t.ib_len - 1 do
-        acc := f !acc ~src:t.ib_src.(i) t.ib_msg.(i)
-      done;
-      !acc
-
-    let pairs t =
-      let acc = ref [] in
-      for i = t.ib_len - 1 downto 0 do
-        acc := (t.ib_src.(i), t.ib_msg.(i)) :: !acc
-      done;
-      !acc
-
-    let of_pairs_unchecked ~dst:_ pairs =
-      match pairs with
-      | [] -> { ib_src = [||]; ib_msg = [||]; ib_len = 0 }
-      | (_, m0) :: _ ->
-          let len = List.length pairs in
-          let ib_src = Array.make len 0 in
-          let ib_msg = Array.make len m0 in
-          List.iteri
-            (fun i (src, m) ->
-              ib_src.(i) <- src;
-              ib_msg.(i) <- m)
-            pairs;
-          { ib_src; ib_msg; ib_len = len }
-  end
-
-  (* A slot's outbox for the round, staged in place by the node's
-     exchange-class call before it yields; [intern_outbox] and
-     [write_outbox] read it when the host builds the round frame.
-     [Entries] sends [msg.(j)] to [dst.(j)] for [j < len]; [Fan] sends
-     [msg.(0)] to each of those destinations; [Bcast] sends [msg.(0)]
-     to everyone. [dst]/[msg] point at the slot's retained [own_*]
-     buffers, except that an [exchange_sized] batch aliases the
-     caller's arrays: a suspended node cannot touch them before the
-     frame is built. *)
-  type shape = Entries | Fan | Bcast
-
-  type staged = {
-    mutable shape : shape;
-    mutable dst : int array;
-    mutable msg : M.t array;
-    mutable len : int;
-    mutable own_dst : int array;
-    mutable own_msg : M.t array;
-  }
-
-  type ctx = {
-    slot : int;
-    ids : int array;
-    node_rng : Rng.t;
-    current_round : int ref;
-    out : staged;
-  }
-
-  (* The round barrier; the outbox is already staged in the slot. *)
-  type _ Effect.t += Exchange : inbox Effect.t
-
-  let my_id ctx = ctx.ids.(ctx.slot)
-  let n ctx = Array.length ctx.ids
-  let all_ids ctx = ctx.ids
-  let round ctx = !(ctx.current_round)
-  let rng ctx = ctx.node_rng
-
-  (* Stage a [shape] outbox of [len] destinations and [cap_msg]
-     messages in the slot's own buffers, grown to hold them ([m] fills
-     fresh message cells). *)
-  let stage_own o shape len cap_msg m =
-    if Array.length o.own_dst < len then o.own_dst <- grow o.own_dst len 0;
-    if Array.length o.own_msg < cap_msg then
-      o.own_msg <- grow o.own_msg cap_msg m;
-    o.shape <- shape;
-    o.dst <- o.own_dst;
-    o.msg <- o.own_msg;
-    o.len <- len
-
-  let rec fill_entries o j = function
-    | [] -> ()
-    | (d, m) :: tl ->
-        o.dst.(j) <- d;
-        o.msg.(j) <- m;
-        fill_entries o (j + 1) tl
-
-  let rec fill_dsts o j = function
-    | [] -> ()
-    | d :: tl ->
-        o.dst.(j) <- d;
-        fill_dsts o (j + 1) tl
-
-  let exchange ctx l =
-    let o = ctx.out in
-    (match l with
-    | [] ->
-        o.shape <- Entries;
-        o.len <- 0
-    | (_, m0) :: _ ->
-        let len = List.length l in
-        stage_own o Entries len len m0;
-        fill_entries o 0 l);
-    Effect.perform Exchange
-
-  let multisend ctx ~dsts m =
-    let o = ctx.out in
-    stage_own o Fan (List.length dsts) 1 m;
-    o.msg.(0) <- m;
-    fill_dsts o 0 dsts;
-    Effect.perform Exchange
-
-  let broadcast ctx m =
-    let o = ctx.out in
-    stage_own o Bcast 0 1 m;
-    o.msg.(0) <- m;
-    Effect.perform Exchange
-
-  let skip_round ctx = exchange ctx []
-
-  let exchange_sized ctx ~dsts ~msgs ~sizes:_ ~len =
-    (* Sizes are recomputed from the exact codec at frame build; the
-       [sizes.(k) = bits msgs.(k)] contract makes that the same bill. *)
-    let o = ctx.out in
-    o.shape <- Entries;
-    o.dst <- dsts;
-    o.msg <- msgs;
-    o.len <- len;
-    Effect.perform Exchange
-
-  (* A slot's fiber: suspended at a round barrier with its outbox
-     staged, decided with the result not yet reported, or idle (never
-     started, or decided and reported). *)
-  type state =
-    | Running of (inbox, state) Effect.Deep.continuation
-    | Decided of int
-    | Idle
-
-  (* The handler's answer to [Exchange], built once: it captures
-     nothing, and a [Some] built inside the handler is allocated per
-     yield. *)
-  let suspend = Some (fun k -> Running k)
-
-  let start_fiber program ctx : state =
-    Effect.Deep.match_with program ctx
-      {
-        retc = (fun v -> Decided v);
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) :
-               ((a, state) Effect.Deep.continuation -> state) option ->
-            match eff with Exchange -> suspend | _ -> None);
-      }
+  include Repro_sim.Node.Make (M)
 
   let slot_of index dst =
     let s = Repro_util.Slot_index.find index dst in
@@ -630,82 +463,46 @@ module Host (M : Network_intf.WIRE_MSG) = struct
      [cur]. *)
   let intern_outbox tbl gids memo o =
     let add j m = Ibuf.push gids (Payloads.intern tbl (encode_at memo j m)) in
-    match o.shape with
-    | Bcast | Fan -> add 0 o.msg.(0)
-    | Entries ->
-        for j = 0 to o.len - 1 do
-          add j o.msg.(j)
-        done
+    if o.fan then add 0 o.msg.(0)
+    else
+      for j = 0 to o.len - 1 do
+        add j o.msg.(j)
+      done
 
+  (* A broadcast is tag 3 with its one payload; any other outbox is tag
+     2 with its entries, a fan naming one payload for all of them. *)
   let write_outbox w ~index (gids : Ibuf.t) cur o =
     let next () =
       incr cur;
       gids.a.(!cur - 1)
     in
-    let entry dst g =
-      Wire.Writer.add_gamma w (slot_of index dst);
-      Wire.Writer.add_gamma w g
-    in
-    match o.shape with
-    | Bcast ->
-        Wire.Writer.add_gamma w 3;
-        Wire.Writer.add_gamma w (next ())
-    | Fan ->
-        Wire.Writer.add_gamma w 2;
-        Wire.Writer.add_gamma w o.len;
-        let g = next () in
-        for j = 0 to o.len - 1 do
-          entry o.dst.(j) g
-        done
-    | Entries ->
-        Wire.Writer.add_gamma w 2;
-        Wire.Writer.add_gamma w o.len;
-        for j = 0 to o.len - 1 do
-          entry o.dst.(j) (next ())
-        done
-
-  (* Reply parsing state kept across rounds: the decoded payload table,
-     the round's broadcast rows, and each slot's own rows. The broadcast
-     rows are the inbox of every slot without dedicated rows; a slot
-     with some gets the merge of both in its own rows. *)
-  type reply_bufs = {
-    mutable decoded : M.t array;
-    bcast : inbox;
-    own : inbox array;
-  }
-
-  (* Room for [len] rows in [rows], new cells set to [fill]. *)
-  let reserve rows len fill =
-    if len > Array.length rows.ib_src then begin
-      rows.ib_src <- grow rows.ib_src len 0;
-      rows.ib_msg <- grow rows.ib_msg len fill
+    if o.bcast then begin
+      Wire.Writer.add_gamma w 3;
+      Wire.Writer.add_gamma w (next ())
+    end
+    else begin
+      Wire.Writer.add_gamma w 2;
+      Wire.Writer.add_gamma w o.len;
+      let g = if o.fan then next () else -1 in
+      for j = 0 to o.len - 1 do
+        Wire.Writer.add_gamma w (slot_of index o.dst.(j));
+        Wire.Writer.add_gamma w (if o.fan then g else next ())
+      done
     end
 
-  (* Points the view a node receives at the first [len] of [rows]. *)
-  let show view rows len =
-    view.ib_src <- rows.ib_src;
-    view.ib_msg <- rows.ib_msg;
-    view.ib_len <- len
-
-  (* Copies broadcast rows from row [i] on, while their source is below
-     [below], into [own] from position [out]; returns the first row not
-     copied. *)
-  let rec put_bcasts own bc i ~out ~below =
-    if i < bc.ib_len && bc.ib_src.(i) < below then begin
-      own.ib_src.(out) <- bc.ib_src.(i);
-      own.ib_msg.(out) <- bc.ib_msg.(i);
-      put_bcasts own bc (i + 1) ~out:(out + 1) ~below
-    end
-    else i
+  (* Reply parsing state kept across rounds: the decoded payload table
+     and the round's broadcast rows, kept as the dedicated stream of a
+     view of its own that every slot's view shares, as the engine keeps
+     its broadcast table. *)
+  type reply_bufs = { mutable decoded : M.t array; bcast : inbox }
 
   (* A round's reply: [true] for stop, else every inbox view of the
-     host's slots refilled in place. Each payload-table entry is decoded
-     once and shared by every recipient ([M.t] values are immutable). A
-     slot's dedicated rows are merged with the broadcast rows, both in
-     ascending source identity with disjoint sources (a sender has one
-     outbox shape per round). A frame that ends early is malformed like
-     any other bad field. *)
-  let read_reply r bufs ~round ~ids ~lo ~hi inboxes =
+     host's slots refilled in place — its dedicated rows into its
+     dedicated stream, its shared stream pointed at the broadcast rows.
+     Each payload-table entry is decoded once and shared by every
+     recipient ([M.t] values are immutable). A frame that ends early is
+     malformed like any other bad field. *)
+  let read_reply r bufs ~round ~ids ~lo ~hi views =
     try
       let got = Wire.Reader.read_gamma r in
       if got <> round then
@@ -721,47 +518,35 @@ module Host (M : Network_intf.WIRE_MSG) = struct
           | None -> proto_error "undecodable payload"
         done;
         let decoded = bufs.decoded in
-        let rows_need_table c =
-          if c > 0 && t = 0 then
-            proto_error "%d rows name an empty payload table" c
-        in
-        let read_src () =
-          let src = Wire.Reader.read_gamma r in
-          if src >= Array.length ids then proto_error "source slot %d" src;
-          ids.(src)
-        in
-        let read_msg () =
-          let k = Wire.Reader.read_gamma r in
-          if k >= t then proto_error "payload index %d of %d" k t;
-          decoded.(k)
-        in
-        let b = read_count r in
-        let bc = bufs.bcast in
-        rows_need_table b;
-        if b > 0 then reserve bc b decoded.(0);
-        for i = 0 to b - 1 do
-          bc.ib_src.(i) <- read_src ();
-          bc.ib_msg.(i) <- read_msg ()
-        done;
-        bc.ib_len <- b;
-        for s = lo to hi - 1 do
+        (* [c] rows of [src, index] into [v]'s dedicated stream, grown
+           to [c] at once: a committee member's first status round
+           would otherwise double it from 16 to ~n, blitting each
+           major-heap copy, and that round is the run's slowest. *)
+        let read_rows v =
           let c = read_count r in
-          if c = 0 then show inboxes.(s) bc b
-          else begin
-            rows_need_table c;
-            let own = bufs.own.(s) in
-            reserve own (b + c) decoded.(0);
-            let i = ref 0 in
-            for j = 0 to c - 1 do
-              let src = read_src () in
-              let m = read_msg () in
-              i := put_bcasts own bc !i ~out:(!i + j) ~below:src;
-              own.ib_src.(!i + j) <- src;
-              own.ib_msg.(!i + j) <- m
-            done;
-            ignore (put_bcasts own bc !i ~out:(!i + c) ~below:max_int);
-            show inboxes.(s) own (b + c)
-          end
+          if c > 0 && t = 0 then
+            proto_error "%d rows name an empty payload table" c;
+          v.d_len <- 0;
+          if c > Array.length v.d_src then begin
+            v.d_src <- Array.make c 0;
+            v.d_msg <- Array.make c decoded.(0)
+          end;
+          for _ = 1 to c do
+            let src = Wire.Reader.read_gamma r in
+            if src >= Array.length ids then proto_error "source slot %d" src;
+            let k = Wire.Reader.read_gamma r in
+            if k >= t then proto_error "payload index %d of %d" k t;
+            push v ids.(src) decoded.(k)
+          done
+        in
+        let bc = bufs.bcast in
+        read_rows bc;
+        for s = lo to hi - 1 do
+          let v = views.(s) in
+          read_rows v;
+          v.s_src <- bc.d_src;
+          v.s_msg <- bc.d_msg;
+          v.s_len <- bc.d_len
         done;
         false
       end
@@ -801,34 +586,23 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     in
     let current_round = ref 0 in
     let prog = program ~extra in
-    (* Freshly decided results are reported in the next frame, then the
-       slot goes idle. *)
-    let states = Array.make n Idle in
-    let outs =
-      Array.init n (fun _ ->
-          {
-            shape = Entries;
-            dst = [||];
-            msg = [||];
-            len = 0;
-            own_dst = [||];
-            own_msg = [||];
-          })
-    in
+    (* Slots outside the range never run here. A decided slot is
+       reported in the next frame and then leaves the run ([Dead]). *)
+    let states = Array.make n (Dead 0) in
+    let outs = empty_outs n in
     (* Split the master stream once per slot in global slot order — the
        exact derivation the engine performs — keeping only our slice. *)
     let master = Rng.of_seed seed in
     for s = 0 to n - 1 do
       let node_rng = Rng.split master in
       if s >= lo && s < hi then
-        let ctx = { slot = s; ids; node_rng; current_round; out = outs.(s) } in
-        states.(s) <- start_fiber prog ctx
+        let out = outs.(s) in
+        states.(s) <-
+          start_fiber prog { id = ids.(s); ids; node_rng; current_round; out }
     done;
     let memos = Array.init n (fun _ -> { m_msgs = [||]; m_encs = [||] }) in
-    let empty () = { ib_src = [||]; ib_msg = [||]; ib_len = 0 } in
-    let inboxes = Array.init n (fun _ -> empty ()) in
-    let own = Array.init n (fun _ -> empty ()) in
-    let bufs = { decoded = [||]; bcast = empty (); own } in
+    let views = Array.map empty_view ids in
+    let bufs = { decoded = [||]; bcast = empty_view (-1) } in
     let tbl = Payloads.create () and gids = Ibuf.create () in
     let w = Wire.Writer.create () and ib = Frame.inbuf () in
     let continue_running = ref true in
@@ -836,7 +610,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       for s = lo to hi - 1 do
         match states.(s) with
         | Running _ -> intern_outbox tbl gids memos.(s) outs.(s)
-        | Decided _ | Idle -> ()
+        | Finished _ | Dead _ | Byz_node -> ()
       done;
       Frame.begin_framed w;
       Wire.Writer.add_gamma w !current_round;
@@ -847,11 +621,11 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       let cur = ref 0 in
       for s = lo to hi - 1 do
         match states.(s) with
-        | Decided v ->
+        | Finished v ->
             Wire.Writer.add_gamma w 1;
             Wire.Writer.add_gamma w v;
-            states.(s) <- Idle
-        | Idle -> Wire.Writer.add_gamma w 0
+            states.(s) <- Dead !current_round
+        | Dead _ | Byz_node -> Wire.Writer.add_gamma w 0
         | Running _ -> write_outbox w ~index gids cur outs.(s)
       done;
       Payloads.clear tbl;
@@ -859,15 +633,15 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       Frame.write_framed io w;
       let stop =
         read_reply (Frame.read_framed io ib) bufs ~round:!current_round ~ids
-          ~lo ~hi inboxes
+          ~lo ~hi views
       in
       if stop then continue_running := false
       else begin
         incr current_round;
         for s = lo to hi - 1 do
           match states.(s) with
-          | Running k -> states.(s) <- Effect.Deep.continue k inboxes.(s)
-          | Decided _ | Idle -> ()
+          | Running k -> states.(s) <- resume outs.(s) k views.(s)
+          | Finished _ | Dead _ | Byz_node -> ()
         done
       end
     done

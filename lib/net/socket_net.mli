@@ -18,7 +18,7 @@
 
     Memory: each link's round frames are built in one writer and read
     into one buffer kept for the whole run, and a host's inbox rows live
-    in arrays kept across rounds (see {!Host.inbox}).
+    in arrays kept across rounds (see {!Host}).
 
     Determinism: per-node rngs are [Rng.split] off the seed in slot
     order exactly as the simulator derives them, and delivery order is
@@ -68,14 +68,16 @@ val serve :
     Nodes still running at [max_rounds] (default 100_000) are reported
     [Unfinished]. *)
 
-(** Host-process side: the node programs' network, plus the runtime that
-    drives them. The module satisfies {!Network_intf.S}, so a protocol's
-    [Make_node] functor applies to it directly.
+(** Host-process side: the node programs' network, plus the loop that
+    drives them. The node side is the engine's own runtime,
+    [Repro_sim.Node.Make (M)], included, so the module satisfies
+    {!Network_intf.S} and a protocol's [Make_node] functor applies to it
+    directly.
 
-    A slot's inbox view is kept for the whole run: each reply repoints
-    it, in place, at rows kept across rounds — the round's broadcast
-    rows, shared by every slot without dedicated rows, or the slot's own
-    merged rows. A view returned by an exchange-class call is therefore
+    A slot's inbox view is kept for the whole run: each reply refills
+    it in place, the slot's dedicated rows into its dedicated stream and
+    the round's broadcast rows, kept once for every slot, as its shared
+    stream. A view returned by an exchange-class call is therefore
     valid only until the node's next one ({!Network_intf.S.inbox}'s
     contract). Hosts skip [M.encode] for a message physically equal to
     the previous entry of the same outbox, or to the message at the same

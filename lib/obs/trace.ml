@@ -15,7 +15,6 @@ type t = {
      canonical without a sort. *)
   mutable sizes : int array;
   mutable sizes_len : int;
-  mutable records : int;
   mutable total_decides : int;
   mutable max_msg_bits : int;
   mutable last_wall : float;
@@ -93,7 +92,6 @@ let create ?(timings = false) ?(meta = []) () =
     decides = [];
     sizes = Array.make 64 0;
     sizes_len = 0;
-    records = 0;
     total_decides = 0;
     max_msg_bits = 0;
     last_wall = (if timings then Unix.gettimeofday () else 0.);
@@ -160,8 +158,7 @@ let on_round_end t ~round (m : Metrics.t) =
   t.crashes <- [];
   t.decides <- [];
   Array.fill t.sizes 0 t.sizes_len 0;
-  t.sizes_len <- 0;
-  t.records <- t.records + 1
+  t.sizes_len <- 0
 
 let finish t (m : Metrics.t) =
   if t.finished then invalid_arg "Trace.finish: already finished";
@@ -180,7 +177,6 @@ let finish t (m : Metrics.t) =
   Buffer.add_string buf "}\n"
 
 let contents t = Buffer.contents t.buf
-let rounds_recorded t = t.records
 
 let write_file t path =
   (* Temp-file + rename: a reader (or an interrupted writer) never sees a

@@ -74,8 +74,6 @@ val finish : t -> Repro_sim.Metrics.t -> unit
 val contents : t -> string
 (** The JSONL produced so far. *)
 
-val rounds_recorded : t -> int
-
 val write_file : t -> string -> unit
 (** Write {!contents} to a file via temp-file + rename, so a crashed
     writer never leaves a truncated trace under the final name. *)

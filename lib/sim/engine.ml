@@ -27,350 +27,24 @@ type alloc_probe = {
 
 let alloc_probe () = { ap_deliver = 0.; ap_resume = 0.; ap_book = 0. }
 
-module type MSG = sig
-  type t
-
-  val bits : t -> int
-  val pp : Format.formatter -> t -> unit
-end
+module type MSG = Node.MSG
 
 module Make (M : MSG) = struct
-  type msg = M.t
-  (* Named so the module satisfies [Repro_net.Network_intf.S]
-     structurally (the functored protocol wrappers close over it). *)
+  (* The node side: inbox views, outbox slots, exchange-class calls and
+     fibers. [type msg] makes the module satisfy
+     [Repro_net.Network_intf.S] structurally (the functored protocol
+     wrappers close over it). *)
+  include Node.Make (M)
 
   type envelope = { src : int; dst : int; msg : M.t }
 
-  (* The protocol-facing inbox: an allocation-free view over two
-     src-sorted streams refilled by the engine every round.
-
-     - The {e dedicated} stream ([d_*]) holds messages delivered
-       specifically to this node: unicasts, multisends, byzantine
-       traffic and a mid-send victim's surviving share of a broadcast.
-       The parallel arrays belong to this view and are reused across
-       rounds.
-     - The {e shared} stream ([s_*]) aliases one round-global pair of
-       arrays holding this round's broadcasts (one entry per
-       broadcasting sender, not per recipient — the O(n²) → O(n)
-       saving). Every live recipient's view points at the same arrays;
-       only the per-view length differs from zero.
-
-     Both streams are filled in ascending sender-identity order and a
-     sender's whole outbox lands in exactly one stream, so a two-stream
-     merge yields the same ascending-src order the old [envelope list]
-     inbox guaranteed. The view is only valid until the node's next
-     exchange: the engine rewinds and refills the arrays each round. *)
-  type inbox = {
-    ib_dst : int;
-    mutable d_src : int array;
-    mutable d_msg : M.t array;
-    mutable d_len : int;
-    mutable s_src : int array;
-    mutable s_msg : M.t array;
-    mutable s_len : int;
-  }
-
   module Inbox = struct
-    type t = inbox
-
-    let length t = t.d_len + t.s_len
-
-    (* Rounds are usually single-stream — all-unicast/multisend rounds
-       have no shared entries, all-broadcast rounds no dedicated ones —
-       so the merge loop is bypassed with tight array sweeps in those
-       cases.  Indices stay below [d_len]/[s_len], which the engine
-       maintains within the arrays' lengths. *)
-    let iter t ~f =
-      if t.s_len = 0 then
-        for i = 0 to t.d_len - 1 do
-          f ~src:(Array.unsafe_get t.d_src i) (Array.unsafe_get t.d_msg i)
-        done
-      else if t.d_len = 0 then
-        for j = 0 to t.s_len - 1 do
-          f ~src:(Array.unsafe_get t.s_src j) (Array.unsafe_get t.s_msg j)
-        done
-      else begin
-        let i = ref 0 and j = ref 0 in
-        while !i < t.d_len || !j < t.s_len do
-          if
-            !j >= t.s_len
-            || (!i < t.d_len && t.d_src.(!i) <= t.s_src.(!j))
-          then begin
-            f ~src:t.d_src.(!i) t.d_msg.(!i);
-            incr i
-          end
-          else begin
-            f ~src:t.s_src.(!j) t.s_msg.(!j);
-            incr j
-          end
-        done
-      end
-
-    let fold t ~init ~f =
-      if t.s_len = 0 then begin
-        let acc = ref init in
-        for i = 0 to t.d_len - 1 do
-          acc :=
-            f !acc ~src:(Array.unsafe_get t.d_src i)
-              (Array.unsafe_get t.d_msg i)
-        done;
-        !acc
-      end
-      else if t.d_len = 0 then begin
-        let acc = ref init in
-        for j = 0 to t.s_len - 1 do
-          acc :=
-            f !acc ~src:(Array.unsafe_get t.s_src j)
-              (Array.unsafe_get t.s_msg j)
-        done;
-        !acc
-      end
-      else begin
-        let acc = ref init in
-        let i = ref 0 and j = ref 0 in
-        while !i < t.d_len || !j < t.s_len do
-          if
-            !j >= t.s_len
-            || (!i < t.d_len && t.d_src.(!i) <= t.s_src.(!j))
-          then begin
-            acc := f !acc ~src:t.d_src.(!i) t.d_msg.(!i);
-            incr i
-          end
-          else begin
-            acc := f !acc ~src:t.s_src.(!j) t.s_msg.(!j);
-            incr j
-          end
-        done;
-        !acc
-      end
-
-    (* Exactly [fold] run right-to-left: descending source order, the
-       shared stream first on (impossible in practice) source ties.
-       Building a list with [fun acc ... -> x :: acc] therefore yields
-       inbox order directly, without the [List.rev] copy a forward fold
-       would need. *)
-    let fold_rev t ~init ~f =
-      if t.s_len = 0 then begin
-        let acc = ref init in
-        for i = t.d_len - 1 downto 0 do
-          acc :=
-            f !acc ~src:(Array.unsafe_get t.d_src i)
-              (Array.unsafe_get t.d_msg i)
-        done;
-        !acc
-      end
-      else if t.d_len = 0 then begin
-        let acc = ref init in
-        for j = t.s_len - 1 downto 0 do
-          acc :=
-            f !acc ~src:(Array.unsafe_get t.s_src j)
-              (Array.unsafe_get t.s_msg j)
-        done;
-        !acc
-      end
-      else begin
-        let acc = ref init in
-        let i = ref (t.d_len - 1) and j = ref (t.s_len - 1) in
-        while !i >= 0 || !j >= 0 do
-          if !j < 0 || (!i >= 0 && t.d_src.(!i) > t.s_src.(!j)) then begin
-            acc := f !acc ~src:t.d_src.(!i) t.d_msg.(!i);
-            decr i
-          end
-          else begin
-            acc := f !acc ~src:t.s_src.(!j) t.s_msg.(!j);
-            decr j
-          end
-        done;
-        !acc
-      end
-
-    let pairs t =
-      fold_rev t ~init:[] ~f:(fun acc ~src msg -> (src, msg) :: acc)
+    include Inbox
 
     let to_list t =
       fold_rev t ~init:[] ~f:(fun acc ~src msg ->
           { src; dst = t.ib_dst; msg } :: acc)
-
-    (* Test seam: fabricate a free-standing inbox view from explicit
-       [(src, msg)] pairs, bypassing the engine (and its ascending-src
-       delivery invariant — "unchecked"). Lets fixture tests drive
-       inbox consumers with malformed traffic no honest run produces. *)
-    let of_pairs_unchecked ~dst pairs =
-      {
-        ib_dst = dst;
-        d_src = Array.of_list (List.map fst pairs);
-        d_msg = Array.of_list (List.map snd pairs);
-        d_len = List.length pairs;
-        s_src = [||];
-        s_msg = [||];
-        s_len = 0;
-      }
   end
-
-  (* One sender's traffic for the round, in the one shape that billing,
-     destination validation, the tap, delivery and the crash observation
-     read: entries [\[0, len)] of [dst], in emission order, each carrying
-     [msg.(j)] of [size.(j)] bits — or, with [fan] set, all carrying the
-     single [msg.(0)] of [size.(0)] bits. A broadcast is a [fan] over the
-     [ids] array with [bcast] set: it is delivered through the round's
-     shared broadcast table instead of per-recipient pushes. An empty
-     shape has [len = 0] and both flags clear. [fan] keeps a multisend's
-     retained buffers at one word per destination.
-
-     A node stages its outbox here itself, inside its exchange-class
-     call and before it yields, so the hand-off carries no payload. The
-     fiber runs on the domain of the shard owning its slot (on main for
-     the start-up run to the first barrier), and the engine reads the
-     slot only after that shard's resume phase has ended.
-
-     [dst]/[msg]/[size] normally point at the slot's [own_*] buffers,
-     retained while the node runs. An [exchange_sized] batch aliases the
-     sender's arrays instead: they are read before the sender resumes,
-     and a suspended sender cannot touch them. A broadcast aliases
-     [ids]. Entries are written only after [use_own] has pointed
-     [dst]/[msg]/[size] back at [own_*].
-
-     [memo]/[memo_bits] are a payload→bits memo of at most one message,
-     hit by physical equality: a broadcast or multisend repeats one
-     physical message value, and [M.bits] re-encodes on every call. It
-     is per slot rather than a payload-keyed table, so there is no
-     structural hashing (lint D3) and no top-level state (D4): the memo
-     lives and dies with the run. *)
-  type out = {
-    mutable dst : int array;
-    mutable msg : M.t array;
-    mutable size : int array;
-    mutable len : int;
-    mutable fan : bool;
-    mutable bcast : bool;
-    mutable own_dst : int array;
-    mutable own_msg : M.t array;
-    mutable own_size : int array;
-    mutable memo : M.t array;
-    mutable memo_bits : int;
-  }
-
-  let bits_of o m =
-    let memo = o.memo in
-    if Array.length memo > 0 && memo.(0) == m then o.memo_bits
-    else begin
-      let b = M.bits m in
-      if Array.length memo = 0 then o.memo <- [| m |] else memo.(0) <- m;
-      o.memo_bits <- b;
-      b
-    end
-
-  (* Point [o] at its own buffers, grown to at least [cap] destinations
-     and [cap_msg] messages ([m] fills fresh message slots). Growth drops
-     the old contents; callers read what they still need beforehand. *)
-  let use_own o cap cap_msg m =
-    if Array.length o.own_dst < cap then
-      o.own_dst <- Array.make (max cap (2 * Array.length o.own_dst)) 0;
-    if Array.length o.own_msg < cap_msg then begin
-      let c = max cap_msg (2 * Array.length o.own_msg) in
-      o.own_msg <- Array.make c m;
-      o.own_size <- Array.make c 0
-    end;
-    o.dst <- o.own_dst;
-    o.msg <- o.own_msg;
-    o.size <- o.own_size
-
-  (* One message for every destination: [msg.(0)] of [b] bits. *)
-  let set_fan o m b =
-    o.msg.(0) <- m;
-    o.size.(0) <- b;
-    o.fan <- true
-
-  (* List-to-buffer fills as plain recursion: a [List.iter] closure
-     would capture the per-sender message and allocate on every sender
-     of every round. *)
-  let rec fill_dsts o j = function
-    | [] -> o.len <- j
-    | d :: tl ->
-        o.dst.(j) <- d;
-        fill_dsts o (j + 1) tl
-
-  (* An unicast outbox usually repeats one physical message (a status
-     fanned to the committee): size the first once, re-encode only
-     messages that differ from it. *)
-  let rec fill_unicast o m0 b0 j = function
-    | [] -> o.len <- j
-    | (d, m) :: tl ->
-        o.dst.(j) <- d;
-        o.msg.(j) <- m;
-        o.size.(j) <- (if m == m0 then b0 else M.bits m);
-        fill_unicast o m0 b0 (j + 1) tl
-
-  (* A slot that will never send again gives its buffers back. *)
-  let release o =
-    o.dst <- [||];
-    o.own_dst <- [||];
-    o.msg <- [||];
-    o.own_msg <- [||];
-    o.size <- [||];
-    o.own_size <- [||];
-    o.memo <- [||]
-
-  type ctx = {
-    id : int;
-    ids : int array;
-    node_rng : Repro_util.Rng.t;
-    current_round : int ref;
-    out : out;  (* the node's slot, where it stages each outbox *)
-  }
-
-  let my_id ctx = ctx.id
-  let n ctx = Array.length ctx.ids
-  let all_ids ctx = ctx.ids
-  let round ctx = !(ctx.current_round)
-  let rng ctx = ctx.node_rng
-
-  (* The round barrier. The outbox is already staged in the caller's
-     slot, so the effect carries nothing. *)
-  type _ Effect.t += Exchange : inbox Effect.t
-
-  (* The slot arrives clean: [len = 0], both flags clear (the engine
-     rewinds it before every resume). *)
-  let exchange ctx l =
-    (match l with
-    | [] -> ()
-    | (_, m0) :: _ ->
-        let o = ctx.out and len = List.length l in
-        use_own o len len m0;
-        fill_unicast o m0 (M.bits m0) 0 l);
-    Effect.perform Exchange
-
-  let multisend ctx ~dsts m =
-    let o = ctx.out in
-    use_own o (List.length dsts) 1 m;
-    set_fan o m (bits_of o m);
-    fill_dsts o 0 dsts;
-    Effect.perform Exchange
-
-  let broadcast ctx m =
-    let o = ctx.out in
-    use_own o 0 1 m;
-    set_fan o m (bits_of o m);
-    o.dst <- ctx.ids;
-    o.len <- Array.length ctx.ids;
-    o.bcast <- true;
-    Effect.perform Exchange
-
-  let skip_round _ctx = Effect.perform Exchange
-
-  let exchange_sized ctx ~dsts ~msgs ~sizes ~len =
-    if
-      len < 0
-      || len > Array.length dsts
-      || len > Array.length msgs
-      || len > Array.length sizes
-    then invalid_arg "Engine.exchange_sized: batch length out of bounds";
-    let o = ctx.out in
-    o.dst <- dsts;
-    o.msg <- msgs;
-    o.size <- sizes;
-    o.len <- len;
-    Effect.perform Exchange
 
   type observation = {
     obs_round : int;
@@ -385,38 +59,6 @@ module Make (M : MSG) = struct
 
   type byz_strategy =
     byz_id:int -> round:int -> inbox:envelope list -> (int * M.t) list
-
-  (* Per-node runtime state, indexed by slot (position in [ids]). A
-     [Running] node is suspended at a round barrier; its outbox already
-     sits in the slot's {!out}. A fiber's run to its next barrier
-     returns its new state directly: [Running] from the effect handler,
-     [Finished] from the program's return. *)
-  type 'r node_state =
-    | Running of (inbox, 'r node_state) Effect.Deep.continuation
-    | Finished of 'r
-    | Dead of int
-    | Byz_node
-
-  (* The handler's answer to [Exchange]: it captures nothing, since the
-     continuation is all a suspended node keeps, and is built once here
-     because a [Some] built inside the handler is allocated per yield. *)
-  let suspend :
-      type r.
-      ((inbox, r node_state) Effect.Deep.continuation -> r node_state) option
-      =
-    Some (fun k -> Running k)
-
-  let start_fiber (type r) (program : ctx -> r) ctx : r node_state =
-    Effect.Deep.match_with program ctx
-      {
-        retc = (fun r -> Finished r);
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) :
-               ((a, r node_state) Effect.Deep.continuation -> r node_state)
-               option ->
-            match eff with Exchange -> suspend | _ -> None);
-      }
 
   let run ~ids ?byz ?crash ?tap ?alloc_probe ?on_crash ?on_decide
       ?on_round_end ?(max_rounds = 100_000) ?(seed = 1) ?shards ~program () =
@@ -480,22 +122,7 @@ module Make (M : MSG) = struct
        touched by the shard owning it (its fiber stages there while the
        shard resumes it), or by the main domain between parallel
        phases. *)
-    let outs =
-      Array.init n (fun _ ->
-          {
-            dst = [||];
-            msg = [||];
-            size = [||];
-            len = 0;
-            fan = false;
-            bcast = false;
-            own_dst = [||];
-            own_msg = [||];
-            own_size = [||];
-            memo = [||];
-            memo_bits = 0;
-          })
-    in
+    let outs = empty_outs n in
     let master_rng = Repro_util.Rng.of_seed seed in
     let current_round = ref 0 in
     let running_count = ref 0 in
@@ -529,35 +156,8 @@ module Make (M : MSG) = struct
        source id — no per-recipient sort. *)
     let order = Array.init n (fun s -> s) in
     Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) order;
-    let empty_view ib_dst =
-      {
-        ib_dst;
-        d_src = [||];
-        d_msg = [||];
-        d_len = 0;
-        s_src = [||];
-        s_msg = [||];
-        s_len = 0;
-      }
-    in
     (* One inbox view per slot, created once and refilled every round. *)
-    let views = Array.init n (fun s -> empty_view ids.(s)) in
-    (* Append to a view's dedicated stream, growing it on demand. *)
-    let push v src msg =
-      let len = v.d_len in
-      if len = Array.length v.d_src then begin
-        let cap = max 16 (2 * len) in
-        let nsrc = Array.make cap 0 in
-        Array.blit v.d_src 0 nsrc 0 len;
-        v.d_src <- nsrc;
-        let nmsg = Array.make cap msg in
-        Array.blit v.d_msg 0 nmsg 0 len;
-        v.d_msg <- nmsg
-      end;
-      v.d_src.(len) <- src;
-      v.d_msg.(len) <- msg;
-      v.d_len <- len + 1
-    in
+    let views = Array.map empty_view ids in
     (* The round's shared broadcast table, kept as the dedicated stream
        of a view of its own: one entry per broadcasting sender, in
        ascending id order. Built sequentially on the main domain before
@@ -795,7 +395,7 @@ module Make (M : MSG) = struct
        mutable protocol state, and the slot it stages into, stay
        domain-local. Decisions are collected per shard; [on_decide]
        fires on main. *)
-    let resume k =
+    let resume_shard k =
       let lo, hi = ranges.(k) in
       for s = lo to hi - 1 do
         match states.(s) with
@@ -813,21 +413,19 @@ module Make (M : MSG) = struct
       let dec = ref lo in
       for s = lo to hi - 1 do
         let o = outs.(s) in
-        o.len <- 0;
-        o.fan <- false;
-        o.bcast <- false;
         match states.(s) with
         | Running kont -> (
-            let st = Effect.Deep.continue kont views.(s) in
+            let st = resume o kont views.(s) in
             states.(s) <- st;
             match st with
             | Finished _ ->
-                release o;
                 dec_slots.(!dec) <- s;
                 incr dec
             | Running _ | Dead _ | Byz_node -> ())
-        | Dead _ -> if Array.length o.own_msg > 0 then release o
-        | Finished _ | Byz_node -> ()
+        | Dead _ ->
+            rewind o;
+            if Array.length o.own_msg > 0 then release o
+        | Finished _ | Byz_node -> rewind o
       done;
       if probing then marks.(3) <- Gc.minor_words ();
       (* Rewind the views for the next round's fill: a view is only
@@ -872,7 +470,7 @@ module Make (M : MSG) = struct
         (* 4. Resume. The inbox of [round_no] is what let a node decide,
            so the decision belongs to that round even though
            [current_round] already moved on. *)
-        Repro_util.Domain_pool.run pool resume;
+        Repro_util.Domain_pool.run pool resume_shard;
         for k = 0 to pool_shards - 1 do
           let lo, _ = ranges.(k) in
           for i = lo to lo + dec_count.(k) - 1 do

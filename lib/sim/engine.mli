@@ -70,15 +70,8 @@ type alloc_probe = {
 val alloc_probe : unit -> alloc_probe
 (** A fresh all-zero probe. *)
 
-module type MSG = sig
-  type t
-
-  val bits : t -> int
-  (** Size accounting for {!Metrics}; the paper's algorithms only use
-      [O(log N)]-bit messages and the sizes here make that concrete. *)
-
-  val pp : Format.formatter -> t -> unit
-end
+module type MSG = Node.MSG
+(** Size accounting and printing; see {!Node.MSG}. *)
 
 module Make (M : MSG) : sig
   type msg = M.t
@@ -89,7 +82,13 @@ module Make (M : MSG) : sig
 
   type envelope = { src : int; dst : int; msg : M.t }
 
-  (** {1 Node-side API} *)
+  (** {1 Node-side API}
+
+      Everything in this section is {!Node.Make}[ (M)], included: the
+      socket host ([Repro_net.Socket_net.Host]) includes the same
+      runtime, so both backends stage outboxes, suspend fibers and read
+      inboxes with this code. Here [ctx] and [inbox] are abstract; only
+      a backend sees their fields. *)
 
   type ctx
 
@@ -97,8 +96,8 @@ module Make (M : MSG) : sig
   (** What a round's exchange returns: an allocation-free view over the
       messages delivered to this node, sorted by source identity.
 
-      The view aliases engine-owned buffers that are rewound and
-      refilled every round — it is only valid until the node's next
+      The view aliases buffers the backend rewinds and refills every
+      round — it is only valid until the node's next
       {!exchange}/{!multisend}/{!broadcast}/{!skip_round} call. Consume
       it (or copy it out with {!Inbox.pairs}/{!Inbox.to_list}) before
       exchanging again; never stash a view across rounds.
@@ -110,7 +109,7 @@ module Make (M : MSG) : sig
 
   (** Read-only access to an {!inbox}. Iteration order is ascending
       source identity — the same order the former [envelope list] inbox
-      carried. *)
+      carried. [to_list] is the engine's own addition. *)
   module Inbox : sig
     type t = inbox
 
@@ -196,7 +195,9 @@ module Make (M : MSG) : sig
       before the call returns, so a node may reuse them across rounds.
       The verdict rounds of the renaming committees are this shape:
       sizes come from precomputed per-slot tables, making billing O(1)
-      per verdict. *)
+      per verdict.
+      @raise Invalid_argument if [len] is negative or exceeds the
+      length of any of the three arrays. *)
 
   (** {1 Adversaries} *)
 

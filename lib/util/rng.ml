@@ -1,7 +1,6 @@
 type t = Splitmix.t
 
 let of_seed seed = Splitmix.create (Int64.of_int seed)
-let of_splitmix sm = Splitmix.copy sm
 let split = Splitmix.split
 let bits64 = Splitmix.next
 

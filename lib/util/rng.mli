@@ -6,7 +6,6 @@
 type t
 
 val of_seed : int -> t
-val of_splitmix : Splitmix.t -> t
 val split : t -> t
 (** Derive an independent stream (see {!Splitmix.split}). *)
 

@@ -47,8 +47,6 @@ let summarize xs =
         median = percentile xs 50.;
       }
 
-let summarize_ints xs = summarize (List.map float_of_int xs)
-
 let linear_fit pts =
   let k = List.length pts in
   if k < 2 then invalid_arg "Stats.linear_fit: need >= 2 points";
@@ -78,7 +76,3 @@ let log_log_slope pts =
       (Printf.sprintf
          "Stats.log_log_slope: %d usable points after filtering" k);
   fst (linear_fit usable)
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.2f med=%.2f max=%.2f" s.n
-    s.mean s.stddev s.min s.median s.max

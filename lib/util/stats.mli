@@ -18,8 +18,6 @@ type summary = {
 val summarize : float list -> summary
 (** @raise Invalid_argument on the empty list. *)
 
-val summarize_ints : int list -> summary
-
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [\[0, 100\]], linear interpolation.
     @raise Invalid_argument on the empty list. *)
@@ -38,5 +36,3 @@ val log_log_slope : (float * float) list -> float
 val linear_fit : (float * float) list -> float * float
 (** [(slope, intercept)] of the least-squares line.
     @raise Invalid_argument with fewer than two points. *)
-
-val pp_summary : Format.formatter -> summary -> unit

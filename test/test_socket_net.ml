@@ -324,6 +324,27 @@ let test_host_rejects_non_participant () =
               ignore (H.exchange ctx [ (99, TMsg.Ping 1) ]);
               0)))
 
+let test_host_checks_exchange_sized () =
+  (* The batch length is checked against the arrays at the call, as in
+     the engine. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Frame.write_frame (Frame.io_of_fd a) config_frame;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      Alcotest.check_raises "batch longer than its arrays"
+        (Invalid_argument "Node.exchange_sized: batch length out of bounds")
+        (fun () ->
+          H.run ~fd:b ~host_index:0 ~program:(fun ~extra:_ ctx ->
+              let dsts = [| H.my_id ctx |] and msgs = [| TMsg.Ping 1 |] in
+              let sizes = Array.map TMsg.bits msgs in
+              ignore
+                (H.exchange_sized ctx ~dsts ~msgs ~sizes
+                   ~len:(Array.length dsts + 1));
+              0)))
+
 let test_host_rejects_oversized_lengths () =
   (* A length field claiming 2^20 bytes, in a frame of a few bytes: the
      host rejects it against the frame's remaining bits as a protocol
@@ -560,6 +581,8 @@ let suite =
         test_host_stale_bytes;
       Alcotest.test_case "host rejects a non-participant destination" `Quick
         test_host_rejects_non_participant;
+      Alcotest.test_case "host checks an exchange_sized batch" `Quick
+        test_host_checks_exchange_sized;
       Alcotest.test_case "host hand-off allocation" `Quick
         test_host_handoff_allocation;
     ] )
