@@ -67,11 +67,23 @@ let node_main ~algo ~fd ~host_index =
   | Byz ->
       let module H = SN.Host (BZ.Msg) in
       let module P = BZ.Make_node (H) in
-      H.run ~fd ~host_index ~program:(fun ~extra ctx ->
+      (* [P.program params] is applied once per host, so the host's
+         nodes share its committee-pool cache and the pool is drawn
+         once; [params] needs the config's [n], which every node sees. *)
+      H.run ~fd ~host_index ~program:(fun ~extra ->
           let namespace, shared_seed =
             Scanf.sscanf extra " %d %d" (fun a b -> (a, b))
           in
-          P.program (byz_params ~namespace ~shared_seed ~n:(H.n ctx)) ctx)
+          let program = ref None in
+          fun ctx ->
+            match !program with
+            | Some p -> p ctx
+            | None ->
+                let p =
+                  P.program (byz_params ~namespace ~shared_seed ~n:(H.n ctx))
+                in
+                program := Some p;
+                p ctx)
 
 (* The coordinator never decodes payloads, so the application-level
    parameters ride to every host in the opaque handshake blob; only the

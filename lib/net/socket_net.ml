@@ -4,7 +4,7 @@ module Rng = Repro_util.Rng
 
 (* Stream format version + endpoint check, first field of both handshake
    frames; bump when the frame layout changes. *)
-let magic = 0x524e32
+let magic = 0x524e33
 
 let proto_error fmt =
   Printf.ksprintf (fun s -> raise (Frame.Protocol_error s)) fmt
@@ -53,20 +53,29 @@ let read_count r =
   c
 
 (* Round frames (every field Elias-gamma; a payload is [Codec.add_msg]'s
-   bits then bytes, and [idx] indexes the same frame's payload table):
+   bits then bytes, [idx] indexes the same frame's payload table and [l]
+   its destination-list table; a list is its length, then its
+   destination slots in emission order, repeats kept):
 
    host -> coordinator
-     round; T, T x payload;
+     round; T, T x payload;  L, L x list;
      per slot of the host's range:  0 idle | 1 v decided v
-                                  | 2 c, c x (dst, idx) | 3 idx broadcast
+                                  | 2 l, c, c x idx batch: entry j of list
+                                      l carries payload j (c = l's length)
+                                  | 3 idx broadcast | 4 l, idx fan over l
    coordinator -> host
      round; stop; unless stop:
      T, T x payload;  B, B x (src, idx) the round's broadcasts;
-     per slot of the host's range:  c, c x (src, idx) dedicated deliveries
+     L, L x list: the round's lists, each restricted to the host's range;
+     R, R x (src, 2, l, c, c x idx | src, 4, l, idx) one record per fan
+       or batch sender whose list reaches the host
 
-   Tables are content-interned, so each distinct payload crosses each link
-   once per round, and broadcasts once per round rather than once per
-   recipient. Both row lists are in ascending sender identity.
+   Tables are content-interned, so each distinct payload and each
+   distinct destination list crosses each link once per round, and a
+   broadcast or a fan once per sender rather than once per recipient.
+   Broadcast rows and records are in ascending sender identity. A reply
+   names only the payloads its rows and records use, renumbered; its
+   lists keep their round indices.
 
    Both sides build every round frame in a writer kept per link and read
    it into a buffer kept per link ([Frame.begin_framed] /
@@ -135,6 +144,86 @@ module Payloads = struct
   let add_entry w t g = Codec.add_msg w t.encs.(g)
 end
 
+(* A round's destination-list table: distinct int sequences in
+   first-seen order, stored back to back in retained buffers — list [l]
+   is [entries] from [start l] to [start (l + 1)]. Interning hashes a
+   sequence once and compares it only against the lists of equal hash:
+   [index] maps a hash to the newest such list and [older] chains the
+   rest. Like [Payloads], the index is only ever looked up. *)
+module Lists = struct
+  module Index = Hashtbl.Make (Int)
+
+  type t = {
+    index : int Index.t;
+    older : Ibuf.t;
+    starts : Ibuf.t;
+    entries : Ibuf.t;
+  }
+
+  let create () =
+    let starts = Ibuf.create () in
+    Ibuf.push starts 0;
+    {
+      index = Index.create 16;
+      older = Ibuf.create ();
+      starts;
+      entries = Ibuf.create ();
+    }
+
+  let length t = t.older.len
+  let start t l = t.starts.a.(l)
+  let length_of t l = t.starts.a.(l + 1) - t.starts.a.(l)
+  let entry t l j = t.entries.a.(t.starts.a.(l) + j)
+
+  let clear t =
+    Index.clear t.index;
+    Ibuf.clear t.older;
+    Ibuf.clear t.entries;
+    Ibuf.clear t.starts;
+    Ibuf.push t.starts 0
+
+  let hash (a : int array) len =
+    let h = ref len in
+    for j = 0 to len - 1 do
+      h := (!h lxor a.(j)) * 0x100000001b3
+    done;
+    !h
+
+  let equal_to t l (a : int array) len =
+    length_of t l = len
+    &&
+    let o = start t l and j = ref 0 in
+    while !j < len && Int.equal t.entries.a.(o + !j) a.(!j) do
+      incr j
+    done;
+    !j = len
+
+  (* The index of [a]'s first [len] entries, appended as a new list when
+     no list holds them yet ([length] then grows by one). Loops, not
+     local recursive functions: a closure would be allocated per call,
+     and hosts intern once per outbox. *)
+  let intern t a len =
+    let h = hash a len in
+    let newest =
+      match Index.find t.index h with l -> l | exception Not_found -> -1
+    in
+    let l = ref newest in
+    while !l >= 0 && not (equal_to t !l a len) do
+      l := t.older.a.(!l)
+    done;
+    if !l >= 0 then !l
+    else begin
+      let l = length t in
+      Ibuf.push t.older newest;
+      for j = 0 to len - 1 do
+        Ibuf.push t.entries a.(j)
+      done;
+      Ibuf.push t.starts t.entries.len;
+      Index.replace t.index h l;
+      l
+    end
+end
+
 type config = { ids : int array; seed : int; n_hosts : int; extra : string }
 
 type result = { run : int Repro_sim.Engine.run_result }
@@ -144,10 +233,12 @@ type result = { run : int Repro_sim.Engine.run_result }
 type slot_status = S_running | S_decided of int | S_crashed of int
 
 (* A slot's outbox for the round being routed, messages named by their
-   index in the round's payload table — the coordinator never decodes
-   protocol payloads. An [Ob_entries] slot's (dst, index) pairs are in
-   its retained [entries] buffer. *)
-type round_outbox = No_outbox | Ob_entries | Ob_bcast of int
+   index in the round's payload table and destinations by their index
+   in the round's list table — the coordinator never decodes protocol
+   payloads. Its fields live in per-slot int arrays — [ob_list], [ob_pay]
+   and the bits it is billed, [ob_bits] — so parsing a frame allocates
+   nothing. *)
+type round_outbox = No_outbox | Ob_bcast | Ob_fan | Ob_batch
 
 let ignore_sigpipe () =
   (* A peer dying between our read and write must surface as [EPIPE]
@@ -166,6 +257,8 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
   let ranges =
     Array.init n_hosts (fun k -> Repro_util.Shard.range ~n ~shards:n_hosts k)
   in
+  let owner = Array.make n 0 in
+  Array.iteri (fun h (lo, hi) -> Array.fill owner lo (hi - lo) h) ranges;
   (* Accept + handshake: each host frames its index; ship the config. *)
   let pending : (Unix.file_descr * Frame.io) option array =
     Array.make n_hosts None
@@ -201,14 +294,23 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
   (* Round state. *)
   let status = Array.make n S_running in
   let outboxes = Array.make n No_outbox in
-  let entries = Array.init n (fun _ -> Ibuf.create ()) in
-  (* The round's payload table, its broadcasts as (src, gid) pairs, and
-     each slot's dedicated deliveries as (src, gid) pairs; [frame_gids]
-     maps the frame being parsed's table indices to the round's. *)
-  let table = Payloads.create () in
-  let frame_gids = Ibuf.create () in
-  let bcasts = Ibuf.create () in
-  let deliveries = Array.init n (fun _ -> Ibuf.create ()) in
+  let ob_list = Array.make n 0 and ob_pay = Array.make n 0 in
+  let ob_bits = Array.make n 0 in
+  (* The round's payload and list tables; [frame_gids]/[frame_lists] map
+     the frame being parsed's table indices to the round's. A batch's
+     payloads are [batch_gids] from [ob_pay.(s)] on, one per entry of
+     its list. *)
+  let table = Payloads.create () and lists = Lists.create () in
+  let frame_gids = Ibuf.create () and frame_lists = Ibuf.create () in
+  let list_buf = Ibuf.create () and batch_gids = Ibuf.create () in
+  (* Routed: the round's broadcasts as (src, gid) pairs, and the senders
+     of its fans and batches, both in ascending sender identity. *)
+  let bcasts = Ibuf.create () and listed = Ibuf.create () in
+  (* Each round list split by host range: host [h]'s share of list [l]
+     is the positions [parts.(h)] from [part_starts.(h).(l)] to
+     [part_starts.(h).(l + 1)], in list order. *)
+  let parts = Array.init n_hosts (fun _ -> Ibuf.create ()) in
+  let part_starts = Array.init n_hosts (fun _ -> Ibuf.create ()) in
   let alive = Array.make n_hosts true in
   let metrics = Metrics.create () in
   let current_round = ref 0 in
@@ -216,17 +318,6 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
      engine, so every recipient's inbox arrives sorted by source id. *)
   let order = Array.init n (fun s -> s) in
   Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) order;
-  let bill src dst bits =
-    Metrics.add_honest metrics ~bits;
-    match on_message with Some f -> f ~src ~dst ~bits | None -> ()
-  in
-  let push dst src g =
-    match status.(dst) with
-    | S_running ->
-        Ibuf.push deliveries.(dst) src;
-        Ibuf.push deliveries.(dst) g
-    | S_decided _ | S_crashed _ -> ()
-  in
   let kill_host h =
     alive.(h) <- false;
     (try Unix.close fds.(h) with Unix.Unix_error _ -> ());
@@ -251,10 +342,27 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
     for _ = 1 to t do
       Ibuf.push frame_gids (Payloads.intern table (Codec.read_msg r))
     done;
+    let nl = read_count r in
+    Ibuf.clear frame_lists;
+    for _ = 1 to nl do
+      let len = read_count r in
+      Ibuf.clear list_buf;
+      for _ = 1 to len do
+        let dst = Wire.Reader.read_gamma r in
+        if dst >= n then proto_error "host %d: destination slot %d" h dst;
+        Ibuf.push list_buf dst
+      done;
+      Ibuf.push frame_lists (Lists.intern lists list_buf.a len)
+    done;
     let read_gid () =
       let i = Wire.Reader.read_gamma r in
       if i >= t then proto_error "host %d: payload index %d of %d" h i t;
       frame_gids.a.(i)
+    in
+    let read_list s =
+      let i = Wire.Reader.read_gamma r in
+      if i >= nl then proto_error "host %d: list index %d of %d" h i nl;
+      ob_list.(s) <- frame_lists.a.(i)
     in
     for s = lo to hi - 1 do
       match Wire.Reader.read_gamma r with
@@ -271,88 +379,174 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
               proto_error "host %d: decision for non-running slot %d" h s);
           outboxes.(s) <- No_outbox
       | 2 ->
-          let c = read_count r in
-          let e = entries.(s) in
-          Ibuf.clear e;
+          read_list s;
+          let c = read_count r and len = Lists.length_of lists ob_list.(s) in
+          if c <> len then
+            proto_error "host %d: batch of %d payloads over a list of %d" h c
+              len;
+          ob_pay.(s) <- batch_gids.len;
+          ob_bits.(s) <- 0;
           for _ = 1 to c do
-            let dst = Wire.Reader.read_gamma r in
-            if dst >= n then proto_error "host %d: destination slot %d" h dst;
-            Ibuf.push e dst;
-            Ibuf.push e (read_gid ())
+            let g = read_gid () in
+            Ibuf.push batch_gids g;
+            ob_bits.(s) <- ob_bits.(s) + Payloads.bits table g
           done;
-          outboxes.(s) <- Ob_entries
-      | 3 -> outboxes.(s) <- Ob_bcast (read_gid ())
+          outboxes.(s) <- Ob_batch
+      | 3 ->
+          ob_pay.(s) <- read_gid ();
+          ob_bits.(s) <- n * Payloads.bits table ob_pay.(s);
+          outboxes.(s) <- Ob_bcast
+      | 4 ->
+          read_list s;
+          ob_pay.(s) <- read_gid ();
+          ob_bits.(s) <-
+            Lists.length_of lists ob_list.(s) * Payloads.bits table ob_pay.(s);
+          outboxes.(s) <- Ob_fan
       | t -> proto_error "host %d: unknown outbox tag %d" h t
     done
   in
+  let split_lists () =
+    for h = 0 to n_hosts - 1 do
+      Ibuf.clear parts.(h);
+      Ibuf.clear part_starts.(h);
+      Ibuf.push part_starts.(h) 0
+    done;
+    for l = 0 to Lists.length lists - 1 do
+      for j = 0 to Lists.length_of lists l - 1 do
+        Ibuf.push parts.(owner.(Lists.entry lists l j)) j
+      done;
+      for h = 0 to n_hosts - 1 do
+        Ibuf.push part_starts.(h) parts.(h).len
+      done
+    done
+  in
+  (* [f] on every copy, in the engine's billing order: ascending sender
+     identity, then emission order, a broadcast on links [0 .. n-1]. *)
+  let each_copy f =
+    Array.iter
+      (fun s ->
+        let l = ob_list.(s) and p = ob_pay.(s) in
+        match outboxes.(s) with
+        | No_outbox -> ()
+        | Ob_bcast ->
+            for d = 0 to n - 1 do
+              f ~src:s ~dst:d ~bits:(Payloads.bits table p)
+            done
+        | Ob_fan ->
+            for j = 0 to Lists.length_of lists l - 1 do
+              f ~src:s ~dst:(Lists.entry lists l j)
+                ~bits:(Payloads.bits table p)
+            done
+        | Ob_batch ->
+            for j = 0 to Lists.length_of lists l - 1 do
+              f ~src:s ~dst:(Lists.entry lists l j)
+                ~bits:(Payloads.bits table batch_gids.a.(p + j))
+            done)
+      order
+  in
+  (* Bill the round like the engine — every copy once per link, a
+     broadcast on all n links, including self and already-finished
+     recipients — but in bulk, from each outbox's [ob_bits]; collect the
+     broadcasts and the listed senders in ascending identity, and split
+     the round's lists by host. Only [on_message] walks the copies. *)
   let route () =
+    let msgs = ref 0 and bits = ref 0 in
     Array.iter
       (fun s ->
         match outboxes.(s) with
         | No_outbox -> ()
-        | Ob_entries ->
-            let e = entries.(s) in
-            for j = 0 to (e.len / 2) - 1 do
-              let dst = e.a.(2 * j) and g = e.a.((2 * j) + 1) in
-              bill s dst (Payloads.bits table g);
-              push dst s g
-            done
-        | Ob_bcast g ->
-            (* Like the engine: bill all n links (including self and
-               already-finished recipients); every live slot receives
-               the broadcast-table row. *)
-            let bits = Payloads.bits table g in
-            for d = 0 to n - 1 do
-              bill s d bits
-            done;
+        | Ob_bcast ->
+            msgs := !msgs + n;
+            bits := !bits + ob_bits.(s);
             Ibuf.push bcasts s;
-            Ibuf.push bcasts g)
+            Ibuf.push bcasts ob_pay.(s)
+        | Ob_fan | Ob_batch ->
+            msgs := !msgs + Lists.length_of lists ob_list.(s);
+            bits := !bits + ob_bits.(s);
+            Ibuf.push listed s)
       order;
-    Array.fill outboxes 0 n No_outbox
+    Metrics.add_honest_bulk metrics ~msgs:!msgs ~bits:!bits;
+    Option.iter each_copy on_message;
+    split_lists ()
   in
-  (* A reply ships only the payloads its rows name, renumbered in
-     first-use order: [local.(g)] is round payload [g]'s index in the
-     reply being built (-1 if unnamed yet), [named] lists them. *)
-  let local = ref [||] in
-  let named = Ibuf.create () in
+  (* A reply ships only the payloads it names, renumbered in first-use
+     order: [local.(g)] is round payload [g]'s index in the reply being
+     built (-1 if unnamed yet), [named] lists them. It ships every round
+     list, restricted to the host's range, under its round index. *)
+  let local = ref [||] and named = Ibuf.create () in
   let reply_frame h ~stop =
-    let lo, hi = ranges.(h) in
     let w = writers.(h) in
     Frame.begin_framed w;
     Wire.Writer.add_gamma w !current_round;
     Wire.Writer.add_gamma w (if stop then 1 else 0);
     if not stop then begin
       local := grow !local (Payloads.length table) (-1);
-      let local = !local in
+      let local = !local and part = parts.(h) in
+      let part_start = part_starts.(h).a in
       let name g =
         if local.(g) < 0 then begin
           local.(g) <- named.len;
           Ibuf.push named g
         end
       in
-      let rows (b : Ibuf.t) =
-        Wire.Writer.add_gamma w (b.len / 2);
-        for i = 0 to (b.len / 2) - 1 do
-          Wire.Writer.add_gamma w b.a.(2 * i);
-          Wire.Writer.add_gamma w local.(b.a.((2 * i) + 1))
-        done
-      in
-      let name_rows (b : Ibuf.t) =
-        for i = 0 to (b.len / 2) - 1 do
-          name b.a.((2 * i) + 1)
-        done
-      in
-      name_rows bcasts;
-      for s = lo to hi - 1 do
-        name_rows deliveries.(s)
+      (* Pass 1: name every payload the reply uses, and count its
+         records — one per listed sender whose list reaches the host. *)
+      for i = 0 to (bcasts.len / 2) - 1 do
+        name bcasts.a.((2 * i) + 1)
       done;
+      let records = ref 0 in
+      for i = 0 to listed.len - 1 do
+        let s = listed.a.(i) in
+        let l = ob_list.(s) in
+        if part_start.(l + 1) > part_start.(l) then begin
+          incr records;
+          match outboxes.(s) with
+          | Ob_fan -> name ob_pay.(s)
+          | Ob_batch | Ob_bcast | No_outbox ->
+              for q = part_start.(l) to part_start.(l + 1) - 1 do
+                name batch_gids.a.(ob_pay.(s) + part.a.(q))
+              done
+        end
+      done;
+      (* Pass 2: the payloads, the broadcast rows, the lists, the
+         records. *)
       Wire.Writer.add_gamma w named.len;
       for i = 0 to named.len - 1 do
         Payloads.add_entry w table named.a.(i)
       done;
-      rows bcasts;
-      for s = lo to hi - 1 do
-        rows deliveries.(s)
+      Wire.Writer.add_gamma w (bcasts.len / 2);
+      for i = 0 to (bcasts.len / 2) - 1 do
+        Wire.Writer.add_gamma w bcasts.a.(2 * i);
+        Wire.Writer.add_gamma w local.(bcasts.a.((2 * i) + 1))
+      done;
+      Wire.Writer.add_gamma w (Lists.length lists);
+      for l = 0 to Lists.length lists - 1 do
+        Wire.Writer.add_gamma w (part_start.(l + 1) - part_start.(l));
+        for q = part_start.(l) to part_start.(l + 1) - 1 do
+          Wire.Writer.add_gamma w (Lists.entry lists l part.a.(q))
+        done
+      done;
+      Wire.Writer.add_gamma w !records;
+      for i = 0 to listed.len - 1 do
+        let s = listed.a.(i) in
+        let l = ob_list.(s) in
+        let a = part_start.(l) and b = part_start.(l + 1) in
+        if b > a then begin
+          Wire.Writer.add_gamma w s;
+          match outboxes.(s) with
+          | Ob_fan ->
+              Wire.Writer.add_gamma w 4;
+              Wire.Writer.add_gamma w l;
+              Wire.Writer.add_gamma w local.(ob_pay.(s))
+          | Ob_batch | Ob_bcast | No_outbox ->
+              Wire.Writer.add_gamma w 2;
+              Wire.Writer.add_gamma w l;
+              Wire.Writer.add_gamma w (b - a);
+              for q = a to b - 1 do
+                Wire.Writer.add_gamma w
+                  local.(batch_gids.a.(ob_pay.(s) + part.a.(q)))
+              done
+        end
       done;
       for i = 0 to named.len - 1 do
         local.(named.a.(i)) <- -1
@@ -388,8 +582,11 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
         Metrics.end_round metrics;
         send_replies ~stop:false;
         Payloads.clear table;
+        Lists.clear lists;
+        Ibuf.clear batch_gids;
         Ibuf.clear bcasts;
-        Array.iter Ibuf.clear deliveries;
+        Ibuf.clear listed;
+        Array.fill outboxes 0 n No_outbox;
         incr current_round;
         loop ()
       end
@@ -457,21 +654,34 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     e
 
   (* A round frame takes two passes over the outboxes: [intern_outbox]
-     adds each payload to the frame's table and records its index in
-     [gids], in frame order; once the table is written, [write_outbox]
-     emits the slot record, taking the indices back from [gids] at
-     [cur]. *)
-  let intern_outbox tbl gids memo o =
+     adds each payload to the frame's table, recording its index in
+     [gids] in frame order, and a fan's or batch's destinations to the
+     frame's list table, recording its index in [list_of]; once the
+     tables are written, [write_outbox] emits the slot record, taking
+     the payload indices back from [gids] at [cur]. A list's identities
+     are resolved to slots ([slots], in step with the table's entries)
+     only when it first enters the table. *)
+  let intern_outbox ~index tbl gids lists slots list_of s memo o =
     let add j m = Ibuf.push gids (Payloads.intern tbl (encode_at memo j m)) in
     if o.fan then add 0 o.msg.(0)
     else
       for j = 0 to o.len - 1 do
         add j o.msg.(j)
-      done
+      done;
+    if not o.bcast then begin
+      let fresh = Lists.length lists in
+      let l = Lists.intern lists o.dst o.len in
+      if l = fresh then
+        for j = 0 to o.len - 1 do
+          Ibuf.push slots (slot_of index o.dst.(j))
+        done;
+      list_of.(s) <- l
+    end
 
-  (* A broadcast is tag 3 with its one payload; any other outbox is tag
-     2 with its entries, a fan naming one payload for all of them. *)
-  let write_outbox w ~index (gids : Ibuf.t) cur o =
+  (* A broadcast is tag 3 with its one payload, a fan tag 4 with its
+     list and one payload, a batch tag 2 with its list and one payload
+     per destination. *)
+  let write_outbox w (gids : Ibuf.t) cur l o =
     let next () =
       incr cur;
       gids.a.(!cur - 1)
@@ -480,35 +690,79 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       Wire.Writer.add_gamma w 3;
       Wire.Writer.add_gamma w (next ())
     end
+    else if o.fan then begin
+      Wire.Writer.add_gamma w 4;
+      Wire.Writer.add_gamma w l;
+      Wire.Writer.add_gamma w (next ())
+    end
     else begin
       Wire.Writer.add_gamma w 2;
+      Wire.Writer.add_gamma w l;
       Wire.Writer.add_gamma w o.len;
-      let g = if o.fan then next () else -1 in
-      for j = 0 to o.len - 1 do
-        Wire.Writer.add_gamma w (slot_of index o.dst.(j));
-        Wire.Writer.add_gamma w (if o.fan then g else next ())
+      for _ = 1 to o.len do
+        Wire.Writer.add_gamma w (next ())
       done
     end
 
-  (* Reply parsing state kept across rounds: the decoded payload table
-     and the round's broadcast rows, kept as the dedicated stream of a
-     view of its own that every slot's view shares, as the engine keeps
-     its broadcast table. *)
-  type reply_bufs = { mutable decoded : M.t array; bcast : inbox }
+  let running states s =
+    match states.(s) with
+    | Running _ -> true
+    | Finished _ | Dead _ | Byz_node -> false
+
+  (* A payload index of a reply whose table has [t] entries. *)
+  let read_payload r t =
+    let k = Wire.Reader.read_gamma r in
+    if k >= t then proto_error "payload index %d of %d" k t;
+    k
+
+  (* Reply parsing state kept across rounds: the decoded payload table;
+     the round's broadcast rows, kept as the dedicated stream of a view
+     of its own that every slot's view shares, as the engine keeps its
+     broadcast table; the reply's lists ([lists] from [list_starts.(l)]
+     to [list_starts.(l + 1)]); its records as (source slot, list,
+     payload) triples, where a batch's payload [-1 - k] means its
+     payloads are [batch.(k ..)]; and per-list record and per-slot
+     delivery counts. *)
+  type reply_bufs = {
+    mutable decoded : M.t array;
+    bcast : inbox;
+    lists : Ibuf.t;
+    list_starts : Ibuf.t;
+    records : Ibuf.t;
+    batch : Ibuf.t;
+    mutable per_list : int array;
+    need : int array;
+  }
+
+  let reply_bufs n =
+    {
+      decoded = [||];
+      bcast = empty_view (-1);
+      lists = Ibuf.create ();
+      list_starts = Ibuf.create ();
+      records = Ibuf.create ();
+      batch = Ibuf.create ();
+      per_list = [||];
+      need = Array.make n 0;
+    }
 
   (* A round's reply: [true] for stop, else every inbox view of the
-     host's slots refilled in place — its dedicated rows into its
-     dedicated stream, its shared stream pointed at the broadcast rows.
-     Each payload-table entry is decoded once and shared by every
-     recipient ([M.t] values are immutable). A frame that ends early is
-     malformed like any other bad field. *)
-  let read_reply r bufs ~round ~ids ~lo ~hi views =
+     host's slots refilled in place — the records delivered into the
+     dedicated streams of their lists' running slots, as an engine
+     shard's transmit pushes them, the shared stream pointed at the
+     broadcast rows. Each view grows once, to the round's count, which
+     the per-list record counts give in one pass over the lists. Each
+     payload-table entry is decoded once and shared by every recipient
+     ([M.t] values are immutable). A frame that ends early is malformed
+     like any other bad field. *)
+  let read_reply r bufs ~round ~ids ~lo ~hi ~states views =
     try
       let got = Wire.Reader.read_gamma r in
       if got <> round then
         proto_error "reply for round %d at round %d" got round;
       if Wire.Reader.read_gamma r = 1 then true
       else begin
+        let n = Array.length ids in
         let t = read_count r in
         for k = 0 to t - 1 do
           match M.decode (Codec.read_msg r).bytes with
@@ -518,35 +772,92 @@ module Host (M : Network_intf.WIRE_MSG) = struct
           | None -> proto_error "undecodable payload"
         done;
         let decoded = bufs.decoded in
-        (* [c] rows of [src, index] into [v]'s dedicated stream, grown
-           to [c] at once: a committee member's first status round
-           would otherwise double it from 16 to ~n, blitting each
-           major-heap copy, and that round is the run's slowest. *)
-        let read_rows v =
-          let c = read_count r in
-          if c > 0 && t = 0 then
-            proto_error "%d rows name an empty payload table" c;
-          v.d_len <- 0;
-          if c > Array.length v.d_src then begin
-            v.d_src <- Array.make c 0;
-            v.d_msg <- Array.make c decoded.(0)
-          end;
-          for _ = 1 to c do
-            let src = Wire.Reader.read_gamma r in
-            if src >= Array.length ids then proto_error "source slot %d" src;
-            let k = Wire.Reader.read_gamma r in
-            if k >= t then proto_error "payload index %d of %d" k t;
-            push v ids.(src) decoded.(k)
-          done
-        in
+        (* The broadcast rows, into [bc]'s dedicated stream grown to
+           their count at once. *)
         let bc = bufs.bcast in
-        read_rows bc;
+        let c = read_count r in
+        if c > 0 && t = 0 then
+          proto_error "%d rows name an empty payload table" c;
+        bc.d_len <- 0;
+        if c > Array.length bc.d_src then begin
+          bc.d_src <- Array.make c 0;
+          bc.d_msg <- Array.make c decoded.(0)
+        end;
+        for _ = 1 to c do
+          let src = Wire.Reader.read_gamma r in
+          if src >= n then proto_error "source slot %d" src;
+          push bc ids.(src) decoded.(read_payload r t)
+        done;
+        let { lists; list_starts; records; batch; _ } = bufs in
+        let nl = read_count r in
+        Ibuf.clear lists;
+        Ibuf.clear list_starts;
+        Ibuf.push list_starts 0;
+        for _ = 1 to nl do
+          for _ = 1 to read_count r do
+            let d = Wire.Reader.read_gamma r in
+            if d < lo || d >= hi then proto_error "list slot %d off the host" d;
+            Ibuf.push lists d
+          done;
+          Ibuf.push list_starts lists.len
+        done;
+        bufs.per_list <- grow bufs.per_list nl 0;
+        let per_list = bufs.per_list in
+        Array.fill per_list 0 nl 0;
+        let nr = read_count r in
+        Ibuf.clear records;
+        Ibuf.clear batch;
+        for _ = 1 to nr do
+          let src = Wire.Reader.read_gamma r in
+          if src >= n then proto_error "source slot %d" src;
+          let tag = Wire.Reader.read_gamma r in
+          let l = Wire.Reader.read_gamma r in
+          if l >= nl then proto_error "list index %d of %d" l nl;
+          Ibuf.push records src;
+          Ibuf.push records l;
+          (match tag with
+          | 4 -> Ibuf.push records (read_payload r t)
+          | 2 ->
+              let c = read_count r in
+              let len = list_starts.a.(l + 1) - list_starts.a.(l) in
+              if c <> len then
+                proto_error "batch of %d payloads over a list of %d" c len;
+              Ibuf.push records (-1 - batch.len);
+              for _ = 1 to c do
+                Ibuf.push batch (read_payload r t)
+              done
+          | tag -> proto_error "unknown record tag %d" tag);
+          per_list.(l) <- per_list.(l) + 1
+        done;
+        let need = bufs.need in
+        Array.fill need lo (hi - lo) 0;
+        for l = 0 to nl - 1 do
+          if per_list.(l) > 0 then
+            for e = list_starts.a.(l) to list_starts.a.(l + 1) - 1 do
+              let d = lists.a.(e) in
+              need.(d) <- need.(d) + per_list.(l)
+            done
+        done;
         for s = lo to hi - 1 do
           let v = views.(s) in
-          read_rows v;
+          v.d_len <- 0;
+          if running states s && need.(s) > Array.length v.d_src then begin
+            v.d_src <- Array.make need.(s) 0;
+            v.d_msg <- Array.make need.(s) decoded.(0)
+          end;
           v.s_src <- bc.d_src;
           v.s_msg <- bc.d_msg;
           v.s_len <- bc.d_len
+        done;
+        for i = 0 to nr - 1 do
+          let src = ids.(records.a.(3 * i)) and l = records.a.((3 * i) + 1) in
+          let p = records.a.((3 * i) + 2) and first = list_starts.a.(l) in
+          for e = first to list_starts.a.(l + 1) - 1 do
+            let d = lists.a.(e) in
+            if running states d then
+              push views.(d) src
+                decoded.(if p >= 0 then p else batch.a.(-1 - p + e - first))
+          done
         done;
         false
       end
@@ -602,14 +913,18 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     done;
     let memos = Array.init n (fun _ -> { m_msgs = [||]; m_encs = [||] }) in
     let views = Array.map empty_view ids in
-    let bufs = { decoded = [||]; bcast = empty_view (-1) } in
+    let bufs = reply_bufs n in
     let tbl = Payloads.create () and gids = Ibuf.create () in
+    let lists = Lists.create () and slots = Ibuf.create () in
+    let list_of = Array.make n 0 in
     let w = Wire.Writer.create () and ib = Frame.inbuf () in
     let continue_running = ref true in
     while !continue_running do
       for s = lo to hi - 1 do
         match states.(s) with
-        | Running _ -> intern_outbox tbl gids memos.(s) outs.(s)
+        | Running _ ->
+            intern_outbox ~index tbl gids lists slots list_of s memos.(s)
+              outs.(s)
         | Finished _ | Dead _ | Byz_node -> ()
       done;
       Frame.begin_framed w;
@@ -617,6 +932,13 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       Wire.Writer.add_gamma w (Payloads.length tbl);
       for g = 0 to Payloads.length tbl - 1 do
         Payloads.add_entry w tbl g
+      done;
+      Wire.Writer.add_gamma w (Lists.length lists);
+      for l = 0 to Lists.length lists - 1 do
+        Wire.Writer.add_gamma w (Lists.length_of lists l);
+        for e = Lists.start lists l to Lists.start lists (l + 1) - 1 do
+          Wire.Writer.add_gamma w slots.a.(e)
+        done
       done;
       let cur = ref 0 in
       for s = lo to hi - 1 do
@@ -626,14 +948,16 @@ module Host (M : Network_intf.WIRE_MSG) = struct
             Wire.Writer.add_gamma w v;
             states.(s) <- Dead !current_round
         | Dead _ | Byz_node -> Wire.Writer.add_gamma w 0
-        | Running _ -> write_outbox w ~index gids cur outs.(s)
+        | Running _ -> write_outbox w gids cur list_of.(s) outs.(s)
       done;
       Payloads.clear tbl;
       Ibuf.clear gids;
+      Lists.clear lists;
+      Ibuf.clear slots;
       Frame.write_framed io w;
       let stop =
         read_reply (Frame.read_framed io ib) bufs ~round:!current_round ~ids
-          ~lo ~hi views
+          ~lo ~hi ~states views
       in
       if stop then continue_running := false
       else begin

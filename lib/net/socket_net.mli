@@ -16,8 +16,21 @@
     connection failing mid-round maps to [Crashed round] for every node
     still running on it; everyone else keeps going.
 
+    Frame layout: each round frame carries a payload table and a
+    destination-list table, both content-interned, so each distinct
+    payload and each distinct destination list crosses a link once per
+    round. A host names each outbox by table indices: a broadcast by
+    its payload, a fan (one message to every destination of a list) by
+    its list and payload, a batch by its list and one payload per
+    destination. The coordinator merges the hosts' tables into round
+    tables and answers each host with the payloads and lists its reply
+    names, each list restricted to the host's slots, the round's
+    broadcasts once, and one record per fan or batch sender, so a fan
+    to the committee crosses each link once rather than once per copy.
+
     Memory: each link's round frames are built in one writer and read
-    into one buffer kept for the whole run, and a host's inbox rows live
+    into one buffer kept for the whole run, both sides keep their
+    tables in buffers kept across rounds, and a host's inbox rows live
     in arrays kept across rounds (see {!Host}).
 
     Determinism: per-node rngs are [Rng.split] off the seed in slot
@@ -60,10 +73,12 @@ val serve :
     bills it: a broadcast costs its bits on all [n] links.
 
     [on_message] is the per-link hook: it fires once per billed message
-    with the (src, dst) slot indices and the bits, in billing order. The
-    coordinator keeps no per-link counters of its own; the CLI wires
-    this hook to the [lib/check] oracles, and builds its [--bits-out]
-    per-link matrix from it.
+    with the (src, dst) slot indices and the bits, in ascending source
+    identity, then emission order (a broadcast on links [0 .. n-1]).
+    Without it the coordinator bills each outbox in bulk and never
+    walks its copies. It keeps no per-link counters of its own; the CLI
+    wires this hook to the [lib/check] oracles, and builds its
+    [--bits-out] per-link matrix from it.
 
     Nodes still running at [max_rounds] (default 100_000) are reported
     [Unfinished]. *)
@@ -75,15 +90,15 @@ val serve :
     directly.
 
     A slot's inbox view is kept for the whole run: each reply refills
-    it in place, the slot's dedicated rows into its dedicated stream and
-    the round's broadcast rows, kept once for every slot, as its shared
-    stream. A view returned by an exchange-class call is therefore
-    valid only until the node's next one ({!Network_intf.S.inbox}'s
-    contract). Hosts skip [M.encode] for a message physically equal to
-    the previous entry of the same outbox, or to the message at the same
-    position of the slot's previous outbox; the memo keeps its own
-    copies, so callers may refill their [exchange_sized] arrays in
-    place. *)
+    it in place, each record's copies into the dedicated streams of its
+    list's running slots and the round's broadcast rows, kept once for
+    every slot, as its shared stream. A view returned by an
+    exchange-class call is therefore valid only until the node's next
+    one ({!Network_intf.S.inbox}'s contract). Hosts skip [M.encode] for
+    a message physically equal to the previous entry of the same outbox,
+    or to the message at the same position of the slot's previous
+    outbox; the memo keeps its own copies, so callers may refill their
+    [exchange_sized] arrays in place. *)
 module Host (M : Network_intf.WIRE_MSG) : sig
   include Network_intf.S with type msg = M.t
 

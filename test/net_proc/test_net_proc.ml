@@ -113,12 +113,19 @@ let fake_host port ~host_index script =
   | pid -> pid
 
 (* A host-to-coordinator round frame: round, payload table of raw
-   (bytes, bits) entries, then the slot records as raw gamma fields. *)
-let round_frame ~round ~table records =
+   (bytes, bits) entries, destination-list table of slot lists, then the
+   slot records as raw gamma fields. *)
+let round_frame ~round ~table ~lists records =
   let w = Wire.Writer.create () in
   Wire.Writer.add_gamma w round;
   Wire.Writer.add_gamma w (List.length table);
   List.iter (fun m -> SN.Codec.add_msg w (SN.enc_of m)) table;
+  Wire.Writer.add_gamma w (List.length lists);
+  List.iter
+    (fun l ->
+      Wire.Writer.add_gamma w (List.length l);
+      List.iter (Wire.Writer.add_gamma w) l)
+    lists;
   List.iter (Wire.Writer.add_gamma w) records;
   Wire.Writer.contents w
 
@@ -147,7 +154,8 @@ let test_protocol_violation () =
      like a disconnect. *)
   let bad port =
     fake_host port ~host_index:0 (fun io ->
-        Frame.write_frame io (round_frame ~round:0 ~table:[] [ 0; 0 ]);
+        Frame.write_frame io
+          (round_frame ~round:0 ~table:[] ~lists:[] [ 0; 0 ]);
         ignore (Frame.read_frame io))
   in
   let res = run_with_failing_host ~bad in
@@ -161,7 +169,9 @@ let malformed_round_1 frame () =
   let bad port =
     fake_host port ~host_index:0 (fun io ->
         Frame.write_frame io
-          (round_frame ~round:0 ~table:[ TMsg.encode (Ping 1) ] [ 3; 0; 3; 0 ]);
+          (round_frame ~round:0
+             ~table:[ TMsg.encode (Ping 1) ]
+             ~lists:[] [ 3; 0; 3; 0 ]);
         ignore (Frame.read_frame io);
         Frame.write_frame io frame;
         ignore (Frame.read_frame io))
@@ -170,12 +180,31 @@ let malformed_round_1 frame () =
   check_outcomes res ~crash_round:1
 
 let test_broadcast_index_out_of_table =
-  malformed_round_1 (round_frame ~round:1 ~table:[ ("", 0) ] [ 3; 0; 3; 1 ])
+  malformed_round_1
+    (round_frame ~round:1 ~table:[ ("", 0) ] ~lists:[] [ 3; 0; 3; 1 ])
 
 let test_batch_index_out_of_table =
-  (* slot 0 sends one message to slot 2 naming payload 5 of 1 *)
+  (* slot 0 sends a batch over the list [slot 2] naming payload 5 of 1 *)
   malformed_round_1
-    (round_frame ~round:1 ~table:[ ("", 0) ] [ 2; 1; 2; 5; 3; 0 ])
+    (round_frame ~round:1 ~table:[ ("", 0) ] ~lists:[ [ 2 ] ]
+       [ 2; 0; 1; 5; 3; 0 ])
+
+let test_list_index_out_of_table =
+  (* slot 0 fans payload 0 over list 1 of 1 *)
+  malformed_round_1
+    (round_frame ~round:1 ~table:[ ("", 0) ] ~lists:[ [ 2 ] ] [ 4; 1; 0; 3; 0 ])
+
+let test_list_entry_beyond_n =
+  (* the list names slot 4 of a 4-slot run *)
+  malformed_round_1
+    (round_frame ~round:1 ~table:[ ("", 0) ] ~lists:[ [ 2; 4 ] ]
+       [ 4; 0; 0; 3; 0 ])
+
+let test_batch_count_off_list =
+  (* slot 0's batch carries one payload over a list of two *)
+  malformed_round_1
+    (round_frame ~round:1 ~table:[ ("", 0) ] ~lists:[ [ 2; 3 ] ]
+       [ 2; 0; 1; 0; 3; 0 ])
 
 let test_table_count_beyond_frame =
   malformed_round_1
@@ -193,8 +222,12 @@ let test_stale_bytes () =
      buffer's capacity would parse the cut frame whole and keep host 0
      running into round 2; the coordinator must crash it at round 1. *)
   let records = [ 3; 0; 3; 0 ] in
-  let long = round_frame ~round:0 ~table:[ ("\x80\x00", 16) ] records in
-  let full = round_frame ~round:1 ~table:[ ("\x80\x00", 14) ] records in
+  let long =
+    round_frame ~round:0 ~table:[ ("\x80\x00", 16) ] ~lists:[] records
+  in
+  let full =
+    round_frame ~round:1 ~table:[ ("\x80\x00", 14) ] ~lists:[] records
+  in
   let n = String.length full in
   Alcotest.(check int) "frames of equal length" (String.length long) n;
   Alcotest.(check string)
@@ -277,11 +310,17 @@ let serve_forked ~ids ~n_hosts run =
   reap pids;
   res
 
-(* Every outbox shape in every round (broadcast, unicast batch with two
+(* Every outbox shape in rounds 0-2 (broadcast, unicast batch with two
    messages to one peer, multisend, sized batch), byte-equal payloads
    from different senders, nodes deciding in different rounds, and
-   identities out of slot order. Each node folds its inboxes — sources,
-   order and payloads — into its decision. *)
+   identities out of slot order. Round 3, which only the odd slots
+   reach, puts every destination-list case in one round: in ascending
+   sender identity a broadcast (slot 3), a fan (slot 1), a sized batch
+   (slot 7) and a fan (slot 5), the two fans over one list shared
+   across the hosts (slots 0-3 and 4-7); both lists span the hosts,
+   repeat a destination and name slots that decided after round 2.
+   Each node folds its inboxes — sources, order and payloads — into
+   its decision. *)
 module Mixed (Net : Repro_net.Network_intf.S with type msg = TMsg.t) = struct
   let program ctx =
     let ids = Net.all_ids ctx in
@@ -295,16 +334,30 @@ module Mixed (Net : Repro_net.Network_intf.S with type msg = TMsg.t) = struct
     for r = 0 to 2 + (i mod 2) do
       let v = r + (i mod 2) in
       let inbox =
-        match (i + r) mod 4 with
-        | 0 -> Net.broadcast ctx (TMsg.Ping v)
-        | 1 ->
+        match (r, (i + r) mod 4) with
+        | 3, _ -> (
+            match i with
+            | 3 -> Net.broadcast ctx (TMsg.Ping v)
+            | 1 | 5 ->
+                Net.multisend ctx
+                  ~dsts:[ ids.(0); ids.(5); ids.(0); ids.(6); ids.(3) ]
+                  (TMsg.Ping v)
+            | _ ->
+                let msgs =
+                  TMsg.[| Ping v; Ping (v + 5); Ping (v + 1); Ping v |]
+                in
+                Net.exchange_sized ctx
+                  ~dsts:[| ids.(1); ids.(4); ids.(1); ids.(7) |]
+                  ~msgs ~sizes:(Array.map TMsg.bits msgs) ~len:4)
+        | _, 0 -> Net.broadcast ctx (TMsg.Ping v)
+        | _, 1 ->
             Net.exchange ctx
               [
                 (peer 1, TMsg.Ping v);
                 (peer 1, TMsg.Ping (v + 5));
                 (peer 3, TMsg.Ping v);
               ]
-        | 2 -> Net.multisend ctx ~dsts:[ peer 2; me; peer 5 ] (TMsg.Ping v)
+        | _, 2 -> Net.multisend ctx ~dsts:[ peer 2; me; peer 5 ] (TMsg.Ping v)
         | _ ->
             let msgs = [| TMsg.Ping (v + 5); TMsg.Ping v |] in
             Net.exchange_sized ctx ~dsts:[| peer 1; peer 2 |] ~msgs
@@ -517,6 +570,12 @@ let () =
             `Quick test_broadcast_index_out_of_table;
           Alcotest.test_case "batch payload index out of table -> Crashed"
             `Quick test_batch_index_out_of_table;
+          Alcotest.test_case "list index out of table -> Crashed" `Quick
+            test_list_index_out_of_table;
+          Alcotest.test_case "list entry beyond n -> Crashed" `Quick
+            test_list_entry_beyond_n;
+          Alcotest.test_case "batch count off its list -> Crashed" `Quick
+            test_batch_count_off_list;
           Alcotest.test_case "table count beyond frame -> Crashed" `Quick
             test_table_count_beyond_frame;
           Alcotest.test_case "2^20-byte payload length -> Crashed, unallocated"

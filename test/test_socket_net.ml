@@ -186,23 +186,31 @@ let config_frame =
   Wire.Writer.contents w
 
 (* A coordinator reply: payload table of raw (bytes, bits) entries, the
-   broadcast rows and each slot's rows, as (source slot, index) pairs. *)
-let reply_frame ~table ~bcast ~slots =
+   broadcast rows as (source slot, index) pairs, the destination lists
+   as slot lists, and the records: [`Fan (src, list, index)] or
+   [`Batch (src, list, indices)], the batch's payload count taken from
+   its indices. *)
+let reply_frame ~table ~bcast ~lists ~records =
   let w = Wire.Writer.create () in
-  let rows l =
+  let gammas = List.iter (Wire.Writer.add_gamma w) in
+  let counted l =
     Wire.Writer.add_gamma w (List.length l);
-    List.iter
-      (fun (src, k) ->
-        Wire.Writer.add_gamma w src;
-        Wire.Writer.add_gamma w k)
-      l
+    gammas l
   in
-  Wire.Writer.add_gamma w 0;
-  Wire.Writer.add_gamma w 0;
-  Wire.Writer.add_gamma w (List.length table);
+  gammas [ 0; 0; List.length table ];
   List.iter (fun m -> SN.Codec.add_msg w (SN.enc_of m)) table;
-  rows bcast;
-  List.iter rows slots;
+  Wire.Writer.add_gamma w (List.length bcast);
+  List.iter (fun (src, k) -> gammas [ src; k ]) bcast;
+  Wire.Writer.add_gamma w (List.length lists);
+  List.iter counted lists;
+  Wire.Writer.add_gamma w (List.length records);
+  List.iter
+    (function
+      | `Fan (src, l, k) -> gammas [ src; 4; l; k ]
+      | `Batch (src, l, ks) ->
+          gammas [ src; 2; l ];
+          counted ks)
+    records;
   Wire.Writer.contents w
 
 let stop_frame ~round =
@@ -212,13 +220,14 @@ let stop_frame ~round =
   Wire.Writer.contents w
 
 (* Every section populated: two payloads, a broadcast from slot 1 (id
-   10), dedicated rows from slots 2 and 0 (ids 20, 30), one slot with no
-   dedicated rows. *)
+   10), a fan from slot 2 (id 20) and a batch from slot 0 (id 30), over
+   two lists, and one slot with no dedicated deliveries. *)
 let full_reply =
   reply_frame
     ~table:[ TMsg.encode (Ping 5); TMsg.encode (Ping 7) ]
     ~bcast:[ (1, 0) ]
-    ~slots:[ [ (2, 1); (0, 1) ]; []; [ (0, 0) ] ]
+    ~lists:[ [ 0 ]; [ 0; 2 ] ]
+    ~records:[ `Fan (2, 0, 1); `Batch (0, 1, [ 1; 0 ]) ]
 
 (* Run the host against [frames]; each node broadcasts once, records its
    inbox as (source id, value) pairs and decides. *)
@@ -260,21 +269,34 @@ let expect_host_rejects name reply =
 
 let test_host_rejects_malformed_tables () =
   let ping v = TMsg.encode (Ping v) in
-  expect_host_rejects "dedicated payload index >= table size"
-    (reply_frame ~table:[ ping 5 ] ~bcast:[] ~slots:[ []; []; [ (0, 1) ] ]);
+  let reply = reply_frame ~table:[ ping 5 ] in
+  expect_host_rejects "fan payload index >= table size"
+    (reply ~bcast:[] ~lists:[ [ 2 ] ] ~records:[ `Fan (0, 0, 1) ]);
+  expect_host_rejects "batch payload index >= table size"
+    (reply ~bcast:[] ~lists:[ [ 2 ] ] ~records:[ `Batch (0, 0, [ 1 ]) ]);
   expect_host_rejects "broadcast payload index >= table size"
-    (reply_frame ~table:[ ping 5 ] ~bcast:[ (1, 1) ] ~slots:[ []; []; [] ]);
+    (reply ~bcast:[ (1, 1) ] ~lists:[] ~records:[]);
   expect_host_rejects "rows naming an empty table"
-    (reply_frame ~table:[] ~bcast:[ (1, 0) ] ~slots:[ []; []; [] ]);
+    (reply_frame ~table:[] ~bcast:[ (1, 0) ] ~lists:[] ~records:[]);
   expect_host_rejects "table count beyond the frame"
     (let w = Wire.Writer.create () in
      List.iter (Wire.Writer.add_gamma w) [ 0; 0; 10_000 ];
      Wire.Writer.contents w);
   expect_host_rejects "broadcast source slot out of range"
-    (reply_frame ~table:[ ping 5 ] ~bcast:[ (3, 0) ] ~slots:[ []; []; [] ]);
+    (reply ~bcast:[ (3, 0) ] ~lists:[] ~records:[]);
+  expect_host_rejects "record source slot out of range"
+    (reply ~bcast:[] ~lists:[ [ 2 ] ] ~records:[ `Fan (3, 0, 0) ]);
+  expect_host_rejects "record list index out of the table"
+    (reply ~bcast:[] ~lists:[ [ 2 ] ] ~records:[ `Fan (0, 1, 0) ]);
+  expect_host_rejects "list slot outside the host's range"
+    (reply ~bcast:[] ~lists:[ [ 3 ] ] ~records:[ `Fan (0, 0, 0) ]);
+  expect_host_rejects "batch with fewer payloads than its list"
+    (reply ~bcast:[] ~lists:[ [ 0; 2 ] ] ~records:[ `Batch (0, 0, [ 0 ]) ]);
+  expect_host_rejects "batch with more payloads than its list"
+    (reply ~bcast:[] ~lists:[ [ 2 ] ] ~records:[ `Batch (0, 0, [ 0; 0 ]) ]);
   expect_host_rejects "undecodable table payload"
-    (reply_frame ~table:[ ping 5; ("", 0) ] ~bcast:[ (1, 0) ]
-       ~slots:[ []; []; [] ])
+    (reply_frame ~table:[ ping 5; ("", 0) ] ~bcast:[ (1, 0) ] ~lists:[]
+       ~records:[])
 
 (* A reply built from raw fields: gammas and [Codec.add_msg] entries. *)
 let raw_frame fields =
@@ -293,7 +315,7 @@ let test_host_stale_bytes () =
      a 16-bit payload, round 1 with a 14-bit one, both 2 bytes), and
      every later bit is equal. A reader bounded by the buffer's capacity
      would parse the cut reply whole; the host must reject it. *)
-  let tail = [ `G 1; `G 1; `G 0; `G 0; `G 0; `G 0 ] in
+  let tail = [ `G 1; `G 1; `G 0; `G 0; `G 0 ] in
   let long = raw_frame ([ `G 0; `G 0; `G 1; `M ("\x80\x00", 16) ] @ tail) in
   let full = raw_frame ([ `G 1; `G 0; `G 1; `M ("\x80\x00", 14) ] @ tail) in
   Alcotest.(check int)
@@ -523,9 +545,8 @@ let test_host_handoff_allocation () =
     for round = 0 to rounds - 1 do
       ignore (Frame.read_frame io);
       let w = Wire.Writer.create () in
-      (* round, no stop, no payloads, no broadcasts, no rows per slot *)
-      List.iter (Wire.Writer.add_gamma w)
-        ([ round; 0; 0; 0 ] @ List.init n (fun _ -> 0));
+      (* round, no stop, no payloads, broadcasts, lists or records *)
+      List.iter (Wire.Writer.add_gamma w) [ round; 0; 0; 0; 0; 0 ];
       Frame.write_frame io (Wire.Writer.contents w)
     done;
     ignore (Frame.read_frame io);
