@@ -13,6 +13,7 @@
 
 module E = Repro_renaming.Experiment
 module Runner = Repro_renaming.Runner
+module Parallel = Repro_renaming.Parallel
 module A = Repro_renaming.Anonymous_renaming
 module Trace = Repro_obs.Trace
 open Cmdliner
@@ -59,7 +60,7 @@ let domains_arg =
           "OCaml domains for this command (default: the RENAMING_DOMAINS \
            environment variable, else 1 for a single run). A single run \
            shards each round across $(docv) domains; a sweep fans its \
-           trials across them first, one shard per run. Results \
+           runs across them, one shard per run. Results \
            (assessments, tables, traces) are bit-identical for every \
            value; only the wall-clock changes.")
 
@@ -306,16 +307,19 @@ let sweep_crash_cmd =
     if trials < 1 then
       usage_error "sweep-crash" "--trials must be at least 1, got %d" trials;
     let namespace = resolve_namespace n namespace in
-    (* Trials first: a lone trial gets the whole budget as shards. *)
-    let shards = if trials = 1 then domains else Some 1 in
-    let rows =
-      List.map
-        (fun f ->
+    (* One fan-out over every f × trial run, one shard each. *)
+    let runs =
+      Parallel.map ?domains (List.length fs * trials) (fun j ->
+          let f = List.nth fs (j / trials) in
           let adversary = if f = 0 then E.No_crash else E.Committee_killer f in
+          E.run_crash ~shards:1 ~protocol ~n ~namespace ~adversary
+            ~seed:(E.trial_seed ~seed (j mod trials)) ())
+    in
+    let rows =
+      List.mapi
+        (fun k f ->
           let a, rounds, messages, bits =
-            E.averaged ?domains ~trials ~seed (fun ~seed ->
-                E.run_crash ?shards ~protocol ~n ~namespace ~adversary ~seed
-                  ())
+            E.averaged (List.init trials (fun i -> runs.((k * trials) + i)))
           in
           [
             string_of_int f;
@@ -352,11 +356,11 @@ let sweep_byz_cmd =
     check_args "sweep-byz" ~n ~namespace ~fs ~domains ();
     let namespace = resolve_namespace n namespace in
     let rows =
-      List.map
-        (fun f ->
+      Parallel.map_list ?domains (List.length fs) (fun k ->
+          let f = List.nth fs k in
           let adversary = if f = 0 then E.No_byz else E.Split_world_byz f in
           let a =
-            E.run_byz ?shards:domains ~protocol:E.This_work_byz ~n ~namespace
+            E.run_byz ~shards:1 ~protocol:E.This_work_byz ~n ~namespace
               ~adversary ~seed ()
           in
           [
@@ -366,7 +370,6 @@ let sweep_byz_cmd =
             string_of_int a.bits;
             (if a.unique && a.strong && a.order_preserving then "yes" else "NO");
           ])
-        fs
     in
     E.print_table
       ~title:

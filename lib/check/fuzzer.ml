@@ -194,7 +194,9 @@ let run_byz ?trace ?jsonl ?shards (s : Schedule.t) : Oracle.verdict =
           ( List.map fst behaviors,
             Byz_strategies.scripted params ~rng ~ids ~behaviors )
   in
-  let byz_set = List.map fst behaviors in
+  (* Ascending, for an int-typed membership test per tapped copy. *)
+  let byz_set = Array.of_list (List.map fst behaviors) in
+  Array.sort Int.compare byz_set;
   let stats = Oracle.new_stats () in
   (* Same one-entry physical-equality payload memo and billed-size check
      as the crash tap. *)
@@ -209,7 +211,7 @@ let run_byz ?trace ?jsonl ?shards (s : Schedule.t) : Oracle.verdict =
         memo_bits := bits;
         memo_ok := blen = bits && BR.Msg.decode enc = Some msg);
     let bits = !memo_bits in
-    (if List.mem src byz_set then Oracle.observe_byz stats
+    (if Repro_util.Sorted.index byz_set src >= 0 then Oracle.observe_byz stats
      else Oracle.observe_honest stats ~bits ~wire_ok:(!memo_ok && billed = bits));
     (match jsonl with
     | Some t -> Trace.tap t ~round ~src ~dst ~bits:billed msg
@@ -243,10 +245,9 @@ let run ?trace ?jsonl ?shards (s : Schedule.t) =
 (* {2 Generation} *)
 
 let generate config index =
-  (* The same prime stride as [Experiment.averaged]'s seed schedule, so
-     trial [i] of a campaign is reproducible in isolation from the seed
-     recorded in its schedule. *)
-  let seed = config.seed + (index * 7919) in
+  (* [Experiment]'s trial-seed schedule, so trial [i] of a campaign is
+     reproducible in isolation from the seed recorded in its schedule. *)
+  let seed = Experiment.trial_seed ~seed:config.seed index in
   let rng = Rng.of_seed (seed lxor 0xf5eed) in
   let base =
     {

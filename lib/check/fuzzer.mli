@@ -50,14 +50,11 @@ val byz_max_msg_bits : namespace:int -> int
 (** Per-message bit caps: the widest honest codeword each protocol's
     wire format can emit. *)
 
-val crash_expectations : Schedule.t -> Oracle.expectations
-val byz_expectations : Schedule.t -> Oracle.expectations
-
 val generate : config -> int -> Schedule.t
 (** [generate config i] is trial [i]'s schedule — deterministic in
-    [(config, i)], with per-trial seed [config.seed + i·7919] (the
-    bench harness's seed stride, so any trial can be reproduced in
-    isolation from its recorded schedule alone). *)
+    [(config, i)], with per-trial seed
+    [Experiment.trial_seed ~seed:config.seed i] (so any trial can be
+    reproduced in isolation from its recorded schedule alone). *)
 
 val run :
   ?trace:Buffer.t ->

@@ -50,7 +50,6 @@ type t = {
 }
 
 val algo_name : algo -> string
-val algo_of_name : string -> algo option
 
 val faults : t -> int
 (** Total adversary expenditure the schedule scripts: crash events plus

@@ -12,8 +12,6 @@
 
 type progress = passes:int -> faults:int -> unit
 
-val no_progress : progress
-
 val minimize :
   ?progress:progress -> still_fails:(Schedule.t -> bool) -> Schedule.t ->
   Schedule.t

@@ -19,16 +19,13 @@ let shared_hash shared_seed ~m id =
   let rng = Rng.of_seed (shared_seed lxor (id * 0x9E3779B1)) in
   1 + Rng.int rng m
 
-let has_duplicate choices =
-  let tbl = Hashtbl.create (List.length choices) in
-  List.exists
-    (fun c ->
-      if Hashtbl.mem tbl c then true
-      else begin
-        Hashtbl.replace tbl c ();
-        false
-      end)
-    choices
+(* Sorts [choices] in place, so every compare is an inline int one. *)
+let has_duplicate (choices : int array) =
+  Array.sort Int.compare choices;
+  let rec from i =
+    i < Array.length choices && (choices.(i - 1) = choices.(i) || from (i + 1))
+  in
+  from 1
 
 let collision_probability ~rule ~seed ~namespace ~k ~m ~trials =
   let rng = Rng.of_seed seed in
@@ -37,11 +34,10 @@ let collision_probability ~rule ~seed ~namespace ~k ~m ~trials =
     let ids = distinct_ids rng ~namespace ~k in
     let choices =
       match rule with
-      | Uniform_pick ->
-          Array.to_list (Array.map (fun _ -> 1 + Rng.int rng m) ids)
+      | Uniform_pick -> Array.map (fun _ -> 1 + Rng.int rng m) ids
       | Shared_hash ->
           let shared_seed = seed + (trial * 7919) in
-          Array.to_list (Array.map (shared_hash shared_seed ~m) ids)
+          Array.map (shared_hash shared_seed ~m) ids
     in
     if has_duplicate choices then incr collisions
   done;
@@ -58,9 +54,7 @@ let budget_success_probability ~seed ~namespace ~n ~budget ~trials =
        one message each; silent nodes hash into the remaining slots. *)
     let ids = distinct_ids rng ~namespace ~k:silent in
     let shared_seed = seed + (trial * 104729) in
-    let choices =
-      Array.to_list (Array.map (shared_hash shared_seed ~m:free_slots) ids)
-    in
+    let choices = Array.map (shared_hash shared_seed ~m:free_slots) ids in
     if not (has_duplicate choices) then incr successes
   done;
   if silent <= 1 then 1.

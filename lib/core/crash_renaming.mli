@@ -72,7 +72,6 @@ val experiment_params : params
     the evaluation harness. *)
 
 val phases : params -> n:int -> int
-val election_probability : params -> n:int -> p:int -> float
 
 type telemetry = {
   on_phase_end :

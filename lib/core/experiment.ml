@@ -276,10 +276,11 @@ let print_table ~title ~header ~rows =
   List.iter (fun r -> print_endline (line r)) rows
 [@@lint.allow "D5"]
 
-let averaged ?domains ~trials ~seed run =
-  let assessments =
-    Parallel.map_list ?domains trials (fun i -> run ~seed:(seed + (i * 7919)))
-  in
+let trial_seed ~seed i = seed + (i * 7919)
+
+let averaged assessments =
+  let trials = List.length assessments in
+  if trials = 0 then invalid_arg "Experiment.averaged: no assessments";
   List.iter
     (fun (a : Runner.assessment) ->
       if not a.correct then

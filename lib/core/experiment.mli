@@ -109,15 +109,15 @@ val print_table :
   title:string -> header:string list -> rows:string list list -> unit
 (** Render an aligned plain-text table on stdout, and {!write_csv} it. *)
 
-val averaged :
-  ?domains:int ->
-  trials:int -> seed:int -> (seed:int -> Runner.assessment) ->
-  Runner.assessment * float * float * float
-(** Run [trials] seeds; return the last assessment plus the mean rounds,
-    messages and bits across trials. Raises if any trial is incorrect or
-    if any trial's per-round accounting fails {!Runner.reconciles}.
+val trial_seed : seed:int -> int -> int
+(** [seed + i * 7919]: the seed of trial [i] of a series started at
+    [seed], for the paper tables, [renaming_cli]'s sweeps and the
+    fuzzer's campaigns alike, so any trial reproduces in isolation. *)
 
-    Trials are fanned across [domains] OCaml domains ({!Parallel.map}'s
-    default when omitted) by {!Parallel.map_list}: the seed
-    schedule [seed + i * 7919] and the returned aggregates are
-    bit-identical for every domain count. *)
+val averaged :
+  Runner.assessment list -> Runner.assessment * float * float * float
+(** The last of the given trials plus their mean rounds, messages and
+    bits, folded in list order (bit-identical however the caller fanned
+    the trials out). Raises if any trial is incorrect, if any trial's
+    per-round accounting fails {!Runner.reconciles}, or if the list is
+    empty. *)

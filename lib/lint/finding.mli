@@ -17,5 +17,4 @@ val rules : (string * string * string) list
 (** [(id, rejects, rationale)] for every rule, [E0] (parse failure)
     included. *)
 
-val rule_ids : string list
 val is_known_rule : string -> bool

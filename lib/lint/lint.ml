@@ -190,22 +190,6 @@ let findings_by_rule report =
 
 (* {2 Rendering} *)
 
-let to_text report =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (f : Finding.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%d:%d: [%s] %s\n    hint: %s\n" f.file f.line
-           f.col f.rule f.message f.hint))
-    report.findings;
-  let n = List.length report.findings in
-  Buffer.add_string buf
-    (Printf.sprintf "repro_lint: %s in %d files (%d suppressed by allow)\n"
-       (if n = 0 then "clean" else Printf.sprintf "%d finding%s" n
-          (if n = 1 then "" else "s"))
-       report.files_scanned report.suppressed);
-  Buffer.contents buf
-
 let add_escaped buf s =
   Buffer.add_char buf '"';
   String.iter

@@ -21,17 +21,11 @@ val lint_string :
 
 val lint_file : ?enabled:(string -> bool) -> string -> Finding.t list * int
 
-val collect_ml_files : string list -> string list
-(** Recursively collect [.ml] files under the given paths, skipping
-    dotfiles and [_build]; sorted (directory listing order is not
-    deterministic across filesystems). *)
-
 val lint_files : ?enabled:(string -> bool) -> string list -> report
 
 val findings_by_rule : report -> (string * int) list
 (** Per-rule finding counts, sorted by rule id. *)
 
-val to_text : report -> string
 val to_json : report -> string
 (** Byte-stable (fixed field order) [lint-report/v1] JSON. *)
 

@@ -54,6 +54,7 @@ let path_has_dir path dir =
   in
   go 0
 
+(* Directories whose module-level mutable state D4 rejects. *)
 let domain_shared_dirs =
   [ "lib/core"; "lib/sim"; "lib/consensus"; "lib/crypto"; "lib/net"; "lib/util" ]
 

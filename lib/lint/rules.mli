@@ -17,9 +17,6 @@ val path_has_dir : string -> string -> bool
 (** [path_has_dir path dir] — does [path] contain directory [dir]
     (itself possibly "a/b") as a component run? *)
 
-val domain_shared_dirs : string list
-(** Directories whose module-level mutable state D4 rejects. *)
-
 val run :
   config -> source:string -> Parsetree.structure -> Finding.t list * int
 (** [run config ~source str] returns the findings (sorted by

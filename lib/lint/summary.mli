@@ -71,8 +71,4 @@ type t = {
   sm_wire : wire_site list;
 }
 
-val module_name_of_file : string -> string
-(** Capitalized basename without extension: ["lib/sim/wire.ml"] ->
-    ["Wire"]. *)
-
 val summarize : filename:string -> Parsetree.structure -> t

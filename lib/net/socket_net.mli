@@ -126,7 +126,6 @@ val enc_of : string * int -> enc
     robustness tests. *)
 module Codec : sig
   val add_bytes : Repro_sim.Wire.Writer.t -> string -> unit
-  val read_bytes : Repro_sim.Wire.Reader.t -> string
 
   val add_msg : Repro_sim.Wire.Writer.t -> enc -> unit
   (** [bits], then [bytes].

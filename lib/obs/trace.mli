@@ -42,9 +42,6 @@ type t
 
 type meta_value = [ `Int of int | `Str of string ]
 
-val schema_version : string
-(** ["run-trace/v1"]. *)
-
 val create : ?timings:bool -> ?meta:(string * meta_value) list -> unit -> t
 (** A fresh recorder; writes the meta line immediately. [meta] fields
     are emitted in the given order. [timings] (default [false]) adds

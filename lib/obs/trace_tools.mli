@@ -9,7 +9,6 @@ val int_field : string -> string -> int option
     trace line, [None] if absent or malformed. *)
 
 val int_list_field : string -> string -> int list option
-val pairs_field : string -> string -> (int * int) list option
 
 val strip_timings : string -> string
 (** Remove the [wall_ns] and [alloc_words] fields from a round line (the
@@ -17,7 +16,6 @@ val strip_timings : string -> string
     recorded with [timings:true] can still be diffed structurally. *)
 
 val round_lines : string -> string list
-val summary_line : string -> string option
 
 type divergence = {
   d_round : int;

@@ -80,6 +80,8 @@ let mask_upto b = if b >= bpw - 1 then -1 else (1 lsl (b + 1)) - 1
 (* Bits [b..62] of a word. *)
 let mask_from b = -1 lsl b
 
+(* [count t (Interval.make lo hi)] without constructing the interval, for
+   allocation-free loops that already hold the bounds as plain ints. *)
 let count_range t ~lo ~hi =
   check t lo;
   check t hi;

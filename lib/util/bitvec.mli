@@ -22,11 +22,6 @@ val clear_all : t -> unit
 val count : t -> Interval.t -> int
 (** Number of ones within the segment (word-parallel range popcount). *)
 
-val count_range : t -> lo:int -> hi:int -> int
-(** [count_range t ~lo ~hi] is [count t (Interval.make lo hi)] without
-    constructing the interval — for allocation-free hot loops that
-    already hold the bounds as plain ints. *)
-
 val count_all : t -> int
 
 val rank : t -> int -> int

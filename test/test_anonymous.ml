@@ -68,6 +68,24 @@ let test_success_requires_linear_budget () =
     true
     (b >= n / 2)
 
+let test_e6_pinned () =
+  (* Small calls in E6's shape (bench/main.ml, seeds 600/601, the
+     50,000-id namespace), pinned exactly: a change to the id sampler,
+     the per-trial draws or the duplicate check moves them, and with
+     them the committed results/e6_* tables. *)
+  let pin what expected actual =
+    Alcotest.(check (float 0.)) what expected actual
+  in
+  pin "uniform pick k=12" 0.64
+    (A.collision_probability ~rule:A.Uniform_pick ~seed:600 ~namespace:50_000
+       ~k:12 ~m:64 ~trials:200);
+  pin "shared hash k=12" 0.665
+    (A.collision_probability ~rule:A.Shared_hash ~seed:600 ~namespace:50_000
+       ~k:12 ~m:64 ~trials:200);
+  pin "budget 60 of 64" 0.1
+    (A.budget_success_probability ~seed:601 ~namespace:50_000 ~n:64
+       ~budget:60 ~trials:200)
+
 let suite =
   ( "anonymous_renaming",
     [
@@ -79,4 +97,5 @@ let suite =
       Alcotest.test_case "budget success shape" `Quick test_budget_success_shape;
       Alcotest.test_case "3/4 success needs linear budget" `Quick
         test_success_requires_linear_budget;
+      Alcotest.test_case "E6 calls pinned" `Quick test_e6_pinned;
     ] )

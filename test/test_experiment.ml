@@ -54,14 +54,44 @@ let test_byz_protocols_correct () =
     [ E.This_work_byz; E.Everyone_byz ]
 
 let test_averaged () =
-  let _, rounds, messages, bits =
-    E.averaged ~trials:3 ~seed:5 (fun ~seed ->
-        E.run_crash ~protocol:E.This_work_crash ~n:16 ~namespace:500
-          ~adversary:E.No_crash ~seed ())
+  let trial i =
+    E.run_crash ~protocol:E.This_work_crash ~n:16 ~namespace:500
+      ~adversary:(E.Committee_killer 3) ~seed:(E.trial_seed ~seed:5 i) ()
   in
-  Alcotest.(check bool) "rounds positive" true (rounds > 0.);
-  Alcotest.(check bool) "messages positive" true (messages > 0.);
-  Alcotest.(check bool) "bits >= messages" true (bits >= messages)
+  let serial = List.init 3 trial in
+  let mean f =
+    List.fold_left (fun acc a -> acc +. float_of_int (f a)) 0. serial /. 3.
+  in
+  List.iter
+    (fun domains ->
+      (* Fan out, then aggregate: float equality with the serial means. *)
+      let last, rounds, messages, bits =
+        E.averaged (Repro_renaming.Parallel.map_list ~domains 3 trial)
+      in
+      let at = Printf.sprintf " at %d domains" domains in
+      Alcotest.(check bool) ("last trial" ^ at) true (last = List.nth serial 2);
+      Alcotest.(check bool) ("means" ^ at) true
+        (rounds = mean (fun a -> a.Runner.rounds)
+        && messages = mean (fun a -> a.Runner.messages)
+        && bits = mean (fun a -> a.Runner.bits));
+      Alcotest.(check bool) ("bits >= messages" ^ at) true (bits >= messages))
+    [ 1; 2; 4 ]
+
+let test_averaged_rejects () =
+  let a =
+    E.run_crash ~protocol:E.This_work_crash ~n:16 ~namespace:500
+      ~adversary:E.No_crash ~seed:5 ()
+  in
+  let raises what assessments =
+    Alcotest.(check bool) what true
+      (match E.averaged assessments with
+      | _ -> false
+      | exception (Failure _ | Invalid_argument _) -> true)
+  in
+  raises "an incorrect run" [ a; { a with Runner.correct = false } ];
+  raises "totals that do not reconcile"
+    [ { a with Runner.messages = a.Runner.messages + 1 }; a ];
+  raises "no runs" []
 
 (* The actual table titles bench/main.ml prints. Every one must slug to
    a clean filename cut at the em-dash/colon: the old slugger only knew
@@ -163,6 +193,8 @@ let suite =
       Alcotest.test_case "byz protocols battery" `Slow
         test_byz_protocols_correct;
       Alcotest.test_case "averaged" `Quick test_averaged;
+      Alcotest.test_case "averaged rejects bad runs" `Quick
+        test_averaged_rejects;
       Alcotest.test_case "csv slugs of the bench titles" `Quick
         test_csv_slug_bench_titles;
       Alcotest.test_case "write_csv creates nested dirs atomically" `Quick

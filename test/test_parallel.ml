@@ -27,8 +27,8 @@ let test_map_order_and_identity () =
     [ 1; 2; 4; 7 ]
 
 let test_trial_aggregates_domain_invariant () =
-  (* Real simulated executions, the same shape [Experiment.averaged]
-     fans out. Everything — outcome flags, rounds, messages, bits — must
+  (* Real simulated executions, the trials of a mean row as the paper
+     tables fan them out. Everything — outcome flags, rounds, messages, bits — must
      be equal across domain counts, not merely the means. *)
   let trial i =
     let a =
@@ -51,12 +51,15 @@ let test_trial_aggregates_domain_invariant () =
     [ 2; 4 ]
 
 let test_averaged_domain_invariant () =
-  let run ~seed =
-    E.run_crash ~protocol:E.This_work_crash ~n:32 ~namespace:2048
-      ~adversary:E.No_crash ~seed ()
-  in
+  (* Fan the trials out, then aggregate: the shape of every mean row in
+     bench/main.ml and renaming_cli's sweeps. *)
   let means domains =
-    let _, r, m, b = E.averaged ~domains ~trials:5 ~seed:321 run in
+    let _, r, m, b =
+      E.averaged
+        (Parallel.map_list ~domains 5 (fun i ->
+             E.run_crash ~protocol:E.This_work_crash ~n:32 ~namespace:2048
+               ~adversary:E.No_crash ~seed:(E.trial_seed ~seed:321 i) ()))
+    in
     (r, m, b)
   in
   let r1, m1, b1 = means 1 in
@@ -69,7 +72,7 @@ let test_averaged_domain_invariant () =
         (Printf.sprintf "means bit-identical at %d domains" domains)
         true
         (r = r1 && m = m1 && b = b1))
-    [ 2; 4 ]
+    [ 1; 2; 4 ]
 
 let test_map_edge_cases () =
   Alcotest.(check (array int)) "empty" [||] (Parallel.map ~domains:4 0 Fun.id);
