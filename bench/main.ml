@@ -139,11 +139,15 @@ let fig2_crash_f_sweep =
      killed node is silent, so measured traffic need not grow in f — the
      point is that Eve cannot push it past the cap, while the all-to-all
      baselines pay n²·log n regardless. *)
-  let row cap_constant f (a, rounds, messages, bits) =
+  let row cap_constant (f, trials) (_, rounds, messages, bits) =
     let cap = cap_constant *. float_of_int ((f + log_n) * n * log_n) in
+    let crashes =
+      List.fold_left (fun acc o -> acc + (run o).Runner.crash_cost) 0 trials
+    in
     [
       string_of_int f;
-      string_of_int a.Runner.crash_cost;
+      Printf.sprintf "%.0f"
+        (float_of_int crashes /. float_of_int (List.length trials));
       Printf.sprintf "%.0f" rounds;
       fmt_int (int_of_float messages);
       fmt_int (int_of_float bits);
@@ -169,7 +173,7 @@ let fig2_crash_f_sweep =
           ~header:
             [ "f budget"; "crashes spent"; "rounds"; "messages"; "bits";
               "cap C·(f+log n)·n·log n"; "under cap" ]
-          ~rows:(List.map2 (row cap_constant) fs means));
+          ~rows:(List.map2 (row cap_constant) (List.combine fs os) means));
   }
 
 (* ------------------------------------------------------------------ *)

@@ -58,14 +58,25 @@ type spy = {
   mutable targets : target list;
 }
 
-let make_spies () : (int, spy) Hashtbl.t = Hashtbl.create 8
+module Int_tbl = Hashtbl.Make (Int)
+
+(* [List.mem] and [List.assoc_opt] on int keys, compared as ints. *)
+let rec mem_int x = function
+  | [] -> false
+  | y :: l -> Int.equal x y || mem_int x l
+
+let rec assoc_int k = function
+  | [] -> None
+  | (k', v) :: l -> if Int.equal k k' then Some v else assoc_int k l
+
+let make_spies () : spy Int_tbl.t = Int_tbl.create 8
 
 let spy_of spies byz_id =
-  match Hashtbl.find spies byz_id with
+  match Int_tbl.find spies byz_id with
   | s -> s
   | exception Not_found ->
       let s = { view = []; announced = false; built_for = []; targets = [] } in
-      Hashtbl.replace spies byz_id s;
+      Int_tbl.replace spies byz_id s;
       s
 
 (* Who may join the election, as the node's strategy sees it: under
@@ -88,7 +99,7 @@ let absorb_elects candidate spy inbox =
     (fun (e : Net.envelope) ->
       match e.msg with
       | Msg.Elect when candidate e.src ->
-          if not (List.mem e.src spy.view) then spy.view <- e.src :: spy.view
+          if not (mem_int e.src spy.view) then spy.view <- e.src :: spy.view
       | _ -> ())
     inbox;
   spy.view <- List.sort_uniq Int.compare spy.view
@@ -264,7 +275,7 @@ let scripted (params : B.params) ~rng ~ids ~behaviors : Net.byz_strategy =
         inbox
   in
   fun ~byz_id ~round ~inbox ->
-    match List.assoc_opt byz_id behaviors with
+    match assoc_int byz_id behaviors with
     | None | Some Silence -> []
     | Some Noise -> noise ~byz_id ~round ~inbox
     | Some Equivocate -> equivocate ~byz_id ~round ~inbox

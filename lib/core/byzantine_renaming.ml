@@ -61,14 +61,14 @@ module Msg = struct
      message can actually hold before allocating. *)
   let read_raw r = W.Reader.read_string r (W.Reader.read_gamma r)
 
-  let encode m =
-    let w = W.Writer.create () in
-    let tag t = W.Writer.add_fixed w t ~width:3 in
-    (match m with
-    | Elect -> tag 0
-    | Announce -> tag 1
+  let tag w t = W.Writer.add_fixed w t ~width:3
+
+  let write w m =
+    match m with
+    | Elect -> tag w 0
+    | Announce -> tag w 1
     | Pk pk ->
-        tag 2;
+        tag w 2;
         let sub, b =
           match pk with
           | Phase_king.Vote b -> (0, b)
@@ -78,12 +78,12 @@ module Msg = struct
         W.Writer.add_fixed w sub ~width:2;
         W.Writer.add_bit w b
     | Vld (Validator.Input (fp, cnt)) ->
-        tag 3;
+        tag w 3;
         W.Writer.add_bit w false;
         write_fp w fp;
         W.Writer.add_gamma w cnt
     | Vld (Validator.Lock lock) -> (
-        tag 3;
+        tag w 3;
         W.Writer.add_bit w true;
         match lock with
         | None -> W.Writer.add_bit w false
@@ -92,12 +92,12 @@ module Msg = struct
             write_fp w fp;
             W.Writer.add_gamma w cnt)
     | VldRaw (Validator.Input (s, cnt)) ->
-        tag 6;
+        tag w 6;
         W.Writer.add_bit w false;
         write_raw w s;
         W.Writer.add_gamma w cnt
     | VldRaw (Validator.Lock lock) -> (
-        tag 6;
+        tag w 6;
         W.Writer.add_bit w true;
         match lock with
         | None -> W.Writer.add_bit w false
@@ -106,62 +106,62 @@ module Msg = struct
             write_raw w s;
             W.Writer.add_gamma w cnt)
     | Diff b ->
-        tag 4;
+        tag w 4;
         W.Writer.add_bit w b
     | New None ->
-        tag 5;
+        tag w 5;
         W.Writer.add_bit w false
     | New (Some r) ->
-        tag 5;
+        tag w 5;
         W.Writer.add_bit w true;
-        W.Writer.add_gamma w r);
-    (W.Writer.contents w, W.Writer.bit_length w)
+        W.Writer.add_gamma w r
 
-  let decode s =
-    let r = W.Reader.of_string s in
+  let read r =
     match W.Reader.read_fixed r ~width:3 with
-    | 0 -> Some Elect
-    | 1 -> Some Announce
-    | 2 ->
+    | 0 -> Elect
+    | 1 -> Announce
+    | 2 -> (
         let sub = W.Reader.read_fixed r ~width:2 in
         let b = W.Reader.read_bit r in
-        (match sub with
-        | 0 -> Some (Pk (Phase_king.Vote b))
-        | 1 -> Some (Pk (Phase_king.Propose b))
-        | 2 -> Some (Pk (Phase_king.King b))
-        | _ -> None)
+        match sub with
+        | 0 -> Pk (Phase_king.Vote b)
+        | 1 -> Pk (Phase_king.Propose b)
+        | 2 -> Pk (Phase_king.King b)
+        | _ -> invalid_arg "Byzantine_renaming.Msg.read: phase-king tag")
     | 3 ->
         if W.Reader.read_bit r then
           if W.Reader.read_bit r then begin
             let fp = read_fp r in
             let cnt = W.Reader.read_gamma r in
-            Some (Vld (Validator.Lock (Some (fp, cnt))))
+            Vld (Validator.Lock (Some (fp, cnt)))
           end
-          else Some (Vld (Validator.Lock None))
+          else Vld (Validator.Lock None)
         else begin
           let fp = read_fp r in
           let cnt = W.Reader.read_gamma r in
-          Some (Vld (Validator.Input (fp, cnt)))
+          Vld (Validator.Input (fp, cnt))
         end
-    | 4 -> Some (Diff (W.Reader.read_bit r))
+    | 4 -> Diff (W.Reader.read_bit r)
     | 5 ->
-        if W.Reader.read_bit r then Some (New (Some (W.Reader.read_gamma r)))
-        else Some (New None)
+        if W.Reader.read_bit r then New (Some (W.Reader.read_gamma r))
+        else New None
     | 6 ->
         if W.Reader.read_bit r then
           if W.Reader.read_bit r then begin
             let s = read_raw r in
             let cnt = W.Reader.read_gamma r in
-            Some (VldRaw (Validator.Lock (Some (s, cnt))))
+            VldRaw (Validator.Lock (Some (s, cnt)))
           end
-          else Some (VldRaw (Validator.Lock None))
+          else VldRaw (Validator.Lock None)
         else begin
           let s = read_raw r in
           let cnt = W.Reader.read_gamma r in
-          Some (VldRaw (Validator.Input (s, cnt)))
+          VldRaw (Validator.Input (s, cnt))
         end
-    | _ -> None
-    | exception Invalid_argument _ -> None
+    | _ -> invalid_arg "Byzantine_renaming.Msg.read: tag"
+
+  let encode m = W.encode_with write m
+  let decode s = W.decode_with read s
 
   let pp ppf = function
     | Elect -> Format.fprintf ppf "elect"

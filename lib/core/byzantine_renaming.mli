@@ -50,7 +50,13 @@ module Msg : sig
   val bits : t -> int
   (** Exact encoded size: tested equal to [snd (encode m)]. *)
 
+  val write : Repro_sim.Wire.Writer.t -> t -> unit
+  val read : Repro_sim.Wire.Reader.t -> t
+  (** @raise Invalid_argument on a malformed field or too few bits. *)
+
   val encode : t -> string * int
+  (** [write]'s bytes (zero-padded) and exact bit length. *)
+
   val decode : string -> t option
   val pp : Format.formatter -> t -> unit
 end

@@ -30,45 +30,46 @@ module Msg = struct
         2 + iv_bits iv + Repro_sim.Wire.gamma_bits d
         + Repro_sim.Wire.gamma_bits p
 
-  let encode m =
-    let w = Repro_sim.Wire.Writer.create () in
-    let payload iv d p =
-      Repro_sim.Wire.Writer.add_gamma w iv.Interval.lo;
-      Repro_sim.Wire.Writer.add_gamma w (Interval.size iv - 1);
-      Repro_sim.Wire.Writer.add_gamma w d;
-      Repro_sim.Wire.Writer.add_gamma w p
-    in
-    (match m with
-    | Notify -> Repro_sim.Wire.Writer.add_fixed w 0 ~width:2
-    | Status { id; iv; d; p } ->
-        Repro_sim.Wire.Writer.add_fixed w 1 ~width:2;
-        Repro_sim.Wire.Writer.add_gamma w id;
-        payload iv d p
-    | Response { iv; d; p } ->
-        Repro_sim.Wire.Writer.add_fixed w 2 ~width:2;
-        payload iv d p);
-    (Repro_sim.Wire.Writer.contents w, Repro_sim.Wire.Writer.bit_length w)
+  module W = Repro_sim.Wire
 
-  let decode s =
-    let r = Repro_sim.Wire.Reader.of_string s in
-    let payload () =
-      let lo = Repro_sim.Wire.Reader.read_gamma r in
-      let span = Repro_sim.Wire.Reader.read_gamma r in
-      let d = Repro_sim.Wire.Reader.read_gamma r in
-      let p = Repro_sim.Wire.Reader.read_gamma r in
-      (Interval.make lo (lo + span), d, p)
-    in
-    match Repro_sim.Wire.Reader.read_fixed r ~width:2 with
-    | 0 -> Some Notify
+  let write_payload w iv d p =
+    W.Writer.add_gamma w iv.Interval.lo;
+    W.Writer.add_gamma w (Interval.size iv - 1);
+    W.Writer.add_gamma w d;
+    W.Writer.add_gamma w p
+
+  let write w = function
+    | Notify -> W.Writer.add_fixed w 0 ~width:2
+    | Status { id; iv; d; p } ->
+        W.Writer.add_fixed w 1 ~width:2;
+        W.Writer.add_gamma w id;
+        write_payload w iv d p
+    | Response { iv; d; p } ->
+        W.Writer.add_fixed w 2 ~width:2;
+        write_payload w iv d p
+
+  (* Fields are read in wire order: OCaml evaluates record fields in an
+     unspecified order, so each is bound first. *)
+  let read r =
+    match W.Reader.read_fixed r ~width:2 with
+    | 0 -> Notify
     | 1 ->
-        let id = Repro_sim.Wire.Reader.read_gamma r in
-        let iv, d, p = payload () in
-        Some (Status { id; iv; d; p })
+        let id = W.Reader.read_gamma r in
+        let lo = W.Reader.read_gamma r in
+        let span = W.Reader.read_gamma r in
+        let d = W.Reader.read_gamma r in
+        let p = W.Reader.read_gamma r in
+        Status { id; iv = Interval.make lo (lo + span); d; p }
     | 2 ->
-        let iv, d, p = payload () in
-        Some (Response { iv; d; p })
-    | _ -> None
-    | exception Invalid_argument _ -> None
+        let lo = W.Reader.read_gamma r in
+        let span = W.Reader.read_gamma r in
+        let d = W.Reader.read_gamma r in
+        let p = W.Reader.read_gamma r in
+        Response { iv = Interval.make lo (lo + span); d; p }
+    | _ -> invalid_arg "Crash_renaming.Msg.read: tag"
+
+  let encode m = W.encode_with write m
+  let decode s = W.decode_with read s
 
   let pp ppf = function
     | Notify -> Format.fprintf ppf "notify"

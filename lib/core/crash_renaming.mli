@@ -31,10 +31,19 @@ module Msg : sig
   val bits : t -> int
   (** Exact encoded size: tested equal to [snd (encode m)]. *)
 
+  val write : Repro_sim.Wire.Writer.t -> t -> unit
+  (** The codec: exactly [bits m] bits. *)
+
+  val read : Repro_sim.Wire.Reader.t -> t
+  (** [write]'s inverse.
+      @raise Invalid_argument on a malformed field or too few bits. *)
+
   val encode : t -> string * int
-  (** Wire bytes (zero-padded) and the exact bit length. *)
+  (** Wire bytes (zero-padded) and the exact bit length, from [write]. *)
 
   val decode : string -> t option
+  (** [read] over the bytes; [None] where it raises. *)
+
   val pp : Format.formatter -> t -> unit
 end
 

@@ -20,31 +20,28 @@ module Msg = struct
     in
     total
 
-  let encode (Known ids) =
-    let w = W.Writer.create () in
+  let write w (Known ids) =
     W.Writer.add_gamma w (List.length ids);
     ignore
       (List.fold_left
          (fun prev id ->
            W.Writer.add_gamma w (id - prev);
            id)
-         0 ids);
-    (W.Writer.contents w, W.Writer.bit_length w)
+         0 ids)
 
-  let decode s =
-    match
-      let r = W.Reader.of_string s in
-      let k = W.Reader.read_gamma r in
-      let rec go i prev acc =
-        if i = k then List.rev acc
-        else
-          let id = prev + W.Reader.read_gamma r in
-          go (i + 1) id (id :: acc)
-      in
-      go 0 0 []
-    with
-    | ids -> Some (Known ids)
-    | exception Invalid_argument _ -> None
+  (* A loop, not a recursive closure per call; the count needs no bound
+     of its own, since every id read takes at least one bit. *)
+  let read r =
+    let k = W.Reader.read_gamma r in
+    let prev = ref 0 and acc = ref [] in
+    for _ = 1 to k do
+      prev := !prev + W.Reader.read_gamma r;
+      acc := !prev :: !acc
+    done;
+    Known (List.rev !acc)
+
+  let encode m = W.encode_with write m
+  let decode s = W.decode_with read s
 
   let pp ppf (Known ids) =
     Format.fprintf ppf "known{%d ids}" (List.length ids)

@@ -22,7 +22,13 @@ module Msg : sig
   (** Exact encoded size (delta-gamma coding): tested equal to
       [snd (encode m)]. *)
 
+  val write : Repro_sim.Wire.Writer.t -> t -> unit
+  val read : Repro_sim.Wire.Reader.t -> t
+  (** @raise Invalid_argument on too few bits. *)
+
   val encode : t -> string * int
+  (** [write]'s bytes (zero-padded) and exact bit length. *)
+
   val decode : string -> t option
   val pp : Format.formatter -> t -> unit
 end

@@ -44,7 +44,8 @@ let rules =
        version; sort the extracted list before it is observed" );
     ( "D3",
       "polymorphic compare/Stdlib.compare/Hashtbl.hash as comparator or \
-       hash",
+       hash; in the runtime libraries also List.mem/assoc/assoc_opt, \
+       Array.mem and the polymorphic Hashtbl's keyed operations",
       "structural compare ties break by representation, not meaning; \
        use typed comparators (Int.compare, String.compare, per-field)" );
     ( "D4",

@@ -14,7 +14,13 @@
    - D3  polymorphic [compare]/[Stdlib.compare]/[Hashtbl.hash] used as a
          comparator or hash. An unqualified [compare] is exempt when the
          file defines its own top-level [compare] (the Interval /
-         Fingerprint idiom).
+         Fingerprint idiom). In the runtime libraries (lib/core,
+         lib/consensus, lib/crypto, lib/sim, lib/util, lib/net, lib/obs:
+         the set CI's nm guard covers) also the stdlib generics that
+         compare or hash polymorphically inside the stdlib, where the
+         guard cannot see them: [List.mem]/[assoc]/[assoc_opt]/
+         [mem_assoc]/[remove_assoc], [Array.mem] and the polymorphic
+         [Hashtbl]'s keyed operations.
    - D4  top-level mutable state ([ref]/[Hashtbl.create]/[Array.make]/
          [Atomic.make]/...) in the domain-shared libraries lib/core,
          lib/sim, lib/consensus, lib/crypto, lib/net, lib/util — racy
@@ -58,6 +64,10 @@ let path_has_dir path dir =
 let domain_shared_dirs =
   [ "lib/core"; "lib/sim"; "lib/consensus"; "lib/crypto"; "lib/net"; "lib/util" ]
 
+(* Directories whose native code CI's polymorphic-compare guard checks;
+   D3 also flags the stdlib generics below there. *)
+let runtime_dirs = "lib/obs" :: domain_shared_dirs
+
 (* {2 Identifier tables} *)
 
 let strip_stdlib path =
@@ -72,6 +82,24 @@ let has_prefix p s =
 let mem_str s l = List.exists (String.equal s) l
 
 let timing_fns = [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
+
+(* Stdlib functions that compare or hash their keys polymorphically. *)
+let polymorphic_generics =
+  [
+    "List.mem";
+    "List.assoc";
+    "List.assoc_opt";
+    "List.mem_assoc";
+    "List.remove_assoc";
+    "Array.mem";
+    "Hashtbl.add";
+    "Hashtbl.replace";
+    "Hashtbl.find";
+    "Hashtbl.find_opt";
+    "Hashtbl.find_all";
+    "Hashtbl.mem";
+    "Hashtbl.remove";
+  ]
 
 let d2_order_ops =
   [
@@ -187,6 +215,9 @@ let run config ~source str =
   let is_trace_file = path_ends_with config.filename "lib/obs/trace.ml" in
   let in_domain_shared =
     List.exists (path_has_dir config.filename) domain_shared_dirs
+  in
+  let in_runtime =
+    List.exists (path_has_dir config.filename) runtime_dirs
   in
   let comment_allows = Allowlist.scan source in
   let findings = ref [] in
@@ -310,7 +341,13 @@ let run config ~source str =
            (if String.equal norm "Hashtbl.hash" then "a hash" else
               "a comparator"))
         "use a typed comparator (Int.compare, String.compare, or a \
-         per-field one)";
+         per-field one)"
+    else if in_runtime && mem_str norm polymorphic_generics then
+      emit "D3" loc
+        (Printf.sprintf "`%s` compares keys polymorphically inside the stdlib"
+           norm)
+        "use a typed structure (Hashtbl.Make (Int), Sorted.index) or a \
+         loop with a typed equality";
     (* D5 — representation escapes & stdout chatter *)
     if has_prefix "Obj." norm then
       emit "D5" loc

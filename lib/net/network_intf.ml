@@ -46,15 +46,30 @@
 module type MSG = Repro_sim.Node.MSG
 
 (** What a wire backend additionally requires: the exact codec. All four
-    protocol [Msg] modules satisfy this — [bits m = snd (encode m)] is
-    part of their tested contract. *)
+    protocol [Msg] modules satisfy this. The codec is [write]/[read];
+    [encode]/[decode] are its string form, derived from them with
+    {!Repro_sim.Wire.encode_with}/{!Repro_sim.Wire.decode_with}.
+    [bits m] is the number of bits [write] emits, and [read] after
+    [write] consumes exactly those bits and returns an equal message:
+    both are part of the protocols' tested contract. The socket backend
+    calls only [write] and [read]. *)
 module type WIRE_MSG = sig
   include MSG
+
+  val write : Repro_sim.Wire.Writer.t -> t -> unit
+  (** Append [m]'s [bits m] bits at the writer's position, whatever its
+      bit offset. *)
+
+  val read : Repro_sim.Wire.Reader.t -> t
+  (** Read one message at the reader's position.
+      @raise Invalid_argument on a malformed field, as {!Repro_sim.Wire.Reader}
+      does when it runs out of bits. *)
 
   val encode : t -> string * int
   (** Wire bytes (zero-padded) and the exact bit length. *)
 
   val decode : string -> t option
+  (** [None] where [read] raises; trailing padding is ignored. *)
 end
 
 (** The node-side network interface. A subset of

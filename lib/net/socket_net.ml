@@ -1,6 +1,7 @@
 module Wire = Repro_sim.Wire
 module Metrics = Repro_sim.Metrics
 module Rng = Repro_util.Rng
+open Round_tables
 
 (* Stream format version + endpoint check, first field of both handshake
    frames; bump when the frame layout changes. *)
@@ -9,16 +10,10 @@ let magic = 0x524e33
 let proto_error fmt =
   Printf.ksprintf (fun s -> raise (Frame.Protocol_error s)) fmt
 
-(* A payload's encoding, [Msg.encode]'s (bytes, bits), with its string
-   hash computed once: a host's encode memo keeps these, so interning a
-   remembered payload does not rehash its bytes. *)
-type enc = { bytes : string; bits : int; hash : int }
-
-let enc_of (bytes, bits) = { bytes; bits; hash = String.hash bytes }
-
 (* Embedded byte strings are length-prefixed; a length beyond the
    frame's remaining bits is malformed, and is rejected before the
-   string is allocated. *)
+   string is allocated. A payload is its bit length, then its bits
+   zero-padded to whole bytes. *)
 module Codec = struct
   let add_bytes w s =
     Wire.Writer.add_gamma w (String.length s);
@@ -30,17 +25,24 @@ module Codec = struct
       proto_error "embedded byte string of %d bytes exceeds the frame" len;
     Wire.Reader.read_string r len
 
-  let add_msg w e =
-    if String.length e.bytes <> (e.bits + 7) / 8 then
+  let add_msg w (bytes, bits) =
+    if String.length bytes <> (bits + 7) / 8 then
       invalid_arg "Socket_net.Codec.add_msg: bytes/bits mismatch";
-    Wire.Writer.add_gamma w e.bits;
-    Wire.Writer.add_string w e.bytes
+    Wire.Writer.add_gamma w bits;
+    Wire.Writer.add_string w bytes
 
-  let read_msg r =
+  (* In place: [read] sees the payload's bits and no more, and must take
+     them all; the padding is skipped. *)
+  let read_msg r read =
     let bits = Wire.Reader.read_gamma r in
     if bits > Wire.Reader.bits_remaining r then
       proto_error "embedded message of %d bits exceeds the frame" bits;
-    enc_of (Wire.Reader.read_string r ((bits + 7) / 8), bits)
+    let stop = Wire.Reader.position r + (8 * ((bits + 7) / 8)) in
+    match Wire.Reader.within r ~bits read with
+    | m ->
+        Wire.Reader.skip r (stop - Wire.Reader.position r);
+        m
+    | exception Invalid_argument _ -> proto_error "undecodable payload"
 end
 
 (* Count fields precede variable-size repetitions; each counted entry
@@ -79,150 +81,11 @@ let read_count r =
 
    Both sides build every round frame in a writer kept per link and read
    it into a buffer kept per link ([Frame.begin_framed] /
-   [Frame.read_framed]), so a round allocates no frame-sized memory. *)
-
-(* Growable int buffer, retained across rounds and reset by [clear]. *)
-module Ibuf = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create () = { a = [||]; len = 0 }
-  let clear t = t.len <- 0
-
-  let push t v =
-    if t.len = Array.length t.a then begin
-      let b = Array.make (max 8 (2 * t.len)) 0 in
-      Array.blit t.a 0 b 0 t.len;
-      t.a <- b
-    end;
-    t.a.(t.len) <- v;
-    t.len <- t.len + 1
-end
-
-(* [a] grown to hold at least [len] entries, new cells set to [fill]. *)
-let grow a len fill =
-  if len <= Array.length a then a
-  else begin
-    let b = Array.make (max len (2 * Array.length a)) fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
-(* A round's payload table: distinct encodings in first-seen order. The
-   hash table is only ever looked up, never iterated; the order lives in
-   [encs]. *)
-module Payloads = struct
-  module Index = Hashtbl.Make (struct
-    type t = enc
-
-    let equal a b =
-      a == b || (Int.equal a.bits b.bits && String.equal a.bytes b.bytes)
-
-    let hash e = e.hash
-  end)
-
-  type t = { index : int Index.t; mutable encs : enc array; mutable len : int }
-
-  let create () = { index = Index.create 64; encs = [||]; len = 0 }
-  let length t = t.len
-  let bits t g = t.encs.(g).bits
-
-  let clear t =
-    Index.clear t.index;
-    t.len <- 0
-
-  let intern t e =
-    match Index.find t.index e with
-    | g -> g
-    | exception Not_found ->
-        let g = t.len in
-        t.encs <- grow t.encs (g + 1) e;
-        t.encs.(g) <- e;
-        t.len <- g + 1;
-        Index.add t.index e g;
-        g
-
-  let add_entry w t g = Codec.add_msg w t.encs.(g)
-end
-
-(* A round's destination-list table: distinct int sequences in
-   first-seen order, stored back to back in retained buffers — list [l]
-   is [entries] from [start l] to [start (l + 1)]. Interning hashes a
-   sequence once and compares it only against the lists of equal hash:
-   [index] maps a hash to the newest such list and [older] chains the
-   rest. Like [Payloads], the index is only ever looked up. *)
-module Lists = struct
-  module Index = Hashtbl.Make (Int)
-
-  type t = {
-    index : int Index.t;
-    older : Ibuf.t;
-    starts : Ibuf.t;
-    entries : Ibuf.t;
-  }
-
-  let create () =
-    let starts = Ibuf.create () in
-    Ibuf.push starts 0;
-    {
-      index = Index.create 16;
-      older = Ibuf.create ();
-      starts;
-      entries = Ibuf.create ();
-    }
-
-  let length t = t.older.len
-  let start t l = t.starts.a.(l)
-  let length_of t l = t.starts.a.(l + 1) - t.starts.a.(l)
-  let entry t l j = t.entries.a.(t.starts.a.(l) + j)
-
-  let clear t =
-    Index.clear t.index;
-    Ibuf.clear t.older;
-    Ibuf.clear t.entries;
-    Ibuf.clear t.starts;
-    Ibuf.push t.starts 0
-
-  let hash (a : int array) len =
-    let h = ref len in
-    for j = 0 to len - 1 do
-      h := (!h lxor a.(j)) * 0x100000001b3
-    done;
-    !h
-
-  let equal_to t l (a : int array) len =
-    length_of t l = len
-    &&
-    let o = start t l and j = ref 0 in
-    while !j < len && Int.equal t.entries.a.(o + !j) a.(!j) do
-      incr j
-    done;
-    !j = len
-
-  (* The index of [a]'s first [len] entries, appended as a new list when
-     no list holds them yet ([length] then grows by one). Loops, not
-     local recursive functions: a closure would be allocated per call,
-     and hosts intern once per outbox. *)
-  let intern t a len =
-    let h = hash a len in
-    let newest =
-      match Index.find t.index h with l -> l | exception Not_found -> -1
-    in
-    let l = ref newest in
-    while !l >= 0 && not (equal_to t !l a len) do
-      l := t.older.a.(!l)
-    done;
-    if !l >= 0 then !l
-    else begin
-      let l = length t in
-      Ibuf.push t.older newest;
-      for j = 0 to len - 1 do
-        Ibuf.push t.entries a.(j)
-      done;
-      Ibuf.push t.starts t.entries.len;
-      Index.replace t.index h l;
-      l
-    end
-end
+   [Frame.read_framed]), so a round allocates no frame-sized memory. No
+   payload becomes a string on the way: the coordinator interns each one
+   where it lies in the frame ([Payloads.read_entry]) and copies it into
+   its reply from the table's arena; a host writes messages with
+   [M.write] and reads them with [M.read] in the frame. *)
 
 type config = { ids : int array; seed : int; n_hosts : int; extra : string }
 
@@ -340,7 +203,7 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
     let t = read_count r in
     Ibuf.clear frame_gids;
     for _ = 1 to t do
-      Ibuf.push frame_gids (Payloads.intern table (Codec.read_msg r))
+      Ibuf.push frame_gids (Payloads.read_entry r table)
     done;
     let nl = read_count r in
     Ibuf.clear frame_lists;
@@ -629,45 +492,63 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     s
 
   (* A slot's encode memo: the messages of its latest outbox by
-     position, with their encodings. It holds its own copies — callers
-     refill their arrays in place — and every cell is a (message, its
-     encoding) pair, so a physically equal message can take the cell's
+     position, each with its encoding ([m_enc] its zero-padded bytes,
+     [m_bits] its length). It holds its own copies — callers refill
+     their arrays in place — and every cell pairs a message with its own
+     encoding, so a physically equal message can take the cell's
      encoding whatever round stored it. *)
-  type memo = { mutable m_msgs : M.t array; mutable m_encs : enc array }
+  type memo = {
+    mutable m_msgs : M.t array;
+    mutable m_enc : string array;
+    mutable m_bits : int array;
+  }
 
-  (* The encoding of the message at position [j] of a slot's outbox:
-     that of the previous entry or of the slot's previous outbox at [j]
-     when the message is physically the same, else [M.encode]'s. *)
-  let encode_at memo j m =
-    let msgs = memo.m_msgs in
-    let e =
-      if j > 0 && m == msgs.(j - 1) then memo.m_encs.(j - 1)
-      else if j < Array.length msgs && m == msgs.(j) then memo.m_encs.(j)
-      else enc_of (M.encode m)
-    in
-    if j >= Array.length msgs then begin
-      memo.m_msgs <- grow msgs (j + 1) m;
-      memo.m_encs <- grow memo.m_encs (j + 1) e
+  let remember memo j m e bits =
+    if j >= Array.length memo.m_msgs then begin
+      memo.m_msgs <- grow memo.m_msgs (j + 1) m;
+      memo.m_enc <- grow memo.m_enc (j + 1) e;
+      memo.m_bits <- grow memo.m_bits (j + 1) bits
     end;
     memo.m_msgs.(j) <- m;
-    memo.m_encs.(j) <- e;
-    e
+    memo.m_enc.(j) <- e;
+    memo.m_bits.(j) <- bits
+
+  (* The payload-table entry of message [m] at position [j] of a slot's
+     outbox. A message physically equal to the previous entry takes that
+     entry's, one equal to the slot's previous outbox at [j] the memo's
+     encoding; any other is written into the scratch writer [sw] with
+     [M.write] and remembered. *)
+  let intern_at tbl sw (gids : Ibuf.t) memo j m =
+    let msgs = memo.m_msgs in
+    if j > 0 && m == msgs.(j - 1) then begin
+      remember memo j m memo.m_enc.(j - 1) memo.m_bits.(j - 1);
+      gids.a.(gids.len - 1)
+    end
+    else begin
+      if not (j < Array.length msgs && m == msgs.(j)) then begin
+        Wire.Writer.reset sw;
+        M.write sw m;
+        remember memo j m (Wire.Writer.contents sw) (Wire.Writer.bit_length sw)
+      end;
+      Payloads.intern tbl
+        (Bytes.unsafe_of_string memo.m_enc.(j))
+        ~pos:0 ~bits:memo.m_bits.(j)
+    end
 
   (* A round frame takes two passes over the outboxes: [intern_outbox]
      adds each payload to the frame's table, recording its index in
      [gids] in frame order, and a fan's or batch's destinations to the
      frame's list table, recording its index in [list_of]; once the
      tables are written, [write_outbox] emits the slot record, taking
-     the payload indices back from [gids] at [cur]. A list's identities
-     are resolved to slots ([slots], in step with the table's entries)
-     only when it first enters the table. *)
-  let intern_outbox ~index tbl gids lists slots list_of s memo o =
-    let add j m = Ibuf.push gids (Payloads.intern tbl (encode_at memo j m)) in
-    if o.fan then add 0 o.msg.(0)
-    else
-      for j = 0 to o.len - 1 do
-        add j o.msg.(j)
-      done;
+     the payload indices back from [gids] at [cur] and returning the
+     cursor past them. A list's identities are resolved to slots
+     ([slots], in step with the table's entries) only when it first
+     enters the table. Both are loops: a local function would be a
+     closure allocated per slot and round. *)
+  let intern_outbox ~index tbl sw gids lists slots list_of s memo o =
+    for j = 0 to (if o.fan then 0 else o.len - 1) do
+      Ibuf.push gids (intern_at tbl sw gids memo j o.msg.(j))
+    done;
     if not o.bcast then begin
       let fresh = Lists.length lists in
       let l = Lists.intern lists o.dst o.len in
@@ -682,26 +563,25 @@ module Host (M : Network_intf.WIRE_MSG) = struct
      list and one payload, a batch tag 2 with its list and one payload
      per destination. *)
   let write_outbox w (gids : Ibuf.t) cur l o =
-    let next () =
-      incr cur;
-      gids.a.(!cur - 1)
-    in
     if o.bcast then begin
       Wire.Writer.add_gamma w 3;
-      Wire.Writer.add_gamma w (next ())
+      Wire.Writer.add_gamma w gids.a.(cur);
+      cur + 1
     end
     else if o.fan then begin
       Wire.Writer.add_gamma w 4;
       Wire.Writer.add_gamma w l;
-      Wire.Writer.add_gamma w (next ())
+      Wire.Writer.add_gamma w gids.a.(cur);
+      cur + 1
     end
     else begin
       Wire.Writer.add_gamma w 2;
       Wire.Writer.add_gamma w l;
       Wire.Writer.add_gamma w o.len;
-      for _ = 1 to o.len do
-        Wire.Writer.add_gamma w (next ())
-      done
+      for j = 0 to o.len - 1 do
+        Wire.Writer.add_gamma w gids.a.(cur + j)
+      done;
+      cur + o.len
     end
 
   let running states s =
@@ -765,11 +645,9 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         let n = Array.length ids in
         let t = read_count r in
         for k = 0 to t - 1 do
-          match M.decode (Codec.read_msg r).bytes with
-          | Some m ->
-              bufs.decoded <- grow bufs.decoded (k + 1) m;
-              bufs.decoded.(k) <- m
-          | None -> proto_error "undecodable payload"
+          let m = Codec.read_msg r M.read in
+          bufs.decoded <- grow bufs.decoded (k + 1) m;
+          bufs.decoded.(k) <- m
         done;
         let decoded = bufs.decoded in
         (* The broadcast rows, into [bc]'s dedicated stream grown to
@@ -911,10 +789,13 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         states.(s) <-
           start_fiber prog { id = ids.(s); ids; node_rng; current_round; out }
     done;
-    let memos = Array.init n (fun _ -> { m_msgs = [||]; m_encs = [||] }) in
+    let memos =
+      Array.init n (fun _ -> { m_msgs = [||]; m_enc = [||]; m_bits = [||] })
+    in
     let views = Array.map empty_view ids in
     let bufs = reply_bufs n in
     let tbl = Payloads.create () and gids = Ibuf.create () in
+    let sw = Wire.Writer.create () in
     let lists = Lists.create () and slots = Ibuf.create () in
     let list_of = Array.make n 0 in
     let w = Wire.Writer.create () and ib = Frame.inbuf () in
@@ -923,7 +804,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       for s = lo to hi - 1 do
         match states.(s) with
         | Running _ ->
-            intern_outbox ~index tbl gids lists slots list_of s memos.(s)
+            intern_outbox ~index tbl sw gids lists slots list_of s memos.(s)
               outs.(s)
         | Finished _ | Dead _ | Byz_node -> ()
       done;
@@ -948,7 +829,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
             Wire.Writer.add_gamma w v;
             states.(s) <- Dead !current_round
         | Dead _ | Byz_node -> Wire.Writer.add_gamma w 0
-        | Running _ -> write_outbox w gids cur list_of.(s) outs.(s)
+        | Running _ -> cur := write_outbox w gids !cur list_of.(s) outs.(s)
       done;
       Payloads.clear tbl;
       Ibuf.clear gids;

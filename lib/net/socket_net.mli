@@ -30,8 +30,12 @@
 
     Memory: each link's round frames are built in one writer and read
     into one buffer kept for the whole run, both sides keep their
-    tables in buffers kept across rounds, and a host's inbox rows live
-    in arrays kept across rounds (see {!Host}).
+    tables in buffers kept across rounds ({!Round_tables}), and a
+    host's inbox rows live in arrays kept across rounds (see {!Host}).
+    No payload becomes a string on the way: the coordinator interns
+    each where it lies in the frame and copies its bytes only into its
+    table's arena, and hosts write and read messages in place with the
+    protocols' [write]/[read].
 
     Determinism: per-node rngs are [Rng.split] off the seed in slot
     order exactly as the simulator derives them, and delivery order is
@@ -94,11 +98,16 @@ val serve :
     list's running slots and the round's broadcast rows, kept once for
     every slot, as its shared stream. A view returned by an
     exchange-class call is therefore valid only until the node's next
-    one ({!Network_intf.S.inbox}'s contract). Hosts skip [M.encode] for
-    a message physically equal to the previous entry of the same outbox,
-    or to the message at the same position of the slot's previous
-    outbox; the memo keeps its own copies, so callers may refill their
-    [exchange_sized] arrays in place. *)
+    one ({!Network_intf.S.inbox}'s contract).
+
+    Payloads cross in place: a host writes each message it must encode
+    with [M.write] into one scratch writer kept for the run, and reads
+    each reply payload with [M.read] straight from the frame, bounded
+    to the payload's declared bits. It skips [M.write] for a message
+    physically equal to the previous entry of the same outbox, or to
+    the message at the same position of the slot's previous outbox
+    (whatever round stored it); the memo keeps its own copies, so
+    callers may refill their [exchange_sized] arrays in place. *)
 module Host (M : Network_intf.WIRE_MSG) : sig
   include Network_intf.S with type msg = M.t
 
@@ -115,25 +124,26 @@ module Host (M : Network_intf.WIRE_MSG) : sig
       that kill the process, which the coordinator maps to crashes. *)
 end
 
-(** A payload's encoding as it crosses the wire: the protocols'
-    [Msg.encode] result and [String.hash bytes]. *)
-type enc = { bytes : string; bits : int; hash : int }
-
-val enc_of : string * int -> enc
-(** [enc_of (bytes, bits)] adds the hash to an encoding. *)
-
 (** Wire-stream helpers shared by both sides; exposed for the frame
-    robustness tests. *)
+    robustness tests. A frame carries a payload as its bit length, then
+    its bits zero-padded to whole bytes. *)
 module Codec : sig
   val add_bytes : Repro_sim.Wire.Writer.t -> string -> unit
 
-  val add_msg : Repro_sim.Wire.Writer.t -> enc -> unit
-  (** [bits], then [bytes].
+  val add_msg : Repro_sim.Wire.Writer.t -> string * int -> unit
+  (** [add_msg w (bytes, bits)] embeds an encoding, [Msg.encode]'s
+      shape: [bits], then [bytes].
       @raise Invalid_argument if [bytes] is not [bits] rounded up to
       whole bytes. *)
 
-  val read_msg : Repro_sim.Wire.Reader.t -> enc
-  (** [add_msg]'s inverse.
-      @raise Frame.Protocol_error if [bits] exceeds the frame's remaining
-      bits. *)
+  val read_msg :
+    Repro_sim.Wire.Reader.t -> (Repro_sim.Wire.Reader.t -> 'a) -> 'a
+  (** [read_msg r read] reads one embedded payload in place with
+      [read] (a [Msg.read]), bounded to the payload's declared bits
+      ({!Repro_sim.Wire.Reader.within}), then skips its padding. Nothing
+      is copied out of the frame.
+      @raise Frame.Protocol_error if the declared bits exceed the
+      frame's remaining bits, or ["undecodable payload"] if [read]
+      fails, stops short of them or would read past them.
+      @raise Invalid_argument if the frame ends inside the padding. *)
 end

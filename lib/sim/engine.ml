@@ -28,6 +28,7 @@ type alloc_probe = {
 let alloc_probe () = { ap_deliver = 0.; ap_resume = 0.; ap_book = 0. }
 
 module type MSG = Node.MSG
+module Int_tbl = Hashtbl.Make (Int)
 
 module Make (M : MSG) = struct
   (* The node side: inbox views, outbox slots, exchange-class calls and
@@ -605,7 +606,7 @@ module Make (M : MSG) = struct
          Cost to Eve: one crash per member; cost to the algorithm: a full
          phase of the escalated committee each time. *)
       let remaining = ref budget in
-      let seen_announcing : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+      let seen_announcing = Int_tbl.create 64 in
       fun obs ->
         if !remaining <= 0 then Final []
         else begin
@@ -619,11 +620,11 @@ module Make (M : MSG) = struct
               obs.obs_outboxes
           in
           let victims =
-            List.filter (fun src -> Hashtbl.mem seen_announcing src)
+            List.filter (fun src -> Int_tbl.mem seen_announcing src)
               broadcasters
           in
           List.iter
-            (fun src -> Hashtbl.replace seen_announcing src ())
+            (fun src -> Int_tbl.replace seen_announcing src ())
             broadcasters;
           let victims = List.filteri (fun i _ -> i < !remaining) victims in
           remaining := !remaining - List.length victims;

@@ -85,23 +85,29 @@ module Writer = struct
     add_zeros t k;
     add_fixed t v ~width:(k + 1)
 
-  let add_string t s =
-    let n = String.length s in
+  let add_subbytes t src off n =
+    if off < 0 || n < 0 || off > Bytes.length src - n then
+      invalid_arg "Wire.Writer.add_subbytes: range";
     ensure t (8 * n);
     let bytes = t.bytes and pos = t.len_bits in
     let i = pos lsr 3 and o = pos land 7 in
-    if o = 0 then Bytes.blit_string s 0 bytes i n
+    if o = 0 then Bytes.blit src off bytes i n
     else
       (* Each input byte straddles two buffer bytes; [ensure] covered
          byte [i + n], the last one touched. *)
       for j = 0 to n - 1 do
-        let c = Char.code (String.unsafe_get s j) in
+        let c = Char.code (Bytes.unsafe_get src (off + j)) in
         let cur = Char.code (Bytes.unsafe_get bytes (i + j)) in
         Bytes.unsafe_set bytes (i + j) (Char.unsafe_chr (cur lor (c lsr o)));
         Bytes.unsafe_set bytes (i + j + 1)
           (Char.unsafe_chr ((c lsl (8 - o)) land 0xff))
       done;
     t.len_bits <- pos + (8 * n)
+
+  (* The writer never mutates [src], so viewing the string as bytes is
+     sound. *)
+  let add_string t s =
+    add_subbytes t (Bytes.unsafe_of_string s) 0 (String.length s)
 
   let byte_length t = (t.len_bits + 7) / 8
   let contents t = Bytes.sub_string t.bytes 0 (byte_length t)
@@ -119,7 +125,7 @@ module Reader = struct
      frame's length for a prefix of a retained buffer. A reader never
      writes [data], so wrapping a string with [Bytes.unsafe_of_string]
      is sound. *)
-  type t = { data : Bytes.t; end_bits : int; mutable pos : int }
+  type t = { data : Bytes.t; mutable end_bits : int; mutable pos : int }
 
   let of_string s =
     { data = Bytes.unsafe_of_string s; end_bits = 8 * String.length s; pos = 0 }
@@ -130,6 +136,29 @@ module Reader = struct
     { data = b; end_bits = 8 * len; pos = 0 }
 
   let bits_remaining t = t.end_bits - t.pos
+  let position t = t.pos
+  let unsafe_bytes t = t.data
+
+  let skip t bits =
+    if bits < 0 || bits > bits_remaining t then
+      invalid_arg "Wire.Reader: out of bits";
+    t.pos <- t.pos + bits
+
+  (* The bound is lowered for [f] and restored however [f] ends, so the
+     caller's reader reads on past the field. *)
+  let within t ~bits f =
+    if bits < 0 || bits > bits_remaining t then
+      invalid_arg "Wire.Reader: out of bits";
+    let end_ = t.end_bits and stop = t.pos + bits in
+    t.end_bits <- stop;
+    match f t with
+    | v ->
+        t.end_bits <- end_;
+        if t.pos <> stop then invalid_arg "Wire.Reader.within: short read";
+        v
+    | exception e ->
+        t.end_bits <- end_;
+        raise e
 
   let read_bit t =
     if t.pos >= t.end_bits then
@@ -214,6 +243,16 @@ module Reader = struct
       Bytes.unsafe_to_string b
     end
 end
+
+let encode_with write v =
+  let w = Writer.create () in
+  write w v;
+  (Writer.contents w, Writer.bit_length w)
+
+let decode_with read s =
+  match read (Reader.of_string s) with
+  | v -> Some v
+  | exception Invalid_argument _ -> None
 
 let gamma_bits v =
   if v < 0 then invalid_arg "Wire.gamma_bits: negative";

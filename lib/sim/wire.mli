@@ -43,6 +43,11 @@ module Writer : sig
       when the stream is byte-aligned, one shifted store per byte
       otherwise. *)
 
+  val add_subbytes : t -> Bytes.t -> int -> int -> unit
+  (** [add_subbytes t b off len] appends bytes [off .. off + len - 1] of
+      [b], as {!add_string} appends a string's.
+      @raise Invalid_argument if the range is not inside [b]. *)
+
   val contents : t -> string
   (** The encoded bits, zero-padded to whole bytes. *)
 
@@ -79,6 +84,29 @@ module Reader : sig
       @raise Invalid_argument if [len] is outside [\[0, Bytes.length\]]. *)
 
   val bits_remaining : t -> int
+
+  val position : t -> int
+  (** Bits read so far, counted from the start of the input. *)
+
+  val skip : t -> int -> unit
+  (** [skip r k] advances past [k] bits without reading them.
+      @raise Invalid_argument if fewer than [k] bits remain or [k < 0]. *)
+
+  val unsafe_bytes : t -> Bytes.t
+  (** The buffer the reader reads, not a copy: the bit at {!position}
+      is bit [position land 7] (msb first) of byte [position lsr 3].
+      Only the bits before the reader's bound belong to the input; the
+      caller must not write to it. *)
+
+  val within : t -> bits:int -> (t -> 'a) -> 'a
+  (** [within r ~bits f] runs [f r] with [r] bounded to its next [bits]
+      bits, so a read past them is out of bits, and requires [f] to have
+      read exactly those bits. The bound is restored whether [f] returns
+      or raises.
+      @raise Invalid_argument if fewer than [bits] bits remain, if [f]
+      raises it, or ["Wire.Reader.within: short read"] if [f] stops
+      short. *)
+
   val read_bit : t -> bool
   val read_fixed : t -> width:int -> int
   val read_gamma : t -> int
@@ -95,6 +123,21 @@ module Reader : sig
       @raise Invalid_argument if [len] is negative, or out of bits as
       above. *)
 end
+
+(** {2 Message codecs}
+
+    A protocol message type has one codec: a streaming [write]/[read]
+    pair over {!Writer}/{!Reader}. The string form every [Msg] module
+    also exports is derived from it by these two. *)
+
+val encode_with : (Writer.t -> 'a -> unit) -> 'a -> string * int
+(** [encode_with write m]: [m] written into a fresh writer, as its
+    zero-padded bytes and exact bit length. *)
+
+val decode_with : (Reader.t -> 'a) -> string -> 'a option
+(** [decode_with read s]: [read] over [s], [None] if it raises
+    [Invalid_argument]. Bits after the message (the zero padding) are
+    ignored. *)
 
 val gamma_bits : int -> int
 (** [gamma_bits v] is the exact cost in bits of [Writer.add_gamma _ v]:

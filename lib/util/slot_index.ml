@@ -1,6 +1,8 @@
 (* A direct array below [dense_limit] (8 Mi cells, 64 MB), a hash table
    for anything else, so an exotic identity cannot force a huge array. *)
-type t = Dense of int array | Sparse of (int, int) Hashtbl.t
+module Int_tbl = Hashtbl.Make (Int)
+
+type t = Dense of int array | Sparse of int Int_tbl.t
 
 let dense_limit = 8_388_608
 
@@ -16,11 +18,11 @@ let create ~duplicate ids =
     Dense a
   end
   else begin
-    let h = Hashtbl.create (2 * Array.length ids) in
+    let h = Int_tbl.create (2 * Array.length ids) in
     Array.iteri
       (fun s id ->
-        if Hashtbl.mem h id then raise (duplicate id);
-        Hashtbl.add h id s)
+        if Int_tbl.mem h id then raise (duplicate id);
+        Int_tbl.add h id s)
       ids;
     Sparse h
   end
@@ -29,4 +31,4 @@ let find t id =
   match t with
   | Dense a -> if id >= 0 && id < Array.length a then a.(id) else -1
   | Sparse h -> (
-      match Hashtbl.find h id with s -> s | exception Not_found -> -1)
+      match Int_tbl.find h id with s -> s | exception Not_found -> -1)

@@ -16,15 +16,10 @@ module TMsg = struct
 
   let pp ppf (Ping v) = Format.fprintf ppf "ping(%d)" v
 
-  let encode (Ping v) =
-    let w = Wire.Writer.create () in
-    Wire.Writer.add_gamma w v;
-    (Wire.Writer.contents w, Wire.Writer.bit_length w)
-
-  let decode s =
-    match Wire.Reader.read_gamma (Wire.Reader.of_string s) with
-    | v -> Some (Ping v)
-    | exception Invalid_argument _ -> None
+  let write w (Ping v) = Wire.Writer.add_gamma w v
+  let read r = Ping (Wire.Reader.read_gamma r)
+  let encode m = Wire.encode_with write m
+  let decode s = Wire.decode_with read s
 end
 
 module H = SN.Host (TMsg)
@@ -119,7 +114,7 @@ let round_frame ~round ~table ~lists records =
   let w = Wire.Writer.create () in
   Wire.Writer.add_gamma w round;
   Wire.Writer.add_gamma w (List.length table);
-  List.iter (fun m -> SN.Codec.add_msg w (SN.enc_of m)) table;
+  List.iter (fun m -> SN.Codec.add_msg w m) table;
   Wire.Writer.add_gamma w (List.length lists);
   List.iter
     (fun l ->
@@ -217,23 +212,24 @@ let test_stale_bytes () =
   (* Host 0's round-1 frame is cut short after a longer round-0 frame,
      and the missing tail is exactly what the coordinator's retained read
      buffer still holds: the frames' leading fields take the same 13
-     bits (round 0 with a 16-bit payload, round 1 with a 14-bit one, both
-     2 bytes) and every later bit is equal. A reader bounded by the
-     buffer's capacity would parse the cut frame whole and keep host 0
-     running into round 2; the coordinator must crash it at round 1. *)
+     bits (round 0 with a 15-bit payload, Ping 127, round 1 with a 9-bit
+     one, Ping 15, both 2 bytes) and every bit from byte 3 on is equal.
+     A reader bounded by the buffer's capacity would parse the cut frame
+     whole and keep host 0 running into round 2; the coordinator must
+     crash it at round 1. *)
   let records = [ 3; 0; 3; 0 ] in
   let long =
-    round_frame ~round:0 ~table:[ ("\x80\x00", 16) ] ~lists:[] records
+    round_frame ~round:0 ~table:[ TMsg.encode (Ping 127) ] ~lists:[] records
   in
   let full =
-    round_frame ~round:1 ~table:[ ("\x80\x00", 14) ] ~lists:[] records
+    round_frame ~round:1 ~table:[ TMsg.encode (Ping 15) ] ~lists:[] records
   in
   let n = String.length full in
   Alcotest.(check int) "frames of equal length" (String.length long) n;
   Alcotest.(check string)
-    "equal from byte 2 on"
-    (String.sub long 2 (n - 2))
-    (String.sub full 2 (n - 2));
+    "equal from byte 3 on"
+    (String.sub long 3 (n - 3))
+    (String.sub full 3 (n - 3));
   let bad port =
     fake_host port ~host_index:0 (fun io ->
         Frame.write_frame io long;
@@ -407,47 +403,47 @@ let test_mixed_outboxes_match_engine () =
     (rows M.honest_bits_by_round sim)
     (rows M.honest_bits_by_round res.SN.run)
 
-(* Counts decodes in the host process that runs it. *)
-let decodes = ref 0
+(* Counts payload reads in the host process that runs it. *)
+let reads = ref 0
 
 module Counting_msg = struct
   include TMsg
 
-  let decode s =
-    incr decodes;
-    TMsg.decode s
+  let read r =
+    incr reads;
+    TMsg.read r
 end
 
 module Counting_host = SN.Host (Counting_msg)
 
 let test_one_decode_per_host_per_round () =
   (* 4 nodes broadcast the same payload for 3 rounds over 2 hosts: each
-     host decodes it once per round, so every node reads 3. *)
+     host reads it once per round, so every node counts 3. *)
   let res =
     serve_forked ~ids:[| 11; 22; 33; 44 |] ~n_hosts:2 (fun h fd ->
         Counting_host.run ~fd ~host_index:h ~program:(fun ~extra:_ ctx ->
             for _ = 1 to 3 do
               ignore (Counting_host.broadcast ctx (TMsg.Ping 1))
             done;
-            !decodes))
+            !reads))
   in
   List.iter
     (fun (id, outcome) ->
       match outcome with
       | Engine.Decided v ->
-          Alcotest.(check int) (Printf.sprintf "node %d decodes" id) 3 v
+          Alcotest.(check int) (Printf.sprintf "node %d reads" id) 3 v
       | _ -> Alcotest.fail (Printf.sprintf "node %d did not decide" id))
     res.SN.run.Engine.outcomes
 
-(* Counts encodes in the host process that runs it. *)
-let encodes = ref 0
+(* Counts payload writes in the host process that runs it. *)
+let writes = ref 0
 
 module Counting_enc_msg = struct
   include TMsg
 
-  let encode m =
-    incr encodes;
-    TMsg.encode m
+  let write w m =
+    incr writes;
+    TMsg.write w m
 end
 
 module Counting_enc_host = SN.Host (Counting_enc_msg)
@@ -506,15 +502,15 @@ let test_encode_memo () =
   let res =
     serve_forked ~ids ~n_hosts:1 (fun h fd ->
         Counting_enc_host.run ~fd ~host_index:h ~program:(fun ~extra:_ ctx ->
-            Memo_host.program ~on_done:(fun () -> !encodes) ctx))
+            Memo_host.program ~on_done:(fun () -> !writes) ctx))
   in
   List.iter2
     (fun (id, want) (_, got) ->
       match (want, got) with
-      | Engine.Decided _, Engine.Decided encoded when id = ids.(0) ->
-          (* [width] encodes in round 0, then one per changed position. *)
+      | Engine.Decided _, Engine.Decided written when id = ids.(0) ->
+          (* [width] writes in round 0, then one per changed position. *)
           Alcotest.(check int)
-            "encodes" (width + (2 * (memo_rounds - 1))) encoded
+            "writes" (width + (2 * (memo_rounds - 1))) written
       | Engine.Decided w, Engine.Decided g ->
           Alcotest.(check int) (Printf.sprintf "node %d received" id) w g
       | _ -> Alcotest.fail (Printf.sprintf "node %d did not decide" id))

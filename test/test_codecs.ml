@@ -1,6 +1,10 @@
 (* Codec properties for every protocol message type: decode ∘ encode is
-   the identity, and the [bits] accounting the metrics use equals the
-   encoded bit length exactly. *)
+   the identity, the [bits] accounting the metrics use equals the
+   encoded bit length exactly, and the streaming [write]/[read] pair,
+   which both are derived from, gives the same bits at any offset of a
+   stream. *)
+
+module W = Repro_sim.Wire
 
 module I = Repro_util.Interval
 module CRM = Repro_renaming.Crash_renaming.Msg
@@ -55,6 +59,14 @@ let byz_msg_gen =
         return (BRM.New None);
         (let* r = int_range 1 100_000 in
          return (BRM.New (Some r)));
+        (let* raw = string_size ~gen:char (int_range 0 12) in
+         let* cnt = int_range 0 100_000 in
+         oneofl
+           [
+             BRM.VldRaw (V.Input (raw, cnt));
+             BRM.VldRaw (V.Lock (Some (raw, cnt)));
+             BRM.VldRaw (V.Lock None);
+           ]);
       ])
 
 let flooding_msg_gen =
@@ -86,6 +98,58 @@ let qcheck_flooding =
   roundtrip_test "flooding msg codec roundtrip + exact bits" flooding_msg_gen
     ~equal:( = ) ~encode:FLM.encode ~decode:FLM.decode ~bits:FLM.bits
     ~pp:FLM.pp
+
+(* [m] written after a prefix of 0–7 single bits and some gamma fields:
+   the bits from the prefix's end on are [encode m]'s, and [read] there
+   returns an equal message after exactly [bits m] bits. *)
+let streaming_test name gen ~equal ~write ~read ~encode ~bits ~pp =
+  let prefix =
+    QCheck.Gen.(pair (int_range 0 7) (list_size (int_range 0 3) (int_bound 5000)))
+  in
+  QCheck.Test.make ~name ~count:500
+    (QCheck.make
+       ~print:(fun (m, (k, gs)) ->
+         Format.asprintf "%a after %d bits and gammas [%s]" pp m k
+           (String.concat "; " (List.map string_of_int gs)))
+       QCheck.Gen.(pair gen prefix))
+    (fun (m, (k, gs)) ->
+      let w = W.Writer.create () in
+      for i = 1 to k do
+        W.Writer.add_bit w (i land 1 = 1)
+      done;
+      List.iter (W.Writer.add_gamma w) gs;
+      let off = W.Writer.bit_length w in
+      write w m;
+      let e_bytes, e_bits = encode m in
+      let stream = W.Reader.of_string (W.Writer.contents w) in
+      let expected = W.Reader.of_string e_bytes in
+      W.Reader.skip stream off;
+      let same = ref (W.Writer.bit_length w - off = e_bits) in
+      for _ = 1 to e_bits do
+        if W.Reader.read_bit stream <> W.Reader.read_bit expected then
+          same := false
+      done;
+      let r = W.Reader.of_string (W.Writer.contents w) in
+      W.Reader.skip r off;
+      let m' = read r in
+      !same && bits m = e_bits
+      && W.Reader.position r = off + bits m
+      && equal m m')
+
+let streaming_crash =
+  streaming_test "crash msg write/read at any offset" crash_msg_gen
+    ~equal:( = ) ~write:CRM.write ~read:CRM.read ~encode:CRM.encode
+    ~bits:CRM.bits ~pp:CRM.pp
+
+let streaming_byz =
+  streaming_test "byz msg write/read at any offset" byz_msg_gen ~equal:( = )
+    ~write:BRM.write ~read:BRM.read ~encode:BRM.encode ~bits:BRM.bits
+    ~pp:BRM.pp
+
+let streaming_flooding =
+  streaming_test "flooding msg write/read at any offset" flooding_msg_gen
+    ~equal:( = ) ~write:FLM.write ~read:FLM.read ~encode:FLM.encode
+    ~bits:FLM.bits ~pp:FLM.pp
 
 let test_message_size_bounds () =
   (* The O(log N) claim, concretely: any crash/byz message over namespace
@@ -123,4 +187,7 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_crash;
       QCheck_alcotest.to_alcotest qcheck_byz;
       QCheck_alcotest.to_alcotest qcheck_flooding;
+      QCheck_alcotest.to_alcotest streaming_crash;
+      QCheck_alcotest.to_alcotest streaming_byz;
+      QCheck_alcotest.to_alcotest streaming_flooding;
     ] )

@@ -67,6 +67,23 @@ let test_d3 () =
   check_fixture "d3_allow.ml" ~expect_rule:"D3" ~expect_count:0
     ~expect_suppressed:2
 
+(* D3's stdlib generics are path-scoped to the runtime libraries: the
+   same file is dirty under lib/net, clean under lib/check (outside the
+   nm guard's set) and at its real test/lint path. *)
+let test_d3_generics () =
+  let source = read (fixture "d3_generic.ml") in
+  let findings, suppressed =
+    Lint.lint_string ~filename:"lib/net/d3_generic.ml" source
+  in
+  Alcotest.(check int) "under lib/net: 6 findings" 6 (List.length findings);
+  Alcotest.(check (list string)) "all D3" [ "D3" ] (rules_of findings);
+  Alcotest.(check int) "under lib/net: 1 suppressed" 1 suppressed;
+  List.iter
+    (fun filename ->
+      let findings, _ = Lint.lint_string ~filename source in
+      Alcotest.(check int) (filename ^ ": clean") 0 (List.length findings))
+    [ "lib/check/d3_generic.ml"; fixture "d3_generic.ml" ]
+
 (* D4 is path-scoped: the same file is dirty under lib/core and clean
    under its real test/lint path. *)
 let test_d4 () =
@@ -568,6 +585,8 @@ let suite =
       Alcotest.test_case "D1 fixtures" `Quick test_d1;
       Alcotest.test_case "D2 fixtures" `Quick test_d2;
       Alcotest.test_case "D3 fixtures" `Quick test_d3;
+      Alcotest.test_case "D3 stdlib generics, runtime libraries" `Quick
+        test_d3_generics;
       Alcotest.test_case "D4 fixtures + path scoping" `Quick test_d4;
       Alcotest.test_case "D4 size-cache route (engine fast path)" `Quick
         test_d4_size_cache;

@@ -163,15 +163,10 @@ module TMsg = struct
   let bits (Ping v) = Wire.gamma_bits v
   let pp ppf (Ping v) = Format.fprintf ppf "ping(%d)" v
 
-  let encode (Ping v) =
-    let w = Wire.Writer.create () in
-    Wire.Writer.add_gamma w v;
-    (Wire.Writer.contents w, Wire.Writer.bit_length w)
-
-  let decode s =
-    match Wire.Reader.read_gamma (Wire.Reader.of_string s) with
-    | v -> Some (Ping v)
-    | exception Invalid_argument _ -> None
+  let write w (Ping v) = Wire.Writer.add_gamma w v
+  let read r = Ping (Wire.Reader.read_gamma r)
+  let encode m = Wire.encode_with write m
+  let decode s = Wire.decode_with read s
 end
 
 module H = SN.Host (TMsg)
@@ -198,7 +193,7 @@ let reply_frame ~table ~bcast ~lists ~records =
     gammas l
   in
   gammas [ 0; 0; List.length table ];
-  List.iter (fun m -> SN.Codec.add_msg w (SN.enc_of m)) table;
+  List.iter (fun m -> SN.Codec.add_msg w m) table;
   Wire.Writer.add_gamma w (List.length bcast);
   List.iter (fun (src, k) -> gammas [ src; k ]) bcast;
   Wire.Writer.add_gamma w (List.length lists);
@@ -262,8 +257,11 @@ let test_host_merges_tables () =
     ]
     (run_host [ full_reply; stop_frame ~round:1 ])
 
+(* The stop frame behind the reply lets a host that wrongly accepts it
+   finish, so the case fails instead of blocking on a reply that never
+   comes. *)
 let expect_host_rejects name reply =
-  match run_host [ reply ] with
+  match run_host [ reply; stop_frame ~round:1 ] with
   | _ -> Alcotest.fail (name ^ ": malformed reply accepted")
   | exception Frame.Protocol_error _ -> ()
 
@@ -296,6 +294,14 @@ let test_host_rejects_malformed_tables () =
     (reply ~bcast:[] ~lists:[ [ 2 ] ] ~records:[ `Batch (0, 0, [ 0; 0 ]) ]);
   expect_host_rejects "undecodable table payload"
     (reply_frame ~table:[ ping 5; ("", 0) ] ~bcast:[ (1, 0) ] ~lists:[]
+       ~records:[]);
+  (* Ping 5 is the 5 bits 00110: declared as 7 bits its read stops
+     short, declared as 3 it would cross the payload's end. *)
+  expect_host_rejects "payload read stops short of its length"
+    (reply_frame ~table:[ ping 5; ("\x30", 7) ] ~bcast:[ (1, 0) ] ~lists:[]
+       ~records:[]);
+  expect_host_rejects "payload read crosses its length"
+    (reply_frame ~table:[ ping 5; ("\x30", 3) ] ~bcast:[ (1, 0) ] ~lists:[]
        ~records:[])
 
 (* A reply built from raw fields: gammas and [Codec.add_msg] entries. *)
@@ -304,7 +310,7 @@ let raw_frame fields =
   List.iter
     (function
       | `G v -> Wire.Writer.add_gamma w v
-      | `M m -> SN.Codec.add_msg w (SN.enc_of m))
+      | `M m -> SN.Codec.add_msg w m)
     fields;
   Wire.Writer.contents w
 
@@ -312,18 +318,23 @@ let test_host_stale_bytes () =
   (* The round-1 reply is cut short after a longer round-0 reply, and the
      missing tail is exactly what the retained read buffer still holds:
      the two replies' header fields take the same 14 bits (round 0 with
-     a 16-bit payload, round 1 with a 14-bit one, both 2 bytes), and
-     every later bit is equal. A reader bounded by the buffer's capacity
-     would parse the cut reply whole; the host must reject it. *)
+     a 15-bit payload, Ping 127, round 1 with a 9-bit one, Ping 15, both
+     2 bytes), and every bit from byte 3 on is equal. A reader bounded by
+     the buffer's capacity would parse the cut reply whole; the host
+     must reject it. *)
   let tail = [ `G 1; `G 1; `G 0; `G 0; `G 0 ] in
-  let long = raw_frame ([ `G 0; `G 0; `G 1; `M ("\x80\x00", 16) ] @ tail) in
-  let full = raw_frame ([ `G 1; `G 0; `G 1; `M ("\x80\x00", 14) ] @ tail) in
+  let long =
+    raw_frame ([ `G 0; `G 0; `G 1; `M (TMsg.encode (Ping 127)) ] @ tail)
+  in
+  let full =
+    raw_frame ([ `G 1; `G 0; `G 1; `M (TMsg.encode (Ping 15)) ] @ tail)
+  in
   Alcotest.(check int)
     "replies of equal length" (String.length long) (String.length full);
   Alcotest.(check string)
-    "equal from byte 2 on"
-    (String.sub long 2 (String.length long - 2))
-    (String.sub full 2 (String.length full - 2));
+    "equal from byte 3 on"
+    (String.sub long 3 (String.length long - 3))
+    (String.sub full 3 (String.length full - 3));
   ignore (run_host [ long; full; stop_frame ~round:2 ]);
   for cut = 0 to String.length full - 1 do
     match run_host [ long; String.sub full 0 cut; stop_frame ~round:2 ] with
@@ -434,45 +445,108 @@ let test_truncation () =
 (* {2 Framed codec round-trips}
 
    writer -> socketpair -> reader, for every message constructor of
-   every protocol: the embedded [Codec.add_msg]/[read_msg] must carry
-   the exact [encode] bytes and bit length, and the decoded message must
-   re-encode identically (value equality via the codec, which avoids
-   comparing abstract payload types structurally). *)
+   every protocol: [Codec.add_msg] must embed the exact [encode] bytes
+   and bit length, and [Codec.read_msg] with [M.read] must read the
+   message back in place, consuming exactly the embedded field, to a
+   message that re-encodes identically (value equality via the codec,
+   which avoids comparing abstract payload types structurally). *)
 
 let roundtrip_framed (type a) (module M : Repro_net.Network_intf.WIRE_MSG
                        with type t = a) name (samples : a list) =
   let a_fd, b_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let wio = Frame.io_of_fd a_fd and rio = Frame.io_of_fd b_fd in
   let w = Wire.Writer.create () in
-  List.iter (fun m -> SN.Codec.add_msg w (SN.enc_of (M.encode m))) samples;
+  List.iter (fun m -> SN.Codec.add_msg w (M.encode m)) samples;
   Frame.write_frame wio (Wire.Writer.contents w);
   let r = Wire.Reader.of_string (Frame.read_frame rio) in
   List.iteri
     (fun i m ->
-      let { SN.bytes; bits; _ } = SN.Codec.read_msg r in
       let e_bytes, e_bits = M.encode m in
       Alcotest.(check int)
-        (Printf.sprintf "%s[%d] bits" name i)
-        e_bits bits;
-      Alcotest.(check string)
-        (Printf.sprintf "%s[%d] bytes" name i)
-        e_bytes bytes;
-      Alcotest.(check int)
         (Printf.sprintf "%s[%d] bits = Msg.bits" name i)
-        (M.bits m) bits;
-      match M.decode bytes with
-      | None -> Alcotest.fail (Printf.sprintf "%s[%d] undecodable" name i)
-      | Some m' ->
-          let r_bytes, r_bits = M.encode m' in
-          Alcotest.(check string)
-            (Printf.sprintf "%s[%d] re-encode bytes" name i)
-            e_bytes r_bytes;
-          Alcotest.(check int)
-            (Printf.sprintf "%s[%d] re-encode bits" name i)
-            e_bits r_bits)
+        (M.bits m) e_bits;
+      let before = Wire.Reader.bits_remaining r in
+      let m' = SN.Codec.read_msg r M.read in
+      Alcotest.(check int)
+        (Printf.sprintf "%s[%d] embedded field length" name i)
+        (Wire.gamma_bits e_bits + (8 * String.length e_bytes))
+        (before - Wire.Reader.bits_remaining r);
+      let r_bytes, r_bits = M.encode m' in
+      Alcotest.(check string)
+        (Printf.sprintf "%s[%d] re-encode bytes" name i)
+        e_bytes r_bytes;
+      Alcotest.(check int)
+        (Printf.sprintf "%s[%d] re-encode bits" name i)
+        e_bits r_bits)
     samples;
+  Alcotest.(check int) (name ^ ": frame consumed") 0
+    (Wire.Reader.bits_remaining r land lnot 7);
   Unix.close a_fd;
   Unix.close b_fd
+
+(* {2 The payload table}
+
+   Random payloads, each embedded at every bit offset 0–7 of its own
+   stream: a payload interned where it lies is one entry whatever its
+   offset, entries are numbered in first-seen order, two payloads share
+   an entry exactly when their bits and padded bytes agree, and
+   [add_entry] writes back the field [Codec.add_msg] wrote. *)
+let qcheck_payload_table =
+  let payload =
+    QCheck.Gen.(
+      let* bits = int_range 0 40 in
+      let* raw = string_size ~gen:char (return ((bits + 7) / 8)) in
+      (* keep the padding zero, as an encoder leaves it *)
+      let pad = (8 - (bits land 7)) land 7 in
+      let bytes =
+        String.mapi
+          (fun i c ->
+            if i = String.length raw - 1 then
+              Char.chr (Char.code c land (0xff lsl pad) land 0xff)
+            else c)
+          raw
+      in
+      return (bytes, bits))
+  in
+  QCheck.Test.make ~name:"payload table interns in place" ~count:300
+    QCheck.(
+      make
+        ~print:(fun l ->
+          String.concat "; "
+            (List.map (fun (b, n) -> Printf.sprintf "%S/%d" b n) l))
+        Gen.(
+          list_size (int_range 1 12)
+            (oneof [ oneofl [ ("", 0); ("\x80", 1); ("\x80", 2) ]; payload ])))
+    (fun payloads ->
+      let module P = Repro_net.Round_tables.Payloads in
+      let t = P.create () in
+      let distinct = ref [] in
+      let ok = ref true in
+      List.iter
+        (fun e ->
+          let first =
+            match List.assoc_opt e !distinct with
+            | Some g -> g
+            | None ->
+                let g = List.length !distinct in
+                distinct := !distinct @ [ (e, g) ];
+                g
+          in
+          for k = 0 to 7 do
+            let w = Wire.Writer.create () in
+            Wire.Writer.add_fixed w 0 ~width:k;
+            SN.Codec.add_msg w e;
+            let r = Wire.Reader.of_string (Wire.Writer.contents w) in
+            Wire.Reader.skip r k;
+            if P.read_entry r t <> first then ok := false;
+            let back = Wire.Writer.create () and want = Wire.Writer.create () in
+            P.add_entry back t first;
+            SN.Codec.add_msg want e;
+            if Wire.Writer.contents back <> Wire.Writer.contents want then
+              ok := false
+          done)
+        payloads;
+      !ok && P.length t = List.length !distinct)
 
 let test_codec_roundtrips () =
   let iv = Repro_util.Interval.make 3 10 in
@@ -592,6 +666,7 @@ let suite =
         test_truncation;
       Alcotest.test_case "framed codec round-trips, all protocols" `Quick
         test_codec_roundtrips;
+      QCheck_alcotest.to_alcotest qcheck_payload_table;
       Alcotest.test_case "host merges payload and broadcast tables" `Quick
         test_host_merges_tables;
       Alcotest.test_case "host rejects malformed reply tables" `Quick

@@ -42,6 +42,61 @@ let test_out_of_bits () =
     (Invalid_argument "Wire.Reader: out of bits") (fun () ->
       ignore (W.Reader.read_bit r))
 
+(* [within] bounds a field and demands it be read whole; the outer
+   bound comes back however the field's read ends. *)
+let test_within () =
+  let w = W.Writer.create () in
+  List.iter (W.Writer.add_gamma w) [ 5; 9; 2 ];
+  W.Writer.add_fixed w 3 ~width:2;
+  let r = W.Reader.of_string (W.Writer.contents w) in
+  Alcotest.(check int) "first" 5 (W.Reader.read_gamma r);
+  let field = W.gamma_bits 9 in
+  Alcotest.(check int)
+    "exact field" 9
+    (W.Reader.within r ~bits:field W.Reader.read_gamma);
+  Alcotest.(check int) "position after the field" (W.gamma_bits 5 + field)
+    (W.Reader.position r);
+  Alcotest.check_raises "read past the field"
+    (Invalid_argument "Wire.Reader: out of bits") (fun () ->
+      ignore (W.Reader.within r ~bits:2 W.Reader.read_gamma));
+  Alcotest.(check int)
+    "outer bound restored"
+    (8 * W.Writer.byte_length w)
+    (W.Reader.position r + W.Reader.bits_remaining r);
+  let r = W.Reader.of_string (W.Writer.contents w) in
+  W.Reader.skip r (W.gamma_bits 5 + field);
+  Alcotest.check_raises "field left unread"
+    (Invalid_argument "Wire.Reader.within: short read") (fun () ->
+      ignore (W.Reader.within r ~bits:(W.gamma_bits 2 + 1) W.Reader.read_gamma));
+  Alcotest.(check int) "reads on past the field" 3
+    (W.Reader.read_fixed r ~width:2);
+  Alcotest.check_raises "field beyond the input"
+    (Invalid_argument "Wire.Reader: out of bits") (fun () ->
+      ignore (W.Reader.within r ~bits:64 W.Reader.read_gamma));
+  Alcotest.check_raises "skip beyond the input"
+    (Invalid_argument "Wire.Reader: out of bits") (fun () ->
+      W.Reader.skip r 64)
+
+(* [add_subbytes] appends a slice exactly as [add_string] appends it as
+   a string, at every bit offset. *)
+let test_add_subbytes () =
+  let src = Bytes.of_string "\x00\xa5\x3c\xff\x01" in
+  for k = 0 to 7 do
+    let a = W.Writer.create () and b = W.Writer.create () in
+    for _ = 1 to k do
+      W.Writer.add_bit a true;
+      W.Writer.add_bit b true
+    done;
+    W.Writer.add_subbytes a src 1 3;
+    W.Writer.add_string b (Bytes.sub_string src 1 3);
+    Alcotest.(check string)
+      (Printf.sprintf "offset %d" k)
+      (W.Writer.contents b) (W.Writer.contents a)
+  done;
+  Alcotest.check_raises "slice outside the bytes"
+    (Invalid_argument "Wire.Writer.add_subbytes: range") (fun () ->
+      W.Writer.add_subbytes (W.Writer.create ()) src 3 3)
+
 let qcheck_gamma_roundtrip =
   QCheck.Test.make ~name:"gamma roundtrip + exact cost" ~count:1000
     QCheck.(int_bound 1_000_000_000)
@@ -530,6 +585,8 @@ let suite =
       Alcotest.test_case "fixed rejects bad values" `Quick test_fixed_rejects;
       Alcotest.test_case "gamma costs" `Quick test_gamma_values;
       Alcotest.test_case "reader exhaustion" `Quick test_out_of_bits;
+      Alcotest.test_case "bounded field reads" `Quick test_within;
+      Alcotest.test_case "appending a byte slice" `Quick test_add_subbytes;
       Alcotest.test_case "fixed width-62 boundary" `Quick
         test_fixed_width62_boundary;
       Alcotest.test_case "read_fixed truncated input" `Quick
