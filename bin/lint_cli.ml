@@ -5,16 +5,12 @@
      lint [PATHS..]                 # default: lib
      lint --format json lib bin bench
      lint --format sarif lib > lint.sarif
-     lint --disable D4,D5 lib/core
-     lint --enable D1 --enable D2 lib
-     lint --baseline lint-report.json lib
      lint --list-rules
 
-   Exit 0 when every enabled rule is clean (allow- and
-   baseline-suppressed findings do not fail the build), 1 on any
-   unsuppressed finding (including E0 parse failures), 2 on usage
-   errors / unreadable paths. [dune build @lint] runs this over
-   lib, bin and bench. *)
+   Exit 0 when no finding is left (allow-suppressed findings do not fail
+   the build), 1 on any unsuppressed finding (including E0 parse
+   failures), 2 on usage errors / unreadable paths. [dune build @lint]
+   runs this over lib, bin and bench. *)
 (* Stdout reporting is this executable's purpose; relax the library
    print rule for the whole file rather than annotating every line. *)
 [@@@lint.allow "D5"]
@@ -31,53 +27,23 @@ let list_rules () =
       Printf.printf "%-3s %s\n    why: %s\n" id rejects rationale)
     Finding.rules
 
-let run paths format enables disables baseline_file list =
+let run paths format list =
   if list then begin
     list_rules ();
     0
   end
   else begin
-    let split l = List.concat_map (String.split_on_char ',') l in
-    let enables = split enables and disables = split disables in
-    let unknown =
-      List.filter (fun r -> not (Finding.is_known_rule r)) (enables @ disables)
-    in
-    if unknown <> [] then begin
-      Printf.eprintf "lint: unknown rule id%s: %s\n"
-        (if List.length unknown = 1 then "" else "s")
-        (String.concat ", " unknown);
-      exit 2
-    end;
     let missing = List.filter (fun p -> not (Sys.file_exists p)) paths in
     if missing <> [] then begin
       Printf.eprintf "lint: no such path: %s\n" (String.concat ", " missing);
       exit 2
     end;
-    let baseline =
-      match baseline_file with
-      | None -> []
-      | Some path ->
-          if not (Sys.file_exists path) then begin
-            Printf.eprintf "lint: no such baseline: %s\n" path;
-            exit 2
-          end;
-          Lint.baseline_of_file path
-    in
-    let enabled rule =
-      (* E0 (parse failure) cannot be opted out of: an unparseable file
-         cannot be certified. *)
-      String.equal rule "E0"
-      || (match enables with
-         | [] -> true
-         | _ :: _ -> List.exists (String.equal rule) enables)
-         && not (List.exists (String.equal rule) disables)
-    in
-    let report = Lint.lint_project_files ~enabled ~baseline paths in
+    let report = Lint.lint_project_files paths in
     (match format with
     | `Text -> print_string (Lint.project_to_text report)
     | `Json -> print_string (Lint.to_json_v2 report)
-    | `Sarif -> print_string (Sarif.render report.Lint.p_findings));
-    match report.Lint.p_findings with [] -> 0 | _ :: _ -> 1
+    | `Sarif -> print_string (Sarif.render report.Lint.findings));
+    match report.Lint.findings with [] -> 0 | _ :: _ -> 1
   end
 
 let paths_arg =
@@ -95,29 +61,6 @@ let format_arg =
           "Report format: text, json (lint-report/v2), or sarif \
            (SARIF 2.1.0).")
 
-let enable_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "enable" ] ~docv:"IDS"
-        ~doc:
-          "Run only these rules (comma-separated, repeatable). Default: all.")
-
-let disable_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "disable" ] ~docv:"IDS"
-        ~doc:"Skip these rules (comma-separated, repeatable).")
-
-let baseline_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "baseline" ] ~docv:"REPORT"
-        ~doc:
-          "Suppress findings present in this committed JSON report \
-           (v1 or v2, matched on rule/file/message); exit 1 only on \
-           findings not in the baseline.")
-
 let list_arg =
   Arg.(
     value & flag
@@ -131,11 +74,7 @@ let () =
          project-wide S/N/W) over OCaml sources; exit 1 on any \
          unsuppressed finding."
   in
-  let term =
-    Term.(
-      const run $ paths_arg $ format_arg $ enable_arg $ disable_arg
-      $ baseline_arg $ list_arg)
-  in
+  let term = Term.(const run $ paths_arg $ format_arg $ list_arg) in
   (* Cmdliner's parse errors (unknown option, malformed value) are
      usage errors too: exit 2, not cmdliner's 124; cmdliner has already
      printed the usage text on stderr. *)

@@ -121,35 +121,45 @@ let trace_line buf ~round ~src ~dst pp msg =
     dst
     (Format.asprintf "%a" pp msg)
 
+(* The engine tap both runs attach. A one-entry payload memo, hit by
+   physical equality: the engine taps a broadcast's n copies
+   consecutively with the same physical message value, so the codec
+   round-trip check runs once per payload instead of once per recipient.
+   The oracle sums the protocol's own [M.bits], not the engine's billed
+   [bits]; a copy billed at another size counts as a wire fault. Copies
+   from a node [is_byz] names are counted as Byzantine traffic, outside
+   the honest budgets. Every copy is forwarded to the JSONL trace and
+   the text trace when they are on. *)
+let wire_tap (type m)
+    (module M : Repro_net.Network_intf.WIRE_MSG with type t = m) ~is_byz
+    ~stats ~trace ~jsonl =
+  let memo_msg = ref None and memo_bits = ref 0 and memo_ok = ref false in
+  fun ~round ~src ~dst ~bits:billed (msg : m) ->
+    (match !memo_msg with
+    | Some m when m == msg -> ()
+    | _ ->
+        let bits = M.bits msg in
+        let enc, blen = M.encode msg in
+        memo_msg := Some msg;
+        memo_bits := bits;
+        memo_ok := blen = bits && M.decode enc = Some msg);
+    let bits = !memo_bits in
+    (if is_byz src then Oracle.observe_byz stats
+     else Oracle.observe_honest stats ~bits ~wire_ok:(!memo_ok && billed = bits));
+    (match jsonl with
+    | Some t -> Trace.tap t ~round ~src ~dst ~bits:billed msg
+    | None -> ());
+    match trace with
+    | Some buf -> trace_line buf ~round ~src ~dst M.pp msg
+    | None -> ()
+
 let run_crash ?trace ?jsonl ?shards (s : Schedule.t) : Oracle.verdict =
   let ids = crash_ids_of s in
   let params = CR.experiment_params in
   let round_bound = crash_round_bound ~n:s.n in
   let stats = Oracle.new_stats () in
-  (* One-entry payload memo, hit by physical equality: the engine taps a
-     broadcast's n copies consecutively with the same physical message
-     value, so the codec round-trip check runs once per payload instead
-     of once per recipient. The oracle sums the protocol's own
-     [Msg.bits], not the engine's billed [bits]; a copy billed at
-     another size counts as a wire fault. *)
-  let memo_msg = ref None and memo_bits = ref 0 and memo_ok = ref false in
-  let tap ~round ~src ~dst ~bits:billed msg =
-    (match !memo_msg with
-    | Some m when m == msg -> ()
-    | _ ->
-        let bits = CR.Msg.bits msg in
-        let enc, blen = CR.Msg.encode msg in
-        memo_msg := Some msg;
-        memo_bits := bits;
-        memo_ok := blen = bits && CR.Msg.decode enc = Some msg);
-    let bits = !memo_bits in
-    Oracle.observe_honest stats ~bits ~wire_ok:(!memo_ok && billed = bits);
-    (match jsonl with
-    | Some t -> Trace.tap t ~round ~src ~dst ~bits:billed msg
-    | None -> ());
-    match trace with
-    | Some buf -> trace_line buf ~round ~src ~dst CR.Msg.pp msg
-    | None -> ()
+  let tap =
+    wire_tap (module CR.Msg) ~is_byz:(fun _ -> false) ~stats ~trace ~jsonl
   in
   match
     CR.Net.run ~ids
@@ -198,27 +208,10 @@ let run_byz ?trace ?jsonl ?shards (s : Schedule.t) : Oracle.verdict =
   let byz_set = Array.of_list (List.map fst behaviors) in
   Array.sort Int.compare byz_set;
   let stats = Oracle.new_stats () in
-  (* Same one-entry physical-equality payload memo and billed-size check
-     as the crash tap. *)
-  let memo_msg = ref None and memo_bits = ref 0 and memo_ok = ref false in
-  let tap ~round ~src ~dst ~bits:billed msg =
-    (match !memo_msg with
-    | Some m when m == msg -> ()
-    | _ ->
-        let bits = BR.Msg.bits msg in
-        let enc, blen = BR.Msg.encode msg in
-        memo_msg := Some msg;
-        memo_bits := bits;
-        memo_ok := blen = bits && BR.Msg.decode enc = Some msg);
-    let bits = !memo_bits in
-    (if Repro_util.Sorted.index byz_set src >= 0 then Oracle.observe_byz stats
-     else Oracle.observe_honest stats ~bits ~wire_ok:(!memo_ok && billed = bits));
-    (match jsonl with
-    | Some t -> Trace.tap t ~round ~src ~dst ~bits:billed msg
-    | None -> ());
-    match trace with
-    | Some buf -> trace_line buf ~round ~src ~dst BR.Msg.pp msg
-    | None -> ()
+  let tap =
+    wire_tap (module BR.Msg)
+      ~is_byz:(fun src -> Repro_util.Sorted.index byz_set src >= 0)
+      ~stats ~trace ~jsonl
   in
   match
     BR.Net.run ~ids ?byz

@@ -84,24 +84,21 @@ let run_crash ?trace ?shards ~protocol ~n ~namespace ~adversary ~seed () =
       | Scripted_crashes orders -> Some (C.scripted orders)
   end
   in
+  (* [Halving_renaming.Net] is [Crash_renaming.Net]: one instance serves
+     both protocols. *)
+  let module Crash_adv = Adversary (struct
+    type adv = Crash_renaming.Net.crash_adversary
+
+    include Crash_renaming.Net.Crash
+  end) in
   let res =
     match protocol with
     | This_work_crash ->
-        let module A = Adversary (struct
-          type adv = Crash_renaming.Net.crash_adversary
-
-          include Crash_renaming.Net.Crash
-        end) in
         Crash_renaming.run ~params:Crash_renaming.experiment_params ~ids
-          ?crash:(A.make adversary) ?trace ~seed ?shards ()
+          ?crash:(Crash_adv.make adversary) ?trace ~seed ?shards ()
     | Halving_baseline ->
-        let module A = Adversary (struct
-          type adv = Halving_renaming.Net.crash_adversary
-
-          include Halving_renaming.Net.Crash
-        end) in
-        Halving_renaming.run ~ids ?crash:(A.make adversary) ?trace ~seed
-          ?shards ()
+        Halving_renaming.run ~ids ?crash:(Crash_adv.make adversary) ?trace
+          ~seed ?shards ()
     | Flooding_baseline ->
         let module A = Adversary (struct
           type adv = Flooding_renaming.Net.crash_adversary

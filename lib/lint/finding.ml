@@ -97,6 +97,3 @@ let rules =
        exceed 61 at runtime; hoist a bound check or derive the width \
        from a trusted constant" );
   ]
-
-let rule_ids = List.map (fun (id, _, _) -> id) rules
-let is_known_rule id = List.exists (String.equal id) rule_ids

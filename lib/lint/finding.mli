@@ -16,5 +16,3 @@ val compare : t -> t -> int
 val rules : (string * string * string) list
 (** [(id, rejects, rationale)] for every rule, [E0] (parse failure)
     included. *)
-
-val is_known_rule : string -> bool

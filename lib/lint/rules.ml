@@ -38,8 +38,6 @@
 
 open Parsetree
 
-type config = { filename : string; enabled : string -> bool }
-
 (* {2 Path scoping} *)
 
 let norm_slashes s = String.map (fun c -> if c = '\\' then '/' else c) s
@@ -210,15 +208,13 @@ let loc_pos (loc : Location.t) =
   let p = loc.Location.loc_start in
   (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
 
-let run config ~source str =
-  let is_rng_file = path_ends_with config.filename "lib/util/rng.ml" in
-  let is_trace_file = path_ends_with config.filename "lib/obs/trace.ml" in
+let run ~filename ~source str =
+  let is_rng_file = path_ends_with filename "lib/util/rng.ml" in
+  let is_trace_file = path_ends_with filename "lib/obs/trace.ml" in
   let in_domain_shared =
-    List.exists (path_has_dir config.filename) domain_shared_dirs
+    List.exists (path_has_dir filename) domain_shared_dirs
   in
-  let in_runtime =
-    List.exists (path_has_dir config.filename) runtime_dirs
-  in
+  let in_runtime = List.exists (path_has_dir filename) runtime_dirs in
   let comment_allows = Allowlist.scan source in
   let findings = ref [] in
   let suppressed = ref 0 in
@@ -235,19 +231,17 @@ let run config ~source str =
   let handled : (int * int) list ref = ref [] in
   let mem_pos p l = List.exists (fun (a, b) -> a = fst p && b = snd p) l in
   let emit rule loc message hint =
-    if config.enabled rule then begin
-      let line, col = loc_pos loc in
-      let allowed_by_attr =
-        mem_str rule !file_allows
-        || List.exists (fun ids -> mem_str rule ids) !allow_stack
-      in
-      if allowed_by_attr || Allowlist.allows comment_allows ~line ~rule then
-        incr suppressed
-      else
-        findings :=
-          { Finding.rule; file = config.filename; line; col; message; hint }
-          :: !findings
-    end
+    let line, col = loc_pos loc in
+    let allowed_by_attr =
+      mem_str rule !file_allows
+      || List.exists (fun ids -> mem_str rule ids) !allow_stack
+    in
+    if allowed_by_attr || Allowlist.allows comment_allows ~line ~rule then
+      incr suppressed
+    else
+      findings :=
+        { Finding.rule; file = filename; line; col; message; hint }
+        :: !findings
   in
   let with_allows ids f =
     match ids with

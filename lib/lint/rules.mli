@@ -2,13 +2,6 @@
     {!Ast_iterator} walk. See {!Finding.rules} for the registry and
     DESIGN.md S22 for the contract each rule enforces. *)
 
-type config = {
-  filename : string;
-      (** logical path — drives the path-scoped rules (D1 exemptions for
-          lib/util/rng.ml and lib/obs/trace.ml, D4's domain-shared dirs) *)
-  enabled : string -> bool;  (** per-rule-id enable predicate *)
-}
-
 val path_ends_with : string -> string -> bool
 (** [path_ends_with path suffix] — component-aligned suffix match on
     '/'-normalized paths; used by every path-scoped rule. *)
@@ -18,9 +11,14 @@ val path_has_dir : string -> string -> bool
     (itself possibly "a/b") as a component run? *)
 
 val run :
-  config -> source:string -> Parsetree.structure -> Finding.t list * int
-(** [run config ~source str] returns the findings (sorted by
+  filename:string ->
+  source:string ->
+  Parsetree.structure ->
+  Finding.t list * int
+(** [run ~filename ~source str] returns the findings (sorted by
     {!Finding.compare}) and the number of findings suppressed by an
-    allow annotation. [source] is the raw text the structure was parsed
-    from — needed for the comment escape hatch, which the parser
-    drops. *)
+    allow annotation. [filename] is the logical path and drives the
+    path-scoped rules (D1 exemptions for lib/util/rng.ml and
+    lib/obs/trace.ml, D3's runtime libraries, D4's domain-shared dirs).
+    [source] is the raw text the structure was parsed from — needed for
+    the comment escape hatch, which the parser drops. *)

@@ -1,5 +1,5 @@
 (* Minimal SARIF 2.1.0 renderer for CI/editor annotation. Hand-rolled
-   with fixed field order, like the v1/v2 JSON writers: the artifact is
+   with fixed field order, like the lint-report/v2 JSON writer: the artifact is
    uploaded from CI and diffed, so byte-stability matters. Only the
    subset GitHub code scanning and editors actually read is emitted:
    tool.driver.rules (from {!Finding.rules}) and results with ruleId /

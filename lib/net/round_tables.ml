@@ -133,7 +133,10 @@ module Payloads = struct
     let nbytes = (bits + 7) / 8 in
     if pos < 0 || bits < 0 || pos + (8 * nbytes) > 8 * Bytes.length data then
       invalid_arg "Round_tables.Payloads.intern: range";
-    let h = ref bits in
+    (* The hash covers the padded bytes only, so payloads that differ
+       only in bit length (["\x80"] at 1 and at 2 bits) share a probe
+       sequence and [holds] tells them apart by length. *)
+    let h = ref 0xcbf29ce4 in
     for k = 0 to nbytes - 1 do
       h := (!h lxor byte_at data pos k) * 0x100000001b3
     done;

@@ -259,10 +259,17 @@ let test_fuzz_bad_arguments () =
     ]
 
 (* trace_cli and lint_cli map cmdliner's parse errors (unknown option,
-   missing file argument, malformed value) to exit 2 as well. *)
+   missing file argument, malformed value) to exit 2 as well. lint_cli
+   has no rule-selection or baseline options. *)
 let test_trace_lint_bad_arguments () =
   expect_usage_errors trace_cli [ "--bogus"; "summary"; "diff a" ];
-  expect_usage_errors (bin "lint_cli.exe") [ "--bogus"; "--format nope lib" ]
+  expect_usage_errors (bin "lint_cli.exe")
+    [
+      "--bogus";
+      "--format nope lib";
+      "--disable D1 lib";
+      "--baseline x.json lib";
+    ]
 
 (* An output path that cannot be created is rejected before the run:
    exit 2 and one line on stderr naming the path, no assessment. *)

@@ -3,7 +3,8 @@
    sanction heuristic, report stability, the lint_cli exit-code
    contract, and — last, because Hashtbl.randomize is process-global —
    an in-process proof that the D2 fix removed the hashtable-order
-   dependence from byz run traces. *)
+   dependence from byz run traces. Everything goes through the project
+   pass, the one lint_cli and [dune build @lint] run. *)
 
 module Lint = Repro_lint.Lint
 module Finding = Repro_lint.Finding
@@ -35,17 +36,26 @@ let rules_of findings =
   List.sort_uniq String.compare
     (List.map (fun (f : Finding.t) -> f.Finding.rule) findings)
 
+(* [lint_as filename source] lints one file as a project of its own,
+   under the logical path [filename]: its findings and the number of
+   findings an allow suppressed. *)
+let lint_as filename source =
+  let r = Lint.lint_project [ (filename, source) ] in
+  (r.Lint.findings, r.Lint.suppressed)
+
+let lint_fixture name = lint_as (fixture name) (read (fixture name))
+
+let only rule findings =
+  List.filter (fun (f : Finding.t) -> String.equal f.Finding.rule rule) findings
+
 let check_fixture name ~expect_rule ~expect_count ~expect_suppressed =
-  let findings, suppressed = Lint.lint_file (fixture name) in
+  let findings, suppressed = lint_fixture name in
   Alcotest.(check int)
-    (name ^ ": finding count")
-    expect_count (List.length findings);
+    (name ^ ": " ^ expect_rule ^ " count")
+    expect_count
+    (List.length (only expect_rule findings));
   Alcotest.(check int) (name ^ ": suppressed count") expect_suppressed
-    suppressed;
-  if expect_count > 0 then
-    Alcotest.(check (list string))
-      (name ^ ": all findings are " ^ expect_rule)
-      [ expect_rule ] (rules_of findings)
+    suppressed
 
 let test_d1 () =
   check_fixture "d1_pos.ml" ~expect_rule:"D1" ~expect_count:6
@@ -72,36 +82,31 @@ let test_d3 () =
    nm guard's set) and at its real test/lint path. *)
 let test_d3_generics () =
   let source = read (fixture "d3_generic.ml") in
-  let findings, suppressed =
-    Lint.lint_string ~filename:"lib/net/d3_generic.ml" source
-  in
-  Alcotest.(check int) "under lib/net: 6 findings" 6 (List.length findings);
-  Alcotest.(check (list string)) "all D3" [ "D3" ] (rules_of findings);
+  let findings, suppressed = lint_as "lib/net/d3_generic.ml" source in
+  Alcotest.(check int) "under lib/net: 6 D3 findings" 6
+    (List.length (only "D3" findings));
   Alcotest.(check int) "under lib/net: 1 suppressed" 1 suppressed;
   List.iter
     (fun filename ->
-      let findings, _ = Lint.lint_string ~filename source in
-      Alcotest.(check int) (filename ^ ": clean") 0 (List.length findings))
+      let findings, _ = lint_as filename source in
+      Alcotest.(check int) (filename ^ ": clean") 0
+        (List.length (only "D3" findings)))
     [ "lib/check/d3_generic.ml"; fixture "d3_generic.ml" ]
 
 (* D4 is path-scoped: the same file is dirty under lib/core and clean
    under its real test/lint path. *)
 let test_d4 () =
   let source = read (fixture "d4_pos.ml") in
-  let findings, _ =
-    Lint.lint_string ~filename:"lib/core/d4_pos.ml" source
-  in
-  Alcotest.(check int) "d4 under lib/core: 4 findings" 4
-    (List.length findings);
-  Alcotest.(check (list string)) "all D4" [ "D4" ] (rules_of findings);
-  let findings, _ = Lint.lint_file (fixture "d4_pos.ml") in
+  let findings, _ = lint_as "lib/core/d4_pos.ml" source in
+  Alcotest.(check int) "d4 under lib/core: 4 D4 findings" 4
+    (List.length (only "D4" findings));
+  let findings, _ = lint_fixture "d4_pos.ml" in
   Alcotest.(check int) "d4 outside domain-shared dirs: clean" 0
-    (List.length findings);
+    (List.length (only "D4" findings));
   let allow_src = read (fixture "d4_allow.ml") in
-  let findings, suppressed =
-    Lint.lint_string ~filename:"lib/sim/d4_allow.ml" allow_src
-  in
-  Alcotest.(check int) "d4_allow: no findings" 0 (List.length findings);
+  let findings, suppressed = lint_as "lib/sim/d4_allow.ml" allow_src in
+  Alcotest.(check int) "d4_allow: no D4 findings" 0
+    (List.length (only "D4" findings));
   Alcotest.(check int) "d4_allow: 3 suppressed" 3 suppressed
 
 let test_d5 () =
@@ -112,33 +117,27 @@ let test_d5 () =
 
 let test_d1_path_exemptions () =
   let src = "let now () = Unix.gettimeofday ()\n" in
-  let dirty, _ = Lint.lint_string ~filename:"lib/sim/clock.ml" src in
+  let dirty, _ = lint_as "lib/sim/clock.ml" src in
   Alcotest.(check int) "gettimeofday flagged elsewhere" 1
-    (List.length dirty);
-  let clean, _ = Lint.lint_string ~filename:"lib/obs/trace.ml" src in
+    (List.length (only "D1" dirty));
+  let clean, _ = lint_as "lib/obs/trace.ml" src in
   Alcotest.(check int) "exempt in the opt-in timing path" 0
-    (List.length clean);
+    (List.length (only "D1" clean));
   let rng_src = "let pick n = Random.int n\n" in
-  let dirty, _ = Lint.lint_string ~filename:"lib/core/x.ml" rng_src in
-  Alcotest.(check int) "Random.int flagged elsewhere" 1 (List.length dirty);
-  let clean, _ = Lint.lint_string ~filename:"lib/util/rng.ml" rng_src in
-  Alcotest.(check int) "exempt inside lib/util/rng.ml" 0 (List.length clean)
+  let dirty, _ = lint_as "lib/core/x.ml" rng_src in
+  Alcotest.(check int) "Random.int flagged elsewhere" 1
+    (List.length (only "D1" dirty));
+  let clean, _ = lint_as "lib/util/rng.ml" rng_src in
+  Alcotest.(check int) "exempt inside lib/util/rng.ml" 0
+    (List.length (only "D1" clean))
 
 let test_parse_error_is_e0 () =
-  let findings, _ = Lint.lint_string ~filename:"broken.ml" "let x = " in
+  let findings, _ = lint_as "broken.ml" "let x = " in
   match findings with
   | [ f ] ->
       Alcotest.(check string) "rule E0" "E0" f.Finding.rule;
       Alcotest.(check string) "file" "broken.ml" f.Finding.file
   | l -> Alcotest.failf "expected exactly one E0 finding, got %d" (List.length l)
-
-let test_enable_disable () =
-  let only r = String.equal r "E0" || String.equal r "D1" in
-  let findings, _ = Lint.lint_file ~enabled:only (fixture "d5_pos.ml") in
-  Alcotest.(check int) "D5 fixture clean with only D1 enabled" 0
-    (List.length findings);
-  let findings, _ = Lint.lint_file ~enabled:only (fixture "d1_pos.ml") in
-  Alcotest.(check int) "D1 still fires" 6 (List.length findings)
 
 let test_allowlist_parsing () =
   Alcotest.(check (list string))
@@ -157,20 +156,25 @@ let test_allowlist_parsing () =
    bytes out — and the fixture dir is scanned in sorted order. *)
 let test_report_stability () =
   let dir = Filename.concat exe_dir "lint" in
-  let r1 = Lint.lint_files [ dir ] in
-  let r2 = Lint.lint_files [ dir ] in
-  Alcotest.(check string) "byte-identical JSON reports" (Lint.to_json r1)
-    (Lint.to_json r2);
+  let json1 = Lint.to_json_v2 (Lint.lint_project_files [ dir ]) in
+  let r = Lint.lint_project_files [ dir ] in
+  Alcotest.(check string) "byte-identical JSON reports" json1
+    (Lint.to_json_v2 r);
   Alcotest.(check bool) "json has the stable header" true
-    (String.length (Lint.to_json r1) > 14
-    && String.sub (Lint.to_json r1) 0 14 = "{\"tool\":\"repro");
-  (* 4 positive fixtures fire (d4_pos is path-inert here). *)
+    (String.length json1 > 14 && String.sub json1 0 14 = "{\"tool\":\"repro");
+  (* The fixture tree linted as one project: the D positives fire
+     (d4_pos is path-inert here), and so do the S/N/W positives whose
+     halves sit side by side. *)
+  let per_rule =
+    List.map
+      (fun rule ->
+        Printf.sprintf "%s:%d" rule (List.length (only rule r.Lint.findings)))
+      (rules_of r.Lint.findings)
+  in
   Alcotest.(check (list string))
     "per-rule counts over the fixture tree"
-    [ "D1:6"; "D2:4"; "D3:4"; "D5:5" ]
-    (List.map
-       (fun (r, n) -> Printf.sprintf "%s:%d" r n)
-       (Lint.findings_by_rule r1))
+    [ "D1:6"; "D2:4"; "D3:4"; "D5:5"; "N2:2"; "S1:3"; "S2:2"; "W1:2"; "W2:2" ]
+    per_rule
 
 (* The real gate is `dune build @lint`; replicate it here best-effort so
    plain `dune runtest` also catches a dirty tree. The build dir mirrors
@@ -187,7 +191,7 @@ let test_lib_tree_self_clean () =
   match locate exe_dir 0 with
   | None -> ()  (* sandboxed layout without a lib mirror: @lint covers it *)
   | Some lib ->
-      let report = Lint.lint_files [ lib ] in
+      let report = Lint.lint_project_files [ lib ] in
       Alcotest.(check (list string))
         "lib tree is lint-clean" []
         (List.map
@@ -213,19 +217,12 @@ let test_cli_exit_codes () =
   Alcotest.(check int) "dirty fixture tree: exit 1" 1 code;
   Alcotest.(check bool) "text report names a rule" true
     (String.length out > 0);
-  let code, _ =
-    run_cli
-      (Printf.sprintf "--disable D1,D2,D3,D5 --disable S1,S2,N2,W1,W2 %s" dir)
-  in
-  Alcotest.(check int) "all firing rules disabled: exit 0" 0 code;
   let code, out = run_cli (Printf.sprintf "--format json %s" dir) in
   Alcotest.(check int) "json format: still exit 1" 1 code;
   Alcotest.(check bool) "json body" true
     (String.length out > 14 && String.sub out 0 14 = "{\"tool\":\"repro");
   let code, _ = run_cli "--list-rules" in
   Alcotest.(check int) "--list-rules: exit 0" 0 code;
-  let code, _ = run_cli "--disable D9 ." in
-  Alcotest.(check int) "unknown rule id: exit 2" 2 code;
   let code, _ = run_cli "/nonexistent/path" in
   Alcotest.(check int) "missing path: exit 2" 2 code
 
@@ -296,16 +293,13 @@ let test_byz_trace_identical_under_randomized_hashing () =
    only the global may fire. *)
 let test_d4_size_cache () =
   let source = read (fixture "d4_size_cache.ml") in
-  let findings, suppressed =
-    Lint.lint_string ~filename:"lib/sim/d4_size_cache.ml" source
-  in
-  Alcotest.(check int) "exactly the global cache fires" 1
-    (List.length findings);
-  Alcotest.(check (list string)) "and it is D4" [ "D4" ] (rules_of findings);
+  let findings, suppressed = lint_as "lib/sim/d4_size_cache.ml" source in
+  Alcotest.(check int) "exactly the global cache fires as D4" 1
+    (List.length (only "D4" findings));
   Alcotest.(check int) "nothing suppressed" 0 suppressed;
-  let findings, _ = Lint.lint_file (fixture "d4_size_cache.ml") in
+  let findings, _ = lint_fixture "d4_size_cache.ml" in
   Alcotest.(check int) "clean outside domain-shared dirs" 0
-    (List.length findings)
+    (List.length (only "D4" findings))
 
 (* The sharded engine's working state: a global domain pool or a global
    broadcast table would be D4 under lib/sim — which is why the pool,
@@ -314,15 +308,13 @@ let test_d4_size_cache () =
    allow-annotated), plus the chosen per-run shapes. *)
 let test_d4_shard_shapes () =
   let source = read (fixture "d4_shard.ml") in
-  let findings, suppressed =
-    Lint.lint_string ~filename:"lib/sim/d4_shard.ml" source
-  in
-  Alcotest.(check int) "the two globals fire" 2 (List.length findings);
-  Alcotest.(check (list string)) "both D4" [ "D4" ] (rules_of findings);
+  let findings, suppressed = lint_as "lib/sim/d4_shard.ml" source in
+  Alcotest.(check int) "the two globals fire as D4" 2
+    (List.length (only "D4" findings));
   Alcotest.(check int) "annotated global suppressed" 1 suppressed;
-  let findings, _ = Lint.lint_file (fixture "d4_shard.ml") in
+  let findings, _ = lint_fixture "d4_shard.ml" in
   Alcotest.(check int) "clean outside domain-shared dirs" 0
-    (List.length findings)
+    (List.length (only "D4" findings))
 
 (* The verdict-emission arenas (lib/util/arena.ml): an arena is per-run
    state by contract — a module-level arena under a domain-shared
@@ -333,22 +325,16 @@ let test_d4_shard_shapes () =
    committee shape; only the globals and the [Pool.run] site fire. *)
 let test_d4_arena_ownership () =
   let source = read (fixture "d4_arena.ml") in
-  let findings, suppressed =
-    Lint.lint_string ~filename:"lib/util/d4_arena.ml" source
-  in
-  Alcotest.(check int) "exactly the two global arenas fire" 2
-    (List.length findings);
-  Alcotest.(check (list string)) "both D4" [ "D4" ] (rules_of findings);
+  let findings, suppressed = lint_as "lib/util/d4_arena.ml" source in
+  Alcotest.(check int) "exactly the two global arenas fire as D4" 2
+    (List.length (only "D4" findings));
   Alcotest.(check int) "nothing suppressed" 0 suppressed;
-  let findings, _ = Lint.lint_file (fixture "d4_arena.ml") in
+  let clean, _ = lint_fixture "d4_arena.ml" in
   Alcotest.(check int) "clean outside domain-shared dirs" 0
-    (List.length findings);
-  (* project pass: the shard closure writing through the global arena *)
-  let r = Lint.lint_project [ ("lib/util/d4_arena.ml", source) ] in
+    (List.length (only "D4" clean));
+  (* the shard closure writing through the global arena *)
   let flow =
-    List.filter
-      (fun (f : Finding.t) -> f.Finding.rule <> "D4")
-      r.Lint.p_findings
+    List.filter (fun (f : Finding.t) -> f.Finding.rule <> "D4") findings
   in
   Alcotest.(check (list string))
     "global-arena push under Pool.run is S1 + S2" [ "S1"; "S2" ]
@@ -358,7 +344,7 @@ let test_d4_arena_ownership () =
        (fun (f : Finding.t) -> contains f.Finding.message "out_msgs")
        flow)
 
-(* {2 Project-wide pass (lint v2): S/N/W rule families}
+(* {2 S/N/W rule families over the call graph}
 
    [project] lints fixtures under a chosen logical path so the
    path-scoped rules (N1) can be exercised from test/lint. *)
@@ -367,24 +353,24 @@ let project files =
   Lint.lint_project
     (List.map (fun (logical, name) -> (logical, read (fixture name))) files)
 
-let p_rules (r : Lint.project_report) = rules_of r.Lint.p_findings
+let p_rules (r : Lint.report) = rules_of r.Lint.findings
 
-(* The acceptance demonstration: each half of the S1 pair is clean under
-   the per-file v1 pass, and only the summary-graph pass connects the
+(* The acceptance demonstration: each half of the S1 pair is clean when
+   linted alone, and only the summary graph over both connects the
    Pool.run closure to the global it writes two hops away. *)
 let test_s1_cross_file () =
   List.iter
     (fun name ->
-      let findings, _ = Lint.lint_file (fixture name) in
-      Alcotest.(check int) (name ^ ": v1 per-file pass sees nothing") 0
+      let findings, _ = lint_fixture name in
+      Alcotest.(check int) (name ^ ": alone, nothing fires") 0
         (List.length findings))
     [ "s1_glob.ml"; "s1_pos.ml"; "s1_trials.ml" ];
   let r =
     project [ ("s1_glob.ml", "s1_glob.ml"); ("s1_pos.ml", "s1_pos.ml") ]
   in
-  Alcotest.(check (list string)) "v2 flags the escape as S1" [ "S1" ]
+  Alcotest.(check (list string)) "both files together: S1" [ "S1" ]
     (p_rules r);
-  (match r.Lint.p_findings with
+  (match r.Lint.findings with
   | [ f ] ->
       Alcotest.(check string) "reported at the parallel call site"
         "s1_pos.ml" f.Finding.file;
@@ -396,7 +382,7 @@ let test_s1_cross_file () =
     project
       [ ("s1_glob.ml", "s1_glob.ml"); ("s1_trials.ml", "s1_trials.ml") ]
   in
-  (match r.Lint.p_findings with
+  (match r.Lint.findings with
   | [ f ] ->
       Alcotest.(check string) "Parallel.map closure flagged as S1" "S1"
         f.Finding.rule;
@@ -409,18 +395,18 @@ let test_s1_cross_file () =
     project [ ("s1_glob.ml", "s1_glob.ml"); ("s1_allow.ml", "s1_allow.ml") ]
   in
   Alcotest.(check int) "attribute and comment hatches both work" 0
-    (List.length r.Lint.p_findings);
-  Alcotest.(check int) "and both count as suppressed" 2 r.Lint.p_suppressed
+    (List.length r.Lint.findings);
+  Alcotest.(check int) "and both count as suppressed" 2 r.Lint.suppressed
 
 let test_s2_shard_mutation () =
   let r = project [ ("s2_pos.ml", "s2_pos.ml") ] in
   Alcotest.(check (list string)) "shard body reaching Hashtbl.replace is S2"
     [ "S2" ] (p_rules r);
-  Alcotest.(check int) "one finding" 1 (List.length r.Lint.p_findings);
+  Alcotest.(check int) "one finding" 1 (List.length r.Lint.findings);
   let r = project [ ("s2_allow.ml", "s2_allow.ml") ] in
   Alcotest.(check int) "comment hatch suppresses" 0
-    (List.length r.Lint.p_findings);
-  Alcotest.(check int) "suppression counted" 1 r.Lint.p_suppressed
+    (List.length r.Lint.findings);
+  Alcotest.(check int) "suppression counted" 1 r.Lint.suppressed
 
 let test_n1_path_scoping () =
   let src = read (fixture "n1_pos.ml") in
@@ -429,50 +415,50 @@ let test_n1_path_scoping () =
     (p_rules r);
   let r = Lint.lint_project [ ("lib/net/frame.ml", src) ] in
   Alcotest.(check int) "frame.ml owns the EINTR loops: exempt" 0
-    (List.length r.Lint.p_findings);
+    (List.length r.Lint.findings);
   let r = project [ ("n1_pos.ml", "n1_pos.ml") ] in
-  Alcotest.(check int) "clean outside lib/net" 0 (List.length r.Lint.p_findings);
+  Alcotest.(check int) "clean outside lib/net" 0 (List.length r.Lint.findings);
   let allow = read (fixture "n1_allow.ml") in
   let r = Lint.lint_project [ ("lib/net/n1_allow.ml", allow) ] in
   Alcotest.(check int) "comment hatch suppresses" 0
-    (List.length r.Lint.p_findings);
-  Alcotest.(check int) "suppression counted" 1 r.Lint.p_suppressed
+    (List.length r.Lint.findings);
+  Alcotest.(check int) "suppression counted" 1 r.Lint.suppressed
 
 let test_n2_taint () =
   let r = project [ ("n2_pos.ml", "n2_pos.ml") ] in
   Alcotest.(check (list string)) "unchecked wire-sized allocations are N2"
     [ "N2" ] (p_rules r);
   Alcotest.(check int) "let-bound taint and inline read both fire" 2
-    (List.length r.Lint.p_findings);
+    (List.length r.Lint.findings);
   let r = project [ ("n2_allow.ml", "n2_allow.ml") ] in
   Alcotest.(check int)
     "bound check clears taint; read_count never taints; hatch suppresses" 0
-    (List.length r.Lint.p_findings);
+    (List.length r.Lint.findings);
   Alcotest.(check int) "only the hatch counts as suppressed" 1
-    r.Lint.p_suppressed
+    r.Lint.suppressed
 
 let test_w1_literal_widths () =
   let r = project [ ("w1_pos.ml", "w1_pos.ml") ] in
   Alcotest.(check (list string)) "literal widths 62 and 64 are W1" [ "W1" ]
     (p_rules r);
   Alcotest.(check int) "both out-of-range literals fire" 2
-    (List.length r.Lint.p_findings);
+    (List.length r.Lint.findings);
   let r = project [ ("w1_allow.ml", "w1_allow.ml") ] in
   Alcotest.(check int) "hatches suppress; width 31 is simply clean" 0
-    (List.length r.Lint.p_findings);
-  Alcotest.(check int) "two suppressions" 2 r.Lint.p_suppressed
+    (List.length r.Lint.findings);
+  Alcotest.(check int) "two suppressions" 2 r.Lint.suppressed
 
 let test_w2_computed_widths () =
   let r = project [ ("w2_pos.ml", "w2_pos.ml") ] in
   Alcotest.(check (list string)) "unguarded computed widths are W2" [ "W2" ]
     (p_rules r);
   Alcotest.(check int) "read and write site both hinted" 2
-    (List.length r.Lint.p_findings);
+    (List.length r.Lint.findings);
   let r = project [ ("w2_allow.ml", "w2_allow.ml") ] in
   Alcotest.(check int) "dominating guard is clean; hatch suppresses" 0
-    (List.length r.Lint.p_findings);
+    (List.length r.Lint.findings);
   Alcotest.(check int) "only the hatch counts as suppressed" 1
-    r.Lint.p_suppressed
+    r.Lint.suppressed
 
 (* A floating [@@@lint.allow "ID"] relaxes the rule from the attribute to
    the end of the file — sites above it still fire. *)
@@ -482,7 +468,7 @@ let test_floating_allow () =
      let f x = print_endline x\n\
      let g y = print_endline y\n"
   in
-  let findings, suppressed = Lint.lint_string ~filename:"lib/core/x.ml" below in
+  let findings, suppressed = lint_as "lib/core/x.ml" below in
   Alcotest.(check int) "whole file relaxed: no findings" 0
     (List.length findings);
   Alcotest.(check int) "both sites suppressed" 2 suppressed;
@@ -491,35 +477,10 @@ let test_floating_allow () =
      [@@@lint.allow \"D5\"]\n\
      let g y = print_endline y\n"
   in
-  let findings, suppressed = Lint.lint_string ~filename:"lib/core/x.ml" split in
+  let findings, suppressed = lint_as "lib/core/x.ml" split in
   Alcotest.(check (list string)) "site above the attribute still fires"
     [ "D5" ] (rules_of findings);
   Alcotest.(check int) "site below is suppressed" 1 suppressed
-
-(* Baseline ratcheting: a report blesses its own findings; only new
-   findings escape. *)
-let test_baseline_roundtrip () =
-  let pairs =
-    [
-      ("s2_pos.ml", read (fixture "s2_pos.ml"));
-      ("w1_pos.ml", read (fixture "w1_pos.ml"));
-    ]
-  in
-  let r = Lint.lint_project pairs in
-  Alcotest.(check int) "dirty without a baseline" 3
-    (List.length r.Lint.p_findings);
-  let bl = Lint.baseline_of_json (Lint.to_json_v2 r) in
-  Alcotest.(check int) "baseline captures every finding" 3 (List.length bl);
-  let r2 = Lint.lint_project ~baseline:bl pairs in
-  Alcotest.(check int) "clean under its own baseline" 0
-    (List.length r2.Lint.p_findings);
-  Alcotest.(check int) "ratchet counted" 3 r2.Lint.p_baseline_suppressed;
-  let r3 =
-    Lint.lint_project ~baseline:bl
-      (("n2_pos.ml", read (fixture "n2_pos.ml")) :: pairs)
-  in
-  Alcotest.(check (list string)) "a new finding still escapes the ratchet"
-    [ "N2" ] (rules_of r3.Lint.p_findings)
 
 (* Byte-stable lint-report/v2 over a fixed logical project, against the
    committed golden. Regenerate with test/gen_v2_golden (see its header)
@@ -545,24 +506,7 @@ let test_report_v2_golden () =
     (read (fixture "report_v2_golden.json"))
     json
 
-(* {2 lint_cli: baseline flag and SARIF renderer} *)
-
-let test_cli_baseline () =
-  let dir = Filename.concat exe_dir "lint" in
-  let code, json = run_cli (Printf.sprintf "--format json %s" dir) in
-  Alcotest.(check int) "dirty tree: exit 1" 1 code;
-  let bl_file = Filename.temp_file "lint_baseline" ".json" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists bl_file then Sys.remove bl_file)
-    (fun () ->
-      Out_channel.with_open_bin bl_file (fun oc ->
-          Out_channel.output_string oc json);
-      let code, _ =
-        run_cli (Printf.sprintf "--baseline %s %s" bl_file dir)
-      in
-      Alcotest.(check int) "clean under its own baseline: exit 0" 0 code);
-  let code, _ = run_cli (Printf.sprintf "--baseline /nonexistent.json %s" dir) in
-  Alcotest.(check int) "missing baseline file: exit 2" 2 code
+(* {2 lint_cli: SARIF renderer} *)
 
 let test_cli_sarif () =
   let dir = Filename.concat exe_dir "lint" in
@@ -597,7 +541,6 @@ let suite =
       Alcotest.test_case "D5 fixtures" `Quick test_d5;
       Alcotest.test_case "D1 path exemptions" `Quick test_d1_path_exemptions;
       Alcotest.test_case "parse error is E0" `Quick test_parse_error_is_e0;
-      Alcotest.test_case "enable/disable" `Quick test_enable_disable;
       Alcotest.test_case "allow-comment parsing" `Quick test_allowlist_parsing;
       Alcotest.test_case "report stability" `Quick test_report_stability;
       Alcotest.test_case "lib tree self-clean" `Quick
@@ -614,11 +557,9 @@ let suite =
       Alcotest.test_case "W2 computed widths" `Quick
         test_w2_computed_widths;
       Alcotest.test_case "floating allow scope" `Quick test_floating_allow;
-      Alcotest.test_case "baseline round trip" `Quick test_baseline_roundtrip;
       Alcotest.test_case "lint-report/v2 golden" `Quick
         test_report_v2_golden;
       Alcotest.test_case "lint_cli exit codes" `Quick test_cli_exit_codes;
-      Alcotest.test_case "lint_cli --baseline" `Quick test_cli_baseline;
       Alcotest.test_case "lint_cli SARIF output" `Quick test_cli_sarif;
       Alcotest.test_case "lint_cli injected violation" `Quick
         test_cli_injected_violation;

@@ -548,6 +548,24 @@ let qcheck_payload_table =
         payloads;
       !ok && P.length t = List.length !distinct)
 
+(* ["\x80"] at 1 bit and at 2 bits have the same padded byte, so they
+   hash alike and only [holds]'s bit-length comparison keeps them two
+   entries. *)
+let test_payload_table_lengths () =
+  let module P = Repro_net.Round_tables.Payloads in
+  let t = P.create () in
+  let data = Bytes.of_string "\x80" in
+  let one = P.intern t data ~pos:0 ~bits:1 in
+  let two = P.intern t data ~pos:0 ~bits:2 in
+  Alcotest.(check (pair int int)) "two entries, first-seen order" (0, 1)
+    (one, two);
+  Alcotest.(check int) "table length" 2 (P.length t);
+  Alcotest.(check int) "1-bit payload re-interned" one
+    (P.intern t data ~pos:0 ~bits:1);
+  Alcotest.(check int) "2-bit payload re-interned" two
+    (P.intern t data ~pos:0 ~bits:2);
+  Alcotest.(check (pair int int)) "bit lengths" (1, 2) (P.bits t one, P.bits t two)
+
 let test_codec_roundtrips () =
   let iv = Repro_util.Interval.make 3 10 in
   roundtrip_framed
@@ -667,6 +685,8 @@ let suite =
       Alcotest.test_case "framed codec round-trips, all protocols" `Quick
         test_codec_roundtrips;
       QCheck_alcotest.to_alcotest qcheck_payload_table;
+      Alcotest.test_case "payload table keeps bit lengths apart" `Quick
+        test_payload_table_lengths;
       Alcotest.test_case "host merges payload and broadcast tables" `Quick
         test_host_merges_tables;
       Alcotest.test_case "host rejects malformed reply tables" `Quick
