@@ -184,14 +184,17 @@ struct
      There is no intermediate "decoded" message store: the engine's
      inbox view already is a struct-of-arrays decode of the round (the
      merged per-recipient/shared streams, sorted by source), performed
-     once at delivery. Both consumers — the committee absorb below and
-     the Figure-3 adoption sweep — iterate that view directly, keeping
-     all selection state in plain [int] fields of per-run records, so a
-     steady-state round allocates nothing on the consumption side. An
-     earlier draft copied each inbox into separate packed columns
-     first; the copy doubled the per-entry walk (and paid a pointer
-     write barrier per interval) for no information gain, costing ~15%
-     of no-fault round throughput. *)
+     once at delivery. The consumers — the announcement sweep, the
+     committee absorb below and the Figure-3 adoption sweep — iterate
+     that view directly, keeping all selection state in plain fields of
+     per-run records, and [program] builds their closures once per run.
+     Outside committee emission, a phase therefore allocates only a
+     [Status] when the node's [(iv, d, p)] changed and the committee
+     list when the membership changed (plus the runtime's continuation
+     at each yield). An earlier draft copied each inbox into separate
+     packed columns first; the copy doubled the per-entry walk (and
+     paid a pointer write barrier per interval) for no information
+     gain, costing ~15% of no-fault round throughput. *)
 
   (* {1 Flattened committee state}
 
@@ -601,17 +604,19 @@ struct
           if p > sc.a_p_hat then sc.a_p_hat <- p
         end
 
+  (* Figure 3's election draw, shared by [node_action] and the
+     [Every_phase] ablation. *)
+  let self_elect params ~n memo rng st =
+    if not st.elected then
+      st.elected <- Rng.bernoulli rng (elect_prob memo params ~n st.pv)
+
   let node_action params ~n memo rng st sc sweep inbox =
-    let self_elect () =
-      if not st.elected then
-        st.elected <- Rng.bernoulli rng (elect_prob memo params ~n st.pv)
-    in
     sc.a_found <- false;
     sc.a_p_hat <- min_int;
     Net.Inbox.iter inbox ~f:sweep;
     if not sc.a_found then begin
       st.pv <- st.pv + 1;
-      self_elect ()
+      self_elect params ~n memo rng st
     end
     else begin
       if not (Interval.is_singleton st.iv) then begin
@@ -620,9 +625,59 @@ struct
       end;
       if sc.a_p_hat > st.pv then begin
         st.pv <- sc.a_p_hat;
-        self_elect ()
+        self_elect params ~n memo rng st
       end
     end
+
+  (* The announcement round: the committee ids, in ascending src order,
+     collect into a buffer kept for the run. The list is rebuilt from
+     every announcement inbox by each of the n nodes, so building it
+     with a fold + [List.rev] doubled the cons cells of the whole round;
+     with on-demand re-election the round names the same members phase
+     after phase, so the previous phase's list is kept and reused
+     whenever the buffered ids match — checking costs the same walk
+     that rebuilding would, minus the allocation. *)
+  type announce_scratch = {
+    mutable n_len : int;  (* ids collected this phase *)
+    mutable n_buf : int array;
+    mutable n_list : int list;  (* the last committee list built *)
+    mutable n_list_len : int;
+  }
+
+  let announce_scratch () =
+    { n_len = 0; n_buf = Array.make 16 0; n_list = []; n_list_len = 0 }
+
+  (* The sweep body, closed over its scratch once per run like
+     [adopt_sweep]. *)
+  let announce_sweep an ~src msg =
+    match msg with
+    | Msg.Notify ->
+        let len = an.n_len in
+        if len = Array.length an.n_buf then begin
+          let a = Array.make (2 * len) 0 in
+          Array.blit an.n_buf 0 a 0 len;
+          an.n_buf <- a
+        end;
+        an.n_buf.(len) <- src;
+        an.n_len <- len + 1
+    | Msg.Status _ | Msg.Response _ -> ()
+
+  (* Are the buffered ids, from index [i] on, exactly the list? *)
+  let rec buffered_is an i = function
+    | [] -> i = an.n_len
+    | x :: tl -> i < an.n_len && x = an.n_buf.(i) && buffered_is an (i + 1) tl
+
+  let committee_of_buf an =
+    let len = an.n_len in
+    if not (an.n_list_len = len && buffered_is an 0 an.n_list) then begin
+      let l = ref [] in
+      for i = len - 1 downto 0 do
+        l := an.n_buf.(i) :: !l
+      done;
+      an.n_list <- !l;
+      an.n_list_len <- len
+    end;
+    an.n_list
 
   let program ?telemetry ?alloc_emit params ctx =
     let n = Net.n ctx in
@@ -630,39 +685,14 @@ struct
     let my_id = Net.my_id ctx in
     let full_iv = Interval.full (target_size params ~n) in
     let st = { iv = full_iv; dv = 0; pv = 0; elected = false } in
-    (* Per-node adoption scratch (with its preallocated sweep closure)
-       and election-probability memo: per-run state owned by this
-       closure, reused every phase. *)
+    (* Per-node announcement and adoption scratch (each with its
+       preallocated sweep closure) and election-probability memo:
+       per-run state owned by this closure, reused every phase. *)
+    let an = announce_scratch () in
+    let announce = announce_sweep an in
     let sc = adopt_scratch () in
     let sweep = adopt_sweep sc in
     let memo = elect_memo () in
-    (* Committee-id scratch buffer, reused across phases: the committee
-       list is rebuilt from every announcement inbox by each of the n
-       nodes, so building it with a fold + [List.rev] doubled the cons
-       cells of the whole round. *)
-    let cbuf = ref (Array.make 16 0) in
-    (* Interned committee destination list: with on-demand re-election
-       the announcement round names the same members phase after phase,
-       so the cons cells of the previous phase's list are reusable
-       whenever the buffered ids match — checking costs the same walk
-       that rebuilding would, minus the allocation. *)
-    let c_list = ref [] in
-    let c_len = ref 0 in
-    let committee_of_buf ck =
-      let rec matches i = function
-        | [] -> i = ck
-        | x :: tl -> i < ck && x = (!cbuf).(i) && matches (i + 1) tl
-      in
-      if not (!c_len = ck && matches 0 !c_list) then begin
-        let l = ref [] in
-        for i = ck - 1 downto 0 do
-          l := (!cbuf).(i) :: !l
-        done;
-        c_list := !l;
-        c_len := ck
-      end;
-      !c_list
-    in
     (* Last sent status: a frozen node (decided singleton, stable p)
        reports the identical payload every phase, so reuse the message
        value — the engine's physical-equality memo then bills it without
@@ -716,20 +746,10 @@ struct
       let inbox1 =
         if st.elected then Net.broadcast ctx Msg.Notify else Net.skip_round ctx
       in
-      let ck = ref 0 in
-      Net.Inbox.iter inbox1 ~f:(fun ~src msg ->
-          match msg with
-          | Msg.Notify ->
-              (if !ck = Array.length !cbuf then begin
-                 let a = Array.make (2 * !ck) 0 in
-                 Array.blit !cbuf 0 a 0 !ck;
-                 cbuf := a
-               end);
-              (!cbuf).(!ck) <- src;
-              incr ck
-          | Msg.Status _ | Msg.Response _ -> ());
+      an.n_len <- 0;
+      Net.Inbox.iter inbox1 ~f:announce;
       (* Ascending src order; interned across phases (see above). *)
-      let committee = committee_of_buf !ck in
+      let committee = committee_of_buf an in
       (* Round 2: report status to every announced committee member — one
          message value fanned out by the engine. *)
       let inbox2 = Net.multisend ctx ~dsts:committee (status_msg ()) in
@@ -746,14 +766,12 @@ struct
          inflating the committee over time (measured in bench E9). *)
       (match params.reelection with
       | On_demand -> ()
-      | Every_phase ->
-          if not st.elected then
-            st.elected <- Rng.bernoulli rng (elect_prob memo params ~n st.pv));
-      Option.iter
-        (fun t ->
+      | Every_phase -> self_elect params ~n memo rng st);
+      match telemetry with
+      | None -> ()
+      | Some t ->
           t.on_phase_end ~phase ~id:my_id ~iv:st.iv ~d:st.dv ~p:st.pv
-            ~elected:st.elected)
-        telemetry
+            ~elected:st.elected
     done;
     (* Theorem 1.2: after 3·⌈log n⌉ phases every surviving node's interval
        is a singleton — its new identity. *)

@@ -54,7 +54,8 @@ let collect_ml_files paths =
    anchor at concrete source positions, so both escape hatches keep
    working: attribute allows are captured into each summarized site,
    comment allows are matched against the per-file {!Allowlist} at
-   emission time. *)
+   emission time. Each file's allowlist is scanned once and serves both
+   the per-file walk and the graph rules. *)
 
 type report = {
   graph : Callgraph.t;
@@ -83,11 +84,12 @@ let lint_project pairs =
     (fun (filename, source) ->
       match parse ~filename source with
       | Ok str ->
-          let f, s = Rules.run ~filename ~source str in
+          let comment_allows = Allowlist.scan source in
+          let f, s = Rules.run ~filename ~comment_allows str in
           per_file := f :: !per_file;
           suppressed := !suppressed + s;
           summaries := Summary.summarize ~filename str :: !summaries;
-          allowlists := (filename, Allowlist.scan source) :: !allowlists
+          allowlists := (filename, comment_allows) :: !allowlists
       | Error (loc, msg) ->
           per_file := [ parse_error_finding ~filename loc msg ] :: !per_file)
     pairs;

@@ -208,14 +208,13 @@ let loc_pos (loc : Location.t) =
   let p = loc.Location.loc_start in
   (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
 
-let run ~filename ~source str =
+let run ~filename ~comment_allows str =
   let is_rng_file = path_ends_with filename "lib/util/rng.ml" in
   let is_trace_file = path_ends_with filename "lib/obs/trace.ml" in
   let in_domain_shared =
     List.exists (path_has_dir filename) domain_shared_dirs
   in
   let in_runtime = List.exists (path_has_dir filename) runtime_dirs in
-  let comment_allows = Allowlist.scan source in
   let findings = ref [] in
   let suppressed = ref 0 in
   (* Attribute-allow frames currently in scope (innermost first). *)

@@ -12,13 +12,14 @@ val path_has_dir : string -> string -> bool
 
 val run :
   filename:string ->
-  source:string ->
+  comment_allows:Allowlist.t ->
   Parsetree.structure ->
   Finding.t list * int
-(** [run ~filename ~source str] returns the findings (sorted by
+(** [run ~filename ~comment_allows str] returns the findings (sorted by
     {!Finding.compare}) and the number of findings suppressed by an
     allow annotation. [filename] is the logical path and drives the
     path-scoped rules (D1 exemptions for lib/util/rng.ml and
     lib/obs/trace.ml, D3's runtime libraries, D4's domain-shared dirs).
-    [source] is the raw text the structure was parsed from — needed for
-    the comment escape hatch, which the parser drops. *)
+    [comment_allows] is {!Allowlist.scan} of the raw text the structure
+    was parsed from — the comment escape hatch, which the parser
+    drops. *)

@@ -845,7 +845,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         incr current_round;
         for s = lo to hi - 1 do
           match states.(s) with
-          | Running k -> states.(s) <- resume outs.(s) k views.(s)
+          | Running { k } -> states.(s) <- resume outs.(s) k views.(s)
           | Finished _ | Dead _ | Byz_node -> ()
         done
       end

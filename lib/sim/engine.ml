@@ -415,8 +415,8 @@ module Make (M : MSG) = struct
       for s = lo to hi - 1 do
         let o = outs.(s) in
         match states.(s) with
-        | Running kont -> (
-            let st = resume o kont views.(s) in
+        | Running { k } -> (
+            let st = resume o k views.(s) in
             states.(s) <- st;
             match st with
             | Finished _ ->

@@ -378,23 +378,40 @@ module Make (M : MSG) = struct
      suspended at a round barrier; its outbox already sits in the slot's
      {!out}. A fiber's run to its next barrier returns its new state
      directly: [Running] from the effect handler, [Finished] from the
-     program's return. *)
+     program's return. [Running]'s record is the fiber's one suspension
+     box: allocated at its first yield and re-pointed at every later
+     one, so a yield allocates only the runtime's own continuation. *)
   type 'r node_state =
-    | Running of (inbox, 'r node_state) Effect.Deep.continuation
+    | Running of {
+        mutable k : (inbox, 'r node_state) Effect.Deep.continuation;
+      }
     | Finished of 'r
     | Dead of int
     | Byz_node
 
-  (* The handler's answer to [Exchange]: it captures nothing, since the
-     continuation is all a suspended node keeps, and is built once here
-     because a [Some] built inside the handler is allocated per yield. *)
-  let suspend :
-      type r.
+  (* The handler's answer to [Exchange]. It is built once per fiber, in
+     [start_fiber], because it closes over that fiber's box, and not
+     inside the handler, where the [Some] would be allocated per yield.
+     [box] holds the fiber's [Running] state once it has yielded
+     ([Byz_node] until then); later yields re-point its continuation
+     and hand back the same state. *)
+  let suspend (type r) () :
       ((inbox, r node_state) Effect.Deep.continuation -> r node_state) option
       =
-    Some (fun k -> Running k)
+    let box = ref Byz_node in
+    Some
+      (fun k ->
+        match !box with
+        | Running b as st ->
+            b.k <- k;
+            st
+        | Finished _ | Dead _ | Byz_node ->
+            let st = Running { k } in
+            box := st;
+            st)
 
   let start_fiber (type r) (program : ctx -> r) ctx : r node_state =
+    let suspend = suspend () in
     Effect.Deep.match_with program ctx
       {
         retc = (fun r -> Finished r);

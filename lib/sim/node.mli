@@ -165,8 +165,12 @@ module Make (M : MSG) : sig
   (** {1 Fibers} *)
 
   type 'r node_state =
-    | Running of (inbox, 'r node_state) Effect.Deep.continuation
-        (** suspended at a round barrier, its outbox staged *)
+    | Running of {
+        mutable k : (inbox, 'r node_state) Effect.Deep.continuation;
+      }
+        (** suspended at a round barrier, its outbox staged; the record
+            is the fiber's one suspension box, allocated at its first
+            yield and re-pointed at [k] by every later one *)
     | Finished of 'r  (** returned [r] *)
     | Dead of int  (** out of the run since the given round *)
     | Byz_node  (** runs no program *)

@@ -160,6 +160,38 @@ let qcheck_always_correct =
       && a.decided + a.crashed = n
       && List.for_all (fun (_, v) -> 1 <= v && v <= n) a.assignments)
 
+(* The phase loop allocates only what the protocol needs: the runtime's
+   continuation at each of a phase's three yields, a [Status] when the
+   node's [(iv, d, p)] changed and the committee list when the
+   membership changed. The engine's resume bracket holds everything the
+   fibers allocate; committee emission is taken out through
+   [alloc_emit], and what is left is spread over every node's phases. *)
+let test_phase_loop_allocation () =
+  let n = 256 in
+  let ids = ids_of_n n in
+  let emit = ref 0. in
+  let probe = Engine.alloc_probe () in
+  let res =
+    CR.Net.run ~ids ~alloc_probe:probe ~seed:1 ~shards:1
+      ~program:(CR.program ~alloc_emit:emit CR.experiment_params)
+      ()
+  in
+  Alcotest.(check bool) "correct" true (Runner.assess res).correct;
+  let node_phases = n * CR.phases CR.experiment_params ~n in
+  let per_phase =
+    (probe.Engine.ap_resume -. !emit) /. float_of_int node_phases
+  in
+  (* 21.399 when recorded: 6 for the three continuations, 4.5 for the
+     statuses and the one committee list each node builds, 8.0 for the
+     committee members' one-time [Committee.create] columns (under
+     [Max_young_wosize] at this n) and the rest per-run setup. It read
+     47.315 when every yield boxed a fresh [Running k] and the phase
+     loop built its announcement sweep (with its counter), committee
+     list match and telemetry closures every phase. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per node-phase <= 23.5" per_phase)
+    true (per_phase <= 23.5)
+
 let suite =
   ( "crash_renaming",
     [
@@ -181,5 +213,7 @@ let suite =
         test_paper_params_small_n_degenerate_to_all_committee;
       Alcotest.test_case "message sizes O(log N)" `Quick
         test_message_sizes_are_logarithmic;
+      Alcotest.test_case "phase loop allocation" `Quick
+        test_phase_loop_allocation;
       QCheck_alcotest.to_alcotest qcheck_always_correct;
     ] )

@@ -498,11 +498,13 @@ let test_handoff_allocation () =
   let per_exchange =
     (words long -. words short) /. float_of_int ((long - short) * n)
   in
-  (* 4.752 when recorded, against 19.085 when the effect carried the
-     outbox and the engine normalized it after the yield. *)
+  (* 2.752 when recorded: the runtime's own continuation (2 words) and
+     the engine's share. It read 4.752 when every yield boxed a fresh
+     [Running k], and 19.085 when the effect carried the outbox and the
+     engine normalized it after the yield. *)
   Alcotest.(check bool)
-    (Printf.sprintf "%.3f minor words per exchange <= 4.76" per_exchange)
-    true (per_exchange <= 4.76)
+    (Printf.sprintf "%.3f minor words per exchange <= 2.76" per_exchange)
+    true (per_exchange <= 2.76)
 
 let suite =
   ( "engine",

@@ -662,12 +662,15 @@ let test_host_handoff_allocation () =
   let per_exchange =
     (words long -. words short) /. float_of_int ((long - short) * n)
   in
-  (* 46.333 when recorded, against 67.000 when the effect carried the
-     outbox. The rest is the round frame and reply, shared by the slice's
-     three nodes, and re-encoding where a slot's message changes. *)
+  (* 6.667 when recorded: the runtime's continuation, plus the round
+     frame and reply shared by the slice's three nodes and re-encoding
+     where a slot's message changes. It read 8.667 when every yield
+     boxed a fresh [Running k], 35.22 when payloads crossed the host as
+     strings, 46.333 with the host's own merged inbox rows, and 67.000
+     when the effect carried the outbox. *)
   Alcotest.(check bool)
-    (Printf.sprintf "%.3f minor words per exchange <= 46.34" per_exchange)
-    true (per_exchange <= 46.34)
+    (Printf.sprintf "%.3f minor words per exchange <= 6.67" per_exchange)
+    true (per_exchange <= 6.67)
 
 let suite =
   ( "socket_net",
