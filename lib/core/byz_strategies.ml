@@ -7,64 +7,37 @@ module Committee_pool = Repro_crypto.Committee_pool
 module Phase_king = Repro_consensus.Phase_king
 module Validator = Repro_consensus.Validator
 
-let silent : Net.byz_strategy = fun ~byz_id:_ ~round:_ ~inbox:_ -> []
+module Sends = Net.Sends
 
-(* What [split_world] sends one view member whatever the round's draws
-   are, for one face: built once per committee view, not per round. *)
-type face = {
-  vote : int * Msg.t;
-  propose : int * Msg.t;
-  king : int * Msg.t;
-  diff : int * Msg.t;
-}
+(* Never written after [create]: one empty buffer serves every call of
+   every run, on any domain. *)
+let silent : Net.byz_strategy =
+  let none = Sends.create () in
+  fun ~byz_id:_ ~round:_ ~inbox:_ -> none
 
-type target = {
-  member : int;
-  even : bool;
-      (* even position in the view: shown the round's face; odd
-         positions are shown its opposite *)
-  yes : face;
-  no : face;
-  lock_none : int * Msg.t;
-}
+(* What [split_world] sends a view member whatever the round's draws
+   are, for one face: built once, shared by every member and round. *)
+type face = { vote : Msg.t; propose : Msg.t; king : Msg.t; diff : Msg.t }
 
-let face m b =
+let face b =
   {
-    vote = (m, Msg.Pk (Phase_king.Vote b));
-    propose = (m, Msg.Pk (Phase_king.Propose b));
-    king = (m, Msg.Pk (Phase_king.King b));
-    diff = (m, Msg.Diff b);
+    vote = Msg.Pk (Phase_king.Vote b);
+    propose = Msg.Pk (Phase_king.Propose b);
+    king = Msg.Pk (Phase_king.King b);
+    diff = Msg.Diff b;
   }
 
-let targets_of view =
-  List.mapi
-    (fun i m ->
-      {
-        member = m;
-        even = i mod 2 = 0;
-        yes = face m true;
-        no = face m false;
-        lock_none = (m, Msg.Vld (Validator.Lock None));
-      })
-    view
+let yes = face true
+let no = face false
 
 (* Per-byz-node view tracking: remember the committee members seen in the
-   ELECT round (round 0) so later rounds can target them. [targets] is
-   [split_world]'s per-view cache, built for the view [built_for]. *)
-type spy = {
-  mutable view : int list;
-  mutable announced : bool;
-  mutable built_for : int list;
-  mutable targets : target list;
-}
+   ELECT round (round 0) so later rounds can target them. [view] is
+   sorted ascending. *)
+type spy = { mutable view : int array; mutable announced : bool }
 
 module Int_tbl = Hashtbl.Make (Int)
 
-(* [List.mem] and [List.assoc_opt] on int keys, compared as ints. *)
-let rec mem_int x = function
-  | [] -> false
-  | y :: l -> Int.equal x y || mem_int x l
-
+(* [List.assoc_opt] on int keys, compared as ints. *)
 let rec assoc_int k = function
   | [] -> None
   | (k', v) :: l -> if Int.equal k k' then Some v else assoc_int k l
@@ -75,7 +48,7 @@ let spy_of spies byz_id =
   match Int_tbl.find spies byz_id with
   | s -> s
   | exception Not_found ->
-      let s = { view = []; announced = false; built_for = []; targets = [] } in
+      let s = { view = [||]; announced = false } in
       Int_tbl.replace spies byz_id s;
       s
 
@@ -95,25 +68,33 @@ let candidate (params : B.params) ~ids =
 (* A Byzantine node learns the committee view from the ELECTs of
    candidates. *)
 let absorb_elects candidate spy inbox =
-  List.iter
-    (fun (e : Net.envelope) ->
-      match e.msg with
-      | Msg.Elect when candidate e.src ->
-          if not (mem_int e.src spy.view) then spy.view <- e.src :: spy.view
-      | _ -> ())
-    inbox;
-  spy.view <- List.sort_uniq Int.compare spy.view
+  let joined =
+    List.fold_left
+      (fun acc (e : Net.envelope) ->
+        match e.msg with
+        | Msg.Elect when candidate e.src -> e.src :: acc
+        | _ -> acc)
+      (Array.to_list spy.view) inbox
+  in
+  spy.view <- Array.of_list (List.sort_uniq Int.compare joined)
 
-let initial_view (params : B.params) ~ids =
+(* The view a node starts from, set while its view is still empty. *)
+let init_view (params : B.params) ~ids spy =
   match params.B.committee with
-  | B.Everyone -> List.sort Int.compare (Array.to_list ids)
-  | B.Shared_pool | B.Local_coin _ -> []
+  | B.Everyone ->
+      if Array.length spy.view = 0 then begin
+        let v = Array.copy ids in
+        Array.sort Int.compare v;
+        spy.view <- v
+      end
+  | B.Shared_pool | B.Local_coin _ -> ()
 
 (* A candidate joins the election: ELECT to everyone. *)
-let election_round_out candidate ~byz_id ~ids =
+let election_round_out candidate buf ~byz_id ~ids =
   if candidate byz_id then
-    Array.to_list (Array.map (fun dst -> (dst, Msg.Elect)) ids)
-  else []
+    for i = 0 to Array.length ids - 1 do
+      Sends.add buf ids.(i) Msg.Elect
+    done
 
 let random_msg rng namespace =
   match Rng.int rng 8 with
@@ -140,23 +121,27 @@ let random_msg rng namespace =
 let noise_of candidate (params : B.params) ~rng ~ids : Net.byz_strategy =
   let n = Array.length ids in
   let spies = make_spies () in
+  let buf = Sends.create () in
   fun ~byz_id ~round ~inbox ->
+    Sends.clear buf;
     let spy = spy_of spies byz_id in
-    if spy.view = [] then spy.view <- initial_view params ~ids;
-    if round = 0 then election_round_out candidate ~byz_id ~ids
+    init_view params ~ids spy;
+    if round = 0 then election_round_out candidate buf ~byz_id ~ids
     else begin
       if round = 1 then absorb_elects candidate spy inbox;
-      let burst = 1 + Rng.int rng (max 1 (List.length spy.view)) in
-      List.init burst (fun _ ->
-          let dst =
-            match spy.view with
-            | [] -> ids.(Rng.int rng n)
-            | view ->
-                if Rng.bool rng then List.nth view (Rng.int rng (List.length view))
-                else ids.(Rng.int rng n)
-          in
-          (dst, random_msg rng params.namespace))
-    end
+      let view = spy.view in
+      let k = Array.length view in
+      let burst = 1 + Rng.int rng (max 1 k) in
+      for _ = 1 to burst do
+        let dst =
+          if k = 0 then ids.(Rng.int rng n)
+          else if Rng.bool rng then view.(Rng.int rng k)
+          else ids.(Rng.int rng n)
+        in
+        Sends.add buf dst (random_msg rng params.namespace)
+      done
+    end;
+    buf
 
 let random_noise params ~rng ~ids =
   noise_of (candidate params ~ids) params ~rng ~ids
@@ -165,60 +150,56 @@ let split_world_of candidate (params : B.params) ~rng ~ids :
     Net.byz_strategy =
   let n = Array.length ids in
   let spies = make_spies () in
-  (* Fake NEW identities pushed at a few random nodes, trying to bait a
-     premature or wrong decision. Each bait draws its rank, then its
-     destination. *)
-  let rec baits k =
-    if k = 0 then []
-    else
-      let rank = 1 + Rng.int rng n in
-      let dst = ids.(Rng.int rng n) in
-      (dst, Msg.New (Some rank)) :: baits (k - 1)
-  in
-  (* Two-faced equivocation in every vote, proposal, king declaration,
-     validator and diff round, then the baits. A member's draws all
-     precede the next member's, and the fingerprint's second value is
-     drawn before its first. *)
-  let rec equivocate b = function
-    | [] -> baits 3
-    | t :: rest ->
+  let buf = Sends.create () in
+  fun ~byz_id ~round ~inbox ->
+    Sends.clear buf;
+    let spy = spy_of spies byz_id in
+    init_view params ~ids spy;
+    if round = 0 then election_round_out candidate buf ~byz_id ~ids
+    else begin
+      if round = 1 then absorb_elects candidate spy inbox;
+      let view = spy.view in
+      (* Round 1: reveal the identity to only half the committee, so
+         correct identity lists diverge at this node's position. *)
+      if round = 1 && not spy.announced then begin
+        spy.announced <- true;
+        for i = 0 to Array.length view - 1 do
+          if i mod 2 = 0 then Sends.add buf view.(i) Msg.Announce
+        done
+      end;
+      (* Two-faced equivocation in every vote, proposal, king
+         declaration, validator and diff round: members at even
+         positions of the view are shown the round's face, odd ones its
+         opposite. A member's draws all precede the next member's, and
+         the fingerprint's second value is drawn before its first. *)
+      let b = Rng.bool rng in
+      for i = 0 to Array.length view - 1 do
+        let m = view.(i) in
         let v2 = Rng.int rng max_int in
         let v1 = Rng.int rng max_int in
         let fake = Fingerprint.of_raw v1 v2 in
         let count = Rng.int rng n in
-        let tl = equivocate b rest in
-        let shown = if t.even then b else not b in
-        let f = if shown then t.yes else t.no in
-        let lock =
-          if shown then (t.member, Msg.Vld (Validator.Lock (Some (fake, 0))))
-          else t.lock_none
-        in
-        f.vote :: f.propose :: f.king
-        :: (t.member, Msg.Vld (Validator.Input (fake, count)))
-        :: lock :: f.diff :: tl
-  in
-  fun ~byz_id ~round ~inbox ->
-    let spy = spy_of spies byz_id in
-    if spy.view = [] then spy.view <- initial_view params ~ids;
-    if round = 0 then election_round_out candidate ~byz_id ~ids
-    else begin
-      if round = 1 then absorb_elects candidate spy inbox;
-      if spy.built_for != spy.view then begin
-        spy.targets <- targets_of spy.view;
-        spy.built_for <- spy.view
-      end;
-      let ts = spy.targets in
-      (* Round 1: reveal the identity to only half the committee, so
-         correct identity lists diverge at this node's position. *)
-      let announce = round = 1 && not spy.announced in
-      if announce then spy.announced <- true;
-      let rest = equivocate (Rng.bool rng) ts in
-      if announce then
-        List.fold_right
-          (fun t acc -> if t.even then (t.member, Msg.Announce) :: acc else acc)
-          ts rest
-      else rest
-    end
+        let shown = if i mod 2 = 0 then b else not b in
+        let f = if shown then yes else no in
+        Sends.add buf m f.vote;
+        Sends.add buf m f.propose;
+        Sends.add buf m f.king;
+        Sends.add buf m (Msg.Vld (Validator.Input (fake, count)));
+        Sends.add buf m
+          (if shown then Msg.Vld (Validator.Lock (Some (fake, 0)))
+           else Msg.Vld (Validator.Lock None));
+        Sends.add buf m f.diff
+      done;
+      (* Fake NEW identities pushed at a few random nodes, trying to
+         bait a premature or wrong decision. Each bait draws its rank,
+         then its destination. *)
+      for _ = 1 to 3 do
+        let rank = 1 + Rng.int rng n in
+        let dst = ids.(Rng.int rng n) in
+        Sends.add buf dst (Msg.New (Some rank))
+      done
+    end;
+    buf
 
 let split_world params ~rng ~ids =
   split_world_of (candidate params ~ids) params ~rng ~ids
@@ -251,32 +232,39 @@ let scripted (params : B.params) ~rng ~ids ~behaviors : Net.byz_strategy =
   let noise = noise_of candidate params ~rng ~ids in
   let equivocate = split_world_of candidate params ~rng ~ids in
   let n = Array.length ids in
+  let stray_buf = Sends.create () in
   let misaddress ~byz_id ~round ~inbox:_ =
     (* Every send targets an identity outside the participant set (ids
        live in [1, namespace]); the engine must drop and count each one
        without disturbing the honest run. Joining the election keeps the
        node visible to strategies that spy on the ELECT round. *)
-    let base = election_round_out candidate ~byz_id ~ids in
-    let stray =
-      List.init 2 (fun i ->
-          ( params.B.namespace + 1 + Rng.int rng (n + i + 1),
-            random_msg rng params.B.namespace ))
-    in
-    if round = 0 then base @ stray else stray
+    Sends.clear stray_buf;
+    if round = 0 then election_round_out candidate stray_buf ~byz_id ~ids;
+    for i = 0 to 1 do
+      (* The message is drawn before its destination. *)
+      let msg = random_msg rng params.B.namespace in
+      let dst = params.B.namespace + 1 + Rng.int rng (n + i + 1) in
+      Sends.add stray_buf dst msg
+    done;
+    stray_buf
   in
+  let replay_buf = Sends.create () in
   let replay ~byz_id ~round ~inbox =
     (* Re-emit last round's received payloads verbatim at randomly chosen
        participants: stale Responses, NEWs and consensus votes from
        earlier protocol stages arriving out of phase. *)
-    if round = 0 then election_round_out candidate ~byz_id ~ids
+    Sends.clear replay_buf;
+    if round = 0 then election_round_out candidate replay_buf ~byz_id ~ids
     else
-      List.map
-        (fun (e : Net.envelope) -> (ids.(Rng.int rng n), e.msg))
-        inbox
+      List.iter
+        (fun (e : Net.envelope) ->
+          Sends.add replay_buf ids.(Rng.int rng n) e.msg)
+        inbox;
+    replay_buf
   in
   fun ~byz_id ~round ~inbox ->
     match assoc_int byz_id behaviors with
-    | None | Some Silence -> []
+    | None | Some Silence -> silent ~byz_id ~round ~inbox
     | Some Noise -> noise ~byz_id ~round ~inbox
     | Some Equivocate -> equivocate ~byz_id ~round ~inbox
     | Some Misaddress -> misaddress ~byz_id ~round ~inbox
@@ -284,10 +272,14 @@ let scripted (params : B.params) ~rng ~ids ~behaviors : Net.byz_strategy =
 
 let committee_hijack (params : B.params) ~ids : Net.byz_strategy =
   let candidate = candidate params ~ids in
+  let buf = Sends.create () in
   fun ~byz_id ~round ~inbox:_ ->
-    if round = 0 then election_round_out candidate ~byz_id ~ids
+    Sends.clear buf;
+    if round = 0 then election_round_out candidate buf ~byz_id ~ids
     else if round >= 2 then
       (* Every corrupted committee member pushes the same bogus identity
          at everyone, every round, until the honest nodes give up. *)
-      Array.to_list (Array.map (fun dst -> (dst, Msg.New (Some 1))) ids)
-    else []
+      for i = 0 to Array.length ids - 1 do
+        Sends.add buf ids.(i) (Msg.New (Some 1))
+      done;
+    buf

@@ -58,8 +58,35 @@ module Make (M : MSG) = struct
   type crash_step = Orders of crash_order list | Final of crash_order list
   type crash_adversary = observation -> crash_step
 
-  type byz_strategy =
-    byz_id:int -> round:int -> inbox:envelope list -> (int * M.t) list
+  (* A strategy's sends for one call, entries [\[0, len)] in emission
+     order. The strategy owns it and refills it on every call; the
+     arrays grow on demand and are kept. *)
+  module Sends = struct
+    type t = {
+      mutable dst : int array;
+      mutable msg : M.t array;
+      mutable len : int;
+    }
+
+    let create () = { dst = [||]; msg = [||]; len = 0 }
+    let clear b = b.len <- 0
+
+    let add b d m =
+      let len = b.len in
+      if len = Array.length b.dst then begin
+        let cap = max 8 (2 * len) in
+        let dst = Array.make cap 0 and msg = Array.make cap m in
+        Array.blit b.dst 0 dst 0 len;
+        Array.blit b.msg 0 msg 0 len;
+        b.dst <- dst;
+        b.msg <- msg
+      end;
+      b.dst.(len) <- d;
+      b.msg.(len) <- m;
+      b.len <- len + 1
+  end
+
+  type byz_strategy = byz_id:int -> round:int -> inbox:envelope list -> Sends.t
 
   let run ~ids ?byz ?crash ?tap ?alloc_probe ?on_crash ?on_decide
       ?on_round_end ?(max_rounds = 100_000) ?(seed = 1) ?shards ~program () =
@@ -84,7 +111,7 @@ module Make (M : MSG) = struct
     let find_slot id = Repro_util.Slot_index.find slot_index id in
     let byz_list, byz_strategy =
       match byz with
-      | None -> ([], fun ~byz_id:_ ~round:_ ~inbox:_ -> [])
+      | None -> ([], fun ~byz_id:_ ~round:_ ~inbox:_ -> Sends.create ())
       | Some (bs, strat) ->
           List.iter
             (fun b ->
@@ -175,36 +202,35 @@ module Make (M : MSG) = struct
       done
     in
     let byz_prev_inbox : envelope list array = Array.make n [] in
-    (* Byzantine traffic, settled on main: every message is billed (as
-       Byzantine) and misaddressed ones are dropped and counted here, so
-       the slot's {!out} holds only deliverable entries. *)
-    let rec fill_byz o j = function
-      | [] -> o.len <- j
-      | (dst, msg) :: tl ->
-          let b = bits_of o msg in
-          Metrics.add_byz metrics ~bits:b;
-          if find_slot dst < 0 then begin
-            Metrics.record_byz_misaddressed metrics;
-            fill_byz o j tl
-          end
-          else begin
-            o.dst.(j) <- dst;
-            o.msg.(j) <- msg;
-            o.size.(j) <- b;
-            fill_byz o (j + 1) tl
-          end
-    in
+    (* Byzantine traffic, settled on main: every entry of the
+       strategy's buffer is billed (as Byzantine) in emission order, and
+       misaddressed ones are dropped and counted here, so the slot's
+       {!out} holds only deliverable entries. The copy is done before
+       the next strategy call, which may refill the same buffer. *)
     let emit_byz s =
-      let out =
+      let b =
         byz_strategy ~byz_id:ids.(s) ~round:!current_round
           ~inbox:byz_prev_inbox.(s)
       in
-      match out with
-      | [] -> ()
-      | (_, m0) :: _ ->
-          let o = outs.(s) and len = List.length out in
-          use_own o len len m0;
-          fill_byz o 0 out
+      let len = b.Sends.len in
+      if len > 0 then begin
+        let o = outs.(s) and bdst = b.Sends.dst and bmsg = b.Sends.msg in
+        use_own o len len bmsg.(0);
+        let j = ref 0 in
+        for i = 0 to len - 1 do
+          let dst = bdst.(i) and msg = bmsg.(i) in
+          let bits = bits_of o msg in
+          Metrics.add_byz metrics ~bits;
+          if find_slot dst < 0 then Metrics.record_byz_misaddressed metrics
+          else begin
+            o.dst.(!j) <- dst;
+            o.msg.(!j) <- msg;
+            o.size.(!j) <- bits;
+            incr j
+          end
+        done;
+        o.len <- !j
+      end
     in
     let bad_dst src dst =
       invalid_arg

@@ -238,10 +238,40 @@ module Make (M : MSG) : sig
       built. {!Crash.none} is an adversary that observes round [0] once
       and retires with no orders. *)
 
-  type byz_strategy =
-    byz_id:int -> round:int -> inbox:envelope list -> (int * M.t) list
+  (** A Byzantine strategy's sends for one call: entries [\[0, len)] of
+      [dst] and [msg], in emission order. Only the strategy writes it. *)
+  module Sends : sig
+    type t = private {
+      mutable dst : int array;
+      mutable msg : M.t array;
+      mutable len : int;
+    }
+
+    val create : unit -> t
+    (** An empty buffer. Its arrays grow on demand in {!add} and are
+        kept, so a buffer refilled every call stops allocating once it
+        has held its largest call. *)
+
+    val clear : t -> unit
+    (** Empty the buffer, keeping its arrays. *)
+
+    val add : t -> int -> M.t -> unit
+    (** [add b dst msg] appends one send. *)
+  end
+
+  type byz_strategy = byz_id:int -> round:int -> inbox:envelope list -> Sends.t
   (** Per-round behaviour of one Byzantine node; the inbox is what the
-      network delivered to it last round. *)
+      network delivered to it last round.
+
+      The strategy owns the buffer it returns and may return the same
+      one on every call, for every node it drives: it clears and refills
+      it. The buffer's contents are valid until the strategy's next
+      call. The engine reads the whole buffer before calling any
+      strategy again, copying the deliverable entries into the node's
+      slot. Emission order is billing and delivery order: each entry is
+      billed as Byzantine traffic, misaddressed ones included, and
+      misaddressed entries are then dropped and counted in
+      [Metrics.byz_misaddressed]. *)
 
   (** {1 Running} *)
 

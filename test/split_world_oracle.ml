@@ -5,10 +5,11 @@
    election round), copied unchanged, it shares no code with the
    library's strategy beyond the message constructors.
 
-   The library's strategy builds the pairs that do not depend on a
-   round's draws once per committee view. It must return a list
-   structurally equal to this one's on every call, from the same rng
-   draws in the same order. The draw order here is OCaml's evaluation
+   The library's strategy builds the messages that do not depend on a
+   round's draws once per committee view and fills a send buffer. Read
+   back as a list ([Byz_list.to_list]), that buffer must be structurally
+   equal to this strategy's list on every call, from the same rng draws
+   in the same order. The draw order here is OCaml's evaluation
    order: right to left for function arguments and list elements, so
    [Fingerprint.of_raw]'s second value is drawn before its first, and a
    bait's rank before its destination. *)
@@ -71,7 +72,7 @@ let election_round_out (params : B.params) ~byz_id ~ids =
   | B.Shared_pool ->
       broadcast_elect_if_candidate (B.pool_of_params params ~n) ~byz_id ~ids
 
-let split_world (params : B.params) ~rng ~ids : Net.byz_strategy =
+let split_world (params : B.params) ~rng ~ids : Byz_list.strategy =
   let n = Array.length ids in
   let spies = make_spies () in
   fun ~byz_id ~round ~inbox ->

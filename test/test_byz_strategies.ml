@@ -26,7 +26,7 @@ let a_non_candidate =
   Array.to_list ids |> List.find (fun i -> not (Pool.mem pool i))
 
 let elect_round strategy byz_id =
-  strategy ~byz_id ~round:0 ~inbox:[]
+  Byz_list.to_list (strategy ~byz_id ~round:0 ~inbox:[])
   |> List.filter (fun (_, m) -> m = BR.Msg.Elect)
 
 let test_split_world_elect_all_or_nothing () =
@@ -49,7 +49,7 @@ let test_split_world_announces_to_half () =
       (fun src -> { BR.Net.src; dst = a_candidate; msg = BR.Msg.Elect })
       candidates
   in
-  let out = strategy ~byz_id:a_candidate ~round:1 ~inbox in
+  let out = Byz_list.to_list (strategy ~byz_id:a_candidate ~round:1 ~inbox) in
   let announces =
     List.filter (fun (_, m) -> m = BR.Msg.Announce) out |> List.map fst
   in
@@ -73,7 +73,7 @@ let test_split_world_equivocates () =
       (fun src -> { BR.Net.src; dst = a_candidate; msg = BR.Msg.Elect })
       candidates
   in
-  let out = strategy ~byz_id:a_candidate ~round:1 ~inbox in
+  let out = Byz_list.to_list (strategy ~byz_id:a_candidate ~round:1 ~inbox) in
   let votes =
     List.filter_map
       (fun (dst, m) ->
@@ -103,59 +103,157 @@ let test_silent_is_silent () =
     Alcotest.(check int)
       (Printf.sprintf "round %d" round)
       0
-      (List.length (BS.silent ~byz_id:a_candidate ~round ~inbox:[]))
+      (BS.silent ~byz_id:a_candidate ~round ~inbox:[]).len
   done
 
-(* The library's split-world strategy against the oracle's, through
-   whole Byzantine runs: both see the same calls, each draws from its
-   own rng seeded alike, and the run goes on with the library's output.
-   Inputs derive from the seed as in [Experiment.run_byz]. *)
+(* A Byzantine run as [Experiment.run_byz] sets one up: identities,
+   parameters and the Byzantine set all derive from the seed. *)
+let byz_setup ?(committee = BR.Shared_pool) ~n ~f ~seed () =
+  let namespace = 64 * n in
+  let ids =
+    Repro_renaming.Experiment.random_ids ~seed:(seed lxor 0x2e7) ~namespace ~n
+  in
+  let params =
+    {
+      (BR.default_params ~namespace ~shared_seed:(seed lxor 0x5aed)) with
+      pool_probability =
+        `Fixed (Repro_renaming.Experiment.committee_pool_probability ~n);
+      committee;
+    }
+  in
+  let byz_ids =
+    Array.to_list
+      (Rng.sample_without_replacement (Rng.of_seed (seed lxor 0xca410)) f ids)
+  in
+  (ids, params, byz_ids)
+
+(* Run [lib] through a whole Byzantine run, asking [oracle] the same
+   question on every call: both see the same calls, each draws from its
+   own state built alike, and the run goes on with the library's sends.
+   Returns the number of calls compared. *)
+let run_against_oracle ~what ~params ~ids ~byz_ids ~seed ~lib
+    ~(oracle : Byz_list.strategy) =
+  let calls = ref 0 in
+  let strategy ~byz_id ~round ~inbox =
+    let got = lib ~byz_id ~round ~inbox in
+    if Byz_list.to_list got <> oracle ~byz_id ~round ~inbox then
+      Alcotest.failf "%s seed=%d: byz %d differs at round %d" what seed byz_id
+        round;
+    incr calls;
+    got
+  in
+  ignore
+    (BR.run ~params ~byz:(byz_ids, strategy) ~max_rounds:400_000 ~seed
+       ~shards:1 ~ids ());
+  !calls
+
+let check_compared calls =
+  Alcotest.(check bool)
+    (Printf.sprintf "compared %d calls" calls)
+    true (calls > 0)
+
+(* The library's split-world strategy against the oracle's, each drawing
+   from its own rng seeded alike. *)
 let test_split_world_matches_oracle () =
   let calls = ref 0 in
-  let check_run ~committee ~n ~f ~seed =
-    let namespace = 64 * n in
-    let ids =
-      Repro_renaming.Experiment.random_ids ~seed:(seed lxor 0x2e7) ~namespace
-        ~n
-    in
-    let params =
-      {
-        (BR.default_params ~namespace ~shared_seed:(seed lxor 0x5aed)) with
-        pool_probability =
-          `Fixed (Repro_renaming.Experiment.committee_pool_probability ~n);
-        committee;
-      }
-    in
-    let byz_ids =
-      Array.to_list
-        (Rng.sample_without_replacement (Rng.of_seed (seed lxor 0xca410)) f
-           ids)
-    in
+  let check_run ?committee ~n ~f ~seed () =
+    let ids, params, byz_ids = byz_setup ?committee ~n ~f ~seed () in
     let rng () = Rng.of_seed (seed lxor 0xb42) in
-    let lib = BS.split_world params ~rng:(rng ()) ~ids in
-    let oracle = Split_world_oracle.split_world params ~rng:(rng ()) ~ids in
-    let strategy ~byz_id ~round ~inbox =
-      let got = lib ~byz_id ~round ~inbox in
-      if got <> oracle ~byz_id ~round ~inbox then
-        Alcotest.failf "n=%d f=%d seed=%d: byz %d differs at round %d" n f
-          seed byz_id round;
-      incr calls;
-      got
-    in
-    ignore
-      (BR.run ~params ~byz:(byz_ids, strategy) ~max_rounds:400_000 ~seed
-         ~shards:1 ~ids ())
+    calls :=
+      !calls
+      + run_against_oracle
+          ~what:(Printf.sprintf "split-world n=%d f=%d" n f)
+          ~params ~ids ~byz_ids ~seed
+          ~lib:(BS.split_world params ~rng:(rng ()) ~ids)
+          ~oracle:(Split_world_oracle.split_world params ~rng:(rng ()) ~ids)
   in
   List.iter
     (fun (n, f) ->
       for seed = 1 to 6 do
-        check_run ~committee:BR.Shared_pool ~n ~f ~seed
+        check_run ~n ~f ~seed ()
       done)
     [ (32, 2); (64, 3); (128, 2) ];
-  check_run ~committee:BR.Everyone ~n:32 ~f:2 ~seed:1;
+  check_run ~committee:BR.Everyone ~n:32 ~f:2 ~seed:1 ();
+  check_compared !calls
+
+(* [scripted] against its oracle with every behaviour in one run: the
+   Byzantine nodes take the behaviours in turn, so noise, equivocation,
+   misaddressed sends and replays interleave on the shared rng. *)
+let test_scripted_matches_oracle () =
+  let calls = ref 0 in
+  let check_run ?committee ~n ~f ~seed () =
+    let ids, params, byz_ids = byz_setup ?committee ~n ~f ~seed () in
+    let all = Array.of_list BS.all_behaviors in
+    let behaviors =
+      List.mapi
+        (fun i b -> (b, all.((i + seed) mod Array.length all)))
+        byz_ids
+    in
+    let rng () = Rng.of_seed (seed lxor 0xb42) in
+    calls :=
+      !calls
+      + run_against_oracle
+          ~what:(Printf.sprintf "scripted n=%d f=%d" n f)
+          ~params ~ids ~byz_ids ~seed
+          ~lib:(BS.scripted params ~rng:(rng ()) ~ids ~behaviors)
+          ~oracle:(Scripted_oracle.scripted params ~rng:(rng ()) ~ids ~behaviors)
+  in
+  for seed = 1 to 5 do
+    check_run ~n:32 ~f:5 ~seed ()
+  done;
+  check_run ~n:64 ~f:6 ~seed:6 ();
+  check_run ~committee:(BR.Local_coin 0.3) ~n:32 ~f:5 ~seed:7 ();
+  check_run ~committee:BR.Everyone ~n:32 ~f:5 ~seed:8 ();
+  check_compared !calls
+
+(* [committee_hijack] against its oracle, with a corrupted majority of
+   the committee (the run the adaptive-adversary test makes) and with a
+   static Byzantine set. *)
+let test_hijack_matches_oracle () =
+  let calls = ref 0 in
+  let check_run ~params ~ids ~byz_ids ~seed =
+    calls :=
+      !calls
+      + run_against_oracle ~what:"committee-hijack" ~params ~ids ~byz_ids
+          ~seed
+          ~lib:(BS.committee_hijack params ~ids)
+          ~oracle:(Scripted_oracle.committee_hijack params ~ids)
+  in
+  let majority = List.filteri (fun i _ -> i mod 3 <> 2) candidates in
+  check_run ~params ~ids ~byz_ids:majority ~seed:18;
+  for seed = 1 to 3 do
+    let ids, params, byz_ids = byz_setup ~n:32 ~f:4 ~seed () in
+    check_run ~params ~ids ~byz_ids ~seed
+  done;
+  check_compared !calls
+
+(* Minor words the split-world strategy allocates per message it emits,
+   over one whole run at one shard. Only the strategy's own calls are
+   counted, so the figure is the per-send cost of emission. *)
+let test_split_world_emission_allocation () =
+  let ids, params, byz_ids = byz_setup ~n:128 ~f:2 ~seed:1 () in
+  let lib = BS.split_world params ~rng:(Rng.of_seed (1 lxor 0xb42)) ~ids in
+  let words = ref 0. and sent = ref 0 in
+  let strategy ~byz_id ~round ~inbox =
+    let w0 = Gc.minor_words () in
+    let b = lib ~byz_id ~round ~inbox in
+    let w = Gc.minor_words () -. w0 in
+    words := !words +. w;
+    sent := !sent + b.BR.Net.Sends.len;
+    b
+  in
+  ignore
+    (BR.run ~params ~byz:(byz_ids, strategy) ~max_rounds:400_000 ~seed:1
+       ~shards:1 ~ids ());
+  let per_msg = !words /. float_of_int !sent in
+  (* 2.444 when recorded, over 916,054 sends: a fingerprint and two
+     validator payloads per equivocated member, a NEW per bait. It read
+     6.234 when the strategy returned a fresh [(dst, msg)] list, three
+     words of cons cell and three of pair per send. *)
   Alcotest.(check bool)
-    (Printf.sprintf "compared %d calls" !calls)
-    true (!calls > 0)
+    (Printf.sprintf "%.3f minor words per emitted message <= 2.48 (%d sent)"
+       per_msg !sent)
+    true (per_msg <= 2.48)
 
 let suite =
   ( "byz_strategies",
@@ -173,4 +271,10 @@ let suite =
       Alcotest.test_case "silent is silent" `Quick test_silent_is_silent;
       Alcotest.test_case "split-world equals its oracle" `Quick
         test_split_world_matches_oracle;
+      Alcotest.test_case "scripted equals its oracle" `Quick
+        test_scripted_matches_oracle;
+      Alcotest.test_case "hijack equals its oracle" `Quick
+        test_hijack_matches_oracle;
+      Alcotest.test_case "split_world emission allocation" `Quick
+        test_split_world_emission_allocation;
     ] )

@@ -19,6 +19,7 @@ module M = struct
 end
 
 module Net = Engine.Make (M)
+module BL = Byz_list.Make (Net)
 
 let committee_net ctx members =
   CN.create ~me:(Net.my_id ctx) ~members
@@ -30,7 +31,7 @@ let shared_coin seed phase =
 
 type byz_kind = Silent | Equivocate
 
-let byz_strategy kind ~members : Net.byz_strategy =
+let byz_strategy kind ~members : BL.strategy =
  fun ~byz_id:_ ~round:_ ~inbox:_ ->
   match kind with
   | Silent -> []
@@ -59,7 +60,8 @@ let execute ~n ~byz_count ~kind ~horizon ~inputs ~seed =
     in
     (out, Net.round ctx - before)
   in
-  let res = Net.run ~ids ~byz:(byz_ids, byz_strategy kind ~members) ~seed ~program () in
+  let byz = (byz_ids, BL.of_list (byz_strategy kind ~members)) in
+  let res = Net.run ~ids ~byz ~seed ~program () in
   List.filter_map
     (function id, Engine.Decided r -> Some (id, r) | _ -> None)
     res.Engine.outcomes

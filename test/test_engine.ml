@@ -11,6 +11,7 @@ module M = struct
 end
 
 module Net = Engine.Make (M)
+module BL = Byz_list.Make (Net)
 
 let ids3 = [| 10; 20; 30 |]
 
@@ -108,7 +109,7 @@ let test_byzantine_stamping () =
   let strategy ~byz_id ~round ~inbox:_ =
     if round = 0 then [ (10, M.Pong byz_id) ] else []
   in
-  let res = Net.run ~ids:ids3 ~byz:([ 30 ], strategy) ~program () in
+  let res = Net.run ~ids:ids3 ~byz:([ 30 ], BL.of_list strategy) ~program () in
   Alcotest.(check bool) "10 sees authenticated src 30" true
     (List.assoc 10 res.outcomes = Engine.Decided [ 30 ]);
   Alcotest.(check bool) "30 marked byzantine" true
@@ -118,6 +119,35 @@ let test_byzantine_stamping () =
   Alcotest.(check int) "byz bits" 20 res.metrics.Metrics.byz_bits;
   Alcotest.(check int) "honest messages zero" 0
     res.metrics.Metrics.honest_messages
+
+(* One strategy instance drives two Byzantine nodes with one buffer,
+   refilled for each: the engine must have copied node 30's sends out
+   before node 40's call overwrites them. Node 30 sends a valid and a
+   misaddressed entry, node 40 one valid entry, both to node 10. *)
+let test_byzantine_shared_buffer () =
+  let ids = [| 10; 20; 30; 40 |] in
+  let program ctx = Net.Inbox.pairs (Net.skip_round ctx) in
+  let buf = Net.Sends.create () in
+  let strategy ~byz_id ~round ~inbox:_ =
+    Net.Sends.clear buf;
+    if round = 0 then
+      if byz_id = 30 then begin
+        Net.Sends.add buf 10 (M.Pong 30);
+        Net.Sends.add buf 99 (M.Pong 99)
+      end
+      else Net.Sends.add buf 10 (M.Ping 40);
+    buf
+  in
+  let res = Net.run ~ids ~byz:([ 40; 30 ], strategy) ~program () in
+  Alcotest.(check bool) "10 hears each node's own send" true
+    (List.assoc 10 res.outcomes
+    = Engine.Decided [ (30, M.Pong 30); (40, M.Ping 40) ]);
+  Alcotest.(check bool) "20 hears nothing" true
+    (List.assoc 20 res.outcomes = Engine.Decided []);
+  Alcotest.(check int) "every entry billed" 3 res.metrics.Metrics.byz_messages;
+  Alcotest.(check int) "byz bits" 50 res.metrics.Metrics.byz_bits;
+  Alcotest.(check int) "misaddressed dropped" 1
+    res.metrics.Metrics.byz_misaddressed
 
 let test_byz_receives_inbox () =
   (* Byzantine strategies are reactive: they see last round's inbox. *)
@@ -136,7 +166,7 @@ let test_byz_receives_inbox () =
              inbox);
     []
   in
-  ignore (Net.run ~ids:ids3 ~byz:([ 30 ], strategy) ~program ());
+  ignore (Net.run ~ids:ids3 ~byz:([ 30 ], BL.of_list strategy) ~program ());
   Alcotest.(check (option bool)) "byz saw the ping" (Some true) !witnessed
 
 let test_max_rounds_guard () =
@@ -193,7 +223,7 @@ let test_byz_id_must_participate () =
     (Invalid_argument "Engine.run: byzantine id not a participant") (fun () ->
       ignore
         (Net.run ~ids:ids3
-           ~byz:([ 99 ], fun ~byz_id:_ ~round:_ ~inbox:_ -> [])
+           ~byz:([ 99 ], BL.of_list (fun ~byz_id:_ ~round:_ ~inbox:_ -> []))
            ~program:(fun _ -> 0) ()))
 
 let test_determinism () =
@@ -264,7 +294,8 @@ let test_recorded_trace_equality () =
       [ (7, M.Pong round); (11, M.Ping (round * round)) ]
     in
     let res =
-      Net.run ~ids ~byz:([ 23 ], strategy) ~crash ~seed:123 ~program ()
+      Net.run ~ids ~byz:([ 23 ], BL.of_list strategy) ~crash ~seed:123
+        ~program ()
     in
     let trace =
       Array.to_list per_node |> List.concat_map List.rev
@@ -515,6 +546,8 @@ let suite =
       Alcotest.test_case "mid-send partial delivery" `Quick
         test_mid_send_partial_delivery;
       Alcotest.test_case "byzantine stamping" `Quick test_byzantine_stamping;
+      Alcotest.test_case "byzantine shared buffer" `Quick
+        test_byzantine_shared_buffer;
       Alcotest.test_case "byz receives inbox" `Quick test_byz_receives_inbox;
       Alcotest.test_case "max rounds guard" `Quick test_max_rounds_guard;
       Alcotest.test_case "duplicate ids rejected" `Quick

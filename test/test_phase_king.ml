@@ -18,6 +18,7 @@ module M = struct
 end
 
 module Net = Engine.Make (M)
+module BL = Byz_list.Make (Net)
 
 let committee_net ctx members =
   CN.create ~me:(Net.my_id ctx) ~members
@@ -26,7 +27,7 @@ let committee_net ctx members =
 
 type byz_kind = Silent | Equivocate | Random_lies
 
-let byz_strategy kind ~rng ~members : Net.byz_strategy =
+let byz_strategy kind ~rng ~members : BL.strategy =
  fun ~byz_id:_ ~round:_ ~inbox:_ ->
   match kind with
   | Silent -> []
@@ -67,7 +68,7 @@ let execute ~n ~byz_count ~kind ~inputs ~seed =
     PK.run ~net ~embed:Fun.id ~project:Option.some ~kings
       ~input:(inputs (Net.my_id ctx))
   in
-  let byz = (byz_ids, byz_strategy kind ~rng ~members) in
+  let byz = (byz_ids, BL.of_list (byz_strategy kind ~rng ~members)) in
   let res = Net.run ~ids ~byz ~seed ~program () in
   List.filter_map
     (function id, Engine.Decided b -> Some (id, b) | _ -> None)

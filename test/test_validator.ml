@@ -17,6 +17,7 @@ module M = struct
 end
 
 module Net = Engine.Make (M)
+module BL = Byz_list.Make (Net)
 
 let committee_net ctx members =
   CN.create ~me:(Net.my_id ctx) ~members
@@ -25,7 +26,7 @@ let committee_net ctx members =
 
 type byz_kind = Silent | Equivocate
 
-let byz_strategy kind ~rng ~members : Net.byz_strategy =
+let byz_strategy kind ~rng ~members : BL.strategy =
  fun ~byz_id:_ ~round ~inbox:_ ->
   match kind with
   | Silent -> []
@@ -52,9 +53,8 @@ let execute ~n ~byz_count ~kind ~inputs ~seed =
     in
     (r.V.same, r.V.value)
   in
-  let res =
-    Net.run ~ids ~byz:(byz_ids, byz_strategy kind ~rng ~members) ~seed ~program ()
-  in
+  let byz = (byz_ids, BL.of_list (byz_strategy kind ~rng ~members)) in
+  let res = Net.run ~ids ~byz ~seed ~program () in
   List.filter_map
     (function id, Engine.Decided r -> Some (id, r) | _ -> None)
     res.Engine.outcomes
