@@ -283,10 +283,21 @@ let listen_on ~port =
   in
   (fd, actual)
 
-let connect_to ~host ~port =
+let connect_to ~addr ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+  Unix.connect fd (Unix.ADDR_INET (addr, port));
   fd
+
+(* A socket that cannot bind or connect is reported on one stderr line
+   naming the address and the error, exit 1: the arguments were fine,
+   the network refused them. *)
+let on_socket_error cmd ~what ~host ~port f =
+  match f () with
+  | v -> v
+  | exception Unix.Unix_error (e, _, _) ->
+      Printf.eprintf "net_node %s: cannot %s %s:%d: %s\n" cmd what host port
+        (Unix.error_message e);
+      exit 1
 
 (* {2 Commands} *)
 
@@ -416,7 +427,8 @@ let opts_term cmd =
     const make $ algo_arg $ n_arg $ namespace_arg $ hosts_arg $ seed_arg
     $ faults_arg $ max_rounds_arg $ bits_out_arg $ check_sim_arg)
 
-(* [HOST:PORT], or a bare [PORT] on 127.0.0.1. *)
+(* [HOST:PORT], or a bare [PORT] on 127.0.0.1; the host is an IPv4
+   literal (the socket is [PF_INET]; no name is looked up). *)
 let parse_connect connect =
   let host, port =
     match String.rindex_opt connect ':' with
@@ -425,16 +437,26 @@ let parse_connect connect =
           String.sub connect (i + 1) (String.length connect - i - 1) )
     | None -> ("127.0.0.1", connect)
   in
+  let addr =
+    match Unix.inet_addr_of_string host with
+    | a when Unix.domain_of_sockaddr (Unix.ADDR_INET (a, 0)) = Unix.PF_INET -> a
+    | _ | (exception Failure _) ->
+        usage_error "node" "--connect: host %S in %S is not an IPv4 address"
+          host connect
+  in
   match int_of_string_opt port with
   | Some p ->
       check_port "node" ~min:1 p;
-      (host, p)
+      (host, addr, p)
   | None -> usage_error "node" "--connect: bad port %S in %S" port connect
 
 let coord_cmd =
   let run o port =
     check_port "coord" ~min:0 port;
-    let listen, port = listen_on ~port in
+    let listen, port =
+      on_socket_error "coord" ~what:"listen on" ~host:"127.0.0.1" ~port
+        (fun () -> listen_on ~port)
+    in
     Format.printf "coordinator: %s n=%d hosts=%d on 127.0.0.1:%d@."
       (algo_name o.algo) o.n o.n_hosts port;
     Format.print_flush ();
@@ -462,10 +484,13 @@ let node_cmd =
           ~doc:"This host's index in [0, hosts).")
   in
   let run algo connect host_index =
-    let host, port = parse_connect connect in
+    let host, addr, port = parse_connect connect in
     if host_index < 0 then
       usage_error "node" "--host-index must be non-negative, got %d" host_index;
-    let fd = connect_to ~host ~port in
+    let fd =
+      on_socket_error "node" ~what:"connect to" ~host ~port (fun () ->
+          connect_to ~addr ~port)
+    in
     node_main ~algo ~fd ~host_index;
     0
   in
@@ -487,7 +512,7 @@ let local_cmd =
               (try Unix.close listen with Unix.Unix_error _ -> ());
               match
                 node_main ~algo:o.algo
-                  ~fd:(connect_to ~host:"127.0.0.1" ~port)
+                  ~fd:(connect_to ~addr:Unix.inet_addr_loopback ~port)
                   ~host_index:h
               with
               | () -> Unix._exit 0

@@ -1,5 +1,3 @@
-let rounds_needed ~horizon = 2 * horizon
-let default_horizon ~failure_exponent = failure_exponent + 1
 
 let run ~net ~embed ~project ~coin ~horizon ~input =
   let t = Committee_net.fault_threshold net in

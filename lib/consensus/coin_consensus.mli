@@ -22,17 +22,10 @@
     - {e agreement}: all outputs equal, with probability
       [>= 1 - 2^-horizon];
     - {e lock-step}: every correct member consumes exactly
-      [rounds_needed ~horizon] network rounds.
+      [2 · horizon] network rounds.
 
     Message shapes are shared with {!Phase_king} ([Vote]/[Propose]; the
     [King] constructor is never sent). *)
-
-val rounds_needed : horizon:int -> int
-(** [2 · horizon]. *)
-
-val default_horizon : failure_exponent:int -> int
-(** [failure_exponent + 1]: phases needed so that the probability that
-    some phase fails to unify is at most [2^-failure_exponent]. *)
 
 val run :
   net:'m Committee_net.t ->

@@ -1,9 +1,5 @@
 type msg = Vote of bool | Propose of bool | King of bool
 
-let rounds_needed ~committee_size =
-  let t = (committee_size - 1) / 3 in
-  3 * (t + 1)
-
 (* [m] projects to exactly the consensus message [want]. Passed to
    {!Committee_net.count}, it reads a vote tally without an option or a
    list per message. *)

@@ -10,14 +10,12 @@
     literature; property-tested in [test/test_phase_king.ml]):
     - {e agreement}: all outputs equal;
     - {e validity}: the output is some correct member's input (in the
-      binary case: if all correct inputs agree, that value is output). *)
+      binary case: if all correct inputs agree, that value is output);
+    - {e lock-step}: every correct member consumes exactly [3 · (t + 1)]
+      network rounds. *)
 
 type msg = Vote of bool | Propose of bool | King of bool
 
-val rounds_needed : committee_size:int -> int
-(** [3 * (t + 1)] where [t = floor((committee_size - 1) / 3)]: how many
-    network rounds one execution consumes. All correct members consume
-    exactly this many rounds, keeping the outer protocol in lock-step. *)
 
 val projects_to : ('m -> msg option) -> msg -> 'm -> bool
 (** [projects_to project want m]: [m] projects to exactly [want]. The

@@ -1,7 +1,5 @@
 type 'v msg = Input of 'v | Lock of 'v option
 
-let rounds_needed = 2
-
 type 'v result = { same : bool; value : 'v }
 
 (* One more occurrence of [v] in (value, count) groups kept in

@@ -15,9 +15,6 @@
 
 type 'v msg = Input of 'v | Lock of 'v option
 
-val rounds_needed : int
-(** Always 2 network rounds. *)
-
 type 'v result = { same : bool; value : 'v }
 
 val run :

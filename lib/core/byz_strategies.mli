@@ -29,8 +29,10 @@ val committee_hijack :
     form a majority of the committee view — impossible for the static
     adversary w.h.p., trivial for an adaptive one — every honest node
     crosses its decision threshold on fabricated values and uniqueness
-    collapses. Used by the negative-result test documenting why the
-    committee approach needs the non-adaptive assumption. *)
+    collapses.
+    Test-only: the negative-result test documenting why the committee
+    approach needs the non-adaptive assumption mounts it, and the docs
+    describe it as part of the adversary catalogue. *)
 
 (** {1 Scripted behaviours}
 

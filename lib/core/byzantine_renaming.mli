@@ -119,8 +119,10 @@ val plurality_rank : int list -> int option
     order ([List.sort Int.compare]): the rank with the highest count,
     equal counts breaking towards the smallest rank. This is the
     distribution-stage tie-break (stage 3); it used to follow hashtable
-    iteration order, which [OCAMLRUNPARAM=R] perturbs — exposed so the
-    regression test can pin the tie case. [None] on the empty list. *)
+    iteration order, which [OCAMLRUNPARAM=R] perturbs. [None] on the
+    empty list.
+    Test-only: the tie-break regression test pins the tie case on it,
+    which no fixed-seed run is known to reach. *)
 
 type telemetry = {
   on_view : id:int -> view:int list -> unit;

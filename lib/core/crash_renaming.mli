@@ -73,7 +73,11 @@ type params = {
 
 val paper_params : params
 (** [{election_constant = 256.; phase_factor = 3; reelection = On_demand;
-     target = `Strong}] *)
+     target = `Strong}]: the constants of the paper's analysis.
+    Test-only: at the sizes simulated here they put every node in the
+    committee, so no run path uses them; a test checks that case, and
+    DESIGN, ALGORITHMS and README contrast them with
+    {!experiment_params}. *)
 
 val experiment_params : params
 (** [{election_constant = 3.; phase_factor = 3; reelection = On_demand;
@@ -167,10 +171,14 @@ module For_tests : sig
     ids:int array ->
     (int * Msg.t) list list ->
     (int * Msg.t * int) list list
-  (** Each round's verdicts as [(dst, msg, billed_bits)] triples. *)
+  (** Each round's verdicts as [(dst, msg, billed_bits)] triples.
+      Test-only: the committee oracle's verdicts are compared against
+      these. *)
 
   val state_pv : pv:int -> ids:int array -> (int * Msg.t) list list -> int
-  (** The member's escalation counter after absorbing the rounds. *)
+  (** The member's escalation counter after absorbing the rounds.
+      Test-only: the oracle's escalation counter is compared against
+      it. *)
 
   type committee
   (** A member's committee record. *)
@@ -182,5 +190,7 @@ module For_tests : sig
     float * committee
   (** [footprint ~ids rounds last] absorbs [rounds] on a fresh member,
       then [last]: the minor words that last absorb allocated, and the
-      member's committee record (for [Obj.reachable_words]). *)
+      member's committee record (for [Obj.reachable_words]).
+      Test-only: the footprint pins in [test/test_committee_paths.ml]
+      read it. *)
 end

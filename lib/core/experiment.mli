@@ -39,11 +39,12 @@ type byz_adversary =
 val crash_protocol_name : crash_protocol -> string
 val byz_protocol_name : byz_protocol -> string
 val crash_adversary_f : crash_adversary -> int
-val byz_adversary_f : byz_adversary -> int
 
 val crash_horizon : n:int -> f:int -> int
 (** The rounds [Random_crashes f] draws its crash rounds from at size
-    [n]: past the end of the longest crash-model protocol. *)
+    [n]: past the end of the longest crash-model protocol.
+    Test-only: [test/crash_harness.ml] builds [Random_crashes] through
+    it, so its runs are the ones {!run_crash} makes. *)
 
 val run_crash :
   ?trace:Repro_obs.Trace.t ->
@@ -91,23 +92,18 @@ val committee_pool_probability : n:int -> float
 
 (** {1 Reporting} *)
 
-val csv_slug : string -> string
-(** Filename slug for a table title: the title up to the first colon or
-    the first non-ASCII byte (em-dashes and other typographic glyphs are
-    multi-byte UTF-8, so this cuts before any of them, not just U+2014),
-    lowercased, with separator runs collapsed to single underscores and
-    no leading/trailing underscore. *)
-
-val write_csv :
-  title:string -> header:string list -> rows:string list list -> unit
-(** When [RENAMING_CSV_DIR] is set and non-empty, write the table there as
-    [<csv_slug title>.csv] — creating the directory recursively, via a
-    temp file renamed into place (readers never observe a truncated
-    table) with the channel closed on all paths. No-op otherwise. *)
-
 val print_table :
   title:string -> header:string list -> rows:string list list -> unit
-(** Render an aligned plain-text table on stdout, and {!write_csv} it. *)
+(** Render an aligned plain-text table on stdout. When
+    [RENAMING_CSV_DIR] is set and non-empty, also write it there as
+    [<slug>.csv], creating the directory recursively, via a temp file
+    renamed into place (readers never observe a truncated table) with
+    the channel closed on all paths. The slug is the title up to the
+    first colon or the first non-ASCII byte (em-dashes and other
+    typographic glyphs are multi-byte UTF-8, so it cuts before any of
+    them), lowercased, with separator runs collapsed to single
+    underscores and no leading or trailing underscore. Display
+    grouping ([1_234]) is stripped from numeric cells in the CSV. *)
 
 val trial_seed : seed:int -> int -> int
 (** [seed + i * 7919]: the seed of trial [i] of a series started at

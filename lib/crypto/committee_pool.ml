@@ -33,7 +33,6 @@ let size t = Array.length t.kings
 let mem t id =
   1 <= id && id <= t.namespace && Bitvec.get t.member_set id
 
-let king_order t = Array.to_list t.kings
 let fault_threshold t = (size t - 1) / 3
 
 let kings_among t view =

@@ -27,14 +27,12 @@ val size : t -> int
 val mem : t -> int -> bool
 (** Candidacy of an identity; [false] outside [\[1, namespace\]]. *)
 
-val king_order : t -> int list
-(** A shared pseudo-random permutation of the candidates; phase-king
-    consensus takes its kings from the front. *)
-
 val kings_among : t -> int list -> int list
-(** [kings_among t view] is [view]'s candidates in king order: the
-    king order filtered to [view], in one scan of it. [view] must be
-    ascending (a committee view, deduplicated and sorted). *)
+(** [kings_among t view] is [view]'s candidates in king order, a shared
+    pseudo-random permutation of the candidates from whose front
+    phase-king consensus takes its kings: the king order filtered to
+    [view], in one scan of it. [view] must be ascending (a committee
+    view, deduplicated and sorted). *)
 
 val fault_threshold : t -> int
 (** [t = floor((|pool| - 1) / 3)], the number of Byzantine candidates the

@@ -10,28 +10,12 @@ let key_of_seed seed =
   let draw () = 2 + Repro_util.Rng.int rng (p - 4) in
   { x1 = draw (); x2 = draw () }
 
-(* Reference evaluation over any bit fold, low-degree coefficient
-   first: processing bits in increasing position while multiplying the
-   accumulator would reverse the polynomial, so we instead maintain
-   [acc + b_i * x^i] with a running power. All operands are < 2^31 so
-   products fit in OCaml's 63-bit native ints. *)
-let eval x bits_fold =
-  let acc, _pow =
-    bits_fold
-      ~init:(0, 1)
-      ~f:(fun (acc, pow) b ->
-        let acc = if b then (acc + pow) mod p else acc in
-        (acc, pow * x mod p))
-  in
-  acc
-
-let of_bits key bits =
-  let fold ~init ~f = List.fold_left f init bits in
-  { v1 = eval key.x1 fold; v2 = eval key.x2 fold }
-
-(* The hot path: the same arithmetic as [eval], both points in one pass
-   over the segment, the accumulators in int refs (registers) instead
-   of a tuple per bit. *)
+(* [Σ b_i · x^i mod p], low-degree coefficient first, at both points
+   in one pass over the segment: a running power per point rather than
+   Horner's rule, which would reverse the polynomial when bits are read
+   in increasing position. The accumulators live in int refs
+   (registers); all operands are < 2^31, so products fit in OCaml's
+   63-bit native ints. *)
 let of_segment key bv (seg : Repro_util.Interval.t) =
   let x1 = key.x1 and x2 = key.x2 in
   let acc1 = ref 0 and pow1 = ref 1 and acc2 = ref 0 and pow2 = ref 1 in

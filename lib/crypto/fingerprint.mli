@@ -23,7 +23,6 @@ type t
 val key_of_seed : int -> key
 (** Derive the shared hash function from the run's shared random seed. *)
 
-val of_bits : key -> bool list -> t
 val of_segment : key -> Repro_util.Bitvec.t -> Repro_util.Interval.t -> t
 (** Fingerprint of [L[l..r]], low position = low-degree coefficient. *)
 

@@ -11,6 +11,3 @@ val scan : string -> t
 (** Scan raw source text (comments are gone from the parsetree). *)
 
 val allows : t -> line:int -> rule:string -> bool
-
-val ids_of_line : string -> string list
-(** Exposed for the linter's own tests. *)

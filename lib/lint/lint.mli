@@ -20,7 +20,10 @@ val lint_project : (string * string) list -> report
     exemptions, D3's runtime libraries, D4's domain-shared directories,
     N1's lib/net) and module names (capitalized basenames) key the call
     graph. A file that fails to parse yields a single [E0] finding,
-    which no allow can suppress. *)
+    which no allow can suppress.
+    Test-only: the lint tests lint in-memory fixtures under chosen
+    logical paths through it; [lint_cli] reads files with
+    {!lint_project_files}. *)
 
 val lint_project_files : string list -> report
 (** [lint_project_files paths] lints every [.ml] file under [paths]

@@ -136,30 +136,6 @@ let stdout_printers =
     "Format.print_flush";
   ]
 
-(* Module-level applications of these allocate shared mutable state. *)
-let mutable_ctors =
-  [
-    "ref";
-    "Hashtbl.create";
-    "Queue.create";
-    "Stack.create";
-    "Buffer.create";
-    "Bytes.create";
-    "Bytes.make";
-    "Bytes.init";
-    "Array.make";
-    "Array.create_float";
-    "Array.init";
-    "Atomic.make";
-    "Weak.create";
-    (* round-scoped arenas (lib/util/arena.ml): a top-level arena is
-       cross-run — and under sharding cross-domain — reusable mutable
-       state; arenas must be owned by per-run protocol state (see
-       test/lint/d4_arena.ml) *)
-    "Arena.Vec.create";
-    "Vec.create";
-  ]
-
 (* {2 Attribute escape hatch} *)
 
 let split_ids s =
@@ -403,8 +379,9 @@ let run ~filename ~comment_allows str =
     in
     match (strip vb.pvb_expr).pexp_desc with
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-        let norm = path_str (strip_stdlib (lident_path txt)) in
-        if mem_str norm mutable_ctors then
+        let path = strip_stdlib (lident_path txt) in
+        let norm = path_str path in
+        if Summary.any_suffix Summary.mutable_ctor_heads path then
           emit "D4" vb.pvb_loc
             (Printf.sprintf
                "top-level `%s` in a domain-shared library races under \

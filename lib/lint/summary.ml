@@ -192,9 +192,12 @@ let mutating_ops =
   ]
 
 (* Constructors whose application at module level is a mutable global
-   (superset relation with {!Rules.mutable_ctors} is asserted by the
-   test suite) and whose [let]-binding inside a function marks the bound
-   name as locally created for the S2 receiver-locality check. *)
+   (D4 in [Rules], and the summary's globals) and whose [let]-binding
+   inside a function marks the bound name as locally created for the S2
+   receiver-locality check. A top-level round-scoped arena
+   ([Arena.Vec.create], lib/util/arena.ml) is one too: cross-run — and
+   under sharding cross-domain — reusable mutable state; arenas must be
+   owned by per-run protocol state (see test/lint/d4_arena.ml). *)
 let mutable_ctor_heads =
   [
     [ "ref" ];

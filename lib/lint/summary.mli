@@ -72,3 +72,12 @@ type t = {
 }
 
 val summarize : filename:string -> Parsetree.structure -> t
+
+val mutable_ctor_heads : string list list
+(** Constructors whose application at module level is a mutable global,
+    as identifier paths ([\["Hashtbl"; "create"\]]); an application
+    matches when its path ends with one of them. *)
+
+val any_suffix : string list list -> string list -> bool
+(** [any_suffix heads path]: does [path] end with one of [heads],
+    component by component? *)

@@ -30,23 +30,12 @@ val max_frame : int
     emits (16 MiB — far above any round batch at the scales we run,
     far below an allocation that could take the process down). *)
 
-val read_exact : io -> Bytes.t -> int -> int -> unit
-(** Fill [len] bytes, assembling partial reads.
-    @raise Protocol_error on EOF before [len] bytes arrived. *)
-
-val write_exact : io -> Bytes.t -> int -> int -> unit
-(** Write [len] bytes, resuming after short writes. *)
-
 val write_frame : io -> string -> unit
 (** @raise Invalid_argument if the payload exceeds {!max_frame}. *)
 
 val read_frame : io -> string
 (** @raise Protocol_error on EOF (even at a frame boundary), an
     oversized length prefix, or truncation inside the payload. *)
-
-val read_frame_opt : io -> string option
-(** [None] on clean EOF at a frame boundary; otherwise as
-    {!read_frame}. *)
 
 (** {2 Frames in retained buffers}
 

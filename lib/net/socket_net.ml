@@ -25,12 +25,6 @@ module Codec = struct
       proto_error "embedded byte string of %d bytes exceeds the frame" len;
     Wire.Reader.read_string r len
 
-  let add_msg w (bytes, bits) =
-    if String.length bytes <> (bits + 7) / 8 then
-      invalid_arg "Socket_net.Codec.add_msg: bytes/bits mismatch";
-    Wire.Writer.add_gamma w bits;
-    Wire.Writer.add_string w bytes
-
   (* In place: [read] sees the payload's bits and no more, and must take
      them all; the padding is skipped. *)
   let read_msg r read =
@@ -54,10 +48,11 @@ let read_count r =
     proto_error "count %d exceeds remaining frame bits" c;
   c
 
-(* Round frames (every field Elias-gamma; a payload is [Codec.add_msg]'s
-   bits then bytes, [idx] indexes the same frame's payload table and [l]
-   its destination-list table; a list is its length, then its
-   destination slots in emission order, repeats kept):
+(* Round frames (every field Elias-gamma; a payload is its bit length,
+   then its bits zero-padded to whole bytes, [idx] indexes the same
+   frame's payload table and [l] its destination-list table; a list is
+   its length, then its destination slots in emission order, repeats
+   kept):
 
    host -> coordinator
      round; T, T x payload;  L, L x list;

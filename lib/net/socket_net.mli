@@ -46,7 +46,9 @@
 val magic : int
 (** Frame-format version and endpoint check: the first field of both
     handshake frames. It changes whenever the frame layout does, so
-    mismatched peers fail the handshake instead of misparsing rounds. *)
+    mismatched peers fail the handshake instead of misparsing rounds.
+    Test-only: the transport tests' fake peers write it into the
+    handshake frames they forge. *)
 
 type config = {
   ids : int array;  (** all participants' identities, slot-indexed *)
@@ -122,28 +124,4 @@ module Host (M : Network_intf.WIRE_MSG) : sig
       starts. Raises {!Frame.Protocol_error} / [Unix.Unix_error] if the
       coordinator goes away — callers (one process per host) just let
       that kill the process, which the coordinator maps to crashes. *)
-end
-
-(** Wire-stream helpers shared by both sides; exposed for the frame
-    robustness tests. A frame carries a payload as its bit length, then
-    its bits zero-padded to whole bytes. *)
-module Codec : sig
-  val add_bytes : Repro_sim.Wire.Writer.t -> string -> unit
-
-  val add_msg : Repro_sim.Wire.Writer.t -> string * int -> unit
-  (** [add_msg w (bytes, bits)] embeds an encoding, [Msg.encode]'s
-      shape: [bits], then [bytes].
-      @raise Invalid_argument if [bytes] is not [bits] rounded up to
-      whole bytes. *)
-
-  val read_msg :
-    Repro_sim.Wire.Reader.t -> (Repro_sim.Wire.Reader.t -> 'a) -> 'a
-  (** [read_msg r read] reads one embedded payload in place with
-      [read] (a [Msg.read]), bounded to the payload's declared bits
-      ({!Repro_sim.Wire.Reader.within}), then skips its padding. Nothing
-      is copied out of the frame.
-      @raise Frame.Protocol_error if the declared bits exceed the
-      frame's remaining bits, or ["undecodable payload"] if [read]
-      fails, stops short of them or would read past them.
-      @raise Invalid_argument if the frame ends inside the padding. *)
 end

@@ -21,7 +21,7 @@
     [trace_cli diff] a line-level divergence finder rather than a fuzzy
     comparison. With [timings = true] each round record additionally
     carries [wall_ns] and [alloc_words] deltas — inherently
-    non-deterministic, hence opt-in; [Trace_tools.strip_timings] removes
+    non-deterministic, hence opt-in; [Trace_tools.diff] strips
     exactly these fields, so timed traces remain diffable.
 
     {2 Schema (run-trace/v1)}

@@ -4,18 +4,24 @@
     writer's canonical shape (fixed field order, sorted lists) — it is
     not a general JSON parser. *)
 
-val int_field : string -> string -> int option
-(** [int_field line key] extracts the integer value of ["key"] from one
-    trace line, [None] if absent or malformed. *)
+(** {2 Round records}
 
-val int_list_field : string -> string -> int list option
-
-val strip_timings : string -> string
-(** Remove the [wall_ns] and [alloc_words] fields from a round line (the
-    only non-deterministic fields a timed trace carries), so traces
-    recorded with [timings:true] can still be diffed structurally. *)
+    Test-only: the trace tests read what individual round records hold
+    (the decide identities, the last round with a crash) through these;
+    {!diff} and {!summarize} are built on them. *)
 
 val round_lines : string -> string list
+(** The trace's round records, in order.
+    Test-only: see above. *)
+
+val int_field : string -> string -> int option
+(** [int_field line key] extracts the integer value of ["key"] from one
+    trace line, [None] if absent or malformed.
+    Test-only: see above. *)
+
+val int_list_field : string -> string -> int list option
+(** [int_list_field line key] extracts the integer list of ["key"].
+    Test-only: see above. *)
 
 type divergence = {
   d_round : int;
@@ -31,8 +37,11 @@ type diff_result =
           malformed or hand-edited trace *)
 
 val diff : left:string -> right:string -> diff_result
-(** Compare two traces round record by round record (timing fields
-    stripped, meta lines ignored — labels may legitimately differ);
+(** Compare two traces round record by round record (the [wall_ns] and
+    [alloc_words] fields stripped: they are the only non-deterministic
+    fields a timed trace carries, so traces recorded with
+    [timings:true] still diff structurally; meta lines ignored — labels
+    may legitimately differ);
     reports the first diverging round, which is where two runs of the
     "same" execution actually parted ways. *)
 

@@ -543,19 +543,6 @@ module Make (M : MSG) = struct
        with its budget spent. *)
     let step ~final orders = if final then Final orders else Orders orders
 
-    let targeted schedule : crash_adversary =
-      let last =
-        List.fold_left (fun m (round, _) -> max m round) (-1) schedule
-      in
-     fun obs ->
-      step ~final:(obs.obs_round >= last)
-        (List.filter_map
-           (fun (round, victim) ->
-             if round = obs.obs_round then
-               Some { victim; delivered = deliver_all }
-             else None)
-           schedule)
-
     (* A delivery decision must be a pure function of the envelope — the
        filter can be re-evaluated and replayed — so the [`Subset] case
        derives a coin from (salt, dst) with a splitmix-style mix rather

@@ -358,16 +358,12 @@ module Make (M : MSG) : sig
 
   (** Canned crash adversaries. All are stateful: build a fresh one per
       run. Each returns [Final] as soon as its remaining behaviour is
-      empty: after the last round of its schedule ([targeted],
-      [scripted], [random]) or once its budget is spent (the killers). *)
+      empty: after the last round of its schedule ([scripted],
+      [random]) or once its budget is spent (the killers). *)
   module Crash : sig
     val none : crash_adversary
     (** Returns [Final \[\]] at once. Omitting [?crash] is the same run
         without the one round-[0] observation. *)
-
-    val targeted : (int * int) list -> crash_adversary
-    (** [targeted \[(round, victim); ...\]] crashes each victim at the
-        given round (clean crash, full final-round delivery). *)
 
     val scripted :
       (int * int * [ `All | `Nothing | `Subset of int ]) list ->

@@ -47,12 +47,6 @@ let create () =
     cur_bbits = 0;
   }
 
-let add_honest t ~bits =
-  t.honest_messages <- t.honest_messages + 1;
-  t.honest_bits <- t.honest_bits + bits;
-  t.cur_hmsgs <- t.cur_hmsgs + 1;
-  t.cur_hbits <- t.cur_hbits + bits
-
 (* Merge of per-shard partial sums (the engine's billing): counts and
    bits were accumulated per shard and are folded into the round in
    shard order — sums commute, so the totals and the per-round row do
@@ -98,11 +92,6 @@ let record_crash t = t.crashes <- t.crashes + 1
 
 let messages_by_round t =
   Array.init t.rounds (fun r -> t.pr_hmsgs.(r) + t.pr_bmsgs.(r))
-
-let honest_messages_by_round t = Array.sub t.pr_hmsgs 0 t.rounds
-let honest_bits_by_round t = Array.sub t.pr_hbits 0 t.rounds
-let byz_messages_by_round t = Array.sub t.pr_bmsgs 0 t.rounds
-let byz_bits_by_round t = Array.sub t.pr_bbits 0 t.rounds
 
 let round_row t r =
   if r < 0 || r >= t.rounds then

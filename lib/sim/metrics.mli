@@ -40,7 +40,7 @@ type t = {
   mutable pr_hmsgs : int array;
       (** growable per-round buffers (honest/byz × messages/bits); only
           the first [rounds] entries are meaningful — read through
-          {!messages_by_round}, {!per_round} and friends *)
+          {!messages_by_round}, {!round_row} and {!per_round} *)
   mutable pr_hbits : int array;
   mutable pr_bmsgs : int array;
   mutable pr_bbits : int array;
@@ -53,7 +53,6 @@ type t = {
 }
 
 val create : unit -> t
-val add_honest : t -> bits:int -> unit
 
 val add_honest_bulk : t -> msgs:int -> bits:int -> unit
 (** Fold a pre-summed batch of honest messages into the current round —
@@ -72,16 +71,8 @@ val record_crash : t -> unit
 
 val messages_by_round : t -> int array
 (** Chronological per-round {e total} message counts, honest plus
-    Byzantine — each entry reconciles against
-    [honest_messages + byz_messages] when summed (historically this
-    counted honest traffic only, which made the per-round profile
-    silently disagree with the totals on any run with active Byzantine
-    nodes). Use {!honest_messages_by_round} for the honest-only view. *)
-
-val honest_messages_by_round : t -> int array
-val honest_bits_by_round : t -> int array
-val byz_messages_by_round : t -> int array
-val byz_bits_by_round : t -> int array
+    Byzantine: summed, they give [honest_messages + byz_messages].
+    {!per_round} has each round's honest and Byzantine columns. *)
 
 val round_row : t -> int -> round_row
 (** The completed round's full accounting row.

@@ -257,9 +257,3 @@ let decode_with read s =
 let gamma_bits v =
   if v < 0 then invalid_arg "Wire.gamma_bits: negative";
   (2 * Repro_util.Ilog.bit_width (v + 1)) - 1
-
-let roundtrip_fixed v ~width =
-  let w = Writer.create () in
-  Writer.add_fixed w v ~width;
-  let r = Reader.of_string (Writer.contents w) in
-  Reader.read_fixed r ~width

@@ -142,6 +142,3 @@ val decode_with : (Reader.t -> 'a) -> string -> 'a option
 val gamma_bits : int -> int
 (** [gamma_bits v] is the exact cost in bits of [Writer.add_gamma _ v]:
     [2·bit_width (v+1) - 1]. *)
-
-val roundtrip_fixed : int -> width:int -> int
-(** Encode then decode one fixed-width value (testing helper). *)

@@ -23,11 +23,7 @@ module Vec : sig
   (** The live backing array, for APIs consuming (array, len) pairs —
       e.g. the engine's sized exchange. Only indices below {!length}
       are meaningful; the reference is invalidated by the next growing
-      {!push}/{!reserve}. *)
-
-  val reserve : 'a t -> int -> unit
-  (** [reserve v n] ensures capacity for [n] elements (geometric
-      growth), without changing [length]. *)
+      {!push}. *)
 
   val push : 'a t -> 'a -> unit
   val get : 'a t -> int -> 'a

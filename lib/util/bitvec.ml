@@ -19,7 +19,6 @@ let create len =
 
 let length t = t.len
 let copy t = { len = t.len; words = Array.copy t.words }
-let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
 
 let check t pos =
   if pos < 1 || pos > t.len then invalid_arg "Bitvec: position out of range"
@@ -110,44 +109,6 @@ let rank t i =
   done;
   !acc + popcount (Array.unsafe_get t.words i1 land mask_upto b1)
 
-let select t k =
-  if k <= 0 then None
-  else begin
-    let nw = Array.length t.words in
-    let rec word w seen =
-      if w >= nw then None
-      else
-        let x = Array.unsafe_get t.words w in
-        let c = popcount x in
-        if seen + c < k then word (w + 1) (seen + c)
-        else
-          let rec bit x seen =
-            let pos = (w * bpw) + ntz x + 1 in
-            if seen + 1 = k then Some pos else bit (x land (x - 1)) (seen + 1)
-          in
-          bit x seen
-    in
-    word 0 0
-  end
-
-let first_set t (seg : Interval.t) =
-  check t seg.lo;
-  check t seg.hi;
-  let i0 = (seg.lo - 1) / bpw and b0 = (seg.lo - 1) mod bpw in
-  let i1 = (seg.hi - 1) / bpw and b1 = (seg.hi - 1) mod bpw in
-  let masked w =
-    let x = Array.unsafe_get t.words w in
-    let x = if w = i0 then x land mask_from b0 else x in
-    if w = i1 then x land mask_upto b1 else x
-  in
-  let rec go w =
-    if w > i1 then None
-    else
-      let x = masked w in
-      if x <> 0 then Some ((w * bpw) + ntz x + 1) else go (w + 1)
-  in
-  go i0
-
 let iter_set t (seg : Interval.t) ~f =
   check t seg.lo;
   check t seg.hi;
@@ -165,45 +126,13 @@ let iter_set t (seg : Interval.t) ~f =
     done
   done
 
-let iter_diff a b ~f =
-  if a.len <> b.len then invalid_arg "Bitvec.iter_diff: length mismatch";
-  for w = 0 to Array.length a.words - 1 do
-    let x =
-      ref (Array.unsafe_get a.words w land lnot (Array.unsafe_get b.words w))
-    in
-    let base = w * bpw in
-    while !x <> 0 do
-      f (base + ntz !x + 1);
-      x := !x land (!x - 1)
-    done
-  done
-
 let ones_in t (seg : Interval.t) =
   let acc = ref [] in
   iter_set t seg ~f:(fun pos -> acc := pos :: !acc);
   List.rev !acc
 
-let equal_segment a b (seg : Interval.t) =
-  check a seg.lo;
-  check a seg.hi;
-  check b seg.lo;
-  check b seg.hi;
-  let i0 = (seg.lo - 1) / bpw and b0 = (seg.lo - 1) mod bpw in
-  let i1 = (seg.hi - 1) / bpw and b1 = (seg.hi - 1) mod bpw in
-  let rec go w =
-    if w > i1 then true
-    else
-      let m =
-        (if w = i0 then mask_from b0 else -1)
-        land if w = i1 then mask_upto b1 else -1
-      in
-      Array.unsafe_get a.words w land m = Array.unsafe_get b.words w land m
-      && go (w + 1)
-  in
-  go i0
-
-(* Word-parallel [dst.(seg) <- x] for a constant bit [x], used by blit
-   and fill below.  Masks follow the same first/last-word split as
+(* Word-parallel [dst.(seg) <- x] for a constant bit [x], used by fill
+   below.  Masks follow the same first/last-word split as
    [count]. *)
 let apply_masked dst (seg : Interval.t) ~f =
   let i0 = (seg.lo - 1) / bpw and b0 = (seg.lo - 1) mod bpw in
@@ -213,27 +142,19 @@ let apply_masked dst (seg : Interval.t) ~f =
       (if w = i0 then mask_from b0 else -1)
       land if w = i1 then mask_upto b1 else -1
     in
-    Array.unsafe_set dst.words w (f w m (Array.unsafe_get dst.words w))
+    Array.unsafe_set dst.words w (f m (Array.unsafe_get dst.words w))
   done
-
-let blit_segment ~src ~dst (seg : Interval.t) =
-  check src seg.lo;
-  check src seg.hi;
-  check dst seg.lo;
-  check dst seg.hi;
-  apply_masked dst seg ~f:(fun w m cur ->
-      cur land lnot m lor (Array.unsafe_get src.words w land m))
 
 let fill_segment_with_ones t (seg : Interval.t) k =
   if k < 0 || k > Interval.size seg then
     invalid_arg "Bitvec.fill_segment_with_ones";
   check t seg.lo;
   check t seg.hi;
-  apply_masked t seg ~f:(fun _ m cur -> cur land lnot m);
+  apply_masked t seg ~f:(fun m cur -> cur land lnot m);
   if k > 0 then
     apply_masked t
       (Interval.make seg.lo (seg.lo + k - 1))
-      ~f:(fun _ m cur -> cur lor m)
+      ~f:(fun m cur -> cur lor m)
 
 let segment_bytes t (seg : Interval.t) =
   check t seg.lo;
@@ -258,15 +179,6 @@ let set_segment_bytes t (seg : Interval.t) s =
     let b = Char.code s.[k lsr 3] land (1 lsl (k land 7)) <> 0 in
     set t (seg.lo + k) b
   done
-
-let fold_segment t (seg : Interval.t) ~init ~f =
-  check t seg.lo;
-  check t seg.hi;
-  let acc = ref init in
-  for pos = seg.lo to seg.hi do
-    acc := f !acc (get t pos)
-  done;
-  !acc
 
 let pp ppf t =
   for pos = 1 to t.len do

@@ -16,9 +16,6 @@ val get : t -> int -> bool
 val set : t -> int -> bool -> unit
 (** Positions are 1-based; out-of-range access raises [Invalid_argument]. *)
 
-val clear_all : t -> unit
-(** Reset every position to zero (word-parallel; for buffer reuse). *)
-
 val count : t -> Interval.t -> int
 (** Number of ones within the segment (word-parallel range popcount). *)
 
@@ -29,40 +26,18 @@ val rank : t -> int -> int
     identity of the node whose original identity is [i] (when
     [get t i = true]). *)
 
-val select : t -> int -> int option
-(** [select t k] is the position of the [k]-th one (1-based), if any. *)
-
-val first_set : t -> Interval.t -> int option
-(** Position of the lowest one within the segment, if any (word-parallel:
-    scans whole words, then isolates the lowest set bit). *)
-
 val iter_set : t -> Interval.t -> f:(int -> unit) -> unit
 (** Apply [f] to every one-position within the segment, ascending.
     Word-parallel: zero words are skipped in one step. *)
 
-val iter_diff : t -> t -> f:(int -> unit) -> unit
-(** [iter_diff a b ~f] applies [f], ascending, to every position set in
-    [a] but not in [b]. The vectors must have equal length.
-    @raise Invalid_argument on length mismatch. *)
-
 val ones_in : t -> Interval.t -> int list
 (** Positions of ones within the segment, ascending. *)
-
-val equal_segment : t -> t -> Interval.t -> bool
-(** Do the two vectors agree on every position of the segment? *)
-
-val blit_segment : src:t -> dst:t -> Interval.t -> unit
-(** Overwrite [dst]'s segment with [src]'s. *)
 
 val fill_segment_with_ones : t -> Interval.t -> int -> unit
 (** [fill_segment_with_ones t seg k] replaces the segment with an arbitrary
     pattern containing exactly [k] ones (the paper's dirty-interval
     patch; we put them leftmost). @raise Invalid_argument if [k] exceeds
     the segment size. *)
-
-val fold_segment : t -> Interval.t -> init:'a -> f:('a -> bool -> 'a) -> 'a
-(** Left fold over the segment's bits, low position first. Used to feed
-    segments into the fingerprint function. *)
 
 val segment_bytes : t -> Interval.t -> string
 (** The segment's bits packed into bytes (low position first,

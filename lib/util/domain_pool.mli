@@ -2,7 +2,7 @@
     one domain budget. The only module that spawns domains.
 
     Built for the sharded engine's per-round parallel phases: worker
-    domains are spawned once at {!create} and re-dispatched by every
+    domains are spawned once by {!with_pool} and re-dispatched by every
     {!run} — a barrier per {e round}, not a spawn per round. The caller's
     own domain executes shard [0], so a 1-shard pool runs the job inline
     with no synchronization and no domains at all.
@@ -25,10 +25,6 @@ val available : unset:int -> int
     executing a job of a multi-shard pool (its share is already
     spent, so pools never nest), else {!budget}, else [unset]. *)
 
-val create : shards:int -> t
-(** Spawn a pool of [shards] shards ([shards - 1] worker domains).
-    @raise Invalid_argument if [shards < 1]. *)
-
 val shards : t -> int
 
 val run : t -> (int -> unit) -> unit
@@ -38,9 +34,9 @@ val run : t -> (int -> unit) -> unit
     one from the lowest shard index is re-raised (the pool remains
     usable). *)
 
-val shutdown : t -> unit
-(** Stop and join the worker domains. Idempotent. Calling {!run} after
-    shutdown raises [Invalid_argument]. *)
-
 val with_pool : shards:int -> (t -> 'a) -> 'a
-(** [create], run [f], and {!shutdown} even if [f] raises. *)
+(** [with_pool ~shards f] spawns a pool of [shards] shards ([shards - 1]
+    worker domains), runs [f] on it, and stops and joins the workers
+    even if [f] raises. Calling {!run} on the pool after that raises
+    [Invalid_argument].
+    @raise Invalid_argument if [shards < 1]. *)

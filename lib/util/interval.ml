@@ -26,32 +26,10 @@ let top t =
   { lo = mid t + 1; hi = t.hi }
 
 let equal a b = a.lo = b.lo && a.hi = b.hi
-let subset a b = b.lo <= a.lo && a.hi <= b.hi
 let contains t x = t.lo <= x && x <= t.hi
 
 let compare a b =
   match Int.compare a.lo b.lo with 0 -> Int.compare a.hi b.hi | c -> c
-
-let depth_in_tree ~n i =
-  let rec go cur d =
-    if equal cur i then Some d
-    else if is_singleton cur then None
-    else if subset i (bot cur) then go (bot cur) (d + 1)
-    else if subset i (top cur) then go (top cur) (d + 1)
-    else None
-  in
-  if subset i (full n) then go (full n) 0 else None
-
-let tree_vertex_at ~n ~depth ~index =
-  let rec go cur d =
-    if d = depth then Some cur
-    else if is_singleton cur then None
-    else
-      let bit = (index lsr (depth - d - 1)) land 1 in
-      go (if bit = 0 then bot cur else top cur) (d + 1)
-  in
-  if depth < 0 || index < 0 || (depth > 0 && index >= 1 lsl depth) then None
-  else go (full n) 0
 
 let pp ppf t = Format.fprintf ppf "[%d,%d]" t.lo t.hi
 let to_string t = Format.asprintf "%a" pp t

@@ -30,23 +30,10 @@ val top : t -> t
     @raise Invalid_argument on singletons (the upper half is empty). *)
 
 val equal : t -> t -> bool
-val subset : t -> t -> bool
-(** [subset a b] iff [a ⊆ b]. *)
-
 val contains : t -> int -> bool
 val compare : t -> t -> int
 (** Lexicographic on [(lo, hi)]; used to sort committee responses by the
     left endpoint as the crash algorithm's [NodeAction] requires. *)
-
-val depth_in_tree : n:int -> t -> int option
-(** [depth_in_tree ~n i] is [Some d] if [i] is a vertex at depth [d] of the
-    halving tree rooted at [\[1, n\]], and [None] if [i] is not a tree
-    vertex. The root has depth [0]. *)
-
-val tree_vertex_at : n:int -> depth:int -> index:int -> t option
-(** [tree_vertex_at ~n ~depth ~index] walks from the root taking the
-    binary expansion of [index] ([depth] bits, MSB first; 0 = bot,
-    1 = top); [None] if a branch bottoms out in a singleton early. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -16,10 +16,6 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int";
   below t bound (max_int - (max_int mod bound))
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in";
-  lo + int t (hi - lo + 1)
-
 (* Inlined into [bernoulli] so the comparison reads the float unboxed. *)
 let[@inline] float t =
   let v = Splitmix.next_int t land max_int in
@@ -42,8 +38,3 @@ let sample_without_replacement t k arr =
   let copy = Array.copy arr in
   shuffle t copy;
   Array.sub copy 0 (min k (Array.length copy))
-
-let permutation t n =
-  let arr = Array.init n (fun i -> i) in
-  shuffle t arr;
-  arr

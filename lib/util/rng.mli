@@ -10,14 +10,15 @@ val split : t -> t
 (** Derive an independent stream (see {!Splitmix.split}). *)
 
 val bits64 : t -> int64
+(** The next raw 64 bits of the stream.
+    Test-only: the literal stream pins in [test/test_rng.ml] read
+    SplitMix64's output through it. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
     [bound <= 0]. [int], [bool] and [bernoulli] draw through
     {!Splitmix.next_int} and allocate nothing (pinned in
     [test/test_rng.ml]); [float] allocates only its boxed result. *)
-
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in the inclusive range [\[lo, hi\]]. *)
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
@@ -32,6 +33,3 @@ val shuffle : t -> 'a array -> unit
 val sample_without_replacement : t -> int -> 'a array -> 'a array
 (** [sample_without_replacement t k arr] picks [min k (length arr)]
     distinct elements, in random order. Does not modify [arr]. *)
-
-val permutation : t -> int -> int array
-(** [permutation t n] is a uniform permutation of [0..n-1]. *)

@@ -47,19 +47,18 @@ let summarize xs =
         median = percentile xs 50.;
       }
 
-let linear_fit pts =
+(* Slope of the least-squares line through [pts], at least two of
+   them. *)
+let least_squares_slope pts =
   let k = List.length pts in
-  if k < 2 then invalid_arg "Stats.linear_fit: need >= 2 points";
   let fk = float_of_int k in
   let sx = List.fold_left (fun a (x, _) -> a +. x) 0. pts in
   let sy = List.fold_left (fun a (_, y) -> a +. y) 0. pts in
   let sxx = List.fold_left (fun a (x, _) -> a +. (x *. x)) 0. pts in
   let sxy = List.fold_left (fun a (x, y) -> a +. (x *. y)) 0. pts in
   let denom = (fk *. sxx) -. (sx *. sx) in
-  if Float.abs denom < 1e-12 then invalid_arg "Stats.linear_fit: degenerate x";
-  let slope = ((fk *. sxy) -. (sx *. sy)) /. denom in
-  let intercept = (sy -. (slope *. sx)) /. fk in
-  (slope, intercept)
+  if Float.abs denom < 1e-12 then invalid_arg "Stats.log_log_slope: degenerate x";
+  ((fk *. sxy) -. (sx *. sy)) /. denom
 
 let log_log_slope pts =
   let usable =
@@ -67,12 +66,11 @@ let log_log_slope pts =
       (fun (x, y) -> if x > 0. && y > 0. then Some (log x, log y) else None)
       pts
   in
-  (* Failing inside [linear_fit] here would blame "need >= 2 points" on a
-     caller who passed plenty — they were just non-positive and silently
-     filtered. Name the real cause. *)
+  (* The caller may have passed plenty of points that were all
+     non-positive and silently filtered: name that cause. *)
   let k = List.length usable in
   if k < 2 then
     invalid_arg
       (Printf.sprintf
          "Stats.log_log_slope: %d usable points after filtering" k);
-  fst (linear_fit usable)
+  least_squares_slope usable

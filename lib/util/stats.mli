@@ -31,8 +31,5 @@ val log_log_slope : (float * float) list -> float
     ["Stats.log_log_slope: <k> usable points after filtering"] when the
     filtering leaves fewer than two points — the count names how many
     survived, so a slope over all-degenerate data fails with the actual
-    cause rather than [linear_fit]'s generic complaint. *)
-
-val linear_fit : (float * float) list -> float * float
-(** [(slope, intercept)] of the least-squares line.
-    @raise Invalid_argument with fewer than two points. *)
+    cause. @raise Invalid_argument ["Stats.log_log_slope: degenerate x"]
+    when every usable point has the same [x]. *)

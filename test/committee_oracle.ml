@@ -48,7 +48,7 @@ let round ~pv pairs =
           let inside_bot =
             List.length
               (List.filter
-                 (fun o -> (not (same_iv o.iv s.iv)) && I.subset o.iv bot)
+                 (fun o -> (not (same_iv o.iv s.iv)) && Halving_tree.subset o.iv bot)
                  sts)
           in
           let rank =

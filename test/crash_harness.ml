@@ -27,7 +27,7 @@ let counter () = { calls = 0; last_order_round = -1 }
 type adversary =
   | Canned of E.crash_adversary  (** built as [Experiment] builds it *)
   | Crash_none  (** the engine's [Crash.none] *)
-  | Targeted of (int * int) list  (** [Crash.targeted] *)
+  | Targeted of (int * int) list  (** {!targeted}'s schedule *)
   | Random of { f : int; horizon : int }
       (** [Crash.random], mid-send crashes at its default rate *)
   | Observer  (** observes every round, never orders, never retires *)
@@ -43,6 +43,11 @@ let rec budget = function
   | Never_retire a | Counted (_, a) -> budget a
 
 let ids ~n ~namespace ~seed = E.random_ids ~seed:(seed lxor 0x1d5) ~namespace ~n
+
+(* [targeted [(round, victim); ...]] as a [Crash.scripted] schedule:
+   each victim crashes cleanly at its round, its whole final-round
+   outbox delivered. *)
+let targeted schedule = List.map (fun (round, victim) -> (round, victim, `All)) schedule
 
 (* The part of an engine instance's adversary API the wrappers use. *)
 module type NET = sig
@@ -61,7 +66,6 @@ module type NET = sig
 
   module Crash : sig
     val none : crash_adversary
-    val targeted : (int * int) list -> crash_adversary
 
     val scripted :
       (int * int * [ `All | `Nothing | `Subset of int ]) list ->
@@ -95,7 +99,7 @@ module Build (Net : NET) = struct
         Some (Net.Crash.patient_killer ~budget:f ())
     | Canned (E.Scripted_crashes events) -> Some (Net.Crash.scripted events)
     | Crash_none -> Some Net.Crash.none
-    | Targeted schedule -> Some (Net.Crash.targeted schedule)
+    | Targeted schedule -> Some (Net.Crash.scripted (targeted schedule))
     | Random { f; horizon } -> Some (Net.Crash.random ~rng ~f ~horizon ())
     | Observer -> Some (fun _ -> Net.Orders [])
     | Never_retire a ->

@@ -89,12 +89,15 @@ let check_outcomes (res : SN.result) ~crash_round =
 
 (* A scripted host: handshakes as host [host_index], then hands the
    framed connection to [script]. Like [fork_host], it never returns into
-   the test runner. *)
+   the test runner. A read that waits 10 s for the coordinator raises
+   [Unix_error EAGAIN], so a script that waits for a reply that never
+   comes exits instead of keeping the coordinator and [reap] waiting. *)
 let fake_host port ~host_index script =
   match Unix.fork () with
   | 0 ->
       (try
          let fd = connect port in
+         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
          let io = Frame.io_of_fd fd in
          let w = Wire.Writer.create () in
          Wire.Writer.add_gamma w SN.magic;
@@ -108,13 +111,18 @@ let fake_host port ~host_index script =
   | pid -> pid
 
 (* A host-to-coordinator round frame: round, payload table of raw
-   (bytes, bits) entries, destination-list table of slot lists, then the
-   slot records as raw gamma fields. *)
+   (bytes, bits) entries, each its bit length then its bytes,
+   destination-list table of slot lists, then the slot records as raw
+   gamma fields. *)
 let round_frame ~round ~table ~lists records =
   let w = Wire.Writer.create () in
   Wire.Writer.add_gamma w round;
   Wire.Writer.add_gamma w (List.length table);
-  List.iter (fun m -> SN.Codec.add_msg w m) table;
+  List.iter
+    (fun (bytes, bits) ->
+      Wire.Writer.add_gamma w bits;
+      Wire.Writer.add_string w bytes)
+    table;
   Wire.Writer.add_gamma w (List.length lists);
   List.iter
     (fun l ->
@@ -392,16 +400,18 @@ let test_mixed_outboxes_match_engine () =
   Alcotest.(check (list string))
     "per-node decisions (inbox order folded in)" (outcomes sim)
     (outcomes res.SN.run);
-  let rows f (r : int Engine.run_result) = Array.to_list (f r.Engine.metrics) in
   let module M = Repro_sim.Metrics in
+  let rows f (r : int Engine.run_result) =
+    Array.to_list (Array.map f (M.per_round r.Engine.metrics))
+  in
   Alcotest.(check (list int))
     "messages per round"
-    (rows M.honest_messages_by_round sim)
-    (rows M.honest_messages_by_round res.SN.run);
+    (rows (fun r -> r.M.hmsgs) sim)
+    (rows (fun r -> r.M.hmsgs) res.SN.run);
   Alcotest.(check (list int))
     "bits per round"
-    (rows M.honest_bits_by_round sim)
-    (rows M.honest_bits_by_round res.SN.run)
+    (rows (fun r -> r.M.hbits) sim)
+    (rows (fun r -> r.M.hbits) res.SN.run)
 
 (* Counts payload reads in the host process that runs it. *)
 let reads = ref 0

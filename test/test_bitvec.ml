@@ -1,5 +1,6 @@
 module B = Repro_util.Bitvec
 module I = Repro_util.Interval
+module Oracle = Fingerprint_oracle
 
 let test_basic () =
   let v = B.create 10 in
@@ -15,15 +16,13 @@ let test_basic () =
   Alcotest.check_raises "out of range" (Invalid_argument "Bitvec: position out of range")
     (fun () -> ignore (B.get v 11))
 
-let test_rank_select () =
+let test_rank_ones_in () =
   let v = B.create 12 in
   List.iter (fun i -> B.set v i true) [ 2; 5; 7; 12 ];
   Alcotest.(check int) "rank 1" 0 (B.rank v 1);
   Alcotest.(check int) "rank 2" 1 (B.rank v 2);
   Alcotest.(check int) "rank 7" 3 (B.rank v 7);
   Alcotest.(check int) "rank 12" 4 (B.rank v 12);
-  Alcotest.(check (option int)) "select 3" (Some 7) (B.select v 3);
-  Alcotest.(check (option int)) "select 5" None (B.select v 5);
   Alcotest.(check (list int)) "ones_in" [ 5; 7 ] (B.ones_in v (I.make 3 8))
 
 let test_fill_and_blit () =
@@ -31,13 +30,16 @@ let test_fill_and_blit () =
   B.fill_segment_with_ones v (I.make 5 10) 3;
   Alcotest.(check int) "filled count" 3 (B.count v (I.make 5 10));
   Alcotest.(check int) "nothing outside" 3 (B.count_all v);
+  (* The ship-segments ablation's blit: a segment's packed bytes written
+     over the same segment of another vector. *)
   let w = B.create 16 in
-  B.blit_segment ~src:v ~dst:w (I.make 1 16);
-  Alcotest.(check bool) "segments equal" true (B.equal_segment v w (I.make 1 16));
+  let all = I.make 1 16 in
+  B.set_segment_bytes w all (B.segment_bytes v all);
+  Alcotest.(check bool) "segments equal" true (Oracle.equal_segment v w all);
   B.set w 16 true;
-  Alcotest.(check bool) "differ now" false (B.equal_segment v w (I.make 9 16));
+  Alcotest.(check bool) "differ now" false (Oracle.equal_segment v w (I.make 9 16));
   Alcotest.(check bool) "prefix still equal" true
-    (B.equal_segment v w (I.make 1 8));
+    (Oracle.equal_segment v w (I.make 1 8));
   Alcotest.check_raises "overfill" (Invalid_argument "Bitvec.fill_segment_with_ones")
     (fun () -> B.fill_segment_with_ones v (I.make 1 2) 3)
 
@@ -80,6 +82,8 @@ let qcheck_model =
       && B.rank v 33 = model_count 1 33
       && B.count_all v = model_count 1 64)
 
+(* The test-side segment fold the fingerprint oracle reads segments
+   with. *)
 let qcheck_fold =
   QCheck.Test.make ~name:"fold_segment visits bits in order" ~count:200
     QCheck.(pair (int_range 1 40) (int_range 0 23))
@@ -91,7 +95,7 @@ let qcheck_fold =
         if i mod 2 = 0 then B.set v i true
       done;
       let collected =
-        B.fold_segment v (I.make lo hi) ~init:[] ~f:(fun acc b -> b :: acc)
+        Oracle.fold_segment v (I.make lo hi) ~init:[] ~f:(fun acc b -> b :: acc)
         |> List.rev
       in
       List.length collected = span + 1
@@ -134,7 +138,7 @@ let model_ones model lo hi =
   List.filter (fun i -> model.(i)) (List.init (hi - lo + 1) (fun k -> lo + k))
 
 let qcheck_range_ops =
-  QCheck.Test.make ~name:"count/first_set/iter_set vs bit-by-bit reference"
+  QCheck.Test.make ~name:"count/iter_set vs bit-by-bit reference"
     ~count:500
     (QCheck.make ~print:vec_print vec_gen)
     (fun (len, bits, lo, hi) ->
@@ -142,52 +146,20 @@ let qcheck_range_ops =
       let seg = I.make lo hi in
       let ones = model_ones model lo hi in
       B.count v seg = List.length ones
-      && B.first_set v seg
-         = (match ones with [] -> None | p :: _ -> Some p)
       && B.ones_in v seg = ones
       &&
       let collected = ref [] in
       B.iter_set v seg ~f:(fun p -> collected := p :: !collected);
       List.rev !collected = ones)
 
-let qcheck_rank_select =
-  QCheck.Test.make ~name:"rank/select vs bit-by-bit reference" ~count:500
+let qcheck_rank =
+  QCheck.Test.make ~name:"rank vs bit-by-bit reference" ~count:500
     (QCheck.make ~print:vec_print vec_gen)
     (fun (len, bits, pos, _) ->
       let v, model = build (len, bits) in
       let all = model_ones model 1 len in
       B.rank v pos = List.length (model_ones model 1 pos)
-      && B.count_all v = List.length all
-      && List.for_all
-           (fun k -> B.select v (k + 1) = List.nth_opt all k)
-           (List.init (List.length all + 2) Fun.id))
-
-let diff_gen =
-  QCheck.Gen.(
-    let* len = oneofl boundary_lengths in
-    let* bits_a = list_size (int_range 0 len) (int_range 1 len) in
-    let* bits_b = list_size (int_range 0 len) (int_range 1 len) in
-    return (len, bits_a, bits_b))
-
-let qcheck_iter_diff =
-  QCheck.Test.make ~name:"iter_diff vs bit-by-bit reference" ~count:500
-    (QCheck.make
-       ~print:(fun (len, a, b) ->
-         Printf.sprintf "len=%d a=[%s] b=[%s]" len
-           (String.concat ";" (List.map string_of_int a))
-           (String.concat ";" (List.map string_of_int b)))
-       diff_gen)
-    (fun (len, bits_a, bits_b) ->
-      let a, ma = build (len, bits_a) in
-      let b, mb = build (len, bits_b) in
-      let expect =
-        List.filter
-          (fun i -> ma.(i) && not mb.(i))
-          (List.init len (fun k -> k + 1))
-      in
-      let collected = ref [] in
-      B.iter_diff a b ~f:(fun p -> collected := p :: !collected);
-      List.rev !collected = expect)
+      && B.count_all v = List.length all)
 
 let test_word_parallel_edges () =
   (* length 0: constructible, countable, un-indexable *)
@@ -200,34 +172,28 @@ let test_word_parallel_edges () =
   let v = B.create 63 in
   B.set v 63 true;
   Alcotest.(check int) "sign-bit count" 1 (B.count v (I.make 63 63));
-  Alcotest.(check (option int)) "sign-bit first_set" (Some 63)
-    (B.first_set v (I.make 1 63));
-  Alcotest.(check (option int)) "sign-bit select" (Some 63) (B.select v 1);
+  Alcotest.(check (list int)) "sign-bit ones_in" [ 63 ]
+    (B.ones_in v (I.make 1 63));
+  Alcotest.(check int) "sign-bit rank" 1 (B.rank v 63);
   (* first position of the second word *)
   let w = B.create 64 in
   B.set w 64 true;
   Alcotest.(check int) "word-boundary rank" 1 (B.rank w 64);
-  Alcotest.(check (option int)) "word-boundary first_set" (Some 64)
-    (B.first_set w (I.make 2 64));
-  Alcotest.(check (option int)) "empty-range first_set" None
-    (B.first_set w (I.make 1 63));
-  B.clear_all w;
-  Alcotest.(check int) "clear_all" 0 (B.count_all w);
-  Alcotest.check_raises "iter_diff length mismatch"
-    (Invalid_argument "Bitvec.iter_diff: length mismatch") (fun () ->
-      B.iter_diff v w ~f:ignore)
+  Alcotest.(check (list int)) "word-boundary ones_in" [ 64 ]
+    (B.ones_in w (I.make 2 64));
+  Alcotest.(check (list int)) "empty-range ones_in" []
+    (B.ones_in w (I.make 1 63))
 
 let suite =
   ( "bitvec",
     [
       Alcotest.test_case "basic get/set" `Quick test_basic;
-      Alcotest.test_case "rank/select/ones_in" `Quick test_rank_select;
+      Alcotest.test_case "rank/ones_in" `Quick test_rank_ones_in;
       Alcotest.test_case "fill/blit/equal" `Quick test_fill_and_blit;
       Alcotest.test_case "word-parallel edge cases" `Quick
         test_word_parallel_edges;
       QCheck_alcotest.to_alcotest qcheck_model;
       QCheck_alcotest.to_alcotest qcheck_fold;
       QCheck_alcotest.to_alcotest qcheck_range_ops;
-      QCheck_alcotest.to_alcotest qcheck_rank_select;
-      QCheck_alcotest.to_alcotest qcheck_iter_diff;
+      QCheck_alcotest.to_alcotest qcheck_rank;
     ] )

@@ -207,6 +207,7 @@ let test_net_node_bad_arguments () =
       "coord --port 70000";
       "node --connect 127.0.0.1:abc --host-index 0";
       "node --connect 127.0.0.1:0 --host-index 0";
+      "node --connect nosuchhost.invalid:7421 --host-index 0";
       "local --algo crash -n 8 -N 4 --hosts 2";
       (* cmdliner parse errors *)
       "local --bogus";
@@ -218,6 +219,40 @@ let test_net_node_bad_arguments () =
       "local --jitter-ms 5";
       "local --overlay-fanout 2";
     ]
+
+(* A refused connect and a port already bound are not usage errors: one
+   line naming the address and the error, exit 1. The refused port was
+   bound by this test and closed again; the busy one is held listening
+   by this test while the coordinator tries it. *)
+let test_net_node_socket_errors () =
+  let loopback_socket () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, port) -> (fd, port)
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+  in
+  let expect args address =
+    let code, out = run_capture_bin (bin "net_node_cli.exe") args in
+    Alcotest.(check int) (args ^ ": exit 1") 1 code;
+    Alcotest.(check int) (args ^ ": one line") 1
+      (List.length (String.split_on_char '\n' out));
+    Alcotest.(check bool) (args ^ ": names " ^ address) true
+      (contains out address)
+  in
+  let closed, port = loopback_socket () in
+  Unix.close closed;
+  expect
+    (Printf.sprintf "node --connect 127.0.0.1:%d --host-index 0" port)
+    (Printf.sprintf "127.0.0.1:%d" port);
+  let busy, port = loopback_socket () in
+  Unix.listen busy 1;
+  Fun.protect
+    ~finally:(fun () -> Unix.close busy)
+    (fun () ->
+      expect
+        (Printf.sprintf "coord --port %d" port)
+        (Printf.sprintf "127.0.0.1:%d" port))
 
 (* renaming_cli rejects impossible sizes and counts the same way, before
    any run starts. *)
@@ -339,6 +374,8 @@ let suite =
         test_fuzz_bad_arguments;
       Alcotest.test_case "net_node bad arguments exit 2" `Quick
         test_net_node_bad_arguments;
+      Alcotest.test_case "net_node socket errors exit 1" `Quick
+        test_net_node_socket_errors;
       Alcotest.test_case "renaming bad arguments exit 2" `Quick
         test_renaming_bad_arguments;
       Alcotest.test_case "trace and lint bad arguments exit 2" `Quick

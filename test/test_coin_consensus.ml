@@ -83,7 +83,6 @@ let test_unanimity_preserved () =
 
 let test_exact_round_consumption () =
   let horizon = 5 in
-  Alcotest.(check int) "rounds_needed" 10 (CC.rounds_needed ~horizon);
   let outputs =
     execute ~n:7 ~byz_count:2 ~kind:Silent ~horizon
       ~inputs:(fun id -> id mod 2 = 0)
@@ -93,9 +92,6 @@ let test_exact_round_consumption () =
     (fun (_, (_, rounds)) ->
       Alcotest.(check int) "2·horizon rounds consumed" 10 rounds)
     outputs
-
-let test_default_horizon () =
-  Alcotest.(check int) "default horizon" 21 (CC.default_horizon ~failure_exponent:20)
 
 let qcheck_agreement =
   (* With horizon 20, disagreement probability is ~2^-20 per run; over
@@ -140,6 +136,5 @@ let suite =
       Alcotest.test_case "unanimity preserved" `Quick test_unanimity_preserved;
       Alcotest.test_case "exact round consumption" `Quick
         test_exact_round_consumption;
-      Alcotest.test_case "default horizon" `Quick test_default_horizon;
       QCheck_alcotest.to_alcotest qcheck_agreement;
     ] )

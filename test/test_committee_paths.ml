@@ -269,7 +269,7 @@ let take k l = List.filteri (fun i _ -> i < k) l
 let ids1024 = Array.init 1024 (fun k -> (3 * k) + 7)
 
 let vertex ~depth ~index =
-  match I.tree_vertex_at ~n:1024 ~depth ~index with
+  match Halving_tree.tree_vertex_at ~n:1024 ~depth ~index with
   | Some iv -> iv
   | None -> Alcotest.fail "vertex outside the tree"
 
@@ -418,7 +418,7 @@ let qcheck_matches_oracle =
              let* d = int_range 0 3 in
              let* index = int_range 0 ((1 lsl d) - 1) in
              let iv =
-               match I.tree_vertex_at ~n:8 ~depth:d ~index with
+               match Halving_tree.tree_vertex_at ~n:8 ~depth:d ~index with
                | Some iv -> iv
                | None -> I.full 8
              in

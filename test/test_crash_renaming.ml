@@ -43,7 +43,7 @@ let test_survivors_unique_under_targeted_crashes () =
   let ids = ids_of_n n in
   (* Kill three specific nodes at phase boundaries. *)
   let schedule = [ (0, ids.(0)); (4, ids.(5)); (10, ids.(15)) ] in
-  let res = CR.run ~ids ~seed:3 ~crash:(CR.Net.Crash.targeted schedule) () in
+  let res = CR.run ~ids ~seed:3 ~crash:(CR.Net.Crash.scripted (Crash_harness.targeted schedule)) () in
   let a = Runner.assess res in
   Alcotest.(check bool) "correct" true a.correct;
   Alcotest.(check int) "three crashed" 3 a.crashed;

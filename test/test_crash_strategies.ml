@@ -36,7 +36,7 @@ let outcomes_of res =
     res.Engine.outcomes
 
 let test_targeted_hits_exact_round () =
-  let crash = Net.Crash.targeted [ (2, 3); (0, 5) ] in
+  let crash = Net.Crash.scripted (Crash_harness.targeted [ (2, 3); (0, 5) ]) in
   let res =
     Net.run ~ids ~crash ~program:(broadcaster_program ~rounds:4 ~broadcasters:[ 1 ]) ()
   in

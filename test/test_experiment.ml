@@ -29,6 +29,10 @@ let test_crash_protocols_all_correct () =
           E.Committee_killer_partial 4 ])
     [ E.This_work_crash; E.Halving_baseline; E.Flooding_baseline ]
 
+let byz_f = function
+  | E.No_byz -> 0
+  | E.Silent_byz f | E.Noise_byz f | E.Split_world_byz f -> f
+
 let test_byz_protocols_correct () =
   List.iter
     (fun protocol ->
@@ -38,7 +42,7 @@ let test_byz_protocols_correct () =
             E.run_byz ~protocol ~n:20 ~namespace:400 ~adversary
               ~pool_probability:0.7 ~seed:13 ()
           in
-          let f = E.byz_adversary_f adversary in
+          let f = byz_f adversary in
           Alcotest.(check bool)
             (Printf.sprintf "%s/f=%d unique+strong"
                (E.byz_protocol_name protocol)
@@ -93,10 +97,26 @@ let test_averaged_rejects () =
     [ { a with Runner.messages = a.Runner.messages + 1 }; a ];
   raises "no runs" []
 
+(* Run [f dir] with [RENAMING_CSV_DIR] set to [dir], a fresh directory
+   under the temp dir, and remove it afterwards. *)
+let with_csv_dir ~sub f =
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "renaming_csv_test_%d" (Unix.getpid ()))
+  in
+  let dir = List.fold_left Filename.concat root sub in
+  Unix.putenv "RENAMING_CSV_DIR" dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "RENAMING_CSV_DIR" "";
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root))))
+    (fun () -> f dir)
+
 (* The actual table titles bench/main.ml prints. Every one must slug to
    a clean filename cut at the em-dash/colon: the old slugger only knew
    the '\xe2' lead byte, so any other typographic glyph leaked mojibake
-   bytes into filenames. *)
+   bytes into filenames. The slug is read back as the name of the CSV
+   [print_table] writes. *)
 let test_csv_slug_bench_titles () =
   let cases =
     [
@@ -135,33 +155,31 @@ let test_csv_slug_bench_titles () =
        "this_work_crash");
     ]
   in
-  List.iter
-    (fun (title, expected) ->
-      Alcotest.(check string) title expected (E.csv_slug title))
-    cases;
-  (* Slugs must never smuggle raw bytes of a multi-byte glyph. *)
-  List.iter
-    (fun (title, _) ->
-      String.iter
-        (fun c ->
-          Alcotest.(check bool) "slug is ascii [a-z0-9_]" true
-            ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_'))
-        (E.csv_slug title))
-    cases
+  with_csv_dir ~sub:[] (fun dir ->
+      List.iter
+        (fun (title, expected) ->
+          let before =
+            if Sys.file_exists dir then Array.to_list (Sys.readdir dir) else []
+          in
+          E.print_table ~title ~header:[ "a" ] ~rows:[];
+          let written =
+            Sys.readdir dir |> Array.to_list
+            |> List.filter (fun f -> not (List.mem f before))
+          in
+          Alcotest.(check (list string)) title [ expected ^ ".csv" ] written;
+          (* Slugs must never smuggle raw bytes of a multi-byte glyph. *)
+          String.iter
+            (fun c ->
+              Alcotest.(check bool) "slug is ascii [a-z0-9_.]" true
+                ((c >= 'a' && c <= 'z')
+                || (c >= '0' && c <= '9')
+                || c = '_' || c = '.'))
+            (List.hd written))
+        cases)
 
 let test_write_csv_nested_dir () =
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "renaming_csv_test_%d" (Unix.getpid ()))
-  in
-  let dir = Filename.concat (Filename.concat root "deep") "nested" in
-  Unix.putenv "RENAMING_CSV_DIR" dir;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "RENAMING_CSV_DIR" "";
-      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root))))
-    (fun () ->
-      E.write_csv ~title:"E3 / Fig 3 — whatever" ~header:[ "a"; "b" ]
+  with_csv_dir ~sub:[ "deep"; "nested" ] (fun dir ->
+      E.print_table ~title:"E3 / Fig 3 — whatever" ~header:[ "a"; "b" ]
         ~rows:[ [ "1_000"; "x,y" ]; [ "2"; "plain" ] ];
       let path = Filename.concat dir "e3_fig_3.csv" in
       Alcotest.(check bool) "file exists under nested dir" true
@@ -176,7 +194,7 @@ let test_write_csv_env_unset_is_noop () =
   (* putenv can't remove a variable; the empty string must behave as
      unset-like in practice: mkdir_p "" would raise, so guard here. *)
   Unix.putenv "RENAMING_CSV_DIR" "";
-  E.write_csv ~title:"ignored" ~header:[ "a" ] ~rows:[]
+  E.print_table ~title:"ignored" ~header:[ "a" ] ~rows:[]
 
 let test_committee_pool_probability () =
   Alcotest.(check (float 1e-9)) "n=1 saturates" 1.

@@ -1,6 +1,14 @@
 module F = Repro_crypto.Fingerprint
 module B = Repro_util.Bitvec
 module I = Repro_util.Interval
+module Oracle = Fingerprint_oracle
+
+(* The production path on an explicit, non-empty bit list: [of_segment]
+   over a vector holding exactly those bits. *)
+let of_list k bits =
+  let v = B.create (List.length bits) in
+  List.iteri (fun i bit -> if bit then B.set v (i + 1) true) bits;
+  F.of_segment k v (I.make 1 (List.length bits))
 
 let test_determinism () =
   let k = F.key_of_seed 42 in
@@ -8,35 +16,33 @@ let test_determinism () =
   let bits = [ true; false; true; true ] in
   Alcotest.(check bool)
     "same seed, same fingerprint" true
-    (F.equal (F.of_bits k bits) (F.of_bits k' bits));
+    (F.equal (of_list k bits) (of_list k' bits));
   let k2 = F.key_of_seed 43 in
   Alcotest.(check bool)
     "different seed, different fingerprint (whp)" false
-    (F.equal (F.of_bits k bits) (F.of_bits k2 bits))
+    (F.equal (of_list k bits) (of_list k2 bits))
 
 let test_of_segment_matches_of_bits () =
   let k = F.key_of_seed 7 in
   let v = B.create 32 in
   List.iter (fun i -> B.set v i true) [ 3; 4; 9; 17; 32 ];
   let seg = I.make 2 20 in
-  let bits =
-    B.fold_segment v seg ~init:[] ~f:(fun acc b -> b :: acc) |> List.rev
-  in
   Alcotest.(check bool)
     "segment = explicit bits" true
-    (F.equal (F.of_segment k v seg) (F.of_bits k bits))
+    (F.equal (F.of_segment k v seg)
+       (Oracle.of_bits ~seed:7 (Oracle.bits_of_segment v seg)))
 
 let test_position_sensitivity () =
   let k = F.key_of_seed 11 in
   (* Same number of ones, different positions: must differ (whp). *)
-  let a = F.of_bits k [ true; false; false; true ] in
-  let b = F.of_bits k [ false; true; true; false ] in
+  let a = of_list k [ true; false; false; true ] in
+  let b = of_list k [ false; true; true; false ] in
   Alcotest.(check bool) "position-sensitive" false (F.equal a b)
 
 let test_compare_consistent () =
   let k = F.key_of_seed 3 in
-  let a = F.of_bits k [ true; true ] in
-  let b = F.of_bits k [ true; false ] in
+  let a = of_list k [ true; true ] in
+  let b = of_list k [ true; false ] in
   Alcotest.(check int) "compare self" 0 (F.compare a a);
   Alcotest.(check bool) "compare antisym" true
     (F.compare a b = -F.compare b a)
@@ -53,7 +59,7 @@ let qcheck_no_collision_random_pairs =
     (fun (seed, xs, ys) ->
       let k = F.key_of_seed seed in
       if List.length xs = List.length ys && xs <> ys then
-        not (F.equal (F.of_bits k xs) (F.of_bits k ys))
+        not (F.equal (of_list k xs) (of_list k ys))
       else true)
 
 let qcheck_raw_roundtrip =
@@ -65,9 +71,9 @@ let qcheck_raw_roundtrip =
 
 let test_bits_size () =
   let k = F.key_of_seed 1 in
-  Alcotest.(check int) "62-bit wire size" 62 (F.bits (F.of_bits k [ true ]))
+  Alcotest.(check int) "62-bit wire size" 62 (F.bits (of_list k [ true ]))
 
-(* The one-pass [of_segment] against the list-fold reference [of_bits]
+(* The one-pass [of_segment] against the oracle's list-fold [of_bits]
    on random vectors up to 300 bits: segments start and end anywhere,
    so they cross the bit vector's 63-bit word seams. *)
 let qcheck_of_segment_matches_of_bits =
@@ -85,8 +91,9 @@ let qcheck_of_segment_matches_of_bits =
       let hi = lo + (b mod (len - lo + 1)) in
       let seg = I.make lo hi in
       let seg_bits = List.filteri (fun i _ -> i + 1 >= lo && i + 1 <= hi) bits in
-      let k = F.key_of_seed seed in
-      F.equal (F.of_segment k v seg) (F.of_bits k seg_bits))
+      F.equal
+        (F.of_segment (F.key_of_seed seed) v seg)
+        (Oracle.of_bits ~seed seg_bits))
 
 (* [of_segment] allocates only its result: the same words for an
    8,192-bit segment as for a 16-bit one. *)

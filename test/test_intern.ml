@@ -111,7 +111,7 @@ let qcheck_interned_billed_as_fresh =
                let* d = int_range 0 3 in
                let* index = int_range 0 ((1 lsl d) - 1) in
                let iv =
-                 match I.tree_vertex_at ~n:8 ~depth:d ~index with
+                 match Halving_tree.tree_vertex_at ~n:8 ~depth:d ~index with
                  | Some iv -> iv
                  | None -> I.full 8
                in

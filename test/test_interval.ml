@@ -29,21 +29,21 @@ let test_halving () =
 
 let test_subset_contains () =
   let i = I.make 2 8 in
-  Alcotest.(check bool) "subset yes" true (I.subset (I.make 3 5) i);
-  Alcotest.(check bool) "subset self" true (I.subset i i);
-  Alcotest.(check bool) "subset no" false (I.subset (I.make 1 5) i);
+  Alcotest.(check bool) "subset yes" true (Halving_tree.subset (I.make 3 5) i);
+  Alcotest.(check bool) "subset self" true (Halving_tree.subset i i);
+  Alcotest.(check bool) "subset no" false (Halving_tree.subset (I.make 1 5) i);
   Alcotest.(check bool) "contains" true (I.contains i 2);
   Alcotest.(check bool) "not contains" false (I.contains i 9)
 
 let test_depth_in_tree () =
-  Alcotest.(check (option int)) "root" (Some 0) (I.depth_in_tree ~n:8 (I.make 1 8));
+  Alcotest.(check (option int)) "root" (Some 0) (Halving_tree.depth_in_tree ~n:8 (I.make 1 8));
   Alcotest.(check (option int))
     "left child" (Some 1)
-    (I.depth_in_tree ~n:8 (I.make 1 4));
+    (Halving_tree.depth_in_tree ~n:8 (I.make 1 4));
   Alcotest.(check (option int))
     "leaf" (Some 3)
-    (I.depth_in_tree ~n:8 (I.singleton 5));
-  Alcotest.(check (option int)) "non-vertex" None (I.depth_in_tree ~n:8 (I.make 2 5))
+    (Halving_tree.depth_in_tree ~n:8 (I.singleton 5));
+  Alcotest.(check (option int)) "non-vertex" None (Halving_tree.depth_in_tree ~n:8 (I.make 2 5))
 
 let qcheck_interval =
   QCheck.make
@@ -110,9 +110,9 @@ let qcheck_tree_vertex_consistency =
   QCheck.Test.make ~name:"tree_vertex_at agrees with depth_in_tree" ~count:300
     QCheck.(pair (int_range 2 256) (pair (int_range 0 5) (int_range 0 31)))
     (fun (n, (depth, index)) ->
-      match I.tree_vertex_at ~n ~depth ~index with
+      match Halving_tree.tree_vertex_at ~n ~depth ~index with
       | None -> true
-      | Some i -> I.depth_in_tree ~n i = Some depth)
+      | Some i -> Halving_tree.depth_in_tree ~n i = Some depth)
 
 let suite =
   ( "interval",

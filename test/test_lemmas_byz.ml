@@ -103,7 +103,7 @@ let check_lemmas ~strategy_kind ~n ~f ~seed () =
       let non_dirty, counts =
         List.fold_left
           (fun (nd, cs) (_, m) ->
-            let is_dirty = List.exists (fun dj -> I.subset j dj || I.equal dj j) m.dirty in
+            let is_dirty = List.exists (fun dj -> Halving_tree.subset j dj || I.equal dj j) m.dirty in
             let nd = if is_dirty then nd else (m.l :: nd) in
             (nd, B.count m.l j :: cs))
           ([], []) members
@@ -127,7 +127,7 @@ let check_lemmas ~strategy_kind ~n ~f ~seed () =
                 (Printf.sprintf "segments equal on %s (Lemma 3.11.1b)"
                    (I.to_string j))
                 true
-                (B.equal_segment first other j))
+                (Fingerprint_oracle.equal_segment first other j))
             rest
       | [] -> ());
       (* (1c) honest identities present at non-dirty members. *)

@@ -52,7 +52,7 @@ let lemma_2_3_holds tbl =
   List.for_all
     (fun v ->
       let inside =
-        List.length (List.filter (fun u -> I.subset u.iv v.iv) snaps)
+        List.length (List.filter (fun u -> Halving_tree.subset u.iv v.iv) snaps)
       in
       inside <= I.size v.iv)
     snaps
@@ -62,7 +62,7 @@ let lemma_2_3_holds tbl =
 let tree_invariant_holds ~n tbl =
   List.for_all
     (fun s ->
-      match I.depth_in_tree ~n s.iv with
+      match Halving_tree.depth_in_tree ~n s.iv with
       | Some depth -> depth <= max s.d (Ilog.ceil_log2 (max 2 n))
       | None -> false)
     (snapshots tbl)

@@ -130,28 +130,32 @@ let test_all_same_input_sticks () =
         outputs)
     [ true; false ]
 
+(* 3·(t + 1) rounds, t = ⌊(n - 1)/3⌋: n=7 -> t=2 -> 3 phases of 3
+   rounds; n=4 -> t=1 -> 2 phases. *)
 let test_rounds_needed () =
-  (* n=7 -> t=2 -> 3 phases of 3 rounds. *)
-  Alcotest.(check int) "rounds for 7" 9 (PK.rounds_needed ~committee_size:7);
-  Alcotest.(check int) "rounds for 4" 6 (PK.rounds_needed ~committee_size:4);
-  let ids = [| 1; 2; 3; 4; 5; 6; 7 |] in
-  let members = Array.to_list ids in
-  let program ctx =
-    let net = committee_net ctx members in
-    let before = Net.round ctx in
-    let out =
-      PK.run ~net ~embed:Fun.id ~project:Option.some ~kings:members
-        ~input:(Net.my_id ctx mod 2 = 0)
-    in
-    (out, Net.round ctx - before)
-  in
-  let res = Net.run ~ids ~program () in
   List.iter
-    (function
-      | _, Engine.Decided (_, rounds) ->
-          Alcotest.(check int) "consumes exactly rounds_needed" 9 rounds
-      | _ -> Alcotest.fail "should decide")
-    res.Engine.outcomes
+    (fun (n, expected) ->
+      let ids = Array.init n (fun i -> i + 1) in
+      let members = Array.to_list ids in
+      let program ctx =
+        let net = committee_net ctx members in
+        let before = Net.round ctx in
+        let out =
+          PK.run ~net ~embed:Fun.id ~project:Option.some ~kings:members
+            ~input:(Net.my_id ctx mod 2 = 0)
+        in
+        (out, Net.round ctx - before)
+      in
+      let res = Net.run ~ids ~program () in
+      List.iter
+        (function
+          | _, Engine.Decided (_, rounds) ->
+              Alcotest.(check int)
+                (Printf.sprintf "n=%d consumes exactly 3(t+1) rounds" n)
+                expected rounds
+          | _ -> Alcotest.fail "should decide")
+        res.Engine.outcomes)
+    [ (7, 9); (4, 6) ]
 
 let test_no_kings_rejected () =
   let ids = [| 1; 2; 3; 4 |] in

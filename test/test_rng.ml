@@ -29,14 +29,6 @@ let qcheck_int_range =
       let v = Rng.int rng bound in
       0 <= v && v < bound)
 
-let qcheck_int_in =
-  QCheck.Test.make ~name:"int_in within inclusive range" ~count:1000
-    QCheck.(triple (int_range (-50) 50) (int_range 0 100) small_int)
-    (fun (lo, span, seed) ->
-      let rng = Rng.of_seed seed in
-      let v = Rng.int_in rng lo (lo + span) in
-      lo <= v && v <= lo + span)
-
 let qcheck_bernoulli_extremes =
   QCheck.Test.make ~name:"bernoulli extremes" ~count:200 QCheck.small_int
     (fun seed ->
@@ -153,6 +145,5 @@ let suite =
       Alcotest.test_case "draws allocate nothing" `Quick
         test_draws_allocate_nothing;
       QCheck_alcotest.to_alcotest qcheck_int_range;
-      QCheck_alcotest.to_alcotest qcheck_int_in;
       QCheck_alcotest.to_alcotest qcheck_bernoulli_extremes;
     ] )

@@ -63,11 +63,11 @@ let test_assess_order_preserving () =
 
 let test_metrics_accounting () =
   let m = Metrics.create () in
-  Metrics.add_honest m ~bits:10;
-  Metrics.add_honest m ~bits:20;
+  Metrics.add_honest_bulk m ~msgs:1 ~bits:10;
+  Metrics.add_honest_bulk m ~msgs:1 ~bits:20;
   Metrics.end_round m;
   Metrics.add_byz m ~bits:99;
-  Metrics.add_honest m ~bits:5;
+  Metrics.add_honest_bulk m ~msgs:1 ~bits:5;
   Metrics.end_round m;
   Metrics.record_crash m;
   Alcotest.(check int) "honest messages" 3 m.honest_messages;
@@ -80,14 +80,15 @@ let test_metrics_accounting () =
      both (the byz message used to be dropped from the per-round rows). *)
   Alcotest.(check (array int)) "per-round profile (honest + byz)" [| 2; 2 |]
     (Metrics.messages_by_round m);
+  let column f = Array.map f (Metrics.per_round m) in
   Alcotest.(check (array int)) "honest messages by round" [| 2; 1 |]
-    (Metrics.honest_messages_by_round m);
+    (column (fun r -> r.Metrics.hmsgs));
   Alcotest.(check (array int)) "honest bits by round" [| 30; 5 |]
-    (Metrics.honest_bits_by_round m);
+    (column (fun r -> r.Metrics.hbits));
   Alcotest.(check (array int)) "byz messages by round" [| 0; 1 |]
-    (Metrics.byz_messages_by_round m);
+    (column (fun r -> r.Metrics.bmsgs));
   Alcotest.(check (array int)) "byz bits by round" [| 0; 99 |]
-    (Metrics.byz_bits_by_round m);
+    (column (fun r -> r.Metrics.bbits));
   let row = Metrics.round_row m 1 in
   Alcotest.(check int) "row 1 hmsgs" 1 row.Metrics.hmsgs;
   Alcotest.(check int) "row 1 hbits" 5 row.Metrics.hbits;
@@ -121,7 +122,10 @@ let test_reconcile_crash_run () =
     (Metrics.reconcile res.Engine.metrics);
   Alcotest.(check bool) "assessment reconciles" true (Runner.reconciles a);
   Alcotest.(check int) "messages = sum of honest rows" a.Runner.messages
-    (Array.fold_left ( + ) 0 (Metrics.honest_messages_by_round res.metrics))
+    (Array.fold_left
+       (fun acc (r : Metrics.round_row) -> acc + r.hmsgs)
+       0
+       (Metrics.per_round res.metrics))
 
 let test_reconcile_byz_run () =
   let module E = Repro_renaming.Experiment in
@@ -142,7 +146,7 @@ let test_reconcile_byz_run () =
 
 let test_two_metrics_independent () =
   let a = Metrics.create () and b = Metrics.create () in
-  Metrics.add_honest a ~bits:1;
+  Metrics.add_honest_bulk a ~msgs:1 ~bits:1;
   Metrics.end_round a;
   Metrics.end_round b;
   Alcotest.(check (array int)) "a profile" [| 1 |] (Metrics.messages_by_round a);

@@ -137,15 +137,27 @@ let test_pool_lowest_exn_wins () =
       Pool.run p (fun k -> hits.(k) <- 1);
       Alcotest.(check (array int)) "usable after exn" [| 1; 1; 1 |] hits)
 
+(* [with_pool] shuts its pool down when the job returns and when it
+   raises: a pool kept past it refuses further jobs. *)
 let test_pool_shutdown () =
-  let p = Pool.create ~shards:2 in
-  Pool.run p (fun _ -> ());
-  Pool.shutdown p;
-  Pool.shutdown p;
-  (* idempotent *)
-  match Pool.run p (fun _ -> ()) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "run after shutdown must raise"
+  let run_after name p =
+    match Pool.run p (fun _ -> ()) with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.fail (name ^ ": run after shutdown must raise")
+  in
+  run_after "returned"
+    (Pool.with_pool ~shards:2 (fun p ->
+         Pool.run p (fun _ -> ());
+         p));
+  let kept = ref None in
+  (match
+     Pool.with_pool ~shards:2 (fun p ->
+         kept := Some p;
+         failwith "job")
+   with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "the job's exception must propagate");
+  Option.iter (run_after "raised") !kept
 
 let test_engine_rejects_zero_shards () =
   let ids = Array.init 8 (fun i -> i + 1) in
@@ -275,7 +287,7 @@ let suite =
         test_pool_single_shard_inline;
       Alcotest.test_case "pool: lowest shard's exception wins" `Quick
         test_pool_lowest_exn_wins;
-      Alcotest.test_case "pool: shutdown idempotent, run-after raises"
+      Alcotest.test_case "pool: shut down after with_pool, also on a raise"
         `Quick test_pool_shutdown;
       Alcotest.test_case "engine rejects shards = 0" `Quick
         test_engine_rejects_zero_shards;

@@ -58,9 +58,9 @@ let test_partial_io () =
             (Printf.sprintf "chunk %d roundtrip" chunk)
             p (Frame.read_frame rio))
         payloads;
-      Alcotest.(check bool)
-        "clean EOF at boundary" true
-        (Frame.read_frame_opt rio = None))
+      Alcotest.check_raises "clean EOF at boundary"
+        (Frame.Protocol_error "eof at frame boundary") (fun () ->
+          ignore (Frame.read_frame rio)))
     [ 1; 2; 3; 7; 4096 ]
 
 (* Frame payloads as writer streams: byte strings after gamma fields, so
@@ -155,7 +155,29 @@ let test_oversized_prefix () =
    An in-process host over a socketpair whose coordinator end has every
    frame queued up front (they fit in the socket buffer), so no peer
    process is needed. Three slots on one host; identities out of slot
-   order, so ascending-identity merging is observable. *)
+   order, so ascending-identity merging is observable.
+
+   The coordinator end stays open while the host runs, so a host that
+   waits for a frame that never comes would block forever: its socket
+   times a read out after 10 s instead, raising [Unix_error EAGAIN],
+   which [Frame] does not retry and the case reports as a failure. *)
+
+let with_host_socket frames run =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float b Unix.SO_RCVTIMEO 10.;
+  let io = Frame.io_of_fd a in
+  List.iter (Frame.write_frame io) frames;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () -> run b)
+
+(* A payload field as frames carry it, [Msg.encode]'s shape: the bit
+   length, then the bytes. *)
+let add_msg w (bytes, bits) =
+  Wire.Writer.add_gamma w bits;
+  Wire.Writer.add_string w bytes
 
 module TMsg = struct
   type t = Ping of int
@@ -177,7 +199,8 @@ let config_frame =
   let w = Wire.Writer.create () in
   List.iter (Wire.Writer.add_gamma w)
     ([ SN.magic; Array.length host_ids; 1; 0 ] @ Array.to_list host_ids);
-  SN.Codec.add_bytes w "";
+  (* the extra blob, empty: its byte length *)
+  Wire.Writer.add_gamma w 0;
   Wire.Writer.contents w
 
 (* A coordinator reply: payload table of raw (bytes, bits) entries, the
@@ -193,7 +216,7 @@ let reply_frame ~table ~bcast ~lists ~records =
     gammas l
   in
   gammas [ 0; 0; List.length table ];
-  List.iter (fun m -> SN.Codec.add_msg w m) table;
+  List.iter (add_msg w) table;
   Wire.Writer.add_gamma w (List.length bcast);
   List.iter (fun (src, k) -> gammas [ src; k ]) bcast;
   Wire.Writer.add_gamma w (List.length lists);
@@ -227,9 +250,6 @@ let full_reply =
 (* Run the host against [frames]; each node broadcasts once, records its
    inbox as (source id, value) pairs and decides. *)
 let run_host ?(config = config_frame) frames =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let io = Frame.io_of_fd a in
-  List.iter (Frame.write_frame io) (config :: frames);
   let seen = ref [] in
   let program ~extra:_ ctx =
     let inbox = H.broadcast ctx (TMsg.Ping 1) in
@@ -239,12 +259,8 @@ let run_host ?(config = config_frame) frames =
     seen := (H.my_id ctx, pairs) :: !seen;
     0
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close a;
-      Unix.close b)
-    (fun () ->
-      H.run ~fd:b ~host_index:0 ~program;
+  with_host_socket (config :: frames) (fun fd ->
+      H.run ~fd ~host_index:0 ~program;
       List.sort (fun (x, _) (y, _) -> Int.compare x y) !seen)
 
 let test_host_merges_tables () =
@@ -304,13 +320,13 @@ let test_host_rejects_malformed_tables () =
     (reply_frame ~table:[ ping 5; ("\x30", 3) ] ~bcast:[ (1, 0) ] ~lists:[]
        ~records:[])
 
-(* A reply built from raw fields: gammas and [Codec.add_msg] entries. *)
+(* A reply built from raw fields: gammas and [add_msg] entries. *)
 let raw_frame fields =
   let w = Wire.Writer.create () in
   List.iter
     (function
       | `G v -> Wire.Writer.add_gamma w v
-      | `M m -> SN.Codec.add_msg w m)
+      | `M m -> add_msg w m)
     fields;
   Wire.Writer.contents w
 
@@ -343,13 +359,7 @@ let test_host_stale_bytes () =
   done
 
 let test_host_rejects_non_participant () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Frame.write_frame (Frame.io_of_fd a) config_frame;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close a;
-      Unix.close b)
-    (fun () ->
+  with_host_socket [ config_frame ] (fun b ->
       Alcotest.check_raises "destination outside the ids"
         (Invalid_argument "Socket_net: destination 99 is not a participant")
         (fun () ->
@@ -360,13 +370,7 @@ let test_host_rejects_non_participant () =
 let test_host_checks_exchange_sized () =
   (* The batch length is checked against the arrays at the call, as in
      the engine. *)
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Frame.write_frame (Frame.io_of_fd a) config_frame;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close a;
-      Unix.close b)
-    (fun () ->
+  with_host_socket [ config_frame ] (fun b ->
       Alcotest.check_raises "batch longer than its arrays"
         (Invalid_argument "Node.exchange_sized: batch length out of bounds")
         (fun () ->
@@ -412,9 +416,9 @@ let test_truncation () =
   (* EOF after a partial header. *)
   List.iter
     (fun partial ->
-      match Frame.read_frame_opt (mem_reader ~chunk:1 partial) with
-      | _ -> Alcotest.fail "truncated header accepted"
-      | exception Frame.Protocol_error _ -> ())
+      Alcotest.check_raises "truncated header"
+        (Frame.Protocol_error "eof inside frame header") (fun () ->
+          ignore (Frame.read_frame (mem_reader ~chunk:1 partial))))
     [ "\x00"; "\x00\x00"; "\x00\x00\x00" ];
   (* EOF inside the payload, at every cut point. *)
   let buf, wio = mem_writer ~chunk:4096 in
@@ -444,45 +448,51 @@ let test_truncation () =
 
 (* {2 Framed codec round-trips}
 
-   writer -> socketpair -> reader, for every message constructor of
-   every protocol: [Codec.add_msg] must embed the exact [encode] bytes
-   and bit length, and [Codec.read_msg] with [M.read] must read the
-   message back in place, consuming exactly the embedded field, to a
-   message that re-encodes identically (value equality via the codec,
-   which avoids comparing abstract payload types structurally). *)
+   Every message constructor of every protocol, as a host reads it off
+   the wire: the coordinator's reply carries the [encode]d samples as
+   its payload table and one batch that delivers them all, in order, to
+   slot 0. The host reads each payload in place with [M.read], bounded
+   to its declared bits, and rejects the frame if a read stops short of
+   them or would cross them. Each delivered message must re-encode to
+   the same bytes and bit length (value equality via the codec, which
+   avoids comparing abstract payload types structurally). *)
 
 let roundtrip_framed (type a) (module M : Repro_net.Network_intf.WIRE_MSG
                        with type t = a) name (samples : a list) =
-  let a_fd, b_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let wio = Frame.io_of_fd a_fd and rio = Frame.io_of_fd b_fd in
-  let w = Wire.Writer.create () in
-  List.iter (fun m -> SN.Codec.add_msg w (M.encode m)) samples;
-  Frame.write_frame wio (Wire.Writer.contents w);
-  let r = Wire.Reader.of_string (Frame.read_frame rio) in
+  let module H = SN.Host (M) in
   List.iteri
     (fun i m ->
-      let e_bytes, e_bits = M.encode m in
       Alcotest.(check int)
         (Printf.sprintf "%s[%d] bits = Msg.bits" name i)
-        (M.bits m) e_bits;
-      let before = Wire.Reader.bits_remaining r in
-      let m' = SN.Codec.read_msg r M.read in
-      Alcotest.(check int)
-        (Printf.sprintf "%s[%d] embedded field length" name i)
-        (Wire.gamma_bits e_bits + (8 * String.length e_bytes))
-        (before - Wire.Reader.bits_remaining r);
-      let r_bytes, r_bits = M.encode m' in
+        (M.bits m)
+        (snd (M.encode m)))
+    samples;
+  let k = List.length samples in
+  let reply =
+    reply_frame ~table:(List.map M.encode samples) ~bcast:[]
+      ~lists:[ List.init k (fun _ -> 0) ]
+      ~records:[ `Batch (0, 0, List.init k Fun.id) ]
+  in
+  let got = ref [] in
+  let program ~extra:_ ctx =
+    let inbox = H.broadcast ctx (List.hd samples) in
+    if H.my_id ctx = host_ids.(0) then got := List.map snd (H.Inbox.pairs inbox);
+    0
+  in
+  with_host_socket [ config_frame; reply; stop_frame ~round:1 ] (fun fd ->
+      H.run ~fd ~host_index:0 ~program);
+  Alcotest.(check int) (name ^ ": every sample delivered") k
+    (List.length !got);
+  List.iteri
+    (fun i (m, m') ->
+      let e_bytes, e_bits = M.encode m and r_bytes, r_bits = M.encode m' in
       Alcotest.(check string)
         (Printf.sprintf "%s[%d] re-encode bytes" name i)
         e_bytes r_bytes;
       Alcotest.(check int)
         (Printf.sprintf "%s[%d] re-encode bits" name i)
         e_bits r_bits)
-    samples;
-  Alcotest.(check int) (name ^ ": frame consumed") 0
-    (Wire.Reader.bits_remaining r land lnot 7);
-  Unix.close a_fd;
-  Unix.close b_fd
+    (List.combine samples !got)
 
 (* {2 The payload table}
 
@@ -490,7 +500,7 @@ let roundtrip_framed (type a) (module M : Repro_net.Network_intf.WIRE_MSG
    stream: a payload interned where it lies is one entry whatever its
    offset, entries are numbered in first-seen order, two payloads share
    an entry exactly when their bits and padded bytes agree, and
-   [add_entry] writes back the field [Codec.add_msg] wrote. *)
+   [add_entry] writes back the field [add_msg] wrote. *)
 let qcheck_payload_table =
   let payload =
     QCheck.Gen.(
@@ -535,13 +545,13 @@ let qcheck_payload_table =
           for k = 0 to 7 do
             let w = Wire.Writer.create () in
             Wire.Writer.add_fixed w 0 ~width:k;
-            SN.Codec.add_msg w e;
+            add_msg w e;
             let r = Wire.Reader.of_string (Wire.Writer.contents w) in
             Wire.Reader.skip r k;
             if P.read_entry r t <> first then ok := false;
             let back = Wire.Writer.create () and want = Wire.Writer.create () in
             P.add_entry back t first;
-            SN.Codec.add_msg want e;
+            add_msg want e;
             if Wire.Writer.contents back <> Wire.Writer.contents want then
               ok := false
           done)
@@ -647,6 +657,7 @@ let test_host_handoff_allocation () =
   let words rounds =
     Test_rng.minor_words_of (fun () ->
         let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.setsockopt_float b Unix.SO_RCVTIMEO 10.;
         let coordinator = Domain.spawn (fun () -> coordinate ~rounds a) in
         Fun.protect
           ~finally:(fun () ->

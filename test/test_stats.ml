@@ -19,10 +19,15 @@ let test_percentile () =
   close "p100" 50. (S.percentile xs 100.);
   close "p25" 20. (S.percentile xs 25.)
 
+(* The least-squares line under [log_log_slope]: [log y = 2 log x + 1]
+   exactly, and a vertical line is rejected. *)
 let test_linear_fit () =
-  let slope, intercept = S.linear_fit [ (1., 3.); (2., 5.); (3., 7.) ] in
-  close "slope" 2. slope;
-  close "intercept" 1. intercept
+  close "slope" 2.
+    (S.log_log_slope
+       (List.map (fun t -> (exp t, exp ((2. *. t) +. 1.))) [ 1.; 2.; 3. ]));
+  Alcotest.check_raises "degenerate x"
+    (Invalid_argument "Stats.log_log_slope: degenerate x") (fun () ->
+      ignore (S.log_log_slope [ (2., 1.); (2., 5.) ]))
 
 let test_log_log_slope () =
   (* y = 4 x^2: slope 2 on log-log *)
@@ -35,7 +40,7 @@ let test_log_log_slope () =
 let test_log_log_slope_filtered () =
   (* Non-positive coordinates are filtered before the fit; when fewer
      than two points survive, the error must name the real cause (the
-     filtering), not [linear_fit]'s generic point-count complaint. *)
+     filtering), not a generic point-count complaint. *)
   Alcotest.check_raises "all points filtered"
     (Invalid_argument "Stats.log_log_slope: 0 usable points after filtering")
     (fun () -> ignore (S.log_log_slope [ (0., 1.); (1., 0.); (-2., 3.) ]));

@@ -10,13 +10,19 @@ let test_bits_roundtrip () =
       Alcotest.(check bool) "bit value" expected (W.Reader.read_bit r))
     [ true; false; true; true; false ]
 
+(* Encode then decode one fixed-width value. *)
+let roundtrip_fixed v ~width =
+  let w = W.Writer.create () in
+  W.Writer.add_fixed w v ~width;
+  W.Reader.read_fixed (W.Reader.of_string (W.Writer.contents w)) ~width
+
 let test_fixed_roundtrip () =
   List.iter
     (fun (v, width) ->
       Alcotest.(check int)
         (Printf.sprintf "fixed %d/%d" v width)
         v
-        (W.roundtrip_fixed v ~width))
+        (roundtrip_fixed v ~width))
     [ (0, 1); (1, 1); (5, 3); (255, 8); (256, 9); (12345, 20); (0, 0) ]
 
 let test_fixed_rejects () =
@@ -450,7 +456,7 @@ let test_fixed_width62_boundary () =
       Alcotest.(check int)
         (Printf.sprintf "fixed %d/62" v)
         v
-        (W.roundtrip_fixed v ~width:62))
+        (roundtrip_fixed v ~width:62))
     [ 0; 1; max_int - 1; max_int ]
 
 let test_read_fixed_truncated () =
