@@ -1,8 +1,8 @@
-
 let run ~net ~embed ~project ~coin ~horizon ~input =
   let t = Committee_net.fault_threshold net in
   let quorum = Committee_net.quorum net in
-  let count want = Committee_net.count net (Phase_king.projects_to project want) in
+  (* Built once per instance: a phase allocates nothing. *)
+  let c = Phase_king.instance ~embed ~project in
   let v = ref input in
   let decided = ref None in
   for phase = 1 to horizon do
@@ -10,30 +10,29 @@ let run ~net ~embed ~project ~coin ~horizon ~input =
        yields a proposal. As in phase-king, two correct members can never
        propose different values (their quorums would intersect in more
        than t equivocators). *)
-    Committee_net.broadcast net (embed (Phase_king.Vote !v));
-    let cnt b = count (Phase_king.Vote b) in
+    Committee_net.broadcast net (Phase_king.vote c !v);
     let proposal =
-      if cnt true >= quorum then Some true
-      else if cnt false >= quorum then Some false
+      if Phase_king.votes net c true >= quorum then Some true
+      else if Phase_king.votes net c false >= quorum then Some false
       else None
     in
     (* Round 2: proposals out; quorum support decides, t+1 support adopts,
        otherwise the shared coin breaks the symmetry — matching the
        unique proposable value with probability 1/2. *)
     (match proposal with
-    | Some b -> Committee_net.broadcast net (embed (Phase_king.Propose b))
+    | Some b -> Committee_net.broadcast net (Phase_king.propose c b)
     | None -> Committee_net.silent_round net);
-    let props b = count (Phase_king.Propose b) in
     let supported =
-      if props true > t then Some true
-      else if props false > t then Some false
+      if Phase_king.proposals net c true > t then Some true
+      else if Phase_king.proposals net c false > t then Some false
       else None
     in
-    (match supported with
+    match supported with
     | Some b ->
         v := b;
-        if props b >= quorum && !decided = None then decided := Some b
-    | None -> if !decided = None then v := coin phase)
+        if Phase_king.proposals net c b >= quorum && Option.is_none !decided
+        then decided := Some b
+    | None -> if Option.is_none !decided then v := coin phase
   done;
   (* A decided member keeps voting its decision until the horizon so that
      every correct member consumes the same number of rounds; agreement

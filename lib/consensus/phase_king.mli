@@ -17,10 +17,34 @@
 type msg = Vote of bool | Propose of bool | King of bool
 
 
-val projects_to : ('m -> msg option) -> msg -> 'm -> bool
-(** [projects_to project want m]: [m] projects to exactly [want]. The
-    vote-counting predicate for {!Committee_net.count}, shared with
-    {!Coin_consensus}. *)
+type 'm instance = {
+  vote_true : 'm;
+  vote_false : 'm;
+  propose_true : 'm;
+  propose_false : 'm;
+  voted_true : 'm -> bool;
+  voted_false : 'm -> bool;
+  proposed_true : 'm -> bool;
+  proposed_false : 'm -> bool;
+}
+(** One consensus instance's vocabulary, shared with {!Coin_consensus}:
+    the embedded [Vote]/[Propose] messages and the predicates "projects
+    to exactly this message" that count them. Built once per instance,
+    so a phase allocates no constructor and no closure. *)
+
+val instance : embed:(msg -> 'm) -> project:('m -> msg option) -> 'm instance
+
+val vote : 'm instance -> bool -> 'm
+(** The embedded [Vote b]. *)
+
+val propose : 'm instance -> bool -> 'm
+(** The embedded [Propose b]. *)
+
+val votes : 'm Committee_net.t -> 'm instance -> bool -> int
+(** Kept messages of the last round that project to [Vote b]. *)
+
+val proposals : 'm Committee_net.t -> 'm instance -> bool -> int
+(** Kept messages of the last round that project to [Propose b]. *)
 
 val run :
   net:'m Committee_net.t ->
@@ -34,4 +58,8 @@ val run :
     all correct members (the shared-randomness king order of the pool);
     extra entries are ignored. [embed]/[project] splice the consensus
     messages into the outer protocol's message type; foreign messages
-    arriving mid-instance are ignored via [project]. *)
+    arriving mid-instance are ignored via [project].
+
+    Allocation is per instance, not per phase: the vocabulary, the two
+    embedded [King] messages and the king fold are built once, and
+    [kings] is walked in place. *)

@@ -437,8 +437,10 @@ struct
      members have genuinely distributed — and among collected values the
      correct, clean-interval rank (sent by > |B| members, Lemma 3.11) beats
      any fabricated one. [heard.(i)] and [rank.(i)] hold the first NEW of
-     the [i]-th view member, and [absorb] is built once, so a round that
-     brings nothing new (a waiting node's skip round) allocates nothing. *)
+     the [i]-th view member, and [absorb] is built once. Between inboxes
+     the node sleeps in [wait_for_mail]: a round that brings it no message
+     does not resume it, and a round that brings nothing new allocates
+     nothing. *)
   let collect_new_identity ctx ~view first_inbox =
     let view = Array.of_list view in
     let k = Array.length view in
@@ -468,7 +470,7 @@ struct
       Net.Inbox.iter inbox ~f:absorb;
       match decide () with
       | Some rank -> rank
-      | None -> go (Net.skip_round ctx)
+      | None -> go (Net.wait_for_mail ctx)
     in
     go first_inbox
 

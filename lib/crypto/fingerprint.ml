@@ -1,7 +1,15 @@
 let p = (1 lsl 31) - 1
 
 type key = { x1 : int; x2 : int }
-type t = { v1 : int; v2 : int }
+
+(* Both values are below [p < 2^31], so [v1 lsl 31 lor v2] packs them
+   into one immediate int below [2^62]: a fingerprint allocates nothing,
+   and int order on the packed value is the order of [(v1, v2)]. *)
+type t = int
+
+let pack v1 v2 = (v1 lsl 31) lor v2
+let v1 t = t lsr 31
+let v2 t = t land p (* [p = 2^31 - 1] is also the low 31-bit mask *)
 
 let key_of_seed seed =
   let rng = Repro_util.Rng.of_seed (seed lxor 0x5eed_f00d) in
@@ -27,14 +35,18 @@ let of_segment key bv (seg : Repro_util.Interval.t) =
     pow1 := !pow1 * x1 mod p;
     pow2 := !pow2 * x2 mod p
   done;
-  { v1 = !acc1; v2 = !acc2 }
+  pack !acc1 !acc2
 
-let equal a b = a.v1 = b.v1 && a.v2 = b.v2
-
-let compare a b =
-  match Int.compare a.v1 b.v1 with 0 -> Int.compare a.v2 b.v2 | c -> c
-
+let equal = Int.equal
+let compare = Int.compare
 let bits _ = 62
-let to_int_pair t = (t.v1, t.v2)
-let of_raw v1 v2 = { v1 = v1 mod p; v2 = v2 mod p }
-let pp ppf t = Format.fprintf ppf "fp(%x,%x)" t.v1 t.v2
+let to_int_pair t = (v1 t, v2 t)
+
+(* The non-negative residue: [mod] keeps the dividend's sign, and a
+   negative value would bleed into the other packed field. *)
+let residue v =
+  let r = v mod p in
+  if r < 0 then r + p else r
+
+let of_raw v1 v2 = pack (residue v1) (residue v2)
+let pp ppf t = Format.fprintf ppf "fp(%x,%x)" (v1 t) (v2 t)

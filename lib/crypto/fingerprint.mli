@@ -17,8 +17,9 @@ type key
 (** The shared hash function; derives from shared randomness, so every
     correct node holding the same seed holds the same function. *)
 
-type t
-(** A fingerprint value. *)
+type t [@@immediate]
+(** A fingerprint value: an immediate, so computing, storing or comparing
+    one allocates nothing. *)
 
 val key_of_seed : int -> key
 (** Derive the shared hash function from the run's shared random seed. *)
@@ -28,6 +29,8 @@ val of_segment : key -> Repro_util.Bitvec.t -> Repro_util.Interval.t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** By the first value, then the second. *)
+
 val bits : t -> int
 (** Wire size in bits (62): fingerprints ride in O(log N)-bit messages. *)
 
@@ -35,8 +38,10 @@ val to_int_pair : t -> int * int
 (** For hashing/serialisation in tests and strategies. *)
 
 val of_raw : int -> int -> t
-(** Forge a fingerprint from raw field values. Only for simulating
-    Byzantine senders and tests; honest code derives fingerprints with
-    {!of_segment}. *)
+(** Forge a fingerprint from raw field values, each reduced to its
+    non-negative residue in [\[0, p)] (so [of_raw (-1) 0] is [of_raw (p -
+    1) 0]); [to_int_pair] returns the residues. Only for simulating
+    Byzantine senders, decoding and tests; honest code derives
+    fingerprints with {!of_segment}. *)
 
 val pp : Format.formatter -> t -> unit

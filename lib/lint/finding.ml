@@ -77,8 +77,9 @@ let rules =
       "raw Unix.read/write/single_write (and recv/send) in lib/net \
        outside Frame's partial-io/EINTR loops",
       "short reads, partial writes and EINTR are silently lost by raw \
-       syscalls; all socket byte-io must go through Frame.read_exact / \
-       write_exact" );
+       syscalls; all socket byte-io must go through Frame's \
+       write_frame/read_frame or write_framed/read_framed, over \
+       Frame.io_of_fd" );
     ( "N2",
       "Bytes.create/Array.make/String.init sized by a network-derived \
        integer with no bound check against max_frame/bits_remaining",

@@ -2,8 +2,9 @@
 
    N1 — raw [Unix.read]/[write]/[single_write] (and the recv/send
    family) anywhere in lib/net except frame.ml. [Frame.io_of_fd] is the
-   one sanctioned wrapper: it retries EINTR and its read_exact /
-   write_exact loops absorb short transfers. A raw syscall elsewhere in
+   one sanctioned wrapper: it retries EINTR, and the frame calls over
+   it ([write_frame]/[read_frame], [write_framed]/[read_framed]) loop
+   until a whole frame has moved. A raw syscall elsewhere in
    the network layer silently drops bytes under load — scoped to
    lib/net because byte-io belongs nowhere else in the tree (a raw
    syscall in lib/core would already be an architecture bug, and the
@@ -39,9 +40,9 @@ let check ~(emit : emit) (cg : Callgraph.t) =
                        "raw `%s` outside Frame's partial-io/EINTR loops"
                        io.io_op)
                   ~hint:
-                    "route byte-io through Frame.read_exact/write_exact \
-                     (or Frame.io_of_fd), which absorb EINTR and short \
-                     transfers")
+                    "route byte-io through Frame.read_framed/write_framed \
+                     (or read_frame/write_frame over Frame.io_of_fd), \
+                     which absorb EINTR and short transfers")
               f.fn_io)
           s.sm_fns;
       if not is_wire then

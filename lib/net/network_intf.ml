@@ -114,6 +114,14 @@ module type S = sig
   val broadcast : ctx -> msg -> inbox
   val skip_round : ctx -> inbox
 
+  val wait_for_mail : ctx -> inbox
+  (** Join rounds without sending until one brings the node a message,
+      then return that round's inbox, which is never empty. Behaves
+      exactly like [let rec go () = let i = skip_round ctx in if
+      Inbox.length i = 0 then go () else i], but the node stays
+      suspended through the idle rounds instead of being resumed in
+      each. *)
+
   val exchange_sized :
     ctx -> dsts:int array -> msgs:msg array -> sizes:int array -> len:int ->
     inbox

@@ -838,8 +838,12 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       if stop then continue_running := false
       else begin
         incr current_round;
+        (* The engine's resume rule: a node in [wait_for_mail] sleeps
+           through an empty view. Its slot stays clean, so its next
+           record is the empty batch a [skip_round] would stage. *)
         for s = lo to hi - 1 do
           match states.(s) with
+          | Running _ when sleeps outs.(s) views.(s) -> ()
           | Running { k } -> states.(s) <- resume outs.(s) k views.(s)
           | Finished _ | Dead _ | Byz_node -> ()
         done

@@ -420,8 +420,9 @@ module Make (M : MSG) = struct
        fibers; each stages its next outbox in its slot before yielding.
        A fiber is pinned to the shard owning its slot, so node-local
        mutable protocol state, and the slot it stages into, stay
-       domain-local. Decisions are collected per shard; [on_decide]
-       fires on main. *)
+       domain-local. A node in [wait_for_mail] whose view is empty
+       stays suspended, its slot still clean. Decisions are collected
+       per shard; [on_decide] fires on main. *)
     let resume_shard k =
       let lo, hi = ranges.(k) in
       for s = lo to hi - 1 do
@@ -441,6 +442,7 @@ module Make (M : MSG) = struct
       for s = lo to hi - 1 do
         let o = outs.(s) in
         match states.(s) with
+        | Running _ when sleeps o views.(s) -> ()
         | Running { k } -> (
             let st = resume o k views.(s) in
             states.(s) <- st;

@@ -97,10 +97,11 @@ module Make (M : MSG) : sig
       messages delivered to this node, sorted by source identity.
 
       The view aliases buffers the backend rewinds and refills every
-      round — it is only valid until the node's next
-      {!exchange}/{!multisend}/{!broadcast}/{!skip_round} call. Consume
-      it (or copy it out with {!Inbox.pairs}/{!Inbox.to_list}) before
-      exchanging again; never stash a view across rounds.
+      round — it is only valid until the node's next exchange-class
+      call ({!exchange}, {!multisend}, {!broadcast}, {!skip_round},
+      {!wait_for_mail}, {!exchange_sized}). Consume it (or copy it out
+      with {!Inbox.pairs}/{!Inbox.to_list}) before exchanging again;
+      never stash a view across rounds.
 
       Broadcasts are stored once per {e sender} in a
       round-global table every recipient's view shares, so a broadcast
@@ -174,6 +175,15 @@ module Make (M : MSG) : sig
 
   val skip_round : ctx -> inbox
   (** Send nothing this round, still observing the round barrier. *)
+
+  val wait_for_mail : ctx -> inbox
+  (** Send nothing and observe round barriers until a round delivers
+      this node at least one message; return that round's inbox, never
+      empty. Exactly [let rec go () = let i = skip_round ctx in if
+      Inbox.length i = 0 then go () else i]: the same rounds, outboxes,
+      taps, metrics and rng draws. The difference is cost: the node
+      stays suspended through the idle rounds, and the engine does not
+      resume it until its view is non-empty. *)
 
   val exchange_sized :
     ctx ->

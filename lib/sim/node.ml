@@ -198,7 +198,7 @@ module Make (M : MSG) = struct
      emission order, each carrying [msg.(j)] of [size.(j)] bits — or,
      with [fan] set, all carrying the single [msg.(0)] of [size.(0)]
      bits. A broadcast is a [fan] over the [ids] array with [bcast] set.
-     An empty outbox has [len = 0] and both flags clear. [fan] keeps a
+     An empty outbox has [len = 0] and [fan]/[bcast] clear. [fan] keeps a
      multisend's retained buffers at one word per destination.
 
      A node stages its outbox here itself, inside its exchange-class
@@ -215,7 +215,11 @@ module Make (M : MSG) = struct
      hit by physical equality: a broadcast or multisend repeats one
      physical message value. It is per slot rather than a payload-keyed
      table, so there is no structural hashing (lint D3) and no top-level
-     state (D4): the memo lives and dies with the run. *)
+     state (D4): the memo lives and dies with the run.
+
+     [waiting] marks a node suspended in {!wait_for_mail}: its outbox is
+     empty, and the backend leaves it suspended, without resuming it,
+     through every round that brings it no message. *)
   type out = {
     mutable dst : int array;
     mutable msg : M.t array;
@@ -228,6 +232,7 @@ module Make (M : MSG) = struct
     mutable own_size : int array;
     mutable memo : M.t array;
     mutable memo_bits : int;
+    mutable waiting : bool;
   }
 
   let empty_out () =
@@ -243,6 +248,7 @@ module Make (M : MSG) = struct
       own_size = [||];
       memo = [||];
       memo_bits = 0;
+      waiting = false;
     }
 
   let empty_outs n = Array.init n (fun _ -> empty_out ())
@@ -311,7 +317,8 @@ module Make (M : MSG) = struct
   let rewind o =
     o.len <- 0;
     o.fan <- false;
-    o.bcast <- false
+    o.bcast <- false;
+    o.waiting <- false
 
   type ctx = {
     id : int;
@@ -331,7 +338,7 @@ module Make (M : MSG) = struct
      slot, so the effect carries nothing. *)
   type _ Effect.t += Exchange : inbox Effect.t
 
-  (* The slot arrives clean: [len = 0], both flags clear ([resume]
+  (* The slot arrives clean: [len = 0], all three flags clear ([resume]
      rewinds it). *)
   let exchange ctx l =
     (match l with
@@ -359,6 +366,16 @@ module Make (M : MSG) = struct
     Effect.perform Exchange
 
   let skip_round _ctx = Effect.perform Exchange
+
+  (* One suspension for the whole wait: the backend resumes a [waiting]
+     slot only with a non-empty view (see {!out}). *)
+  let wait_for_mail ctx =
+    ctx.out.waiting <- true;
+    Effect.perform Exchange
+
+  (* The backends' resume rule: a waiting node sleeps through a round
+     whose view is empty (shared stream included). *)
+  let sleeps o v = o.waiting && v.d_len + v.s_len = 0
 
   let exchange_sized ctx ~dsts ~msgs ~sizes ~len =
     if

@@ -96,13 +96,15 @@ module Make (M : MSG) : sig
     mutable own_size : int array;
     mutable memo : M.t array;
     mutable memo_bits : int;
+    mutable waiting : bool;
   }
   (** A node's outbox for the round, staged by its exchange-class call
       before it yields. Entries [\[0, len)] of [dst], in emission order,
       each carry [msg.(j)] of [size.(j)] bits; with [fan] set all carry
       [msg.(0)] of [size.(0)] bits. A broadcast is a [fan] over the
       node's [ids] with [bcast] set. An empty outbox has [len = 0] and
-      both flags clear.
+      [fan]/[bcast] clear; [waiting] set marks the empty outbox of a
+      node suspended in {!wait_for_mail}.
 
       [dst]/[msg]/[size] point at the slot's [own_*] buffers, which it
       keeps while it runs, except that an {!exchange_sized} batch
@@ -125,7 +127,8 @@ module Make (M : MSG) : sig
   (** Give a slot that will never send again its buffers back. *)
 
   val rewind : out -> unit
-  (** Make the slot clean: [len = 0], both flags clear. *)
+  (** Make the slot clean: [len = 0], [fan], [bcast] and [waiting]
+      clear. *)
 
   (** {1 Node programs} *)
 
@@ -151,6 +154,19 @@ module Make (M : MSG) : sig
   val multisend : ctx -> dsts:int list -> M.t -> inbox
   val broadcast : ctx -> M.t -> inbox
   val skip_round : ctx -> inbox
+
+  val wait_for_mail : ctx -> inbox
+  (** Join rounds without sending until one brings the node a message,
+      and return that round's inbox, which is never empty: exactly
+      [let rec go () = let i = skip_round ctx in if Inbox.length i = 0
+      then go () else i], in one suspension. It marks the slot
+      [waiting], and a backend must not resume a waiting node while
+      {!sleeps} holds; each idle round still stages an empty outbox. *)
+
+  val sleeps : out -> inbox -> bool
+  (** [sleeps o v]: the slot [o] is [waiting] and its view [v] (shared
+      stream included) is empty, so the backend leaves the node
+      suspended this round. *)
 
   val exchange_sized :
     ctx ->

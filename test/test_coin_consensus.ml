@@ -130,11 +130,40 @@ let qcheck_agreement =
           List.for_all (fun (_, (b, _)) -> Bool.equal b first) rest
           && List.mem first honest_inputs)
 
+(* Over {!Fake_committee}, a coin-consensus instance allocates a fixed
+   set-up and nothing per phase: 2 and 20 phases cost the same words,
+   both when every member is heard (decided in the first phase) and
+   when only t + 1 are (every phase ends on the coin). *)
+let test_phase_allocation () =
+  let members = List.init 7 (fun i -> (i * 11) + 5) in
+  List.iter
+    (fun heard ->
+      let net =
+        Fake_committee.create ~me:(List.hd members) ~members ~heard
+          ~reply:(fun _ m -> m)
+      in
+      let words horizon =
+        let run () =
+          ignore
+            (CC.run ~net ~embed:Option.some ~project:Fun.id
+               ~coin:(fun phase -> phase land 1 = 0)
+               ~horizon ~input:true)
+        in
+        run ();
+        Test_rng.minor_words_of run
+      in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "minor words per phase, %d of 7 heard" heard)
+        0.
+        (Fake_committee.words_per_phase ~words ~short:2 ~long:20))
+    [ 7; 3 ]
+
 let suite =
   ( "coin_consensus",
     [
       Alcotest.test_case "unanimity preserved" `Quick test_unanimity_preserved;
       Alcotest.test_case "exact round consumption" `Quick
         test_exact_round_consumption;
+      Alcotest.test_case "phase allocation" `Quick test_phase_allocation;
       QCheck_alcotest.to_alcotest qcheck_agreement;
     ] )

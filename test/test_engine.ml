@@ -537,6 +537,122 @@ let test_handoff_allocation () =
     (Printf.sprintf "%.3f minor words per exchange <= 2.76" per_exchange)
     true (per_exchange <= 2.76)
 
+(* [wait_for_mail] is its [skip_round] loop, run in one suspension.
+   Eight nodes: three senders run 24 rounds of random broadcasts,
+   multisends and silent rounds, then broadcast [Pong 0], the stop mark;
+   four waiters wait for mail, log each inbox and sometimes answer its
+   first sender, until the mark arrives; a Byzantine node mails a waiter
+   every third round. Both variants, at 1 and 4 shards, must give the
+   same outcomes, taps, per-round metrics, decide rounds and logs, and
+   no [wait_for_mail] may return an empty inbox: the engine does not
+   resume a waiting node before it has mail. *)
+let test_wait_for_mail_is_skip_loop () =
+  let ids = Array.init 8 (fun i -> (i * 7) + 2) in
+  let n = Array.length ids in
+  let senders = [ ids.(0); ids.(3); ids.(5) ] and byz = ids.(7) in
+  let waiters =
+    List.filter
+      (fun id -> (not (List.mem id senders)) && id <> byz)
+      (Array.to_list ids)
+  in
+  let slot id =
+    let rec find i = if ids.(i) = id then i else find (i + 1) in
+    find 0
+  in
+  let idle = Array.make n 0 in
+  let rec skip_loop ctx =
+    let inbox = Net.skip_round ctx in
+    if Net.Inbox.length inbox = 0 then begin
+      let s = slot (Net.my_id ctx) in
+      idle.(s) <- idle.(s) + 1;
+      skip_loop ctx
+    end
+    else inbox
+  in
+  let stops inbox =
+    List.exists (fun (_, m) -> m = M.Pong 0) (Net.Inbox.pairs inbox)
+  in
+  let run ~wait ~shards =
+    (* Per-slot logs: a fiber writes only its own slot, whatever shard
+       runs it. *)
+    let logs = Array.make n [] and empties = Array.make n 0 in
+    let program ctx =
+      let me = Net.my_id ctx and rng = Net.rng ctx in
+      if List.mem me senders then begin
+        for _ = 1 to 24 do
+          let x = 1 + Repro_util.Rng.int rng 99 in
+          ignore
+            (match x mod 6 with
+            | 0 -> Net.broadcast ctx (M.Ping x)
+            | 1 -> Net.multisend ctx ~dsts:waiters (M.Pong x)
+            | _ -> Net.skip_round ctx)
+        done;
+        ignore (Net.broadcast ctx (M.Pong 0));
+        0
+      end
+      else begin
+        let s = slot me in
+        let rec loop count =
+          let inbox = wait ctx in
+          if Net.Inbox.length inbox = 0 then empties.(s) <- empties.(s) + 1;
+          logs.(s) <- (Net.round ctx, Net.Inbox.pairs inbox) :: logs.(s);
+          if stops inbox then count + 1
+          else if Repro_util.Rng.bool rng then begin
+            let src, _ = List.hd (Net.Inbox.pairs inbox) in
+            let reply = Net.exchange ctx [ (src, M.Ping me) ] in
+            if stops reply then count + 1 else loop (count + 1)
+          end
+          else loop (count + 1)
+        in
+        loop 0
+      end
+    in
+    let strategy ~byz_id:_ ~round ~inbox:_ =
+      if round mod 3 = 1 then
+        [ (List.nth waiters (round / 3 mod List.length waiters), M.Ping round) ]
+      else []
+    in
+    let taps = ref [] and decides = ref [] in
+    let res =
+      Net.run ~ids ~shards ~seed:9 ~byz:([ byz ], BL.of_list strategy)
+        ~tap:(fun ~round ~src ~dst ~bits msg ->
+          taps := (round, src, dst, bits, msg) :: !taps)
+        ~on_decide:(fun ~round ~id -> decides := (round, id) :: !decides)
+        ~program ()
+    in
+    ( (res.outcomes, !taps, Metrics.per_round res.metrics, !decides),
+      (Array.to_list logs, empties) )
+  in
+  let reference, (ref_logs, _) = run ~wait:skip_loop ~shards:1 in
+  List.iter
+    (fun (wait, name, shards) ->
+      let got, (logs, empties) = run ~wait ~shards in
+      let what = Printf.sprintf "%s, %d shards" name shards in
+      Alcotest.(check bool)
+        (what ^ ": outcomes, taps, metrics, decides")
+        true (got = reference);
+      Alcotest.(check bool) (what ^ ": inbox logs") true (logs = ref_logs);
+      Alcotest.(check (array int)) (what ^ ": empty inboxes returned")
+        (Array.make n 0) empties)
+    [
+      (skip_loop, "skip loop", 4);
+      (Net.wait_for_mail, "wait_for_mail", 1);
+      (Net.wait_for_mail, "wait_for_mail", 4);
+    ];
+  (* The run is not vacuous: waiters went through idle rounds, and every
+     waiter got mail more than once. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d idle rounds" (Array.fold_left ( + ) 0 idle))
+    true
+    (Array.fold_left ( + ) 0 idle > 0);
+  List.iter
+    (fun id ->
+      let got = List.length (List.nth ref_logs (slot id)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "waiter %d got mail %d times" id got)
+        true (got > 1))
+    waiters
+
 let suite =
   ( "engine",
     [
@@ -568,5 +684,7 @@ let suite =
       Alcotest.test_case "alloc probe contract" `Quick
         test_alloc_probe_contract;
       Alcotest.test_case "hand-off allocation" `Quick test_handoff_allocation;
+      Alcotest.test_case "wait_for_mail = skip_round loop" `Quick
+        test_wait_for_mail_is_skip_loop;
       QCheck_alcotest.to_alcotest qcheck_fuzz;
     ] )

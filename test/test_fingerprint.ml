@@ -62,12 +62,43 @@ let qcheck_no_collision_random_pairs =
         not (F.equal (of_list k xs) (of_list k ys))
       else true)
 
+let p = (1 lsl 31) - 1
+
+(* [of_raw] keeps each value's non-negative residue mod [p], negative
+   inputs and inputs >= p included; a residue never bleeds into the
+   other field of the packed value. *)
 let qcheck_raw_roundtrip =
-  QCheck.Test.make ~name:"of_raw/to_int_pair roundtrip (mod p)" ~count:200
-    QCheck.(pair (int_bound ((1 lsl 31) - 2)) (int_bound ((1 lsl 31) - 2)))
+  let residue v = ((v mod p) + p) mod p in
+  QCheck.Test.make ~name:"of_raw/to_int_pair roundtrip (mod p)" ~count:500
+    QCheck.(
+      pair
+        (oneof [ int; int_range (-2 * p) (2 * p); int_bound (p - 1) ])
+        (oneof [ int; int_range (-2 * p) (2 * p); int_bound (p - 1) ]))
     (fun (a, b) ->
       let fp = F.of_raw a b in
-      F.to_int_pair fp = (a, b))
+      F.to_int_pair fp = (residue a, residue b)
+      && F.equal fp (F.of_raw (residue a) (residue b)))
+
+(* [compare] orders by the first value, then the second. *)
+let qcheck_compare_lexicographic =
+  QCheck.Test.make ~name:"compare = compare of (v1, v2)" ~count:500
+    QCheck.(
+      quad (int_bound (p - 1)) (int_bound (p - 1)) (int_bound (p - 1))
+        (int_bound (p - 1)))
+    (fun (a, b, c, d) ->
+      let sign x = Int.compare x 0 in
+      sign (F.compare (F.of_raw a b) (F.of_raw c d))
+      = sign (compare (a, b) (c, d)))
+
+let test_raw_edges () =
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "p - 1 stays" (p - 1, p - 1)
+    (F.to_int_pair (F.of_raw (p - 1) (p - 1)));
+  Alcotest.check pair "p is 0" (0, 0) (F.to_int_pair (F.of_raw p p));
+  Alcotest.check pair "-1 is p - 1" (p - 1, 0)
+    (F.to_int_pair (F.of_raw (-1) 0));
+  Alcotest.check pair "min_int" (((min_int mod p) + p) mod p, 1)
+    (F.to_int_pair (F.of_raw min_int 1))
 
 let test_bits_size () =
   let k = F.key_of_seed 1 in
@@ -95,20 +126,29 @@ let qcheck_of_segment_matches_of_bits =
         (F.of_segment (F.key_of_seed seed) v seg)
         (Oracle.of_bits ~seed seg_bits))
 
-(* [of_segment] allocates only its result: the same words for an
-   8,192-bit segment as for a 16-bit one. *)
-let test_of_segment_allocation_constant () =
+(* A fingerprint is an immediate: [of_segment] allocates nothing
+   however long the segment, and neither does [of_raw]. *)
+let test_allocation_free () =
   let k = F.key_of_seed 5 in
   let v = B.create 8192 in
   for i = 1 to 8192 do
     if i mod 3 = 0 then B.set v i true
   done;
+  let sink = ref (F.of_raw 0 0) in
   let words seg =
-    Test_rng.minor_words_of (fun () -> ignore (F.of_segment k v seg))
+    Test_rng.minor_words_of (fun () -> sink := F.of_segment k v seg)
   in
   let small = words (I.make 100 115) and large = words (I.make 1 8192) in
-  Alcotest.(check (float 0.)) "8192-bit segment = 16-bit segment" small large;
-  Alcotest.(check bool) "a few words at most" true (large <= 8.)
+  Alcotest.(check (float 0.)) "of_segment, 16-bit segment" 0. small;
+  Alcotest.(check (float 0.)) "of_segment, 8192-bit segment" 0. large;
+  let raw =
+    Test_rng.minor_words_of (fun () ->
+        for i = 1 to 1000 do
+          sink := F.of_raw (i * 7919) (-i)
+        done)
+  in
+  Alcotest.(check (float 0.)) "1000 of_raw" 0. raw;
+  ignore (Sys.opaque_identity !sink)
 
 let suite =
   ( "fingerprint",
@@ -120,8 +160,10 @@ let suite =
       Alcotest.test_case "compare" `Quick test_compare_consistent;
       Alcotest.test_case "wire size" `Quick test_bits_size;
       Alcotest.test_case "of_segment allocation constant" `Quick
-        test_of_segment_allocation_constant;
+        test_allocation_free;
+      Alcotest.test_case "of_raw edges" `Quick test_raw_edges;
       QCheck_alcotest.to_alcotest qcheck_of_segment_matches_of_bits;
       QCheck_alcotest.to_alcotest qcheck_no_collision_random_pairs;
       QCheck_alcotest.to_alcotest qcheck_raw_roundtrip;
+      QCheck_alcotest.to_alcotest qcheck_compare_lexicographic;
     ] )

@@ -166,6 +166,44 @@ let test_no_kings_rejected () =
   Alcotest.check_raises "no kings" (Invalid_argument "Phase_king.run: no kings")
     (fun () -> ignore (Net.run ~ids ~program ()))
 
+(* Over {!Fake_committee}, where a round costs nothing itself, a
+   phase-king instance allocates a fixed set-up and nothing per phase:
+   a 4-member committee runs 2 phases, a 31-member one 11, on both the
+   strong path (every member heard, every phase decides by quorum) and
+   the weak one (only t + 1 heard, so every phase folds for the king's
+   value). *)
+let test_phase_allocation () =
+  let words ~strong phases =
+    let size = (3 * (phases - 1)) + 1 in
+    let members = List.init size (fun i -> (i * 5) + 3) in
+    let net =
+      Fake_committee.create ~me:(List.hd members) ~members
+        ~heard:(if strong then size else phases)
+        ~reply:(fun _ m -> m)
+    in
+    let run () =
+      ignore
+        (PK.run ~net ~embed:Option.some ~project:Fun.id ~kings:members
+           ~input:true)
+    in
+    (* The net allocates its kept-message buffer on its first message. *)
+    run ();
+    Test_rng.minor_words_of run
+  in
+  (* 0 when recorded, with a fixed 57 words per instance on either
+     path; before the instance's vocabulary was built once, every phase
+     built [Vote]/[Propose] constructors, a [projects_to] closure per
+     count and a king-fold closure. *)
+  List.iter
+    (fun strong ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "minor words per phase, %s path"
+           (if strong then "strong" else "weak"))
+        0.
+        (Fake_committee.words_per_phase ~words:(words ~strong) ~short:2
+           ~long:11))
+    [ true; false ]
+
 let suite =
   ( "phase_king",
     [
@@ -173,5 +211,6 @@ let suite =
         test_all_same_input_sticks;
       Alcotest.test_case "round accounting" `Quick test_rounds_needed;
       Alcotest.test_case "kings required" `Quick test_no_kings_rejected;
+      Alcotest.test_case "phase allocation" `Quick test_phase_allocation;
       QCheck_alcotest.to_alcotest qcheck_agreement_validity;
     ] )

@@ -203,19 +203,19 @@ let config_frame =
   Wire.Writer.add_gamma w 0;
   Wire.Writer.contents w
 
-(* A coordinator reply: payload table of raw (bytes, bits) entries, the
+(* A coordinator reply for [round]: payload table of raw (bytes, bits) entries, the
    broadcast rows as (source slot, index) pairs, the destination lists
    as slot lists, and the records: [`Fan (src, list, index)] or
    [`Batch (src, list, indices)], the batch's payload count taken from
    its indices. *)
-let reply_frame ~table ~bcast ~lists ~records =
+let reply_frame_at ~round ~table ~bcast ~lists ~records =
   let w = Wire.Writer.create () in
   let gammas = List.iter (Wire.Writer.add_gamma w) in
   let counted l =
     Wire.Writer.add_gamma w (List.length l);
     gammas l
   in
-  gammas [ 0; 0; List.length table ];
+  gammas [ round; 0; List.length table ];
   List.iter (add_msg w) table;
   Wire.Writer.add_gamma w (List.length bcast);
   List.iter (fun (src, k) -> gammas [ src; k ]) bcast;
@@ -230,6 +230,9 @@ let reply_frame ~table ~bcast ~lists ~records =
           counted ks)
     records;
   Wire.Writer.contents w
+
+(* Round 0's. *)
+let reply_frame = reply_frame_at ~round:0
 
 let stop_frame ~round =
   let w = Wire.Writer.create () in
@@ -617,6 +620,92 @@ let test_codec_roundtrips () =
       BZ.Msg.New (Some 12);
     ]
 
+(* [wait_for_mail] on the host: a slot asleep through empty rounds
+   stages the empty batch a [skip_round] would, so the host's frames
+   are byte-equal to a skip loop's. Slot 1 (id 10) skips three rounds,
+   broadcasts [Ping 5] and returns; slots 0 and 2 wait, answer a mail
+   with one exchange and stop at [Ping 5]. The scripted coordinator
+   fans [Ping 9] from slot 1 to slot 0 in round 1 and broadcasts slot
+   1's [Ping 5] in round 3, so slot 0 sleeps through rounds 0 and 3 and
+   slot 2 through rounds 0–2. *)
+let test_host_wait_for_mail_frames () =
+  let empty round =
+    reply_frame_at ~round ~table:[] ~bcast:[] ~lists:[] ~records:[]
+  in
+  let replies =
+    [
+      empty 0;
+      reply_frame_at ~round:1 ~table:[ TMsg.encode (Ping 9) ] ~bcast:[]
+        ~lists:[ [ 0 ] ] ~records:[ `Fan (1, 0, 0) ];
+      empty 2;
+      reply_frame_at ~round:3 ~table:[ TMsg.encode (Ping 5) ]
+        ~bcast:[ (1, 0) ] ~lists:[] ~records:[];
+      stop_frame ~round:4;
+    ]
+  in
+  let host_frames wait =
+    let mails = ref [] and empties = ref 0 in
+    let program ~extra:_ ctx =
+      let me = H.my_id ctx in
+      if me = 10 then begin
+        for _ = 1 to 3 do
+          ignore (H.skip_round ctx)
+        done;
+        ignore (H.broadcast ctx (TMsg.Ping 5));
+        0
+      end
+      else
+        let rec loop () =
+          let inbox = wait ctx in
+          let pairs =
+            List.map (fun (src, TMsg.Ping v) -> (src, v)) (H.Inbox.pairs inbox)
+          in
+          match pairs with
+          | [] ->
+              incr empties;
+              loop ()
+          | (src, _) :: _ ->
+              mails := (me, H.round ctx, pairs) :: !mails;
+              if List.exists (fun (_, v) -> v = 5) pairs then me
+              else begin
+                ignore (H.exchange ctx [ (src, TMsg.Ping me) ]);
+                loop ()
+              end
+        in
+        loop ()
+    in
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float a Unix.SO_RCVTIMEO 10.;
+    Unix.setsockopt_float b Unix.SO_RCVTIMEO 10.;
+    let io = Frame.io_of_fd a in
+    List.iter (Frame.write_frame io) (config_frame :: replies);
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close a;
+        Unix.close b)
+      (fun () ->
+        H.run ~fd:b ~host_index:0 ~program;
+        (* The hello, then one round frame per reply. *)
+        let frames =
+          List.map (fun _ -> Frame.read_frame io) (config_frame :: replies)
+        in
+        (frames, List.rev !mails, !empties))
+  in
+  let rec skip_loop ctx =
+    let inbox = H.skip_round ctx in
+    if H.Inbox.length inbox = 0 then skip_loop ctx else inbox
+  in
+  let skip_frames, skip_mails, _ = host_frames skip_loop in
+  let frames, mails, empties = host_frames H.wait_for_mail in
+  Alcotest.(check (list string)) "frames byte-equal" skip_frames frames;
+  Alcotest.(check (list (triple int int (list (pair int int)))))
+    "mail" skip_mails mails;
+  Alcotest.(check (list (triple int int (list (pair int int)))))
+    "mail as scripted"
+    [ (30, 2, [ (10, 9) ]); (30, 4, [ (10, 5) ]); (20, 4, [ (10, 5) ]) ]
+    mails;
+  Alcotest.(check int) "no wait_for_mail returned an empty inbox" 0 empties
+
 (* The host's side of the round hand-off, measured like the engine's
    (test_engine.ml): nodes cycle through [skip_round], [broadcast] and
    [exchange_sized] over arrays and messages kept for the whole run, and
@@ -713,6 +802,8 @@ let suite =
         test_host_rejects_non_participant;
       Alcotest.test_case "host checks an exchange_sized batch" `Quick
         test_host_checks_exchange_sized;
+      Alcotest.test_case "host wait_for_mail frames = skip loop's" `Quick
+        test_host_wait_for_mail_frames;
       Alcotest.test_case "host hand-off allocation" `Quick
         test_host_handoff_allocation;
     ] )

@@ -136,10 +136,78 @@ let test_rounds () =
       | _ -> Alcotest.fail "should decide")
     res.Engine.outcomes
 
+(* [reply] for {!Fake_committee}: member [i]'s input is [inputs.(i)] and
+   its lock [locks.(i)], whatever this node sent. *)
+let scripted ~inputs ~locks i = function
+  | Some (V.Input _) -> inputs.(i)
+  | _ -> locks.(i)
+
+(* The validator tallies in two arrays allocated once per run: its words
+   do not grow with the number of kept messages, here 1, 4 and 16 of a
+   16-member committee's inputs spread over three values. *)
+let test_tally_allocation () =
+  let size = 16 in
+  let members = List.init size (fun i -> i + 1) in
+  let inputs = Array.init size (fun i -> Some (V.Input (i mod 3))) in
+  let locks = Array.make size (Some (V.Lock None)) in
+  let words heard =
+    let net =
+      Fake_committee.create ~me:1 ~members ~heard
+        ~reply:(scripted ~inputs ~locks)
+    in
+    let run () =
+      ignore
+        (V.run ~net ~embed:Option.some ~project:Fun.id ~equal:Int.equal
+           ~input:0)
+    in
+    run ();
+    Test_rng.minor_words_of run
+  in
+  let one = words 1 in
+  (* Equal when recorded; the group list rebuilt on every kept message
+     added about 6 words per message. *)
+  List.iter
+    (fun heard ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "words with %d kept messages = with 1" heard)
+        one (words heard))
+    [ 4; 16 ]
+
+(* The largest group wins and, on equal counts, the one seen first:
+   13 members (t = 4, quorum 9), five locks each on 7 and 5, so the
+   value is graded [same = false] and taken from the first lock in
+   inbox order. *)
+let test_tie_goes_to_first_seen () =
+  let size = 13 in
+  let members = List.init size (fun i -> i + 1) in
+  let inputs = Array.make size (Some (V.Input 0)) in
+  let outcome order =
+    let locks =
+      Array.init size (fun i ->
+          Some (V.Lock (if i < 10 then Some (List.nth order i) else None)))
+    in
+    let net =
+      Fake_committee.create ~me:1 ~members ~heard:size
+        ~reply:(scripted ~inputs ~locks)
+    in
+    V.run ~net ~embed:Option.some ~project:Fun.id ~equal:Int.equal ~input:0
+  in
+  let check name order expect =
+    let r = outcome order in
+    Alcotest.(check bool) (name ^ ": same") false r.V.same;
+    Alcotest.(check int) (name ^ ": value") expect r.V.value
+  in
+  check "7 first" [ 7; 5; 5; 7; 7; 5; 5; 7; 7; 5 ] 7;
+  check "5 first" [ 5; 7; 7; 5; 5; 7; 7; 5; 5; 7 ] 5;
+  check "larger group wins" [ 5; 7; 7; 7; 7; 5; 5; 7; 5; 7 ] 7
+
 let suite =
   ( "validator",
     [
       Alcotest.test_case "unanimous inputs" `Quick test_unanimous;
       Alcotest.test_case "round accounting" `Quick test_rounds;
+      Alcotest.test_case "tally allocation" `Quick test_tally_allocation;
+      Alcotest.test_case "tie goes to the first seen" `Quick
+        test_tie_goes_to_first_seen;
       QCheck_alcotest.to_alcotest qcheck_lemma;
     ] )
