@@ -1,8 +1,8 @@
-let run ~net ~embed ~project ~coin ~horizon ~input =
+let run ~net ~msgs ~coin ~horizon ~input =
   let t = Committee_net.fault_threshold net in
   let quorum = Committee_net.quorum net in
   (* Built once per instance: a phase allocates nothing. *)
-  let c = Phase_king.instance ~embed ~project in
+  let c = Phase_king.counter msgs in
   let v = ref input in
   let decided = ref None in
   for phase = 1 to horizon do
@@ -10,7 +10,7 @@ let run ~net ~embed ~project ~coin ~horizon ~input =
        yields a proposal. As in phase-king, two correct members can never
        propose different values (their quorums would intersect in more
        than t equivocators). *)
-    Committee_net.broadcast net (Phase_king.vote c !v);
+    Committee_net.broadcast net (msgs.Phase_king.vote !v);
     let proposal =
       if Phase_king.votes net c true >= quorum then Some true
       else if Phase_king.votes net c false >= quorum then Some false
@@ -20,7 +20,7 @@ let run ~net ~embed ~project ~coin ~horizon ~input =
        otherwise the shared coin breaks the symmetry — matching the
        unique proposable value with probability 1/2. *)
     (match proposal with
-    | Some b -> Committee_net.broadcast net (Phase_king.propose c b)
+    | Some b -> Committee_net.broadcast net (msgs.Phase_king.propose b)
     | None -> Committee_net.silent_round net);
     let supported =
       if Phase_king.proposals net c true > t then Some true

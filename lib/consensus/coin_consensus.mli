@@ -24,13 +24,12 @@
     - {e lock-step}: every correct member consumes exactly
       [2 · horizon] network rounds.
 
-    Message shapes are shared with {!Phase_king} ([Vote]/[Propose]; the
-    [King] constructor is never sent). *)
+    Messages are built and read through {!Phase_king.msgs} ([Vote] and
+    [Propose]; no [King] message is ever sent). *)
 
 val run :
   net:'m Committee_net.t ->
-  embed:(Phase_king.msg -> 'm) ->
-  project:('m -> Phase_king.msg option) ->
+  msgs:'m Phase_king.msgs ->
   coin:(int -> bool) ->
   horizon:int ->
   input:bool ->

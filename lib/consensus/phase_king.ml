@@ -1,37 +1,32 @@
-type msg = Vote of bool | Propose of bool | King of bool
+type kind = Vote | Propose | King | Other
 
-type 'm instance = {
-  vote_true : 'm;
-  vote_false : 'm;
-  propose_true : 'm;
-  propose_false : 'm;
+type 'm msgs = {
+  vote : bool -> 'm;
+  propose : bool -> 'm;
+  king : bool -> 'm;
+  kind : 'm -> kind;
+  bit : 'm -> bool;
+}
+
+type 'm counter = {
   voted_true : 'm -> bool;
   voted_false : 'm -> bool;
   proposed_true : 'm -> bool;
   proposed_false : 'm -> bool;
 }
 
-(* Built once per instance: the four embedded messages and the four
-   counting predicates, so no phase builds a constructor or a closure. *)
-let instance ~embed ~project =
+(* One-argument closures, not partial applications of one predicate: a
+   count calls one per kept message, where a curried call is slower. *)
+let counter c =
   {
-    vote_true = embed (Vote true);
-    vote_false = embed (Vote false);
-    propose_true = embed (Propose true);
-    propose_false = embed (Propose false);
-    voted_true =
-      (fun m -> match project m with Some (Vote true) -> true | _ -> false);
+    voted_true = (fun m -> match c.kind m with Vote -> c.bit m | _ -> false);
     voted_false =
-      (fun m -> match project m with Some (Vote false) -> true | _ -> false);
+      (fun m -> match c.kind m with Vote -> not (c.bit m) | _ -> false);
     proposed_true =
-      (fun m -> match project m with Some (Propose true) -> true | _ -> false);
+      (fun m -> match c.kind m with Propose -> c.bit m | _ -> false);
     proposed_false =
-      (fun m ->
-        match project m with Some (Propose false) -> true | _ -> false);
+      (fun m -> match c.kind m with Propose -> not (c.bit m) | _ -> false);
   }
-
-let vote c b = if b then c.vote_true else c.vote_false
-let propose c b = if b then c.propose_true else c.propose_false
 
 let votes net c b =
   Committee_net.count net (if b then c.voted_true else c.voted_false)
@@ -39,7 +34,7 @@ let votes net c b =
 let proposals net c b =
   Committee_net.count net (if b then c.proposed_true else c.proposed_false)
 
-let run ~net ~embed ~project ~kings ~input =
+let run ~net ~msgs ~kings ~input =
   let t = Committee_net.fault_threshold net in
   let quorum = Committee_net.quorum net in
   (match kings with
@@ -47,8 +42,7 @@ let run ~net ~embed ~project ~kings ~input =
   | _ when List.compare_length_with kings (t + 1) < 0 ->
       invalid_arg "Phase_king.run: fewer than t+1 kings"
   | _ -> ());
-  let c = instance ~embed ~project in
-  let king_true = embed (King true) and king_false = embed (King false) in
+  let c = counter msgs in
   (* The king fold is built once too: the phase's king is read from
      [king], and the value it circulated comes back as a static
      option. *)
@@ -56,16 +50,15 @@ let run ~net ~embed ~project ~kings ~input =
   let from_king acc ~src m =
     if src <> !king then acc
     else
-      match project m with
-      | Some (King true) -> Some true
-      | Some (King false) -> Some false
-      | _ -> acc
+      match msgs.kind m with
+      | King -> if msgs.bit m then Some true else Some false
+      | Vote | Propose | Other -> acc
   in
   (* Phases [i = 0 .. t], one per king, in the agreed king order. *)
   let rec phases v i = function
     | k :: kings when i <= t ->
         (* Round 1: universal exchange of current values. *)
-        Committee_net.broadcast net (vote c v);
+        Committee_net.broadcast net (msgs.vote v);
         let proposal =
           if votes net c true >= quorum then Some true
           else if votes net c false >= quorum then Some false
@@ -76,7 +69,7 @@ let run ~net ~embed ~project ~kings ~input =
            values (two quorums of voters intersect in > t senders, who
            would all have had to equivocate). *)
         (match proposal with
-        | Some b -> Committee_net.broadcast net (propose c b)
+        | Some b -> Committee_net.broadcast net (msgs.propose b)
         | None -> Committee_net.silent_round net);
         let supported =
           if proposals net c true > t then Some true
@@ -92,7 +85,7 @@ let run ~net ~embed ~project ~kings ~input =
         (* Round 3: the phase king circulates its value; members without
            a strong quorum adopt it. *)
         if Committee_net.me net = k then
-          Committee_net.broadcast net (if v then king_true else king_false)
+          Committee_net.broadcast net (msgs.king v)
         else Committee_net.silent_round net;
         let v =
           if strong then v

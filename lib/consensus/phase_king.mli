@@ -14,52 +14,38 @@
     - {e lock-step}: every correct member consumes exactly [3 · (t + 1)]
       network rounds. *)
 
-type msg = Vote of bool | Propose of bool | King of bool
+type kind = Vote | Propose | King | Other
 
-
-type 'm instance = {
-  vote_true : 'm;
-  vote_false : 'm;
-  propose_true : 'm;
-  propose_false : 'm;
-  voted_true : 'm -> bool;
-  voted_false : 'm -> bool;
-  proposed_true : 'm -> bool;
-  proposed_false : 'm -> bool;
+type 'm msgs = {
+  vote : bool -> 'm;
+  propose : bool -> 'm;
+  king : bool -> 'm;
+  kind : 'm -> kind;
+  bit : 'm -> bool;
 }
-(** One consensus instance's vocabulary, shared with {!Coin_consensus}:
-    the embedded [Vote]/[Propose] messages and the predicates "projects
-    to exactly this message" that count them. Built once per instance,
-    so a phase allocates no constructor and no closure. *)
+(** How an instance builds and reads the outer protocol's messages,
+    shared with {!Coin_consensus}: [kind m] is [Other] for any foreign
+    message, and [bit m] is the bit a consensus message carries. A phase
+    calls them per kept message and vote, so none should allocate. *)
 
-val instance : embed:(msg -> 'm) -> project:('m -> msg option) -> 'm instance
+type 'm counter
+(** The vote and proposal counting predicates over one [msgs], built
+    once per instance so that a phase allocates no closure. *)
 
-val vote : 'm instance -> bool -> 'm
-(** The embedded [Vote b]. *)
+val counter : 'm msgs -> 'm counter
 
-val propose : 'm instance -> bool -> 'm
-(** The embedded [Propose b]. *)
+val votes : 'm Committee_net.t -> 'm counter -> bool -> int
+(** Kept messages of the last round that are a [Vote] for [b]. *)
 
-val votes : 'm Committee_net.t -> 'm instance -> bool -> int
-(** Kept messages of the last round that project to [Vote b]. *)
-
-val proposals : 'm Committee_net.t -> 'm instance -> bool -> int
-(** Kept messages of the last round that project to [Propose b]. *)
+val proposals : 'm Committee_net.t -> 'm counter -> bool -> int
+(** Kept messages of the last round that are a [Propose] for [b]. *)
 
 val run :
-  net:'m Committee_net.t ->
-  embed:(msg -> 'm) ->
-  project:('m -> msg option) ->
-  kings:int list ->
-  input:bool ->
-  bool
-(** [run ~net ~embed ~project ~kings ~input] executes one consensus
-    instance. [kings] must contain at least [t + 1] identities agreed by
-    all correct members (the shared-randomness king order of the pool);
-    extra entries are ignored. [embed]/[project] splice the consensus
-    messages into the outer protocol's message type; foreign messages
-    arriving mid-instance are ignored via [project].
+  net:'m Committee_net.t -> msgs:'m msgs -> kings:int list -> input:bool -> bool
+(** [run ~net ~msgs ~kings ~input] executes one consensus instance.
+    [kings] must contain at least [t + 1] identities agreed by all
+    correct members (the shared-randomness king order of the pool);
+    extra entries are ignored, as are [Other] messages.
 
-    Allocation is per instance, not per phase: the vocabulary, the two
-    embedded [King] messages and the king fold are built once, and
-    [kings] is walked in place. *)
+    Allocation is per instance, not per phase: the counter and the king
+    fold are built once, and [kings] is walked in place. *)

@@ -13,14 +13,25 @@
     Two rounds, [O(committee^2)] messages of [O(logN)] bits — the
     [O(ĉ_g^2)] budget of the lemma. *)
 
-type 'v msg = Input of 'v | Lock of 'v option
+type kind = Input | Lock | Other
 
-type 'v result = { same : bool; value : 'v }
+type 'm msgs = {
+  kind : 'm -> kind;
+  same_value : 'm -> 'm -> bool;
+  lock : 'm -> 'm;
+  lock_none : 'm;
+}
+(** How a run reads and builds the outer protocol's messages. [kind m]
+    is [Lock] only for a lock that carries a value: an empty lock is
+    [Other], as is every foreign message. [same_value] compares the
+    values two [Input]/[Lock] messages carry, of either kind. [lock m]
+    is the lock carrying input [m]'s value. [kind] and [same_value] run
+    on every kept message, so they should not allocate. *)
 
-val run :
-  net:'m Committee_net.t ->
-  embed:('v msg -> 'm) ->
-  project:('m -> 'v msg option) ->
-  equal:('v -> 'v -> bool) ->
-  input:'v ->
-  'v result
+type 'm result = { same : bool; value : 'm }
+
+val run : net:'m Committee_net.t -> msgs:'m msgs -> input:'m -> 'm result
+(** [input] is this member's input message, and [value] the [Input] or
+    [Lock] message that carries the output. A round tallies the kept
+    messages themselves in committee-sized arrays allocated once per
+    run: the largest group wins, on equal counts the one seen first. *)

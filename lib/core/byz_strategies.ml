@@ -4,8 +4,6 @@ module Net = Byzantine_renaming.Net
 module Rng = Repro_util.Rng
 module Fingerprint = Repro_crypto.Fingerprint
 module Committee_pool = Repro_crypto.Committee_pool
-module Phase_king = Repro_consensus.Phase_king
-module Validator = Repro_consensus.Validator
 
 module Sends = Net.Sends
 
@@ -21,9 +19,9 @@ type face = { vote : Msg.t; propose : Msg.t; king : Msg.t; diff : Msg.t }
 
 let face b =
   {
-    vote = Msg.Pk (Phase_king.Vote b);
-    propose = Msg.Pk (Phase_king.Propose b);
-    king = Msg.Pk (Phase_king.King b);
+    vote = Msg.Pk_vote b;
+    propose = Msg.Pk_propose b;
+    king = Msg.Pk_king b;
     diff = Msg.Diff b;
   }
 
@@ -96,24 +94,23 @@ let election_round_out candidate buf ~byz_id ~ids =
       Sends.add buf ids.(i) Msg.Elect
     done
 
+(* Constructor arguments evaluate right to left: a validator message
+   draws its count, then the fingerprint's second value, then its first. *)
 let random_msg rng namespace =
   match Rng.int rng 8 with
-  | 0 -> Msg.Pk (Phase_king.Vote (Rng.bool rng))
-  | 1 -> Msg.Pk (Phase_king.Propose (Rng.bool rng))
-  | 2 -> Msg.Pk (Phase_king.King (Rng.bool rng))
+  | 0 -> Msg.Pk_vote (Rng.bool rng)
+  | 1 -> Msg.Pk_propose (Rng.bool rng)
+  | 2 -> Msg.Pk_king (Rng.bool rng)
   | 3 ->
-      Msg.Vld
-        (Validator.Input
-           ( Fingerprint.of_raw (Rng.int rng max_int) (Rng.int rng max_int),
-             Rng.int rng namespace ))
+      Msg.Vld_input
+        ( Fingerprint.of_raw (Rng.int rng max_int) (Rng.int rng max_int),
+          Rng.int rng namespace )
   | 4 ->
-      Msg.Vld
-        (Validator.Lock
-           (if Rng.bool rng then None
-            else
-              Some
-                ( Fingerprint.of_raw (Rng.int rng max_int) (Rng.int rng max_int),
-                  Rng.int rng namespace )))
+      if Rng.bool rng then Msg.Vld_lock_none
+      else
+        Msg.Vld_lock
+          ( Fingerprint.of_raw (Rng.int rng max_int) (Rng.int rng max_int),
+            Rng.int rng namespace )
   | 5 -> Msg.Diff (Rng.bool rng)
   | 6 -> Msg.New (Some (1 + Rng.int rng namespace))
   | _ -> Msg.New None
@@ -184,10 +181,9 @@ let split_world_of candidate (params : B.params) ~rng ~ids :
         Sends.add buf m f.vote;
         Sends.add buf m f.propose;
         Sends.add buf m f.king;
-        Sends.add buf m (Msg.Vld (Validator.Input (fake, count)));
+        Sends.add buf m (Msg.Vld_input (fake, count));
         Sends.add buf m
-          (if shown then Msg.Vld (Validator.Lock (Some (fake, 0)))
-           else Msg.Vld (Validator.Lock None));
+          (if shown then Msg.Vld_lock (fake, 0) else Msg.Vld_lock_none);
         Sends.add buf m f.diff
       done;
       (* Fake NEW identities pushed at a few random nodes, trying to

@@ -11,11 +11,17 @@ module Msg = struct
   type t =
     | Elect
     | Announce
-    | Pk of Phase_king.msg
-    | Vld of (Fingerprint.t * int) Validator.msg
-    | VldRaw of (string * int) Validator.msg
+    | Pk_vote of bool
+    | Pk_propose of bool
+    | Pk_king of bool
+    | Vld_input of Fingerprint.t * int
+    | Vld_lock of Fingerprint.t * int
+    | Vld_lock_none
+    | Vld_raw_input of string * int
         (* ship-segments ablation: the validator value is the raw packed
            segment itself plus its one-count *)
+    | Vld_raw_lock of string * int
+    | Vld_raw_lock_none
     | Diff of bool
     | New of int option
 
@@ -25,17 +31,14 @@ module Msg = struct
      payload written by [encode]; each message is O(log N) bits. *)
   let bits = function
     | Elect | Announce -> 3
-    | Pk _ -> 3 + 3
-    | Vld (Validator.Input (fp, cnt)) ->
-        3 + 1 + Fingerprint.bits fp + W.gamma_bits cnt
-    | Vld (Validator.Lock None) -> 3 + 2
-    | Vld (Validator.Lock (Some (fp, cnt))) ->
-        3 + 2 + Fingerprint.bits fp + W.gamma_bits cnt
-    | VldRaw (Validator.Input (s, cnt)) ->
+    | Pk_vote _ | Pk_propose _ | Pk_king _ -> 3 + 3
+    | Vld_input (fp, cnt) -> 3 + 1 + Fingerprint.bits fp + W.gamma_bits cnt
+    | Vld_lock_none | Vld_raw_lock_none -> 3 + 2
+    | Vld_lock (fp, cnt) -> 3 + 2 + Fingerprint.bits fp + W.gamma_bits cnt
+    | Vld_raw_input (s, cnt) ->
         3 + 1 + W.gamma_bits (String.length s) + (8 * String.length s)
         + W.gamma_bits cnt
-    | VldRaw (Validator.Lock None) -> 3 + 2
-    | VldRaw (Validator.Lock (Some (s, cnt))) ->
+    | Vld_raw_lock (s, cnt) ->
         3 + 2 + W.gamma_bits (String.length s) + (8 * String.length s)
         + W.gamma_bits cnt
     | Diff _ -> 3 + 1
@@ -63,48 +66,36 @@ module Msg = struct
 
   let tag w t = W.Writer.add_fixed w t ~width:3
 
+  (* A phase-king message: tag 2, a 2-bit kind and the bit. *)
+  let write_pk w sub b =
+    tag w 2;
+    W.Writer.add_fixed w sub ~width:2;
+    W.Writer.add_bit w b
+
+  (* A validator message's head under tag [t]: 0 for an input, 10 for
+     an empty lock, 11 for a lock that carries a value. *)
+  let write_vld w t sub =
+    tag w t;
+    W.Writer.add_bit w (sub > 0);
+    if sub > 0 then W.Writer.add_bit w (sub > 1)
+
   let write w m =
     match m with
     | Elect -> tag w 0
     | Announce -> tag w 1
-    | Pk pk ->
-        tag w 2;
-        let sub, b =
-          match pk with
-          | Phase_king.Vote b -> (0, b)
-          | Phase_king.Propose b -> (1, b)
-          | Phase_king.King b -> (2, b)
-        in
-        W.Writer.add_fixed w sub ~width:2;
-        W.Writer.add_bit w b
-    | Vld (Validator.Input (fp, cnt)) ->
-        tag w 3;
-        W.Writer.add_bit w false;
+    | Pk_vote b -> write_pk w 0 b
+    | Pk_propose b -> write_pk w 1 b
+    | Pk_king b -> write_pk w 2 b
+    | Vld_input (fp, cnt) | Vld_lock (fp, cnt) ->
+        write_vld w 3 (match m with Vld_input _ -> 0 | _ -> 2);
         write_fp w fp;
         W.Writer.add_gamma w cnt
-    | Vld (Validator.Lock lock) -> (
-        tag w 3;
-        W.Writer.add_bit w true;
-        match lock with
-        | None -> W.Writer.add_bit w false
-        | Some (fp, cnt) ->
-            W.Writer.add_bit w true;
-            write_fp w fp;
-            W.Writer.add_gamma w cnt)
-    | VldRaw (Validator.Input (s, cnt)) ->
-        tag w 6;
-        W.Writer.add_bit w false;
+    | Vld_lock_none -> write_vld w 3 1
+    | Vld_raw_input (s, cnt) | Vld_raw_lock (s, cnt) ->
+        write_vld w 6 (match m with Vld_raw_input _ -> 0 | _ -> 2);
         write_raw w s;
         W.Writer.add_gamma w cnt
-    | VldRaw (Validator.Lock lock) -> (
-        tag w 6;
-        W.Writer.add_bit w true;
-        match lock with
-        | None -> W.Writer.add_bit w false
-        | Some (s, cnt) ->
-            W.Writer.add_bit w true;
-            write_raw w s;
-            W.Writer.add_gamma w cnt)
+    | Vld_raw_lock_none -> write_vld w 6 1
     | Diff b ->
         tag w 4;
         W.Writer.add_bit w b
@@ -124,22 +115,22 @@ module Msg = struct
         let sub = W.Reader.read_fixed r ~width:2 in
         let b = W.Reader.read_bit r in
         match sub with
-        | 0 -> Pk (Phase_king.Vote b)
-        | 1 -> Pk (Phase_king.Propose b)
-        | 2 -> Pk (Phase_king.King b)
+        | 0 -> Pk_vote b
+        | 1 -> Pk_propose b
+        | 2 -> Pk_king b
         | _ -> invalid_arg "Byzantine_renaming.Msg.read: phase-king tag")
     | 3 ->
         if W.Reader.read_bit r then
           if W.Reader.read_bit r then begin
             let fp = read_fp r in
             let cnt = W.Reader.read_gamma r in
-            Vld (Validator.Lock (Some (fp, cnt)))
+            Vld_lock (fp, cnt)
           end
-          else Vld (Validator.Lock None)
+          else Vld_lock_none
         else begin
           let fp = read_fp r in
           let cnt = W.Reader.read_gamma r in
-          Vld (Validator.Input (fp, cnt))
+          Vld_input (fp, cnt)
         end
     | 4 -> Diff (W.Reader.read_bit r)
     | 5 ->
@@ -150,13 +141,13 @@ module Msg = struct
           if W.Reader.read_bit r then begin
             let s = read_raw r in
             let cnt = W.Reader.read_gamma r in
-            VldRaw (Validator.Lock (Some (s, cnt)))
+            Vld_raw_lock (s, cnt)
           end
-          else VldRaw (Validator.Lock None)
+          else Vld_raw_lock_none
         else begin
           let s = read_raw r in
           let cnt = W.Reader.read_gamma r in
-          VldRaw (Validator.Input (s, cnt))
+          Vld_raw_input (s, cnt)
         end
     | _ -> invalid_arg "Byzantine_renaming.Msg.read: tag"
 
@@ -166,18 +157,18 @@ module Msg = struct
   let pp ppf = function
     | Elect -> Format.fprintf ppf "elect"
     | Announce -> Format.fprintf ppf "announce"
-    | Pk (Phase_king.Vote b) -> Format.fprintf ppf "pk-vote(%b)" b
-    | Pk (Phase_king.Propose b) -> Format.fprintf ppf "pk-propose(%b)" b
-    | Pk (Phase_king.King b) -> Format.fprintf ppf "pk-king(%b)" b
-    | Vld (Validator.Input (fp, cnt)) ->
+    | Pk_vote b -> Format.fprintf ppf "pk-vote(%b)" b
+    | Pk_propose b -> Format.fprintf ppf "pk-propose(%b)" b
+    | Pk_king b -> Format.fprintf ppf "pk-king(%b)" b
+    | Vld_input (fp, cnt) ->
         Format.fprintf ppf "vld-input(%a,%d)" Fingerprint.pp fp cnt
-    | Vld (Validator.Lock None) -> Format.fprintf ppf "vld-lock(-)"
-    | Vld (Validator.Lock (Some (fp, cnt))) ->
+    | Vld_lock_none -> Format.fprintf ppf "vld-lock(-)"
+    | Vld_lock (fp, cnt) ->
         Format.fprintf ppf "vld-lock(%a,%d)" Fingerprint.pp fp cnt
-    | VldRaw (Validator.Input (s, cnt)) ->
+    | Vld_raw_input (s, cnt) ->
         Format.fprintf ppf "vldraw-input(%d bytes,%d)" (String.length s) cnt
-    | VldRaw (Validator.Lock None) -> Format.fprintf ppf "vldraw-lock(-)"
-    | VldRaw (Validator.Lock (Some (s, cnt))) ->
+    | Vld_raw_lock_none -> Format.fprintf ppf "vldraw-lock(-)"
+    | Vld_raw_lock (s, cnt) ->
         Format.fprintf ppf "vldraw-lock(%d bytes,%d)" (String.length s) cnt
     | Diff b -> Format.fprintf ppf "diff(%b)" b
     | New None -> Format.fprintf ppf "new(null)"
@@ -185,15 +176,6 @@ module Msg = struct
 end
 
 module Net = Repro_sim.Engine.Make (Msg)
-
-(* Interned message values (the crash protocol's verdict-interning
-   mechanism, applied to this protocol's shareable payloads): module-
-   level constants are static data, so the hot paths below ship one
-   physical value instead of allocating a constructor per recipient —
-   and the engine's physical-equality size memo prices each once. *)
-let msg_new_null = Msg.New None
-let msg_diff_true = Msg.Diff true
-let msg_diff_false = Msg.Diff false
 
 type committee_mode = Shared_pool | Everyone | Local_coin of float
 type reconcile_mode = Fingerprint_dnc | Ship_segments
@@ -232,48 +214,66 @@ let pool_of_params params ~n =
   Committee_pool.create ~seed:params.shared_seed ~namespace:params.namespace
     ~p0:(p0_of_params params ~n)
 
-(* Embedding of the consensus sub-protocols into the wire message type.
-   A phase-king message is one of six values, so both directions are
-   interned: the embedding returns one static message per value (one
-   physical payload per round for the engine's size memo) and the
-   projection one static option, so counting votes allocates nothing. *)
-let pk_vote_true = Msg.Pk (Phase_king.Vote true)
-let pk_vote_false = Msg.Pk (Phase_king.Vote false)
-let pk_propose_true = Msg.Pk (Phase_king.Propose true)
-let pk_propose_false = Msg.Pk (Phase_king.Propose false)
-let pk_king_true = Msg.Pk (Phase_king.King true)
-let pk_king_false = Msg.Pk (Phase_king.King false)
-let some_vote_true = Some (Phase_king.Vote true)
-let some_vote_false = Some (Phase_king.Vote false)
-let some_propose_true = Some (Phase_king.Propose true)
-let some_propose_false = Some (Phase_king.Propose false)
-let some_king_true = Some (Phase_king.King true)
-let some_king_false = Some (Phase_king.King false)
+(* How the consensus sub-protocols read and build this protocol's
+   messages. The readers look at a message in place, and every
+   phase-king message built is a static constant (one physical payload
+   per round for the engine's size memo), so reading a kept message or
+   casting a vote allocates nothing. *)
+let pk_msgs =
+  let pick yes no b = if b then yes else no in
+  {
+    Phase_king.vote = pick (Msg.Pk_vote true) (Msg.Pk_vote false);
+    propose = pick (Msg.Pk_propose true) (Msg.Pk_propose false);
+    king = pick (Msg.Pk_king true) (Msg.Pk_king false);
+    kind =
+      (function
+      | Msg.Pk_vote _ -> Phase_king.Vote
+      | Msg.Pk_propose _ -> Propose
+      | Msg.Pk_king _ -> King
+      | _ -> Other);
+    bit =
+      (function
+      | Msg.Pk_vote b | Msg.Pk_propose b | Msg.Pk_king b -> b | _ -> false);
+  }
 
-let pk_embed = function
-  | Phase_king.Vote true -> pk_vote_true
-  | Phase_king.Vote false -> pk_vote_false
-  | Phase_king.Propose true -> pk_propose_true
-  | Phase_king.Propose false -> pk_propose_false
-  | Phase_king.King true -> pk_king_true
-  | Phase_king.King false -> pk_king_false
+let vld_msgs =
+  {
+    Validator.kind =
+      (function
+      | Msg.Vld_input _ -> Validator.Input
+      | Msg.Vld_lock _ -> Lock
+      | _ -> Other);
+    same_value =
+      (fun a b ->
+        match (a, b) with
+        | ( (Msg.Vld_input (f1, c1) | Msg.Vld_lock (f1, c1)),
+            (Msg.Vld_input (f2, c2) | Msg.Vld_lock (f2, c2)) ) ->
+            Fingerprint.equal f1 f2 && Int.equal c1 c2
+        | _ -> false);
+    lock = (function Msg.Vld_input (fp, c) -> Msg.Vld_lock (fp, c) | m -> m);
+    lock_none = Msg.Vld_lock_none;
+  }
 
-let pk_project = function
-  | Msg.Pk (Phase_king.Vote true) -> some_vote_true
-  | Msg.Pk (Phase_king.Vote false) -> some_vote_false
-  | Msg.Pk (Phase_king.Propose true) -> some_propose_true
-  | Msg.Pk (Phase_king.Propose false) -> some_propose_false
-  | Msg.Pk (Phase_king.King true) -> some_king_true
-  | Msg.Pk (Phase_king.King false) -> some_king_false
-  | _ -> None
-
-let vld_embed m = Msg.Vld m
-let vld_project = function Msg.Vld m -> Some m | _ -> None
-let vldraw_embed m = Msg.VldRaw m
-let vldraw_project = function Msg.VldRaw m -> Some m | _ -> None
+let vld_raw_msgs =
+  {
+    Validator.kind =
+      (function
+      | Msg.Vld_raw_input _ -> Validator.Input
+      | Msg.Vld_raw_lock _ -> Lock
+      | _ -> Other);
+    same_value =
+      (fun a b ->
+        match (a, b) with
+        | ( (Msg.Vld_raw_input (s1, c1) | Msg.Vld_raw_lock (s1, c1)),
+            (Msg.Vld_raw_input (s2, c2) | Msg.Vld_raw_lock (s2, c2)) ) ->
+            String.equal s1 s2 && Int.equal c1 c2
+        | _ -> false);
+    lock =
+      (function Msg.Vld_raw_input (s, c) -> Msg.Vld_raw_lock (s, c) | m -> m);
+    lock_none = Msg.Vld_raw_lock_none;
+  }
 
 let is_diff_report = function Msg.Diff true -> true | _ -> false
-let fp_cnt_equal (f1, (c1 : int)) (f2, c2) = Fingerprint.equal f1 f2 && c1 = c2
 
 (* One binary-consensus instance. The coin variant derives its shared
    coin from (shared seed, instance nonce, phase); correct members run
@@ -284,7 +284,7 @@ let make_consensus params ~kings =
     incr nonce;
     match params.consensus with
     | Phase_king_consensus ->
-        Phase_king.run ~net ~embed:pk_embed ~project:pk_project ~kings ~input
+        Phase_king.run ~net ~msgs:pk_msgs ~kings ~input
     | Common_coin_consensus horizon ->
         let instance = !nonce in
         let coin phase =
@@ -295,8 +295,8 @@ let make_consensus params ~kings =
           in
           Repro_util.Rng.bool (Repro_util.Rng.of_seed seed)
         in
-        Repro_consensus.Coin_consensus.run ~net ~embed:pk_embed
-          ~project:pk_project ~coin ~horizon ~input
+        Repro_consensus.Coin_consensus.run ~net ~msgs:pk_msgs ~coin ~horizon
+          ~input
 
 (* The committee member's main loop: divide-and-conquer consensus on the
    identity list (Figure 4, lines 16-31). Returns the reconciled list and
@@ -329,38 +329,37 @@ let reconcile_identity_list ~mode ~consensus ~net ~key ~namespace l =
       let success =
         match mode with
         | Fingerprint_dnc ->
-            let fp = Fingerprint.of_segment key l j in
-            let cnt = Bitvec.count l j in
+            let mine =
+              Msg.Vld_input (Fingerprint.of_segment key l j, Bitvec.count l j)
+            in
             (* Agree on the (fingerprint, count) tuple via the weak
                validator, then on whether everyone held the same tuple. *)
-            let v =
-              Validator.run ~net ~embed:vld_embed ~project:vld_project
-                ~equal:fp_cnt_equal ~input:(fp, cnt)
-            in
+            let v = Validator.run ~net ~msgs:vld_msgs ~input:mine in
             let same' = consensus net v.Validator.same in
             if not same' then false
             else begin
-              let ((_, cnt') as agreed) = v.Validator.value in
-              let diff_v = not (fp_cnt_equal (fp, cnt) agreed) in
+              let diff_v = not (vld_msgs.same_value mine v.Validator.value) in
               (* One round of diff reports: if more members than the
                  fault bound report a mismatch, at least one correct
                  member truly differs and everyone escalates. *)
               Committee_net.broadcast net
-                (if diff_v then msg_diff_true else msg_diff_false);
+                (if diff_v then Msg.Diff true else Msg.Diff false);
               let reports = Committee_net.count net is_diff_report in
               let diff' = if reports > t then true else diff_v in
               let diff'' = consensus net diff' in
               if diff'' then false
               else begin
-                if diff_v then begin
-                  (* My segment contradicts the agreed fingerprint: mark
-                     it dirty and patch it to carry exactly the agreed
-                     number of ones, so global ranks stay consistent
-                     with everyone else's. I will answer [null] for
-                     identities inside it. *)
-                  dirty := j :: !dirty;
-                  Bitvec.fill_segment_with_ones l j cnt'
-                end;
+                (match v.Validator.value with
+                | (Msg.Vld_input (_, cnt') | Msg.Vld_lock (_, cnt'))
+                  when diff_v ->
+                    (* My segment contradicts the agreed fingerprint:
+                       mark it dirty and patch it to carry exactly the
+                       agreed number of ones, so global ranks stay
+                       consistent with everyone else's. I will answer
+                       [null] for identities inside it. *)
+                    dirty := j :: !dirty;
+                    Bitvec.fill_segment_with_ones l j cnt'
+                | _ -> ());
                 true
               end
             end
@@ -368,21 +367,18 @@ let reconcile_identity_list ~mode ~consensus ~net ~key ~namespace l =
             (* Ablation: the validator carries the raw segment, so an
                agreed value is its own preimage — no diff machinery, no
                dirty intervals — at Ω(|segment|)-bit messages. *)
-            let raw = Bitvec.segment_bytes l j in
-            let cnt = Bitvec.count l j in
-            let equal (s1, (c1 : int)) (s2, c2) =
-              String.equal s1 s2 && c1 = c2
+            let mine =
+              Msg.Vld_raw_input (Bitvec.segment_bytes l j, Bitvec.count l j)
             in
-            let v =
-              Validator.run ~net ~embed:vldraw_embed ~project:vldraw_project
-                ~equal ~input:(raw, cnt)
-            in
+            let v = Validator.run ~net ~msgs:vld_raw_msgs ~input:mine in
             let same' = consensus net v.Validator.same in
             if not same' then false
             else begin
-              let raw', _ = v.Validator.value in
-              if 8 * String.length raw' >= Interval.size j then
-                Bitvec.set_segment_bytes l j raw';
+              (match v.Validator.value with
+              | (Msg.Vld_raw_input (raw', _) | Msg.Vld_raw_lock (raw', _))
+                when 8 * String.length raw' >= Interval.size j ->
+                  Bitvec.set_segment_bytes l j raw'
+              | _ -> ());
               true
             end
       in
@@ -567,13 +563,13 @@ struct
            list repeats its predecessor's rank — reuse that message
            too instead of boxing the same rank again. *)
         let last_rank = ref (-1) in
-        let last_msg = ref msg_new_null in
+        let last_msg = ref (Msg.New None) in
         let out =
           List.map
             (fun u ->
               acc := !acc + Bitvec.count l (Interval.make (!prev + 1) u);
               prev := u;
-              if in_dirty u then (u, msg_new_null)
+              if in_dirty u then (u, Msg.New None)
               else begin
                 if !acc <> !last_rank then begin
                   last_rank := !acc;

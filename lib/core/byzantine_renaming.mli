@@ -37,13 +37,22 @@
     all other stages. *)
 
 module Msg : sig
+  (** One block per message: phase-king ([Pk_*]) and validator ([Vld_*],
+      a segment's fingerprint and one-count) messages are flat, read by
+      the sub-protocols through {!pk_msgs} and {!vld_msgs}. *)
   type t =
     | Elect
     | Announce  (** the sender's identity rides on the authenticated src *)
-    | Pk of Repro_consensus.Phase_king.msg
-    | Vld of (Repro_crypto.Fingerprint.t * int) Repro_consensus.Validator.msg
-    | VldRaw of (string * int) Repro_consensus.Validator.msg
-        (** ship-segments ablation payload: raw packed segment + count *)
+    | Pk_vote of bool
+    | Pk_propose of bool
+    | Pk_king of bool
+    | Vld_input of Repro_crypto.Fingerprint.t * int
+    | Vld_lock of Repro_crypto.Fingerprint.t * int
+    | Vld_lock_none
+    | Vld_raw_input of string * int
+    | Vld_raw_lock of string * int
+    | Vld_raw_lock_none
+        (** ship-segments ablation: the raw packed segment and its count *)
     | Diff of bool
     | New of int option
 
@@ -113,6 +122,14 @@ val default_params : namespace:int -> shared_seed:int -> params
 val pool_of_params : params -> n:int -> Repro_crypto.Committee_pool.t
 (** The shared candidate pool these parameters induce (for experiments
     and adversary construction). Meaningless under [Everyone]. *)
+
+val pk_msgs : Msg.t Repro_consensus.Phase_king.msgs
+(** Phase-king's and coin consensus' accessors over {!Msg.t}.
+    Test-only: the phase allocation tests run over them. *)
+
+val vld_msgs : Msg.t Repro_consensus.Validator.msgs
+(** The validator's accessors over {!Msg.t}'s [Vld_*] messages.
+    Test-only: the tally allocation test runs over them. *)
 
 val plurality_rank : int list -> int option
 (** Deterministic plurality over a rank multiset given in {e ascending}

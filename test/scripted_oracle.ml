@@ -20,27 +20,22 @@ module Msg = B.Msg
 module Net = B.Net
 module Rng = Repro_util.Rng
 module Fingerprint = Repro_crypto.Fingerprint
-module Phase_king = Repro_consensus.Phase_king
-module Validator = Repro_consensus.Validator
 
 let random_msg rng namespace =
   match Rng.int rng 8 with
-  | 0 -> Msg.Pk (Phase_king.Vote (Rng.bool rng))
-  | 1 -> Msg.Pk (Phase_king.Propose (Rng.bool rng))
-  | 2 -> Msg.Pk (Phase_king.King (Rng.bool rng))
+  | 0 -> Msg.Pk_vote (Rng.bool rng)
+  | 1 -> Msg.Pk_propose (Rng.bool rng)
+  | 2 -> Msg.Pk_king (Rng.bool rng)
   | 3 ->
-      Msg.Vld
-        (Validator.Input
-           ( Fingerprint.of_raw (Rng.int rng max_int) (Rng.int rng max_int),
-             Rng.int rng namespace ))
+      Msg.Vld_input
+        ( Fingerprint.of_raw (Rng.int rng max_int) (Rng.int rng max_int),
+          Rng.int rng namespace )
   | 4 ->
-      Msg.Vld
-        (Validator.Lock
-           (if Rng.bool rng then None
-            else
-              Some
-                ( Fingerprint.of_raw (Rng.int rng max_int) (Rng.int rng max_int),
-                  Rng.int rng namespace )))
+      if Rng.bool rng then Msg.Vld_lock_none
+      else
+        Msg.Vld_lock
+          ( Fingerprint.of_raw (Rng.int rng max_int) (Rng.int rng max_int),
+            Rng.int rng namespace )
   | 5 -> Msg.Diff (Rng.bool rng)
   | 6 -> Msg.New (Some (1 + Rng.int rng namespace))
   | _ -> Msg.New None

@@ -20,8 +20,6 @@ module Net = B.Net
 module Rng = Repro_util.Rng
 module Fingerprint = Repro_crypto.Fingerprint
 module Committee_pool = Repro_crypto.Committee_pool
-module Phase_king = Repro_consensus.Phase_king
-module Validator = Repro_consensus.Validator
 
 type spy = { mutable view : int list; mutable announced : bool }
 
@@ -104,13 +102,11 @@ let split_world (params : B.params) ~rng ~ids : Byz_list.strategy =
               Fingerprint.of_raw (Rng.int rng max_int) (Rng.int rng max_int)
             in
             [
-              (m, Msg.Pk (Phase_king.Vote face));
-              (m, Msg.Pk (Phase_king.Propose face));
-              (m, Msg.Pk (Phase_king.King face));
-              (m, Msg.Vld (Validator.Input (fake, Rng.int rng n)));
-              ( m,
-                Msg.Vld
-                  (Validator.Lock (if face then Some (fake, 0) else None)) );
+              (m, Msg.Pk_vote face);
+              (m, Msg.Pk_propose face);
+              (m, Msg.Pk_king face);
+              (m, Msg.Vld_input (fake, Rng.int rng n));
+              (m, if face then Msg.Vld_lock (fake, 0) else Msg.Vld_lock_none);
               (m, Msg.Diff face);
             ])
           (halves (Rng.bool rng))

@@ -10,8 +10,6 @@ module I = Repro_util.Interval
 module CRM = Repro_renaming.Crash_renaming.Msg
 module BRM = Repro_renaming.Byzantine_renaming.Msg
 module FLM = Repro_renaming.Flooding_renaming.Msg
-module PK = Repro_consensus.Phase_king
-module V = Repro_consensus.Validator
 module FP = Repro_crypto.Fingerprint
 
 let crash_msg_gen =
@@ -39,35 +37,63 @@ let fp_gen =
     let* b = int_range 0 ((1 lsl 31) - 2) in
     return (FP.of_raw a b))
 
+(* One arm per constructor, so every flat constructor is drawn: the
+   "every constructor" case checks it over a fixed seed. *)
 let byz_msg_gen =
   QCheck.Gen.(
+    let fp_cnt = pair fp_gen (int_range 0 100_000) in
+    let raw_cnt =
+      pair (string_size ~gen:char (int_range 0 12)) (int_range 0 100_000)
+    in
     oneof
       [
         return BRM.Elect;
         return BRM.Announce;
-        (let* b = bool in
-         oneofl [ BRM.Pk (PK.Vote b); BRM.Pk (PK.Propose b); BRM.Pk (PK.King b) ]);
-        (let* fp = fp_gen in
-         let* cnt = int_range 0 100_000 in
-         return (BRM.Vld (V.Input (fp, cnt))));
-        return (BRM.Vld (V.Lock None));
-        (let* fp = fp_gen in
-         let* cnt = int_range 0 100_000 in
-         return (BRM.Vld (V.Lock (Some (fp, cnt)))));
-        (let* b = bool in
-         return (BRM.Diff b));
+        map (fun b -> BRM.Pk_vote b) bool;
+        map (fun b -> BRM.Pk_propose b) bool;
+        map (fun b -> BRM.Pk_king b) bool;
+        map (fun (fp, cnt) -> BRM.Vld_input (fp, cnt)) fp_cnt;
+        map (fun (fp, cnt) -> BRM.Vld_lock (fp, cnt)) fp_cnt;
+        return BRM.Vld_lock_none;
+        map (fun (raw, cnt) -> BRM.Vld_raw_input (raw, cnt)) raw_cnt;
+        map (fun (raw, cnt) -> BRM.Vld_raw_lock (raw, cnt)) raw_cnt;
+        return BRM.Vld_raw_lock_none;
+        map (fun b -> BRM.Diff b) bool;
         return (BRM.New None);
-        (let* r = int_range 1 100_000 in
-         return (BRM.New (Some r)));
-        (let* raw = string_size ~gen:char (int_range 0 12) in
-         let* cnt = int_range 0 100_000 in
-         oneofl
-           [
-             BRM.VldRaw (V.Input (raw, cnt));
-             BRM.VldRaw (V.Lock (Some (raw, cnt)));
-             BRM.VldRaw (V.Lock None);
-           ]);
+        map (fun r -> BRM.New (Some r)) (int_range 1 100_000);
       ])
+
+(* Exhaustive, so a new constructor fails to compile until it is
+   numbered here (and then drawn by [byz_msg_gen]). *)
+let byz_constructor = function
+  | BRM.Elect -> 0
+  | BRM.Announce -> 1
+  | BRM.Pk_vote _ -> 2
+  | BRM.Pk_propose _ -> 3
+  | BRM.Pk_king _ -> 4
+  | BRM.Vld_input _ -> 5
+  | BRM.Vld_lock _ -> 6
+  | BRM.Vld_lock_none -> 7
+  | BRM.Vld_raw_input _ -> 8
+  | BRM.Vld_raw_lock _ -> 9
+  | BRM.Vld_raw_lock_none -> 10
+  | BRM.Diff _ -> 11
+  | BRM.New None -> 12
+  | BRM.New (Some _) -> 13
+
+let test_byz_gen_covers_constructors () =
+  let seen = Array.make 14 0 in
+  let st = Random.State.make [| 41 |] in
+  for _ = 1 to 500 do
+    let i = byz_constructor (byz_msg_gen st) in
+    seen.(i) <- seen.(i) + 1
+  done;
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "constructor %d drawn" i)
+        true (c > 0))
+    seen
 
 let flooding_msg_gen =
   QCheck.Gen.(
@@ -178,12 +204,14 @@ let test_message_size_bounds () =
     sample;
   let fp = FP.of_raw 123456 654321 in
   Alcotest.(check bool) "byz validator message O(log N)" true
-    (BRM.bits (BRM.Vld (V.Input (fp, namespace))) <= (8 * log_n) + 80)
+    (BRM.bits (BRM.Vld_input (fp, namespace)) <= (8 * log_n) + 80)
 
 let suite =
   ( "codecs",
     [
       Alcotest.test_case "message size bounds" `Quick test_message_size_bounds;
+      Alcotest.test_case "byz generator draws every constructor" `Quick
+        test_byz_gen_covers_constructors;
       QCheck_alcotest.to_alcotest qcheck_crash;
       QCheck_alcotest.to_alcotest qcheck_byz;
       QCheck_alcotest.to_alcotest qcheck_flooding;

@@ -4,21 +4,11 @@
 
 module Engine = Repro_sim.Engine
 module CC = Repro_consensus.Coin_consensus
-module PK = Repro_consensus.Phase_king
 module CN = Repro_consensus.Committee_net
 module Rng = Repro_util.Rng
 
-module M = struct
-  type t = PK.msg
-
-  let bits _ = 4
-  let pp ppf = function
-    | PK.Vote b -> Format.fprintf ppf "vote(%b)" b
-    | PK.Propose b -> Format.fprintf ppf "propose(%b)" b
-    | PK.King b -> Format.fprintf ppf "king(%b)" b
-end
-
-module Net = Engine.Make (M)
+module BR = Repro_renaming.Byzantine_renaming
+module Net = Engine.Make (Pk_msg)
 module BL = Byz_list.Make (Net)
 
 let committee_net ctx members =
@@ -39,7 +29,7 @@ let byz_strategy kind ~members : BL.strategy =
       List.mapi
         (fun i m ->
           let face = i mod 2 = 0 in
-          [ (m, PK.Vote face); (m, PK.Propose face) ])
+          [ (m, Pk_msg.Vote face); (m, Pk_msg.Propose face) ])
         members
       |> List.concat
 
@@ -54,8 +44,7 @@ let execute ~n ~byz_count ~kind ~horizon ~inputs ~seed =
     let net = committee_net ctx members in
     let before = Net.round ctx in
     let out =
-      CC.run ~net ~embed:Fun.id ~project:Option.some
-        ~coin:(shared_coin seed) ~horizon
+      CC.run ~net ~msgs:Pk_msg.msgs ~coin:(shared_coin seed) ~horizon
         ~input:(inputs (Net.my_id ctx))
     in
     (out, Net.round ctx - before)
@@ -133,8 +122,9 @@ let qcheck_agreement =
 (* Over {!Fake_committee}, a coin-consensus instance allocates a fixed
    set-up and nothing per phase: 2 and 20 phases cost the same words,
    both when every member is heard (decided in the first phase) and
-   when only t + 1 are (every phase ends on the coin). *)
-let test_phase_allocation () =
+   when only t + 1 are (every phase ends on the coin), over the tests'
+   own messages and over the renaming protocol's [Msg.t]. *)
+let phase_allocation msgs () =
   let members = List.init 7 (fun i -> (i * 11) + 5) in
   List.iter
     (fun heard ->
@@ -145,7 +135,7 @@ let test_phase_allocation () =
       let words horizon =
         let run () =
           ignore
-            (CC.run ~net ~embed:Option.some ~project:Fun.id
+            (CC.run ~net ~msgs
                ~coin:(fun phase -> phase land 1 = 0)
                ~horizon ~input:true)
         in
@@ -164,6 +154,9 @@ let suite =
       Alcotest.test_case "unanimity preserved" `Quick test_unanimity_preserved;
       Alcotest.test_case "exact round consumption" `Quick
         test_exact_round_consumption;
-      Alcotest.test_case "phase allocation" `Quick test_phase_allocation;
+      Alcotest.test_case "phase allocation" `Quick
+        (phase_allocation Pk_msg.msgs);
+      Alcotest.test_case "phase allocation, renaming messages" `Quick
+        (phase_allocation BR.pk_msgs);
       QCheck_alcotest.to_alcotest qcheck_agreement;
     ] )

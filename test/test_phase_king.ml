@@ -7,17 +7,8 @@ module PK = Repro_consensus.Phase_king
 module CN = Repro_consensus.Committee_net
 module Rng = Repro_util.Rng
 
-module M = struct
-  type t = PK.msg
-
-  let bits _ = 4
-  let pp ppf = function
-    | PK.Vote b -> Format.fprintf ppf "vote(%b)" b
-    | PK.Propose b -> Format.fprintf ppf "propose(%b)" b
-    | PK.King b -> Format.fprintf ppf "king(%b)" b
-end
-
-module Net = Engine.Make (M)
+module BR = Repro_renaming.Byzantine_renaming
+module Net = Engine.Make (Pk_msg)
 module BL = Byz_list.Make (Net)
 
 let committee_net ctx members =
@@ -36,7 +27,9 @@ let byz_strategy kind ~rng ~members : BL.strategy =
         (fun i m ->
           let face = i mod 2 = 0 in
           [
-            (m, PK.Vote face); (m, PK.Propose face); (m, PK.King face);
+            (m, Pk_msg.Vote face);
+            (m, Pk_msg.Propose face);
+            (m, Pk_msg.King face);
           ])
         members
       |> List.concat
@@ -47,9 +40,9 @@ let byz_strategy kind ~rng ~members : BL.strategy =
             [
               ( m,
                 match Rng.int rng 3 with
-                | 0 -> PK.Vote (Rng.bool rng)
-                | 1 -> PK.Propose (Rng.bool rng)
-                | _ -> PK.King (Rng.bool rng) );
+                | 0 -> Pk_msg.Vote (Rng.bool rng)
+                | 1 -> Pk_msg.Propose (Rng.bool rng)
+                | _ -> Pk_msg.King (Rng.bool rng) );
             ]
           else [])
         members
@@ -65,8 +58,7 @@ let execute ~n ~byz_count ~kind ~inputs ~seed =
   in
   let program ctx =
     let net = committee_net ctx members in
-    PK.run ~net ~embed:Fun.id ~project:Option.some ~kings
-      ~input:(inputs (Net.my_id ctx))
+    PK.run ~net ~msgs:Pk_msg.msgs ~kings ~input:(inputs (Net.my_id ctx))
   in
   let byz = (byz_ids, BL.of_list (byz_strategy kind ~rng ~members)) in
   let res = Net.run ~ids ~byz ~seed ~program () in
@@ -141,7 +133,7 @@ let test_rounds_needed () =
         let net = committee_net ctx members in
         let before = Net.round ctx in
         let out =
-          PK.run ~net ~embed:Fun.id ~project:Option.some ~kings:members
+          PK.run ~net ~msgs:Pk_msg.msgs ~kings:members
             ~input:(Net.my_id ctx mod 2 = 0)
         in
         (out, Net.round ctx - before)
@@ -161,7 +153,7 @@ let test_no_kings_rejected () =
   let ids = [| 1; 2; 3; 4 |] in
   let program ctx =
     let net = committee_net ctx (Array.to_list ids) in
-    PK.run ~net ~embed:Fun.id ~project:Option.some ~kings:[] ~input:true
+    PK.run ~net ~msgs:Pk_msg.msgs ~kings:[] ~input:true
   in
   Alcotest.check_raises "no kings" (Invalid_argument "Phase_king.run: no kings")
     (fun () -> ignore (Net.run ~ids ~program ()))
@@ -171,8 +163,10 @@ let test_no_kings_rejected () =
    a 4-member committee runs 2 phases, a 31-member one 11, on both the
    strong path (every member heard, every phase decides by quorum) and
    the weak one (only t + 1 heard, so every phase folds for the king's
-   value). *)
-let test_phase_allocation () =
+   value). Members echo this node's message, so every kept message is
+   read through [msgs]' accessors: the tests' own messages, and the
+   renaming protocol's [Msg.t] through [Byzantine_renaming.pk_msgs]. *)
+let phase_allocation msgs () =
   let words ~strong phases =
     let size = (3 * (phases - 1)) + 1 in
     let members = List.init size (fun i -> (i * 5) + 3) in
@@ -183,17 +177,17 @@ let test_phase_allocation () =
     in
     let run () =
       ignore
-        (PK.run ~net ~embed:Option.some ~project:Fun.id ~kings:members
-           ~input:true)
+        (PK.run ~net ~msgs ~kings:members ~input:true)
     in
     (* The net allocates its kept-message buffer on its first message. *)
     run ();
     Test_rng.minor_words_of run
   in
-  (* 0 when recorded, with a fixed 57 words per instance on either
-     path; before the instance's vocabulary was built once, every phase
-     built [Vote]/[Propose] constructors, a [projects_to] closure per
-     count and a king-fold closure. *)
+  (* 0 when recorded, over either message type; before the instance's
+     vocabulary was built once, every phase built [Vote]/[Propose]
+     constructors, a [projects_to] closure per count and a king-fold
+     closure, and a projection that allocates an option would cost
+     2 words per kept message read. *)
   List.iter
     (fun strong ->
       Alcotest.(check (float 0.))
@@ -211,6 +205,9 @@ let suite =
         test_all_same_input_sticks;
       Alcotest.test_case "round accounting" `Quick test_rounds_needed;
       Alcotest.test_case "kings required" `Quick test_no_kings_rejected;
-      Alcotest.test_case "phase allocation" `Quick test_phase_allocation;
+      Alcotest.test_case "phase allocation" `Quick
+        (phase_allocation Pk_msg.msgs);
+      Alcotest.test_case "phase allocation, renaming messages" `Quick
+        (phase_allocation BR.pk_msgs);
       QCheck_alcotest.to_alcotest qcheck_agreement_validity;
     ] )

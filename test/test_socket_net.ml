@@ -11,8 +11,6 @@ module Wire = Repro_sim.Wire
 module CR = Repro_renaming.Crash_renaming
 module FL = Repro_renaming.Flooding_renaming
 module BZ = Repro_renaming.Byzantine_renaming
-module Phase_king = Repro_consensus.Phase_king
-module Validator = Repro_consensus.Validator
 module Fingerprint = Repro_crypto.Fingerprint
 
 (* {2 In-memory io shims}
@@ -607,14 +605,15 @@ let test_codec_roundtrips () =
     [
       BZ.Msg.Elect;
       BZ.Msg.Announce;
-      BZ.Msg.Pk (Phase_king.Vote true);
-      BZ.Msg.Pk (Phase_king.Propose false);
-      BZ.Msg.Pk (Phase_king.King true);
-      BZ.Msg.Vld (Validator.Input (fp, 17));
-      BZ.Msg.Vld (Validator.Lock None);
-      BZ.Msg.Vld (Validator.Lock (Some (fp, 3)));
-      BZ.Msg.VldRaw (Validator.Input ("\x01\x02", 2));
-      BZ.Msg.VldRaw (Validator.Lock (Some ("\xff", 8)));
+      BZ.Msg.Pk_vote true;
+      BZ.Msg.Pk_propose false;
+      BZ.Msg.Pk_king true;
+      BZ.Msg.Vld_input (fp, 17);
+      BZ.Msg.Vld_lock_none;
+      BZ.Msg.Vld_lock (fp, 3);
+      BZ.Msg.Vld_raw_input ("\x01\x02", 2);
+      BZ.Msg.Vld_raw_lock ("\xff", 8);
+      BZ.Msg.Vld_raw_lock_none;
       BZ.Msg.Diff true;
       BZ.Msg.New None;
       BZ.Msg.New (Some 12);

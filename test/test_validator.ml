@@ -6,14 +6,30 @@ module V = Repro_consensus.Validator
 module CN = Repro_consensus.Committee_net
 module Rng = Repro_util.Rng
 
+module BR = Repro_renaming.Byzantine_renaming
+module FP = Repro_crypto.Fingerprint
+
+(* The tests' own validator messages over int values. *)
 module M = struct
-  type t = int V.msg
+  type t = Input of int | Lock of int | Lock_none
 
   let bits _ = 16
+
   let pp ppf = function
-    | V.Input v -> Format.fprintf ppf "input(%d)" v
-    | V.Lock None -> Format.fprintf ppf "lock(-)"
-    | V.Lock (Some v) -> Format.fprintf ppf "lock(%d)" v
+    | Input v -> Format.fprintf ppf "input(%d)" v
+    | Lock_none -> Format.fprintf ppf "lock(-)"
+    | Lock v -> Format.fprintf ppf "lock(%d)" v
+
+  let value = function Input v | Lock v -> v | Lock_none -> -1
+
+  let msgs =
+    {
+      V.kind =
+        (function Input _ -> V.Input | Lock _ -> Lock | Lock_none -> Other);
+      same_value = (fun a b -> Int.equal (value a) (value b));
+      lock = (fun m -> Lock (value m));
+      lock_none = Lock_none;
+    }
 end
 
 module Net = Engine.Make (M)
@@ -34,8 +50,8 @@ let byz_strategy kind ~rng ~members : BL.strategy =
       List.mapi
         (fun i m ->
           let v = if i mod 2 = 0 then 111_111 else 222_222 in
-          if round mod 2 = 0 then (m, V.Input v)
-          else (m, V.Lock (if Rng.bool rng then Some v else None)))
+          if round mod 2 = 0 then (m, M.Input v)
+          else (m, if Rng.bool rng then M.Lock v else M.Lock_none))
         members
 
 let execute ~n ~byz_count ~kind ~inputs ~seed =
@@ -47,11 +63,8 @@ let execute ~n ~byz_count ~kind ~inputs ~seed =
   in
   let program ctx =
     let net = committee_net ctx members in
-    let r =
-      V.run ~net ~embed:Fun.id ~project:Option.some ~equal:Int.equal
-        ~input:(inputs (Net.my_id ctx))
-    in
-    (r.V.same, r.V.value)
+    let r = V.run ~net ~msgs:M.msgs ~input:(M.Input (inputs (Net.my_id ctx))) in
+    (r.V.same, M.value r.V.value)
   in
   let byz = (byz_ids, BL.of_list (byz_strategy kind ~rng ~members)) in
   let res = Net.run ~ids ~byz ~seed ~program () in
@@ -124,8 +137,7 @@ let test_rounds () =
     let net = committee_net ctx (Array.to_list ids) in
     let before = Net.round ctx in
     let _ =
-      V.run ~net ~embed:Fun.id ~project:Option.some ~equal:Int.equal
-        ~input:(Net.my_id ctx)
+      V.run ~net ~msgs:M.msgs ~input:(M.Input (Net.my_id ctx))
     in
     Net.round ctx - before
   in
@@ -136,36 +148,35 @@ let test_rounds () =
       | _ -> Alcotest.fail "should decide")
     res.Engine.outcomes
 
-(* [reply] for {!Fake_committee}: member [i]'s input is [inputs.(i)] and
-   its lock [locks.(i)], whatever this node sent. *)
-let scripted ~inputs ~locks i = function
-  | Some (V.Input _) -> inputs.(i)
-  | _ -> locks.(i)
+(* [reply] for {!Fake_committee}: member [i] answers this node's input
+   with [inputs.(i)] and anything else with its lock [locks.(i)]. *)
+let scripted msgs ~inputs ~locks i m =
+  match msgs.V.kind m with V.Input -> inputs.(i) | Lock | Other -> locks.(i)
 
-(* The validator tallies in two arrays allocated once per run: its words
-   do not grow with the number of kept messages, here 1, 4 and 16 of a
-   16-member committee's inputs spread over three values. *)
-let test_tally_allocation () =
+(* The validator tallies the kept messages themselves in two arrays
+   allocated once per run, and reads them through [msgs]' accessors: its
+   words do not grow with the number of kept messages, here 1, 4 and 16
+   of a 16-member committee's inputs spread over three values. Run over
+   the tests' own messages and over the renaming protocol's [Msg.t]
+   through [Byzantine_renaming.vld_msgs]. *)
+let tally_allocation msgs ~input ~value () =
   let size = 16 in
   let members = List.init size (fun i -> i + 1) in
-  let inputs = Array.init size (fun i -> Some (V.Input (i mod 3))) in
-  let locks = Array.make size (Some (V.Lock None)) in
+  let inputs = Array.init size (fun i -> value (i mod 3)) in
+  let locks = Array.make size msgs.V.lock_none in
   let words heard =
     let net =
       Fake_committee.create ~me:1 ~members ~heard
-        ~reply:(scripted ~inputs ~locks)
+        ~reply:(scripted msgs ~inputs ~locks)
     in
-    let run () =
-      ignore
-        (V.run ~net ~embed:Option.some ~project:Fun.id ~equal:Int.equal
-           ~input:0)
-    in
+    let run () = ignore (V.run ~net ~msgs ~input) in
     run ();
     Test_rng.minor_words_of run
   in
   let one = words 1 in
-  (* Equal when recorded; the group list rebuilt on every kept message
-     added about 6 words per message. *)
+  (* Equal when recorded, over either message type; the group list
+     rebuilt on every kept message added about 6 words per message, and
+     a projection that allocates an option 2. *)
   List.iter
     (fun heard ->
       Alcotest.(check (float 0.))
@@ -173,29 +184,33 @@ let test_tally_allocation () =
         one (words heard))
     [ 4; 16 ]
 
+let fp_input v = BR.Msg.Vld_input (FP.of_raw v 7, 5)
+
 (* The largest group wins and, on equal counts, the one seen first:
    13 members (t = 4, quorum 9), five locks each on 7 and 5, so the
-   value is graded [same = false] and taken from the first lock in
-   inbox order. *)
+   value is graded [same = false] and the result is the first lock of
+   that value in inbox order, the message itself. *)
 let test_tie_goes_to_first_seen () =
   let size = 13 in
   let members = List.init size (fun i -> i + 1) in
-  let inputs = Array.make size (Some (V.Input 0)) in
-  let outcome order =
+  let inputs = Array.make size (M.Input 0) in
+  let check name order expect =
     let locks =
       Array.init size (fun i ->
-          Some (V.Lock (if i < 10 then Some (List.nth order i) else None)))
+          if i < 10 then M.Lock (List.nth order i) else M.Lock_none)
     in
     let net =
       Fake_committee.create ~me:1 ~members ~heard:size
-        ~reply:(scripted ~inputs ~locks)
+        ~reply:(scripted M.msgs ~inputs ~locks)
     in
-    V.run ~net ~embed:Option.some ~project:Fun.id ~equal:Int.equal ~input:0
-  in
-  let check name order expect =
-    let r = outcome order in
+    let r = V.run ~net ~msgs:M.msgs ~input:(M.Input 0) in
     Alcotest.(check bool) (name ^ ": same") false r.V.same;
-    Alcotest.(check int) (name ^ ": value") expect r.V.value
+    Alcotest.(check int) (name ^ ": value") expect (M.value r.V.value);
+    let rec first_of i =
+      if List.nth order i = expect then i else first_of (i + 1)
+    in
+    Alcotest.(check bool) (name ^ ": the first such lock") true
+      (r.V.value == locks.(first_of 0))
   in
   check "7 first" [ 7; 5; 5; 7; 7; 5; 5; 7; 7; 5 ] 7;
   check "5 first" [ 5; 7; 7; 5; 5; 7; 7; 5; 5; 7 ] 5;
@@ -206,7 +221,10 @@ let suite =
     [
       Alcotest.test_case "unanimous inputs" `Quick test_unanimous;
       Alcotest.test_case "round accounting" `Quick test_rounds;
-      Alcotest.test_case "tally allocation" `Quick test_tally_allocation;
+      Alcotest.test_case "tally allocation" `Quick
+        (tally_allocation M.msgs ~input:(M.Input 0) ~value:(fun v -> M.Input v));
+      Alcotest.test_case "tally allocation, renaming messages" `Quick
+        (tally_allocation BR.vld_msgs ~input:(fp_input 0) ~value:fp_input);
       Alcotest.test_case "tie goes to the first seen" `Quick
         test_tie_goes_to_first_seen;
       QCheck_alcotest.to_alcotest qcheck_lemma;

@@ -10,7 +10,10 @@
    - [Crash_renaming.Msg.encode] over every envelope of
      [renaming_cli crash -n 64 -f 8 --adversary killer --seed 7];
    - [Byzantine_renaming.Msg.encode] over every envelope of
-     [renaming_cli byz -n 24 -f 3 --attack split-world --seed 11].
+     [renaming_cli byz -n 24 -f 3 --attack split-world --seed 11];
+   - [Byzantine_renaming.Msg.encode] over a fixed list holding every
+     constructor, the ship-segments ablation's raw messages included,
+     which no pinned run sends.
 
    The two runs are the ones CI's trace [cmp] gates record. Their inputs
    are derived here as [Experiment] derives them, and each tapped run is
@@ -24,6 +27,7 @@ module BZ = Repro_renaming.Byzantine_renaming
 module BS = Repro_renaming.Byz_strategies
 module Runner = Repro_renaming.Runner
 module Rng = Repro_util.Rng
+module FP = Repro_crypto.Fingerprint
 
 let digest_hex s = Digest.to_hex (Digest.string s)
 
@@ -135,10 +139,48 @@ let test_byz_envelopes () =
   Alcotest.(check string) "encodings digest" "ff4d851a56522a2326bdb6684f2c3ac4"
     (digest_hex (Buffer.contents buf))
 
+(* Recorded while validator and phase-king messages nested their
+   sub-protocol's message type inside [Msg.t]; the flat constructors
+   must encode to the same bytes. *)
+let test_byz_constructors () =
+  let fps =
+    [ FP.of_raw 0 0; FP.of_raw 123456 654321; FP.of_raw ((1 lsl 31) - 2) 1 ]
+  in
+  let cnts = [ 0; 1; 17; 100_000 ] in
+  let raws = [ ""; "\x01\x02"; "\xff"; "segment bytes" ] in
+  let samples =
+    let open BZ.Msg in
+    [ Elect; Announce ]
+    @ List.concat_map
+        (fun b -> [ Pk_vote b; Pk_propose b; Pk_king b; Diff b ])
+        [ true; false ]
+    @ List.concat_map
+        (fun fp ->
+          List.concat_map
+            (fun c -> [ Vld_input (fp, c); Vld_lock (fp, c) ])
+            cnts)
+        fps
+    @ [ Vld_lock_none; Vld_raw_lock_none; New None; New (Some 1) ]
+    @ [ New (Some 4097) ]
+    @ List.concat_map
+        (fun s ->
+          List.concat_map
+            (fun c -> [ Vld_raw_input (s, c); Vld_raw_lock (s, c) ])
+            cnts)
+        raws
+  in
+  let buf = Buffer.create 4096 in
+  List.iter (fun m -> add_encoding buf (BZ.Msg.encode m)) samples;
+  Alcotest.(check int) "messages" 71 (List.length samples);
+  Alcotest.(check string) "encodings digest" "f929c5978f9fc79de721a5d41da39927"
+    (digest_hex (Buffer.contents buf))
+
 let suite =
   ( "wire_pins",
     [
       Alcotest.test_case "mixed writer stream" `Quick test_writer_stream;
       Alcotest.test_case "crash killer envelopes" `Quick test_crash_envelopes;
       Alcotest.test_case "byz split-world envelopes" `Quick test_byz_envelopes;
+      Alcotest.test_case "byz message per constructor" `Quick
+        test_byz_constructors;
     ] )
