@@ -233,11 +233,19 @@ let serve_and_report ~listen o =
   let stats = Oracle.new_stats () in
   (* The transport enforces the codec round-trip (hosts reject any
      undecodable delivery), so every billed message is wire-ok here. *)
-  (* The per-link matrix is built only when [--bits-out] asks for it. *)
+  (* The per-link matrix is built only when [--bits-out] asks for it.
+     The per-copy hook is chosen once here: it runs for every billed
+     message, so it must build no closure of its own. *)
   let bits_out = Option.map (fun path -> (path, new_links o.n)) o.bits_out in
-  let on_message ~src ~dst ~bits =
-    Oracle.observe_honest stats ~bits ~wire_ok:true;
-    Option.iter (fun (_, links) -> count_link links ~src ~dst ~bits) bits_out
+  let on_message =
+    match bits_out with
+    | None ->
+        fun ~src:_ ~dst:_ ~bits ->
+          Oracle.observe_honest stats ~bits ~wire_ok:true
+    | Some (_, links) ->
+        fun ~src ~dst ~bits ->
+          Oracle.observe_honest stats ~bits ~wire_ok:true;
+          count_link links ~src ~dst ~bits
   in
   let res =
     SN.serve ~listen ~config:o.config ~max_rounds:o.max_rounds ~on_message ()

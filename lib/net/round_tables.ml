@@ -24,6 +24,44 @@ let grow a len fill =
     b
   end
 
+(* Byte [k] of the bit string starting at bit [pos] of [data]. *)
+let[@inline] byte_at data pos k =
+  let i = (pos lsr 3) + k and o = pos land 7 in
+  let hi = Char.code (Bytes.unsafe_get data i) in
+  if o = 0 then hi
+  else
+    ((hi lsl o) lor (Char.code (Bytes.unsafe_get data (i + 1)) lsr (8 - o)))
+    land 0xff
+
+(* The [nbytes] bytes from byte [o] of [arena] equal those at bit [pos]
+   of [data]. *)
+let same_bytes arena o data pos nbytes =
+  let k = ref 0 in
+  while
+    !k < nbytes
+    && Int.equal
+         (Char.code (Bytes.unsafe_get arena (o + !k)))
+         (byte_at data pos !k)
+  do
+    incr k
+  done;
+  !k = nbytes
+
+(* Copy the [nbytes] bytes at bit [pos] of [data] to byte [o] of
+   [arena]. *)
+let copy_bytes data pos arena o nbytes =
+  for k = 0 to nbytes - 1 do
+    Bytes.unsafe_set arena (o + k) (Char.unsafe_chr (byte_at data pos k))
+  done
+
+(* [bits] bits at bit [pos] of [data], padded to whole bytes, must lie
+   inside [data]; the padded byte count. *)
+let padded_range fn data ~pos ~bits =
+  let nbytes = (bits + 7) / 8 in
+  if pos < 0 || bits < 0 || pos + (8 * nbytes) > 8 * Bytes.length data then
+    invalid_arg (fn ^ ": range");
+  nbytes
+
 (* Open addressing with linear probing: [slots] holds [g + 1] for entry
    [g], 0 when empty, and is kept at most half full; [hashes.(g)] is
    entry [g]'s hash. A lookup is a cursor ([cur], [h]) that [start]
@@ -106,33 +144,12 @@ module Payloads = struct
     Ibuf.clear t.starts;
     Ibuf.push t.starts 0
 
-  (* Byte [k] of the bit string starting at bit [pos] of [data]. *)
-  let byte_at data pos k =
-    let i = (pos lsr 3) + k and o = pos land 7 in
-    let hi = Char.code (Bytes.unsafe_get data i) in
-    if o = 0 then hi
-    else
-      ((hi lsl o) lor (Char.code (Bytes.unsafe_get data (i + 1)) lsr (8 - o)))
-      land 0xff
-
   let holds t g data pos nbytes bits =
     Int.equal t.bits.a.(g) bits
-    &&
-    let o = t.starts.a.(g) and k = ref 0 in
-    while
-      !k < nbytes
-      && Int.equal
-           (Char.code (Bytes.unsafe_get t.arena (o + !k)))
-           (byte_at data pos !k)
-    do
-      incr k
-    done;
-    !k = nbytes
+    && same_bytes t.arena t.starts.a.(g) data pos nbytes
 
   let intern t data ~pos ~bits =
-    let nbytes = (bits + 7) / 8 in
-    if pos < 0 || bits < 0 || pos + (8 * nbytes) > 8 * Bytes.length data then
-      invalid_arg "Round_tables.Payloads.intern: range";
+    let nbytes = padded_range "Round_tables.Payloads.intern" data ~pos ~bits in
     (* The hash covers the padded bytes only, so payloads that differ
        only in bit length (["\x80"] at 1 and at 2 bits) share a probe
        sequence and [holds] tells them apart by length. *)
@@ -155,10 +172,7 @@ module Payloads = struct
         Bytes.blit t.arena 0 bigger 0 start;
         t.arena <- bigger
       end;
-      for k = 0 to nbytes - 1 do
-        Bytes.unsafe_set t.arena (start + k)
-          (Char.unsafe_chr (byte_at data pos k))
-      done;
+      copy_bytes data pos t.arena start nbytes;
       Ibuf.push t.starts (start + nbytes);
       Ibuf.push t.bits bits;
       Index.add t.index
@@ -227,4 +241,61 @@ module Lists = struct
       Ibuf.push t.starts t.entries.len;
       Index.add t.index
     end
+end
+
+(* Position [j]'s padded bytes are arena bytes [j * stride] onwards;
+   [stride] is a whole number of words, grown (and the arena laid out
+   anew) when an encoding outgrows it. The capacity is [bits]'s length,
+   [-1] marking a position never stored; [msgs] is grown to it at
+   stores, when a message is at hand to fill it with, and [grow] then
+   gives exactly the capacity, which at least doubles. *)
+module Memo = struct
+  type 'a t = {
+    mutable msgs : 'a array;
+    mutable bits : int array;
+    mutable arena : Bytes.t;
+    mutable stride : int;
+  }
+
+  let create () = { msgs = [||]; bits = [||]; arena = Bytes.empty; stride = 8 }
+  let msg t j = t.msgs.(j)
+  let bits t j = t.bits.(j)
+  let arena t = t.arena
+  let offset t j = 8 * j * t.stride
+
+  let relayout t ~cap ~stride =
+    let arena = Bytes.make (cap * stride) '\000' in
+    for j = 0 to (Bytes.length t.arena / t.stride) - 1 do
+      Bytes.blit t.arena (j * t.stride) arena (j * stride) t.stride
+    done;
+    t.arena <- arena;
+    t.stride <- stride
+
+  let reserve t c =
+    let cap = Array.length t.bits in
+    if c > cap then begin
+      let cap = max c (2 * cap) in
+      t.bits <- grow t.bits cap (-1);
+      relayout t ~cap ~stride:t.stride
+    end
+
+  let[@inline] mem t j m = j < Array.length t.bits && t.bits.(j) >= 0 && t.msgs.(j) == m
+
+  let holds t j data ~pos ~bits =
+    let nbytes = padded_range "Round_tables.Memo.holds" data ~pos ~bits in
+    j < Array.length t.bits
+    && Int.equal t.bits.(j) bits
+    && same_bytes t.arena (j * t.stride) data pos nbytes
+
+  let store t j m data ~pos ~bits =
+    let nbytes = padded_range "Round_tables.Memo.store" data ~pos ~bits in
+    if j < 0 then invalid_arg "Round_tables.Memo.store: position";
+    if nbytes > t.stride then
+      relayout t ~cap:(Array.length t.bits) ~stride:(8 * ((nbytes + 7) / 8));
+    if j >= Array.length t.bits then reserve t (j + 1);
+    if j >= Array.length t.msgs then
+      t.msgs <- grow t.msgs (Array.length t.bits) m;
+    copy_bytes data pos t.arena (j * t.stride) nbytes;
+    t.msgs.(j) <- m;
+    t.bits.(j) <- bits
 end

@@ -74,3 +74,50 @@ module Lists : sig
   (** [intern t a len] is the index of the list [a.(0 .. len - 1)],
       appended as list [length t] when it is new. *)
 end
+
+(** A slot's codec memo: by position, a message and its encoding. The
+    encodings are kept as their bits zero-padded to whole bytes, one
+    fixed-size cell per position in one arena that lives across rounds:
+    the arena is replaced only when the positions outgrow it or an
+    encoding outgrows a cell, so remembering a message allocates
+    nothing once the memo has grown. Positions are independent: one
+    can be stored without those before it. *)
+module Memo : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val msg : 'a t -> int -> 'a
+  (** The message stored at a position; only for a stored one. *)
+
+  val bits : 'a t -> int -> int
+  (** The bit length of a stored position's encoding. *)
+
+  val arena : 'a t -> Bytes.t
+  (** The arena itself, not a copy: a stored position [j]'s padded
+      bytes start at bit [offset t j]. Valid until the next [reserve]
+      or [store]. *)
+
+  val offset : 'a t -> int -> int
+
+  val reserve : 'a t -> int -> unit
+  (** [reserve t c] makes room for positions [\[0, c)], so storing a
+      record of [c] messages grows the memo at most once. *)
+
+  val mem : 'a t -> int -> 'a -> bool
+  (** [mem t j m]: position [j] is stored, with [m] itself (physical
+      equality). *)
+
+  val holds : 'a t -> int -> Bytes.t -> pos:int -> bits:int -> bool
+  (** [holds t j data ~pos ~bits]: position [j] is stored, with an
+      encoding of [bits] bits whose padded bytes are those at bit [pos]
+      of [data].
+      @raise Invalid_argument if those bytes are not inside [data]. *)
+
+  val store : 'a t -> int -> 'a -> Bytes.t -> pos:int -> bits:int -> unit
+  (** [store t j m data ~pos ~bits] stores [m] at position [j], with the
+      encoding of [bits] bits whose padded bytes start at bit [pos] of
+      [data], copied. [data] may be the memo's own arena.
+      @raise Invalid_argument if those bytes are not inside [data], or
+      if [j < 0]. *)
+end

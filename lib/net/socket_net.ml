@@ -12,8 +12,7 @@ let proto_error fmt =
 
 (* Embedded byte strings are length-prefixed; a length beyond the
    frame's remaining bits is malformed, and is rejected before the
-   string is allocated. A payload is its bit length, then its bits
-   zero-padded to whole bytes. *)
+   string is allocated. *)
 module Codec = struct
   let add_bytes w s =
     Wire.Writer.add_gamma w (String.length s);
@@ -24,19 +23,6 @@ module Codec = struct
     if len > Wire.Reader.bits_remaining r / 8 then
       proto_error "embedded byte string of %d bytes exceeds the frame" len;
     Wire.Reader.read_string r len
-
-  (* In place: [read] sees the payload's bits and no more, and must take
-     them all; the padding is skipped. *)
-  let read_msg r read =
-    let bits = Wire.Reader.read_gamma r in
-    if bits > Wire.Reader.bits_remaining r then
-      proto_error "embedded message of %d bits exceeds the frame" bits;
-    let stop = Wire.Reader.position r + (8 * ((bits + 7) / 8)) in
-    match Wire.Reader.within r ~bits read with
-    | m ->
-        Wire.Reader.skip r (stop - Wire.Reader.position r);
-        m
-    | exception Invalid_argument _ -> proto_error "undecodable payload"
 end
 
 (* Count fields precede variable-size repetitions; each counted entry
@@ -79,8 +65,12 @@ let read_count r =
    [Frame.read_framed]), so a round allocates no frame-sized memory. No
    payload becomes a string on the way: the coordinator interns each one
    where it lies in the frame ([Payloads.read_entry]) and copies it into
-   its reply from the table's arena; a host writes messages with
-   [M.write] and reads them with [M.read] in the frame. *)
+   its reply from the table's arena. A host keeps a codec memo
+   ([Memo]) per slot for each direction: it writes a message with
+   [M.write] only when the slot's send memo does not hold it, copying
+   the encoding into the memo's arena, and reads a reply payload with
+   [M.read] in the frame only when the sender's receive memo does not
+   hold the same bits at that record position. *)
 
 type config = { ids : int array; seed : int; n_hosts : int; extra : string }
 
@@ -486,48 +476,33 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         (Printf.sprintf "Socket_net: destination %d is not a participant" dst);
     s
 
-  (* A slot's encode memo: the messages of its latest outbox by
-     position, each with its encoding ([m_enc] its zero-padded bytes,
-     [m_bits] its length). It holds its own copies — callers refill
-     their arrays in place — and every cell pairs a message with its own
-     encoding, so a physically equal message can take the cell's
-     encoding whatever round stored it. *)
-  type memo = {
-    mutable m_msgs : M.t array;
-    mutable m_enc : string array;
-    mutable m_bits : int array;
-  }
-
-  let remember memo j m e bits =
-    if j >= Array.length memo.m_msgs then begin
-      memo.m_msgs <- grow memo.m_msgs (j + 1) m;
-      memo.m_enc <- grow memo.m_enc (j + 1) e;
-      memo.m_bits <- grow memo.m_bits (j + 1) bits
-    end;
-    memo.m_msgs.(j) <- m;
-    memo.m_enc.(j) <- e;
-    memo.m_bits.(j) <- bits
-
   (* The payload-table entry of message [m] at position [j] of a slot's
-     outbox. A message physically equal to the previous entry takes that
-     entry's, one equal to the slot's previous outbox at [j] the memo's
-     encoding; any other is written into the scratch writer [sw] with
-     [M.write] and remembered. *)
+     outbox, given the slot's send memo: the messages of its latest
+     outbox by position, each with its encoding. A message physically
+     equal to the previous entry takes that entry's, one equal to the
+     slot's previous outbox at [j] the memo's encoding; any other is
+     written into the scratch writer [sw] with [M.write] and remembered,
+     its bytes copied into the memo. The memo holds its own copies —
+     callers refill their arrays in place — and every position pairs a
+     message with its own encoding, so a physically equal message can
+     take the position's encoding whatever round stored it. *)
   let intern_at tbl sw (gids : Ibuf.t) memo j m =
-    let msgs = memo.m_msgs in
-    if j > 0 && m == msgs.(j - 1) then begin
-      remember memo j m memo.m_enc.(j - 1) memo.m_bits.(j - 1);
+    if j > 0 && Memo.mem memo (j - 1) m then begin
+      if not (Memo.mem memo j m) then
+        Memo.store memo j m (Memo.arena memo)
+          ~pos:(Memo.offset memo (j - 1))
+          ~bits:(Memo.bits memo (j - 1));
       gids.a.(gids.len - 1)
     end
     else begin
-      if not (j < Array.length msgs && m == msgs.(j)) then begin
+      if not (Memo.mem memo j m) then begin
         Wire.Writer.reset sw;
         M.write sw m;
-        remember memo j m (Wire.Writer.contents sw) (Wire.Writer.bit_length sw)
+        Memo.store memo j m (Wire.Writer.unsafe_bytes sw) ~pos:0
+          ~bits:(Wire.Writer.bit_length sw)
       end;
-      Payloads.intern tbl
-        (Bytes.unsafe_of_string memo.m_enc.(j))
-        ~pos:0 ~bits:memo.m_bits.(j)
+      Payloads.intern tbl (Memo.arena memo) ~pos:(Memo.offset memo j)
+        ~bits:(Memo.bits memo j)
     end
 
   (* A round frame takes two passes over the outboxes: [intern_outbox]
@@ -541,7 +516,9 @@ module Host (M : Network_intf.WIRE_MSG) = struct
      enters the table. Both are loops: a local function would be a
      closure allocated per slot and round. *)
   let intern_outbox ~index tbl sw gids lists slots list_of s memo o =
-    for j = 0 to (if o.fan then 0 else o.len - 1) do
+    let c = if o.fan then 1 else o.len in
+    Memo.reserve memo c;
+    for j = 0 to c - 1 do
       Ibuf.push gids (intern_at tbl sw gids memo j o.msg.(j))
     done;
     if not o.bcast then begin
@@ -590,16 +567,31 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     if k >= t then proto_error "payload index %d of %d" k t;
     k
 
-  (* Reply parsing state kept across rounds: the decoded payload table;
-     the round's broadcast rows, kept as the dedicated stream of a view
-     of its own that every slot's view shares, as the engine keeps its
-     broadcast table; the reply's lists ([lists] from [list_starts.(l)]
-     to [list_starts.(l + 1)]); its records as (source slot, list,
-     payload) triples, where a batch's payload [-1 - k] means its
-     payloads are [batch.(k ..)]; and per-list record and per-slot
-     delivery counts. *)
+  (* Reply parsing state kept across rounds: the reply's frame
+     ([frame], its first [frame_len] bytes); where its payload table
+     entries lie in it ([at], [width]), which are resolved ([resolved])
+     and to what ([decoded]); the reader that reads them ([rd], made for
+     the reply at its first read when [rd_stale]); the receive memo of
+     every source slot ([heard]), by position in the sender's row or
+     record — a slot's own sends keep a memo of their own, by outbox
+     position, which a batch's record restricted to the host does not
+     share; the round's broadcast rows, kept as the dedicated stream of
+     a view of its own that every slot's view shares, as the engine
+     keeps its broadcast table; the reply's lists ([lists] from
+     [list_starts.(l)] to [list_starts.(l + 1)]); its records as
+     (source slot, list, payload) triples, where a batch's payload
+     [-1 - k] means its payloads are [batch.(k ..)]; and per-list
+     record and per-slot delivery counts. *)
   type reply_bufs = {
+    mutable frame : Bytes.t;
+    mutable frame_len : int;
+    at : Ibuf.t;
+    width : Ibuf.t;
+    mutable resolved : bool array;
     mutable decoded : M.t array;
+    mutable rd : Wire.Reader.t;
+    mutable rd_stale : bool;
+    heard : M.t Memo.t array;
     bcast : inbox;
     lists : Ibuf.t;
     list_starts : Ibuf.t;
@@ -611,7 +603,15 @@ module Host (M : Network_intf.WIRE_MSG) = struct
 
   let reply_bufs n =
     {
+      frame = Bytes.empty;
+      frame_len = 0;
+      at = Ibuf.create ();
+      width = Ibuf.create ();
+      resolved = [||];
       decoded = [||];
+      rd = Wire.Reader.of_string "";
+      rd_stale = true;
+      heard = Array.init n (fun _ -> Memo.create ());
       bcast = empty_view (-1);
       lists = Ibuf.create ();
       list_starts = Ibuf.create ();
@@ -621,13 +621,56 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       need = Array.make n 0;
     }
 
+  (* Table entry [k] of the reply resolves to [m]. *)
+  let settle bufs k m =
+    bufs.decoded <- grow bufs.decoded (Array.length bufs.resolved) m;
+    bufs.decoded.(k) <- m;
+    bufs.resolved.(k) <- true
+
+  (* Read table entry [k] with [M.read], bounded to its bits, and
+     resolve it to the result. [bufs.rd] only moves forward; an entry
+     behind it (a reply naming its entries out of table order) takes a
+     fresh reader over the frame, as does a reply's first read. *)
+  let read_entry bufs k =
+    let pos = bufs.at.a.(k) in
+    if bufs.rd_stale || Wire.Reader.position bufs.rd > pos then begin
+      bufs.rd <- Wire.Reader.of_bytes bufs.frame ~len:bufs.frame_len;
+      bufs.rd_stale <- false
+    end;
+    Wire.Reader.skip bufs.rd (pos - Wire.Reader.position bufs.rd);
+    match Wire.Reader.within bufs.rd ~bits:bufs.width.a.(k) M.read with
+    | m ->
+        settle bufs k m;
+        m
+    | exception Invalid_argument _ -> proto_error "undecodable payload"
+
+  (* Resolve table entry [k] at its first use, at position [j] of source
+     slot [src]'s row or record; later uses take its message as it is.
+     If [src]'s memo holds the entry's bit length and bits at [j], the
+     memo's message is the entry's; otherwise the entry is read and the
+     memo remembers it. So every entry delivered was read, or is
+     bit-equal to an earlier successful read ([M.read] is a pure
+     function of the bits). *)
+  let first_use bufs src j k =
+    let memo = bufs.heard.(src) in
+    let pos = bufs.at.a.(k) and bits = bufs.width.a.(k) in
+    if Memo.holds memo j bufs.frame ~pos ~bits then
+      settle bufs k (Memo.msg memo j)
+    else Memo.store memo j (read_entry bufs k) bufs.frame ~pos ~bits
+
+  let[@inline] resolve bufs src j k =
+    if not bufs.resolved.(k) then first_use bufs src j k;
+    k
+
   (* A round's reply: [true] for stop, else every inbox view of the
      host's slots refilled in place — the records delivered into the
      dedicated streams of their lists' running slots, as an engine
      shard's transmit pushes them, the shared stream pointed at the
      broadcast rows. Each view grows once, to the round's count, which
-     the per-list record counts give in one pass over the lists. Each
-     payload-table entry is decoded once and shared by every recipient
+     the per-list record counts give in one pass over the lists. The
+     payload table is skipped on the way in, and each entry resolved
+     at its first use ([resolve]); one that no row or record names is
+     read all the same. A resolved message is shared by every recipient
      ([M.t] values are immutable). A frame that ends early is malformed
      like any other bad field. *)
   let read_reply r bufs ~round ~ids ~lo ~hi ~states views =
@@ -638,30 +681,40 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       if Wire.Reader.read_gamma r = 1 then true
       else begin
         let n = Array.length ids in
+        bufs.frame <- Wire.Reader.unsafe_bytes r;
+        bufs.frame_len <-
+          (Wire.Reader.position r + Wire.Reader.bits_remaining r) / 8;
         let t = read_count r in
-        for k = 0 to t - 1 do
-          let m = Codec.read_msg r M.read in
-          bufs.decoded <- grow bufs.decoded (k + 1) m;
-          bufs.decoded.(k) <- m
+        let { at; width; lists; list_starts; records; batch; _ } = bufs in
+        Ibuf.clear at;
+        Ibuf.clear width;
+        for _ = 1 to t do
+          let bits = Wire.Reader.read_gamma r in
+          if bits > Wire.Reader.bits_remaining r then
+            proto_error "embedded message of %d bits exceeds the frame" bits;
+          Ibuf.push at (Wire.Reader.position r);
+          Ibuf.push width bits;
+          Wire.Reader.skip r (8 * ((bits + 7) / 8))
         done;
-        let decoded = bufs.decoded in
-        (* The broadcast rows, into [bc]'s dedicated stream grown to
+        bufs.resolved <- grow bufs.resolved t false;
+        Array.fill bufs.resolved 0 t false;
+        bufs.rd_stale <- true;
+        (* The broadcast rows, into [bc]'s dedicated stream, grown to
            their count at once. *)
         let bc = bufs.bcast in
         let c = read_count r in
-        if c > 0 && t = 0 then
-          proto_error "%d rows name an empty payload table" c;
         bc.d_len <- 0;
-        if c > Array.length bc.d_src then begin
-          bc.d_src <- Array.make c 0;
-          bc.d_msg <- Array.make c decoded.(0)
-        end;
-        for _ = 1 to c do
+        for i = 0 to c - 1 do
           let src = Wire.Reader.read_gamma r in
           if src >= n then proto_error "source slot %d" src;
-          push bc ids.(src) decoded.(read_payload r t)
+          let k = resolve bufs src 0 (read_payload r t) in
+          let m = bufs.decoded.(k) in
+          if i = 0 && c > Array.length bc.d_src then begin
+            bc.d_src <- Array.make c 0;
+            bc.d_msg <- Array.make c m
+          end;
+          push bc ids.(src) m
         done;
-        let { lists; list_starts; records; batch; _ } = bufs in
         let nl = read_count r in
         Ibuf.clear lists;
         Ibuf.clear list_starts;
@@ -689,20 +742,23 @@ module Host (M : Network_intf.WIRE_MSG) = struct
           Ibuf.push records src;
           Ibuf.push records l;
           (match tag with
-          | 4 -> Ibuf.push records (read_payload r t)
+          | 4 -> Ibuf.push records (resolve bufs src 0 (read_payload r t))
           | 2 ->
               let c = read_count r in
               let len = list_starts.a.(l + 1) - list_starts.a.(l) in
               if c <> len then
                 proto_error "batch of %d payloads over a list of %d" c len;
               Ibuf.push records (-1 - batch.len);
-              for _ = 1 to c do
-                Ibuf.push batch (read_payload r t)
+              for j = 0 to c - 1 do
+                Ibuf.push batch (resolve bufs src j (read_payload r t))
               done
           | tag -> proto_error "unknown record tag %d" tag);
           per_list.(l) <- per_list.(l) + 1
         done;
-        let need = bufs.need in
+        for k = 0 to t - 1 do
+          if not bufs.resolved.(k) then ignore (read_entry bufs k)
+        done;
+        let need = bufs.need and decoded = bufs.decoded in
         Array.fill need lo (hi - lo) 0;
         for l = 0 to nl - 1 do
           if per_list.(l) > 0 then
@@ -784,9 +840,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         states.(s) <-
           start_fiber prog { id = ids.(s); ids; node_rng; current_round; out }
     done;
-    let memos =
-      Array.init n (fun _ -> { m_msgs = [||]; m_enc = [||]; m_bits = [||] })
-    in
+    let sent = Array.init n (fun _ -> Memo.create ()) in
     let views = Array.map empty_view ids in
     let bufs = reply_bufs n in
     let tbl = Payloads.create () and gids = Ibuf.create () in
@@ -799,7 +853,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       for s = lo to hi - 1 do
         match states.(s) with
         | Running _ ->
-            intern_outbox ~index tbl sw gids lists slots list_of s memos.(s)
+            intern_outbox ~index tbl sw gids lists slots list_of s sent.(s)
               outs.(s)
         | Finished _ | Dead _ | Byz_node -> ()
       done;

@@ -102,14 +102,22 @@ val serve :
     exchange-class call is therefore valid only until the node's next
     one ({!Network_intf.S.inbox}'s contract).
 
-    Payloads cross in place: a host writes each message it must encode
-    with [M.write] into one scratch writer kept for the run, and reads
-    each reply payload with [M.read] straight from the frame, bounded
-    to the payload's declared bits. It skips [M.write] for a message
+    Payloads cross in place, through a codec memo per slot for each
+    direction that keeps messages with their encodings in byte arenas
+    kept across rounds. A host writes each message it must encode with
+    [M.write] into one scratch writer kept for the run, and copies the
+    bytes into the slot's send memo. It skips [M.write] for a message
     physically equal to the previous entry of the same outbox, or to
     the message at the same position of the slot's previous outbox
     (whatever round stored it); the memo keeps its own copies, so
-    callers may refill their [exchange_sized] arrays in place. *)
+    callers may refill their [exchange_sized] arrays in place. A reply
+    payload is resolved at its first use by a row or record: if the
+    sender's receive memo holds the same bit length and bits at that
+    position, the message read from them then is delivered again,
+    physically; otherwise it is read with [M.read] straight from the
+    frame, bounded to its declared bits, and remembered. A payload no
+    row or record names is read all the same, so a malformed reply
+    fails as it would if every payload were read. *)
 module Host (M : Network_intf.WIRE_MSG) : sig
   include Network_intf.S with type msg = M.t
 

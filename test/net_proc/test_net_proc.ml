@@ -426,9 +426,11 @@ end
 
 module Counting_host = SN.Host (Counting_msg)
 
-let test_one_decode_per_host_per_round () =
+let test_one_decode_per_host_per_run () =
   (* 4 nodes broadcast the same payload for 3 rounds over 2 hosts: each
-     host reads it once per round, so every node counts 3. *)
+     host reads it once, at its first use in round 0; every later use
+     finds the same bits in its sender's receive memo (or the entry
+     already read in that reply), so every node counts 1. *)
   let res =
     serve_forked ~ids:[| 11; 22; 33; 44 |] ~n_hosts:2 (fun h fd ->
         Counting_host.run ~fd ~host_index:h ~program:(fun ~extra:_ ctx ->
@@ -441,7 +443,7 @@ let test_one_decode_per_host_per_round () =
     (fun (id, outcome) ->
       match outcome with
       | Engine.Decided v ->
-          Alcotest.(check int) (Printf.sprintf "node %d reads" id) 3 v
+          Alcotest.(check int) (Printf.sprintf "node %d reads" id) 1 v
       | _ -> Alcotest.fail (Printf.sprintf "node %d did not decide" id))
     res.SN.run.Engine.outcomes
 
@@ -590,8 +592,8 @@ let () =
             test_stale_bytes;
           Alcotest.test_case "mixed outboxes match the engine" `Quick
             test_mixed_outboxes_match_engine;
-          Alcotest.test_case "one decode per host per round" `Quick
-            test_one_decode_per_host_per_round;
+          Alcotest.test_case "one decode per host per run" `Quick
+            test_one_decode_per_host_per_run;
           Alcotest.test_case "one encode per changed batch position" `Quick
             test_encode_memo;
           Alcotest.test_case "net_node_cli byz n=128 within budget" `Quick

@@ -254,6 +254,38 @@ let test_net_node_socket_errors () =
         (Printf.sprintf "coord --port %d" port)
         (Printf.sprintf "127.0.0.1:%d" port))
 
+(* The coordinator's per-copy hook ([serve]'s [?on_message], which
+   feeds the oracles) must not allocate per billed message: an n=256
+   crash run bills 387,072 messages, and the coordinator process must
+   allocate fewer words than that in all. The runtime prints
+   [allocated_words] at exit under [v=0x400]; the forked hosts leave by
+   [Unix._exit] and print nothing. It read 2,826,208 while the hook
+   built a closure per copy. *)
+let test_net_node_coordinator_allocation () =
+  let code, out =
+    run_capture_bin
+      ("OCAMLRUNPARAM=v=0x400 " ^ bin "net_node_cli.exe")
+      "local -n 256 --hosts 2 --seed 1"
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  let lines = String.split_on_char '\n' out in
+  let msgs =
+    List.find_map
+      (fun w -> Scanf.sscanf_opt w "msgs=%d%!" Fun.id)
+      (List.concat_map (String.split_on_char ' ') lines)
+  in
+  Alcotest.(check (option int)) "billed messages" (Some 387_072) msgs;
+  match
+    List.find_map
+      (fun l -> Scanf.sscanf_opt l "allocated_words: %d" Fun.id)
+      lines
+  with
+  | None -> Alcotest.fail "no allocated_words line"
+  | Some words ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d allocated words < 387072 billed messages" words)
+        true (words < 387_072)
+
 (* renaming_cli rejects impossible sizes and counts the same way, before
    any run starts. *)
 let test_renaming_bad_arguments () =
@@ -376,6 +408,8 @@ let suite =
         test_net_node_bad_arguments;
       Alcotest.test_case "net_node socket errors exit 1" `Quick
         test_net_node_socket_errors;
+      Alcotest.test_case "net_node coordinator allocation per copy" `Quick
+        test_net_node_coordinator_allocation;
       Alcotest.test_case "renaming bad arguments exit 2" `Quick
         test_renaming_bad_arguments;
       Alcotest.test_case "trace and lint bad arguments exit 2" `Quick
