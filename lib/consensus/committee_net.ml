@@ -2,9 +2,8 @@ type 'm receiver = src:int -> 'm -> unit
 
 type 'm t = {
   me : int;
-  members : int list;
-  ids : int array;  (* [members] as an array, for binary search *)
-  multisend : dsts:int list -> 'm -> f:'m receiver -> unit;
+  ids : int array;  (* the members, sorted: the multisend destinations *)
+  multisend : dsts:int array -> 'm -> f:'m receiver -> unit;
   skip_round : f:'m receiver -> unit;
   (* The round's kept messages, in inbox order: [kept] entries of
      [kept_src]/[kept_msg]. [stamp.(i)] is the last round member [i] was
@@ -35,13 +34,11 @@ let keep t ~src m =
   end
 
 let create ~me ~members ~multisend ~skip_round =
-  let members = List.sort_uniq Int.compare members in
-  let ids = Array.of_list members in
+  let ids = Array.of_list (List.sort_uniq Int.compare members) in
   let k = Array.length ids in
   let rec t =
     {
       me;
-      members;
       ids;
       multisend;
       skip_round;
@@ -61,7 +58,7 @@ let start_round t =
 
 let broadcast t m =
   start_round t;
-  t.multisend ~dsts:t.members m ~f:t.keep
+  t.multisend ~dsts:t.ids m ~f:t.keep
 
 let silent_round t =
   start_round t;

@@ -36,7 +36,7 @@ type 'm receiver = src:int -> 'm -> unit
 val create :
   me:int ->
   members:int list ->
-  multisend:(dsts:int list -> 'm -> f:'m receiver -> unit) ->
+  multisend:(dsts:int array -> 'm -> f:'m receiver -> unit) ->
   skip_round:(f:'m receiver -> unit) ->
   'm t
 (** [create ~me ~members ~multisend ~skip_round]: [multisend ~dsts m ~f]
@@ -46,7 +46,10 @@ val create :
     {!Repro_net.Network_intf.S} backend these are
     [Net.Inbox.iter (Net.multisend ctx ~dsts m) ~f] and
     [Net.Inbox.iter (Net.skip_round ctx) ~f]. [members] (which includes
-    [me]) is sorted and deduplicated. *)
+    [me]) is sorted and deduplicated into an array the net keeps for its
+    lifetime; every {!broadcast} passes that same array as [dsts], so a
+    [multisend] may alias it (as the backends' does) but must not
+    mutate it. *)
 
 val me : 'm t -> int
 

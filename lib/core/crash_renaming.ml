@@ -190,7 +190,7 @@ struct
      per-run records, and [program] builds their closures once per run.
      Outside committee emission, a phase therefore allocates only a
      [Status] when the node's [(iv, d, p)] changed and the committee
-     list when the membership changed (plus the runtime's continuation
+     array when the membership changed (plus the runtime's continuation
      at each yield). An earlier draft copied each inbox into separate
      packed columns first; the copy doubled the per-entry walk (and
      paid a pointer write barrier per interval) for no information
@@ -203,7 +203,8 @@ struct
      keeps, per slot, the last status it received from that participant
      plus cached gamma sizes, and rebuilds the Figure-2 verdict-group
      index from scratch on every absorb, in four passes over the round's
-     reporters:
+     reporters, in columns sized once per member for the largest
+     round:
      - absorb: check the input contract, store the statuses, and take
        the minimum depth and the largest escalation level;
      - groups: collect the distinct minimum-depth non-singleton
@@ -223,9 +224,11 @@ struct
      - minimum-depth non-singleton intervals are pairwise disjoint (the
        shared halving-tree invariant),
      - depths and escalation levels stay below {!depth_cap} (honest
-       values are O(log n)).
+       values are O(log n)),
+     - every interval lies in the target namespace [1, target], so a
+       round has at most [target / 2] groups.
 
-     Honest crash-model traffic meets all four by construction, so a
+     Honest crash-model traffic meets all five by construction, so a
      violation is a bug in whatever produced the inbox, not an input to
      absorb. Under the contract slot order = ascending identity = inbox
      order, so verdicts go out in inbox order, and a rank "reporters of
@@ -239,10 +242,14 @@ struct
     let violated what = raise (Invalid_committee_inbox what)
     let overlap () = violated "overlapping minimum-depth intervals"
 
-    module Vec = Repro_util.Arena.Vec
+    (* Fill for the interval columns. Built once, so it is long promoted
+       when a member is created: [Array.make] of more than 256 words
+       with a young fill forces a minor collection. *)
+    let dummy_iv = Interval.singleton 1
 
     type t = {
       cn : int;
+      target : int;  (* every status's interval lies in [1, target] *)
       sorted_ids : int array;  (* slot i <-> sorted_ids.(i) *)
       (* last status per slot; [s_lo > s_hi] before the first report *)
       s_lo : int array;
@@ -258,30 +265,81 @@ struct
       v_msg : Msg.t array;
       r_slot : int array;  (* this round's reporting slots, ascending *)
       (* verdict-group index, rebuilt every absorb: parallel arrays
-         sorted by [g_lo] *)
+         sorted by [g_lo], sized once for the most groups a round can
+         have (see [create]) *)
       mutable g_len : int;
-      mutable g_lo : int array;
-      mutable g_hi : int array;
-      mutable g_iv : Interval.t array;  (* a defining status's interval *)
-      mutable g_b : int array;  (* #other statuses inside bot *)
-      mutable g_rank : int array;  (* emission rank counters *)
+      g_lo : int array;
+      g_hi : int array;
+      g_iv : Interval.t array;  (* a defining status's interval *)
+      g_b : int array;  (* #other statuses inside bot *)
+      g_rank : int array;  (* emission rank counters *)
       (* interned verdicts: one canonical [Msg.t] per (group, outcome),
          built on first use ([Notify] until then) and shared physically
          by every recipient in the group, with its billed size *)
-      mutable g_bot_msg : Msg.t array;
-      mutable g_top_msg : Msg.t array;
-      mutable g_bot_bits : int array;
-      mutable g_top_bits : int array;
-      (* sized outbox buffers, arena-backed, reused every round *)
-      out_dsts : int Vec.t;
-      out_msgs : Msg.t Vec.t;
-      out_sizes : int Vec.t;
+      g_bot_msg : Msg.t array;
+      g_top_msg : Msg.t array;
+      g_bot_bits : int array;
+      g_top_bits : int array;
+      (* the verdict outbox, one entry per reporter, reused every round *)
+      out_dsts : int array;
+      out_msgs : Msg.t array;
+      out_sizes : int array;
+      (* the absorb sweep's running state, reset every absorb *)
+      mutable a_m : int;  (* reporters so far *)
+      mutable a_last : int;  (* the last reporter's slot, -1 before one *)
+      mutable a_d_min : int;
+      mutable a_p_max : int;
+      absorb : src:int -> Msg.t -> unit;  (* the sweep, built once *)
     }
+
+    (* One inbox entry of the absorb sweep: check the input contract,
+       store the status, and track the minimum depth and the largest
+       escalation level. *)
+    let absorb_status cs ~src msg =
+      match msg with
+      | Msg.Notify | Msg.Response _ -> ()
+      | Msg.Status { id; iv; d; p } ->
+          if id <> src then violated "status id differs from its source";
+          if d < 0 || d >= depth_cap || p < 0 || p >= depth_cap then
+            violated "depth or escalation level out of range";
+          let lo = iv.Interval.lo and hi = iv.Interval.hi in
+          if lo < 1 || hi > cs.target then
+            violated "interval outside the target namespace";
+          let ids = cs.sorted_ids and last = cs.a_last in
+          let k = ref (max 0 last) in
+          while !k < cs.cn && Array.unsafe_get ids !k < src do
+            incr k
+          done;
+          if !k >= cs.cn || Array.unsafe_get ids !k <> src then
+            violated "source unknown or not ascending";
+          let i = !k in
+          if i = last then violated "source reports twice";
+          cs.a_last <- i;
+          cs.r_slot.(cs.a_m) <- i;
+          cs.a_m <- cs.a_m + 1;
+          (* gamma sizes are recomputed only for changed fields *)
+          if cs.s_lo.(i) <> lo || cs.s_hi.(i) <> hi then begin
+            cs.s_lo.(i) <- lo;
+            cs.s_hi.(i) <- hi;
+            cs.s_iv.(i) <- iv;
+            cs.s_ivb.(i) <- gamma lo + gamma (hi - lo)
+          end;
+          if cs.s_d.(i) <> d then begin
+            cs.s_d.(i) <- d;
+            cs.s_db.(i) <- gamma d
+          end;
+          if d < cs.a_d_min then cs.a_d_min <- d;
+          if p > cs.a_p_max then cs.a_p_max <- p
 
     let rec ascending (ids : int array) i =
       i >= Array.length ids || (ids.(i - 1) < ids.(i) && ascending ids (i + 1))
 
-    let create ~ids =
+    (* Everything a member needs, at its per-round maximum. A round has
+       at most [cn] reporters, one verdict each. Its groups are pairwise
+       disjoint non-singleton intervals, each defined by a reporter and
+       (the input contract) inside [1, target], so there are at most
+       [min cn (target / 2)] of them. *)
+    let create ~ids ~target =
       let cn = Array.length ids in
       (* Callers hand over ascending ids ([Experiment.random_ids] sorts
          them); the committee only reads the array, so alias it. *)
@@ -293,33 +351,42 @@ struct
           a
         end
       in
-      let dummy_iv = Interval.singleton 1 in
-      {
-        cn;
-        sorted_ids;
-        s_lo = Array.make cn 0;
-        s_hi = Array.make cn (-1);
-        s_d = Array.make cn (-1);
-        s_iv = Array.make cn dummy_iv;
-        s_ivb = Array.make cn 0;
-        s_db = Array.make cn 0;
-        s_grp = Array.make cn (-1);
-        v_msg = Array.make cn Msg.Notify;
-        r_slot = Array.make cn 0;
-        g_len = 0;
-        g_lo = [||];
-        g_hi = [||];
-        g_iv = [||];
-        g_b = [||];
-        g_rank = [||];
-        g_bot_msg = [||];
-        g_top_msg = [||];
-        g_bot_bits = [||];
-        g_top_bits = [||];
-        out_dsts = Vec.create ~dummy:0;
-        out_msgs = Vec.create ~dummy:Msg.Notify;
-        out_sizes = Vec.create ~dummy:0;
-      }
+      let gcap = min cn (target / 2) in
+      let rec cs =
+        {
+          cn;
+          target;
+          sorted_ids;
+          s_lo = Array.make cn 0;
+          s_hi = Array.make cn (-1);
+          s_d = Array.make cn (-1);
+          s_iv = Array.make cn dummy_iv;
+          s_ivb = Array.make cn 0;
+          s_db = Array.make cn 0;
+          s_grp = Array.make cn (-1);
+          v_msg = Array.make cn Msg.Notify;
+          r_slot = Array.make cn 0;
+          g_len = 0;
+          g_lo = Array.make gcap 0;
+          g_hi = Array.make gcap 0;
+          g_iv = Array.make gcap dummy_iv;
+          g_b = Array.make gcap 0;
+          g_rank = Array.make gcap 0;
+          g_bot_msg = Array.make gcap Msg.Notify;
+          g_top_msg = Array.make gcap Msg.Notify;
+          g_bot_bits = Array.make gcap 0;
+          g_top_bits = Array.make gcap 0;
+          out_dsts = Array.make cn 0;
+          out_msgs = Array.make cn Msg.Notify;
+          out_sizes = Array.make cn 0;
+          a_m = 0;
+          a_last = -1;
+          a_d_min = max_int;
+          a_p_max = -1;
+          absorb = (fun ~src msg -> absorb_status cs ~src msg);
+        }
+      in
+      cs
 
     (* Index of the rightmost group with [g_lo <= lo]; -1 if none. *)
     let locate cs lo =
@@ -330,31 +397,10 @@ struct
       done;
       !l - 1
 
-    let ensure_gcap cs =
-      if cs.g_len = Array.length cs.g_lo then begin
-        let cap = max 8 (2 * cs.g_len) in
-        let grow a dummy =
-          let b = Array.make cap dummy in
-          Array.blit a 0 b 0 cs.g_len;
-          b
-        in
-        let dummy_iv = Interval.singleton 1 in
-        cs.g_lo <- grow cs.g_lo 0;
-        cs.g_hi <- grow cs.g_hi 0;
-        cs.g_iv <- grow cs.g_iv dummy_iv;
-        cs.g_b <- Array.make cap 0;
-        cs.g_rank <- Array.make cap 0;
-        cs.g_bot_msg <- Array.make cap Msg.Notify;
-        cs.g_top_msg <- Array.make cap Msg.Notify;
-        cs.g_bot_bits <- Array.make cap 0;
-        cs.g_top_bits <- Array.make cap 0
-      end
-
     (* Only the defining columns are live while groups are being
        collected; the per-round counters are reset once the set is
-       complete. *)
+       complete. The columns hold every group a round can have. *)
     let insert_group cs ~at ~lo ~hi ~iv =
-      ensure_gcap cs;
       let tail = cs.g_len - at in
       if tail > 0 then begin
         Array.blit cs.g_lo at cs.g_lo (at + 1) tail;
@@ -419,12 +465,10 @@ struct
             cs.g_b.(at) <- cs.g_b.(at) + 1
       done
 
-    type outcome = Empty | Emitted of int
-
-    let push cs id msg sz =
-      Vec.push cs.out_dsts id;
-      Vec.push cs.out_msgs msg;
-      Vec.push cs.out_sizes sz
+    let push cs k id msg sz =
+      cs.out_dsts.(k) <- id;
+      cs.out_msgs.(k) <- msg;
+      cs.out_sizes.(k) <- sz
 
     (* Content-addressed per-slot verdict reuse: a frozen singleton (or
        a stable echo) receives the very same payload every phase, so
@@ -441,11 +485,11 @@ struct
           Array.unsafe_set cs.v_msg i m;
           m
 
-    (* Group [at]'s verdict for its reporter of rank [rank]: the bottom
-       half while the statuses inside it plus the rank still fit there,
-       the top half otherwise. [tail] is the billed size of the depth
-       and escalation fields. *)
-    let group_verdict cs id at ~rank ~d1 ~pv ~tail =
+    (* Group [at]'s verdict, as outbox entry [k], for its reporter of
+       rank [rank]: the bottom half while the statuses inside it plus
+       the rank still fit there, the top half otherwise. [tail] is the
+       billed size of the depth and escalation fields. *)
+    let group_verdict cs k id at ~rank ~d1 ~pv ~tail =
       let giv = cs.g_iv.(at) in
       if cs.g_b.(at) + rank <= Interval.mid giv - giv.Interval.lo + 1 then begin
         (match cs.g_bot_msg.(at) with
@@ -455,7 +499,7 @@ struct
             cs.g_bot_bits.(at) <-
               2 + gamma iv.Interval.lo + gamma (Interval.size iv - 1) + tail
         | Msg.Status _ | Msg.Response _ -> ());
-        push cs id cs.g_bot_msg.(at) cs.g_bot_bits.(at)
+        push cs k id cs.g_bot_msg.(at) cs.g_bot_bits.(at)
       end
       else begin
         (match cs.g_top_msg.(at) with
@@ -465,53 +509,23 @@ struct
             cs.g_top_bits.(at) <-
               2 + gamma iv.Interval.lo + gamma (Interval.size iv - 1) + tail
         | Msg.Status _ | Msg.Response _ -> ());
-        push cs id cs.g_top_msg.(at) cs.g_top_bits.(at)
+        push cs k id cs.g_top_msg.(at) cs.g_top_bits.(at)
       end
 
     (* Absorb one status round straight off the inbox view — the view is
        already the round's struct-of-arrays decode — rebuild the group
-       index, and fill the sized outbox buffers with the verdicts, in
-       inbox (= ascending slot) order. *)
+       index, and fill the outbox with the verdicts, in inbox (=
+       ascending slot) order. Returns the number of verdicts, 0 for a
+       round without statuses. *)
     let absorb_and_emit cs (st : state) inbox =
-      let m = ref 0 and last = ref (-1) in
-      let d_min = ref max_int and p_max = ref (-1) in
-      Net.Inbox.iter inbox ~f:(fun ~src msg ->
-          match msg with
-          | Msg.Notify | Msg.Response _ -> ()
-          | Msg.Status { id; iv; d; p } ->
-              if id <> src then violated "status id differs from its source";
-              if d < 0 || d >= depth_cap || p < 0 || p >= depth_cap then
-                violated "depth or escalation level out of range";
-              let ids = cs.sorted_ids in
-              let k = ref (max 0 !last) in
-              while !k < cs.cn && Array.unsafe_get ids !k < src do
-                incr k
-              done;
-              if !k >= cs.cn || Array.unsafe_get ids !k <> src then
-                violated "source unknown or not ascending";
-              let i = !k in
-              if i = !last then violated "source reports twice";
-              last := i;
-              cs.r_slot.(!m) <- i;
-              incr m;
-              let lo = iv.Interval.lo and hi = iv.Interval.hi in
-              (* gamma sizes are recomputed only for changed fields *)
-              if cs.s_lo.(i) <> lo || cs.s_hi.(i) <> hi then begin
-                cs.s_lo.(i) <- lo;
-                cs.s_hi.(i) <- hi;
-                cs.s_iv.(i) <- iv;
-                cs.s_ivb.(i) <- gamma lo + gamma (hi - lo)
-              end;
-              if cs.s_d.(i) <> d then begin
-                cs.s_d.(i) <- d;
-                cs.s_db.(i) <- gamma d
-              end;
-              if d < !d_min then d_min := d;
-              if p > !p_max then p_max := p);
-      let m = !m and d_min = !d_min in
-      if m = 0 then Empty
-      else begin
-        if !p_max > st.pv then st.pv <- !p_max;
+      cs.a_m <- 0;
+      cs.a_last <- -1;
+      cs.a_d_min <- max_int;
+      cs.a_p_max <- -1;
+      Net.Inbox.iter inbox ~f:cs.absorb;
+      let m = cs.a_m and d_min = cs.a_d_min in
+      if m > 0 then begin
+        if cs.a_p_max > st.pv then st.pv <- cs.a_p_max;
         build_groups cs m d_min;
         fill cs m;
         (* emission: one verdict per reporter, ascending — group
@@ -519,9 +533,6 @@ struct
            outcome), shared by every recipient), singletons and echoes
            reuse last round's message when the payload is unchanged, and
            precomputed size components make billing pure table lookups *)
-        Vec.clear cs.out_dsts;
-        Vec.clear cs.out_msgs;
-        Vec.clear cs.out_sizes;
         let pv = st.pv in
         let pvb = gamma pv in
         let d1 = d_min + 1 in
@@ -539,19 +550,19 @@ struct
             end
           in
           if d <> d_min then
-            push cs id
+            push cs k id
               (cached_verdict cs i ~iv:cs.s_iv.(i) ~d ~p:pv)
               (2 + cs.s_ivb.(i) + cs.s_db.(i) + pvb)
           else if at < 0 then
             (* every minimum-depth non-singleton defines a group, so this
                is a minimum-depth singleton *)
-            push cs id
+            push cs k id
               (cached_verdict cs i ~iv:cs.s_iv.(i) ~d:d1 ~p:pv)
               (2 + cs.s_ivb.(i) + d1b + pvb)
-          else group_verdict cs id at ~rank ~d1 ~pv ~tail:(d1b + pvb)
-        done;
-        Emitted m
-      end
+          else group_verdict cs k id at ~rank ~d1 ~pv ~tail:(d1b + pvb)
+        done
+      end;
+      m
   end
 
   (* Figure 3: adopt the deepest (then leftmost) committee verdict; on
@@ -630,22 +641,23 @@ struct
     end
 
   (* The announcement round: the committee ids, in ascending src order,
-     collect into a buffer kept for the run. The list is rebuilt from
-     every announcement inbox by each of the n nodes, so building it
-     with a fold + [List.rev] doubled the cons cells of the whole round;
-     with on-demand re-election the round names the same members phase
-     after phase, so the previous phase's list is kept and reused
-     whenever the buffered ids match — checking costs the same walk
-     that rebuilding would, minus the allocation. *)
+     collect into a buffer kept for the run, and the round-2 multisend
+     sends to an array of them. Every one of the n nodes rebuilds the
+     committee from each announcement inbox; with on-demand re-election
+     the round names the same members phase after phase, so the previous
+     phase's array is kept and passed again whenever the buffered ids
+     match. Checking costs the walk that copying would, minus the
+     allocation; only a changed committee copies ([len + 1] words). The
+     slot aliases the array while the node is suspended, and a kept
+     array is never written, only replaced. *)
   type announce_scratch = {
     mutable n_len : int;  (* ids collected this phase *)
     mutable n_buf : int array;
-    mutable n_list : int list;  (* the last committee list built *)
-    mutable n_list_len : int;
+    mutable n_committee : int array;  (* the last committee copied *)
   }
 
   let announce_scratch () =
-    { n_len = 0; n_buf = Array.make 16 0; n_list = []; n_list_len = 0 }
+    { n_len = 0; n_buf = Array.make 16 0; n_committee = [||] }
 
   (* The sweep body, closed over its scratch once per run like
      [adopt_sweep]. *)
@@ -662,22 +674,15 @@ struct
         an.n_len <- len + 1
     | Msg.Status _ | Msg.Response _ -> ()
 
-  (* Are the buffered ids, from index [i] on, exactly the list? *)
-  let rec buffered_is an i = function
-    | [] -> i = an.n_len
-    | x :: tl -> i < an.n_len && x = an.n_buf.(i) && buffered_is an (i + 1) tl
+  (* Are the buffered ids, from index [i] on, exactly [c]'s? *)
+  let rec buffered_is an (c : int array) i =
+    i = an.n_len || (c.(i) = an.n_buf.(i) && buffered_is an c (i + 1))
 
   let committee_of_buf an =
-    let len = an.n_len in
-    if not (an.n_list_len = len && buffered_is an 0 an.n_list) then begin
-      let l = ref [] in
-      for i = len - 1 downto 0 do
-        l := an.n_buf.(i) :: !l
-      done;
-      an.n_list <- !l;
-      an.n_list_len <- len
-    end;
-    an.n_list
+    let c = an.n_committee in
+    if not (Array.length c = an.n_len && buffered_is an c 0) then
+      an.n_committee <- Array.sub an.n_buf 0 an.n_len;
+    an.n_committee
 
   let program ?telemetry ?alloc_emit params ctx =
     let n = Net.n ctx in
@@ -708,37 +713,37 @@ struct
           last_status := m;
           m
     in
-    (* Flattened committee state, allocated on first election only: most
-       nodes never serve. Persists across phases, so its columns and
-       verdict caches are reused. *)
+    (* Flattened committee state, allocated at the member's first
+       committee round: most nodes never serve. Persists across phases,
+       so its columns and verdict caches are reused. *)
     let cstate = ref None in
     let committee_state () =
       match !cstate with
       | Some cs -> cs
       | None ->
-          let cs = Committee.create ~ids:(Net.all_ids ctx) in
+          let cs =
+            Committee.create ~ids:(Net.all_ids ctx) ~target:full_iv.Interval.hi
+          in
           cstate := Some cs;
           cs
     in
-    (* The emission bracket closes before the exchange suspends: once
+    (* The emission bracket holds all the committee allocates, its
+       record included, and closes before the exchange suspends: once
        the effect performs, the engine's own resume bracket takes over
        (see [Engine.alloc_probe]). *)
     let emitting = alloc_emit <> None in
     let probe_words () = Gc.minor_words () in
-    let committee_round cs inbox =
+    let committee_round inbox =
       let w0 = if emitting then probe_words () else 0. in
-      let out = Committee.absorb_and_emit cs st inbox in
+      let cs = committee_state () in
+      let len = Committee.absorb_and_emit cs st inbox in
       (match alloc_emit with
       | Some acc -> acc := !acc +. (probe_words () -. w0)
       | None -> ());
-      match out with
-      | Committee.Empty -> Net.exchange ctx []
-      | Committee.Emitted len ->
-          Net.exchange_sized ctx
-            ~dsts:(Committee.Vec.data cs.Committee.out_dsts)
-            ~msgs:(Committee.Vec.data cs.Committee.out_msgs)
-            ~sizes:(Committee.Vec.data cs.Committee.out_sizes)
-            ~len
+      if len = 0 then Net.exchange ctx []
+      else
+        Net.exchange_sized ctx ~dsts:cs.Committee.out_dsts
+          ~msgs:cs.Committee.out_msgs ~sizes:cs.Committee.out_sizes ~len
     in
     st.elected <- Rng.bernoulli rng (elect_prob memo params ~n 0);
     for phase = 1 to phases params ~n do
@@ -757,7 +762,7 @@ struct
          adoption that used to sit here folds into the committee pass
          over the same inbox. *)
       let inbox3 =
-        if st.elected then committee_round (committee_state ()) inbox2
+        if st.elected then committee_round inbox2
         else Net.exchange ctx []
       in
       node_action params ~n memo rng st sc sweep inbox3;
@@ -783,9 +788,12 @@ struct
 
     (* One committee member driven through fabricated round inboxes;
        after each absorb, [f] gets the member state and its outcome. *)
+    (* The member renames into [1, |ids|], as in a strong-renaming run. *)
+    let create ~ids = Committee.create ~ids ~target:(Array.length ids)
+
     let drive ~pv ~ids rounds f =
       let st = { iv = Interval.full 1; dv = 0; pv; elected = true } in
-      let cs = Committee.create ~ids in
+      let cs = create ~ids in
       let out =
         List.map
           (fun pairs ->
@@ -797,20 +805,18 @@ struct
 
     let committee_verdicts ~pv ~ids rounds =
       fst
-        (drive ~pv ~ids rounds (fun cs -> function
-           | Committee.Empty -> []
-           | Committee.Emitted len ->
-               List.init len (fun k ->
-                   ( Committee.Vec.get cs.Committee.out_dsts k,
-                     Committee.Vec.get cs.Committee.out_msgs k,
-                     Committee.Vec.get cs.Committee.out_sizes k ))))
+        (drive ~pv ~ids rounds (fun cs len ->
+             List.init len (fun k ->
+                 ( cs.Committee.out_dsts.(k),
+                   cs.Committee.out_msgs.(k),
+                   cs.Committee.out_sizes.(k) ))))
 
     let state_pv ~pv ~ids rounds =
       snd (drive ~pv ~ids rounds (fun _ _ -> ()))
 
     let footprint ~ids rounds last =
       let st = { iv = Interval.full 1; dv = 0; pv = 0; elected = true } in
-      let cs = Committee.create ~ids in
+      let cs = create ~ids in
       List.iter
         (fun pairs ->
           ignore

@@ -111,9 +111,12 @@ exception Invalid_committee_inbox of string
       most once (the engine's inbox order);
     - minimum-depth non-singleton intervals are pairwise disjoint (the
       shared halving-tree invariant);
-    - depths and escalation levels lie in [\[0, 2^20)].
+    - depths and escalation levels lie in [\[0, 2^20)];
+    - every interval lies in the target namespace [\[1, m\]] ([n] for
+      [`Strong], [m] for [`Loose m]), which bounds the number of
+      verdict groups the member's columns are sized for.
 
-    Honest crash-model traffic satisfies all four by construction, so
+    Honest crash-model traffic satisfies all five by construction, so
     the member does not absorb a violation: it raises this exception,
     naming the failed precondition, out of the node program. Nothing in
     the library catches it — the engine re-raises it from [Net.run], and
@@ -123,8 +126,9 @@ val program :
   ?telemetry:telemetry -> ?alloc_emit:float ref -> params -> Net.ctx -> int
 (** The per-node program; returns the node's new identity in [[1, n]].
     Run it through {!Net.run} or the {!run} convenience wrapper.
-    [alloc_emit] accumulates the minor words allocated by committee
-    emission (verdict build + outbox fill) — the protocol half of the
+    [alloc_emit] accumulates the minor words allocated by the committee
+    (a member's record, at its first committee round, then each round's
+    verdict build and outbox fill) — the protocol half of the
     {!Repro_sim.Engine.alloc_probe} attribution; meaningful only when
     every node of a run shares one cell on one domain. *)
 
@@ -161,7 +165,8 @@ val run :
 (** Test-only seams into the committee internals. Each drives one
     committee member through a sequence of round inboxes, given as
     [(src, msg)] pairs fabricated without engine checks. [ids] is the
-    participant set (the member's slot universe); [pv] seeds the
+    participant set (the member's slot universe), and the member renames
+    into [\[1, |ids|\]] as in a strong-renaming run; [pv] seeds the
     member's escalation counter. The member's retained state persists
     across the listed rounds, exactly as in a live run, and a round that
     breaks the input contract raises {!Invalid_committee_inbox}. *)

@@ -195,7 +195,8 @@ let mutating_ops =
    (D4 in [Rules], and the summary's globals) and whose [let]-binding
    inside a function marks the bound name as locally created for the S2
    receiver-locality check. A top-level round-scoped arena
-   ([Arena.Vec.create], lib/util/arena.ml) is one too: cross-run — and
+   ([Arena.Vec.create], the growable emission buffers the crash
+   committee once kept) is one too: cross-run — and
    under sharding cross-domain — reusable mutable state; arenas must be
    owned by per-run protocol state (see test/lint/d4_arena.ml). *)
 let mutable_ctor_heads =

@@ -110,7 +110,11 @@ module type S = sig
   (** The node's private randomness, derived from the run seed. *)
 
   val exchange : ctx -> (int * msg) list -> inbox
-  val multisend : ctx -> dsts:int list -> msg -> inbox
+  val multisend : ctx -> dsts:int array -> msg -> inbox
+  (** [msg] to every identity in [dsts], in order, as one fanned
+      outbox. The backend aliases [dsts] until the node is resumed:
+      the caller must not mutate it while suspended in the call. *)
+
   val broadcast : ctx -> msg -> inbox
   val skip_round : ctx -> inbox
 

@@ -159,12 +159,16 @@ module Make (M : MSG) : sig
       {e Byzantine} traffic, by contrast, is silently dropped and
       counted in [Metrics.byz_misaddressed]). *)
 
-  val multisend : ctx -> dsts:int list -> M.t -> inbox
+  val multisend : ctx -> dsts:int array -> M.t -> inbox
   (** [multisend ctx ~dsts m] behaves like [exchange] of [m] to each
       destination in [dsts] (in order), but the engine fans the single
-      message value out itself: emitting it costs O(1) in outbox
-      structure and its size is computed once for the whole batch. The
-      status-report rounds of the renaming protocols are this shape. *)
+      message value out itself: its size is computed once for the whole
+      batch, and the node's slot aliases [dsts] rather than copying it,
+      as a broadcast aliases the participant array and {!exchange_sized}
+      its arrays. The caller must not mutate [dsts] while it is
+      suspended in the call; a caller that sends to the same set round
+      after round can pass the same array every time. The status-report
+      rounds of the renaming protocols are this shape. *)
 
   val broadcast : ctx -> M.t -> inbox
   (** [broadcast ctx m] = [exchange] of [m] to every link (including the

@@ -48,17 +48,18 @@ module Make (M : MSG) = struct
       s_len = 0;
     }
 
-  (* Append to a view's dedicated stream, growing it on demand. *)
+  (* Append to a view's dedicated stream, growing it on demand. The
+     message column doubles by [Array.append], not [Array.make cap msg]:
+     filling an array of more than 256 words with a young block (the
+     message being pushed usually is one) forces a minor collection. *)
   let push v src msg =
     let len = v.d_len in
     if len = Array.length v.d_src then begin
-      let cap = max 16 (2 * len) in
-      let nsrc = Array.make cap 0 in
+      let nsrc = Array.make (max 16 (2 * len)) 0 in
       Array.blit v.d_src 0 nsrc 0 len;
       v.d_src <- nsrc;
-      let nmsg = Array.make cap msg in
-      Array.blit v.d_msg 0 nmsg 0 len;
-      v.d_msg <- nmsg
+      v.d_msg <-
+        (if len = 0 then Array.make 16 msg else Array.append v.d_msg v.d_msg)
     end;
     v.d_src.(len) <- src;
     v.d_msg.(len) <- msg;
@@ -198,8 +199,8 @@ module Make (M : MSG) = struct
      emission order, each carrying [msg.(j)] of [size.(j)] bits — or,
      with [fan] set, all carrying the single [msg.(0)] of [size.(0)]
      bits. A broadcast is a [fan] over the [ids] array with [bcast] set.
-     An empty outbox has [len = 0] and [fan]/[bcast] clear. [fan] keeps a
-     multisend's retained buffers at one word per destination.
+     A multisend is a [fan] over the caller's destination array. An
+     empty outbox has [len = 0] and [fan]/[bcast] clear.
 
      A node stages its outbox here itself, inside its exchange-class
      call and before it yields, so the hand-off carries no payload; the
@@ -207,9 +208,10 @@ module Make (M : MSG) = struct
 
      [dst]/[msg]/[size] normally point at the slot's [own_*] buffers,
      retained while the node runs. An [exchange_sized] batch aliases the
-     sender's arrays instead: a suspended sender cannot touch them. A
-     broadcast aliases [ids]. Entries are written only after [use_own]
-     has pointed [dst]/[msg]/[size] back at [own_*].
+     sender's arrays instead, and a multisend its destination array: a
+     suspended sender cannot touch them. A broadcast aliases [ids].
+     Entries are written only after [use_own] has pointed
+     [dst]/[msg]/[size] back at [own_*].
 
      [memo]/[memo_bits] are a payload→bits memo of at most one message,
      hit by physical equality: a broadcast or multisend repeats one
@@ -284,15 +286,6 @@ module Make (M : MSG) = struct
     o.size.(0) <- b;
     o.fan <- true
 
-  (* List-to-buffer fills as plain recursion: a [List.iter] closure
-     would capture the per-sender message and allocate on every sender
-     of every round. *)
-  let rec fill_dsts o j = function
-    | [] -> o.len <- j
-    | d :: tl ->
-        o.dst.(j) <- d;
-        fill_dsts o (j + 1) tl
-
   (* An unicast outbox usually repeats one physical message (a status
      fanned to the committee): size the first once, re-size only
      messages that differ from it. *)
@@ -349,11 +342,14 @@ module Make (M : MSG) = struct
         fill_unicast o m0 (M.bits m0) 0 l);
     Effect.perform Exchange
 
+  (* The slot aliases [dsts], as a broadcast aliases [ids]: the caller
+     leaves the array alone while it is suspended. *)
   let multisend ctx ~dsts m =
     let o = ctx.out in
-    use_own o (List.length dsts) 1 m;
+    use_own o 0 1 m;
     set_fan o m (bits_of o m);
-    fill_dsts o 0 dsts;
+    o.dst <- dsts;
+    o.len <- Array.length dsts;
     Effect.perform Exchange
 
   let broadcast ctx m =

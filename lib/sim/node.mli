@@ -151,7 +151,10 @@ module Make (M : MSG) : sig
       with its inbox. Contracts as in [Repro_sim.Engine.Make]. *)
 
   val exchange : ctx -> (int * M.t) list -> inbox
-  val multisend : ctx -> dsts:int list -> M.t -> inbox
+  val multisend : ctx -> dsts:int array -> M.t -> inbox
+  (** The slot aliases [dsts] until the node is resumed: the caller
+      must not mutate the array while it is suspended. *)
+
   val broadcast : ctx -> M.t -> inbox
   val skip_round : ctx -> inbox
 

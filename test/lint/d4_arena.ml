@@ -1,6 +1,6 @@
 (* Lint fixture: the two candidate homes for the round-scoped verdict
-   arenas (Arena.Vec emission triples and change logs —
-   lib/util/arena.ml). A module-level arena under a domain-shared
+   arenas (Arena.Vec emission triples and change logs, growable
+   buffers the crash committee once kept). A module-level arena under a domain-shared
    library is cross-run — and under sharding cross-domain — reusable
    mutable state: D4 at the definition, S1 at any parallel site whose
    closure writes through it. The suite lints this file as

@@ -344,7 +344,7 @@ module Mixed (Net : Repro_net.Network_intf.S with type msg = TMsg.t) = struct
             | 3 -> Net.broadcast ctx (TMsg.Ping v)
             | 1 | 5 ->
                 Net.multisend ctx
-                  ~dsts:[ ids.(0); ids.(5); ids.(0); ids.(6); ids.(3) ]
+                  ~dsts:[| ids.(0); ids.(5); ids.(0); ids.(6); ids.(3) |]
                   (TMsg.Ping v)
             | _ ->
                 let msgs =
@@ -361,7 +361,7 @@ module Mixed (Net : Repro_net.Network_intf.S with type msg = TMsg.t) = struct
                 (peer 1, TMsg.Ping (v + 5));
                 (peer 3, TMsg.Ping v);
               ]
-        | _, 2 -> Net.multisend ctx ~dsts:[ peer 2; me; peer 5 ] (TMsg.Ping v)
+        | _, 2 -> Net.multisend ctx ~dsts:[| peer 2; me; peer 5 |] (TMsg.Ping v)
         | _ ->
             let msgs = [| TMsg.Ping (v + 5); TMsg.Ping v |] in
             Net.exchange_sized ctx ~dsts:[| peer 1; peer 2 |] ~msgs

@@ -9,7 +9,7 @@ let make_net ?(inject = []) ?(members = members) me =
      every member echoed it, after the injected foreign traffic. *)
   CN.create ~me ~members
     ~multisend:(fun ~dsts m ~f ->
-      feed f (inject @ List.map (fun dst -> (dst, m)) dsts))
+      feed f (inject @ List.map (fun dst -> (dst, m)) (Array.to_list dsts)))
     ~skip_round:(fun ~f -> feed f inject)
 
 let kept net =
@@ -85,11 +85,10 @@ let test_member_search_edges () =
   Alcotest.(check (list (pair int string))) "one member" [ (5, "b") ] (kept net)
 
 (* Echo [m] from every destination, without a closure per round. *)
-let rec echo m f = function
-  | [] -> ()
-  | d :: tl ->
-      f ~src:d m;
-      echo m f tl
+let echo m f dsts =
+  for i = 0 to Array.length dsts - 1 do
+    f ~src:dsts.(i) m
+  done
 
 let is_one m = m = 1
 

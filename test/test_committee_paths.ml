@@ -375,10 +375,11 @@ let test_scale_overlaps () =
    The descent step from 256 groups to 512: a member that absorbed a
    depth-8 round of all 1024 reporters absorbs the depth-9 round. The
    rebuild allocates only the round's verdict payloads, two intervals
-   and two interned responses per group (7,199 minor words); the
-   member's whole record stays linear in n (28,219 reachable words,
-   27.6 n). A committee that kept one n-bit member set per group read
-   20,831 words and 42.1 n on the same rounds. *)
+   and two interned responses per group (7,168 minor words, 7,199 with
+   a sweep closure per absorb); the member's whole record stays linear
+   in n (28,232 reachable words, 27.6 n, with its group columns sized
+   for 512 groups up front). A committee that kept one n-bit member set
+   per group read 20,831 words and 42.1 n on the same rounds. *)
 let test_footprint () =
   let round d =
     List.init 1024 (fun slot -> leaf_status ~slot ~leaf:slot ~d ~p:0)
@@ -392,6 +393,68 @@ let test_footprint () =
     (Printf.sprintf "record holds %d <= 30 n words" reachable)
     true
     (reachable <= 30 * 1024)
+
+(* A fresh member's first absorb allocates only its verdict payloads:
+   its group columns and verdict outbox are sized at creation for the
+   largest round, so no column grows while a round is absorbed. Every
+   reporter of this depth-7 round sits in one of 128 groups of eight,
+   and each group interns one bottom and one top verdict, an interval
+   (3 words) and a [Response] (4) each. Growing the columns in the
+   absorb, as the member once did, read 3,885 more words here. *)
+let test_first_absorb_allocates_verdicts_only () =
+  let round =
+    List.init 1024 (fun slot -> leaf_status ~slot ~leaf:slot ~d:7 ~p:0)
+  in
+  let words, _ = CR.For_tests.footprint ~ids:ids1024 [] round in
+  Alcotest.(check (float 0.)) "14 words per group" (14. *. 128.) words
+
+(* A steady-state absorb of an unchanged all-singleton round allocates
+   nothing: every verdict is the slot's cached message, and the absorb
+   sweep is built once per member with its counters in the record. A
+   sweep closure with its four counter refs and a boxed outcome per
+   absorb read 22 words. *)
+let test_steady_absorb_allocates_nothing () =
+  let round =
+    List.init 1024 (fun slot -> leaf_status ~slot ~leaf:slot ~d:10 ~p:0)
+  in
+  let words, _ = CR.For_tests.footprint ~ids:ids1024 [ round; round ] round in
+  Alcotest.(check (float 0.)) "steady absorb" 0. words
+
+(* Building and absorbing a 1024-id committee forces no minor
+   collection. [Array.make] of more than 256 words with a young fill
+   does: the member's interval columns once filled with a freshly built
+   interval. The round is built before the minor collection, so its
+   messages are old by the time the member copies them. *)
+let test_committee_forces_no_minor_collection () =
+  let round =
+    List.init 1024 (fun slot -> leaf_status ~slot ~leaf:slot ~d:9 ~p:0)
+  in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let verdicts =
+    CR.For_tests.committee_verdicts ~pv:0 ~ids:ids1024 [ round ]
+  in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "verdicts" 1024 (List.length (List.concat verdicts));
+  Alcotest.(check int) "minor collections" before after
+
+(* The group columns hold [target / 2] groups, which disjoint
+   non-singleton intervals inside [1, target] cannot exceed; a status
+   outside the namespace is refused by name, before it can overflow
+   them. *)
+let test_interval_outside_namespace_raises () =
+  let why = "interval outside the target namespace" in
+  check_rejects "past the target" ~ids:ids8 ~why
+    [ [ status ~id:3 ~lo:7 ~hi:9 ~d:0 ~p:0 () ] ];
+  check_rejects "below 1" ~ids:ids8 ~why
+    [ [ status ~id:3 ~lo:0 ~hi:1 ~d:0 ~p:0 () ] ];
+  (* five disjoint pairs would need a fifth group in [1, 8] *)
+  check_rejects "more groups than fit" ~ids:ids8 ~why
+    [
+      List.map
+        (fun (id, lo) -> status ~id ~lo ~hi:(lo + 1) ~d:1 ~p:0 ())
+        [ (3, 1); (5, 3); (9, 5); (12, 7); (17, 9) ];
+    ]
 
 (* Randomized differential fixture: arbitrary status rounds, mostly
    tree-shaped, occasionally corrupted (the generator records which
@@ -599,6 +662,14 @@ let suite =
         test_scale_overlaps;
       Alcotest.test_case "footprint of the 512-group round" `Quick
         test_footprint;
+      Alcotest.test_case "first absorb allocates verdicts only" `Quick
+        test_first_absorb_allocates_verdicts_only;
+      Alcotest.test_case "steady-state absorb allocates nothing" `Quick
+        test_steady_absorb_allocates_nothing;
+      Alcotest.test_case "committee forces no minor collection" `Quick
+        test_committee_forces_no_minor_collection;
+      Alcotest.test_case "interval outside the namespace raises" `Quick
+        test_interval_outside_namespace_raises;
       QCheck_alcotest.to_alcotest qcheck_matches_oracle;
       Alcotest.test_case "full runs byte-identical (no fault)" `Quick
         test_full_runs_no_fault;

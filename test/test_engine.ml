@@ -275,7 +275,7 @@ let test_recorded_trace_equality () =
         let inbox =
           match round mod 3 with
           | 0 -> Net.broadcast ctx (M.Ping x)
-          | 1 -> Net.multisend ctx ~dsts:[ 3; 19; 42 ] (M.Pong x)
+          | 1 -> Net.multisend ctx ~dsts:[| 3; 19; 42 |] (M.Pong x)
           | _ ->
               Net.exchange ctx
                 (if x mod 2 = 0 then [ (7, M.Ping x); (23, M.Pong x) ]
@@ -437,7 +437,7 @@ let test_bad_destination_rejected () =
     [
       ( "exchange",
         fun ctx -> Net.exchange ctx [ (10, M.Ping 1); (99, M.Ping 2) ] );
-      ("multisend", fun ctx -> Net.multisend ctx ~dsts:[ 30; 99 ] (M.Ping 3));
+      ("multisend", fun ctx -> Net.multisend ctx ~dsts:[| 30; 99 |] (M.Ping 3));
       ( "exchange_sized",
         fun ctx ->
           Net.exchange_sized ctx ~dsts:[| 40; 99 |]
@@ -555,6 +555,7 @@ let test_wait_for_mail_is_skip_loop () =
       (fun id -> (not (List.mem id senders)) && id <> byz)
       (Array.to_list ids)
   in
+  let waiter_ids = Array.of_list waiters in
   let slot id =
     let rec find i = if ids.(i) = id then i else find (i + 1) in
     find 0
@@ -584,7 +585,7 @@ let test_wait_for_mail_is_skip_loop () =
           ignore
             (match x mod 6 with
             | 0 -> Net.broadcast ctx (M.Ping x)
-            | 1 -> Net.multisend ctx ~dsts:waiters (M.Pong x)
+            | 1 -> Net.multisend ctx ~dsts:waiter_ids (M.Pong x)
             | _ -> Net.skip_round ctx)
         done;
         ignore (Net.broadcast ctx (M.Pong 0));

@@ -6,10 +6,9 @@
      sharing itself; the QCheck differential pins that an interned
      message is billed exactly like a freshly built structural copy —
      sharing must be invisible to the size-accounting oracle.
-   - {e Arena rounds}: emission triples live in capacity-retaining
-     vectors, reused every round. The unit tests pin the reuse
-     contract — same backing store across a [clear], stale indices
-     rejected — so one round's contents cannot leak into the next.
+   - {e Arena rounds}: the verdict outbox and the group columns are
+     arrays a member sizes once and refills every round. The recycling
+     fixture pins that one round's contents cannot leak into the next.
    - {e Full-run equivalence}: metrics rows and run-trace JSONL must be
      byte-identical across shard counts {1, 4} and equal to pins
      recorded from the linear-scan committee, which built every verdict
@@ -21,7 +20,6 @@ module E = Repro_renaming.Experiment
 module Runner = Repro_renaming.Runner
 module Trace = Repro_obs.Trace
 module I = Repro_util.Interval
-module Arena = Repro_util.Arena
 
 let ids8 = [| 3; 5; 9; 12; 17; 20; 28; 31 |]
 
@@ -139,29 +137,6 @@ let qcheck_interned_billed_as_fresh =
              fresh = msg && CR.Msg.bits fresh = bits))
         (CR.For_tests.committee_verdicts ~pv:0 ~ids:ids8 rounds))
 
-(* {1 Arena reuse contracts} *)
-
-let test_vec_clear_retains_capacity () =
-  let v = Arena.Vec.create ~dummy:(-1) in
-  for i = 1 to 100 do
-    Arena.Vec.push v i
-  done;
-  let d1 = Arena.Vec.data v in
-  Arena.Vec.clear v;
-  Alcotest.(check int) "clear empties" 0 (Arena.Vec.length v);
-  for i = 1 to 50 do
-    Arena.Vec.push v (1000 + i)
-  done;
-  Alcotest.(check bool) "backing array reused across clear" true
-    (d1 == Arena.Vec.data v);
-  for i = 0 to 49 do
-    Alcotest.(check int) "round-2 prefix wins" (1001 + i) (Arena.Vec.get v i)
-  done;
-  (* indices from the previous round are dead after the clear *)
-  Alcotest.check_raises "stale index rejected"
-    (Invalid_argument "Arena.Vec.get") (fun () ->
-      ignore (Arena.Vec.get v 50))
-
 (* Group churn through the committee: the group index is rebuilt over
    reused columns as the descent moves d_min; any stale group state or
    rank counter carried over would skew ranks and split the halves
@@ -226,8 +201,6 @@ let suite =
       Alcotest.test_case "interning is per-round" `Quick
         test_interning_is_per_round;
       QCheck_alcotest.to_alcotest qcheck_interned_billed_as_fresh;
-      Alcotest.test_case "vec clear retains capacity, kills indices" `Quick
-        test_vec_clear_retains_capacity;
       Alcotest.test_case "committee recycling matches scan" `Quick
         test_committee_recycling_matches_scan;
       Alcotest.test_case "full runs byte-identical (paths x shards)" `Quick

@@ -322,7 +322,8 @@ let test_d4_shard_shapes () =
   Alcotest.(check int) "clean outside domain-shared dirs" 0
     (List.length (only "D4" findings))
 
-(* The verdict-emission arenas (lib/util/arena.ml): an arena is per-run
+(* Verdict-emission arenas (growable buffers the crash committee once
+   kept, before it sized its outbox per member): an arena is per-run
    state by contract — a module-level arena under a domain-shared
    library is D4 at the definition, and a parallel closure pushing
    into it is an S1 escape (plus S2: a [Vec.push] can grow the backing
