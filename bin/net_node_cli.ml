@@ -254,6 +254,8 @@ let serve_and_report ~listen o =
   Format.printf "socket backend: %s over %d hosts@." (algo_name o.algo)
     o.n_hosts;
   Format.printf "%a@." Runner.pp a;
+  Format.printf "frame bytes: host->coordinator %d coordinator->host %d@."
+    res.SN.bytes_read res.SN.bytes_written;
   Option.iter
     (fun (path, links) ->
       write_links_json path o links a;

@@ -201,7 +201,6 @@ module Lists = struct
     { index = Index.create (); starts; entries = Ibuf.create () }
 
   let length t = Index.length t.index
-  let start t l = t.starts.a.(l)
   let length_of t l = t.starts.a.(l + 1) - t.starts.a.(l)
   let entry t l j = t.entries.a.(t.starts.a.(l) + j)
 
@@ -221,7 +220,7 @@ module Lists = struct
   let equal_to t l (a : int array) len =
     length_of t l = len
     &&
-    let o = start t l and j = ref 0 in
+    let o = t.starts.a.(l) and j = ref 0 in
     while !j < len && Int.equal t.entries.a.(o + !j) a.(!j) do
       incr j
     done;
@@ -243,59 +242,116 @@ module Lists = struct
     end
 end
 
-(* Position [j]'s padded bytes are arena bytes [j * stride] onwards;
-   [stride] is a whole number of words, grown (and the arena laid out
-   anew) when an encoding outgrows it. The capacity is [bits]'s length,
-   [-1] marking a position never stored; [msgs] is grown to it at
-   stores, when a message is at hand to fill it with, and [grow] then
-   gives exactly the capacity, which at least doubles. *)
+(* Cell [c]'s padded bytes start at arena byte [c * stride], a stride
+   of whole words grown (the arena laid out anew) for a longer
+   encoding. [at.(j)] packs position [j]'s cell and bit length as
+   [cell lsl 32 lor bits] ([-1]: never stored); [refs.(c)] counts cell
+   [c]'s positions, and unnamed cells form a free list from [free]
+   through [refs] ([-2 - next], [-1] ending it). A store writes a cell
+   no other position names; with as many cells as positions, one is
+   always free. *)
 module Memo = struct
   type 'a t = {
     mutable msgs : 'a array;
-    mutable bits : int array;
+    mutable at : int array;
+    mutable refs : int array;
+    mutable free : int;
     mutable arena : Bytes.t;
     mutable stride : int;
+    mutable stores : int;
   }
 
-  let create () = { msgs = [||]; bits = [||]; arena = Bytes.empty; stride = 8 }
+  let create () =
+    { msgs = [||]; at = [||]; refs = [||]; free = -1; arena = Bytes.empty;
+      stride = 8; stores = 0 }
+
   let msg t j = t.msgs.(j)
-  let bits t j = t.bits.(j)
-  let arena t = t.arena
-  let offset t j = 8 * j * t.stride
+  let stores t = t.stores
+  let[@inline] cell t j = t.at.(j) asr 32
+  let[@inline] bits t j = t.at.(j) land 0xffff_ffff
+
+  let push_free t c =
+    t.refs.(c) <- -2 - t.free;
+    t.free <- c
 
   let relayout t ~cap ~stride =
     let arena = Bytes.make (cap * stride) '\000' in
-    for j = 0 to (Bytes.length t.arena / t.stride) - 1 do
-      Bytes.blit t.arena (j * t.stride) arena (j * stride) t.stride
+    for c = 0 to (Bytes.length t.arena / t.stride) - 1 do
+      Bytes.blit t.arena (c * t.stride) arena (c * stride) t.stride
     done;
     t.arena <- arena;
     t.stride <- stride
 
   let reserve t c =
-    let cap = Array.length t.bits in
+    let cap = Array.length t.at in
     if c > cap then begin
-      let cap = max c (2 * cap) in
-      t.bits <- grow t.bits cap (-1);
-      relayout t ~cap ~stride:t.stride
+      let cap' = max c (2 * cap) in
+      t.at <- grow t.at cap' (-1);
+      t.refs <- grow t.refs cap' 0;
+      for c = cap' - 1 downto cap do
+        push_free t c
+      done;
+      relayout t ~cap:cap' ~stride:t.stride
     end
 
-  let[@inline] mem t j m = j < Array.length t.bits && t.bits.(j) >= 0 && t.msgs.(j) == m
+  let[@inline] mem t j m =
+    j < Array.length t.at && t.at.(j) >= 0 && t.msgs.(j) == m
 
-  let holds t j data ~pos ~bits =
-    let nbytes = padded_range "Round_tables.Memo.holds" data ~pos ~bits in
-    j < Array.length t.bits
-    && Int.equal t.bits.(j) bits
-    && same_bytes t.arena (j * t.stride) data pos nbytes
+  let holds t j data ~pos ~bits:b =
+    let nbytes = padded_range "Round_tables.Memo.holds" data ~pos ~bits:b in
+    j < Array.length t.at && t.at.(j) >= 0
+    && Int.equal (bits t j) b
+    && same_bytes t.arena (cell t j * t.stride) data pos nbytes
 
-  let store t j m data ~pos ~bits =
-    let nbytes = padded_range "Round_tables.Memo.store" data ~pos ~bits in
+  (* Position [j] (made room for) stops naming its cell. *)
+  let release t j m =
+    if j >= Array.length t.at then reserve t (j + 1);
+    if j >= Array.length t.msgs then
+      t.msgs <- grow t.msgs (Array.length t.at) m;
+    if t.at.(j) >= 0 then begin
+      let c = cell t j in
+      t.refs.(c) <- t.refs.(c) - 1;
+      if t.refs.(c) = 0 then push_free t c
+    end
+
+  (* Position [j] holds [m], of a [b]-bit encoding in cell [c]. *)
+  let name t j c b m =
+    t.refs.(c) <- t.refs.(c) + 1;
+    t.at.(j) <- (c lsl 32) lor b;
+    t.msgs.(j) <- m
+
+  (* The free list is last in, first out: a cell's only position
+     writes it again. *)
+  let store t j m data ~pos ~bits:b =
+    let nbytes = padded_range "Round_tables.Memo.store" data ~pos ~bits:b in
     if j < 0 then invalid_arg "Round_tables.Memo.store: position";
     if nbytes > t.stride then
-      relayout t ~cap:(Array.length t.bits) ~stride:(8 * ((nbytes + 7) / 8));
-    if j >= Array.length t.bits then reserve t (j + 1);
-    if j >= Array.length t.msgs then
-      t.msgs <- grow t.msgs (Array.length t.bits) m;
-    copy_bytes data pos t.arena (j * t.stride) nbytes;
-    t.msgs.(j) <- m;
-    t.bits.(j) <- bits
+      relayout t ~cap:(Array.length t.at) ~stride:(8 * ((nbytes + 7) / 8));
+    release t j m;
+    let c = t.free in
+    t.free <- -2 - t.refs.(c);
+    t.refs.(c) <- 0;
+    copy_bytes data pos t.arena (c * t.stride) nbytes;
+    t.stores <- t.stores + 1;
+    name t j c b m
+
+  let intern t tbl w write ~prev j m =
+    if j > 0 && mem t (j - 1) m then begin
+      if not (mem t j m) then begin
+        release t j m;
+        name t j (cell t (j - 1)) (bits t (j - 1)) m
+      end;
+      prev
+    end
+    else begin
+      if not (mem t j m) then begin
+        Wire.Writer.reset w;
+        write w m;
+        store t j m (Wire.Writer.unsafe_bytes w) ~pos:0
+          ~bits:(Wire.Writer.bit_length w)
+      end;
+      Payloads.intern tbl t.arena
+        ~pos:(8 * cell t j * t.stride)
+        ~bits:(bits t j)
+    end
 end

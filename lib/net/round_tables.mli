@@ -54,18 +54,17 @@ module Payloads : sig
       @raise Invalid_argument if the payload runs past the frame. *)
 end
 
-(** A round's destination-list table: int sequences stored back to
-    back, list [l] being entries [0 .. length_of t l - 1]. *)
+(** A table of int sequences stored back to back, sequence [l] being
+    entries [0 .. length_of t l - 1]: a round's destination lists, its
+    batches' payload vectors (entry [j] the payload index for
+    destination [j] of the batch's list), or the coordinator's
+    (list, vector) pairs. *)
 module Lists : sig
   type t
 
   val create : unit -> t
   val clear : t -> unit
   val length : t -> int
-
-  val start : t -> int -> int
-  (** Offset of list [l]'s first entry among all the table's entries
-      (so [start t (length t)] is their total). *)
 
   val length_of : t -> int -> int
   val entry : t -> int -> int -> int
@@ -76,12 +75,12 @@ module Lists : sig
 end
 
 (** A slot's codec memo: by position, a message and its encoding. The
-    encodings are kept as their bits zero-padded to whole bytes, one
-    fixed-size cell per position in one arena that lives across rounds:
-    the arena is replaced only when the positions outgrow it or an
-    encoding outgrows a cell, so remembering a message allocates
-    nothing once the memo has grown. Positions are independent: one
-    can be stored without those before it. *)
+    encodings are kept as their bits zero-padded to whole bytes, in
+    fixed-size cells of one arena that lives across rounds: the arena is
+    replaced only when the positions outgrow it or an encoding outgrows
+    a cell, so remembering a message allocates nothing once the memo has
+    grown. Positions are independent: one can be stored without those
+    before it. *)
 module Memo : sig
   type 'a t
 
@@ -89,16 +88,6 @@ module Memo : sig
 
   val msg : 'a t -> int -> 'a
   (** The message stored at a position; only for a stored one. *)
-
-  val bits : 'a t -> int -> int
-  (** The bit length of a stored position's encoding. *)
-
-  val arena : 'a t -> Bytes.t
-  (** The arena itself, not a copy: a stored position [j]'s padded
-      bytes start at bit [offset t j]. Valid until the next [reserve]
-      or [store]. *)
-
-  val offset : 'a t -> int -> int
 
   val reserve : 'a t -> int -> unit
   (** [reserve t c] makes room for positions [\[0, c)], so storing a
@@ -117,7 +106,21 @@ module Memo : sig
   val store : 'a t -> int -> 'a -> Bytes.t -> pos:int -> bits:int -> unit
   (** [store t j m data ~pos ~bits] stores [m] at position [j], with the
       encoding of [bits] bits whose padded bytes start at bit [pos] of
-      [data], copied. [data] may be the memo's own arena.
+      [data], copied into a cell no other position names.
       @raise Invalid_argument if those bytes are not inside [data], or
       if [j < 0]. *)
+
+  val intern :
+    'a t -> Payloads.t -> Repro_sim.Wire.Writer.t ->
+    (Repro_sim.Wire.Writer.t -> 'a -> unit) -> prev:int -> int -> 'a -> int
+  (** [intern t tbl w write ~prev j m]: [tbl]'s entry for message [m]
+      at outbox position [j], whose predecessor is entry [prev]. A
+      message physically equal to position [j - 1]'s is [prev], and
+      position [j] shares [j - 1]'s encoding, uncopied; one position
+      [j] holds, from whatever round, takes its encoding from the memo;
+      any other is written into the scratch writer [w] and stored. *)
+
+  val stores : 'a t -> int
+  (** Encodings copied into the memo so far.
+      Test-only: the send memo's tests count the copies [intern] makes. *)
 end

@@ -5,60 +5,77 @@ open Round_tables
 
 (* Stream format version + endpoint check, first field of both handshake
    frames; bump when the frame layout changes. *)
-let magic = 0x524e33
+let magic = 0x524e34
 
 let proto_error fmt =
   Printf.ksprintf (fun s -> raise (Frame.Protocol_error s)) fmt
 
-(* Embedded byte strings are length-prefixed; a length beyond the
-   frame's remaining bits is malformed, and is rejected before the
-   string is allocated. *)
-module Codec = struct
-  let add_bytes w s =
-    Wire.Writer.add_gamma w (String.length s);
-    Wire.Writer.add_string w s
-
-  let read_bytes r =
-    let len = Wire.Reader.read_gamma r in
-    if len > Wire.Reader.bits_remaining r / 8 then
-      proto_error "embedded byte string of %d bytes exceeds the frame" len;
-    Wire.Reader.read_string r len
-end
+(* A gamma field: a read past the frame's end is malformed traffic. *)
+let field r =
+  try Wire.Reader.read_gamma r with Invalid_argument e -> proto_error "%s" e
 
 (* Count fields precede variable-size repetitions; each counted entry
    costs at least two bits of stream, so a count beyond the remaining
    bits is malformed — reject it before allocating for it. *)
 let read_count r =
-  let c = Wire.Reader.read_gamma r in
+  let c = field r in
   if c > Wire.Reader.bits_remaining r then
     proto_error "count %d exceeds remaining frame bits" c;
   c
 
+(* An index into a frame's table of [bound] entries. *)
+let read_index r bound what =
+  let i = field r in
+  if i >= bound then proto_error "%s index %d of %d" what i bound;
+  i
+
+(* A counted sequence of ints in [\[lo, hi)], appended to [buf]. *)
+let read_seq r (buf : Ibuf.t) ~lo ~hi what =
+  let len = read_count r in
+  for _ = 1 to len do
+    let e = field r in
+    if e < lo || e >= hi then proto_error "%s %d off [%d, %d)" what e lo hi;
+    Ibuf.push buf e
+  done;
+  len
+
+(* Table [t]'s count, then each sequence counted, entries mapped by [f]. *)
+let write_seqs w t f =
+  Wire.Writer.add_gamma w (Lists.length t);
+  for l = 0 to Lists.length t - 1 do
+    Wire.Writer.add_gamma w (Lists.length_of t l);
+    for j = 0 to Lists.length_of t l - 1 do
+      Wire.Writer.add_gamma w (f (Lists.entry t l j))
+    done
+  done
+
 (* Round frames (every field Elias-gamma; a payload is its bit length,
-   then its bits zero-padded to whole bytes, [idx] indexes the same
-   frame's payload table and [l] its destination-list table; a list is
-   its length, then its destination slots in emission order, repeats
-   kept):
+   then its bits zero-padded to whole bytes; a list is its length, then
+   its destination slots in emission order, repeats kept; a vector is
+   its length, then one payload index per entry; [idx], [v] and [l]
+   index the same frame's payload, vector and list tables):
 
    host -> coordinator
-     round; T, T x payload;  L, L x list;
+     round; T, T x payload;  V, V x vector;  L, L x list;
      per slot of the host's range:  0 idle | 1 v decided v
-                                  | 2 l, c, c x idx batch: entry j of list
-                                      l carries payload j (c = l's length)
-                                  | 3 idx broadcast | 4 l, idx fan over l
+                                  | 2 l v batch: entry j of list l carries
+                                      entry j of vector v (of l's length)
+                                  | 3 idx broadcast | 4 l idx fan over l
    coordinator -> host
      round; stop; unless stop:
-     T, T x payload;  B, B x (src, idx) the round's broadcasts;
+     T, T x payload;  V, V x vector;  B, B x (src, idx) the broadcasts;
      L, L x list: the round's lists, each restricted to the host's range;
-     R, R x (src, 2, l, c, c x idx | src, 4, l, idx) one record per fan
-       or batch sender whose list reaches the host
+     R, R x (src, 2, l, v | src, 4, l, idx) one record per fan or batch
+       sender whose list reaches the host
 
-   Tables are content-interned, so each distinct payload and each
-   distinct destination list crosses each link once per round, and a
-   broadcast or a fan once per sender rather than once per recipient.
+   Tables are content-interned, so each distinct payload, list and
+   vector crosses each link once per round: a broadcast or a fan once
+   per sender rather than once per recipient, and a verdict vector that
+   every committee member sends once rather than once per member.
    Broadcast rows and records are in ascending sender identity. A reply
    names only the payloads its rows and records use, renumbered; its
-   lists keep their round indices.
+   lists keep their round indices; a batch's vector is restricted to
+   the host's share of its list, once per (list, vector) pair.
 
    Both sides build every round frame in a writer kept per link and read
    it into a buffer kept per link ([Frame.begin_framed] /
@@ -67,25 +84,30 @@ let read_count r =
    where it lies in the frame ([Payloads.read_entry]) and copies it into
    its reply from the table's arena. A host keeps a codec memo
    ([Memo]) per slot for each direction: it writes a message with
-   [M.write] only when the slot's send memo does not hold it, copying
-   the encoding into the memo's arena, and reads a reply payload with
-   [M.read] in the frame only when the sender's receive memo does not
-   hold the same bits at that record position. *)
+   [M.write] only when the slot's send memo does not hold it
+   ([Memo.intern]), and reads a reply payload with [M.read] in the frame
+   only when the sender's receive memo does not hold the same bits at
+   that record position. *)
 
 type config = { ids : int array; seed : int; n_hosts : int; extra : string }
 
-type result = { run : int Repro_sim.Engine.run_result }
+type result = {
+  run : int Repro_sim.Engine.run_result;
+  bytes_read : int;
+  bytes_written : int;
+}
 
 (* {2 Coordinator} *)
 
 type slot_status = S_running | S_decided of int | S_crashed of int
 
 (* A slot's outbox for the round being routed, messages named by their
-   index in the round's payload table and destinations by their index
-   in the round's list table — the coordinator never decodes protocol
-   payloads. Its fields live in per-slot int arrays — [ob_list], [ob_pay]
-   and the bits it is billed, [ob_bits] — so parsing a frame allocates
-   nothing. *)
+   index in the round's payload table (a batch's by its vector's index
+   in the round's vector table) and destinations by their index in the
+   round's list table — the coordinator never decodes protocol
+   payloads. Its fields live in per-slot int arrays — [ob_list],
+   [ob_pay] and the bits it is billed, [ob_bits] — so parsing a frame
+   allocates nothing. *)
 type round_outbox = No_outbox | Ob_bcast | Ob_fan | Ob_batch
 
 let ignore_sigpipe () =
@@ -107,17 +129,24 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
   in
   let owner = Array.make n 0 in
   Array.iteri (fun h (lo, hi) -> Array.fill owner lo (hi - lo) h) ranges;
+  (* Every byte crossing a host connection, handshakes and frame headers
+     included, per direction. *)
+  let bytes_read = ref 0 and bytes_written = ref 0 in
+  let tally n k = n := !n + k; k in
+  let counted (io : Frame.io) =
+    { Frame.read = (fun b pos len -> tally bytes_read (io.read b pos len));
+      write = (fun b pos len -> tally bytes_written (io.write b pos len)) }
+  in
   (* Accept + handshake: each host frames its index; ship the config. *)
   let pending : (Unix.file_descr * Frame.io) option array =
     Array.make n_hosts None
   in
   for _ = 1 to n_hosts do
     let fd, _addr = Unix.accept listen in
-    let io = Frame.io_of_fd fd in
+    let io = counted (Frame.io_of_fd fd) in
     let r = Wire.Reader.of_string (Frame.read_frame io) in
-    if Wire.Reader.read_gamma r <> magic then
-      proto_error "hello: bad magic (mismatched peer?)";
-    let h = Wire.Reader.read_gamma r in
+    if field r <> magic then proto_error "hello: bad magic (mismatched peer?)";
+    let h = field r in
     if h >= n_hosts then proto_error "hello: host index %d out of range" h;
     if Option.is_some pending.(h) then
       proto_error "hello: duplicate host index %d" h;
@@ -132,7 +161,8 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
     Wire.Writer.add_gamma w n_hosts;
     Wire.Writer.add_gamma w seed;
     Array.iter (fun id -> Wire.Writer.add_gamma w id) ids;
-    Codec.add_bytes w extra;
+    Wire.Writer.add_gamma w (String.length extra);
+    Wire.Writer.add_string w extra;
     Wire.Writer.contents w
   in
   Array.iter (fun io -> Frame.write_frame io cfg_frame) ios;
@@ -144,13 +174,12 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
   let outboxes = Array.make n No_outbox in
   let ob_list = Array.make n 0 and ob_pay = Array.make n 0 in
   let ob_bits = Array.make n 0 in
-  (* The round's payload and list tables; [frame_gids]/[frame_lists] map
-     the frame being parsed's table indices to the round's. A batch's
-     payloads are [batch_gids] from [ob_pay.(s)] on, one per entry of
-     its list. *)
-  let table = Payloads.create () and lists = Lists.create () in
-  let frame_gids = Ibuf.create () and frame_lists = Ibuf.create () in
-  let list_buf = Ibuf.create () and batch_gids = Ibuf.create () in
+  (* The round's tables and each round vector's bits; [frame_gids],
+     [frame_vecs] and [frame_lists] map a frame's indices to them. *)
+  let table = Payloads.create () and vecs = Lists.create () in
+  let lists = Lists.create () and vec_bits = Ibuf.create () in
+  let frame_gids = Ibuf.create () and frame_vecs = Ibuf.create () in
+  let frame_lists = Ibuf.create () and buf = Ibuf.create () in
   (* Routed: the round's broadcasts as (src, gid) pairs, and the senders
      of its fans and batches, both in ascending sender identity. *)
   let bcasts = Ibuf.create () and listed = Ibuf.create () in
@@ -181,72 +210,68 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
   in
   let parse_host_frame h r =
     let lo, hi = ranges.(h) in
-    let round = Wire.Reader.read_gamma r in
+    let round = field r in
     if round <> !current_round then
       proto_error "host %d is at round %d, coordinator at %d" h round
         !current_round;
     let t = read_count r in
     Ibuf.clear frame_gids;
     for _ = 1 to t do
-      Ibuf.push frame_gids (Payloads.read_entry r table)
+      match Payloads.read_entry r table with
+      | g -> Ibuf.push frame_gids g
+      | exception Invalid_argument e -> proto_error "host %d: %s" h e
+    done;
+    let nv = read_count r in
+    Ibuf.clear frame_vecs;
+    for _ = 1 to nv do
+      Ibuf.clear buf;
+      let len = read_seq r buf ~lo:0 ~hi:t "payload index" and bits = ref 0 in
+      for j = 0 to len - 1 do
+        buf.a.(j) <- frame_gids.a.(buf.a.(j));
+        bits := !bits + Payloads.bits table buf.a.(j)
+      done;
+      let v = Lists.intern vecs buf.a len in
+      if v = vec_bits.len then Ibuf.push vec_bits !bits;
+      Ibuf.push frame_vecs v
     done;
     let nl = read_count r in
     Ibuf.clear frame_lists;
     for _ = 1 to nl do
-      let len = read_count r in
-      Ibuf.clear list_buf;
-      for _ = 1 to len do
-        let dst = Wire.Reader.read_gamma r in
-        if dst >= n then proto_error "host %d: destination slot %d" h dst;
-        Ibuf.push list_buf dst
-      done;
-      Ibuf.push frame_lists (Lists.intern lists list_buf.a len)
+      Ibuf.clear buf;
+      let len = read_seq r buf ~lo:0 ~hi:n "destination slot" in
+      Ibuf.push frame_lists (Lists.intern lists buf.a len)
     done;
-    let read_gid () =
-      let i = Wire.Reader.read_gamma r in
-      if i >= t then proto_error "host %d: payload index %d of %d" h i t;
-      frame_gids.a.(i)
-    in
-    let read_list s =
-      let i = Wire.Reader.read_gamma r in
-      if i >= nl then proto_error "host %d: list index %d of %d" h i nl;
-      ob_list.(s) <- frame_lists.a.(i)
-    in
     for s = lo to hi - 1 do
-      match Wire.Reader.read_gamma r with
+      match field r with
       | 0 ->
           (match status.(s) with
           | S_running -> proto_error "host %d: running slot %d sent no outbox" h s
           | S_decided _ | S_crashed _ -> ());
           outboxes.(s) <- No_outbox
       | 1 ->
-          let v = Wire.Reader.read_gamma r in
+          let v = field r in
           (match status.(s) with
           | S_running -> status.(s) <- S_decided v
           | S_decided _ | S_crashed _ ->
               proto_error "host %d: decision for non-running slot %d" h s);
           outboxes.(s) <- No_outbox
       | 2 ->
-          read_list s;
-          let c = read_count r and len = Lists.length_of lists ob_list.(s) in
+          ob_list.(s) <- frame_lists.a.(read_index r nl "list");
+          ob_pay.(s) <- frame_vecs.a.(read_index r nv "vector");
+          let c = Lists.length_of vecs ob_pay.(s)
+          and len = Lists.length_of lists ob_list.(s) in
           if c <> len then
             proto_error "host %d: batch of %d payloads over a list of %d" h c
               len;
-          ob_pay.(s) <- batch_gids.len;
-          ob_bits.(s) <- 0;
-          for _ = 1 to c do
-            let g = read_gid () in
-            Ibuf.push batch_gids g;
-            ob_bits.(s) <- ob_bits.(s) + Payloads.bits table g
-          done;
+          ob_bits.(s) <- vec_bits.a.(ob_pay.(s));
           outboxes.(s) <- Ob_batch
       | 3 ->
-          ob_pay.(s) <- read_gid ();
+          ob_pay.(s) <- frame_gids.a.(read_index r t "payload");
           ob_bits.(s) <- n * Payloads.bits table ob_pay.(s);
           outboxes.(s) <- Ob_bcast
       | 4 ->
-          read_list s;
-          ob_pay.(s) <- read_gid ();
+          ob_list.(s) <- frame_lists.a.(read_index r nl "list");
+          ob_pay.(s) <- frame_gids.a.(read_index r t "payload");
           ob_bits.(s) <-
             Lists.length_of lists ob_list.(s) * Payloads.bits table ob_pay.(s);
           outboxes.(s) <- Ob_fan
@@ -288,7 +313,7 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
         | Ob_batch ->
             for j = 0 to Lists.length_of lists l - 1 do
               f ~src:s ~dst:(Lists.entry lists l j)
-                ~bits:(Payloads.bits table batch_gids.a.(p + j))
+                ~bits:(Payloads.bits table (Lists.entry vecs p j))
             done)
       order
   in
@@ -320,8 +345,14 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
   (* A reply ships only the payloads it names, renumbered in first-use
      order: [local.(g)] is round payload [g]'s index in the reply being
      built (-1 if unnamed yet), [named] lists them. It ships every round
-     list, restricted to the host's range, under its round index. *)
+     list, restricted to the host's range, under its round index, and a
+     batch's vector restricted to the host's share of its list, in reply
+     indices, interned in [rvecs] once per (list, vector) pair ([pairs]
+     to [pair_vec]). Sender [s]'s record names [rec_ref.(s)]. *)
   let local = ref [||] and named = Ibuf.create () in
+  let pairs = Lists.create () and pair = [| 0; 0 |] in
+  let pair_vec = Ibuf.create () and rvecs = Lists.create () in
+  let rec_ref = Array.make n 0 in
   let reply_frame h ~stop =
     let w = writers.(h) in
     Frame.begin_framed w;
@@ -337,31 +368,44 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
           Ibuf.push named g
         end
       in
-      (* Pass 1: name every payload the reply uses, and count its
-         records — one per listed sender whose list reaches the host. *)
+      (* Pass 1: name every payload and vector the reply uses, and count
+         its records — one per listed sender whose list reaches the host. *)
       for i = 0 to (bcasts.len / 2) - 1 do
         name bcasts.a.((2 * i) + 1)
       done;
       let records = ref 0 in
       for i = 0 to listed.len - 1 do
         let s = listed.a.(i) in
-        let l = ob_list.(s) in
+        let l = ob_list.(s) and p = ob_pay.(s) in
         if part_start.(l + 1) > part_start.(l) then begin
           incr records;
           match outboxes.(s) with
-          | Ob_fan -> name ob_pay.(s)
+          | Ob_fan ->
+              name p;
+              rec_ref.(s) <- local.(p)
           | Ob_batch | Ob_bcast | No_outbox ->
-              for q = part_start.(l) to part_start.(l + 1) - 1 do
-                name batch_gids.a.(ob_pay.(s) + part.a.(q))
-              done
+              pair.(0) <- l;
+              pair.(1) <- p;
+              let k = Lists.intern pairs pair 2 in
+              if k = pair_vec.len then begin
+                Ibuf.clear buf;
+                for q = part_start.(l) to part_start.(l + 1) - 1 do
+                  let g = Lists.entry vecs p part.a.(q) in
+                  name g;
+                  Ibuf.push buf local.(g)
+                done;
+                Ibuf.push pair_vec (Lists.intern rvecs buf.a buf.len)
+              end;
+              rec_ref.(s) <- pair_vec.a.(k)
         end
       done;
-      (* Pass 2: the payloads, the broadcast rows, the lists, the
-         records. *)
+      (* Pass 2: the payloads, the vectors, the broadcast rows, the
+         lists, the records. *)
       Wire.Writer.add_gamma w named.len;
       for i = 0 to named.len - 1 do
         Payloads.add_entry w table named.a.(i)
       done;
+      write_seqs w rvecs Fun.id;
       Wire.Writer.add_gamma w (bcasts.len / 2);
       for i = 0 to (bcasts.len / 2) - 1 do
         Wire.Writer.add_gamma w bcasts.a.(2 * i);
@@ -378,28 +422,20 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
       for i = 0 to listed.len - 1 do
         let s = listed.a.(i) in
         let l = ob_list.(s) in
-        let a = part_start.(l) and b = part_start.(l + 1) in
-        if b > a then begin
+        if part_start.(l + 1) > part_start.(l) then begin
           Wire.Writer.add_gamma w s;
-          match outboxes.(s) with
-          | Ob_fan ->
-              Wire.Writer.add_gamma w 4;
-              Wire.Writer.add_gamma w l;
-              Wire.Writer.add_gamma w local.(ob_pay.(s))
-          | Ob_batch | Ob_bcast | No_outbox ->
-              Wire.Writer.add_gamma w 2;
-              Wire.Writer.add_gamma w l;
-              Wire.Writer.add_gamma w (b - a);
-              for q = a to b - 1 do
-                Wire.Writer.add_gamma w
-                  local.(batch_gids.a.(ob_pay.(s) + part.a.(q)))
-              done
+          Wire.Writer.add_gamma w (if outboxes.(s) == Ob_fan then 4 else 2);
+          Wire.Writer.add_gamma w l;
+          Wire.Writer.add_gamma w rec_ref.(s)
         end
       done;
       for i = 0 to named.len - 1 do
         local.(named.a.(i)) <- -1
       done;
-      Ibuf.clear named
+      Ibuf.clear named;
+      Lists.clear pairs;
+      Ibuf.clear pair_vec;
+      Lists.clear rvecs
     end;
     w
   in
@@ -421,7 +457,7 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
           match Frame.read_framed ios.(h) inbufs.(h) with
           | r -> (
               try parse_host_frame h r
-              with Frame.Protocol_error _ | Invalid_argument _ -> kill_host h)
+              with Frame.Protocol_error _ -> kill_host h)
           | exception (Frame.Protocol_error _ | Unix.Unix_error _) ->
               kill_host h
       done;
@@ -430,8 +466,9 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
         Metrics.end_round metrics;
         send_replies ~stop:false;
         Payloads.clear table;
+        Lists.clear vecs;
+        Ibuf.clear vec_bits;
         Lists.clear lists;
-        Ibuf.clear batch_gids;
         Ibuf.clear bcasts;
         Ibuf.clear listed;
         Array.fill outboxes 0 n No_outbox;
@@ -457,7 +494,11 @@ let serve ~listen ~config ?(max_rounds = 100_000) ?on_message () =
              | S_running -> Repro_sim.Engine.Unfinished ))
          status)
   in
-  { run = { Repro_sim.Engine.outcomes; metrics } }
+  {
+    run = { Repro_sim.Engine.outcomes; metrics };
+    bytes_read = !bytes_read;
+    bytes_written = !bytes_written;
+  }
 
 (* {2 Host} *)
 
@@ -476,96 +517,32 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         (Printf.sprintf "Socket_net: destination %d is not a participant" dst);
     s
 
-  (* The payload-table entry of message [m] at position [j] of a slot's
-     outbox, given the slot's send memo: the messages of its latest
-     outbox by position, each with its encoding. A message physically
-     equal to the previous entry takes that entry's, one equal to the
-     slot's previous outbox at [j] the memo's encoding; any other is
-     written into the scratch writer [sw] with [M.write] and remembered,
-     its bytes copied into the memo. The memo holds its own copies —
-     callers refill their arrays in place — and every position pairs a
-     message with its own encoding, so a physically equal message can
-     take the position's encoding whatever round stored it. *)
-  let intern_at tbl sw (gids : Ibuf.t) memo j m =
-    if j > 0 && Memo.mem memo (j - 1) m then begin
-      if not (Memo.mem memo j m) then
-        Memo.store memo j m (Memo.arena memo)
-          ~pos:(Memo.offset memo (j - 1))
-          ~bits:(Memo.bits memo (j - 1));
-      gids.a.(gids.len - 1)
-    end
-    else begin
-      if not (Memo.mem memo j m) then begin
-        Wire.Writer.reset sw;
-        M.write sw m;
-        Memo.store memo j m (Wire.Writer.unsafe_bytes sw) ~pos:0
-          ~bits:(Wire.Writer.bit_length sw)
-      end;
-      Payloads.intern tbl (Memo.arena memo) ~pos:(Memo.offset memo j)
-        ~bits:(Memo.bits memo j)
-    end
-
   (* A round frame takes two passes over the outboxes: [intern_outbox]
-     adds each payload to the frame's table, recording its index in
-     [gids] in frame order, and a fan's or batch's destinations to the
-     frame's list table, recording its index in [list_of]; once the
-     tables are written, [write_outbox] emits the slot record, taking
-     the payload indices back from [gids] at [cur] and returning the
-     cursor past them. A list's identities are resolved to slots
-     ([slots], in step with the table's entries) only when it first
-     enters the table. Both are loops: a local function would be a
-     closure allocated per slot and round. *)
-  let intern_outbox ~index tbl sw gids lists slots list_of s memo o =
+     adds a slot's payloads to the frame's payload table through its
+     send memo, a batch's payload indices to the vector table and its
+     destinations to the list table, recording the slot's payload or
+     vector in [ref_of] and its list in [list_of]; once the tables are
+     written (each list's identities as slots), the slot record names
+     them. It is a loop: a local function would be a closure allocated
+     per slot and round. *)
+  let intern_outbox tbl sw (vbuf : Ibuf.t) vecs lists list_of ref_of s memo o
+      =
     let c = if o.fan then 1 else o.len in
     Memo.reserve memo c;
+    Ibuf.clear vbuf;
     for j = 0 to c - 1 do
-      Ibuf.push gids (intern_at tbl sw gids memo j o.msg.(j))
+      Ibuf.push vbuf
+        (Memo.intern memo tbl sw M.write
+           ~prev:(if j > 0 then vbuf.a.(j - 1) else -1)
+           j o.msg.(j))
     done;
-    if not o.bcast then begin
-      let fresh = Lists.length lists in
-      let l = Lists.intern lists o.dst o.len in
-      if l = fresh then
-        for j = 0 to o.len - 1 do
-          Ibuf.push slots (slot_of index o.dst.(j))
-        done;
-      list_of.(s) <- l
-    end
-
-  (* A broadcast is tag 3 with its one payload, a fan tag 4 with its
-     list and one payload, a batch tag 2 with its list and one payload
-     per destination. *)
-  let write_outbox w (gids : Ibuf.t) cur l o =
-    if o.bcast then begin
-      Wire.Writer.add_gamma w 3;
-      Wire.Writer.add_gamma w gids.a.(cur);
-      cur + 1
-    end
-    else if o.fan then begin
-      Wire.Writer.add_gamma w 4;
-      Wire.Writer.add_gamma w l;
-      Wire.Writer.add_gamma w gids.a.(cur);
-      cur + 1
-    end
-    else begin
-      Wire.Writer.add_gamma w 2;
-      Wire.Writer.add_gamma w l;
-      Wire.Writer.add_gamma w o.len;
-      for j = 0 to o.len - 1 do
-        Wire.Writer.add_gamma w gids.a.(cur + j)
-      done;
-      cur + o.len
-    end
+    ref_of.(s) <- (if o.fan then vbuf.a.(0) else Lists.intern vecs vbuf.a c);
+    if not o.bcast then list_of.(s) <- Lists.intern lists o.dst o.len
 
   let running states s =
     match states.(s) with
     | Running _ -> true
     | Finished _ | Dead _ | Byz_node -> false
-
-  (* A payload index of a reply whose table has [t] entries. *)
-  let read_payload r t =
-    let k = Wire.Reader.read_gamma r in
-    if k >= t then proto_error "payload index %d of %d" k t;
-    k
 
   (* Reply parsing state kept across rounds: the reply's frame
      ([frame], its first [frame_len] bytes); where its payload table
@@ -578,9 +555,10 @@ module Host (M : Network_intf.WIRE_MSG) = struct
      share; the round's broadcast rows, kept as the dedicated stream of
      a view of its own that every slot's view shares, as the engine
      keeps its broadcast table; the reply's lists ([lists] from
-     [list_starts.(l)] to [list_starts.(l + 1)]); its records as
+     [list_starts.(l)] to [list_starts.(l + 1)]) and vectors ([vecs]
+     from [vec_starts.(v)] to [vec_starts.(v + 1)]); its records as
      (source slot, list, payload) triples, where a batch's payload
-     [-1 - k] means its payloads are [batch.(k ..)]; and per-list
+     [-1 - k] means its payloads are [vecs.(k ..)]; and per-list
      record and per-slot delivery counts. *)
   type reply_bufs = {
     mutable frame : Bytes.t;
@@ -596,7 +574,8 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     lists : Ibuf.t;
     list_starts : Ibuf.t;
     records : Ibuf.t;
-    batch : Ibuf.t;
+    vecs : Ibuf.t;
+    vec_starts : Ibuf.t;
     mutable per_list : int array;
     need : int array;
   }
@@ -616,7 +595,8 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       lists = Ibuf.create ();
       list_starts = Ibuf.create ();
       records = Ibuf.create ();
-      batch = Ibuf.create ();
+      vecs = Ibuf.create ();
+      vec_starts = Ibuf.create ();
       per_list = [||];
       need = Array.make n 0;
     }
@@ -662,6 +642,19 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     if not bufs.resolved.(k) then first_use bufs src j k;
     k
 
+  (* A table of int sequences, each entry in [\[lo, hi)]: its entries
+     into [entries], sequence [i]'s from [starts.(i)]; its length. *)
+  let read_seqs r ~lo ~hi what (entries : Ibuf.t) (starts : Ibuf.t) =
+    Ibuf.clear entries;
+    Ibuf.clear starts;
+    Ibuf.push starts 0;
+    let count = read_count r in
+    for _ = 1 to count do
+      ignore (read_seq r entries ~lo ~hi what);
+      Ibuf.push starts entries.len
+    done;
+    count
+
   (* A round's reply: [true] for stop, else every inbox view of the
      host's slots refilled in place — the records delivered into the
      dedicated streams of their lists' running slots, as an engine
@@ -685,7 +678,9 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         bufs.frame_len <-
           (Wire.Reader.position r + Wire.Reader.bits_remaining r) / 8;
         let t = read_count r in
-        let { at; width; lists; list_starts; records; batch; _ } = bufs in
+        let { at; width; lists; list_starts; records; vecs; vec_starts; _ } =
+          bufs
+        in
         Ibuf.clear at;
         Ibuf.clear width;
         for _ = 1 to t do
@@ -699,6 +694,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         bufs.resolved <- grow bufs.resolved t false;
         Array.fill bufs.resolved 0 t false;
         bufs.rd_stale <- true;
+        let nv = read_seqs r ~lo:0 ~hi:t "payload" vecs vec_starts in
         (* The broadcast rows, into [bc]'s dedicated stream, grown to
            their count at once. *)
         let bc = bufs.bcast in
@@ -707,7 +703,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         for i = 0 to c - 1 do
           let src = Wire.Reader.read_gamma r in
           if src >= n then proto_error "source slot %d" src;
-          let k = resolve bufs src 0 (read_payload r t) in
+          let k = resolve bufs src 0 (read_index r t "payload") in
           let m = bufs.decoded.(k) in
           if i = 0 && c > Array.length bc.d_src then begin
             bc.d_src <- Array.make c 0;
@@ -715,42 +711,32 @@ module Host (M : Network_intf.WIRE_MSG) = struct
           end;
           push bc ids.(src) m
         done;
-        let nl = read_count r in
-        Ibuf.clear lists;
-        Ibuf.clear list_starts;
-        Ibuf.push list_starts 0;
-        for _ = 1 to nl do
-          for _ = 1 to read_count r do
-            let d = Wire.Reader.read_gamma r in
-            if d < lo || d >= hi then proto_error "list slot %d off the host" d;
-            Ibuf.push lists d
-          done;
-          Ibuf.push list_starts lists.len
-        done;
+        let nl = read_seqs r ~lo ~hi "list slot" lists list_starts in
         bufs.per_list <- grow bufs.per_list nl 0;
         let per_list = bufs.per_list in
         Array.fill per_list 0 nl 0;
         let nr = read_count r in
         Ibuf.clear records;
-        Ibuf.clear batch;
         for _ = 1 to nr do
           let src = Wire.Reader.read_gamma r in
           if src >= n then proto_error "source slot %d" src;
           let tag = Wire.Reader.read_gamma r in
-          let l = Wire.Reader.read_gamma r in
-          if l >= nl then proto_error "list index %d of %d" l nl;
+          let l = read_index r nl "list" in
           Ibuf.push records src;
           Ibuf.push records l;
           (match tag with
-          | 4 -> Ibuf.push records (resolve bufs src 0 (read_payload r t))
+          | 4 ->
+              Ibuf.push records (resolve bufs src 0 (read_index r t "payload"))
           | 2 ->
-              let c = read_count r in
-              let len = list_starts.a.(l + 1) - list_starts.a.(l) in
+              let v = read_index r nv "vector" in
+              let first = vec_starts.a.(v) in
+              let c = vec_starts.a.(v + 1) - first
+              and len = list_starts.a.(l + 1) - list_starts.a.(l) in
               if c <> len then
                 proto_error "batch of %d payloads over a list of %d" c len;
-              Ibuf.push records (-1 - batch.len);
+              Ibuf.push records (-1 - first);
               for j = 0 to c - 1 do
-                Ibuf.push batch (resolve bufs src j (read_payload r t))
+                ignore (resolve bufs src j vecs.a.(first + j))
               done
           | tag -> proto_error "unknown record tag %d" tag);
           per_list.(l) <- per_list.(l) + 1
@@ -785,7 +771,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
             let d = lists.a.(e) in
             if running states d then
               push views.(d) src
-                decoded.(if p >= 0 then p else batch.a.(-1 - p + e - first))
+                decoded.(if p >= 0 then p else vecs.a.(-1 - p + e - first))
           done
         done;
         false
@@ -817,12 +803,19 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     for s = 0 to n - 1 do
       ids.(s) <- Wire.Reader.read_gamma r
     done;
-    let extra = Codec.read_bytes r in
+    (* A blob length beyond the frame is rejected before allocating. *)
+    let extra =
+      let len = Wire.Reader.read_gamma r in
+      if len > Wire.Reader.bits_remaining r / 8 then
+        proto_error "embedded byte string of %d bytes exceeds the frame" len;
+      Wire.Reader.read_string r len
+    in
     let lo, hi = Repro_util.Shard.range ~n ~shards:n_hosts host_index in
-    let index =
-      Repro_util.Slot_index.create ids ~duplicate:(fun id ->
-          Frame.Protocol_error
-            (Printf.sprintf "config: duplicate identity %d" id))
+    let slot =
+      slot_of
+        (Repro_util.Slot_index.create ids ~duplicate:(fun id ->
+             Frame.Protocol_error
+               (Printf.sprintf "config: duplicate identity %d" id)))
     in
     let current_round = ref 0 in
     let prog = program ~extra in
@@ -840,20 +833,20 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         states.(s) <-
           start_fiber prog { id = ids.(s); ids; node_rng; current_round; out }
     done;
-    let sent = Array.init n (fun _ -> Memo.create ()) in
+    let sent = Array.init (hi - lo) (fun _ -> Memo.create ()) in
     let views = Array.map empty_view ids in
     let bufs = reply_bufs n in
-    let tbl = Payloads.create () and gids = Ibuf.create () in
-    let sw = Wire.Writer.create () in
-    let lists = Lists.create () and slots = Ibuf.create () in
-    let list_of = Array.make n 0 in
+    let tbl = Payloads.create () and vecs = Lists.create () in
+    let sw = Wire.Writer.create () and vbuf = Ibuf.create () in
+    let lists = Lists.create () in
+    let list_of = Array.make n 0 and ref_of = Array.make n 0 in
     let w = Wire.Writer.create () and ib = Frame.inbuf () in
     let continue_running = ref true in
     while !continue_running do
       for s = lo to hi - 1 do
         match states.(s) with
         | Running _ ->
-            intern_outbox ~index tbl sw gids lists slots list_of s sent.(s)
+            intern_outbox tbl sw vbuf vecs lists list_of ref_of s sent.(s - lo)
               outs.(s)
         | Finished _ | Dead _ | Byz_node -> ()
       done;
@@ -863,14 +856,8 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       for g = 0 to Payloads.length tbl - 1 do
         Payloads.add_entry w tbl g
       done;
-      Wire.Writer.add_gamma w (Lists.length lists);
-      for l = 0 to Lists.length lists - 1 do
-        Wire.Writer.add_gamma w (Lists.length_of lists l);
-        for e = Lists.start lists l to Lists.start lists (l + 1) - 1 do
-          Wire.Writer.add_gamma w slots.a.(e)
-        done
-      done;
-      let cur = ref 0 in
+      write_seqs w vecs Fun.id;
+      write_seqs w lists slot;
       for s = lo to hi - 1 do
         match states.(s) with
         | Finished v ->
@@ -878,12 +865,19 @@ module Host (M : Network_intf.WIRE_MSG) = struct
             Wire.Writer.add_gamma w v;
             states.(s) <- Dead !current_round
         | Dead _ | Byz_node -> Wire.Writer.add_gamma w 0
-        | Running _ -> cur := write_outbox w gids !cur list_of.(s) outs.(s)
+        | Running _ ->
+            (* A broadcast is tag 3 with its payload, a fan tag 4 with
+               its list and payload, a batch tag 2 with its list and
+               vector. *)
+            let o = outs.(s) in
+            Wire.Writer.add_gamma w
+              (if o.bcast then 3 else if o.fan then 4 else 2);
+            if not o.bcast then Wire.Writer.add_gamma w list_of.(s);
+            Wire.Writer.add_gamma w ref_of.(s)
       done;
       Payloads.clear tbl;
-      Ibuf.clear gids;
+      Lists.clear vecs;
       Lists.clear lists;
-      Ibuf.clear slots;
       Frame.write_framed io w;
       let stop =
         read_reply (Frame.read_framed io ib) bufs ~round:!current_round ~ids

@@ -16,17 +16,18 @@
     connection failing mid-round maps to [Crashed round] for every node
     still running on it; everyone else keeps going.
 
-    Frame layout: each round frame carries a payload table and a
-    destination-list table, both content-interned, so each distinct
-    payload and each distinct destination list crosses a link once per
-    round. A host names each outbox by table indices: a broadcast by
-    its payload, a fan (one message to every destination of a list) by
-    its list and payload, a batch by its list and one payload per
-    destination. The coordinator merges the hosts' tables into round
-    tables and answers each host with the payloads and lists its reply
-    names, each list restricted to the host's slots, the round's
-    broadcasts once, and one record per fan or batch sender, so a fan
-    to the committee crosses each link once rather than once per copy.
+    Frame layout: each round frame carries a payload table, a
+    payload-vector table and a destination-list table, all
+    content-interned, so each distinct payload, vector and destination
+    list crosses a link once per round. A host names each outbox by
+    table indices: a broadcast by its payload, a fan (one message to
+    every destination of a list) by its list and payload, a batch by its
+    list and a vector of one payload per destination. The coordinator
+    merges the hosts' tables into round tables and answers each host
+    with the payloads, vectors and lists its reply names, restricted to
+    the host's slots, the round's broadcasts once, and one record per
+    fan or batch sender: a fan to the committee crosses each link once,
+    not once per copy, and so does a verdict vector every member sends.
 
     Memory: each link's round frames are built in one writer and read
     into one buffer kept for the whole run, both sides keep their
@@ -64,6 +65,9 @@ type result = {
   run : int Repro_sim.Engine.run_result;
       (** outcomes (slot order) + metrics, the shape [Runner.assess]
           and the [lib/check] oracles consume *)
+  bytes_read : int;
+      (** bytes read from the hosts, handshakes and frame headers included *)
+  bytes_written : int;  (** bytes written to the hosts, likewise *)
 }
 
 val serve :

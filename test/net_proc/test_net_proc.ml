@@ -111,11 +111,15 @@ let fake_host port ~host_index script =
   | pid -> pid
 
 (* A host-to-coordinator round frame: round, payload table of raw
-   (bytes, bits) entries, each its bit length then its bytes,
-   destination-list table of slot lists, then the slot records as raw
-   gamma fields. *)
-let round_frame ~round ~table ~lists records =
+   (bytes, bits) entries, each its bit length then its bytes, vector
+   table of payload-index lists, destination-list table of slot lists,
+   then the slot records as raw gamma fields. *)
+let round_frame ~round ~table ?(vectors = []) ~lists records =
   let w = Wire.Writer.create () in
+  let counted l =
+    Wire.Writer.add_gamma w (List.length l);
+    List.iter (Wire.Writer.add_gamma w) l
+  in
   Wire.Writer.add_gamma w round;
   Wire.Writer.add_gamma w (List.length table);
   List.iter
@@ -123,12 +127,10 @@ let round_frame ~round ~table ~lists records =
       Wire.Writer.add_gamma w bits;
       Wire.Writer.add_string w bytes)
     table;
+  Wire.Writer.add_gamma w (List.length vectors);
+  List.iter counted vectors;
   Wire.Writer.add_gamma w (List.length lists);
-  List.iter
-    (fun l ->
-      Wire.Writer.add_gamma w (List.length l);
-      List.iter (Wire.Writer.add_gamma w) l)
-    lists;
+  List.iter counted lists;
   List.iter (Wire.Writer.add_gamma w) records;
   Wire.Writer.contents w
 
@@ -187,10 +189,17 @@ let test_broadcast_index_out_of_table =
     (round_frame ~round:1 ~table:[ ("", 0) ] ~lists:[] [ 3; 0; 3; 1 ])
 
 let test_batch_index_out_of_table =
-  (* slot 0 sends a batch over the list [slot 2] naming payload 5 of 1 *)
+  (* slot 0 sends a batch over the list [slot 2] whose vector names
+     payload 5 of 1 *)
   malformed_round_1
-    (round_frame ~round:1 ~table:[ ("", 0) ] ~lists:[ [ 2 ] ]
-       [ 2; 0; 1; 5; 3; 0 ])
+    (round_frame ~round:1 ~table:[ ("", 0) ] ~vectors:[ [ 5 ] ]
+       ~lists:[ [ 2 ] ] [ 2; 0; 0; 3; 0 ])
+
+let test_vector_index_out_of_table =
+  (* slot 0 sends a batch over list 0 with vector 1 of 1 *)
+  malformed_round_1
+    (round_frame ~round:1 ~table:[ ("", 0) ] ~vectors:[ [ 0 ] ]
+       ~lists:[ [ 2 ] ] [ 2; 0; 1; 3; 0 ])
 
 let test_list_index_out_of_table =
   (* slot 0 fans payload 0 over list 1 of 1 *)
@@ -204,10 +213,10 @@ let test_list_entry_beyond_n =
        [ 4; 0; 0; 3; 0 ])
 
 let test_batch_count_off_list =
-  (* slot 0's batch carries one payload over a list of two *)
+  (* slot 0's batch vector carries one payload over a list of two *)
   malformed_round_1
-    (round_frame ~round:1 ~table:[ ("", 0) ] ~lists:[ [ 2; 3 ] ]
-       [ 2; 0; 1; 0; 3; 0 ])
+    (round_frame ~round:1 ~table:[ ("", 0) ] ~vectors:[ [ 0 ] ]
+       ~lists:[ [ 2; 3 ] ] [ 2; 0; 0; 3; 0 ])
 
 let test_table_count_beyond_frame =
   malformed_round_1
@@ -578,6 +587,8 @@ let () =
             `Quick test_broadcast_index_out_of_table;
           Alcotest.test_case "batch payload index out of table -> Crashed"
             `Quick test_batch_index_out_of_table;
+          Alcotest.test_case "batch vector index out of table -> Crashed"
+            `Quick test_vector_index_out_of_table;
           Alcotest.test_case "list index out of table -> Crashed" `Quick
             test_list_index_out_of_table;
           Alcotest.test_case "list entry beyond n -> Crashed" `Quick

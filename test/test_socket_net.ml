@@ -201,12 +201,35 @@ let config_frame =
   Wire.Writer.add_gamma w 0;
   Wire.Writer.contents w
 
-(* A coordinator reply for [round]: payload table of raw (bytes, bits) entries, the
-   broadcast rows as (source slot, index) pairs, the destination lists
-   as slot lists, and the records: [`Fan (src, list, index)] or
-   [`Batch (src, list, indices)], the batch's payload count taken from
-   its indices. *)
-let reply_frame_at ~round ~table ~bcast ~lists ~records =
+(* A coordinator reply for [round]: payload table of raw (bytes, bits)
+   entries, the payload-vector table, the broadcast rows as (source
+   slot, index) pairs, the destination lists as slot lists, and the
+   records: [`Fan (src, list, index)], [`Batch (src, list, indices)],
+   whose vector of payload indices is interned into the vector table
+   after [vectors], or [`Vec (src, list, vector)] naming a vector by its
+   raw index. *)
+type record =
+  [ `Fan of int * int * int
+  | `Batch of int * int * int list
+  | `Vec of int * int * int ]
+
+let reply_with_vectors ~round ~table ~vectors ~bcast ~lists
+    ~(records : record list) =
+  let vectors =
+    List.fold_left
+      (fun vs -> function
+        | `Batch (_, _, ks) when not (List.mem ks vs) -> vs @ [ ks ]
+        | `Batch _ | `Fan _ | `Vec _ -> vs)
+      vectors records
+  in
+  let index ks =
+    let rec go i = function
+      | v :: _ when v = ks -> i
+      | _ :: vs -> go (i + 1) vs
+      | [] -> assert false
+    in
+    go 0 vectors
+  in
   let w = Wire.Writer.create () in
   let gammas = List.iter (Wire.Writer.add_gamma w) in
   let counted l =
@@ -215,6 +238,8 @@ let reply_frame_at ~round ~table ~bcast ~lists ~records =
   in
   gammas [ round; 0; List.length table ];
   List.iter (add_msg w) table;
+  Wire.Writer.add_gamma w (List.length vectors);
+  List.iter counted vectors;
   Wire.Writer.add_gamma w (List.length bcast);
   List.iter (fun (src, k) -> gammas [ src; k ]) bcast;
   Wire.Writer.add_gamma w (List.length lists);
@@ -223,11 +248,13 @@ let reply_frame_at ~round ~table ~bcast ~lists ~records =
   List.iter
     (function
       | `Fan (src, l, k) -> gammas [ src; 4; l; k ]
-      | `Batch (src, l, ks) ->
-          gammas [ src; 2; l ];
-          counted ks)
+      | `Batch (src, l, ks) -> gammas [ src; 2; l; index ks ]
+      | `Vec (src, l, v) -> gammas [ src; 2; l; v ])
     records;
   Wire.Writer.contents w
+
+let reply_frame_at ~round ~table ~bcast ~lists ~records =
+  reply_with_vectors ~round ~table ~vectors:[] ~bcast ~lists ~records
 
 (* Round 0's. *)
 let reply_frame = reply_frame_at ~round:0
@@ -287,8 +314,11 @@ let test_host_rejects_malformed_tables () =
   let reply = reply_frame ~table:[ ping 5 ] in
   expect_host_rejects "fan payload index >= table size"
     (reply ~bcast:[] ~lists:[ [ 2 ] ] ~records:[ `Fan (0, 0, 1) ]);
-  expect_host_rejects "batch payload index >= table size"
+  expect_host_rejects "vector entry past the payload table"
     (reply ~bcast:[] ~lists:[ [ 2 ] ] ~records:[ `Batch (0, 0, [ 1 ]) ]);
+  expect_host_rejects "vector index past the vector table"
+    (reply_with_vectors ~round:0 ~table:[ ping 5 ] ~vectors:[ [ 0 ] ] ~bcast:[]
+       ~lists:[ [ 2 ] ] ~records:[ `Vec (0, 0, 1) ]);
   expect_host_rejects "broadcast payload index >= table size"
     (reply ~bcast:[ (1, 1) ] ~lists:[] ~records:[]);
   expect_host_rejects "rows naming an empty table"
@@ -305,9 +335,9 @@ let test_host_rejects_malformed_tables () =
     (reply ~bcast:[] ~lists:[ [ 2 ] ] ~records:[ `Fan (0, 1, 0) ]);
   expect_host_rejects "list slot outside the host's range"
     (reply ~bcast:[] ~lists:[ [ 3 ] ] ~records:[ `Fan (0, 0, 0) ]);
-  expect_host_rejects "batch with fewer payloads than its list"
+  expect_host_rejects "vector shorter than its list"
     (reply ~bcast:[] ~lists:[ [ 0; 2 ] ] ~records:[ `Batch (0, 0, [ 0 ]) ]);
-  expect_host_rejects "batch with more payloads than its list"
+  expect_host_rejects "vector longer than its list"
     (reply ~bcast:[] ~lists:[ [ 2 ] ] ~records:[ `Batch (0, 0, [ 0; 0 ]) ]);
   expect_host_rejects "undecodable table payload"
     (reply_frame ~table:[ ping 5; ("", 0) ] ~bcast:[ (1, 0) ] ~lists:[]
@@ -339,7 +369,7 @@ let test_host_stale_bytes () =
      2 bytes), and every bit from byte 3 on is equal. A reader bounded by
      the buffer's capacity would parse the cut reply whole; the host
      must reject it. *)
-  let tail = [ `G 1; `G 1; `G 0; `G 0; `G 0 ] in
+  let tail = [ `G 0; `G 1; `G 1; `G 0; `G 0; `G 0 ] in
   let long =
     raw_frame ([ `G 0; `G 0; `G 1; `M (TMsg.encode (Ping 127)) ] @ tail)
   in
@@ -910,6 +940,262 @@ let test_host_memo_hostile () =
       Alcotest.(check bool) "and is not the memo's message" false (m0 == m1)
   | _ -> Alcotest.fail "one message per round expected"
 
+(* {2 The send memo}
+
+   [Memo.intern] takes a message physically equal to the previous
+   entry's as that entry, and a message a position held before from the
+   memo; any other is written and stored. *)
+
+(* The encoding of payload-table entry [g], as a frame carries it. *)
+let entry tbl g =
+  let w = Wire.Writer.create () in
+  Repro_net.Round_tables.Payloads.add_entry w tbl g;
+  Wire.Writer.contents w
+
+(* One outbox through [memo]: each entry's encoding, in position order,
+   and the writes and stores it took. *)
+let send_outbox memo msgs =
+  let module RT = Repro_net.Round_tables in
+  let tbl = RT.Payloads.create () and sw = Wire.Writer.create () in
+  let writes = ref 0 and stores = RT.Memo.stores memo in
+  let write w m =
+    incr writes;
+    TMsg.write w m
+  in
+  let k = Array.length msgs in
+  RT.Memo.reserve memo k;
+  let gids = Array.make k (-1) in
+  Array.iteri
+    (fun j m ->
+      gids.(j) <-
+        RT.Memo.intern memo tbl sw write
+          ~prev:(if j > 0 then gids.(j - 1) else -1)
+          j m)
+    msgs;
+  ( Array.to_list (Array.map (entry tbl) gids),
+    !writes,
+    RT.Memo.stores memo - stores )
+
+let want_entries msgs =
+  Array.to_list
+    (Array.map
+       (fun m ->
+         let w = Wire.Writer.create () in
+         add_msg w (TMsg.encode m);
+         Wire.Writer.contents w)
+       msgs)
+
+(* A batch that repeats one message is one write and one stored
+   encoding: its other positions name the first one's cell, with no
+   copy. Positions keep their cells across rounds, so when position 0
+   changes and the others do not, position 1 still finds its message's
+   encoding, neither written nor copied again. *)
+let test_send_memo_shares () =
+  let memo = Repro_net.Round_tables.Memo.create () in
+  let m = TMsg.Ping 7 and m' = TMsg.Ping 9 and m'' = TMsg.Ping 11 in
+  let check name msgs ~writes ~stores =
+    let got, w, st = send_outbox memo msgs in
+    Alcotest.(check (list string)) (name ^ ": entries") (want_entries msgs) got;
+    Alcotest.(check (pair int int))
+      (name ^ ": writes, stores") (writes, stores) (w, st)
+  in
+  check "one message repeated" (Array.make 8 m) ~writes:1 ~stores:1;
+  check "the same batch again" (Array.make 8 m) ~writes:0 ~stores:0;
+  check "position 0 changed"
+    (Array.init 8 (fun j -> if j = 0 then m' else m))
+    ~writes:1 ~stores:1;
+  check "every position changed" (Array.make 8 m'') ~writes:1 ~stores:1;
+  check "runs of two messages"
+    (Array.init 8 (fun j -> if j < 3 then m else m'))
+    ~writes:2 ~stores:2
+
+(* Outboxes over a pool of four messages: every entry is its message's
+   encoding, and [M.write] runs exactly where neither rule applies — the
+   message is not the previous entry's, nor what its position last
+   held, in whatever round. *)
+let qcheck_send_memo =
+  let pool = Array.init 4 (fun v -> TMsg.Ping (v * 100)) in
+  QCheck.Test.make ~name:"send memo entries and writes" ~count:200
+    QCheck.(
+      make
+        ~print:(fun rounds ->
+          String.concat " | "
+            (List.map
+               (fun r -> String.concat "," (List.map string_of_int r))
+               rounds))
+        Gen.(
+          list_size (int_range 1 12) (list_size (int_range 0 9) (int_bound 3))))
+    (fun rounds ->
+      let memo = Repro_net.Round_tables.Memo.create () in
+      let last = Array.make 9 (-1) in
+      List.for_all
+        (fun r ->
+          let msgs = Array.of_list (List.map (fun v -> pool.(v)) r) in
+          let got, writes, _ = send_outbox memo msgs in
+          let want_writes = ref 0 in
+          List.iteri
+            (fun j v ->
+              if not ((j > 0 && List.nth r (j - 1) = v) || last.(j) = v) then
+                incr want_writes;
+              last.(j) <- v)
+            r;
+          got = want_entries msgs && writes = !want_writes)
+        rounds)
+
+(* {2 The coordinator's frame parser}
+
+   A fake host replays a recorded crash run's host frames up to its
+   largest committee verdict frame, and then sends a mutated copy of
+   that frame: bits flipped, or cut short. The coordinator must
+   parse it or crash the host's slots at that round, and raise nothing:
+   a frame that runs out of bits or names past a table is a
+   [Protocol_error], which [serve] maps to a crash; anything else
+   escapes [serve] and fails the case. *)
+
+module CH = SN.Host (CR.Msg)
+module CP = CR.Make_node (CH)
+
+let listen_loopback () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen fd 4;
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, port) -> (fd, port)
+  | Unix.ADDR_UNIX _ -> assert false
+
+let connect_loopback port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  fd
+
+(* The length of host frame [f]'s longest payload vector. *)
+let longest_vector f =
+  let r = Wire.Reader.of_string f in
+  ignore (Wire.Reader.read_gamma r);
+  for _ = 1 to Wire.Reader.read_gamma r do
+    Wire.Reader.skip r (8 * ((Wire.Reader.read_gamma r + 7) / 8))
+  done;
+  let longest = ref 0 in
+  for _ = 1 to Wire.Reader.read_gamma r do
+    let len = Wire.Reader.read_gamma r in
+    longest := max !longest len;
+    for _ = 1 to len do
+      ignore (Wire.Reader.read_gamma r)
+    done
+  done;
+  !longest
+
+(* A one-host crash run at n = 24, relayed between the host (on a
+   domain, over a socketpair) and the coordinator (on another): the
+   config, the host's hello, its round frames in round order, and the
+   round of its largest verdict frame, one whose batches carry a
+   vector of more than one entry. *)
+let recorded_crash_run =
+  lazy
+    (let n = 24 in
+     let ids =
+       Repro_renaming.Experiment.random_ids ~seed:3 ~namespace:(n * n) ~n
+     in
+     let config = { SN.ids; seed = 3; n_hosts = 1; extra = "" } in
+     let listen, port = listen_loopback () in
+     let coordinator = Domain.spawn (fun () -> SN.serve ~listen ~config ()) in
+     let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+     Unix.setsockopt_float a Unix.SO_RCVTIMEO 10.;
+     Unix.setsockopt_float b Unix.SO_RCVTIMEO 10.;
+     let host =
+       Domain.spawn (fun () ->
+           CH.run ~fd:b ~host_index:0 ~program:(fun ~extra:_ ctx ->
+               CP.program CR.experiment_params ctx))
+     in
+     let c = connect_loopback port in
+     let hio = Frame.io_of_fd a and cio = Frame.io_of_fd c in
+     let relay src dst =
+       let f = Frame.read_frame src in
+       Frame.write_frame dst f;
+       f
+     in
+     let hello = relay hio cio in
+     ignore (relay cio hio);
+     let rec rounds acc =
+       let frame = relay hio cio in
+       let r = Wire.Reader.of_string (relay cio hio) in
+       ignore (Wire.Reader.read_gamma r);
+       if Wire.Reader.read_gamma r = 1 then List.rev (frame :: acc)
+       else rounds (frame :: acc)
+     in
+     let frames = Array.of_list (rounds []) in
+     Domain.join host;
+     ignore (Domain.join coordinator);
+     List.iter Unix.close [ a; b; c; listen ];
+     let verdict = ref (-1) in
+     Array.iteri
+       (fun i f ->
+         if
+           longest_vector f > 1
+           && (!verdict < 0
+              || String.length f > String.length frames.(!verdict))
+         then verdict := i)
+       frames;
+     (config, hello, frames, !verdict))
+
+let qcheck_coordinator_parser =
+  QCheck.Test.make ~name:"coordinator parses or rejects mutated frames"
+    ~count:60
+    QCheck.(
+      make
+        ~print:(function
+          | `Cut k -> Printf.sprintf "cut at byte %d" k
+          | `Flip bits ->
+              "flip bits " ^ String.concat "," (List.map string_of_int bits))
+        Gen.(
+          oneof
+            [
+              map (fun k -> `Cut k) nat;
+              map (fun bits -> `Flip bits) (list_size (int_range 1 4) nat);
+            ]))
+    (fun mutation ->
+      let config, hello, frames, r = Lazy.force recorded_crash_run in
+      let f = frames.(r) in
+      let mutated =
+        match mutation with
+        | `Cut k -> String.sub f 0 (k mod String.length f)
+        | `Flip bits ->
+            let b = Bytes.of_string f in
+            List.iter
+              (fun p ->
+                let p = p mod (8 * Bytes.length b) in
+                let byte = Char.code (Bytes.get b (p / 8)) in
+                Bytes.set b (p / 8) (Char.chr (byte lxor (0x80 lsr (p mod 8)))))
+              bits;
+            Bytes.to_string b
+      in
+      let listen, port = listen_loopback () in
+      let coordinator = Domain.spawn (fun () -> SN.serve ~listen ~config ()) in
+      let fd = connect_loopback port in
+      let io = Frame.io_of_fd fd in
+      (try
+         Frame.write_frame io hello;
+         ignore (Frame.read_frame io);
+         for i = 0 to r - 1 do
+           Frame.write_frame io frames.(i);
+           ignore (Frame.read_frame io)
+         done;
+         Frame.write_frame io mutated;
+         ignore (Frame.read_frame io)
+       with Frame.Protocol_error _ | Unix.Unix_error _ -> ());
+      Unix.close fd;
+      let res = Domain.join coordinator in
+      Unix.close listen;
+      List.for_all
+        (fun (_, o) ->
+          match o with
+          | Repro_sim.Engine.Crashed k -> k = r || k = r + 1
+          | Repro_sim.Engine.Decided _ -> true
+          | Repro_sim.Engine.Byzantine | Repro_sim.Engine.Unfinished -> false)
+        res.SN.run.Repro_sim.Engine.outcomes)
+
 (* The host's side of the round hand-off, measured like the engine's
    (test_engine.ml): nodes cycle through [skip_round], [broadcast] and
    [exchange_sized] over arrays and messages kept for the whole run, and
@@ -940,8 +1226,9 @@ let test_host_handoff_allocation () =
     for round = 0 to rounds - 1 do
       ignore (Frame.read_frame io);
       let w = Wire.Writer.create () in
-      (* round, no stop, no payloads, broadcasts, lists or records *)
-      List.iter (Wire.Writer.add_gamma w) [ round; 0; 0; 0; 0; 0 ];
+      (* round, no stop, no payloads, vectors, broadcasts, lists or
+         records *)
+      List.iter (Wire.Writer.add_gamma w) [ round; 0; 0; 0; 0; 0; 0 ];
       Frame.write_frame io (Wire.Writer.contents w)
     done;
     ignore (Frame.read_frame io);
@@ -1019,4 +1306,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_memo_flooding;
       Alcotest.test_case "host memo reads or rejects hostile entries" `Quick
         test_host_memo_hostile;
+      Alcotest.test_case "send memo shares a repeated message's encoding"
+        `Quick test_send_memo_shares;
+      QCheck_alcotest.to_alcotest qcheck_send_memo;
+      QCheck_alcotest.to_alcotest qcheck_coordinator_parser;
     ] )
