@@ -137,6 +137,7 @@ module Payloads = struct
 
   let length t = Index.length t.index
   let bits t g = t.bits.a.(g)
+  let bytes t = t.starts.a.(length t)
 
   let clear t =
     Index.clear t.index;
@@ -164,7 +165,7 @@ module Payloads = struct
     done;
     if !g >= 0 then !g
     else begin
-      let start = t.starts.a.(length t) in
+      let start = bytes t in
       if start + nbytes > Bytes.length t.arena then begin
         let bigger =
           Bytes.create (max (start + nbytes) (2 * Bytes.length t.arena))
@@ -265,7 +266,6 @@ module Memo = struct
     { msgs = [||]; at = [||]; refs = [||]; free = -1; arena = Bytes.empty;
       stride = 8; stores = 0 }
 
-  let msg t j = t.msgs.(j)
   let stores t = t.stores
   let[@inline] cell t j = t.at.(j) asr 32
   let[@inline] bits t j = t.at.(j) land 0xffff_ffff
@@ -297,12 +297,6 @@ module Memo = struct
   let[@inline] mem t j m =
     j < Array.length t.at && t.at.(j) >= 0 && t.msgs.(j) == m
 
-  let holds t j data ~pos ~bits:b =
-    let nbytes = padded_range "Round_tables.Memo.holds" data ~pos ~bits:b in
-    j < Array.length t.at && t.at.(j) >= 0
-    && Int.equal (bits t j) b
-    && same_bytes t.arena (cell t j * t.stride) data pos nbytes
-
   (* Position [j] (made room for) stops naming its cell. *)
   let release t j m =
     if j >= Array.length t.at then reserve t (j + 1);
@@ -320,18 +314,19 @@ module Memo = struct
     t.at.(j) <- (c lsl 32) lor b;
     t.msgs.(j) <- m
 
-  (* The free list is last in, first out: a cell's only position
-     writes it again. *)
-  let store t j m data ~pos ~bits:b =
-    let nbytes = padded_range "Round_tables.Memo.store" data ~pos ~bits:b in
-    if j < 0 then invalid_arg "Round_tables.Memo.store: position";
+  (* Position [j] holds [m], whose encoding is the writer [w]'s
+     contents, copied into a free cell. The free list is last in, first
+     out: a cell's only position writes it again. *)
+  let store t j m w =
+    let b = Wire.Writer.bit_length w in
+    let nbytes = (b + 7) / 8 in
     if nbytes > t.stride then
       relayout t ~cap:(Array.length t.at) ~stride:(8 * ((nbytes + 7) / 8));
     release t j m;
     let c = t.free in
     t.free <- -2 - t.refs.(c);
     t.refs.(c) <- 0;
-    copy_bytes data pos t.arena (c * t.stride) nbytes;
+    Bytes.blit (Wire.Writer.unsafe_bytes w) 0 t.arena (c * t.stride) nbytes;
     t.stores <- t.stores + 1;
     name t j c b m
 
@@ -347,8 +342,7 @@ module Memo = struct
       if not (mem t j m) then begin
         Wire.Writer.reset w;
         write w m;
-        store t j m (Wire.Writer.unsafe_bytes w) ~pos:0
-          ~bits:(Wire.Writer.bit_length w)
+        store t j m w
       end;
       Payloads.intern tbl t.arena
         ~pos:(8 * cell t j * t.stride)

@@ -38,6 +38,9 @@ module Payloads : sig
   val length : t -> int
   val bits : t -> int -> int
 
+  val bytes : t -> int
+  (** The arena bytes the entries take, padding included. *)
+
   val intern : t -> Bytes.t -> pos:int -> bits:int -> int
   (** [intern t data ~pos ~bits] is the entry of the [bits]-bit payload
       whose padded bytes start at bit [pos] of [data], appended as entry
@@ -74,41 +77,22 @@ module Lists : sig
       appended as list [length t] when it is new. *)
 end
 
-(** A slot's codec memo: by position, a message and its encoding. The
-    encodings are kept as their bits zero-padded to whole bytes, in
-    fixed-size cells of one arena that lives across rounds: the arena is
-    replaced only when the positions outgrow it or an encoding outgrows
-    a cell, so remembering a message allocates nothing once the memo has
-    grown. Positions are independent: one can be stored without those
-    before it. *)
+(** A slot's send memo: by outbox position, the message it last sent
+    there and that message's encoding. The encodings are kept as their
+    bits zero-padded to whole bytes, in fixed-size cells of one arena
+    that lives across rounds: the arena is replaced only when the
+    positions outgrow it or an encoding outgrows a cell, so remembering
+    a message allocates nothing once the memo has grown. Only the send
+    side keeps one; a host reads reply payloads through one
+    {!Payloads} table kept for the run. *)
 module Memo : sig
   type 'a t
 
   val create : unit -> 'a t
 
-  val msg : 'a t -> int -> 'a
-  (** The message stored at a position; only for a stored one. *)
-
   val reserve : 'a t -> int -> unit
   (** [reserve t c] makes room for positions [\[0, c)], so storing a
       record of [c] messages grows the memo at most once. *)
-
-  val mem : 'a t -> int -> 'a -> bool
-  (** [mem t j m]: position [j] is stored, with [m] itself (physical
-      equality). *)
-
-  val holds : 'a t -> int -> Bytes.t -> pos:int -> bits:int -> bool
-  (** [holds t j data ~pos ~bits]: position [j] is stored, with an
-      encoding of [bits] bits whose padded bytes are those at bit [pos]
-      of [data].
-      @raise Invalid_argument if those bytes are not inside [data]. *)
-
-  val store : 'a t -> int -> 'a -> Bytes.t -> pos:int -> bits:int -> unit
-  (** [store t j m data ~pos ~bits] stores [m] at position [j], with the
-      encoding of [bits] bits whose padded bytes start at bit [pos] of
-      [data], copied into a cell no other position names.
-      @raise Invalid_argument if those bytes are not inside [data], or
-      if [j < 0]. *)
 
   val intern :
     'a t -> Payloads.t -> Repro_sim.Wire.Writer.t ->

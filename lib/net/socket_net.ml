@@ -82,12 +82,11 @@ let write_seqs w t f =
    [Frame.read_framed]), so a round allocates no frame-sized memory. No
    payload becomes a string on the way: the coordinator interns each one
    where it lies in the frame ([Payloads.read_entry]) and copies it into
-   its reply from the table's arena. A host keeps a codec memo
-   ([Memo]) per slot for each direction: it writes a message with
-   [M.write] only when the slot's send memo does not hold it
-   ([Memo.intern]), and reads a reply payload with [M.read] in the frame
-   only when the sender's receive memo does not hold the same bits at
-   that record position. *)
+   its reply from the table's arena. A host writes a message with
+   [M.write] only when its slot's send memo does not hold it
+   ([Memo.intern]), and interns every reply payload the same way into
+   one table kept for the run, reading it with [M.read] in the frame
+   only when that table does not hold the same bits. *)
 
 type config = { ids : int array; seed : int; n_hosts : int; extra : string }
 
@@ -544,32 +543,21 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     | Running _ -> true
     | Finished _ | Dead _ | Byz_node -> false
 
-  (* Reply parsing state kept across rounds: the reply's frame
-     ([frame], its first [frame_len] bytes); where its payload table
-     entries lie in it ([at], [width]), which are resolved ([resolved])
-     and to what ([decoded]); the reader that reads them ([rd], made for
-     the reply at its first read when [rd_stale]); the receive memo of
-     every source slot ([heard]), by position in the sender's row or
-     record — a slot's own sends keep a memo of their own, by outbox
-     position, which a batch's record restricted to the host does not
-     share; the round's broadcast rows, kept as the dedicated stream of
-     a view of its own that every slot's view shares, as the engine
+  (* Reply parsing state kept across rounds: the run's payload table
+     ([table], every distinct payload the host has read, [decoded] its
+     messages by index) and the reply's table entries as indices into
+     it ([gid]); the round's broadcast rows, kept as the dedicated stream
+     of a view of its own that every slot's view shares, as the engine
      keeps its broadcast table; the reply's lists ([lists] from
-     [list_starts.(l)] to [list_starts.(l + 1)]) and vectors ([vecs]
-     from [vec_starts.(v)] to [vec_starts.(v + 1)]); its records as
-     (source slot, list, payload) triples, where a batch's payload
-     [-1 - k] means its payloads are [vecs.(k ..)]; and per-list
-     record and per-slot delivery counts. *)
+     [list_starts.(l)] to [list_starts.(l + 1)]) and vectors ([vecs],
+     run-table indices, from [vec_starts.(v)] to [vec_starts.(v + 1)]);
+     its records as (source slot, list, payload) triples, where a
+     batch's payload [-1 - k] means its payloads are [vecs.(k ..)]; and
+     per-list record and per-slot delivery counts. *)
   type reply_bufs = {
-    mutable frame : Bytes.t;
-    mutable frame_len : int;
-    at : Ibuf.t;
-    width : Ibuf.t;
-    mutable resolved : bool array;
+    table : Payloads.t;
     mutable decoded : M.t array;
-    mutable rd : Wire.Reader.t;
-    mutable rd_stale : bool;
-    heard : M.t Memo.t array;
+    gid : Ibuf.t;
     bcast : inbox;
     lists : Ibuf.t;
     list_starts : Ibuf.t;
@@ -582,15 +570,9 @@ module Host (M : Network_intf.WIRE_MSG) = struct
 
   let reply_bufs n =
     {
-      frame = Bytes.empty;
-      frame_len = 0;
-      at = Ibuf.create ();
-      width = Ibuf.create ();
-      resolved = [||];
+      table = Payloads.create ();
       decoded = [||];
-      rd = Wire.Reader.of_string "";
-      rd_stale = true;
-      heard = Array.init n (fun _ -> Memo.create ());
+      gid = Ibuf.create ();
       bcast = empty_view (-1);
       lists = Ibuf.create ();
       list_starts = Ibuf.create ();
@@ -601,46 +583,31 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       need = Array.make n 0;
     }
 
-  (* Table entry [k] of the reply resolves to [m]. *)
-  let settle bufs k m =
-    bufs.decoded <- grow bufs.decoded (Array.length bufs.resolved) m;
-    bufs.decoded.(k) <- m;
-    bufs.resolved.(k) <- true
-
-  (* Read table entry [k] with [M.read], bounded to its bits, and
-     resolve it to the result. [bufs.rd] only moves forward; an entry
-     behind it (a reply naming its entries out of table order) takes a
-     fresh reader over the frame, as does a reply's first read. *)
-  let read_entry bufs k =
-    let pos = bufs.at.a.(k) in
-    if bufs.rd_stale || Wire.Reader.position bufs.rd > pos then begin
-      bufs.rd <- Wire.Reader.of_bytes bufs.frame ~len:bufs.frame_len;
-      bufs.rd_stale <- false
-    end;
-    Wire.Reader.skip bufs.rd (pos - Wire.Reader.position bufs.rd);
-    match Wire.Reader.within bufs.rd ~bits:bufs.width.a.(k) M.read with
-    | m ->
-        settle bufs k m;
-        m
-    | exception Invalid_argument _ -> proto_error "undecodable payload"
-
-  (* Resolve table entry [k] at its first use, at position [j] of source
-     slot [src]'s row or record; later uses take its message as it is.
-     If [src]'s memo holds the entry's bit length and bits at [j], the
-     memo's message is the entry's; otherwise the entry is read and the
-     memo remembers it. So every entry delivered was read, or is
-     bit-equal to an earlier successful read ([M.read] is a pure
-     function of the bits). *)
-  let first_use bufs src j k =
-    let memo = bufs.heard.(src) in
-    let pos = bufs.at.a.(k) and bits = bufs.width.a.(k) in
-    if Memo.holds memo j bufs.frame ~pos ~bits then
-      settle bufs k (Memo.msg memo j)
-    else Memo.store memo j (read_entry bufs k) bufs.frame ~pos ~bits
-
-  let[@inline] resolve bufs src j k =
-    if not bufs.resolved.(k) then first_use bufs src j k;
-    k
+  (* The payload at the reader, as the run table's index: interned where
+     it lies in the frame, and read with [M.read], bounded to its bits,
+     only when it is new. Every message delivered was read from the
+     same bits ([M.read] is a pure function of the bits). *)
+  let read_entry r bufs =
+    let bits = Wire.Reader.read_gamma r in
+    let padded = 8 * ((bits + 7) / 8) in
+    if padded > Wire.Reader.bits_remaining r then
+      proto_error "embedded message of %d bits exceeds the frame" bits;
+    let fresh = Payloads.length bufs.table in
+    let g =
+      Payloads.intern bufs.table (Wire.Reader.unsafe_bytes r)
+        ~pos:(Wire.Reader.position r) ~bits
+    in
+    if g = fresh then begin
+      let m = Wire.Reader.within r ~bits M.read in
+      (* Not [Array.make]: past 256 words, a young fill forces a minor GC. *)
+      if g = Array.length bufs.decoded then
+        bufs.decoded <-
+          (if g = 0 then [| m |] else Array.append bufs.decoded bufs.decoded);
+      bufs.decoded.(g) <- m;
+      Wire.Reader.skip r (padded - bits)
+    end
+    else Wire.Reader.skip r padded;
+    g
 
   (* A table of int sequences, each entry in [\[lo, hi)]: its entries
      into [entries], sequence [i]'s from [starts.(i)]; its length. *)
@@ -660,12 +627,14 @@ module Host (M : Network_intf.WIRE_MSG) = struct
      dedicated streams of their lists' running slots, as an engine
      shard's transmit pushes them, the shared stream pointed at the
      broadcast rows. Each view grows once, to the round's count, which
-     the per-list record counts give in one pass over the lists. The
-     payload table is skipped on the way in, and each entry resolved
-     at its first use ([resolve]); one that no row or record names is
-     read all the same. A resolved message is shared by every recipient
-     ([M.t] values are immutable). A frame that ends early is malformed
-     like any other bad field. *)
+     the per-list record counts give in one pass over the lists. Every
+     payload table entry is interned into the run table, in order, and
+     read only if new ([read_entry]); rows, records and vectors then
+     name run-table indices. A message is shared by every recipient,
+     in this round and later ones ([M.t] values are immutable). The run
+     table is cleared before a reply once it holds more than [32 n]
+     entries or [Frame.max_frame] bytes, which no measured run reaches.
+     A frame that ends early is malformed like any other bad field. *)
   let read_reply r bufs ~round ~ids ~lo ~hi ~states views =
     try
       let got = Wire.Reader.read_gamma r in
@@ -674,27 +643,21 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       if Wire.Reader.read_gamma r = 1 then true
       else begin
         let n = Array.length ids in
-        bufs.frame <- Wire.Reader.unsafe_bytes r;
-        bufs.frame_len <-
-          (Wire.Reader.position r + Wire.Reader.bits_remaining r) / 8;
-        let t = read_count r in
-        let { at; width; lists; list_starts; records; vecs; vec_starts; _ } =
+        let { table; gid; lists; list_starts; records; vecs; vec_starts; _ } =
           bufs
         in
-        Ibuf.clear at;
-        Ibuf.clear width;
+        if Payloads.(length table > 32 * n || bytes table > Frame.max_frame)
+        then Payloads.clear table;
+        let t = read_count r in
+        Ibuf.clear gid;
         for _ = 1 to t do
-          let bits = Wire.Reader.read_gamma r in
-          if bits > Wire.Reader.bits_remaining r then
-            proto_error "embedded message of %d bits exceeds the frame" bits;
-          Ibuf.push at (Wire.Reader.position r);
-          Ibuf.push width bits;
-          Wire.Reader.skip r (8 * ((bits + 7) / 8))
+          Ibuf.push gid (read_entry r bufs)
         done;
-        bufs.resolved <- grow bufs.resolved t false;
-        Array.fill bufs.resolved 0 t false;
-        bufs.rd_stale <- true;
+        let decoded = bufs.decoded in
         let nv = read_seqs r ~lo:0 ~hi:t "payload" vecs vec_starts in
+        for e = 0 to vecs.len - 1 do
+          vecs.a.(e) <- gid.a.(vecs.a.(e))
+        done;
         (* The broadcast rows, into [bc]'s dedicated stream, grown to
            their count at once. *)
         let bc = bufs.bcast in
@@ -703,8 +666,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         for i = 0 to c - 1 do
           let src = Wire.Reader.read_gamma r in
           if src >= n then proto_error "source slot %d" src;
-          let k = resolve bufs src 0 (read_index r t "payload") in
-          let m = bufs.decoded.(k) in
+          let m = decoded.(gid.a.(read_index r t "payload")) in
           if i = 0 && c > Array.length bc.d_src then begin
             bc.d_src <- Array.make c 0;
             bc.d_msg <- Array.make c m
@@ -725,8 +687,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
           Ibuf.push records src;
           Ibuf.push records l;
           (match tag with
-          | 4 ->
-              Ibuf.push records (resolve bufs src 0 (read_index r t "payload"))
+          | 4 -> Ibuf.push records gid.a.(read_index r t "payload")
           | 2 ->
               let v = read_index r nv "vector" in
               let first = vec_starts.a.(v) in
@@ -734,17 +695,11 @@ module Host (M : Network_intf.WIRE_MSG) = struct
               and len = list_starts.a.(l + 1) - list_starts.a.(l) in
               if c <> len then
                 proto_error "batch of %d payloads over a list of %d" c len;
-              Ibuf.push records (-1 - first);
-              for j = 0 to c - 1 do
-                ignore (resolve bufs src j vecs.a.(first + j))
-              done
+              Ibuf.push records (-1 - first)
           | tag -> proto_error "unknown record tag %d" tag);
           per_list.(l) <- per_list.(l) + 1
         done;
-        for k = 0 to t - 1 do
-          if not bufs.resolved.(k) then ignore (read_entry bufs k)
-        done;
-        let need = bufs.need and decoded = bufs.decoded in
+        let need = bufs.need in
         Array.fill need lo (hi - lo) 0;
         for l = 0 to nl - 1 do
           if per_list.(l) > 0 then
@@ -789,23 +744,18 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     in
     Frame.write_frame io hello;
     let r = Wire.Reader.of_string (Frame.read_frame io) in
-    if Wire.Reader.read_gamma r <> magic then
-      proto_error "config: bad magic (mismatched peer?)";
-    let n = Wire.Reader.read_gamma r in
-    let n_hosts = Wire.Reader.read_gamma r in
-    let seed = Wire.Reader.read_gamma r in
-    (* n is wire-derived: cap it (Frame.max_frame is far above any real
-       run) so a hostile coordinator cannot force an absurd allocation. *)
-    if n = 0 || n > Frame.max_frame || n_hosts < 1 || host_index >= n_hosts
-    then
+    if field r <> magic then proto_error "config: bad magic (mismatched peer?)";
+    (* n is a count of identities, each at least a bit of the frame, so
+       a hostile coordinator cannot force an absurd allocation. *)
+    let n = read_count r in
+    let n_hosts = field r in
+    let seed = field r in
+    if n = 0 || n_hosts < 1 || host_index >= n_hosts then
       proto_error "config: n=%d n_hosts=%d host_index=%d" n n_hosts host_index;
-    let ids = Array.make n 0 in
-    for s = 0 to n - 1 do
-      ids.(s) <- Wire.Reader.read_gamma r
-    done;
+    let ids = Array.init n (fun _ -> field r) in
     (* A blob length beyond the frame is rejected before allocating. *)
     let extra =
-      let len = Wire.Reader.read_gamma r in
+      let len = field r in
       if len > Wire.Reader.bits_remaining r / 8 then
         proto_error "embedded byte string of %d bytes exceeds the frame" len;
       Wire.Reader.read_string r len
@@ -841,8 +791,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     let lists = Lists.create () in
     let list_of = Array.make n 0 and ref_of = Array.make n 0 in
     let w = Wire.Writer.create () and ib = Frame.inbuf () in
-    let continue_running = ref true in
-    while !continue_running do
+    let rec rounds () =
       for s = lo to hi - 1 do
         match states.(s) with
         | Running _ ->
@@ -879,22 +828,17 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       Lists.clear vecs;
       Lists.clear lists;
       Frame.write_framed io w;
-      let stop =
-        read_reply (Frame.read_framed io ib) bufs ~round:!current_round ~ids
-          ~lo ~hi ~states views
-      in
-      if stop then continue_running := false
-      else begin
+      let r = Frame.read_framed io ib and round = !current_round in
+      if not (read_reply r bufs ~round ~ids ~lo ~hi ~states views) then begin
         incr current_round;
         (* The engine's resume rule: a node in [wait_for_mail] sleeps
            through an empty view. Its slot stays clean, so its next
            record is the empty batch a [skip_round] would stage. *)
         for s = lo to hi - 1 do
-          match states.(s) with
-          | Running _ when sleeps outs.(s) views.(s) -> ()
-          | Running { k } -> states.(s) <- resume outs.(s) k views.(s)
-          | Finished _ | Dead _ | Byz_node -> ()
-        done
+          ignore (step states outs views s)
+        done;
+        rounds ()
       end
-    done
+    in
+    rounds ()
 end

@@ -106,22 +106,21 @@ val serve :
     exchange-class call is therefore valid only until the node's next
     one ({!Network_intf.S.inbox}'s contract).
 
-    Payloads cross in place, through a codec memo per slot for each
-    direction that keeps messages with their encodings in byte arenas
-    kept across rounds. A host writes each message it must encode with
-    [M.write] into one scratch writer kept for the run, and copies the
-    bytes into the slot's send memo. It skips [M.write] for a message
-    physically equal to the previous entry of the same outbox, or to
-    the message at the same position of the slot's previous outbox
-    (whatever round stored it); the memo keeps its own copies, so
-    callers may refill their [exchange_sized] arrays in place. A reply
-    payload is resolved at its first use by a row or record: if the
-    sender's receive memo holds the same bit length and bits at that
-    position, the message read from them then is delivered again,
-    physically; otherwise it is read with [M.read] straight from the
-    frame, bounded to its declared bits, and remembered. A payload no
-    row or record names is read all the same, so a malformed reply
-    fails as it would if every payload were read. *)
+    Payloads cross in place. A host writes each message it must encode
+    with [M.write] into one scratch writer kept for the run, and copies
+    the bytes into its slot's send memo, a byte arena kept across
+    rounds. It skips [M.write] for a message physically equal to the
+    previous entry of the same outbox, or to the message at the same
+    position of the slot's previous outbox (whatever round stored it);
+    the memo keeps its own copies, so callers may refill their
+    [exchange_sized] arrays in place. Every reply payload is interned,
+    in table order, into one content-interned table the host keeps for
+    the run, as the coordinator interns a host frame's: a payload of
+    the same bit length and bits as one read before, from any sender,
+    is that payload's message, physically; any other is read with
+    [M.read] straight from the frame, bounded to its declared bits.
+    The table is cleared before a reply once it holds more than [32 n]
+    entries or {!Frame.max_frame} bytes. *)
 module Host (M : Network_intf.WIRE_MSG) : sig
   include Network_intf.S with type msg = M.t
 

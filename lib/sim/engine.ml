@@ -420,9 +420,10 @@ module Make (M : MSG) = struct
        fibers; each stages its next outbox in its slot before yielding.
        A fiber is pinned to the shard owning its slot, so node-local
        mutable protocol state, and the slot it stages into, stay
-       domain-local. A node in [wait_for_mail] whose view is empty
-       stays suspended, its slot still clean. Decisions are collected
-       per shard; [on_decide] fires on main. *)
+       domain-local. [step] is the resume rule the socket host shares:
+       a node in [wait_for_mail] whose view is empty stays suspended,
+       its slot still clean. Decisions are collected per shard;
+       [on_decide] fires on main. *)
     let resume_shard k =
       let lo, hi = ranges.(k) in
       for s = lo to hi - 1 do
@@ -440,21 +441,10 @@ module Make (M : MSG) = struct
       if probing then marks.(2) <- Gc.minor_words ();
       let dec = ref lo in
       for s = lo to hi - 1 do
-        let o = outs.(s) in
-        match states.(s) with
-        | Running _ when sleeps o views.(s) -> ()
-        | Running { k } -> (
-            let st = resume o k views.(s) in
-            states.(s) <- st;
-            match st with
-            | Finished _ ->
-                dec_slots.(!dec) <- s;
-                incr dec
-            | Running _ | Dead _ | Byz_node -> ())
-        | Dead _ ->
-            rewind o;
-            if Array.length o.own_msg > 0 then release o
-        | Finished _ | Byz_node -> rewind o
+        if step states outs views s then begin
+          dec_slots.(!dec) <- s;
+          incr dec
+        end
       done;
       if probing then marks.(3) <- Gc.minor_words ();
       (* Rewind the views for the next round's fill: a view is only

@@ -331,7 +331,7 @@ module Make (M : MSG) = struct
      slot, so the effect carries nothing. *)
   type _ Effect.t += Exchange : inbox Effect.t
 
-  (* The slot arrives clean: [len = 0], all three flags clear ([resume]
+  (* The slot arrives clean: [len = 0], all three flags clear ([step]
      rewinds it). *)
   let exchange ctx l =
     (match l with
@@ -368,10 +368,6 @@ module Make (M : MSG) = struct
   let wait_for_mail ctx =
     ctx.out.waiting <- true;
     Effect.perform Exchange
-
-  (* The backends' resume rule: a waiting node sleeps through a round
-     whose view is empty (shared stream included). *)
-  let sleeps o v = o.waiting && v.d_len + v.s_len = 0
 
   let exchange_sized ctx ~dsts ~msgs ~sizes ~len =
     if
@@ -436,11 +432,30 @@ module Make (M : MSG) = struct
             match eff with Exchange -> suspend | _ -> None);
       }
 
-  let resume o k view =
-    rewind o;
-    match Effect.Deep.continue k view with
-    | Finished _ as st ->
-        release o;
-        st
-    | st -> st
+  (* The backends' resume rule, one slot at a time: a waiting node
+     sleeps through a round whose view (shared stream included) is
+     empty, its slot left clean; a running one continues from a clean
+     slot to its next barrier, and gives its buffers back once it
+     returns; a slot out of the run is rewound, and a dead one gives
+     its buffers back. *)
+  let step states outs views s =
+    let o = outs.(s) and v = views.(s) in
+    match states.(s) with
+    | Running _ when o.waiting && v.d_len + v.s_len = 0 -> false
+    | Running { k } -> (
+        rewind o;
+        let st = Effect.Deep.continue k v in
+        states.(s) <- st;
+        match st with
+        | Finished _ ->
+            release o;
+            true
+        | Running _ | Dead _ | Byz_node -> false)
+    | Dead _ ->
+        rewind o;
+        if Array.length o.own_msg > 0 then release o;
+        false
+    | Finished _ | Byz_node ->
+        rewind o;
+        false
 end

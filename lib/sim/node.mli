@@ -6,7 +6,7 @@
     outbox into the node's slot ({!Make.out}) and then performs a
     payload-free effect that suspends the fiber. The backend reads every
     suspended slot, delivers, refills each node's inbox view and resumes
-    the fiber with it ({!Make.resume}). The simulator
+    the fiber with it ({!Make.step}). The simulator
     ([Repro_sim.Engine.Make]) and the socket host
     ([Repro_net.Socket_net.Host]) both include {!Make}; they differ only
     in how a round's slots travel and how the views get filled.
@@ -123,13 +123,6 @@ module Make (M : MSG) : sig
       at least [cap] destinations and [cap_msg] messages ([m] fills
       fresh message cells). Growth drops the old contents. *)
 
-  val release : out -> unit
-  (** Give a slot that will never send again its buffers back. *)
-
-  val rewind : out -> unit
-  (** Make the slot clean: [len = 0], [fan], [bcast] and [waiting]
-      clear. *)
-
   (** {1 Node programs} *)
 
   type ctx = {
@@ -163,13 +156,9 @@ module Make (M : MSG) : sig
       and return that round's inbox, which is never empty: exactly
       [let rec go () = let i = skip_round ctx in if Inbox.length i = 0
       then go () else i], in one suspension. It marks the slot
-      [waiting], and a backend must not resume a waiting node while
-      {!sleeps} holds; each idle round still stages an empty outbox. *)
-
-  val sleeps : out -> inbox -> bool
-  (** [sleeps o v]: the slot [o] is [waiting] and its view [v] (shared
-      stream included) is empty, so the backend leaves the node
-      suspended this round. *)
+      [waiting], and {!step} leaves a waiting node suspended through
+      every round whose view (shared stream included) is empty; each
+      idle round still stages an empty outbox. *)
 
   val exchange_sized :
     ctx ->
@@ -197,10 +186,12 @@ module Make (M : MSG) : sig
   val start_fiber : (ctx -> 'r) -> ctx -> 'r node_state
   (** Runs the program up to its first barrier (or its return). *)
 
-  val resume :
-    out -> (inbox, 'r node_state) Effect.Deep.continuation -> inbox ->
-    'r node_state
-  (** [resume o k view] rewinds the node's slot [o] and continues it
-      with [view] up to its next barrier; a node that returns releases
-      [o]. *)
+  val step : 'r node_state array -> out array -> inbox array -> int -> bool
+  (** [step states outs views s] is the one resume rule both backends
+      apply to slot [s] once its view is filled, [true] when the node
+      finished. A [Running] node continues with [views.(s)] up to its
+      next barrier, its slot rewound (made clean) first and, once it
+      returns, its buffers given back; but a node in {!wait_for_mail}
+      whose view is empty stays suspended. Any other slot is rewound,
+      and a [Dead] one gives its buffers back. *)
 end

@@ -435,11 +435,21 @@ end
 
 module Counting_host = SN.Host (Counting_msg)
 
+(* Every node's decision is its host's read count; each must be 1. *)
+let expect_one_read (res : SN.result) =
+  List.iter
+    (fun (id, outcome) ->
+      match outcome with
+      | Engine.Decided v ->
+          Alcotest.(check int) (Printf.sprintf "node %d reads" id) 1 v
+      | _ -> Alcotest.fail (Printf.sprintf "node %d did not decide" id))
+    res.SN.run.Engine.outcomes
+
 let test_one_decode_per_host_per_run () =
   (* 4 nodes broadcast the same payload for 3 rounds over 2 hosts: each
-     host reads it once, at its first use in round 0; every later use
-     finds the same bits in its sender's receive memo (or the entry
-     already read in that reply), so every node counts 1. *)
+     host reads it once, in round 0; every later reply carries the same
+     bits, which the host's run table already holds, so every node
+     counts 1. *)
   let res =
     serve_forked ~ids:[| 11; 22; 33; 44 |] ~n_hosts:2 (fun h fd ->
         Counting_host.run ~fd ~host_index:h ~program:(fun ~extra:_ ctx ->
@@ -448,13 +458,24 @@ let test_one_decode_per_host_per_run () =
             done;
             !reads))
   in
-  List.iter
-    (fun (id, outcome) ->
-      match outcome with
-      | Engine.Decided v ->
-          Alcotest.(check int) (Printf.sprintf "node %d reads" id) 1 v
-      | _ -> Alcotest.fail (Printf.sprintf "node %d did not decide" id))
-    res.SN.run.Engine.outcomes
+  expect_one_read res
+
+let test_one_decode_across_senders () =
+  (* Slot [s] alone broadcasts the payload, in round [s]: each round's
+     reply carries it from another sender, and each host reads it once
+     all the same. *)
+  let ids = [| 11; 22; 33; 44 |] in
+  let res =
+    serve_forked ~ids ~n_hosts:2 (fun h fd ->
+        Counting_host.run ~fd ~host_index:h ~program:(fun ~extra:_ ctx ->
+            for r = 0 to Array.length ids - 1 do
+              if ids.(r) = Counting_host.my_id ctx then
+                ignore (Counting_host.broadcast ctx (TMsg.Ping 1))
+              else ignore (Counting_host.skip_round ctx)
+            done;
+            !reads))
+  in
+  expect_one_read res
 
 (* Counts payload writes in the host process that runs it. *)
 let writes = ref 0
@@ -605,6 +626,8 @@ let () =
             test_mixed_outboxes_match_engine;
           Alcotest.test_case "one decode per host per run" `Quick
             test_one_decode_per_host_per_run;
+          Alcotest.test_case "one decode per host across senders" `Quick
+            test_one_decode_across_senders;
           Alcotest.test_case "one encode per changed batch position" `Quick
             test_encode_memo;
           Alcotest.test_case "net_node_cli byz n=128 within budget" `Quick

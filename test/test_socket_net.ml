@@ -443,6 +443,16 @@ let test_host_rejects_oversized_lengths () =
              @ Array.to_list host_ids @ [ mib ]))
         [])
 
+(* A config frame cut anywhere is malformed traffic: the host reads
+   every handshake field as a frame field, so it raises
+   [Protocol_error], not the reader's [Invalid_argument]. *)
+let test_host_rejects_cut_config () =
+  for cut = 0 to String.length config_frame - 1 do
+    match run_host ~config:(String.sub config_frame 0 cut) [] with
+    | _ -> Alcotest.failf "config cut at byte %d accepted" cut
+    | exception Frame.Protocol_error _ -> ()
+  done
+
 let test_truncation () =
   (* EOF after a partial header. *)
   List.iter
@@ -735,13 +745,13 @@ let test_host_wait_for_mail_frames () =
     mails;
   Alcotest.(check int) "no wait_for_mail returned an empty inbox" 0 empties
 
-(* {2 The receive memo}
+(* {2 The run payload table}
 
-   A host remembers, per source slot and position in that sender's row
-   or record, the last message it resolved there and that message's
-   encoding. A table entry used at the same position with the same bit
-   length and bits is the remembered message, not read again; any other
-   entry is read with [M.read], or rejected. *)
+   A host interns every reply payload into one table it keeps for the
+   run. An entry with the bit length and bits of any payload it has
+   read, from any sender, in any row, record or round, is that
+   payload's message, not read again; any other entry is read with
+   [M.read], or rejected. *)
 
 (* Every node skips [rounds] rounds against [replies] (round [r]'s reply
    at [r]); per round, what slot 0 (id 30) received, in arrival order,
@@ -839,11 +849,10 @@ let test_host_memo_reuse () =
         (c >= q +. float_of_int k))
     (words changed) (words quiet)
 
-(* A memo hit is [M.read] of the same bits: round 1 keeps some of round
-   0's messages and redraws the others, at the same positions of the
-   same sender. Every delivered message re-encodes to its entry's bits;
-   one whose bits equal round 0's at its position is round 0's message
-   itself. *)
+(* A table hit is [M.read] of the same bits: round 1 keeps some of
+   round 0's messages and redraws the others. Every delivered message
+   re-encodes to its entry's bits, and any two delivered messages of
+   equal bits, in either round and at any position, are one message. *)
 let qcheck_memo_hit_is_read (type a) name
     (module M : Repro_net.Network_intf.WIRE_MSG with type t = a) gen =
   QCheck.Test.make ~name:("memo hit = M.read of its bits, " ^ name) ~count:60
@@ -879,10 +888,12 @@ let qcheck_memo_hit_is_read (type a) name
                  | Some r -> M.encode r = M.encode m'
                  | None -> false)
                l1 got1
-          && List.for_all2
-               (fun (e0, e1) (m0, m1) -> e0 <> e1 || m0 == m1)
-               (List.combine (encodings l0) (encodings l1))
-               (List.combine got0 got1)
+          &&
+          let got = List.combine (encodings (l0 @ l1)) (got0 @ got1) in
+          List.for_all
+            (fun (e, m) ->
+              List.for_all (fun (e', m') -> e <> e' || m == m') got)
+            got
       | _ -> false)
 
 let qcheck_memo_crash =
@@ -896,10 +907,10 @@ let qcheck_memo_flooding =
     (module FL.Msg)
     Test_codecs.flooding_msg_gen
 
-(* Replies that a memo must not answer. Round 0 delivers Ping 5 (the 5
-   bits 00110, padded 0x30) from slot 1 at position 0, so the memo holds
-   it there; round 1 is hostile. Each must be read — and then rejected,
-   or counted — never taken from the memo. *)
+(* Replies that the table must not answer. Round 0 delivers Ping 5 (the
+   5 bits 00110, padded 0x30) from slot 1, so the table holds it; round
+   1 is hostile. Each must be read — and then rejected — never taken
+   from the table. *)
 let test_host_memo_hostile () =
   let ping v = TMsg.encode (Ping v) in
   let fan_from src ~round entry =
@@ -926,19 +937,54 @@ let test_host_memo_hostile () =
   expect_rejected "an unnamed entry that does not decode"
     (reply_frame_at ~round:1 ~table:[ ping 5; ("\x00", 5) ] ~bcast:[]
        ~lists:[ [ 0 ] ] ~records:[ `Fan (1, 0, 0) ]);
-  (* Slot 2 sends what slot 1 sent at the same position: slot 2's memo
-     holds nothing, so the entry is read, and its message is not slot
-     1's. *)
+  (* Slot 2 sends the bits slot 1 sent, at the second position of a
+     batch: they are slot 1's message, with no read. *)
   match
     counted_reads (fun () ->
         slot0_rounds
           (module Counted_msg)
-          [ round0; fan_from 2 ~round:1 (ping 5) ])
+          [
+            round0;
+            reply_frame_at ~round:1 ~table:[ ping 7; ping 5 ] ~bcast:[]
+              ~lists:[ [ 0; 0 ] ] ~records:[ `Batch (2, 0, [ 0; 1 ]) ];
+          ])
   with
-  | [ ([ m0 ], _); ([ m1 ], _) ], n ->
-      Alcotest.(check int) "another sender's entry is read" 2 n;
-      Alcotest.(check bool) "and is not the memo's message" false (m0 == m1)
-  | _ -> Alcotest.fail "one message per round expected"
+  | [ ([ m0 ], _); ([ _; m1 ], _) ], n ->
+      Alcotest.(check int) "reads: Ping 5 once, Ping 7 once" 2 n;
+      Alcotest.(check bool) "and the first read's message" true (m0 == m1)
+  | _ -> Alcotest.fail "one message, then two, expected"
+
+(* The run table is cleared before a reply once it holds more than
+   [32 n] entries (96 here). Below the bound a payload seen rounds
+   earlier is its first message, with no read; past it, it is read
+   again and delivered equal. *)
+let test_host_table_bound () =
+  let pings lo k = List.init k (fun i -> TMsg.encode (Ping (lo + i))) in
+  let ping0 rounds =
+    match (rounds, List.rev rounds) with
+    | (m0 :: _, _) :: _, ([ m ], _) :: _ -> (m0, m)
+    | _ -> Alcotest.fail "Ping 0 first and last expected"
+  in
+  let run middle =
+    let rounds, reads =
+      counted_reads (fun () ->
+          slot0_rounds
+            (module Counted_msg)
+            ((batch_to_slot0 ~round:0 (pings 0 60) :: middle)
+            @ [ batch_to_slot0 ~round:(1 + List.length middle) (pings 0 1) ]))
+    in
+    (ping0 rounds, reads)
+  in
+  let (m0, m), below = run [] in
+  Alcotest.(check int) "below the bound: reads" 60 below;
+  Alcotest.(check bool) "below the bound: the first message" true (m0 == m);
+  let (m0, m), past = run [ batch_to_slot0 ~round:1 (pings 60 60) ] in
+  Alcotest.(check int) "past the bound: Ping 0 read again" 121 past;
+  Alcotest.(check bool) "past the bound: a new message" false (m0 == m);
+  Alcotest.(check string)
+    "delivered equal"
+    (fst (TMsg.encode (Ping 0)))
+    (fst (TMsg.encode m))
 
 (* {2 The send memo}
 
@@ -1291,6 +1337,8 @@ let suite =
         test_host_rejects_oversized_lengths;
       Alcotest.test_case "host rejects a cut reply over stale bytes" `Quick
         test_host_stale_bytes;
+      Alcotest.test_case "host rejects a cut config frame" `Quick
+        test_host_rejects_cut_config;
       Alcotest.test_case "host rejects a non-participant destination" `Quick
         test_host_rejects_non_participant;
       Alcotest.test_case "host checks an exchange_sized batch" `Quick
@@ -1306,6 +1354,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_memo_flooding;
       Alcotest.test_case "host memo reads or rejects hostile entries" `Quick
         test_host_memo_hostile;
+      Alcotest.test_case "host run table cleared past its bound" `Quick
+        test_host_table_bound;
       Alcotest.test_case "send memo shares a repeated message's encoding"
         `Quick test_send_memo_shares;
       QCheck_alcotest.to_alcotest qcheck_send_memo;
